@@ -125,7 +125,8 @@ std::vector<Web> ipra::analyzer_detail::discoverPromotionWebs(
     Webs = buildWebs(CG, RS, webOptionsFor(Options), MR);
     break;
   case PromotionMode::Blanket:
-    Webs = buildBlanketWebs(CG, RS, Options.BlanketCount, Options.WebPool);
+    Webs = buildBlanketWebs(CG, RS, Options.BlanketCount, Options.WebPool,
+                            MR);
     break;
   }
   Stats.WebsMs =

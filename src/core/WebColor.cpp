@@ -109,7 +109,7 @@ WebColorStats ipra::colorWebsGreedy(std::vector<Web> &Webs,
 
 std::vector<Web> ipra::buildBlanketWebs(const CallGraph &CG,
                                         const RefSets &RS, int Count,
-                                        RegMask Pool) {
+                                        RegMask Pool, const ModRefInfo *MR) {
   // Rank eligible globals by whole-program weighted reference count
   // ("the most frequently used global variables", §6.1).
   std::vector<std::pair<long long, int>> Ranked;
@@ -138,9 +138,12 @@ std::vector<Web> ipra::buildBlanketWebs(const CallGraph &CG,
     W.GlobalId = Ranked[I].second;
     W.Priority = Ranked[I].first;
     W.Nodes = NodeSet::withUniverse(CG.size());
+    // An exactly read-only global never needs its register stored back
+    // (§15), the same rule buildWebs applies.
+    bool ReadOnly = MR && MR->readOnlyGlobal(RS.globalName(W.GlobalId));
     for (int N = 0; N < CG.size(); ++N) {
       W.Nodes.insert(N);
-      if (RS.refStores(N, W.GlobalId))
+      if (!ReadOnly && RS.refStores(N, W.GlobalId))
         W.Modifies = true;
     }
     // The program's start nodes play the role of web entries: the

@@ -48,9 +48,11 @@ WebColorStats colorWebsGreedy(std::vector<Web> &Webs, const CallGraph &CG);
 /// Builds blanket-promotion "webs": the \p Count highest-frequency
 /// eligible globals each get one register from \p Pool, dedicated over
 /// every node of the call graph; the start nodes act as web entries.
-/// Returns the replacement web list (already colored).
+/// Returns the replacement web list (already colored). With \p MR, an
+/// exactly read-only global's web does not modify it (no writeback).
 std::vector<Web> buildBlanketWebs(const CallGraph &CG, const RefSets &RS,
-                                  int Count, RegMask Pool);
+                                  int Count, RegMask Pool,
+                                  const ModRefInfo *MR = nullptr);
 
 /// Verification helper: interfering webs must have distinct registers;
 /// every colored web's register must be callee-saves.

@@ -44,12 +44,41 @@ std::unique_ptr<ModuleAST> frontEnd(const SourceFile &Source,
   return AST;
 }
 
-/// Per-function level-2 optimization, with promoted globals excluded
-/// from local promotion (§5: the dedicated register takes over) and
-/// optional points-to alias facts refining the kill points.
-void optimizeForDirectives(IRModule &IR, const ProgramDatabase *DB,
-                           bool LocalGlobalPromotion,
-                           const GlobalAliasFacts *Alias = nullptr) {
+/// One module lowered from its AST up to the database-independent
+/// optimizer stage: IRGen, verification of the pristine IR, the
+/// points-to solve on it (optimization only removes access sites, so
+/// the facts stay sound afterwards), and optimizeToFixpoint on every
+/// function. Phase 1 and phase 2 both start from this; the fused build
+/// keeps phase 1's copy as Figure 1's IR file for phase 2.
+struct LoweredModule {
+  std::unique_ptr<IRModule> IR;
+  std::unique_ptr<ModulePointsTo> PT;
+  double PointsToMs = 0; ///< Time of the points-to solve.
+};
+
+/// Lowers \p AST; returns the first verifier problem, or "" on success.
+std::string lowerModule(const ModuleAST &AST, PointsToMode Mode,
+                        LoweredModule &Out) {
+  DiagnosticEngine Diags;
+  Out.IR = generateIR(AST, Diags);
+  auto Problems = verifyModule(*Out.IR);
+  if (!Problems.empty())
+    return Problems[0];
+  if (Mode != PointsToMode::Off) {
+    ScopedTimerMs Timer(Out.PointsToMs);
+    Out.PT = std::make_unique<ModulePointsTo>(*Out.IR);
+  }
+  for (auto &F : Out.IR->Functions)
+    optimizeToFixpoint(*F);
+  return "";
+}
+
+/// The database-dependent optimizer stage: local global promotion with
+/// the globals the database promotes excluded (§5: the dedicated
+/// register takes over), refined by the module's points-to facts.
+void finishForDirectives(IRModule &IR, const ProgramDatabase *DB,
+                         bool LocalGlobalPromotion,
+                         const GlobalAliasFacts *Alias) {
   for (auto &F : IR.Functions) {
     OptOptions Options;
     Options.LocalGlobalPromotion = LocalGlobalPromotion;
@@ -66,8 +95,43 @@ void optimizeForDirectives(IRModule &IR, const ProgramDatabase *DB,
         Options.SkipGlobals.insert(Plain);
       }
     }
-    optimizeFunction(*F, Options);
+    finishOptimization(*F, Options);
   }
+}
+
+/// Phase 1's trial code generation of one function, for the summary's
+/// register-need estimate and caller-saves footprint (§6, §7.6.2).
+std::optional<TrialCodeGenInfo> trialCodeGen(const IRModule &IR,
+                                             const IRFunction &F) {
+  CodeGenResult CG = generateCode(IR, F, ProcDirectives());
+  if (!CG.Success)
+    return std::nullopt;
+  return TrialCodeGenInfo{CG.RA.CalleeRegsUsed,
+                          static_cast<unsigned>(CG.CallerRegsWritten)};
+}
+
+/// The database's directives for \p F (the standard linkage convention
+/// without one), minus the registers the linker reserves.
+ProcDirectives directivesFor(const ProgramDatabase *DB, const IRFunction &F,
+                             RegMask LinkerReserved) {
+  ProcDirectives Dir = DB ? DB->lookup(F.qualifiedName()) : ProcDirectives();
+  Dir.Caller &= ~LinkerReserved;
+  Dir.Callee &= ~LinkerReserved;
+  Dir.Free &= ~LinkerReserved;
+  return Dir;
+}
+
+/// Per-callee clobber masks for the §7.6.2 extension; without a
+/// database (or with the extension off) every call clobbers fully. The
+/// resolver only reads the database, so code-generation workers share
+/// it.
+CallClobberResolver clobbersFor(const ProgramDatabase *DB,
+                                bool CallerSavePropagation) {
+  if (!DB || !CallerSavePropagation)
+    return CallClobberResolver();
+  return [DB](const std::string &Callee) {
+    return DB->lookup(Callee).SubtreeClobber;
+  };
 }
 
 /// One function's position in the flattened cross-module work list
@@ -217,36 +281,28 @@ SummaryResult Pipeline::compileSummaryImpl(const SourceFile &Source) {
     Result.Diags.addAll(Diags);
     return Result;
   }
-  auto IR = generateIR(*AST, Diags);
-  auto Problems = verifyModule(*IR);
-  if (!Problems.empty()) {
-    Result.Diags.error("IR verification failed: " + Problems[0]);
+  LoweredModule L;
+  std::string Problem = lowerModule(*AST, Config.PointsTo, L);
+  if (!Problem.empty()) {
+    Result.Diags.error("IR verification failed: " + Problem);
     return Result;
   }
-  // Points-to runs on the pristine pre-optimization IR (optimization
-  // only removes access sites, so the facts stay sound afterwards).
-  std::unique_ptr<ModulePointsTo> PT;
-  if (Config.PointsTo != PointsToMode::Off)
-    PT = std::make_unique<ModulePointsTo>(*IR);
-  optimizeForDirectives(*IR, nullptr, Config.LocalGlobalPromotion,
-                        PT.get());
+  finishForDirectives(*L.IR, nullptr, Config.LocalGlobalPromotion,
+                      L.PT.get());
+  const IRModule &IR = *L.IR;
 
   std::map<std::string, TrialCodeGenInfo> Estimates;
-  for (auto &F : IR->Functions) {
-    CodeGenResult CG = generateCode(*IR, *F, ProcDirectives());
-    if (CG.Success)
-      Estimates[F->Name] = TrialCodeGenInfo{
-          CG.RA.CalleeRegsUsed,
-          static_cast<unsigned>(CG.CallerRegsWritten)};
-  }
-  ModuleSummary Summary = buildModuleSummary(*IR, Estimates);
-  if (PT)
-    PT->applyToSummary(Summary);
+  for (auto &F : IR.Functions)
+    if (auto Info = trialCodeGen(IR, *F))
+      Estimates[F->Name] = *Info;
+  ModuleSummary Summary = buildModuleSummary(IR, Estimates);
+  if (L.PT)
+    L.PT->applyToSummary(Summary);
   // GPG mode additionally attaches the module's composable points-to
   // residue (summary format v4); the analyzer composes the residues
   // bottom-up and strengthens the Andersen facts above.
   if (Config.PointsTo == PointsToMode::GPG)
-    buildGPGSummary(*IR, Summary);
+    buildGPGSummary(IR, Summary);
   Summary.ConfigFingerprint = CompileFP;
   Result.SummaryText = writeSummary(Summary);
   Cache->put(Key, Result.SummaryText);
@@ -363,8 +419,9 @@ ObjectResult Pipeline::compileObjectImpl(const SourceFile &Source,
                                          const std::string &DatabaseText) {
   ObjectResult Result;
   ProgramDatabase DB;
-  bool HaveDB = !DatabaseText.empty();
-  if (HaveDB) {
+  const ProgramDatabase *DBP = nullptr; // No database: standard linkage.
+  if (!DatabaseText.empty()) {
+    DBP = &DB;
     std::string Error;
     if (!ProgramDatabase::deserialize(DatabaseText, DB, Error)) {
       Result.Diags.error("bad program database: " + Error);
@@ -402,34 +459,28 @@ ObjectResult Pipeline::compileObjectImpl(const SourceFile &Source,
     Result.Diags.addAll(Diags);
     return Result;
   }
-  auto IR = generateIR(*AST, Diags);
-  std::unique_ptr<ModulePointsTo> PT;
-  if (Config.PointsTo != PointsToMode::Off)
-    PT = std::make_unique<ModulePointsTo>(*IR);
-  optimizeForDirectives(*IR, HaveDB ? &DB : nullptr,
-                        Config.LocalGlobalPromotion, PT.get());
-  auto Problems = verifyModule(*IR);
-  if (!Problems.empty()) {
-    Result.Diags.error("IR verification failed: " + Problems[0]);
+  LoweredModule L;
+  std::string Problem = lowerModule(*AST, Config.PointsTo, L);
+  if (Problem.empty()) {
+    finishForDirectives(*L.IR, DBP, Config.LocalGlobalPromotion,
+                        L.PT.get());
+    auto Problems = verifyModule(*L.IR);
+    if (!Problems.empty())
+      Problem = Problems[0];
+  }
+  if (!Problem.empty()) {
+    Result.Diags.error("IR verification failed: " + Problem);
     return Result;
   }
+  const IRModule &IR = *L.IR;
 
-  // Per-callee clobber masks for the §7.6.2 extension; without a
-  // database (or with the extension off) every call clobbers fully.
-  CallClobberResolver Clobbers;
-  if (HaveDB && Config.CallerSavePropagation)
-    Clobbers = [&DB](const std::string &Callee) {
-      return DB.lookup(Callee).SubtreeClobber;
-    };
-
+  CallClobberResolver Clobbers =
+      clobbersFor(DBP, Config.CallerSavePropagation);
   std::vector<ObjFunction> Funcs;
-  for (auto &F : IR->Functions) {
-    ProcDirectives Dir =
-        HaveDB ? DB.lookup(F->qualifiedName()) : ProcDirectives();
-    Dir.Caller &= ~Config.LinkerReservedRegs;
-    Dir.Callee &= ~Config.LinkerReservedRegs;
-    Dir.Free &= ~Config.LinkerReservedRegs;
-    CodeGenResult CG = generateCode(*IR, *F, Dir, Clobbers);
+  for (auto &F : IR.Functions) {
+    CodeGenResult CG = generateCode(
+        IR, *F, directivesFor(DBP, *F, Config.LinkerReservedRegs),
+        Clobbers);
     if (!CG.Success) {
       Result.Diags.error("register allocation failed for " +
                          F->qualifiedName());
@@ -437,7 +488,7 @@ ObjectResult Pipeline::compileObjectImpl(const SourceFile &Source,
     }
     Funcs.push_back(std::move(CG.Obj));
   }
-  Result.ObjectText = writeObjectFile(assembleObject(*IR, std::move(Funcs)));
+  Result.ObjectText = writeObjectFile(assembleObject(IR, std::move(Funcs)));
   Cache->put(Key, Result.ObjectText);
   Result.Ok = true;
   return Result;
@@ -522,10 +573,15 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
 
   // ---- Compiler first phase: optimize, trial codegen, summary file.
   // Cache key: compile fingerprint x module name x source text.
+  // Every module phase 1 compiles also leaves its IR file (Figure 1):
+  // the IR as optimizeToFixpoint left it, plus its points-to facts.
+  // Only finishOptimization reads the database, so phase 2 resumes from
+  // there instead of lowering the module again.
   ProgramDatabase DB;
-  bool HaveDB = false;
+  const ProgramDatabase *DBP = nullptr; // Set once the analyzer ran.
   std::vector<ModuleSummary> Summaries(NumModules);
   std::vector<std::string> SummaryTexts(NumModules);
+  std::vector<LoweredModule> IRFiles(NumModules);
   if (Config.Ipra) {
     {
       ScopedTimerMs Timer(PS.Phase1Ms);
@@ -555,27 +611,21 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         if (!ensureFrontEnd(Miss))
           return Result;
         std::vector<std::unique_ptr<IRModule>> IRs(NumModules);
-        std::vector<std::unique_ptr<ModulePointsTo>> PTs(NumModules);
         std::vector<std::string> Errors(NumModules);
         parallelForEach(Pool, Miss.size(), [&](size_t J) {
           size_t I = Miss[J];
           ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
-          DiagnosticEngine Diags;
-          auto IR = generateIR(*ASTs[I], Diags);
-          auto Problems = verifyModule(*IR);
-          if (!Problems.empty()) {
-            Errors[I] = "phase 1 IR verification failed: " + Problems[0];
+          LoweredModule &L = IRFiles[I];
+          std::string Problem = lowerModule(*ASTs[I], Config.PointsTo, L);
+          PS.Modules[I].PointsToMs += L.PointsToMs;
+          if (!Problem.empty()) {
+            Errors[I] = "phase 1 IR verification failed: " + Problem;
             return;
           }
-          // Points-to runs on the pristine pre-optimization IR; its
-          // facts feed the optimizer below and the summary later.
-          if (Config.PointsTo != PointsToMode::Off) {
-            ScopedTimerMs PTTimer(PS.Modules[I].PointsToMs);
-            PTs[I] = std::make_unique<ModulePointsTo>(*IR);
-          }
-          optimizeForDirectives(*IR, nullptr, Config.LocalGlobalPromotion,
-                                PTs[I].get());
-          IRs[I] = std::move(IR);
+          ASTs[I].reset(); // Phase 2 resumes from the IR file instead.
+          IRs[I] = L.IR->clone();
+          finishForDirectives(*IRs[I], nullptr, Config.LocalGlobalPromotion,
+                              L.PT.get());
         });
         if (const std::string *E = firstError(Errors)) {
           Result.Diags.error(*E);
@@ -597,12 +647,8 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         parallelForEach(Pool, Jobs.size(), [&](size_t J) {
           ScopedTimerMs JobTimer(JobMs[J]);
           const IRModule &IR = *IRs[Jobs[J].Module];
-          CodeGenResult CG = generateCode(
-              IR, *IR.Functions[Jobs[J].Func], ProcDirectives());
-          if (CG.Success)
-            Trial[Jobs[J].Module][Jobs[J].Func] = TrialCodeGenInfo{
-                CG.RA.CalleeRegsUsed,
-                static_cast<unsigned>(CG.CallerRegsWritten)};
+          Trial[Jobs[J].Module][Jobs[J].Func] =
+              trialCodeGen(IR, *IR.Functions[Jobs[J].Func]);
         });
         for (size_t J = 0; J < Jobs.size(); ++J)
           PS.Modules[Jobs[J].Module].Phase1Ms += JobMs[J];
@@ -618,8 +664,8 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
             if (Trial[I][F])
               Estimates[IRs[I]->Functions[F]->Name] = *Trial[I][F];
           ModuleSummary Summary = buildModuleSummary(*IRs[I], Estimates);
-          if (PTs[I])
-            PTs[I]->applyToSummary(Summary);
+          if (IRFiles[I].PT)
+            IRFiles[I].PT->applyToSummary(Summary);
           // GPG mode additionally attaches the module's composable
           // points-to residue (summary format v4) for the analyzer's
           // bottom-up composition.
@@ -638,7 +684,6 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
           SummaryTexts[I] = std::move(Text);
           Summaries[I] = std::move(Parsed);
         });
-        Result.SummaryFiles = SummaryTexts;
         if (const std::string *E = firstError(Errors)) {
           Result.Diags.error(*E);
           return Result;
@@ -648,9 +693,9 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         for (size_t I : Miss)
           Cache->put(Keys[I], SummaryTexts[I]);
         for (size_t I : Miss) {
-          if (PTs[I]) {
-            PS.PointsToConstraints += PTs[I]->stats().Constraints;
-            PS.PointsToIterations += PTs[I]->stats().Iterations;
+          if (const ModulePointsTo *PT = IRFiles[I].PT.get()) {
+            PS.PointsToConstraints += PT->stats().Constraints;
+            PS.PointsToIterations += PT->stats().Iterations;
           }
           PS.GPGUpdates += GPGStats[I].Updates;
           PS.GPGCallSites += GPGStats[I].CallSites;
@@ -729,13 +774,17 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
     PS.ModRefDeadProcs = static_cast<unsigned>(Result.Analyzer.DeadProcs);
     PS.ModRefMs = Result.Analyzer.ModRefMs;
     PS.DatabaseBytes = Result.DatabaseFile.size();
-    HaveDB = true;
+    DBP = &DB;
   }
 
   // ---- Compiler second phase: per-module compilation to objects.
   // Cache key: compile fingerprint x module name x source text x the
   // module's database slice — after an edit, only modules whose slice
-  // the analyzer actually moved recompile.
+  // the analyzer actually moved recompile. A miss resumes from the
+  // module's phase-1 IR file when this build made one; a module whose
+  // summary came from the cache (or a build without IPRA) lowers from
+  // its AST instead. Both give the same IR, because lowering is a
+  // function of the source alone.
   std::vector<ObjectFile> Objects(NumModules);
   {
     ScopedTimerMs Timer(PS.Phase2Ms);
@@ -744,7 +793,7 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
     std::vector<size_t> Miss;
     for (size_t I = 0; I < NumModules; ++I) {
       std::string Slice =
-          HaveDB ? DB.sliceFor(Summaries[I], Config.CallerSavePropagation)
+          DBP ? DB.sliceFor(Summaries[I], Config.CallerSavePropagation)
                  : std::string();
       Keys[I] = objectKey(CompileFP, AllSources[I], Slice);
       if (auto Entry = Cache->get(Keys[I])) {
@@ -753,6 +802,7 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         if (readObjectFile(*Entry, Parsed, Error)) {
           ObjTexts[I] = std::move(*Entry);
           Objects[I] = std::move(Parsed);
+          IRFiles[I] = LoweredModule();
           ++PS.Phase2CacheHits;
           PS.Modules[I].Phase2FromCache = true;
           PS.CacheBytesSaved += ObjTexts[I].size();
@@ -765,42 +815,42 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
     }
 
     if (!Miss.empty()) {
-      if (!ensureFrontEnd(Miss))
+      std::vector<size_t> Relower;
+      for (size_t I : Miss)
+        if (!IRFiles[I].IR)
+          Relower.push_back(I);
+      if (!ensureFrontEnd(Relower))
         return Result;
       std::vector<std::unique_ptr<IRModule>> IRs(NumModules);
       std::vector<std::string> Errors(NumModules);
       parallelForEach(Pool, Miss.size(), [&](size_t J) {
         size_t I = Miss[J];
         ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
-        DiagnosticEngine Diags;
-        auto IR = generateIR(*ASTs[I], Diags);
-        std::unique_ptr<ModulePointsTo> PT;
-        if (Config.PointsTo != PointsToMode::Off) {
-          ScopedTimerMs PTTimer(PS.Modules[I].PointsToMs);
-          PT = std::make_unique<ModulePointsTo>(*IR);
+        LoweredModule L = std::move(IRFiles[I]);
+        if (!L.IR) {
+          std::string Problem = lowerModule(*ASTs[I], Config.PointsTo, L);
+          PS.Modules[I].PointsToMs += L.PointsToMs;
+          if (!Problem.empty()) {
+            Errors[I] = "phase 2 IR verification failed: " + Problem;
+            return;
+          }
         }
-        optimizeForDirectives(*IR, HaveDB ? &DB : nullptr,
-                              Config.LocalGlobalPromotion, PT.get());
-        auto Problems = verifyModule(*IR);
+        finishForDirectives(*L.IR, DBP, Config.LocalGlobalPromotion,
+                            L.PT.get());
+        auto Problems = verifyModule(*L.IR);
         if (!Problems.empty()) {
           Errors[I] = "phase 2 IR verification failed: " + Problems[0];
           return;
         }
-        IRs[I] = std::move(IR);
+        IRs[I] = std::move(L.IR);
       });
       if (const std::string *E = firstError(Errors)) {
         Result.Diags.error(*E);
         return Result;
       }
 
-      // Per-callee clobber masks for the §7.6.2 extension; without a
-      // database (or with the extension off) every call clobbers fully.
-      // The resolver only reads the database, so workers share it.
-      CallClobberResolver Clobbers;
-      if (HaveDB && Config.CallerSavePropagation)
-        Clobbers = [&DB](const std::string &Callee) {
-          return DB.lookup(Callee).SubtreeClobber;
-        };
+      CallClobberResolver Clobbers =
+          clobbersFor(DBP, Config.CallerSavePropagation);
 
       // Code generation, parallel across every function of every
       // recompiled module; each function writes into its (module,
@@ -819,12 +869,9 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         ScopedTimerMs JobTimer(JobMs[J]);
         const IRModule &IR = *IRs[Jobs[J].Module];
         const auto &F = *IR.Functions[Jobs[J].Func];
-        ProcDirectives Dir =
-            HaveDB ? DB.lookup(F.qualifiedName()) : ProcDirectives();
-        Dir.Caller &= ~Config.LinkerReservedRegs;
-        Dir.Callee &= ~Config.LinkerReservedRegs;
-        Dir.Free &= ~Config.LinkerReservedRegs;
-        CodeGenResult CG = generateCode(IR, F, Dir, Clobbers);
+        CodeGenResult CG = generateCode(
+            IR, F, directivesFor(DBP, F, Config.LinkerReservedRegs),
+            Clobbers);
         if (!CG.Success) {
           JobErrors[J] =
               "register allocation failed for " + F.qualifiedName();
@@ -856,7 +903,6 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         ObjTexts[I] = std::move(ObjText);
         Objects[I] = std::move(Parsed);
       });
-      Result.ObjectFiles = ObjTexts;
       if (const std::string *E = firstError(Errors)) {
         Result.Diags.error(*E);
         return Result;

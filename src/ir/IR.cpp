@@ -221,6 +221,30 @@ IRGlobal *IRModule::findGlobal(const std::string &GlobalName) {
   return nullptr;
 }
 
+std::unique_ptr<IRModule> IRModule::clone() const {
+  auto M = std::make_unique<IRModule>();
+  M->Name = Name;
+  M->Globals = Globals;
+  M->Functions.reserve(Functions.size());
+  for (const auto &F : Functions) {
+    auto C = std::make_unique<IRFunction>();
+    C->Name = F->Name;
+    C->Module = F->Module;
+    C->IsStatic = F->IsStatic;
+    C->AddressTaken = F->AddressTaken;
+    C->MakesIndirectCalls = F->MakesIndirectCalls;
+    C->ReturnsValue = F->ReturnsValue;
+    C->NumParams = F->NumParams;
+    C->NumVRegs = F->NumVRegs;
+    C->Slots = F->Slots;
+    C->Blocks.reserve(F->Blocks.size());
+    for (const auto &B : F->Blocks)
+      C->Blocks.push_back(std::make_unique<IRBlock>(*B));
+    M->Functions.push_back(std::move(C));
+  }
+  return M;
+}
+
 std::string IRModule::toString() const {
   std::ostringstream OS;
   OS << "module " << Name << "\n";

@@ -163,7 +163,8 @@ struct IRSlot {
   bool IsArray = false;
 };
 
-/// One function in IR form.
+/// One function in IR form. IRModule::clone copies each field by name,
+/// so a new field must be copied there too.
 class IRFunction {
 public:
   std::string Name;
@@ -229,6 +230,11 @@ public:
 
   IRFunction *findFunction(const std::string &FuncName);
   IRGlobal *findGlobal(const std::string &GlobalName);
+
+  /// A deep copy, so the clone can be optimized further while this
+  /// module stays as it is (the fused build keeps one as phase 1's IR
+  /// file for phase 2).
+  std::unique_ptr<IRModule> clone() const;
 
   std::string toString() const;
 };

@@ -11,29 +11,42 @@
 
 using namespace ipra;
 
-void ipra::optimizeFunction(IRFunction &F, const OptOptions &Options) {
-  auto Round = [&F]() {
-    bool Changed = false;
-    Changed |= simplifyInstructions(F);
-    Changed |= propagateConstantsAndCopies(F);
-    Changed |= localCSE(F);
-    Changed |= eliminateDeadStores(F);
-    Changed |= hoistLoopInvariants(F);
-    Changed |= eliminateDeadCode(F);
-    Changed |= simplifyCFG(F);
-    return Changed;
-  };
+namespace {
 
+/// One round of the level-2 pipeline; true if any pass changed \p F.
+/// A round reads nothing but \p F.
+bool runRound(IRFunction &F) {
+  bool Changed = false;
+  Changed |= simplifyInstructions(F);
+  Changed |= propagateConstantsAndCopies(F);
+  Changed |= localCSE(F);
+  Changed |= eliminateDeadStores(F);
+  Changed |= hoistLoopInvariants(F);
+  Changed |= eliminateDeadCode(F);
+  Changed |= simplifyCFG(F);
+  return Changed;
+}
+
+} // namespace
+
+void ipra::optimizeToFixpoint(IRFunction &F) {
   for (int I = 0; I < 8; ++I)
-    if (!Round())
+    if (!runRound(F))
       break;
+}
 
+void ipra::finishOptimization(IRFunction &F, const OptOptions &Options) {
   if (Options.LocalGlobalPromotion && promoteGlobalsLocally(F, Options)) {
     // Clean up the copies the promotion introduced.
     for (int I = 0; I < 2; ++I)
-      if (!Round())
+      if (!runRound(F))
         break;
   }
+}
+
+void ipra::optimizeFunction(IRFunction &F, const OptOptions &Options) {
+  optimizeToFixpoint(F);
+  finishOptimization(F, Options);
 }
 
 void ipra::optimizeModule(IRModule &M, const OptOptions &Options) {

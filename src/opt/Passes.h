@@ -105,7 +105,19 @@ bool simplifyCFG(IRFunction &F);
 /// kill points). Skips names in \p Options.SkipGlobals.
 bool promoteGlobalsLocally(IRFunction &F, const OptOptions &Options);
 
-/// Runs the full level-2 pipeline to a fixed point (bounded rounds).
+/// The option-independent first stage of the level-2 pipeline: up to
+/// eight rounds of every pass above except local global promotion,
+/// stopping early at a fixed point. Reads nothing but \p F, so its
+/// result does not depend on the program database.
+void optimizeToFixpoint(IRFunction &F);
+
+/// The second stage: local global promotion (honouring
+/// \p Options.SkipGlobals, the only input the program database
+/// supplies) and, if it changed anything, up to two cleanup rounds.
+void finishOptimization(IRFunction &F, const OptOptions &Options);
+
+/// Runs the full level-2 pipeline: optimizeToFixpoint, then
+/// finishOptimization.
 void optimizeFunction(IRFunction &F, const OptOptions &Options);
 
 /// Runs optimizeFunction on every function in \p M.

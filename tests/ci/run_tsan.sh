@@ -1,9 +1,11 @@
 #!/bin/sh
 # Builds the whole tree under ThreadSanitizer (the "tsan" CMake preset)
-# and runs the concurrency-heavy build-service suite under it: the
+# and runs the concurrency-heavy suites under it: the build service's
 # daemon/protocol/session tests, the artifact-cache disk-write race
-# regression, and the smoke-sized concurrent rebuild-storm bench
-# (everything carrying the "service" ctest label).
+# regression and the smoke-sized concurrent rebuild-storm bench (the
+# "service" ctest label), plus the fused build's thread-pool fan-out,
+# including phase 1's IR files and points-to facts handed to phase 2
+# (the "parallel" label).
 #
 # Usage: tests/ci/run_tsan.sh [jobs]
 set -eu
@@ -14,4 +16,4 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset tsan -S "$ROOT"
 cmake --build --preset tsan -j "$JOBS"
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-      -L service
+      -L 'service|parallel'

@@ -175,17 +175,12 @@ TEST(IncrementalTest, NeutralEditRecompilesOnlyTheEditedModule) {
   expectSameArtifacts(Ref, Warm);
 }
 
-TEST(IncrementalTest, PressureEditRecompilesExactlyTheMovedSlices) {
-  PipelineConfig Config = PipelineConfig::configC();
-  Pipeline P(Config);
-  BuildResult Cold = P.build(corpus());
-  ASSERT_TRUE(Cold.ok()) << Cold.Diags.text();
-
-  // A register-pressure edit in the middle of the call chain: mod3 now
-  // needs far more registers, which moves the FREE sets the analyzer
-  // publishes for its ancestors — their database slices change even
-  // though their sources did not.
-  auto Edited = withEdit(
+/// A register-pressure edit in the middle of the call chain: mod3 now
+/// needs far more registers, which moves the FREE sets the analyzer
+/// publishes for its ancestors — their database slices change even
+/// though their sources did not.
+std::vector<SourceFile> pressureEdit() {
+  return withEdit(
       corpus(), "mod3.mc",
       "int g3;\n"
       "int f4(int);\n"
@@ -195,6 +190,15 @@ TEST(IncrementalTest, PressureEditRecompilesExactlyTheMovedSlices) {
       "  g3 = g3 + a + b + c + d + e + h;\n"
       "  return f4(x) + g3 + a * b + c * d + e * h;\n"
       "}\n");
+}
+
+TEST(IncrementalTest, PressureEditRecompilesExactlyTheMovedSlices) {
+  PipelineConfig Config = PipelineConfig::configC();
+  Pipeline P(Config);
+  BuildResult Cold = P.build(corpus());
+  ASSERT_TRUE(Cold.ok()) << Cold.Diags.text();
+
+  auto Edited = pressureEdit();
   BuildResult Warm = P.build(Edited);
   ASSERT_TRUE(Warm.ok()) << Warm.Diags.text();
 
@@ -231,6 +235,41 @@ TEST(IncrementalTest, PressureEditRecompilesExactlyTheMovedSlices) {
   BuildResult Ref = Fresh.build(Edited);
   ASSERT_TRUE(Ref.ok()) << Ref.Diags.text();
   expectSameArtifacts(Ref, Warm);
+}
+
+TEST(IncrementalTest, IRFileAndFallbackModulesMatchColdBuild) {
+  // Phase 2 resumes from phase 1's IR file only for modules phase 1
+  // compiled in the same build. After the pressure edit, mod3 has one
+  // (summary miss, object miss); an ancestor whose slice moved has a
+  // cached summary, so its object miss lowers from the AST again. Both
+  // paths run side by side in one build and must match a cold build.
+  for (unsigned Threads : {1u, 4u}) {
+    PipelineConfig Config = PipelineConfig::configC();
+    Config.NumThreads = Threads;
+    Pipeline P(Config);
+    BuildResult Cold = P.build(corpus());
+    ASSERT_TRUE(Cold.ok()) << Cold.Diags.text();
+    auto Edited = pressureEdit();
+    BuildResult Warm = P.build(Edited);
+    ASSERT_TRUE(Warm.ok()) << Warm.Diags.text();
+
+    size_t FromIRFile = 0, Relowered = 0;
+    for (const ModulePipelineStats &M : Warm.Stats.Modules) {
+      if (M.Phase2FromCache)
+        continue;
+      if (M.Phase1FromCache)
+        ++Relowered;
+      else
+        ++FromIRFile;
+    }
+    EXPECT_EQ(FromIRFile, 1u) << "threads " << Threads;
+    EXPECT_GT(Relowered, 0u) << "threads " << Threads;
+
+    Pipeline Fresh(Config);
+    BuildResult Ref = Fresh.build(Edited);
+    ASSERT_TRUE(Ref.ok()) << Ref.Diags.text();
+    expectSameArtifacts(Ref, Warm);
+  }
 }
 
 TEST(IncrementalTest, AnalyzerKnobFlipKeepsSummariesInvalidatesDatabase) {

@@ -5,7 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
+#include "analysis/IPRAVerify.h"
 #include "driver/Driver.h"
+#include "link/ObjectIO.h"
 #include "summary/Summary.h"
 
 #include <gtest/gtest.h>
@@ -282,6 +285,46 @@ TEST(PipelineTest, ReadOnlyPromotionDropsStoresKeepsOutput) {
   EXPECT_LT(OnR.Run.Stats.MemRefs, OffR.Run.Stats.MemRefs);
   EXPECT_NE(OnR.Compile.DatabaseFile.find("modref cfg"), std::string::npos);
   EXPECT_EQ(OffR.Compile.DatabaseFile.find("modref"), std::string::npos);
+}
+
+TEST(PipelineTest, BlanketPromotionSkipsReadOnlyWritebacks) {
+  // rotab's Rate and Bias are read everywhere and written nowhere
+  // reachable from main. Blanket promotion (config E) dedicates a
+  // register to each over the whole call graph; with the mod/ref
+  // verdict the exit sync in main must not store them back, which is
+  // exactly what verifyIPRA's read-only-store invariant checks.
+  std::vector<SourceFile> Sources = bench::loadProgram("rotab");
+  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
+  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
+  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
+
+  PipelineConfig E = PipelineConfig::configE();
+  PipelineConfig NoVerdicts = E;
+  NoVerdicts.ModRef = false;
+  auto R = compileAndRun(Sources, E);
+  auto Before = compileAndRun(Sources, NoVerdicts);
+  ASSERT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
+  ASSERT_TRUE(Before.Compile.Success) << Before.Compile.ErrorText;
+  ASSERT_TRUE(R.Run.Halted) << R.Run.Trap;
+  ASSERT_TRUE(Before.Run.Halted) << Before.Run.Trap;
+  EXPECT_EQ(R.Run.Output, Base.Run.Output);
+  EXPECT_EQ(R.Run.ExitCode, Base.Run.ExitCode);
+  EXPECT_LE(R.Run.Stats.MemRefs, Before.Run.Stats.MemRefs);
+
+  std::vector<ObjectFile> Objects;
+  for (const std::string &Text : R.Compile.ObjectFiles) {
+    ObjectFile Obj;
+    std::string Error;
+    ASSERT_TRUE(readObjectFile(Text, Obj, Error)) << Error;
+    Objects.push_back(std::move(Obj));
+  }
+  ProgramDatabase DB;
+  std::string Error;
+  ASSERT_TRUE(ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error))
+      << Error;
+  IPRAVerifyResult V = verifyIPRA(Objects, DB);
+  for (const IPRAViolation &Violation : V.Violations)
+    ADD_FAILURE() << Violation.render();
 }
 
 TEST(PipelineTest, CompileErrorsAreReported) {

@@ -228,4 +228,43 @@ TEST(IRGenTest, StaticFunctionQualifiedName) {
   EXPECT_EQ(F->qualifiedName(), "f");
 }
 
+TEST(IRCloneTest, CloneIsADeepCopy) {
+  auto M = irOk("int g = 7;\nstatic int s;\nint a[3] = {1,2,3};\n"
+                "func h = &w;\n"
+                "int w(int x) { int b[2]; b[0] = x; return b[0] + g; }\n"
+                "static void v(int n) { while (n > 0) { s = s + n;"
+                " n = n - 1; } }\n");
+  const std::string Before = M->toString();
+  auto C = M->clone();
+  ASSERT_TRUE(C);
+  EXPECT_EQ(C->toString(), Before);
+  ASSERT_EQ(C->Functions.size(), M->Functions.size());
+  for (size_t I = 0; I < M->Functions.size(); ++I) {
+    const IRFunction &F = *M->Functions[I];
+    const IRFunction &G = *C->Functions[I];
+    // Fields toString does not print are copied too.
+    EXPECT_EQ(G.Module, F.Module);
+    EXPECT_EQ(G.ReturnsValue, F.ReturnsValue);
+    EXPECT_EQ(G.qualifiedName(), F.qualifiedName());
+    ASSERT_EQ(G.Blocks.size(), F.Blocks.size());
+    for (size_t B = 0; B < F.Blocks.size(); ++B)
+      EXPECT_NE(G.Blocks[B].get(), F.Blocks[B].get());
+  }
+
+  // Mutate every level of the clone; the original must not move.
+  IRFunction *W = C->findFunction("w");
+  ASSERT_TRUE(W);
+  W->entry()->Instrs.front().Imm += 41;
+  W->entry()->Instrs.insert(W->entry()->Instrs.begin(), IRInstr());
+  W->newBlock();
+  W->Slots.push_back(IRSlot{"extra", 1, false});
+  W->newVReg();
+  C->findFunction("v")->Name = "renamed";
+  C->Globals[0].Init[0] = 99;
+  C->Functions.pop_back();
+  EXPECT_NE(C->toString(), Before);
+  EXPECT_EQ(M->toString(), Before);
+  EXPECT_TRUE(verifyModule(*M).empty());
+}
+
 } // namespace

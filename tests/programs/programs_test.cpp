@@ -8,11 +8,13 @@
 /// Compiles and runs every Table 3 benchmark program at the baseline and
 /// at configuration C, checking that both halt, produce identical
 /// output, and that configuration C never does worse on singleton
-/// memory references.
+/// memory references. A second suite fences the fused build's phase-1
+/// IR file: its artifacts must equal the standalone phase chain's.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
+#include "driver/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -82,6 +84,77 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, ProgramTest,
                          ::testing::Values("dhry", "fgrep", "othello",
                                            "war", "crtool", "protoc",
                                            "paopt", "disp"),
+                         [](const auto &Info) {
+                           return std::string(Info.param);
+                         });
+
+/// The fused build resumes phase 2 from phase 1's in-memory IR file.
+/// The standalone chain (compileSummary, then analyze, then
+/// compileObject, one module at a time) never has one and lowers every
+/// module again from its source. Both must produce the same summaries,
+/// database and objects byte for byte, at every configuration and at 1
+/// and 4 threads.
+class BuildVsChainTest : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(BuildVsChainTest, FusedBuildMatchesPhaseChain) {
+  auto Sources = loadProgram(GetParam());
+  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
+  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
+  const ProfileData Profile = Base.Run.Profile;
+  std::vector<SourceFile> All = Sources;
+  All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+
+  struct Named {
+    const char *Name;
+    PipelineConfig Config;
+  };
+  const Named Configs[] = {
+      {"base", PipelineConfig::baseline()}, {"A", PipelineConfig::configA()},
+      {"B", PipelineConfig::configB()},     {"C", PipelineConfig::configC()},
+      {"D", PipelineConfig::configD()},     {"E", PipelineConfig::configE()},
+      {"F", PipelineConfig::configF()},
+  };
+  for (const Named &N : Configs) {
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string("config ") + N.Name + " at " +
+                   std::to_string(Threads) + " threads");
+      PipelineConfig Config = N.Config;
+      Config.NumThreads = Threads;
+      const ProfileData *P = Config.UseProfile ? &Profile : nullptr;
+      BuildResult Fused = Pipeline(Config).build(Sources, P);
+      ASSERT_TRUE(Fused.ok()) << Fused.Diags.text();
+
+      Pipeline Chain(Config);
+      std::vector<std::string> Summaries;
+      std::string Database;
+      if (Config.Ipra) {
+        for (const SourceFile &Src : All) {
+          SummaryResult S = Chain.compileSummary(Src);
+          ASSERT_TRUE(S.ok()) << Src.Name << ": " << S.Diags.text();
+          Summaries.push_back(std::move(S.SummaryText));
+        }
+        DatabaseResult D = Chain.analyze(Summaries, P);
+        ASSERT_TRUE(D.ok()) << D.Diags.text();
+        Database = std::move(D.DatabaseText);
+      }
+      std::vector<std::string> Objects;
+      for (const SourceFile &Src : All) {
+        ObjectResult O = Chain.compileObject(Src, Database);
+        ASSERT_TRUE(O.ok()) << Src.Name << ": " << O.Diags.text();
+        Objects.push_back(std::move(O.ObjectText));
+      }
+      EXPECT_EQ(Fused.SummaryFiles, Summaries);
+      EXPECT_EQ(Fused.DatabaseFile, Database);
+      EXPECT_EQ(Fused.ObjectFiles, Objects);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrograms, BuildVsChainTest,
+                         ::testing::Values("dhry", "fgrep", "othello",
+                                           "war", "crtool", "protoc",
+                                           "paopt", "disp", "ptrchase",
+                                           "rotab"),
                          [](const auto &Info) {
                            return std::string(Info.param);
                          });

@@ -18,16 +18,19 @@
 
 #include "ProgramGen.h"
 
+#include "analysis/PointsTo.h"
 #include "core/Analyzer.h"
 #include "ir/IRGen.h"
 #include "ir/Interp.h"
 #include "lang/Lexer.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
+#include "opt/Passes.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 using namespace ipra;
 using ipra::test::generateRandomProgram;
@@ -154,6 +157,61 @@ TEST_P(InterpDifferentialTest, IRInterpreterMatchesSimulator) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpDifferentialTest,
                          ::testing::Range(60u, 100u));
+
+/// The level-2 pipeline's two stages compose to optimizeFunction. The
+/// fused build keeps the IR between them as phase 1's IR file and runs
+/// only finishOptimization on it in phase 2, so stopping after
+/// optimizeToFixpoint, copying, and finishing the copy must give the
+/// same IR byte for byte as optimizing freshly lowered IR in one go —
+/// with no globals skipped (phase 1) and with some skipped (phase 2
+/// skips the ones the database promotes).
+TEST(OptStagesTest, StagesComposeToOptimizeFunction) {
+  int SkipMattered = 0;
+  for (unsigned Seed = 0; Seed < 20; ++Seed) {
+    auto Sources = generateRandomProgram(Seed);
+    Sources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+    for (const SourceFile &Src : Sources) {
+      DiagnosticEngine Diags;
+      Lexer Lex(Src.Name, Src.Text, Diags);
+      Parser P(Src.Name, Lex.lexAll(), Diags);
+      auto AST = P.parseModule();
+      ASSERT_FALSE(Diags.hasErrors()) << Diags.renderAll();
+      Sema S(Diags);
+      ASSERT_TRUE(S.run(*AST)) << Diags.renderAll();
+      auto IR = generateIR(*AST, Diags);
+      ModulePointsTo PT(*IR);
+
+      std::set<std::string> Half;
+      for (size_t G = 0; G < IR->Globals.size(); G += 2)
+        Half.insert(IR->Globals[G].Name);
+      std::string NoSkipText;
+      for (const std::set<std::string> &Skip : {std::set<std::string>(), Half}) {
+        OptOptions Options;
+        Options.SkipGlobals = Skip;
+        Options.Alias = &PT;
+        auto Whole = generateIR(*AST, Diags);
+        for (auto &F : Whole->Functions)
+          optimizeFunction(*F, Options);
+        auto Staged = generateIR(*AST, Diags);
+        for (auto &F : Staged->Functions)
+          optimizeToFixpoint(*F);
+        auto Resumed = Staged->clone();
+        for (auto &F : Resumed->Functions)
+          finishOptimization(*F, Options);
+        EXPECT_EQ(Resumed->toString(), Whole->toString())
+            << "seed " << Seed << " module " << Src.Name << " skipping "
+            << Skip.size() << " globals";
+        if (Skip.empty())
+          NoSkipText = Whole->toString();
+        else
+          SkipMattered += Whole->toString() != NoSkipText;
+      }
+    }
+  }
+  // The skip set must change the outcome somewhere, or the second
+  // configuration checks nothing the first did not.
+  EXPECT_GT(SkipMattered, 0);
+}
 
 //===----------------------------------------------------------------------===//
 // Family 2: analyzer invariants over random call graphs.
