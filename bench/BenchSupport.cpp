@@ -90,22 +90,22 @@ ipra::bench::runAllConfigs(const std::vector<SourceFile> &Sources) {
                            const ProfileData *Profile) {
     ConfigRun Out;
     Out.Config = Name;
-    auto R = compileAndRun(Sources, Config, Profile);
-    if (!R.Compile.Success) {
+    BuildResult B = Pipeline(Config).build(Sources, Profile);
+    if (!B.ok()) {
       std::fprintf(stderr, "[%s] compile failed: %s\n", Name.c_str(),
-                   R.Compile.ErrorText.c_str());
+                   B.text().c_str());
       return Out;
     }
-    if (!R.Run.Halted) {
+    RunResult R = runExecutable(B.Exe);
+    if (!R.Halted) {
       std::fprintf(stderr, "[%s] run failed: %s%s\n", Name.c_str(),
-                   R.Run.Trap.c_str(),
-                   R.Run.OutOfFuel ? " (out of fuel)" : "");
+                   R.Trap.c_str(), R.OutOfFuel ? " (out of fuel)" : "");
       return Out;
     }
     Out.Ok = true;
-    Out.Stats = R.Run.Stats;
-    Out.Output = R.Run.Output;
-    Out.Analyzer = R.Compile.Stats;
+    Out.Stats = R.Stats;
+    Out.Output = R.Output;
+    Out.Analyzer = B.Analyzer;
     return Out;
   };
 
@@ -115,9 +115,9 @@ ipra::bench::runAllConfigs(const std::vector<SourceFile> &Sources) {
     return Runs;
 
   // Profile for columns B and F: re-run the baseline to collect it.
-  auto Profiled =
-      compileAndRun(Sources, PipelineConfig::baseline(), nullptr);
-  ProfileData Profile = Profiled.Run.Profile;
+  ProfileData Profile =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe)
+          .Profile;
 
   struct Named {
     const char *Name;

@@ -16,6 +16,7 @@
 #define IPRA_BENCH_BENCHSUPPORT_H
 
 #include "driver/Driver.h"
+#include "driver/Pipeline.h"
 
 #include <string>
 #include <vector>

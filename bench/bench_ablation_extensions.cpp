@@ -55,14 +55,15 @@ AblationResult runConfig(const std::vector<SourceFile> &Sources,
   Config.CallerSavePropagation = CallerSave;
   Config.Webs.SplitSparseWebs = Split;
   Config.Webs.RemergeWebs = Remerge;
-  auto R = compileAndRun(Sources, Config);
+  BuildResult B = Pipeline(Config).build(Sources);
+  RunResult R = runExecutable(B.Exe);
   AblationResult Out;
-  if (!R.Compile.Success || !R.Run.Halted)
+  if (!B.ok() || !R.Halted)
     return Out;
-  Out.Improvement = improvementPct(BaseCycles, R.Run.Stats.Cycles);
+  Out.Improvement = improvementPct(BaseCycles, R.Stats.Cycles);
   ProgramDatabase DB;
   std::string Error;
-  if (ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error))
+  if (ProgramDatabase::deserialize(B.DatabaseFile, DB, Error))
     for (const auto &[Name, Dir] : DB.procs())
       Out.FreeGrants += static_cast<int>(pr32::maskCount(Dir.Free));
   return Out;
@@ -77,12 +78,13 @@ void printTable() {
               "C+merge", "C+all", "FREE grants (C / relax / free)");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-    if (!Base.Run.Halted) {
+    RunResult Base = runExecutable(
+        Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+    if (!Base.Halted) {
       std::printf("  %-10s  <baseline failed>\n", P.Name.c_str());
       continue;
     }
-    long long BaseCycles = Base.Run.Stats.Cycles;
+    long long BaseCycles = Base.Stats.Cycles;
     AblationResult C = runConfig(Sources, false, false, BaseCycles);
     AblationResult Relax = runConfig(Sources, true, false, BaseCycles);
     AblationResult Free = runConfig(Sources, false, true, BaseCycles);
@@ -106,23 +108,10 @@ void printTable() {
               "widening the registers available without spill.\n\n");
 }
 
-void BM_ConfigCBothExtensions_protoc(benchmark::State &State) {
-  auto Sources = loadProgram("protoc");
-  PipelineConfig Config = PipelineConfig::configC();
-  Config.RelaxWebAvail = true;
-  Config.ImprovedFreeSets = true;
-  for (auto _ : State) {
-    auto R = compileProgram(Sources, Config);
-    benchmark::DoNotOptimize(R.Success);
-  }
-}
-BENCHMARK(BM_ConfigCBothExtensions_protoc);
-
 } // namespace
 
 int main(int argc, char **argv) {
   printTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -49,9 +49,9 @@ void printTable() {
               "64 lines", "128 lines", "256 lines");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileProgram(Sources, PipelineConfig::baseline());
-    auto Opt = compileProgram(Sources, PipelineConfig::configC());
-    if (!Base.Success || !Opt.Success) {
+    BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+    BuildResult Opt = Pipeline(PipelineConfig::configC()).build(Sources);
+    if (!Base.ok() || !Opt.ok()) {
       std::printf("  %-10s  <compile failed>\n", P.Name.c_str());
       continue;
     }
@@ -70,23 +70,10 @@ void printTable() {
   std::printf("\n");
 }
 
-void BM_SimulateWithCache_war(benchmark::State &State) {
-  auto Sources = loadProgram("war");
-  auto Compiled = compileProgram(Sources, PipelineConfig::configC());
-  CacheConfig Cache;
-  Cache.Enabled = true;
-  for (auto _ : State) {
-    auto R = runExecutable(Compiled.Exe, 500'000'000, Cache);
-    benchmark::DoNotOptimize(R.Stats.DCacheMisses);
-  }
-}
-BENCHMARK(BM_SimulateWithCache_war);
-
 } // namespace
 
 int main(int argc, char **argv) {
   printTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

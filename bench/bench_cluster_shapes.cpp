@@ -31,33 +31,23 @@ void printTable() {
               "avg size", "max size");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto R = compileProgram(Sources, PipelineConfig::configA());
-    if (!R.Success) {
+    BuildResult R = Pipeline(PipelineConfig::configA()).build(Sources);
+    if (!R.ok()) {
       std::printf("  %-10s  <failed: %s>\n", P.Name.c_str(),
-                  R.ErrorText.c_str());
+                  R.text().c_str());
       continue;
     }
     std::printf("  %-10s %10d %10.1f %10d\n", P.Name.c_str(),
-                R.Stats.NumClusters, R.Stats.avgClusterSize(),
-                R.Stats.MaxClusterSize);
+                R.Analyzer.NumClusters, R.Analyzer.avgClusterSize(),
+                R.Analyzer.MaxClusterSize);
   }
   std::printf("\n");
 }
-
-void BM_AnalyzerConfigA_war(benchmark::State &State) {
-  auto Sources = loadProgram("war");
-  for (auto _ : State) {
-    auto R = compileProgram(Sources, PipelineConfig::configA());
-    benchmark::DoNotOptimize(R.Success);
-  }
-}
-BENCHMARK(BM_AnalyzerConfigA_war);
 
 } // namespace
 
 int main(int argc, char **argv) {
   printTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -42,9 +42,9 @@ double compileCorpusMs(const std::vector<std::vector<SourceFile>> &Corpus,
   Config.NumThreads = Threads;
   auto Start = std::chrono::steady_clock::now();
   for (const auto &Sources : Corpus) {
-    CompileResult R = compileProgram(Sources, Config);
-    if (!R.Success) {
-      std::fprintf(stderr, "compile failed: %s\n", R.ErrorText.c_str());
+    BuildResult R = Pipeline(Config).build(Sources);
+    if (!R.ok()) {
+      std::fprintf(stderr, "compile failed: %s\n", R.text().c_str());
       std::exit(1);
     }
     if (Artifacts) {

@@ -52,8 +52,9 @@ void printTable() {
   std::printf("\n");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-    if (!Base.Run.Halted) {
+    RunResult Base = runExecutable(
+        Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+    if (!Base.Halted) {
       std::printf("  %-10s  <baseline failed>\n", P.Name.c_str());
       continue;
     }
@@ -61,14 +62,12 @@ void printTable() {
     for (int K : Ks) {
       PipelineConfig Config = PipelineConfig::configC();
       Config.WebPool = poolOf(K);
-      auto R = compileAndRun(Sources, Config);
-      if (!R.Run.Halted || R.Run.Output != Base.Run.Output) {
+      RunResult R = runExecutable(Pipeline(Config).build(Sources).Exe);
+      if (!R.Halted || R.Output != Base.Output) {
         std::printf(" %9s", "fail");
         continue;
       }
-      std::printf(" %9.1f",
-                  improvementPct(Base.Run.Stats.Cycles,
-                                 R.Run.Stats.Cycles));
+      std::printf(" %9.1f", improvementPct(Base.Stats.Cycles, R.Stats.Cycles));
     }
     std::printf("\n");
   }
@@ -78,22 +77,10 @@ void printTable() {
               "procedures lose callee-saves headroom).\n\n");
 }
 
-void BM_PoolSweepCompile_war(benchmark::State &State) {
-  auto Sources = loadProgram("war");
-  PipelineConfig Config = PipelineConfig::configC();
-  Config.WebPool = poolOf(12);
-  for (auto _ : State) {
-    auto R = compileProgram(Sources, Config);
-    benchmark::DoNotOptimize(R.Success);
-  }
-}
-BENCHMARK(BM_PoolSweepCompile_war);
-
 } // namespace
 
 int main(int argc, char **argv) {
   printTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

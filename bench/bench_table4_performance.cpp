@@ -61,29 +61,10 @@ void printTable() {
               "F = C with profile info\n\n");
 }
 
-void BM_PipelineBaseline_dhry(benchmark::State &State) {
-  auto Sources = loadProgram("dhry");
-  for (auto _ : State) {
-    auto R = compileProgram(Sources, PipelineConfig::baseline());
-    benchmark::DoNotOptimize(R.Success);
-  }
-}
-BENCHMARK(BM_PipelineBaseline_dhry);
-
-void BM_PipelineConfigC_dhry(benchmark::State &State) {
-  auto Sources = loadProgram("dhry");
-  for (auto _ : State) {
-    auto R = compileProgram(Sources, PipelineConfig::configC());
-    benchmark::DoNotOptimize(R.Success);
-  }
-}
-BENCHMARK(BM_PipelineConfigC_dhry);
-
 } // namespace
 
 int main(int argc, char **argv) {
   printTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -56,21 +56,10 @@ void printTable() {
   std::printf("\n");
 }
 
-void BM_SimulateBaseline_fgrep(benchmark::State &State) {
-  auto Sources = loadProgram("fgrep");
-  auto Compiled = compileProgram(Sources, PipelineConfig::baseline());
-  for (auto _ : State) {
-    auto R = runExecutable(Compiled.Exe);
-    benchmark::DoNotOptimize(R.Stats.Cycles);
-  }
-}
-BENCHMARK(BM_SimulateBaseline_fgrep);
-
 } // namespace
 
 int main(int argc, char **argv) {
   printTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

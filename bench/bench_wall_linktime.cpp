@@ -50,16 +50,18 @@ void printTable() {
               "C", "Wall", "Wall+pf", "promoted", "rewrites", "peephole");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-    if (!Base.Run.Halted) {
+    RunResult Base = runExecutable(
+        Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+    if (!Base.Halted) {
       std::printf("  %-10s  <baseline failed>\n", P.Name.c_str());
       continue;
     }
-    long long BaseCycles = Base.Run.Stats.Cycles;
+    long long BaseCycles = Base.Stats.Cycles;
 
-    auto TwoPass = compileAndRun(Sources, PipelineConfig::configC());
-    double CPct = TwoPass.Run.Halted
-                      ? improvementPct(BaseCycles, TwoPass.Run.Stats.Cycles)
+    RunResult TwoPass = runExecutable(
+        Pipeline(PipelineConfig::configC()).build(Sources).Exe);
+    double CPct = TwoPass.Halted
+                      ? improvementPct(BaseCycles, TwoPass.Stats.Cycles)
                       : -999.0;
 
     auto Wall = compileWallStyle(Sources);
@@ -69,7 +71,7 @@ void printTable() {
       continue;
     }
     RunResult WallRun = runExecutable(Wall.Exe, 2'000'000'000);
-    if (!WallRun.Halted || WallRun.Output != Base.Run.Output) {
+    if (!WallRun.Halted || WallRun.Output != Base.Output) {
       std::printf("  %-10s | %8.1f  <wall output mismatch>\n",
                   P.Name.c_str(), CPct);
       continue;
@@ -78,12 +80,12 @@ void printTable() {
     // [Wall 86] with a profile: counts weighted by procedure
     // invocations from the baseline run (gprof-style bootstrap).
     LinkAllocOptions Profiled;
-    Profiled.InvocationCounts = &Base.Run.Profile.CallCounts;
+    Profiled.InvocationCounts = &Base.Profile.CallCounts;
     auto WallPf = compileWallStyle(Sources, Profiled);
     double WallPfPct = -999.0;
     if (WallPf.Success) {
       RunResult R = runExecutable(WallPf.Exe, 2'000'000'000);
-      if (R.Halted && R.Output == Base.Run.Output)
+      if (R.Halted && R.Output == Base.Output)
         WallPfPct = improvementPct(BaseCycles, R.Stats.Cycles);
     }
 
@@ -123,11 +125,12 @@ void printDeltaReanalysis() {
 
     std::vector<ModuleSummary> Mods;
     bool Ok = true;
+    Pipeline Phase1(Config);
     for (const SourceFile &S : Sources) {
-      Phase1Result P1 = runPhase1(S, Config);
+      SummaryResult P1 = Phase1.compileSummary(S);
       ModuleSummary MS;
       std::string Err;
-      if (!P1.Success || !readSummary(P1.SummaryText, MS, Err)) {
+      if (!P1.ok() || !readSummary(P1.SummaryText, MS, Err)) {
         Ok = false;
         break;
       }

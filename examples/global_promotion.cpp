@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analyzer.h"
-#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 
 #include <cstdio>
 
@@ -56,9 +56,9 @@ int main() {
 
   // Drive the pipeline once to obtain the real summary file the first
   // phase would write, then hand-run the analyzer stages on it.
-  auto Compiled = compileProgram(Sources, PipelineConfig::configC());
-  if (!Compiled.Success) {
-    std::fprintf(stderr, "%s\n", Compiled.ErrorText.c_str());
+  BuildResult Compiled = Pipeline(PipelineConfig::configC()).build(Sources);
+  if (!Compiled.ok()) {
+    std::fprintf(stderr, "%s\n", Compiled.text().c_str());
     return 1;
   }
 
@@ -119,14 +119,14 @@ int main() {
   }
 
   // And the proof it works: identical behaviour, fewer memory accesses.
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  auto Run = runExecutable(Compiled.Exe);
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  RunResult Run = runExecutable(Compiled.Exe);
   std::printf("\nbaseline: %s -> %lld singleton refs\n",
-              Base.Run.Output.substr(0, Base.Run.Output.size() - 1)
-                  .c_str(),
-              Base.Run.Stats.SingletonRefs);
+              Base.Output.substr(0, Base.Output.size() - 1).c_str(),
+              Base.Stats.SingletonRefs);
   std::printf("promoted: %s -> %lld singleton refs\n",
               Run.Output.substr(0, Run.Output.size() - 1).c_str(),
               Run.Stats.SingletonRefs);
-  return Run.Output == Base.Run.Output ? 0 : 1;
+  return Run.Output == Base.Output ? 0 : 1;
 }

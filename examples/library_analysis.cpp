@@ -35,6 +35,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "sim/Simulator.h"
 
 #include <cstdio>
@@ -116,18 +117,19 @@ int main() {
   PipelineConfig Config = PipelineConfig::configC();
   Config.AssumeClosedWorld = false;
 
+  Pipeline LibraryBuild(Config);
   std::vector<std::string> Summaries;
   for (const SourceFile &Src : Library) {
-    auto P1 = runPhase1(Src, Config);
-    if (!P1.Success) {
-      std::fprintf(stderr, "%s\n", P1.ErrorText.c_str());
+    SummaryResult P1 = LibraryBuild.compileSummary(Src);
+    if (!P1.ok()) {
+      std::fprintf(stderr, "%s\n", P1.text().c_str());
       return 1;
     }
     Summaries.push_back(P1.SummaryText);
   }
-  auto Analyzed = runAnalyzerPhase(Summaries, Config);
-  if (!Analyzed.Success) {
-    std::fprintf(stderr, "%s\n", Analyzed.ErrorText.c_str());
+  DatabaseResult Analyzed = LibraryBuild.analyze(Summaries);
+  if (!Analyzed.ok()) {
+    std::fprintf(stderr, "%s\n", Analyzed.text().c_str());
     return 1;
   }
   std::printf("analyzed the library alone (partial call graph):\n");
@@ -149,29 +151,29 @@ int main() {
   // --- Step 3: the library's second phase; objects are now fixed. ------
   std::vector<std::string> Objects;
   for (const SourceFile &Src : Library) {
-    auto P2 = runPhase2(Src, Analyzed.DatabaseText, Config);
-    if (!P2.Success) {
-      std::fprintf(stderr, "%s\n", P2.ErrorText.c_str());
+    ObjectResult P2 = LibraryBuild.compileObject(Src, Analyzed.DatabaseText);
+    if (!P2.ok()) {
+      std::fprintf(stderr, "%s\n", P2.text().c_str());
       return 1;
     }
     Objects.push_back(P2.ObjectText);
   }
 
   // --- Step 4: the application arrives, baseline-compiled. -------------
-  PipelineConfig AppConfig = PipelineConfig::baseline();
+  Pipeline AppBuild(PipelineConfig::baseline());
   std::vector<SourceFile> Late = {
       App, SourceFile{"__runtime.mc", runtimeModuleSource()}};
   for (const SourceFile &Src : Late) {
-    auto P2 = runPhase2(Src, "", AppConfig);
-    if (!P2.Success) {
-      std::fprintf(stderr, "%s\n", P2.ErrorText.c_str());
+    ObjectResult P2 = AppBuild.compileObject(Src, "");
+    if (!P2.ok()) {
+      std::fprintf(stderr, "%s\n", P2.text().c_str());
       return 1;
     }
     Objects.push_back(P2.ObjectText);
   }
-  auto Linked = linkObjectTexts(Objects);
-  if (!Linked.Success) {
-    std::fprintf(stderr, "%s\n", Linked.ErrorText.c_str());
+  LinkedResult Linked = AppBuild.link(Objects);
+  if (!Linked.ok()) {
+    std::fprintf(stderr, "%s\n", Linked.text().c_str());
     return 1;
   }
   RunResult Optimized = runExecutable(Linked.Exe, 500'000'000);
@@ -179,9 +181,10 @@ int main() {
   // Reference build: everything at the baseline.
   std::vector<SourceFile> All = Library;
   All.push_back(App);
-  auto Reference = compileAndRun(All, PipelineConfig::baseline());
+  RunResult Reference =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(All).Exe);
 
-  if (!Optimized.Halted || Optimized.Output != Reference.Run.Output) {
+  if (!Optimized.Halted || Optimized.Output != Reference.Output) {
     std::fprintf(stderr, "behaviour mismatch!\n");
     return 1;
   }
@@ -189,10 +192,9 @@ int main() {
   std::printf("  output identical to the all-baseline build\n");
   std::printf("  cycles: %lld baseline -> %lld with library-side IPRA "
               "(%.1f%% better)\n",
-              Reference.Run.Stats.Cycles, Optimized.Stats.Cycles,
-              100.0 *
-                  (Reference.Run.Stats.Cycles - Optimized.Stats.Cycles) /
-                  Reference.Run.Stats.Cycles);
+              Reference.Stats.Cycles, Optimized.Stats.Cycles,
+              100.0 * (Reference.Stats.Cycles - Optimized.Stats.Cycles) /
+                  Reference.Stats.Cycles);
   std::printf(
       "\nOnly module-private statics were promoted, with externally\n"
       "visible procedures serving as web entries only (§7.2). The webs\n"

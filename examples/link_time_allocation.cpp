@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "link/LinkOpt.h"
 #include "link/ObjectIO.h"
 #include "sim/Simulator.h"
@@ -76,25 +77,28 @@ int main() {
                                      {"main.mc", MainModule}};
 
   // --- Reference points: level-2 baseline and the two-pass analyzer. ---
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  if (!Base.Run.Halted) {
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  if (!Base.Halted) {
     std::fprintf(stderr, "baseline failed\n");
     return 1;
   }
-  auto TwoPass = compileAndRun(Sources, PipelineConfig::configC());
+  RunResult TwoPass =
+      runExecutable(Pipeline(PipelineConfig::configC()).build(Sources).Exe);
 
   // --- Step 1: baseline modules with a bank reserved for the linker. ---
   LinkAllocOptions Options; // ReserveBank defaults to C's web registers.
   PipelineConfig Cooperating = PipelineConfig::baseline();
   Cooperating.LinkerReservedRegs = Options.ReserveBank;
+  Pipeline Phase2(Cooperating);
 
   std::vector<ObjectFile> Objects;
   std::vector<SourceFile> WithRuntime = Sources;
   WithRuntime.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
   for (const SourceFile &Src : WithRuntime) {
-    Phase2Result P2 = runPhase2(Src, "", Cooperating);
-    if (!P2.Success) {
-      std::fprintf(stderr, "%s\n", P2.ErrorText.c_str());
+    ObjectResult P2 = Phase2.compileObject(Src, "");
+    if (!P2.ok()) {
+      std::fprintf(stderr, "%s\n", P2.text().c_str());
       return 1;
     }
     ObjectFile Obj;
@@ -129,23 +133,23 @@ int main() {
     return 1;
   }
   RunResult R = runExecutable(Linked.Exe, 500'000'000);
-  if (!R.Halted || R.Output != Base.Run.Output) {
+  if (!R.Halted || R.Output != Base.Output) {
     std::fprintf(stderr, "behaviour mismatch after rewriting!\n");
     return 1;
   }
 
   std::printf("\noutput identical to the baseline (%s",
-              Base.Run.Output.substr(0, Base.Run.Output.find('\n')).c_str());
+              Base.Output.substr(0, Base.Output.find('\n')).c_str());
   std::printf("...), cycle counts:\n");
-  std::printf("  level-2 baseline:    %lld\n", Base.Run.Stats.Cycles);
+  std::printf("  level-2 baseline:    %lld\n", Base.Stats.Cycles);
   std::printf("  [Wall 86] link-time: %lld  (%.1f%% better)\n",
               R.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - R.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
+              100.0 * (Base.Stats.Cycles - R.Stats.Cycles) /
+                  Base.Stats.Cycles);
   std::printf("  two-pass config C:   %lld  (%.1f%% better)\n",
-              TwoPass.Run.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - TwoPass.Run.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
+              TwoPass.Stats.Cycles,
+              100.0 * (Base.Stats.Cycles - TwoPass.Stats.Cycles) /
+                  Base.Stats.Cycles);
   std::printf("\nThe two-pass analyzer wins because it sees what the\n"
               "linker cannot: loop frequencies, reference regions (webs),\n"
               "and the cluster structure that moves spill code.\n");

@@ -15,7 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 
 #include <cstdio>
 
@@ -48,43 +48,41 @@ int main() {
   std::vector<SourceFile> Sources = {Lib, Main};
 
   // --- 1. Level-2 baseline: each module optimized in isolation. -----------
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  if (!Base.Compile.Success) {
-    std::fprintf(stderr, "compile failed:\n%s\n",
-                 Base.Compile.ErrorText.c_str());
+  BuildResult BaseBuild = Pipeline(PipelineConfig::baseline()).build(Sources);
+  if (!BaseBuild.ok()) {
+    std::fprintf(stderr, "compile failed:\n%s\n", BaseBuild.text().c_str());
     return 1;
   }
-  std::printf("baseline output:\n%s", Base.Run.Output.c_str());
-  std::printf("baseline cycles:            %lld\n",
-              Base.Run.Stats.Cycles);
+  RunResult Base = runExecutable(BaseBuild.Exe);
+  std::printf("baseline output:\n%s", Base.Output.c_str());
+  std::printf("baseline cycles:            %lld\n", Base.Stats.Cycles);
   std::printf("baseline singleton refs:    %lld\n\n",
-              Base.Run.Stats.SingletonRefs);
+              Base.Stats.SingletonRefs);
 
   // --- 2. Interprocedural allocation (configuration C). -------------------
-  auto Ipra = compileAndRun(Sources, PipelineConfig::configC());
-  std::printf("IPRA (config C) output:\n%s", Ipra.Run.Output.c_str());
+  BuildResult IpraBuild = Pipeline(PipelineConfig::configC()).build(Sources);
+  RunResult Ipra = runExecutable(IpraBuild.Exe);
+  std::printf("IPRA (config C) output:\n%s", Ipra.Output.c_str());
   std::printf("IPRA cycles:                %lld  (%.1f%% better)\n",
-              Ipra.Run.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - Ipra.Run.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
+              Ipra.Stats.Cycles,
+              100.0 * (Base.Stats.Cycles - Ipra.Stats.Cycles) /
+                  Base.Stats.Cycles);
   std::printf("IPRA singleton refs:        %lld  (%.1f%% fewer)\n\n",
-              Ipra.Run.Stats.SingletonRefs,
-              100.0 *
-                  (Base.Run.Stats.SingletonRefs -
-                   Ipra.Run.Stats.SingletonRefs) /
-                  Base.Run.Stats.SingletonRefs);
+              Ipra.Stats.SingletonRefs,
+              100.0 * (Base.Stats.SingletonRefs - Ipra.Stats.SingletonRefs) /
+                  Base.Stats.SingletonRefs);
 
   // --- 3. The artifacts that cross module boundaries. ---------------------
   std::printf("summary file for lib.mc (compiler first phase output):\n");
-  std::printf("%s\n", Ipra.Compile.SummaryFiles[0].c_str());
+  std::printf("%s\n", IpraBuild.SummaryFiles[0].c_str());
   std::printf("program database (program analyzer output):\n");
-  std::printf("%s\n", Ipra.Compile.DatabaseFile.c_str());
+  std::printf("%s\n", IpraBuild.DatabaseFile.c_str());
 
   std::printf("analyzer: %d eligible globals, %d webs (%d colored), "
               "%d clusters (avg %.1f nodes)\n",
-              Ipra.Compile.Stats.EligibleGlobals,
-              Ipra.Compile.Stats.TotalWebs, Ipra.Compile.Stats.ColoredWebs,
-              Ipra.Compile.Stats.NumClusters,
-              Ipra.Compile.Stats.avgClusterSize());
+              IpraBuild.Analyzer.EligibleGlobals,
+              IpraBuild.Analyzer.TotalWebs, IpraBuild.Analyzer.ColoredWebs,
+              IpraBuild.Analyzer.NumClusters,
+              IpraBuild.Analyzer.avgClusterSize());
   return 0;
 }

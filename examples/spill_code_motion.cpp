@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analyzer.h"
-#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 
 #include <cstdio>
 
@@ -84,9 +84,11 @@ int countSaveRestore(const Executable &Exe, const char *Name) {
 int main() {
   std::vector<SourceFile> Sources = {{"hot.mc", TheProgram}};
 
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  auto Moved = compileAndRun(Sources, PipelineConfig::configA());
-  if (!Base.Compile.Success || !Moved.Compile.Success) {
+  BuildResult BaseBuild = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult Base = runExecutable(BaseBuild.Exe);
+  BuildResult MovedBuild = Pipeline(PipelineConfig::configA()).build(Sources);
+  RunResult Moved = runExecutable(MovedBuild.Exe);
+  if (!BaseBuild.ok() || !MovedBuild.ok()) {
     std::fprintf(stderr, "compile failed\n");
     return 1;
   }
@@ -94,7 +96,7 @@ int main() {
   // The analyzer's directives for the cluster.
   ProgramDatabase DB;
   std::string Error;
-  ProgramDatabase::deserialize(Moved.Compile.DatabaseFile, DB, Error);
+  ProgramDatabase::deserialize(MovedBuild.DatabaseFile, DB, Error);
   std::printf("register-set directives with spill code motion:\n");
   for (const char *Proc : {"region", "memberA", "memberB"}) {
     ProcDirectives Dir = DB.lookup(Proc);
@@ -109,20 +111,20 @@ int main() {
   std::printf("  %-8s %10s %14s\n", "proc", "baseline", "spill motion");
   for (const char *Proc : {"region", "memberA", "memberB"}) {
     std::printf("  %-8s %10d %14d\n", Proc,
-                countSaveRestore(Base.Compile.Exe, Proc),
-                countSaveRestore(Moved.Compile.Exe, Proc));
+                countSaveRestore(BaseBuild.Exe, Proc),
+                countSaveRestore(MovedBuild.Exe, Proc));
   }
 
   std::printf("\nhot leaf 'memberB' with spill motion (no stw/ldw "
               "save/restore left):\n");
-  disassemble(Moved.Compile.Exe, "memberB");
+  disassemble(MovedBuild.Exe, "memberB");
 
   std::printf("\nbehaviour check: outputs %s; cycles %lld -> %lld "
               "(%.1f%% better)\n",
-              Base.Run.Output == Moved.Run.Output ? "identical"
+              Base.Output == Moved.Output ? "identical"
                                                   : "DIFFER (bug!)",
-              Base.Run.Stats.Cycles, Moved.Run.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - Moved.Run.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
-  return Base.Run.Output == Moved.Run.Output ? 0 : 1;
+              Base.Stats.Cycles, Moved.Stats.Cycles,
+              100.0 * (Base.Stats.Cycles - Moved.Stats.Cycles) /
+                  Base.Stats.Cycles);
+  return Base.Output == Moved.Output ? 0 : 1;
 }

@@ -370,8 +370,8 @@ ProgramDatabase ipra::runAnalyzer(
 //
 /// Version 3 added the points-to fields: indresolved=<0|1> on the proc
 // line and one indtarget record per proven indirect-call target.
-// Readers default them to the conservative values when absent so
-// headerless legacy files keep parsing. Version 4 (no layout change)
+// Readers default them to the conservative values when absent. The
+// header line is required. Version 4 (no layout change)
 // marks databases derived from summary-format-v4 facts — possibly
 // strengthened by the composed GPG pass — so v3 readers reject them
 // with the versioned diagnostic instead of silently mixing fact
@@ -477,6 +477,7 @@ bool ProgramDatabase::deserialize(const std::string &Text,
   ProcDirectives Cur;
   bool InProc = false;
   int LineNo = 0;
+  bool SawHeader = false;
 
   auto HexField = [](const std::vector<std::string> &Tok,
                      const std::string &Key) -> RegMask {
@@ -505,7 +506,6 @@ bool ProgramDatabase::deserialize(const std::string &Text,
     std::vector<std::string> Tok = split(Line, ' ');
     if (Tok[0] == "ipra-db-format") {
       // Header line: format version + producing-config fingerprint.
-      // Files without one (pre-versioning) are accepted as legacy.
       long long Version = 0;
       if (Tok.size() < 2 || !parseInt(Tok[1], Version)) {
         Error = "line " + std::to_string(LineNo) +
@@ -519,6 +519,7 @@ bool ProgramDatabase::deserialize(const std::string &Text,
                 "); regenerate the database with this toolchain";
         return false;
       }
+      SawHeader = true;
       for (const std::string &T : Tok)
         if (startsWith(T, "config=")) {
           std::string FP = T.substr(7);
@@ -595,6 +596,11 @@ bool ProgramDatabase::deserialize(const std::string &Text,
               Tok[0] + "'";
       return false;
     }
+  }
+  if (!SawHeader) {
+    Error = "missing 'ipra-db-format' header line; regenerate the database "
+            "with this toolchain";
+    return false;
   }
   return true;
 }

@@ -164,7 +164,7 @@ public:
   /// Fingerprint of the pipeline configuration that produced this
   /// database (PipelineConfig::fingerprint()). Serialized in the header
   /// line; phase 2 rejects a database built under a different
-  /// configuration. Empty when unknown (legacy files, hand-built DBs).
+  /// configuration. Empty when unknown (config=-, hand-built DBs).
   std::string ConfigFingerprint;
 
   /// Per-global mod/ref verdicts (database format v5), keyed by

@@ -78,14 +78,15 @@ BuildRequest BuildRequest::analyze(PipelineConfig Config,
   return Req;
 }
 
-BuildRequest BuildRequest::object(PipelineConfig Config, SourceFile Module,
+BuildRequest BuildRequest::object(PipelineConfig Config,
+                                  std::vector<SourceFile> Modules,
                                   std::string Database,
                                   std::string Program) {
   BuildRequest Req;
   Req.Program = std::move(Program);
   Req.Phase = BuildPhase::Object;
   Req.Config = std::move(Config);
-  Req.Modules.push_back(std::move(Module));
+  Req.Modules = std::move(Modules);
   Req.Database = std::move(Database);
   return Req;
 }

@@ -87,7 +87,8 @@ struct BuildRequest {
   static BuildRequest analyze(PipelineConfig Config,
                               std::vector<std::string> Summaries,
                               std::string Program = "");
-  static BuildRequest object(PipelineConfig Config, SourceFile Module,
+  static BuildRequest object(PipelineConfig Config,
+                             std::vector<SourceFile> Modules,
                              std::string Database,
                              std::string Program = "");
   static BuildRequest link(std::vector<std::string> Objects,

@@ -1,18 +1,18 @@
-//===- Driver.cpp - The two-pass compilation pipeline -----------------------===//
+//===- Driver.cpp - Runtime module and link-time allocation ---------------===//
 //
 // Part of the IPRA project: a reproduction of Santhanam & Odnert,
 // "Register Allocation Across Procedure and Module Boundaries", PLDI 1990.
 //
 //===----------------------------------------------------------------------===//
 //
-// Thin wrappers over the Pipeline facade. Every call constructs a fresh
-// Pipeline, so the functions behave like cold builds (plus whatever the
-// configuration's CacheDir already holds on disk).
+// The runtime module and the [Wall 86] link-time route; the two-pass
+// phases themselves live in Pipeline.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
 
+#include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
 
 using namespace ipra;
@@ -26,84 +26,6 @@ const char *ipra::runtimeModuleSource() {
          "    i = i + 1;\n"
          "  }\n"
          "}\n";
-}
-
-CompileResult ipra::compileProgram(const std::vector<SourceFile> &Sources,
-                                   const PipelineConfig &Config,
-                                   const ProfileData *Profile) {
-  Pipeline P(Config);
-  BuildResult Built = P.build(Sources, Profile);
-  CompileResult Result;
-  Result.Success = Built.ok();
-  Result.ErrorText = Built.Diags.text();
-  Result.Exe = std::move(Built.Exe);
-  Result.Stats = Built.Analyzer;
-  Result.Pipeline = std::move(Built.Stats);
-  Result.SummaryFiles = std::move(Built.SummaryFiles);
-  Result.DatabaseFile = std::move(Built.DatabaseFile);
-  Result.ObjectFiles = std::move(Built.ObjectFiles);
-  return Result;
-}
-
-CompileAndRunResult ipra::compileAndRun(
-    const std::vector<SourceFile> &Sources, const PipelineConfig &Config,
-    const ProfileData *Profile, long long FuelCycles) {
-  CompileAndRunResult Result;
-  Result.Compile = compileProgram(Sources, Config, Profile);
-  if (Result.Compile.Success)
-    Result.Run = runExecutable(Result.Compile.Exe, FuelCycles);
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Phase-granular API.
-//===----------------------------------------------------------------------===//
-
-Phase1Result ipra::runPhase1(const SourceFile &Source,
-                             const PipelineConfig &Config) {
-  Pipeline P(Config);
-  SummaryResult R = P.compileSummary(Source);
-  Phase1Result Result;
-  Result.Success = R.ok();
-  Result.ErrorText = R.Diags.text();
-  Result.SummaryText = std::move(R.SummaryText);
-  return Result;
-}
-
-AnalyzeResult ipra::runAnalyzerPhase(
-    const std::vector<std::string> &SummaryTexts,
-    const PipelineConfig &Config, const ProfileData *Profile) {
-  Pipeline P(Config);
-  DatabaseResult R = P.analyze(SummaryTexts, Profile);
-  AnalyzeResult Result;
-  Result.Success = R.ok();
-  Result.ErrorText = R.Diags.text();
-  Result.DatabaseText = std::move(R.DatabaseText);
-  Result.Stats = R.Stats;
-  return Result;
-}
-
-Phase2Result ipra::runPhase2(const SourceFile &Source,
-                             const std::string &DatabaseText,
-                             const PipelineConfig &Config) {
-  Pipeline P(Config);
-  ObjectResult R = P.compileObject(Source, DatabaseText);
-  Phase2Result Result;
-  Result.Success = R.ok();
-  Result.ErrorText = R.Diags.text();
-  Result.ObjectText = std::move(R.ObjectText);
-  return Result;
-}
-
-LinkTextsResult ipra::linkObjectTexts(
-    const std::vector<std::string> &Objects) {
-  Pipeline P((PipelineConfig()));
-  LinkedResult R = P.link(Objects);
-  LinkTextsResult Result;
-  Result.Success = R.ok();
-  Result.ErrorText = R.Diags.text();
-  Result.Exe = std::move(R.Exe);
-  return Result;
 }
 
 WallCompileResult

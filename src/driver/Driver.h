@@ -1,4 +1,4 @@
-//===- Driver.h - The two-pass compilation pipeline ------------*- C++ -*-===//
+//===- Driver.h - Runtime module and link-time allocation ------*- C++ -*-===//
 //
 // Part of the IPRA project: a reproduction of Santhanam & Odnert,
 // "Register Allocation Across Procedure and Module Boundaries", PLDI 1990.
@@ -6,146 +6,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives the compilation process of Figure 1:
-///
-///   1. compiler first phase on every module: parse, check, lower to IR,
-///      run level-2 optimization, trial code generation (for the
-///      callee-saves register-need estimate), emit a summary file;
-///   2. program analyzer over all summary files: call graph, global
-///      variable promotion, spill code motion, program database;
-///   3. compiler second phase on every module: recompile from source
-///      (the prototype recompiled the original text, §6), consult the
-///      database, generate object code;
-///   4. link the object files into an executable for the simulator.
-///
-/// The driver always appends the MiniC runtime module (__prints). The
-/// summary files and program database really are serialized to text and
-/// parsed back between phases, keeping the module boundary honest.
-///
-/// The functions here are DEPRECATED convenience wrappers over the
-/// Pipeline facade (Pipeline.h); each call runs against a fresh cache,
-/// so they behave like a cold build, and each reports errors through
-/// the legacy bool Success + ErrorText shape instead of Status. New
-/// code should construct a Pipeline (or a BuildRequest for
-/// Pipeline::execute) directly: it gets incremental reuse, structured
-/// diagnostics, and the same request type the build service speaks.
-/// Define IPRA_WARN_DEPRECATED to surface [[deprecated]] warnings at
-/// the remaining call sites.
+/// The driver pieces that sit outside the Pipeline facade (Pipeline.h,
+/// which runs the phases of Figure 1): the MiniC runtime module every
+/// program links against, and §7.1's link-time alternative to the
+/// two-pass scheme.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPRA_DRIVER_DRIVER_H
 #define IPRA_DRIVER_DRIVER_H
 
-#include "core/Analyzer.h"
-#include "driver/Pipeline.h"
 #include "driver/PipelineConfig.h"
-#include "driver/PipelineStats.h"
 #include "link/LinkOpt.h"
 #include "link/Object.h"
-#include "sim/Simulator.h"
 
 #include <string>
 #include <vector>
 
-/// Soft deprecation: the wrappers below predate Pipeline/BuildRequest
-/// and survive for the existing tests and tools. The attribute is
-/// opt-in so the default -Werror build stays clean while migrations
-/// are in flight.
-#ifdef IPRA_WARN_DEPRECATED
-#define IPRA_DEPRECATED(Msg) [[deprecated(Msg)]]
-#else
-#define IPRA_DEPRECATED(Msg)
-#endif
-
 namespace ipra {
-
-/// Output of a full pipeline run.
-struct CompileResult {
-  bool Success = false;
-  std::string ErrorText;
-  Executable Exe;
-  AnalyzerStats Stats;
-  /// Wall-clock and artifact-size instrumentation for this run.
-  PipelineStats Pipeline;
-  /// Serialized artifacts, for inspection and tests.
-  std::vector<std::string> SummaryFiles;
-  std::string DatabaseFile;
-  /// One textual object file per module (including the runtime module).
-  std::vector<std::string> ObjectFiles;
-};
-
-/// Compiles \p Sources under \p Config. \p Profile feeds the analyzer
-/// when Config.UseProfile is set (collect it from a previous run).
-IPRA_DEPRECATED("construct a Pipeline and call build() instead")
-CompileResult compileProgram(const std::vector<SourceFile> &Sources,
-                             const PipelineConfig &Config,
-                             const ProfileData *Profile = nullptr);
-
-/// Convenience: compile then execute.
-struct CompileAndRunResult {
-  CompileResult Compile;
-  RunResult Run;
-};
-IPRA_DEPRECATED("construct a Pipeline, build(), then run the Executable")
-CompileAndRunResult compileAndRun(const std::vector<SourceFile> &Sources,
-                                  const PipelineConfig &Config,
-                                  const ProfileData *Profile = nullptr,
-                                  long long FuelCycles = 500'000'000);
 
 /// The MiniC runtime module source (provides __prints).
 const char *runtimeModuleSource();
-
-//===----------------------------------------------------------------------===//
-// Phase-granular API: each paper phase as a standalone step over real
-// textual artifacts, so modules can be processed independently and in
-// any order (the property §4.3 highlights). compileProgram() is the
-// same pipeline fused for convenience. These wrappers adapt the
-// structured Pipeline results to the original bool + ErrorText shape.
-//===----------------------------------------------------------------------===//
-
-/// Compiler first phase on one module: returns the summary file text.
-struct Phase1Result {
-  bool Success = false;
-  std::string ErrorText;
-  std::string SummaryText;
-};
-IPRA_DEPRECATED("use Pipeline::compileSummary instead")
-Phase1Result runPhase1(const SourceFile &Source,
-                       const PipelineConfig &Config);
-
-/// Program analyzer over all summary files: returns the database text.
-struct AnalyzeResult {
-  bool Success = false;
-  std::string ErrorText;
-  std::string DatabaseText;
-  AnalyzerStats Stats;
-};
-IPRA_DEPRECATED("use Pipeline::analyze instead")
-AnalyzeResult runAnalyzerPhase(const std::vector<std::string> &SummaryTexts,
-                               const PipelineConfig &Config,
-                               const ProfileData *Profile = nullptr);
-
-/// Compiler second phase on one module under a database: returns the
-/// object file text. An empty \p DatabaseText compiles at the baseline.
-struct Phase2Result {
-  bool Success = false;
-  std::string ErrorText;
-  std::string ObjectText;
-};
-IPRA_DEPRECATED("use Pipeline::compileObject instead")
-Phase2Result runPhase2(const SourceFile &Source,
-                       const std::string &DatabaseText,
-                       const PipelineConfig &Config);
-
-/// Links textual object files into an executable.
-struct LinkTextsResult {
-  bool Success = false;
-  std::string ErrorText;
-  Executable Exe;
-};
-IPRA_DEPRECATED("use Pipeline::link instead")
-LinkTextsResult linkObjectTexts(const std::vector<std::string> &Objects);
 
 /// §7.1's alternative to the whole two-pass scheme: compile every module
 /// at the level-2 baseline - no summary files, no analyzer, no program

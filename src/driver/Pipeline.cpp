@@ -134,20 +134,44 @@ CallClobberResolver clobbersFor(const ProgramDatabase *DB,
   };
 }
 
-/// One function's position in the flattened cross-module work list
-/// both phases use for parallel code generation.
-struct FuncJob {
-  size_t Module = 0;
-  size_t Func = 0;
-};
-
-/// The first non-empty per-module error, in module order, so the
-/// reported error does not depend on worker scheduling.
+/// The first non-empty error, in slot order, so the reported error does
+/// not depend on worker scheduling.
 const std::string *firstError(const std::vector<std::string> &Errors) {
   for (const std::string &E : Errors)
     if (!E.empty())
       return &E;
   return nullptr;
+}
+
+/// The per-function code-generation fan-out both phases share: runs
+/// \p Body(Module, Function) for every function of every module in
+/// \p Mods as one flattened cross-module work list on \p Pool, and
+/// charges each call's time to its module's \p Ms counter once the
+/// workers joined. \p Body returns an error, or "" on success; the
+/// first error in (module, function) order is returned.
+std::string
+forEachFunction(ThreadPool &Pool, const std::vector<size_t> &Mods,
+                const std::vector<std::unique_ptr<IRModule>> &IRs,
+                PipelineStats &PS, double ModulePipelineStats::*Ms,
+                const std::function<std::string(size_t, size_t)> &Body) {
+  struct FuncJob {
+    size_t Module = 0;
+    size_t Func = 0;
+  };
+  std::vector<FuncJob> Jobs;
+  for (size_t I : Mods)
+    for (size_t F = 0; F < IRs[I]->Functions.size(); ++F)
+      Jobs.push_back(FuncJob{I, F});
+  std::vector<std::string> Errors(Jobs.size());
+  std::vector<double> JobMs(Jobs.size(), 0);
+  parallelForEach(Pool, Jobs.size(), [&](size_t J) {
+    ScopedTimerMs Timer(JobMs[J]);
+    Errors[J] = Body(Jobs[J].Module, Jobs[J].Func);
+  });
+  for (size_t J = 0; J < Jobs.size(); ++J)
+    PS.Modules[Jobs[J].Module].*Ms += JobMs[J];
+  const std::string *E = firstError(Errors);
+  return E ? *E : std::string();
 }
 
 /// Assembles the textual object file for one compiled module.
@@ -232,6 +256,13 @@ std::string summaryKey(const std::string &CompileFP,
   return hashParts({"summary", CompileFP, Source.Name, Source.Text});
 }
 
+/// \p Sources plus the MiniC runtime module, the program every build
+/// and lint links against.
+std::vector<SourceFile> withRuntime(std::vector<SourceFile> Sources) {
+  Sources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+  return Sources;
+}
+
 std::string objectKey(const std::string &CompileFP,
                       const SourceFile &Source, const std::string &Slice) {
   return hashParts({"object", CompileFP, Source.Name, Source.Text, Slice});
@@ -256,58 +287,307 @@ Pipeline::Pipeline(PipelineConfig Config_,
       FullFP(Config.fingerprint()) {}
 
 //===----------------------------------------------------------------------===//
-// Phase-granular bodies.
+// The two compiler phases, one body each.
 //===----------------------------------------------------------------------===//
 
-SummaryResult Pipeline::compileSummaryImpl(const SourceFile &Source) {
-  SummaryResult Result;
-  std::string Key = summaryKey(CompileFP, Source);
-  if (auto Entry = Cache->get(Key)) {
-    ModuleSummary Parsed;
-    std::string Error;
-    if (readSummary(*Entry, Parsed, Error) &&
-        Parsed.ConfigFingerprint == CompileFP) {
-      Result.SummaryText = std::move(*Entry);
-      Result.FromCache = true;
-      Result.Ok = true;
-      return Result;
+/// The modules one request compiles, in request order, and what each
+/// phase produced for them so far. The phase-granular requests run one
+/// phase over a Batch; the fused build runs both over the same Batch, so
+/// phase 2 finds phase 1's IR files (and any ASTs) in it.
+struct Pipeline::Batch {
+  Batch(std::vector<SourceFile> Sources_, unsigned Threads,
+        PipelineStats &PS_)
+      : Sources(std::move(Sources_)), PS(PS_), ASTs(Sources.size()),
+        FrontEndRan(Sources.size(), 0), ModuleDiags(Sources.size()),
+        Summaries(Sources.size()), SummaryTexts(Sources.size()),
+        IRFiles(Sources.size()), Objects(Sources.size()),
+        ObjectTexts(Sources.size()), Pool(Threads) {
+    PS.ThreadsUsed = Threads;
+    PS.Modules.resize(Sources.size());
+    for (size_t I = 0; I < Sources.size(); ++I)
+      PS.Modules[I].Name = Sources[I].Name;
+  }
+
+  size_t size() const { return Sources.size(); }
+
+  /// Front end, on demand: parses the modules of \p Need not parsed
+  /// yet. A module whose artifacts all come out of the cache is never
+  /// parsed (the cached artifact proves the source it hashes compiled
+  /// cleanly). Each module gets its own diagnostic engine; on failure
+  /// they merge in module order, so the rendered text does not depend
+  /// on worker scheduling.
+  Status ensureFrontEnd(const std::vector<size_t> &Need) {
+    std::vector<size_t> Run;
+    for (size_t I : Need)
+      if (!FrontEndRan[I])
+        Run.push_back(I);
+    if (!Run.empty()) {
+      ScopedTimerMs Timer(PS.FrontEndMs);
+      parallelForEach(Pool, Run.size(), [&](size_t J) {
+        size_t I = Run[J];
+        ScopedTimerMs ModuleTimer(PS.Modules[I].FrontEndMs);
+        ASTs[I] = frontEnd(Sources[I], ModuleDiags[I]);
+        FrontEndRan[I] = 1;
+      });
     }
-    Cache->invalidate(Key); // Corrupt or stale entry: recompute.
+    for (size_t I : Need)
+      if (!ASTs[I]) {
+        Status S;
+        for (const DiagnosticEngine &D : ModuleDiags)
+          S.Diags.addAll(D);
+        return S;
+      }
+    return Status::success();
   }
 
-  DiagnosticEngine Diags;
-  auto AST = frontEnd(Source, Diags);
-  if (!AST) {
-    Result.Diags.addAll(Diags);
-    return Result;
-  }
-  LoweredModule L;
-  std::string Problem = lowerModule(*AST, Config.PointsTo, L);
-  if (!Problem.empty()) {
-    Result.Diags.error("IR verification failed: " + Problem);
-    return Result;
-  }
-  finishForDirectives(*L.IR, nullptr, Config.LocalGlobalPromotion,
-                      L.PT.get());
-  const IRModule &IR = *L.IR;
+  std::vector<SourceFile> Sources;
+  PipelineStats &PS;
+  std::vector<std::unique_ptr<ModuleAST>> ASTs;
+  std::vector<char> FrontEndRan;
+  std::vector<DiagnosticEngine> ModuleDiags;
+  /// Phase 1's output: the summary files, parsed back.
+  std::vector<ModuleSummary> Summaries;
+  std::vector<std::string> SummaryTexts;
+  /// Figure 1's IR files: the IR as optimizeToFixpoint left it, plus its
+  /// points-to facts. Phase 1 keeps one per module it compiles only when
+  /// KeepIRFiles is set (the fused build); phase 2 resumes from it.
+  bool KeepIRFiles = false;
+  std::vector<LoweredModule> IRFiles;
+  /// Phase 2's output: the object files, parsed back.
+  std::vector<ObjectFile> Objects;
+  std::vector<std::string> ObjectTexts;
+  /// Last, so its workers are joined before the data they touch goes.
+  ThreadPool Pool;
+};
 
-  std::map<std::string, TrialCodeGenInfo> Estimates;
-  for (auto &F : IR.Functions)
-    if (auto Info = trialCodeGen(IR, *F))
-      Estimates[F->Name] = *Info;
-  ModuleSummary Summary = buildModuleSummary(IR, Estimates);
-  if (L.PT)
-    L.PT->applyToSummary(Summary);
-  // GPG mode additionally attaches the module's composable points-to
-  // residue (summary format v4); the analyzer composes the residues
-  // bottom-up and strengthens the Andersen facts above.
-  if (Config.PointsTo == PointsToMode::GPG)
-    buildGPGSummary(IR, Summary);
-  Summary.ConfigFingerprint = CompileFP;
-  Result.SummaryText = writeSummary(Summary);
-  Cache->put(Key, Result.SummaryText);
-  Result.Ok = true;
-  return Result;
+Status Pipeline::summarize(Batch &B) {
+  PipelineStats &PS = B.PS;
+  const size_t N = B.size();
+  std::vector<std::string> Keys(N);
+  std::vector<size_t> Miss;
+  for (size_t I = 0; I < N; ++I) {
+    Keys[I] = summaryKey(CompileFP, B.Sources[I]);
+    if (auto Entry = Cache->get(Keys[I])) {
+      ModuleSummary Parsed;
+      std::string Error;
+      if (readSummary(*Entry, Parsed, Error) &&
+          Parsed.ConfigFingerprint == CompileFP) {
+        B.SummaryTexts[I] = std::move(*Entry);
+        B.Summaries[I] = std::move(Parsed);
+        ++PS.Phase1CacheHits;
+        PS.Modules[I].Phase1FromCache = true;
+        PS.CacheBytesSaved += B.SummaryTexts[I].size();
+        continue;
+      }
+      Cache->invalidate(Keys[I]); // Corrupt or stale entry: recompute.
+    }
+    ++PS.Phase1CacheMisses;
+    Miss.push_back(I);
+  }
+
+  if (!Miss.empty()) {
+    if (Status S = B.ensureFrontEnd(Miss); !S.ok())
+      return S;
+    // Lowering, then the database-free finish: phase 1 optimizes as if
+    // no global were promoted.
+    std::vector<std::unique_ptr<IRModule>> IRs(N);
+    std::vector<std::string> Errors(N);
+    parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
+      size_t I = Miss[J];
+      ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
+      LoweredModule &L = B.IRFiles[I];
+      std::string Problem = lowerModule(*B.ASTs[I], Config.PointsTo, L);
+      PS.Modules[I].PointsToMs += L.PointsToMs;
+      if (!Problem.empty()) {
+        Errors[I] = "phase 1 IR verification failed: " + Problem;
+        return;
+      }
+      B.ASTs[I].reset(); // Phase 2 resumes from the IR file instead.
+      IRs[I] = B.KeepIRFiles ? L.IR->clone() : std::move(L.IR);
+      finishForDirectives(*IRs[I], nullptr, Config.LocalGlobalPromotion,
+                          L.PT.get());
+    });
+    if (const std::string *E = firstError(Errors))
+      return Status::error(*E);
+
+    // Trial code generation for the register-need estimates and the
+    // caller-saves footprints (§6, §7.6.2).
+    std::vector<std::vector<std::optional<TrialCodeGenInfo>>> Trial(N);
+    for (size_t I : Miss)
+      Trial[I].resize(IRs[I]->Functions.size());
+    forEachFunction(B.Pool, Miss, IRs, PS, &ModulePipelineStats::Phase1Ms,
+                    [&](size_t I, size_t F) {
+                      Trial[I][F] =
+                          trialCodeGen(*IRs[I], *IRs[I]->Functions[F]);
+                      return std::string();
+                    });
+
+    // Summary emission, round-tripped through the textual summary-file
+    // format and stamped with the compile fingerprint.
+    std::vector<GPGBuildStats> GPGStats(N);
+    parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
+      size_t I = Miss[J];
+      ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
+      std::map<std::string, TrialCodeGenInfo> Estimates;
+      for (size_t F = 0; F < Trial[I].size(); ++F)
+        if (Trial[I][F])
+          Estimates[IRs[I]->Functions[F]->Name] = *Trial[I][F];
+      ModuleSummary Summary = buildModuleSummary(*IRs[I], Estimates);
+      if (B.IRFiles[I].PT)
+        B.IRFiles[I].PT->applyToSummary(Summary);
+      // GPG mode additionally attaches the module's composable points-to
+      // residue (summary format v4) for the analyzer's bottom-up
+      // composition.
+      if (Config.PointsTo == PointsToMode::GPG) {
+        ScopedTimerMs GPGTimer(PS.Modules[I].PointsToMs);
+        GPGStats[I] = buildGPGSummary(*IRs[I], Summary);
+      }
+      Summary.ConfigFingerprint = CompileFP;
+      std::string Text = writeSummary(Summary);
+      ModuleSummary Parsed;
+      std::string Error;
+      if (!readSummary(Text, Parsed, Error)) {
+        Errors[I] = "summary round-trip failed: " + Error;
+        return;
+      }
+      B.SummaryTexts[I] = std::move(Text);
+      B.Summaries[I] = std::move(Parsed);
+    });
+    if (const std::string *E = firstError(Errors))
+      return Status::error(*E);
+    // Publish only once every miss round-tripped cleanly; failures are
+    // never cached.
+    for (size_t I : Miss) {
+      Cache->put(Keys[I], B.SummaryTexts[I]);
+      if (const ModulePointsTo *PT = B.IRFiles[I].PT.get()) {
+        PS.PointsToConstraints += PT->stats().Constraints;
+        PS.PointsToIterations += PT->stats().Iterations;
+      }
+      PS.GPGUpdates += GPGStats[I].Updates;
+      PS.GPGCallSites += GPGStats[I].CallSites;
+      if (!B.KeepIRFiles)
+        B.IRFiles[I] = LoweredModule();
+    }
+  }
+  for (size_t I = 0; I < N; ++I) {
+    PS.Modules[I].SummaryBytes = B.SummaryTexts[I].size();
+    PS.SummaryBytes += B.SummaryTexts[I].size();
+  }
+  return Status::success();
+}
+
+Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
+                                const std::vector<std::string> &Keys) {
+  PipelineStats &PS = B.PS;
+  const size_t N = B.size();
+  std::vector<size_t> Miss;
+  for (size_t I = 0; I < N; ++I) {
+    if (auto Entry = Cache->get(Keys[I])) {
+      ObjectFile Parsed;
+      std::string Error;
+      if (readObjectFile(*Entry, Parsed, Error)) {
+        B.ObjectTexts[I] = std::move(*Entry);
+        B.Objects[I] = std::move(Parsed);
+        B.IRFiles[I] = LoweredModule();
+        ++PS.Phase2CacheHits;
+        PS.Modules[I].Phase2FromCache = true;
+        PS.CacheBytesSaved += B.ObjectTexts[I].size();
+        continue;
+      }
+      Cache->invalidate(Keys[I]); // Corrupt entry: recompute.
+    }
+    ++PS.Phase2CacheMisses;
+    Miss.push_back(I);
+  }
+
+  if (!Miss.empty()) {
+    // A miss resumes from the module's IR file when phase 1 left one;
+    // any other module lowers from its AST. Both give the same IR,
+    // because lowering is a function of the source alone.
+    std::vector<size_t> Relower;
+    for (size_t I : Miss)
+      if (!B.IRFiles[I].IR)
+        Relower.push_back(I);
+    if (Status S = B.ensureFrontEnd(Relower); !S.ok())
+      return S;
+    std::vector<std::unique_ptr<IRModule>> IRs(N);
+    std::vector<std::string> Errors(N);
+    parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
+      size_t I = Miss[J];
+      ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
+      LoweredModule L = std::move(B.IRFiles[I]);
+      if (!L.IR) {
+        std::string Problem = lowerModule(*B.ASTs[I], Config.PointsTo, L);
+        PS.Modules[I].PointsToMs += L.PointsToMs;
+        if (!Problem.empty()) {
+          Errors[I] = "phase 2 IR verification failed: " + Problem;
+          return;
+        }
+      }
+      finishForDirectives(*L.IR, DB, Config.LocalGlobalPromotion,
+                          L.PT.get());
+      auto Problems = verifyModule(*L.IR);
+      if (!Problems.empty()) {
+        Errors[I] = "phase 2 IR verification failed: " + Problems[0];
+        return;
+      }
+      IRs[I] = std::move(L.IR);
+    });
+    if (const std::string *E = firstError(Errors))
+      return Status::error(*E);
+
+    // Code generation; each function writes into its (module, function)
+    // slot, so object files come out byte-identical at any thread count.
+    CallClobberResolver Clobbers =
+        clobbersFor(DB, Config.CallerSavePropagation);
+    std::vector<std::vector<ObjFunction>> Funcs(N);
+    for (size_t I : Miss)
+      Funcs[I].resize(IRs[I]->Functions.size());
+    std::string CodeGenError = forEachFunction(
+        B.Pool, Miss, IRs, PS, &ModulePipelineStats::Phase2Ms,
+        [&](size_t I, size_t F) {
+          const IRModule &IR = *IRs[I];
+          const IRFunction &Fn = *IR.Functions[F];
+          CodeGenResult CG = generateCode(
+              IR, Fn, directivesFor(DB, Fn, Config.LinkerReservedRegs),
+              Clobbers);
+          if (!CG.Success)
+            return "register allocation failed for " + Fn.qualifiedName();
+          Funcs[I][F] = std::move(CG.Obj);
+          return std::string();
+        });
+    if (!CodeGenError.empty())
+      return Status::error(CodeGenError);
+
+    // Object assembly, round-tripped through the textual object-file
+    // format: the object really is a standalone artifact, like the
+    // paper's per-module object files.
+    parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
+      size_t I = Miss[J];
+      ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
+      std::string ObjText =
+          writeObjectFile(assembleObject(*IRs[I], std::move(Funcs[I])));
+      ObjectFile Parsed;
+      std::string Error;
+      if (!readObjectFile(ObjText, Parsed, Error)) {
+        Errors[I] = "object round-trip failed: " + Error;
+        return;
+      }
+      B.ObjectTexts[I] = std::move(ObjText);
+      B.Objects[I] = std::move(Parsed);
+    });
+    if (const std::string *E = firstError(Errors))
+      return Status::error(*E);
+    for (size_t I : Miss)
+      Cache->put(Keys[I], B.ObjectTexts[I]);
+  }
+  for (size_t I = 0; I < N; ++I) {
+    PS.Modules[I].Functions =
+        static_cast<unsigned>(B.Objects[I].Functions.size());
+    PS.Modules[I].ObjectBytes = B.ObjectTexts[I].size();
+    PS.ObjectBytes += B.ObjectTexts[I].size();
+  }
+  return Status::success();
 }
 
 bool Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
@@ -415,85 +695,6 @@ Status Pipeline::executeAnalyze(const BuildRequest &Req,
   return Status::success();
 }
 
-ObjectResult Pipeline::compileObjectImpl(const SourceFile &Source,
-                                         const std::string &DatabaseText) {
-  ObjectResult Result;
-  ProgramDatabase DB;
-  const ProgramDatabase *DBP = nullptr; // No database: standard linkage.
-  if (!DatabaseText.empty()) {
-    DBP = &DB;
-    std::string Error;
-    if (!ProgramDatabase::deserialize(DatabaseText, DB, Error)) {
-      Result.Diags.error("bad program database: " + Error);
-      return Result;
-    }
-    if (!DB.ConfigFingerprint.empty() && DB.ConfigFingerprint != FullFP) {
-      Result.Diags.error(
-          "bad program database: database was produced under a different "
-          "configuration (fingerprint " +
-          DB.ConfigFingerprint + ", expected " + FullFP +
-          "); re-run the analyzer with matching options");
-      return Result;
-    }
-  }
-
-  // Standalone calls have no summary to compute the precise database
-  // slice from; the whole database text stands in (build() keys on
-  // ProgramDatabase::sliceFor instead).
-  std::string Key = objectKey(CompileFP, Source, DatabaseText);
-  if (auto Entry = Cache->get(Key)) {
-    ObjectFile Parsed;
-    std::string Error;
-    if (readObjectFile(*Entry, Parsed, Error)) {
-      Result.ObjectText = std::move(*Entry);
-      Result.FromCache = true;
-      Result.Ok = true;
-      return Result;
-    }
-    Cache->invalidate(Key); // Corrupt entry: recompute.
-  }
-
-  DiagnosticEngine Diags;
-  auto AST = frontEnd(Source, Diags);
-  if (!AST) {
-    Result.Diags.addAll(Diags);
-    return Result;
-  }
-  LoweredModule L;
-  std::string Problem = lowerModule(*AST, Config.PointsTo, L);
-  if (Problem.empty()) {
-    finishForDirectives(*L.IR, DBP, Config.LocalGlobalPromotion,
-                        L.PT.get());
-    auto Problems = verifyModule(*L.IR);
-    if (!Problems.empty())
-      Problem = Problems[0];
-  }
-  if (!Problem.empty()) {
-    Result.Diags.error("IR verification failed: " + Problem);
-    return Result;
-  }
-  const IRModule &IR = *L.IR;
-
-  CallClobberResolver Clobbers =
-      clobbersFor(DBP, Config.CallerSavePropagation);
-  std::vector<ObjFunction> Funcs;
-  for (auto &F : IR.Functions) {
-    CodeGenResult CG = generateCode(
-        IR, *F, directivesFor(DBP, *F, Config.LinkerReservedRegs),
-        Clobbers);
-    if (!CG.Success) {
-      Result.Diags.error("register allocation failed for " +
-                         F->qualifiedName());
-      return Result;
-    }
-    Funcs.push_back(std::move(CG.Obj));
-  }
-  Result.ObjectText = writeObjectFile(assembleObject(IR, std::move(Funcs)));
-  Cache->put(Key, Result.ObjectText);
-  Result.Ok = true;
-  return Result;
-}
-
 LinkedResult Pipeline::linkImpl(const std::vector<std::string> &ObjectTexts) {
   LinkedResult Result;
   std::vector<ObjectFile> Parsed;
@@ -529,183 +730,25 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
   BuildResult Result;
   PipelineStats &PS = Result.Stats;
   ScopedTimerMs TotalTimer(PS.TotalMs);
-  const unsigned Threads = resolveThreadCount(Config.NumThreads);
-  ThreadPool Pool(Threads);
-  PS.ThreadsUsed = Threads;
-
-  std::vector<SourceFile> AllSources = Sources;
-  AllSources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
-  const size_t NumModules = AllSources.size();
-  PS.Modules.resize(NumModules);
-  for (size_t I = 0; I < NumModules; ++I)
-    PS.Modules[I].Name = AllSources[I].Name;
-
-  // ---- Front end, on demand: a module whose artifacts all come out of
-  // the cache is never parsed (the cached artifact proves the source it
-  // hashes compiled cleanly). Each module gets its own diagnostic
-  // engine; merging in module order keeps the rendered text independent
-  // of worker scheduling.
-  std::vector<std::unique_ptr<ModuleAST>> ASTs(NumModules);
-  std::vector<char> FrontEndRan(NumModules, 0);
-  std::vector<DiagnosticEngine> ModuleDiags(NumModules);
-  auto ensureFrontEnd = [&](const std::vector<size_t> &Need) {
-    std::vector<size_t> Run;
-    for (size_t I : Need)
-      if (!FrontEndRan[I])
-        Run.push_back(I);
-    if (!Run.empty()) {
-      ScopedTimerMs Timer(PS.FrontEndMs);
-      parallelForEach(Pool, Run.size(), [&](size_t J) {
-        size_t I = Run[J];
-        ScopedTimerMs ModuleTimer(PS.Modules[I].FrontEndMs);
-        ASTs[I] = frontEnd(AllSources[I], ModuleDiags[I]);
-        FrontEndRan[I] = 1;
-      });
-    }
-    bool Ok = true;
-    for (size_t I : Need)
-      Ok &= ASTs[I] != nullptr;
-    if (!Ok)
-      for (size_t I = 0; I < NumModules; ++I)
-        Result.Diags.addAll(ModuleDiags[I]);
-    return Ok;
-  };
+  Batch B(withRuntime(Sources), resolveThreadCount(Config.NumThreads), PS);
+  B.KeepIRFiles = true;
+  const size_t NumModules = B.size();
 
   // ---- Compiler first phase: optimize, trial codegen, summary file.
-  // Cache key: compile fingerprint x module name x source text.
-  // Every module phase 1 compiles also leaves its IR file (Figure 1):
-  // the IR as optimizeToFixpoint left it, plus its points-to facts.
-  // Only finishOptimization reads the database, so phase 2 resumes from
+  // Cache key: compile fingerprint x module name x source text. Every
+  // module phase 1 compiles also leaves its IR file (Figure 1); only
+  // finishOptimization reads the database, so phase 2 resumes from
   // there instead of lowering the module again.
   ProgramDatabase DB;
   const ProgramDatabase *DBP = nullptr; // Set once the analyzer ran.
-  std::vector<ModuleSummary> Summaries(NumModules);
-  std::vector<std::string> SummaryTexts(NumModules);
-  std::vector<LoweredModule> IRFiles(NumModules);
   if (Config.Ipra) {
     {
       ScopedTimerMs Timer(PS.Phase1Ms);
-      std::vector<std::string> Keys(NumModules);
-      std::vector<size_t> Miss;
-      for (size_t I = 0; I < NumModules; ++I) {
-        Keys[I] = summaryKey(CompileFP, AllSources[I]);
-        if (auto Entry = Cache->get(Keys[I])) {
-          ModuleSummary Parsed;
-          std::string Error;
-          if (readSummary(*Entry, Parsed, Error) &&
-              Parsed.ConfigFingerprint == CompileFP) {
-            SummaryTexts[I] = std::move(*Entry);
-            Summaries[I] = std::move(Parsed);
-            ++PS.Phase1CacheHits;
-            PS.Modules[I].Phase1FromCache = true;
-            PS.CacheBytesSaved += SummaryTexts[I].size();
-            continue;
-          }
-          Cache->invalidate(Keys[I]); // Corrupt entry: recompute.
-        }
-        ++PS.Phase1CacheMisses;
-        Miss.push_back(I);
+      if (Status S = summarize(B); !S.ok()) {
+        static_cast<Status &>(Result) = std::move(S);
+        return Result;
       }
-
-      if (!Miss.empty()) {
-        if (!ensureFrontEnd(Miss))
-          return Result;
-        std::vector<std::unique_ptr<IRModule>> IRs(NumModules);
-        std::vector<std::string> Errors(NumModules);
-        parallelForEach(Pool, Miss.size(), [&](size_t J) {
-          size_t I = Miss[J];
-          ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
-          LoweredModule &L = IRFiles[I];
-          std::string Problem = lowerModule(*ASTs[I], Config.PointsTo, L);
-          PS.Modules[I].PointsToMs += L.PointsToMs;
-          if (!Problem.empty()) {
-            Errors[I] = "phase 1 IR verification failed: " + Problem;
-            return;
-          }
-          ASTs[I].reset(); // Phase 2 resumes from the IR file instead.
-          IRs[I] = L.IR->clone();
-          finishForDirectives(*IRs[I], nullptr, Config.LocalGlobalPromotion,
-                              L.PT.get());
-        });
-        if (const std::string *E = firstError(Errors)) {
-          Result.Diags.error(*E);
-          return Result;
-        }
-
-        // Trial code generation for the register-need estimates and the
-        // caller-saves footprints (§6, §7.6.2), parallel across every
-        // function of every recompiled module.
-        std::vector<FuncJob> Jobs;
-        for (size_t I : Miss)
-          for (size_t F = 0; F < IRs[I]->Functions.size(); ++F)
-            Jobs.push_back(FuncJob{I, F});
-        std::vector<std::vector<std::optional<TrialCodeGenInfo>>> Trial(
-            NumModules);
-        for (size_t I : Miss)
-          Trial[I].resize(IRs[I]->Functions.size());
-        std::vector<double> JobMs(Jobs.size(), 0);
-        parallelForEach(Pool, Jobs.size(), [&](size_t J) {
-          ScopedTimerMs JobTimer(JobMs[J]);
-          const IRModule &IR = *IRs[Jobs[J].Module];
-          Trial[Jobs[J].Module][Jobs[J].Func] =
-              trialCodeGen(IR, *IR.Functions[Jobs[J].Func]);
-        });
-        for (size_t J = 0; J < Jobs.size(); ++J)
-          PS.Modules[Jobs[J].Module].Phase1Ms += JobMs[J];
-
-        // Summary emission, round-tripped through the textual
-        // summary-file format and stamped with the compile fingerprint.
-        std::vector<GPGBuildStats> GPGStats(NumModules);
-        parallelForEach(Pool, Miss.size(), [&](size_t J) {
-          size_t I = Miss[J];
-          ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
-          std::map<std::string, TrialCodeGenInfo> Estimates;
-          for (size_t F = 0; F < Trial[I].size(); ++F)
-            if (Trial[I][F])
-              Estimates[IRs[I]->Functions[F]->Name] = *Trial[I][F];
-          ModuleSummary Summary = buildModuleSummary(*IRs[I], Estimates);
-          if (IRFiles[I].PT)
-            IRFiles[I].PT->applyToSummary(Summary);
-          // GPG mode additionally attaches the module's composable
-          // points-to residue (summary format v4) for the analyzer's
-          // bottom-up composition.
-          if (Config.PointsTo == PointsToMode::GPG) {
-            ScopedTimerMs GPGTimer(PS.Modules[I].PointsToMs);
-            GPGStats[I] = buildGPGSummary(*IRs[I], Summary);
-          }
-          Summary.ConfigFingerprint = CompileFP;
-          std::string Text = writeSummary(Summary);
-          ModuleSummary Parsed;
-          std::string Error;
-          if (!readSummary(Text, Parsed, Error)) {
-            Errors[I] = "summary round-trip failed: " + Error;
-            return;
-          }
-          SummaryTexts[I] = std::move(Text);
-          Summaries[I] = std::move(Parsed);
-        });
-        if (const std::string *E = firstError(Errors)) {
-          Result.Diags.error(*E);
-          return Result;
-        }
-        // Publish only once every miss round-tripped cleanly; failures
-        // are never cached.
-        for (size_t I : Miss)
-          Cache->put(Keys[I], SummaryTexts[I]);
-        for (size_t I : Miss) {
-          if (const ModulePointsTo *PT = IRFiles[I].PT.get()) {
-            PS.PointsToConstraints += PT->stats().Constraints;
-            PS.PointsToIterations += PT->stats().Iterations;
-          }
-          PS.GPGUpdates += GPGStats[I].Updates;
-          PS.GPGCallSites += GPGStats[I].CallSites;
-        }
-      }
-      Result.SummaryFiles = SummaryTexts;
-      for (size_t I = 0; I < NumModules; ++I) {
-        PS.Modules[I].SummaryBytes = SummaryTexts[I].size();
-        PS.SummaryBytes += SummaryTexts[I].size();
-      }
+      Result.SummaryFiles = B.SummaryTexts;
     }
 
     // ---- Program analyzer: the one whole-program step. Web discovery
@@ -723,7 +766,7 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
     std::string Mode;
     DeltaStats DS;
     std::string Error;
-    if (!analyzeCached(Summaries, SummaryTexts, CP, Result.Analyzer,
+    if (!analyzeCached(B.Summaries, B.SummaryTexts, CP, Result.Analyzer,
                        Result.DatabaseFile, DB, FromCache, Mode, DS,
                        Error)) {
       Result.Diags.error("database round-trip failed: " + Error);
@@ -780,149 +823,27 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
   // ---- Compiler second phase: per-module compilation to objects.
   // Cache key: compile fingerprint x module name x source text x the
   // module's database slice — after an edit, only modules whose slice
-  // the analyzer actually moved recompile. A miss resumes from the
-  // module's phase-1 IR file when this build made one; a module whose
-  // summary came from the cache (or a build without IPRA) lowers from
-  // its AST instead. Both give the same IR, because lowering is a
-  // function of the source alone.
-  std::vector<ObjectFile> Objects(NumModules);
+  // the analyzer actually moved recompile.
   {
     ScopedTimerMs Timer(PS.Phase2Ms);
-    std::vector<std::string> ObjTexts(NumModules);
     std::vector<std::string> Keys(NumModules);
-    std::vector<size_t> Miss;
-    for (size_t I = 0; I < NumModules; ++I) {
-      std::string Slice =
-          DBP ? DB.sliceFor(Summaries[I], Config.CallerSavePropagation)
-                 : std::string();
-      Keys[I] = objectKey(CompileFP, AllSources[I], Slice);
-      if (auto Entry = Cache->get(Keys[I])) {
-        ObjectFile Parsed;
-        std::string Error;
-        if (readObjectFile(*Entry, Parsed, Error)) {
-          ObjTexts[I] = std::move(*Entry);
-          Objects[I] = std::move(Parsed);
-          IRFiles[I] = LoweredModule();
-          ++PS.Phase2CacheHits;
-          PS.Modules[I].Phase2FromCache = true;
-          PS.CacheBytesSaved += ObjTexts[I].size();
-          continue;
-        }
-        Cache->invalidate(Keys[I]); // Corrupt entry: recompute.
-      }
-      ++PS.Phase2CacheMisses;
-      Miss.push_back(I);
+    for (size_t I = 0; I < NumModules; ++I)
+      Keys[I] = objectKey(CompileFP, B.Sources[I],
+                          DBP ? DB.sliceFor(B.Summaries[I],
+                                            Config.CallerSavePropagation)
+                              : std::string());
+    if (Status S = compileObjects(B, DBP, Keys); !S.ok()) {
+      static_cast<Status &>(Result) = std::move(S);
+      return Result;
     }
-
-    if (!Miss.empty()) {
-      std::vector<size_t> Relower;
-      for (size_t I : Miss)
-        if (!IRFiles[I].IR)
-          Relower.push_back(I);
-      if (!ensureFrontEnd(Relower))
-        return Result;
-      std::vector<std::unique_ptr<IRModule>> IRs(NumModules);
-      std::vector<std::string> Errors(NumModules);
-      parallelForEach(Pool, Miss.size(), [&](size_t J) {
-        size_t I = Miss[J];
-        ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
-        LoweredModule L = std::move(IRFiles[I]);
-        if (!L.IR) {
-          std::string Problem = lowerModule(*ASTs[I], Config.PointsTo, L);
-          PS.Modules[I].PointsToMs += L.PointsToMs;
-          if (!Problem.empty()) {
-            Errors[I] = "phase 2 IR verification failed: " + Problem;
-            return;
-          }
-        }
-        finishForDirectives(*L.IR, DBP, Config.LocalGlobalPromotion,
-                            L.PT.get());
-        auto Problems = verifyModule(*L.IR);
-        if (!Problems.empty()) {
-          Errors[I] = "phase 2 IR verification failed: " + Problems[0];
-          return;
-        }
-        IRs[I] = std::move(L.IR);
-      });
-      if (const std::string *E = firstError(Errors)) {
-        Result.Diags.error(*E);
-        return Result;
-      }
-
-      CallClobberResolver Clobbers =
-          clobbersFor(DBP, Config.CallerSavePropagation);
-
-      // Code generation, parallel across every function of every
-      // recompiled module; each function writes into its (module,
-      // function) slot so object files come out byte-identical at any
-      // thread count.
-      std::vector<FuncJob> Jobs;
-      for (size_t I : Miss)
-        for (size_t F = 0; F < IRs[I]->Functions.size(); ++F)
-          Jobs.push_back(FuncJob{I, F});
-      std::vector<std::vector<ObjFunction>> Funcs(NumModules);
-      for (size_t I : Miss)
-        Funcs[I].resize(IRs[I]->Functions.size());
-      std::vector<std::string> JobErrors(Jobs.size());
-      std::vector<double> JobMs(Jobs.size(), 0);
-      parallelForEach(Pool, Jobs.size(), [&](size_t J) {
-        ScopedTimerMs JobTimer(JobMs[J]);
-        const IRModule &IR = *IRs[Jobs[J].Module];
-        const auto &F = *IR.Functions[Jobs[J].Func];
-        CodeGenResult CG = generateCode(
-            IR, F, directivesFor(DBP, F, Config.LinkerReservedRegs),
-            Clobbers);
-        if (!CG.Success) {
-          JobErrors[J] =
-              "register allocation failed for " + F.qualifiedName();
-          return;
-        }
-        Funcs[Jobs[J].Module][Jobs[J].Func] = std::move(CG.Obj);
-      });
-      for (size_t J = 0; J < Jobs.size(); ++J)
-        PS.Modules[Jobs[J].Module].Phase2Ms += JobMs[J];
-      if (const std::string *E = firstError(JobErrors)) {
-        Result.Diags.error(*E);
-        return Result;
-      }
-
-      // Object assembly, round-tripped through the textual object-file
-      // format: the object really is a standalone artifact, like the
-      // paper's per-module object files.
-      parallelForEach(Pool, Miss.size(), [&](size_t J) {
-        size_t I = Miss[J];
-        ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
-        std::string ObjText =
-            writeObjectFile(assembleObject(*IRs[I], std::move(Funcs[I])));
-        ObjectFile Parsed;
-        std::string Error;
-        if (!readObjectFile(ObjText, Parsed, Error)) {
-          Errors[I] = "object round-trip failed: " + Error;
-          return;
-        }
-        ObjTexts[I] = std::move(ObjText);
-        Objects[I] = std::move(Parsed);
-      });
-      if (const std::string *E = firstError(Errors)) {
-        Result.Diags.error(*E);
-        return Result;
-      }
-      for (size_t I : Miss)
-        Cache->put(Keys[I], ObjTexts[I]);
-    }
-    Result.ObjectFiles = ObjTexts;
-    for (size_t I = 0; I < NumModules; ++I) {
-      PS.Modules[I].Functions =
-          static_cast<unsigned>(Objects[I].Functions.size());
-      PS.Modules[I].ObjectBytes = ObjTexts[I].size();
-      PS.ObjectBytes += ObjTexts[I].size();
-      PS.PointsToMs += PS.Modules[I].PointsToMs;
-    }
+    Result.ObjectFiles = B.ObjectTexts;
+    for (const ModulePipelineStats &M : PS.Modules)
+      PS.PointsToMs += M.PointsToMs;
   }
 
   // ---- Link.
   ScopedTimerMs Timer(PS.LinkMs);
-  LinkResult Linked = linkObjects(Objects);
+  LinkResult Linked = linkObjects(B.Objects);
   if (!Linked.Success) {
     std::string Text = "link failed:";
     for (const std::string &E : Linked.Errors)
@@ -953,22 +874,11 @@ Status Pipeline::executeSummary(const BuildRequest &Req,
                                 BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.Phase1Ms);
-  bool AllCached = !Req.Modules.empty();
-  for (const SourceFile &Source : Req.Modules) {
-    SummaryResult R = compileSummaryImpl(Source);
-    if (!R.ok())
-      return std::move(static_cast<Status &>(R));
-    if (R.FromCache) {
-      ++Resp.Stats.Phase1CacheHits;
-      Resp.Stats.CacheBytesSaved += R.SummaryText.size();
-    } else {
-      ++Resp.Stats.Phase1CacheMisses;
-      AllCached = false;
-    }
-    Resp.Stats.SummaryBytes += R.SummaryText.size();
-    Resp.Summaries.push_back(std::move(R.SummaryText));
-  }
-  Resp.FromCache = AllCached;
+  Batch B(Req.Modules, resolveThreadCount(Config.NumThreads), Resp.Stats);
+  if (Status S = summarize(B); !S.ok())
+    return S;
+  Resp.Summaries = std::move(B.SummaryTexts);
+  Resp.FromCache = B.size() && Resp.Stats.Phase1CacheMisses == 0;
   return Status::success();
 }
 
@@ -976,22 +886,31 @@ Status Pipeline::executeObject(const BuildRequest &Req,
                                BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.Phase2Ms);
-  bool AllCached = !Req.Modules.empty();
-  for (const SourceFile &Source : Req.Modules) {
-    ObjectResult R = compileObjectImpl(Source, Req.Database);
-    if (!R.ok())
-      return std::move(static_cast<Status &>(R));
-    if (R.FromCache) {
-      ++Resp.Stats.Phase2CacheHits;
-      Resp.Stats.CacheBytesSaved += R.ObjectText.size();
-    } else {
-      ++Resp.Stats.Phase2CacheMisses;
-      AllCached = false;
-    }
-    Resp.Stats.ObjectBytes += R.ObjectText.size();
-    Resp.Objects.push_back(std::move(R.ObjectText));
+  ProgramDatabase DB;
+  const ProgramDatabase *DBP = nullptr; // No database: standard linkage.
+  if (!Req.Database.empty()) {
+    DBP = &DB;
+    std::string Error;
+    if (!ProgramDatabase::deserialize(Req.Database, DB, Error))
+      return Status::error("bad program database: " + Error);
+    if (!DB.ConfigFingerprint.empty() && DB.ConfigFingerprint != FullFP)
+      return Status::error(
+          "bad program database: database was produced under a different "
+          "configuration (fingerprint " +
+          DB.ConfigFingerprint + ", expected " + FullFP +
+          "); re-run the analyzer with matching options");
   }
-  Resp.FromCache = AllCached;
+  // A standalone request has no summaries to compute the precise
+  // database slices from; the whole database text stands in (the fused
+  // build keys on ProgramDatabase::sliceFor instead).
+  Batch B(Req.Modules, resolveThreadCount(Config.NumThreads), Resp.Stats);
+  std::vector<std::string> Keys;
+  for (const SourceFile &Source : B.Sources)
+    Keys.push_back(objectKey(CompileFP, Source, Req.Database));
+  if (Status S = compileObjects(B, DBP, Keys); !S.ok())
+    return S;
+  Resp.Objects = std::move(B.ObjectTexts);
+  Resp.FromCache = B.size() && Resp.Stats.Phase2CacheMisses == 0;
   return Status::success();
 }
 
@@ -1009,42 +928,25 @@ Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
   // plus the runtime. The runtime's own findings are suppressed — its
   // unreferenced helpers are not the user's dead code — but its
   // summary stays in the graph so calls into it resolve.
-  std::vector<SourceFile> AllSources = Req.Modules;
-  AllSources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
-  std::vector<ModuleSummary> Summaries;
-  bool AllCached = !AllSources.empty();
+  Batch B(withRuntime(Req.Modules), resolveThreadCount(Config.NumThreads),
+          Resp.Stats);
   {
     ScopedTimerMs Timer(Resp.Stats.Phase1Ms);
-    for (const SourceFile &Source : AllSources) {
-      SummaryResult R = compileSummaryImpl(Source);
-      if (!R.ok())
-        return std::move(static_cast<Status &>(R));
-      ModuleSummary S;
-      std::string Error;
-      if (!readSummary(R.SummaryText, S, Error))
-        return Status::error("bad summary file: " + Error);
-      if (R.FromCache) {
-        ++Resp.Stats.Phase1CacheHits;
-        Resp.Stats.CacheBytesSaved += R.SummaryText.size();
-      } else {
-        ++Resp.Stats.Phase1CacheMisses;
-        AllCached = false;
-      }
-      Summaries.push_back(std::move(S));
-    }
+    if (Status S = summarize(B); !S.ok())
+      return S;
   }
   // Mod/ref verdicts run even under --modref=off: the flag gates what
   // allocation consumes, not what lint reports.
   ScopedTimerMs Timer(Resp.Stats.AnalyzerMs);
   CallProfile CP;
-  CallGraph CG(Summaries, CP, Config.PointsTo != PointsToMode::Off);
+  CallGraph CG(B.Summaries, CP, Config.PointsTo != PointsToMode::Off);
   ModRefInfo MR = computeModRef(CG, Config.AssumeClosedWorld);
-  LintResult LR = runLint(Summaries, CG, MR, "__runtime.mc");
+  LintResult LR = runLint(B.Summaries, CG, MR, "__runtime.mc");
   for (const LintDiagnostic &D : LR.Diagnostics) {
     Resp.Lints.push_back(D.render());
     Resp.LintsJson.push_back(D.renderJson());
   }
-  Resp.FromCache = AllCached;
+  Resp.FromCache = Resp.Stats.Phase1CacheMisses == 0;
   return Status::success();
 }
 
@@ -1134,7 +1036,7 @@ DatabaseResult Pipeline::analyze(const std::vector<std::string> &SummaryTexts,
 ObjectResult Pipeline::compileObject(const SourceFile &Source,
                                      const std::string &DatabaseText) {
   Result<BuildResponse> R =
-      execute(BuildRequest::object(Config, Source, DatabaseText));
+      execute(BuildRequest::object(Config, {Source}, DatabaseText));
   ObjectResult Out;
   static_cast<Status &>(Out) = std::move(static_cast<Status &>(R));
   if (!R.Value.Objects.empty())

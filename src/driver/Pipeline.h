@@ -39,11 +39,6 @@
 /// shared cache across all programs and one AnalyzerSession per program
 /// so hot state survives Pipeline reconstruction.
 ///
-/// The free functions in Driver.h (compileProgram, runPhase1, ...) are
-/// deprecated wrappers over this class; each call constructs a fresh
-/// Pipeline. Hold a Pipeline (and/or set PipelineConfig::CacheDir) to
-/// get reuse across builds.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPRA_DRIVER_PIPELINE_H
@@ -183,9 +178,22 @@ private:
   Status executeFull(const BuildRequest &Req, BuildResponse &Resp);
   Status executeLint(const BuildRequest &Req, BuildResponse &Resp);
 
-  SummaryResult compileSummaryImpl(const SourceFile &Source);
-  ObjectResult compileObjectImpl(const SourceFile &Source,
-                                 const std::string &DatabaseText);
+  /// The modules one request compiles and what the phases produced for
+  /// them (defined in Pipeline.cpp).
+  struct Batch;
+
+  /// Compiler first phase over every module of \p B, the one body
+  /// behind the Summary, Lint and Full requests: cache lookup, front end
+  /// on demand, lowering, trial codegen fanned out per function, summary
+  /// round-trip, cache publish. Keeps the IR files when B asks for them.
+  Status summarize(Batch &B);
+  /// Compiler second phase over every module of \p B under \p DB (null:
+  /// the standard linkage convention), the one body behind the Object
+  /// and Full requests. \p Keys holds each module's cache key, which
+  /// names the database part it depends on. Resumes from B's IR file
+  /// where phase 1 left one and lowers from source otherwise.
+  Status compileObjects(Batch &B, const ProgramDatabase *DB,
+                        const std::vector<std::string> &Keys);
   LinkedResult linkImpl(const std::vector<std::string> &ObjectTexts);
   BuildResult buildImpl(const std::vector<SourceFile> &Sources,
                         const ProfileData *Profile, DeltaStats *OutDS);

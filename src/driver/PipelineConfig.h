@@ -57,8 +57,7 @@ struct CompileOptions {
   /// escape verdicts and resolved indirect-call targets, and the local
   /// optimizer consults the alias facts; GPG additionally emits each
   /// procedure's composable GPG residue (summary format v4). Off skips
-  /// the analysis and writes conservative defaults (the deprecated
-  /// --no-points-to alias).
+  /// the analysis and writes conservative defaults.
   PointsToMode PointsTo = PointsToMode::GPG;
 
   /// Stable hash over every field plus the summary/object format
@@ -81,8 +80,7 @@ struct PipelineConfig {
   bool LocalGlobalPromotion = true;
   /// Points-to mode feeding summaries, the local optimizer, and the
   /// analyzer (see CompileOptions::PointsTo). GPG by default;
-  /// --points-to=off (deprecated alias --no-points-to) reproduces the
-  /// paper's conservative behaviour.
+  /// --points-to=off reproduces the paper's conservative behaviour.
   PointsToMode PointsTo = PointsToMode::GPG;
   /// Whole-program mod/ref & constancy analysis feeding the analyzer
   /// (DESIGN.md §15): dead-global web discard, read-only Modifies drop,
@@ -95,8 +93,8 @@ struct PipelineConfig {
   bool ImprovedFreeSets = false;
   bool CallerSavePropagation = false;
   /// §7.2: set false when the sources are a library fragment rather
-  /// than a whole program (only meaningful for the phase-granular API;
-  /// compileProgram always has main and the runtime).
+  /// than a whole program (only meaningful for the phase-granular
+  /// requests; Pipeline::build always has main and the runtime).
   bool AssumeClosedWorld = true;
   WebOptions Webs;
   ClusterOptions Clusters;

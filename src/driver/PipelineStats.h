@@ -8,8 +8,8 @@
 /// \file
 /// Wall-clock and artifact-size instrumentation for one pipeline run:
 /// per-phase and per-module timings, serialized artifact byte counts,
-/// and the thread count the driver ran with. Collected by
-/// compileProgram() and printable via toString() (the mcc --stats
+/// and the thread count the driver ran with. Collected by every
+/// Pipeline request and printable via toString() (the mcc --stats
 /// path).
 ///
 //===----------------------------------------------------------------------===//
@@ -40,7 +40,7 @@ struct ModulePipelineStats {
   bool Phase2FromCache = false;
 };
 
-/// Instrumentation for one compileProgram() run.
+/// Instrumentation for one Pipeline request.
 struct PipelineStats {
   unsigned ThreadsUsed = 1;
   double FrontEndMs = 0;

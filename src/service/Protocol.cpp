@@ -207,8 +207,9 @@ Value ipra::configToJson(const PipelineConfig &Config) {
   return V;
 }
 
-PipelineConfig ipra::configFromJson(const Value &V) {
-  PipelineConfig C;
+bool ipra::configFromJson(const Value &V, PipelineConfig &C,
+                          std::string &Error) {
+  C = PipelineConfig();
   C.Ipra = fieldBool(V, "ipra", C.Ipra);
   C.SpillMotion = fieldBool(V, "spill-motion", C.SpillMotion);
   C.Promotion = promotionFromName(fieldStr(V, "promotion"));
@@ -219,15 +220,11 @@ PipelineConfig ipra::configFromJson(const Value &V) {
   C.UseProfile = fieldBool(V, "use-profile", C.UseProfile);
   C.LocalGlobalPromotion =
       fieldBool(V, "local-global-promotion", C.LocalGlobalPromotion);
-  // "points-to" is a mode string ("off"/"andersen"/"gpg"); clients of
-  // the old boolean field still parse (true meant the Andersen pass).
-  if (const Value *PT = V.find("points-to")) {
-    PointsToMode Mode;
-    if (parsePointsToMode(PT->asString(), Mode))
-      C.PointsTo = Mode;
-    else
-      C.PointsTo = PT->asBool(true) ? PointsToMode::Andersen
-                                    : PointsToMode::Off;
+  if (const Value *PT = V.find("points-to");
+      PT && !parsePointsToMode(PT->asString(), C.PointsTo)) {
+    Error = "config field 'points-to' must be \"off\", \"andersen\" or "
+            "\"gpg\"";
+    return false;
   }
   C.ModRef = fieldBool(V, "modref", C.ModRef);
   C.RelaxWebAvail = fieldBool(V, "relax-web-avail", C.RelaxWebAvail);
@@ -265,7 +262,7 @@ PipelineConfig ipra::configFromJson(const Value &V) {
   C.NumThreads = static_cast<int>(fieldInt(V, "num-threads", C.NumThreads));
   C.DeltaAnalysis = fieldBool(V, "delta-analysis", C.DeltaAnalysis);
   // CacheDir never crosses the wire: cache placement is server policy.
-  return C;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,8 +323,9 @@ bool ipra::requestFromJson(const Value &V, BuildRequest &Req,
     Error = "unknown phase '" + Phase + "'";
     return false;
   }
-  if (const Value *C = V.find("config"))
-    Req.Config = configFromJson(*C);
+  if (const Value *C = V.find("config");
+      C && !configFromJson(*C, Req.Config, Error))
+    return false;
   if (const Value *Modules = V.find("modules"))
     for (const Value &M : Modules->items()) {
       SourceFile S;

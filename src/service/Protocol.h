@@ -109,7 +109,10 @@ Status decodeStatusReply(const std::string &Payload,
 // Value codecs (exposed for tests) ---------------------------------------
 
 json::Value configToJson(const PipelineConfig &Config);
-PipelineConfig configFromJson(const json::Value &V);
+/// Fails, naming the field in \p Error, when "points-to" is not a mode
+/// name ("off", "andersen" or "gpg").
+bool configFromJson(const json::Value &V, PipelineConfig &Config,
+                    std::string &Error);
 json::Value requestToJson(const BuildRequest &Req);
 bool requestFromJson(const json::Value &V, BuildRequest &Req,
                      std::string &Error);

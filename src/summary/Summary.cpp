@@ -201,17 +201,18 @@ ModuleSummary ipra::buildModuleSummary(
 //   gpgsite <ord> [<chan>^<lev> ...]
 //   end
 //
+// The header line is required; input without one is rejected.
 // Version 3 added the points-to fields (escape=, indresolved=,
 // indtarget). Readers default them to the conservative values when
-// absent so headerless legacy files keep parsing. Version 4 added the
+// absent. Version 4 added the
 // GPG residue records (gpu/gpgcall/gpgsite, proc gpg=, global finit=)
 // the analyzer composes into flow- and context-sensitive facts.
 // Version 5 added the mod/ref and lint fields: ref loads= (reads
 // independent of stores), proc params= and call args= (cross-module
 // arity checking), global init= (explicit-initializer presence). On
-// legacy input without them, readers default loads= to "assume reads",
+// records without them, readers default loads= to "assume reads",
 // init= to "assume initialized", params=/args= to -1 (unknown) — the
-// conservative values that keep old files sound and lint-silent.
+// conservative values that keep such records sound and lint-silent.
 //===----------------------------------------------------------------------===//
 
 std::string ipra::writeSummary(const ModuleSummary &S) {
@@ -310,6 +311,7 @@ bool ipra::readSummary(const std::string &Text, ModuleSummary &Out,
   Out = ModuleSummary();
   ProcSummary *Cur = nullptr;
   int LineNo = 0;
+  bool SawHeader = false;
   for (const std::string &RawLine : split(Text, '\n')) {
     ++LineNo;
     std::string Line = trim(RawLine);
@@ -327,7 +329,6 @@ bool ipra::readSummary(const std::string &Text, ModuleSummary &Out,
     };
     if (Kind == "summary-format") {
       // Header line: format version + producing-config fingerprint.
-      // Files without one (pre-versioning) are accepted as legacy.
       long long Version = 0;
       if (!Require(2) || !parseInt(Tok[1], Version)) {
         Error = "line " + std::to_string(LineNo) +
@@ -341,6 +342,7 @@ bool ipra::readSummary(const std::string &Text, ModuleSummary &Out,
                 "); regenerate the summary with this toolchain";
         return false;
       }
+      SawHeader = true;
       for (const std::string &T : Tok)
         if (startsWith(T, "config=")) {
           std::string FP = T.substr(7);
@@ -470,6 +472,11 @@ bool ipra::readSummary(const std::string &Text, ModuleSummary &Out,
               Kind + "'";
       return false;
     }
+  }
+  if (!SawHeader) {
+    Error = "missing 'summary-format' header line; regenerate the summary "
+            "with this toolchain";
+    return false;
   }
   return true;
 }

@@ -55,7 +55,7 @@ struct CallSummary {
   std::string QualCallee;
   long long Freq = 0; ///< Loop-weighted local call count.
   /// Argument count at this procedure's call sites to the callee
-  /// (summary format v5), -1 when unknown (legacy summaries). Within
+  /// (summary format v5), -1 when unknown (no args= field). Within
   /// one module Sema checks every site against the local declaration,
   /// so all sites agree; the linker-level arity lint compares this
   /// against the *defining* module's params= record.
@@ -67,7 +67,7 @@ struct CallSummary {
 /// Which points-to analysis the pipeline runs (mcc --points-to=MODE).
 enum class PointsToMode : uint8_t {
   /// No analysis: summaries carry conservative defaults (the paper's
-  /// behaviour; `--no-points-to` is a deprecated alias).
+  /// behaviour).
   Off = 0,
   /// The flow- and context-insensitive Andersen-style per-module pass.
   Andersen = 1,
@@ -158,7 +158,7 @@ struct ProcSummary {
   /// the §7.6.2 caller-saves pre-allocation extension).
   unsigned CallerRegsUsed = 0;
   /// Declared parameter count (summary format v5), -1 when unknown
-  /// (legacy summaries, the synthetic "<module>:.data" pseudo record).
+  /// (no params= field, the synthetic "<module>:.data" pseudo record).
   /// Input to the cross-module arity-mismatch lint.
   int NumParams = -1;
   /// True when this summary carries the procedure's GPG residue below
@@ -191,8 +191,9 @@ struct GlobalSummary {
   /// True when the source carries an explicit initializer (summary
   /// format v5). Globals without one are zero-filled at load; the
   /// uninitialized-read lint flags globals that are read but never
-  /// written and never explicitly initialized. Defaults to true on
-  /// legacy input so old files cannot seed false diagnostics.
+  /// written and never explicitly initialized. Defaults to true when
+  /// the init= field is absent, so such records cannot seed false
+  /// diagnostics.
   bool HasInit = true;
 
   bool operator==(const GlobalSummary &O) const = default;

@@ -6,11 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one error path for every phase and service entry point. Before
-/// this header the driver grew three ad-hoc conventions — Diagnostics
-/// lists on the Pipeline results, bool + ErrorText on the Driver.h
-/// wrappers, and raw stderr prints in mcc — which could not be carried
-/// across a wire protocol uniformly. Status unifies them:
+/// The one error path for every phase and service entry point, in a
+/// shape that crosses the wire protocol unchanged:
 ///
 ///  - Status carries success/failure plus the full Diagnostics list
 ///    (located front-end diagnostics and bare pipeline-level errors
@@ -19,9 +16,6 @@
 ///  - Result<T> is a Status plus a payload; every phase entry point is
 ///    a Result<T> (the named per-phase result structs derive from
 ///    Status, and Pipeline::execute returns Result<BuildResponse>).
-///
-/// The legacy shapes are adapters now: ErrorText is Status::text(),
-/// bool Success is Status::ok().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +45,7 @@ struct Status {
   Diagnostics Diags;
 
   bool ok() const { return Ok; }
-  /// Renders the diagnostics as the legacy ErrorText string.
+  /// Renders the diagnostics as one string.
   std::string text() const { return Diags.text(); }
 
   static Status success() {

@@ -17,7 +17,7 @@
 
 #include "analysis/IPRAVerify.h"
 #include "analysis/ModRef.h"
-#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
 
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ const std::vector<SourceFile> &webProgram() {
 }
 
 struct Linked {
-  CompileResult R;
+  BuildResult R;
   std::vector<ObjectFile> Objects;
   ProgramDatabase DB;
 };
@@ -77,9 +77,9 @@ struct Linked {
 Linked compileLinked(const std::vector<SourceFile> &Sources,
                      const PipelineConfig &Config) {
   Linked L;
-  L.R = compileProgram(Sources, Config);
-  EXPECT_TRUE(L.R.Success) << L.R.ErrorText;
-  if (!L.R.Success)
+  L.R = Pipeline(Config).build(Sources);
+  EXPECT_TRUE(L.R.ok()) << L.R.text();
+  if (!L.R.ok())
     return L;
   for (const std::string &Text : L.R.ObjectFiles) {
     ObjectFile Obj;
@@ -87,9 +87,10 @@ Linked compileLinked(const std::vector<SourceFile> &Sources,
     EXPECT_TRUE(readObjectFile(Text, Obj, Error)) << Error;
     L.Objects.push_back(std::move(Obj));
   }
+  // A baseline build runs no analyzer and has no database to read.
   std::string Error;
-  EXPECT_TRUE(
-      ProgramDatabase::deserialize(L.R.DatabaseFile, L.DB, Error))
+  EXPECT_TRUE(L.R.DatabaseFile.empty() ||
+              ProgramDatabase::deserialize(L.R.DatabaseFile, L.DB, Error))
       << Error;
   return L;
 }
@@ -124,7 +125,7 @@ bool hasKind(const IPRAVerifyResult &V, IPRAViolationKind Kind) {
 
 TEST(IPRAVerifyTest, CleanProgramVerifies) {
   Linked L = compileLinked(webProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   IPRAVerifyResult V = verifyIPRA(L.Objects, L.DB);
   EXPECT_TRUE(V.ok()) << V.text();
   EXPECT_GT(V.FunctionsChecked, 0u);
@@ -140,7 +141,7 @@ TEST(IPRAVerifyTest, CleanProgramVerifiesUnderEveryConfig) {
       PipelineConfig::configD(), PipelineConfig::configE()};
   for (const PipelineConfig &C : Configs) {
     Linked L = compileLinked(webProgram(), C);
-    ASSERT_TRUE(L.R.Success);
+    ASSERT_TRUE(L.R.ok());
     IPRAVerifyResult V = verifyIPRA(L.Objects, L.DB);
     EXPECT_TRUE(V.ok()) << V.text();
   }
@@ -154,7 +155,7 @@ TEST(IPRAVerifyTest, CleanProgramVerifiesUnderEveryConfig) {
 // the dedicated register uninitialized: MissingEntryLoad.
 TEST(IPRAVerifyTest, SeededMissingEntryLoadFires) {
   Linked L = compileLinked(webProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   EntrySite E = findEntry(L);
   ASSERT_TRUE(E.F);
   // The entry load is an LDW into the dedicated register whose address
@@ -182,7 +183,7 @@ TEST(IPRAVerifyTest, SeededMissingEntryLoadFires) {
 // the "moves the dedicated register" rule: MalformedSync.
 TEST(IPRAVerifyTest, SeededWrongRegisterSyncFires) {
   Linked L = compileLinked(webProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   EntrySite E = findEntry(L);
   ASSERT_TRUE(E.F);
   bool Tampered = false;
@@ -208,7 +209,7 @@ TEST(IPRAVerifyTest, SeededWrongRegisterSyncFires) {
 // point) violates interior silence: InteriorAccess.
 TEST(IPRAVerifyTest, SeededInteriorAccessFires) {
   Linked L = compileLinked(webProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   EntrySite E = findEntry(L);
   ASSERT_TRUE(E.F);
   MInstr Addr;
@@ -234,7 +235,7 @@ TEST(IPRAVerifyTest, SeededInteriorAccessFires) {
 // must preserve) leaves the write unprotected: UnsavedCalleeWrite.
 TEST(IPRAVerifyTest, SeededUnsavedCalleeWriteFires) {
   Linked L = compileLinked(webProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   EntrySite E = findEntry(L);
   ASSERT_TRUE(E.F);
   // Find a callee-saves register with frame save/restore accesses
@@ -302,7 +303,7 @@ TEST(IPRAVerifyTest, TrulyEscapingGlobalNeverPromoted) {
     PipelineConfig Config = PipelineConfig::configC();
     Config.PointsTo = PT;
     Linked L = compileLinked(Sources, Config);
-    ASSERT_TRUE(L.R.Success);
+    ASSERT_TRUE(L.R.ok());
     for (const auto &[Name, Dir] : L.DB.procs())
       for (const PromotedGlobal &P : Dir.Promoted)
         EXPECT_NE(P.QualName, "g")
@@ -312,11 +313,13 @@ TEST(IPRAVerifyTest, TrulyEscapingGlobalNeverPromoted) {
     EXPECT_TRUE(V.ok()) << V.text();
   }
   // And the program behaves identically with and without promotion.
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  auto WithC = compileAndRun(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(Base.Run.Halted);
-  ASSERT_TRUE(WithC.Run.Halted);
-  EXPECT_EQ(Base.Run.Output, WithC.Run.Output);
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  RunResult WithC =
+      runExecutable(Pipeline(PipelineConfig::configC()).build(Sources).Exe);
+  ASSERT_TRUE(Base.Halted);
+  ASSERT_TRUE(WithC.Halted);
+  EXPECT_EQ(Base.Output, WithC.Output);
 }
 
 TEST(IPRAVerifyTest, RefutedEscapePromotesWithIdenticalBehavior) {
@@ -356,8 +359,8 @@ TEST(IPRAVerifyTest, RefutedEscapePromotesWithIdenticalBehavior) {
 
   Linked LOn = compileLinked(Sources, On);
   Linked LOff = compileLinked(Sources, Off);
-  ASSERT_TRUE(LOn.R.Success);
-  ASSERT_TRUE(LOff.R.Success);
+  ASSERT_TRUE(LOn.R.ok());
+  ASSERT_TRUE(LOff.R.ok());
 
   auto promotesHits = [](const Linked &L) {
     for (const auto &[Name, Dir] : L.DB.procs())
@@ -373,14 +376,14 @@ TEST(IPRAVerifyTest, RefutedEscapePromotesWithIdenticalBehavior) {
   EXPECT_TRUE(verifyIPRA(LOn.Objects, LOn.DB).ok());
   EXPECT_TRUE(verifyIPRA(LOff.Objects, LOff.DB).ok());
 
-  auto ROn = compileAndRun(Sources, On);
-  auto ROff = compileAndRun(Sources, Off);
-  ASSERT_TRUE(ROn.Run.Halted);
-  ASSERT_TRUE(ROff.Run.Halted);
-  EXPECT_EQ(ROn.Run.Output, ROff.Run.Output);
-  EXPECT_EQ(ROn.Run.ExitCode, ROff.Run.ExitCode);
+  RunResult ROn = runExecutable(LOn.R.Exe);
+  RunResult ROff = runExecutable(LOff.R.Exe);
+  ASSERT_TRUE(ROn.Halted);
+  ASSERT_TRUE(ROff.Halted);
+  EXPECT_EQ(ROn.Output, ROff.Output);
+  EXPECT_EQ(ROn.ExitCode, ROff.ExitCode);
   // The refined build does strictly fewer memory references.
-  EXPECT_LT(ROn.Run.Stats.SingletonRefs, ROff.Run.Stats.SingletonRefs);
+  EXPECT_LT(ROn.Stats.SingletonRefs, ROff.Stats.SingletonRefs);
 }
 
 //===--------------------------------------------------------------------===//
@@ -395,8 +398,8 @@ TEST(IPRAVerifyTest, AnalyzerIgnoresFactsWhenPointsToOff) {
   PipelineConfig Config = PipelineConfig::configC();
   std::vector<ModuleSummary> WithFacts;
   for (const SourceFile &Src : webProgram()) {
-    auto P1 = runPhase1(Src, Config);
-    ASSERT_TRUE(P1.Success) << P1.ErrorText;
+    SummaryResult P1 = Pipeline(Config).compileSummary(Src);
+    ASSERT_TRUE(P1.ok()) << P1.text();
     ModuleSummary S;
     std::string Error;
     ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
@@ -472,7 +475,7 @@ const std::vector<SourceFile> &readOnlyProgram() {
 
 TEST(IPRAVerifyTest, CleanReadOnlyPromotionVerifies) {
   Linked L = compileLinked(readOnlyProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   // The database records the verdict...
   ASSERT_TRUE(L.DB.ModRefs.count("cfg"));
   EXPECT_EQ(L.DB.ModRefs.at("cfg").Verdict,
@@ -499,7 +502,7 @@ TEST(IPRAVerifyTest, CleanReadOnlyPromotionVerifies) {
 // so no other check masks it) fires ReadOnlyStore.
 TEST(IPRAVerifyTest, SeededReadOnlyStoreFires) {
   Linked L = compileLinked(readOnlyProgram(), PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   ObjFunction *Main = nullptr;
   for (ObjectFile &Obj : L.Objects)
     for (ObjFunction &F : Obj.Functions)
@@ -532,7 +535,7 @@ TEST(IPRAVerifyTest, UnreachableWriterDoesNotFireReadOnlyStore) {
        "int cfg;\n"
        "void poke() { cfg = cfg + 1; }\n"});
   Linked L = compileLinked(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   ASSERT_TRUE(L.DB.ModRefs.count("cfg"));
   EXPECT_EQ(L.DB.ModRefs.at("cfg").Verdict,
             static_cast<int>(GlobalVerdict::ReadOnly));
@@ -549,7 +552,7 @@ TEST(IPRAVerifyTest, ModRefOffDropsVerdictRecords) {
   PipelineConfig Off = PipelineConfig::configC();
   Off.ModRef = false;
   Linked L = compileLinked(readOnlyProgram(), Off);
-  ASSERT_TRUE(L.R.Success);
+  ASSERT_TRUE(L.R.ok());
   EXPECT_TRUE(L.DB.ModRefs.empty());
   IPRAVerifyResult V = verifyIPRA(L.Objects, L.DB);
   EXPECT_TRUE(V.ok()) << V.text();

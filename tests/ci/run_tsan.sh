@@ -3,9 +3,10 @@
 # and runs the concurrency-heavy suites under it: the build service's
 # daemon/protocol/session tests, the artifact-cache disk-write race
 # regression and the smoke-sized concurrent rebuild-storm bench (the
-# "service" ctest label), plus the fused build's thread-pool fan-out,
-# including phase 1's IR files and points-to facts handed to phase 2
-# (the "parallel" label).
+# "service" ctest label), plus the pipeline's thread-pool fan-out (the
+# "parallel" label): the fused build, including phase 1's IR files and
+# points-to facts handed to phase 2, and the same phase bodies run as
+# one Summary and one Object request carrying every module.
 #
 # Usage: tests/ci/run_tsan.sh [jobs]
 set -eu

@@ -94,24 +94,17 @@ grep -q "points-to: constraints=" stats1.txt \
 
 # Disabling points-to still compiles and runs to the same program
 # output (the facts only sharpen allocation, never change semantics).
-# The spelling is a deprecated alias and must say so exactly once on
-# stderr, pointing at the replacement.
-NOPT="$("$MCC" --no-points-to --config C lib.mc main.mc 2> nopt.txt)"
-if [ "$FUSED" != "$NOPT" ]; then
-  echo "--no-points-to changed program output: $NOPT" >&2
+PTOFF="$("$MCC" --points-to=off --config C lib.mc main.mc)"
+if [ "$FUSED" != "$PTOFF" ]; then
+  echo "--points-to=off changed program output: $PTOFF" >&2
   exit 1
 fi
-WARNS="$(grep -c "deprecated" nopt.txt)" || true
-if [ "$WARNS" != "1" ]; then
-  echo "expected exactly one deprecation warning, got $WARNS:" >&2
-  cat nopt.txt >&2
+# The old --no-points-to spelling is gone: an unknown flag (usage, exit 2).
+RC=0
+"$MCC" --no-points-to --config C lib.mc main.mc > /dev/null 2>&1 || RC=$?
+if [ "$RC" != "2" ]; then
+  echo "--no-points-to was not rejected as an unknown flag (exit $RC)" >&2
   exit 1
-fi
-grep -q -- "--no-points-to is deprecated; use --points-to=off" nopt.txt \
-  || { echo "wrong deprecation text" >&2; cat nopt.txt >&2; exit 1; }
-"$MCC" --points-to=off --config C lib.mc main.mc 2> ptoff.txt > /dev/null
-if grep -q "deprecated" ptoff.txt; then
-  echo "--points-to=off must not warn" >&2; exit 1
 fi
 
 # Mod/ref analysis off is accepted; its verdict records leave the db.

@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "summary/SummaryDiff.h"
 #include "support/Hash.h"
 
@@ -418,10 +418,10 @@ TEST(IncrementalTest, SummaryReaderRejectsUnknownFormatVersion) {
       readSummary("summary-format 99 config=-\nmodule m\n", S, Error));
   EXPECT_NE(Error.find("version 99 is not supported"), std::string::npos);
 
-  auto R = runAnalyzerPhase({"summary-format 99 config=-\nmodule m\n"},
-                            PipelineConfig::configC());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("bad summary file"), std::string::npos);
+  DatabaseResult R = Pipeline(PipelineConfig::configC())
+                         .analyze({"summary-format 99 config=-\nmodule m\n"});
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("bad summary file"), std::string::npos);
 }
 
 TEST(IncrementalTest, DatabaseReaderRejectsUnknownFormatVersion) {
@@ -432,11 +432,11 @@ TEST(IncrementalTest, DatabaseReaderRejectsUnknownFormatVersion) {
                                    Error));
   EXPECT_NE(Error.find("version 99 is not supported"), std::string::npos);
 
-  auto R = runPhase2({"m.mc", "int main() { return 0; }\n"},
-                     "ipra-db-format 99 config=-\n",
-                     PipelineConfig::configC());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("bad program database"), std::string::npos);
+  ObjectResult R = Pipeline(PipelineConfig::configC())
+                       .compileObject({"m.mc", "int main() { return 0; }\n"},
+                                      "ipra-db-format 99 config=-\n");
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("bad program database"), std::string::npos);
 }
 
 // The points-to facts (escape verdicts, resolved indirect-call target
@@ -546,18 +546,21 @@ TEST(IncrementalTest, ModRefFieldsSurviveSummaryRoundTrip) {
   EXPECT_EQ(writeSummary(Back), Text);
 }
 
-// Headerless legacy records default the v5 fields conservatively:
-// loads= to "assume reads", init= to "assume initialized", params= and
-// args= to unknown — old files stay sound and lint-silent.
+// Records without the v5 fields default them conservatively: loads= to
+// "assume reads", init= to "assume initialized", params= and args= to
+// unknown — such records stay sound and lint-silent.
 TEST(IncrementalTest, LegacyRecordsDefaultModRefFieldsConservatively) {
   ModuleSummary S;
   std::string Error;
-  ASSERT_TRUE(readSummary("module m\n"
-                          "global g static=0 scalar=1 aliased=0\n"
-                          "proc m:f regs=2\n"
-                          "ref g freq=10 stores=1\n"
-                          "call m:g freq=1\n"
-                          "end\n",
+  ASSERT_TRUE(readSummary("summary-format " +
+                              std::to_string(SummaryFormatVersion) +
+                              " config=-\n"
+                              "module m\n"
+                              "global g static=0 scalar=1 aliased=0\n"
+                              "proc m:f regs=2\n"
+                              "ref g freq=10 stores=1\n"
+                              "call m:g freq=1\n"
+                              "end\n",
                           S, Error))
       << Error;
   ASSERT_EQ(S.Globals.size(), 1u);
@@ -618,11 +621,12 @@ TEST(IncrementalTest, SummaryDiffFlagsModRefOnlyEdits) {
 // The database's modref records round-trip byte-for-byte and stay out
 // of every module slice (verdict churn must never force a recompile).
 TEST(IncrementalTest, DatabaseModRefRecordsRoundTripOutsideSlices) {
-  auto P1 = runPhase1({"m.mc", "int g_ro = 7;\nint main() { return g_ro; }\n"},
-                      PipelineConfig::configC());
-  ASSERT_TRUE(P1.Success) << P1.ErrorText;
-  auto A = runAnalyzerPhase({P1.SummaryText}, PipelineConfig::configC());
-  ASSERT_TRUE(A.Success) << A.ErrorText;
+  Pipeline P(PipelineConfig::configC());
+  SummaryResult P1 = P.compileSummary(
+      {"m.mc", "int g_ro = 7;\nint main() { return g_ro; }\n"});
+  ASSERT_TRUE(P1.ok()) << P1.text();
+  DatabaseResult A = P.analyze({P1.SummaryText});
+  ASSERT_TRUE(A.ok()) << A.text();
 
   ProgramDatabase DB;
   std::string Error;
@@ -651,8 +655,9 @@ TEST(IncrementalTest, PointsToFieldsSurviveSerializationRoundTrip) {
                  "int main() { int i; i = 0;\n"
                  "  while (i < 9) { i = i + cb(i) % 3 + 1; }\n"
                  "  return i; }\n"};
-  auto P1 = runPhase1(Src, PipelineConfig::configC());
-  ASSERT_TRUE(P1.Success) << P1.ErrorText;
+  Pipeline P(PipelineConfig::configC());
+  SummaryResult P1 = P.compileSummary(Src);
+  ASSERT_TRUE(P1.ok()) << P1.text();
 
   ModuleSummary S;
   std::string Error;
@@ -675,8 +680,8 @@ TEST(IncrementalTest, PointsToFieldsSurviveSerializationRoundTrip) {
   // Re-serializing the parsed summary reproduces the producer's bytes.
   EXPECT_EQ(writeSummary(S), P1.SummaryText);
 
-  auto A = runAnalyzerPhase({P1.SummaryText}, PipelineConfig::configC());
-  ASSERT_TRUE(A.Success) << A.ErrorText;
+  DatabaseResult A = P.analyze({P1.SummaryText});
+  ASSERT_TRUE(A.ok()) << A.text();
   ProgramDatabase DB;
   ASSERT_TRUE(ProgramDatabase::deserialize(A.DatabaseText, DB, Error))
       << Error;
@@ -688,55 +693,59 @@ TEST(IncrementalTest, PointsToFieldsSurviveSerializationRoundTrip) {
   EXPECT_EQ(DB.serialize(), A.DatabaseText);
 }
 
-TEST(IncrementalTest, HeaderlessLegacyArtifactsStillParse) {
+TEST(IncrementalTest, HeaderlessArtifactsAreRejected) {
   ModuleSummary S;
   std::string Error;
-  EXPECT_TRUE(readSummary("module m\nproc m:f regs=2\nend\n", S, Error))
+  EXPECT_FALSE(readSummary("module m\nproc m:f regs=2\nend\n", S, Error));
+  EXPECT_NE(Error.find("'summary-format' header"), std::string::npos)
       << Error;
-  EXPECT_EQ(S.ConfigFingerprint, "");
 
   ProgramDatabase DB;
-  EXPECT_TRUE(ProgramDatabase::deserialize(
+  Error.clear();
+  EXPECT_FALSE(ProgramDatabase::deserialize(
       "proc m:f free=00000000 caller=00000000 callee=00000000"
       " mspill=00000000 root=0\nend\n",
-      DB, Error))
+      DB, Error));
+  EXPECT_NE(Error.find("'ipra-db-format' header"), std::string::npos)
       << Error;
-  EXPECT_EQ(DB.ConfigFingerprint, "");
 }
 
 TEST(IncrementalTest, AnalyzerRejectsSummariesFromOtherCompilerConfig) {
-  auto P1 = runPhase1({"m.mc", "int g;\nint main() { g = 1; return g; }\n"},
-                      PipelineConfig::configC());
-  ASSERT_TRUE(P1.Success) << P1.ErrorText;
+  SourceFile Src{"m.mc", "int g;\nint main() { g = 1; return g; }\n"};
+  SummaryResult P1 = Pipeline(PipelineConfig::configC()).compileSummary(Src);
+  ASSERT_TRUE(P1.ok()) << P1.text();
 
   // Flip a compile-side knob: the stamped fingerprint no longer
   // matches, so the analyzer refuses the stale summary.
   PipelineConfig Other = PipelineConfig::configC();
   Other.LocalGlobalPromotion = false;
-  auto R = runAnalyzerPhase({P1.SummaryText}, Other);
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("different compiler configuration"),
+  DatabaseResult R = Pipeline(Other).analyze({P1.SummaryText});
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("different compiler configuration"),
             std::string::npos);
 
   // Analyzer-side knobs do not invalidate summaries.
-  auto Ok = runAnalyzerPhase({P1.SummaryText}, PipelineConfig::configD());
-  EXPECT_TRUE(Ok.Success) << Ok.ErrorText;
+  DatabaseResult Ok =
+      Pipeline(PipelineConfig::configD()).analyze({P1.SummaryText});
+  EXPECT_TRUE(Ok.ok()) << Ok.text();
 }
 
 TEST(IncrementalTest, Phase2RejectsDatabaseFromOtherConfig) {
   PipelineConfig C = PipelineConfig::configC();
   SourceFile Src{"m.mc", "int g;\nint main() { g = 1; return g; }\n"};
-  auto P1 = runPhase1(Src, C);
-  ASSERT_TRUE(P1.Success) << P1.ErrorText;
-  auto A = runAnalyzerPhase({P1.SummaryText}, C);
-  ASSERT_TRUE(A.Success) << A.ErrorText;
+  Pipeline P(C);
+  SummaryResult P1 = P.compileSummary(Src);
+  ASSERT_TRUE(P1.ok()) << P1.text();
+  DatabaseResult A = P.analyze({P1.SummaryText});
+  ASSERT_TRUE(A.ok()) << A.text();
 
-  auto R = runPhase2(Src, A.DatabaseText, PipelineConfig::configD());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("different configuration"), std::string::npos);
+  ObjectResult R = Pipeline(PipelineConfig::configD())
+                       .compileObject(Src, A.DatabaseText);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("different configuration"), std::string::npos);
 
-  auto Ok = runPhase2(Src, A.DatabaseText, C);
-  EXPECT_TRUE(Ok.Success) << Ok.ErrorText;
+  ObjectResult Ok = P.compileObject(Src, A.DatabaseText);
+  EXPECT_TRUE(Ok.ok()) << Ok.text();
 }
 
 //===--------------------------------------------------------------------===//

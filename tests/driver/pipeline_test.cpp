@@ -8,6 +8,7 @@
 #include "BenchSupport.h"
 #include "analysis/IPRAVerify.h"
 #include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
 #include "summary/Summary.h"
 
@@ -20,11 +21,12 @@ namespace {
 RunResult runOk(const std::vector<SourceFile> &Sources,
                 const PipelineConfig &Config,
                 const ProfileData *Profile = nullptr) {
-  auto R = compileAndRun(Sources, Config, Profile);
-  EXPECT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  EXPECT_TRUE(R.Run.Halted) << "trap: " << R.Run.Trap
-                            << (R.Run.OutOfFuel ? " (out of fuel)" : "");
-  return R.Run;
+  BuildResult B = Pipeline(Config).build(Sources, Profile);
+  EXPECT_TRUE(B.ok()) << B.text();
+  RunResult R = runExecutable(B.Exe);
+  EXPECT_TRUE(R.Halted) << "trap: " << R.Trap
+                        << (R.OutOfFuel ? " (out of fuel)" : "");
+  return R;
 }
 
 TEST(PipelineTest, HelloBaseline) {
@@ -269,22 +271,24 @@ TEST(PipelineTest, ReadOnlyPromotionDropsStoresKeepsOutput) {
   PipelineConfig Off = PipelineConfig::configC();
   Off.ModRef = false;
 
-  auto OnR = compileAndRun(Sources, On);
-  auto OffR = compileAndRun(Sources, Off);
-  ASSERT_TRUE(OnR.Compile.Success) << OnR.Compile.ErrorText;
-  ASSERT_TRUE(OffR.Compile.Success) << OffR.Compile.ErrorText;
-  ASSERT_TRUE(OnR.Run.Halted) << OnR.Run.Trap;
-  ASSERT_TRUE(OffR.Run.Halted) << OffR.Run.Trap;
+  BuildResult OnB = Pipeline(On).build(Sources);
+  BuildResult OffB = Pipeline(Off).build(Sources);
+  ASSERT_TRUE(OnB.ok()) << OnB.text();
+  ASSERT_TRUE(OffB.ok()) << OffB.text();
+  RunResult OnR = runExecutable(OnB.Exe);
+  RunResult OffR = runExecutable(OffB.Exe);
+  ASSERT_TRUE(OnR.Halted) << OnR.Trap;
+  ASSERT_TRUE(OffR.Halted) << OffR.Trap;
 
   // Dropping provably dead stores must not change observable behaviour.
-  EXPECT_EQ(OnR.Run.Output, OffR.Run.Output);
-  EXPECT_EQ(OnR.Run.ExitCode, OffR.Run.ExitCode);
+  EXPECT_EQ(OnR.Output, OffR.Output);
+  EXPECT_EQ(OnR.ExitCode, OffR.ExitCode);
 
   // ...but it must actually drop them: strictly fewer simulator memory
   // references, and the database carries the verdict that justifies it.
-  EXPECT_LT(OnR.Run.Stats.MemRefs, OffR.Run.Stats.MemRefs);
-  EXPECT_NE(OnR.Compile.DatabaseFile.find("modref cfg"), std::string::npos);
-  EXPECT_EQ(OffR.Compile.DatabaseFile.find("modref"), std::string::npos);
+  EXPECT_LT(OnR.Stats.MemRefs, OffR.Stats.MemRefs);
+  EXPECT_NE(OnB.DatabaseFile.find("modref cfg"), std::string::npos);
+  EXPECT_EQ(OffB.DatabaseFile.find("modref"), std::string::npos);
 }
 
 TEST(PipelineTest, BlanketPromotionSkipsReadOnlyWritebacks) {
@@ -294,25 +298,22 @@ TEST(PipelineTest, BlanketPromotionSkipsReadOnlyWritebacks) {
   // verdict the exit sync in main must not store them back, which is
   // exactly what verifyIPRA's read-only-store invariant checks.
   std::vector<SourceFile> Sources = bench::loadProgram("rotab");
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
+  RunResult Base = runOk(Sources, PipelineConfig::baseline());
 
   PipelineConfig E = PipelineConfig::configE();
   PipelineConfig NoVerdicts = E;
   NoVerdicts.ModRef = false;
-  auto R = compileAndRun(Sources, E);
-  auto Before = compileAndRun(Sources, NoVerdicts);
-  ASSERT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  ASSERT_TRUE(Before.Compile.Success) << Before.Compile.ErrorText;
-  ASSERT_TRUE(R.Run.Halted) << R.Run.Trap;
-  ASSERT_TRUE(Before.Run.Halted) << Before.Run.Trap;
-  EXPECT_EQ(R.Run.Output, Base.Run.Output);
-  EXPECT_EQ(R.Run.ExitCode, Base.Run.ExitCode);
-  EXPECT_LE(R.Run.Stats.MemRefs, Before.Run.Stats.MemRefs);
+  BuildResult Built = Pipeline(E).build(Sources);
+  ASSERT_TRUE(Built.ok()) << Built.text();
+  RunResult R = runExecutable(Built.Exe);
+  RunResult Before = runOk(Sources, NoVerdicts);
+  ASSERT_TRUE(R.Halted) << R.Trap;
+  EXPECT_EQ(R.Output, Base.Output);
+  EXPECT_EQ(R.ExitCode, Base.ExitCode);
+  EXPECT_LE(R.Stats.MemRefs, Before.Stats.MemRefs);
 
   std::vector<ObjectFile> Objects;
-  for (const std::string &Text : R.Compile.ObjectFiles) {
+  for (const std::string &Text : Built.ObjectFiles) {
     ObjectFile Obj;
     std::string Error;
     ASSERT_TRUE(readObjectFile(Text, Obj, Error)) << Error;
@@ -320,7 +321,7 @@ TEST(PipelineTest, BlanketPromotionSkipsReadOnlyWritebacks) {
   }
   ProgramDatabase DB;
   std::string Error;
-  ASSERT_TRUE(ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error))
+  ASSERT_TRUE(ProgramDatabase::deserialize(Built.DatabaseFile, DB, Error))
       << Error;
   IPRAVerifyResult V = verifyIPRA(Objects, DB);
   for (const IPRAViolation &Violation : V.Violations)
@@ -328,26 +329,27 @@ TEST(PipelineTest, BlanketPromotionSkipsReadOnlyWritebacks) {
 }
 
 TEST(PipelineTest, CompileErrorsAreReported) {
-  auto R = compileProgram({{"bad.mc", "int main() { return x; }\n"}},
-                          PipelineConfig::baseline());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("undeclared"), std::string::npos);
+  BuildResult R = Pipeline(PipelineConfig::baseline())
+                      .build({{"bad.mc", "int main() { return x; }\n"}});
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("undeclared"), std::string::npos);
 }
 
 TEST(PipelineTest, LinkErrorUndefinedFunction) {
-  auto R = compileProgram(
-      {{"main.mc", "int missing(int);\n"
-                   "int main() { return missing(1); }\n"}},
-      PipelineConfig::baseline());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("missing"), std::string::npos);
+  BuildResult R = Pipeline(PipelineConfig::baseline())
+                      .build({{"main.mc",
+                               "int missing(int);\n"
+                               "int main() { return missing(1); }\n"}});
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("missing"), std::string::npos);
 }
 
 TEST(PipelineTest, SummaryAndDatabaseArtifactsProduced) {
-  auto R = compileProgram({{"main.mc", "int g;\n"
-                                       "int main() { g = 1; return g; }\n"}},
-                          PipelineConfig::configC());
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R =
+      Pipeline(PipelineConfig::configC())
+          .build({{"main.mc", "int g;\n"
+                              "int main() { g = 1; return g; }\n"}});
+  ASSERT_TRUE(R.ok()) << R.text();
   EXPECT_EQ(R.SummaryFiles.size(), 2u); // main.mc + runtime.
   EXPECT_NE(R.DatabaseFile.find("proc main"), std::string::npos);
 }
@@ -441,19 +443,20 @@ TEST(PipelineTest, WebSplittingPromotesSparseWebRegions) {
   PipelineConfig Split = PipelineConfig::configC();
   Split.Webs.SplitSparseWebs = true;
 
-  auto PlainR = compileAndRun(Sources, Plain);
-  auto SplitR = compileAndRun(Sources, Split);
-  ASSERT_TRUE(PlainR.Compile.Success) << PlainR.Compile.ErrorText;
-  ASSERT_TRUE(SplitR.Compile.Success) << SplitR.Compile.ErrorText;
-  ASSERT_TRUE(PlainR.Run.Halted) << PlainR.Run.Trap;
-  ASSERT_TRUE(SplitR.Run.Halted) << SplitR.Run.Trap;
-  EXPECT_EQ(SplitR.Run.Output, PlainR.Run.Output);
+  BuildResult PlainB = Pipeline(Plain).build(Sources);
+  BuildResult SplitB = Pipeline(Split).build(Sources);
+  ASSERT_TRUE(PlainB.ok()) << PlainB.text();
+  ASSERT_TRUE(SplitB.ok()) << SplitB.text();
+  RunResult PlainR = runExecutable(PlainB.Exe);
+  RunResult SplitR = runExecutable(SplitB.Exe);
+  ASSERT_TRUE(PlainR.Halted) << PlainR.Trap;
+  ASSERT_TRUE(SplitR.Halted) << SplitR.Trap;
+  EXPECT_EQ(SplitR.Output, PlainR.Output);
 
-  EXPECT_EQ(PlainR.Compile.Stats.SplitWebs, 0);
-  EXPECT_GE(SplitR.Compile.Stats.SplitWebs, 2);
-  EXPECT_LT(SplitR.Run.Stats.SingletonRefs,
-            PlainR.Run.Stats.SingletonRefs);
-  EXPECT_LT(SplitR.Run.Stats.Cycles, PlainR.Run.Stats.Cycles);
+  EXPECT_EQ(PlainB.Analyzer.SplitWebs, 0);
+  EXPECT_GE(SplitB.Analyzer.SplitWebs, 2);
+  EXPECT_LT(SplitR.Stats.SingletonRefs, PlainR.Stats.SingletonRefs);
+  EXPECT_LT(SplitR.Stats.Cycles, PlainR.Stats.Cycles);
 }
 
 TEST(PipelineTest, WebRemergingSharesOneEntryAtTheDominator) {
@@ -485,20 +488,21 @@ TEST(PipelineTest, WebRemergingSharesOneEntryAtTheDominator) {
   PipelineConfig Remerge = PipelineConfig::configC();
   Remerge.Webs.RemergeWebs = true;
 
-  auto PlainR = compileAndRun(Sources, Plain);
-  auto MergedR = compileAndRun(Sources, Remerge);
-  ASSERT_TRUE(PlainR.Compile.Success) << PlainR.Compile.ErrorText;
-  ASSERT_TRUE(MergedR.Compile.Success) << MergedR.Compile.ErrorText;
-  ASSERT_TRUE(PlainR.Run.Halted) << PlainR.Run.Trap;
-  ASSERT_TRUE(MergedR.Run.Halted) << MergedR.Run.Trap;
-  EXPECT_EQ(MergedR.Run.Output, PlainR.Run.Output);
+  BuildResult PlainB = Pipeline(Plain).build(Sources);
+  BuildResult MergedB = Pipeline(Remerge).build(Sources);
+  ASSERT_TRUE(PlainB.ok()) << PlainB.text();
+  ASSERT_TRUE(MergedB.ok()) << MergedB.text();
+  RunResult PlainR = runExecutable(PlainB.Exe);
+  RunResult MergedR = runExecutable(MergedB.Exe);
+  ASSERT_TRUE(PlainR.Halted) << PlainR.Trap;
+  ASSERT_TRUE(MergedR.Halted) << MergedR.Trap;
+  EXPECT_EQ(MergedR.Output, PlainR.Output);
 
-  EXPECT_EQ(PlainR.Compile.Stats.RemergedWebs, 0);
-  EXPECT_EQ(MergedR.Compile.Stats.RemergedWebs, 1);
+  EXPECT_EQ(PlainB.Analyzer.RemergedWebs, 0);
+  EXPECT_EQ(MergedB.Analyzer.RemergedWebs, 1);
   // The per-call entry traffic on g disappears.
-  EXPECT_LT(MergedR.Run.Stats.SingletonRefs,
-            PlainR.Run.Stats.SingletonRefs);
-  EXPECT_LT(MergedR.Run.Stats.Cycles, PlainR.Run.Stats.Cycles);
+  EXPECT_LT(MergedR.Stats.SingletonRefs, PlainR.Stats.SingletonRefs);
+  EXPECT_LT(MergedR.Stats.Cycles, PlainR.Stats.Cycles);
 }
 
 TEST(PipelineTest, DatabaseDiffDrivesSmartRecompilation) {
@@ -524,11 +528,12 @@ TEST(PipelineTest, DatabaseDiffDrivesSmartRecompilation) {
   PipelineConfig Config = PipelineConfig::configC();
 
   auto analyze = [&](const char *UtilSrc) {
-    auto S1 = runPhase1({"util.mc", UtilSrc}, Config);
-    auto S2 = runPhase1({"main.mc", Main}, Config);
-    EXPECT_TRUE(S1.Success && S2.Success);
-    auto A = runAnalyzerPhase({S1.SummaryText, S2.SummaryText}, Config);
-    EXPECT_TRUE(A.Success) << A.ErrorText;
+    Pipeline P(Config);
+    SummaryResult S1 = P.compileSummary({"util.mc", UtilSrc});
+    SummaryResult S2 = P.compileSummary({"main.mc", Main});
+    EXPECT_TRUE(S1.ok() && S2.ok());
+    DatabaseResult A = P.analyze({S1.SummaryText, S2.SummaryText});
+    EXPECT_TRUE(A.ok()) << A.text();
     ProgramDatabase DB;
     std::string Error;
     EXPECT_TRUE(ProgramDatabase::deserialize(A.DatabaseText, DB, Error))
@@ -586,17 +591,17 @@ TEST(PipelineTest, CrossModuleStaticWebNotPromoted) {
       "int bwork(int n) { s = s + n; return s; }\n";
   std::vector<SourceFile> Sources = {{"a.mc", ModA}, {"b.mc", ModB}};
 
-  auto Base = runOk(Sources, PipelineConfig::baseline());
-  auto R = compileAndRun(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  ASSERT_TRUE(R.Run.Halted) << R.Run.Trap;
-  EXPECT_EQ(R.Run.Output, Base.Output);
+  RunResult Base = runOk(Sources, PipelineConfig::baseline());
+  BuildResult Built = Pipeline(PipelineConfig::configC()).build(Sources);
+  ASSERT_TRUE(Built.ok()) << Built.text();
+  RunResult R = runExecutable(Built.Exe);
+  ASSERT_TRUE(R.Halted) << R.Trap;
+  EXPECT_EQ(R.Output, Base.Output);
 
   // No directive in a.mc's procedures may promote b.mc:s.
   ProgramDatabase DB;
   std::string Error;
-  ASSERT_TRUE(
-      ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error));
+  ASSERT_TRUE(ProgramDatabase::deserialize(Built.DatabaseFile, DB, Error));
   for (const char *Proc : {"main", "drive"})
     for (const PromotedGlobal &P : DB.lookup(Proc).Promoted)
       EXPECT_NE(P.QualName, "b.mc:s") << Proc;
@@ -605,10 +610,10 @@ TEST(PipelineTest, CrossModuleStaticWebNotPromoted) {
 TEST(PipelineTest, RuntimePrintsParticipatesInAnalysis) {
   // __prints comes from the injected runtime module and shows up in the
   // summaries and the database like any other procedure.
-  auto R = compileProgram(
-      {{"m.mc", "int main() { prints(\"hi\"); return 0; }\n"}},
-      PipelineConfig::configC());
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R =
+      Pipeline(PipelineConfig::configC())
+          .build({{"m.mc", "int main() { prints(\"hi\"); return 0; }\n"}});
+  ASSERT_TRUE(R.ok()) << R.text();
   bool Found = false;
   for (const std::string &S : R.SummaryFiles)
     Found |= S.find("proc __prints") != std::string::npos;
@@ -644,16 +649,15 @@ TEST(PipelineTest, ApproximateSummariesStaySound) {
        "}\n"}};
   PipelineConfig Config = PipelineConfig::configC();
 
-  auto Exact = compileAndRun(Sources, Config);
-  ASSERT_TRUE(Exact.Compile.Success) << Exact.Compile.ErrorText;
-  ASSERT_TRUE(Exact.Run.Halted);
+  RunResult Exact = runOk(Sources, Config);
 
   std::vector<SourceFile> All = Sources;
   All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+  Pipeline P(Config);
   std::vector<std::string> Degraded;
   for (const SourceFile &Src : All) {
-    auto P1 = runPhase1(Src, Config);
-    ASSERT_TRUE(P1.Success) << P1.ErrorText;
+    SummaryResult P1 = P.compileSummary(Src);
+    ASSERT_TRUE(P1.ok()) << P1.text();
     ModuleSummary S;
     std::string Error;
     ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
@@ -663,21 +667,21 @@ TEST(PipelineTest, ApproximateSummariesStaySound) {
     }
     Degraded.push_back(writeSummary(S));
   }
-  auto Analyzed = runAnalyzerPhase(Degraded, Config);
-  ASSERT_TRUE(Analyzed.Success) << Analyzed.ErrorText;
+  DatabaseResult Analyzed = P.analyze(Degraded);
+  ASSERT_TRUE(Analyzed.ok()) << Analyzed.text();
 
   std::vector<std::string> Objects;
   for (const SourceFile &Src : All) {
-    auto P2 = runPhase2(Src, Analyzed.DatabaseText, Config);
-    ASSERT_TRUE(P2.Success) << Src.Name << ": " << P2.ErrorText;
+    ObjectResult P2 = P.compileObject(Src, Analyzed.DatabaseText);
+    ASSERT_TRUE(P2.ok()) << Src.Name << ": " << P2.text();
     Objects.push_back(P2.ObjectText);
   }
-  auto Linked = linkObjectTexts(Objects);
-  ASSERT_TRUE(Linked.Success) << Linked.ErrorText;
+  LinkedResult Linked = P.link(Objects);
+  ASSERT_TRUE(Linked.ok()) << Linked.text();
   RunResult R = runExecutable(Linked.Exe, 500'000'000);
   ASSERT_TRUE(R.Halted) << R.Trap;
-  EXPECT_EQ(R.Output, Exact.Run.Output);
-  EXPECT_EQ(R.ExitCode, Exact.Run.ExitCode);
+  EXPECT_EQ(R.Output, Exact.Output);
+  EXPECT_EQ(R.ExitCode, Exact.ExitCode);
 }
 
 TEST(PipelineTest, SeparateCompilationMatchesMonolithic) {
@@ -705,38 +709,39 @@ TEST(PipelineTest, SeparateCompilationMatchesMonolithic) {
   PipelineConfig Config = PipelineConfig::configC();
 
   // Fused pipeline (adds the runtime module itself).
-  auto Fused = compileAndRun(Sources, Config);
-  ASSERT_TRUE(Fused.Compile.Success) << Fused.Compile.ErrorText;
+  RunResult Fused = runOk(Sources, Config);
 
-  // Hand-run phases, runtime module included explicitly.
+  // Hand-run phases, runtime module included explicitly, each phase in
+  // a fresh Pipeline so nothing is shared but the textual artifacts.
   std::vector<SourceFile> All = Sources;
   All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
 
   std::vector<std::string> Summaries;
   for (const SourceFile &Src : All) {
-    auto P1 = runPhase1(Src, Config);
-    ASSERT_TRUE(P1.Success) << Src.Name << ": " << P1.ErrorText;
+    SummaryResult P1 = Pipeline(Config).compileSummary(Src);
+    ASSERT_TRUE(P1.ok()) << Src.Name << ": " << P1.text();
     Summaries.push_back(P1.SummaryText);
   }
-  auto Analyzed = runAnalyzerPhase(Summaries, Config);
-  ASSERT_TRUE(Analyzed.Success) << Analyzed.ErrorText;
+  DatabaseResult Analyzed = Pipeline(Config).analyze(Summaries);
+  ASSERT_TRUE(Analyzed.ok()) << Analyzed.text();
 
   std::vector<std::string> Objects;
   for (auto It = All.rbegin(); It != All.rend(); ++It) { // Reverse!
-    auto P2 = runPhase2(*It, Analyzed.DatabaseText, Config);
-    ASSERT_TRUE(P2.Success) << It->Name << ": " << P2.ErrorText;
+    ObjectResult P2 =
+        Pipeline(Config).compileObject(*It, Analyzed.DatabaseText);
+    ASSERT_TRUE(P2.ok()) << It->Name << ": " << P2.text();
     Objects.push_back(P2.ObjectText);
   }
-  auto Linked = linkObjectTexts(Objects);
-  ASSERT_TRUE(Linked.Success) << Linked.ErrorText;
+  LinkedResult Linked = Pipeline(Config).link(Objects);
+  ASSERT_TRUE(Linked.ok()) << Linked.text();
 
-  auto R = runExecutable(Linked.Exe);
+  RunResult R = runExecutable(Linked.Exe);
   ASSERT_TRUE(R.Halted) << R.Trap;
-  EXPECT_EQ(R.Output, Fused.Run.Output);
-  EXPECT_EQ(R.ExitCode, Fused.Run.ExitCode);
+  EXPECT_EQ(R.Output, Fused.Output);
+  EXPECT_EQ(R.ExitCode, Fused.ExitCode);
   // Same code quality too: identical cycle counts.
-  EXPECT_EQ(R.Stats.Cycles, Fused.Run.Stats.Cycles);
-  EXPECT_EQ(R.Stats.SingletonRefs, Fused.Run.Stats.SingletonRefs);
+  EXPECT_EQ(R.Stats.Cycles, Fused.Stats.Cycles);
+  EXPECT_EQ(R.Stats.SingletonRefs, Fused.Stats.SingletonRefs);
 }
 
 TEST(PipelineTest, ProfileCollectionMatchesCallStructure) {
@@ -782,11 +787,11 @@ TEST(ParallelPipelineTest, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   for (PipelineConfig Config :
        {PipelineConfig::baseline(), PipelineConfig::configC()}) {
     Config.NumThreads = 1;
-    auto Serial = compileProgram(multiModuleSources(), Config);
-    ASSERT_TRUE(Serial.Success) << Serial.ErrorText;
+    BuildResult Serial = Pipeline(Config).build(multiModuleSources());
+    ASSERT_TRUE(Serial.ok()) << Serial.text();
     Config.NumThreads = 8;
-    auto Parallel = compileProgram(multiModuleSources(), Config);
-    ASSERT_TRUE(Parallel.Success) << Parallel.ErrorText;
+    BuildResult Parallel = Pipeline(Config).build(multiModuleSources());
+    ASSERT_TRUE(Parallel.ok()) << Parallel.text();
 
     EXPECT_EQ(Serial.SummaryFiles, Parallel.SummaryFiles);
     EXPECT_EQ(Serial.DatabaseFile, Parallel.DatabaseFile);
@@ -807,23 +812,23 @@ TEST(ParallelPipelineTest, ErrorsAreDeterministicAcrossThreadCounts) {
   };
   PipelineConfig Config = PipelineConfig::baseline();
   Config.NumThreads = 1;
-  auto Serial = compileProgram(Bad, Config);
+  BuildResult Serial = Pipeline(Config).build(Bad);
   Config.NumThreads = 8;
-  auto Parallel = compileProgram(Bad, Config);
-  EXPECT_FALSE(Serial.Success);
-  EXPECT_FALSE(Parallel.Success);
-  EXPECT_EQ(Serial.ErrorText, Parallel.ErrorText);
-  EXPECT_NE(Serial.ErrorText.find("oops"), std::string::npos);
-  EXPECT_NE(Serial.ErrorText.find("worse"), std::string::npos);
+  BuildResult Parallel = Pipeline(Config).build(Bad);
+  EXPECT_FALSE(Serial.ok());
+  EXPECT_FALSE(Parallel.ok());
+  EXPECT_EQ(Serial.text(), Parallel.text());
+  EXPECT_NE(Serial.text().find("oops"), std::string::npos);
+  EXPECT_NE(Serial.text().find("worse"), std::string::npos);
 }
 
 TEST(ParallelPipelineTest, PipelineStatsArePopulated) {
   PipelineConfig Config = PipelineConfig::configC();
   Config.NumThreads = 2;
-  auto R = compileProgram(multiModuleSources(), Config);
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R = Pipeline(Config).build(multiModuleSources());
+  ASSERT_TRUE(R.ok()) << R.text();
 
-  const PipelineStats &PS = R.Pipeline;
+  const PipelineStats &PS = R.Stats;
   EXPECT_EQ(PS.ThreadsUsed, 2u);
   ASSERT_EQ(PS.Modules.size(), 4u); // 3 sources + runtime.
   EXPECT_EQ(PS.Modules[0].Name, "math.mc");

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "link/LinkOpt.h"
 #include "sim/Simulator.h"
 
@@ -25,10 +26,10 @@ struct WallRun {
 WallRun runBoth(const std::vector<SourceFile> &Sources,
                 const LinkAllocOptions &Options = LinkAllocOptions()) {
   WallRun Out;
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  EXPECT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  EXPECT_TRUE(Base.Run.Halted) << Base.Run.Trap;
-  Out.Base = Base.Run;
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  EXPECT_TRUE(Base.ok()) << Base.text();
+  Out.Base = runExecutable(Base.Exe);
+  EXPECT_TRUE(Out.Base.Halted) << Out.Base.Trap;
 
   auto Wall = compileWallStyle(Sources, Options);
   EXPECT_TRUE(Wall.Success) << Wall.ErrorText;
@@ -234,10 +235,11 @@ TEST(LinkOptTest, ProfileCorrectsStaticCountBlindness) {
   ASSERT_EQ(R1.Stats.Promoted.size(), 1u);
   EXPECT_EQ(R1.Stats.Promoted[0].first, "cold");
 
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
   LinkAllocOptions WithProfile;
   WithProfile.MaxGlobals = 1;
-  WithProfile.InvocationCounts = &Base.Run.Profile.CallCounts;
+  WithProfile.InvocationCounts = &Base.Profile.CallCounts;
   auto R2 = runBoth(Sources, WithProfile);
   ASSERT_EQ(R2.Stats.Promoted.size(), 1u);
   EXPECT_EQ(R2.Stats.Promoted[0].first, "hot");

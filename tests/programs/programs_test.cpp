@@ -27,38 +27,41 @@ class ProgramTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ProgramTest, BaselineRuns) {
   auto Sources = loadProgram(GetParam());
-  auto R = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  ASSERT_TRUE(R.Run.Halted)
-      << R.Run.Trap << (R.Run.OutOfFuel ? " (out of fuel)" : "");
-  EXPECT_FALSE(R.Run.Output.empty());
-  EXPECT_EQ(R.Run.ExitCode, 0);
+  BuildResult B = Pipeline(PipelineConfig::baseline()).build(Sources);
+  ASSERT_TRUE(B.ok()) << B.text();
+  RunResult R = runExecutable(B.Exe);
+  ASSERT_TRUE(R.Halted) << R.Trap << (R.OutOfFuel ? " (out of fuel)" : "");
+  EXPECT_FALSE(R.Output.empty());
+  EXPECT_EQ(R.ExitCode, 0);
   // Keep the simulation budget sane: under 100M cycles per program.
-  EXPECT_LT(R.Run.Stats.Cycles, 100'000'000);
-  EXPECT_GT(R.Run.Stats.Cycles, 1'000);
+  EXPECT_LT(R.Stats.Cycles, 100'000'000);
+  EXPECT_GT(R.Stats.Cycles, 1'000);
 }
 
 TEST_P(ProgramTest, ConfigCMatchesBaselineOutput) {
   auto Sources = loadProgram(GetParam());
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
+  BuildResult BaseB = Pipeline(PipelineConfig::baseline()).build(Sources);
+  ASSERT_TRUE(BaseB.ok()) << BaseB.text();
+  RunResult Base = runExecutable(BaseB.Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap;
 
-  auto WithC = compileAndRun(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(WithC.Compile.Success) << WithC.Compile.ErrorText;
-  ASSERT_TRUE(WithC.Run.Halted) << WithC.Run.Trap;
+  BuildResult WithCB = Pipeline(PipelineConfig::configC()).build(Sources);
+  ASSERT_TRUE(WithCB.ok()) << WithCB.text();
+  RunResult WithC = runExecutable(WithCB.Exe);
+  ASSERT_TRUE(WithC.Halted) << WithC.Trap;
 
-  EXPECT_EQ(WithC.Run.Output, Base.Run.Output);
-  EXPECT_EQ(WithC.Run.ExitCode, Base.Run.ExitCode);
+  EXPECT_EQ(WithC.Output, Base.Output);
+  EXPECT_EQ(WithC.ExitCode, Base.ExitCode);
   // Promotion must not add singleton references.
-  EXPECT_LE(WithC.Run.Stats.SingletonRefs, Base.Run.Stats.SingletonRefs);
+  EXPECT_LE(WithC.Stats.SingletonRefs, Base.Stats.SingletonRefs);
 }
 
 TEST_P(ProgramTest, AllRemainingConfigsMatch) {
   auto Sources = loadProgram(GetParam());
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
-  ProfileData Profile = Base.Run.Profile;
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap;
+  ProfileData Profile = Base.Profile;
 
   struct Named {
     const char *Name;
@@ -72,11 +75,11 @@ TEST_P(ProgramTest, AllRemainingConfigsMatch) {
       {"F", PipelineConfig::configF()},
   };
   for (const Named &N : Configs) {
-    auto R = compileAndRun(Sources, N.Config, &Profile);
-    ASSERT_TRUE(R.Compile.Success)
-        << N.Name << ": " << R.Compile.ErrorText;
-    ASSERT_TRUE(R.Run.Halted) << N.Name << ": " << R.Run.Trap;
-    EXPECT_EQ(R.Run.Output, Base.Run.Output) << "config " << N.Name;
+    BuildResult B = Pipeline(N.Config).build(Sources, &Profile);
+    ASSERT_TRUE(B.ok()) << N.Name << ": " << B.text();
+    RunResult R = runExecutable(B.Exe);
+    ASSERT_TRUE(R.Halted) << N.Name << ": " << R.Trap;
+    EXPECT_EQ(R.Output, Base.Output) << "config " << N.Name;
   }
 }
 
@@ -91,16 +94,19 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, ProgramTest,
 /// The fused build resumes phase 2 from phase 1's in-memory IR file.
 /// The standalone chain (compileSummary, then analyze, then
 /// compileObject, one module at a time) never has one and lowers every
-/// module again from its source. Both must produce the same summaries,
-/// database and objects byte for byte, at every configuration and at 1
-/// and 4 threads.
+/// module again from its source; so does the batched chain, one Summary
+/// and one Object request each carrying every module, whose per-function
+/// code generation fans out across the pool. All three must produce the
+/// same summaries, database and objects byte for byte, at every
+/// configuration and at 1 and 4 threads.
 class BuildVsChainTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(BuildVsChainTest, FusedBuildMatchesPhaseChain) {
   auto Sources = loadProgram(GetParam());
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
-  const ProfileData Profile = Base.Run.Profile;
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap;
+  const ProfileData Profile = Base.Profile;
   std::vector<SourceFile> All = Sources;
   All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
 
@@ -146,6 +152,19 @@ TEST_P(BuildVsChainTest, FusedBuildMatchesPhaseChain) {
       EXPECT_EQ(Fused.SummaryFiles, Summaries);
       EXPECT_EQ(Fused.DatabaseFile, Database);
       EXPECT_EQ(Fused.ObjectFiles, Objects);
+
+      Pipeline Batched(Config);
+      if (Config.Ipra) {
+        Result<BuildResponse> S =
+            Batched.execute(BuildRequest::summary(Config, All));
+        ASSERT_TRUE(S.ok()) << S.text();
+        EXPECT_EQ(Fused.SummaryFiles, S.Value.Summaries);
+      }
+      Result<BuildResponse> O =
+          Batched.execute(BuildRequest::object(Config, All, Database));
+      ASSERT_TRUE(O.ok()) << O.text();
+      EXPECT_EQ(O.Value.Stats.ThreadsUsed, Threads);
+      EXPECT_EQ(Fused.ObjectFiles, O.Value.Objects);
     }
   }
 }

@@ -16,7 +16,7 @@
 #ifndef IPRA_TESTS_PROGRAMGEN_H
 #define IPRA_TESTS_PROGRAMGEN_H
 
-#include "driver/Driver.h"
+#include "driver/PipelineConfig.h"
 
 #include <string>
 #include <vector>

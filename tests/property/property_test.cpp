@@ -20,6 +20,8 @@
 
 #include "analysis/PointsTo.h"
 #include "core/Analyzer.h"
+#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 #include "ir/IRGen.h"
 #include "ir/Interp.h"
 #include "lang/Lexer.h"
@@ -46,12 +48,12 @@ class DifferentialTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(DifferentialTest, AllConfigsBehaveIdentically) {
   auto Sources = generateRandomProgram(GetParam());
 
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted)
-      << Base.Run.Trap << (Base.Run.OutOfFuel ? " (fuel)" : "");
+  BuildResult BaseB = Pipeline(PipelineConfig::baseline()).build(Sources);
+  ASSERT_TRUE(BaseB.ok()) << BaseB.text();
+  RunResult Base = runExecutable(BaseB.Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap << (Base.OutOfFuel ? " (fuel)" : "");
 
-  ProfileData Profile = Base.Run.Profile;
+  ProfileData Profile = Base.Profile;
   struct Named {
     const char *Name;
     PipelineConfig Config;
@@ -81,12 +83,12 @@ TEST_P(DifferentialTest, AllConfigsBehaveIdentically) {
   Configs.push_back({"C+split+merge", WithBoth});
 
   for (const Named &N : Configs) {
-    auto R = compileAndRun(Sources, N.Config, &Profile);
-    ASSERT_TRUE(R.Compile.Success)
-        << "config " << N.Name << ": " << R.Compile.ErrorText;
-    ASSERT_TRUE(R.Run.Halted) << "config " << N.Name << ": " << R.Run.Trap;
-    ASSERT_EQ(R.Run.Output, Base.Run.Output) << "config " << N.Name;
-    ASSERT_EQ(R.Run.ExitCode, Base.Run.ExitCode) << "config " << N.Name;
+    BuildResult B = Pipeline(N.Config).build(Sources, &Profile);
+    ASSERT_TRUE(B.ok()) << "config " << N.Name << ": " << B.text();
+    RunResult R = runExecutable(B.Exe);
+    ASSERT_TRUE(R.Halted) << "config " << N.Name << ": " << R.Trap;
+    ASSERT_EQ(R.Output, Base.Output) << "config " << N.Name;
+    ASSERT_EQ(R.ExitCode, Base.ExitCode) << "config " << N.Name;
   }
 }
 
@@ -102,17 +104,17 @@ class WallDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(WallDifferentialTest, LinkTimeAllocationPreservesBehaviour) {
   auto Sources = generateRandomProgram(GetParam());
 
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted)
-      << Base.Run.Trap << (Base.Run.OutOfFuel ? " (fuel)" : "");
+  BuildResult BaseB = Pipeline(PipelineConfig::baseline()).build(Sources);
+  ASSERT_TRUE(BaseB.ok()) << BaseB.text();
+  RunResult Base = runExecutable(BaseB.Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap << (Base.OutOfFuel ? " (fuel)" : "");
 
   auto Wall = compileWallStyle(Sources);
   ASSERT_TRUE(Wall.Success) << Wall.ErrorText;
   RunResult R = runExecutable(Wall.Exe, 500'000'000);
   ASSERT_TRUE(R.Halted) << R.Trap;
-  ASSERT_EQ(R.Output, Base.Run.Output);
-  ASSERT_EQ(R.ExitCode, Base.Run.ExitCode);
+  ASSERT_EQ(R.Output, Base.Output);
+  ASSERT_EQ(R.ExitCode, Base.ExitCode);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WallDifferentialTest,
@@ -146,13 +148,14 @@ TEST_P(InterpDifferentialTest, IRInterpreterMatchesSimulator) {
   auto IRRun = interpretIR(Ptrs);
   ASSERT_TRUE(IRRun.Ok) << IRRun.Error;
 
-  auto Machine = compileAndRun(
-      std::vector<SourceFile>(Sources.begin(), Sources.end() - 1),
-      PipelineConfig::configC());
-  ASSERT_TRUE(Machine.Compile.Success) << Machine.Compile.ErrorText;
-  ASSERT_TRUE(Machine.Run.Halted) << Machine.Run.Trap;
-  EXPECT_EQ(Machine.Run.Output, IRRun.Output);
-  EXPECT_EQ(Machine.Run.ExitCode, IRRun.ExitCode);
+  BuildResult Built = Pipeline(PipelineConfig::configC())
+                          .build(std::vector<SourceFile>(Sources.begin(),
+                                                         Sources.end() - 1));
+  ASSERT_TRUE(Built.ok()) << Built.text();
+  RunResult Machine = runExecutable(Built.Exe);
+  ASSERT_TRUE(Machine.Halted) << Machine.Trap;
+  EXPECT_EQ(Machine.Output, IRRun.Output);
+  EXPECT_EQ(Machine.ExitCode, IRRun.ExitCode);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpDifferentialTest,

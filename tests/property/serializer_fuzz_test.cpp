@@ -16,6 +16,7 @@
 #include "ProgramGen.h"
 
 #include "core/Analyzer.h"
+#include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
 #include "summary/Summary.h"
 
@@ -64,8 +65,8 @@ class SerializerFuzzTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
   auto Sources = generateRandomProgram(GetParam());
-  auto R = compileProgram(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
+  ASSERT_TRUE(R.ok()) << R.text();
 
   std::mt19937 Rng(GetParam() * 7919 + 13);
   for (int Round = 0; Round < 30; ++Round) {
@@ -93,8 +94,8 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
 
 TEST_P(SerializerFuzzTest, UnmutatedArtifactsStillParse) {
   auto Sources = generateRandomProgram(GetParam());
-  auto R = compileProgram(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
+  ASSERT_TRUE(R.ok()) << R.text();
   std::string Error;
   for (const std::string &S : R.SummaryFiles) {
     ModuleSummary MS;

@@ -65,7 +65,9 @@ TEST(ProtocolTest, ConfigRoundTripPreservesFingerprint) {
   Configs.push_back(Andersen);
 
   for (const PipelineConfig &C : Configs) {
-    PipelineConfig Back = configFromJson(configToJson(C));
+    PipelineConfig Back;
+    std::string Error;
+    ASSERT_TRUE(configFromJson(configToJson(C), Back, Error)) << Error;
     // The fingerprint covers every allocation-relevant knob; equality
     // here is equality of retained-session keys on the service.
     EXPECT_EQ(C.fingerprint(), Back.fingerprint());
@@ -77,11 +79,39 @@ TEST(ProtocolTest, ConfigRoundTripPreservesFingerprint) {
 TEST(ProtocolTest, ConfigCacheDirNeverCrossesTheWire) {
   PipelineConfig C = PipelineConfig::configC();
   C.CacheDir = "/tmp/client-local-cache";
-  PipelineConfig Back = configFromJson(configToJson(C));
+  PipelineConfig Back;
+  std::string Error;
+  ASSERT_TRUE(configFromJson(configToJson(C), Back, Error)) << Error;
   // Cache placement is server policy, not client input.
   EXPECT_EQ(Back.CacheDir, "");
   EXPECT_EQ(C.fingerprint(), Back.fingerprint())
       << "CacheDir must not fingerprint";
+}
+
+// The wire "points-to" field is a mode name; anything else (including
+// the boolean form older clients sent) fails the request by name.
+TEST(ProtocolTest, PointsToFieldRejectsAnythingButAModeName) {
+  auto Decode = [](const char *Field, BuildRequest &Req,
+                   std::string &Error) {
+    json::Value V;
+    std::string ParseError;
+    EXPECT_TRUE(json::Value::parse(
+        std::string("{\"phase\":\"summary\",\"config\":{\"points-to\":") +
+            Field + "}}",
+        V, ParseError))
+        << ParseError;
+    return requestFromJson(V, Req, Error);
+  };
+  for (const char *Bad : {"\"bogus\"", "7", "true"}) {
+    BuildRequest Req;
+    std::string Error;
+    EXPECT_FALSE(Decode(Bad, Req, Error)) << Bad;
+    EXPECT_NE(Error.find("points-to"), std::string::npos) << Error;
+  }
+  BuildRequest Req;
+  std::string Error;
+  ASSERT_TRUE(Decode("\"gpg\"", Req, Error)) << Error;
+  EXPECT_EQ(Req.Config.PointsTo, PointsToMode::GPG);
 }
 
 TEST(ProtocolTest, RequestRoundTrip) {
@@ -120,8 +150,8 @@ TEST(ProtocolTest, PhaseRequestsRoundTrip) {
   EXPECT_EQ(Back.Summaries[1], "sum b");
 
   BuildRequest Obj = BuildRequest::object(
-      PipelineConfig::configC(), SourceFile{"m.mc", "int g;\n"}, "db text",
-      "p");
+      PipelineConfig::configC(), {SourceFile{"m.mc", "int g;\n"}},
+      "db text", "p");
   ASSERT_TRUE(requestFromJson(requestToJson(Obj), Back, Error)) << Error;
   EXPECT_EQ(Back.Phase, BuildPhase::Object);
   EXPECT_EQ(Back.Database, "db text");
