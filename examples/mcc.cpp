@@ -540,7 +540,9 @@ int main(int argc, char **argv) {
       return 1;
     }
     if (Stats) {
-      std::fputs(R.Value.Stats.toString().c_str(), stderr);
+      const BuildResponse &Resp = R.Value;
+      std::fputs(Resp.Stats.toString(Resp.Analyzer, Resp.Delta).c_str(),
+                 stderr);
       std::fprintf(stderr,
                    "served from cache: %s\n"
                    "cycles:         %lld\n"
@@ -725,7 +727,8 @@ int main(int argc, char **argv) {
     return 1;
   }
   if (Stats) {
-    std::fputs(Built.Stats.toString().c_str(), stderr);
+    std::fputs(Built.Stats.toString(Built.Analyzer, Built.Delta).c_str(),
+               stderr);
     std::fprintf(stderr,
                  "cycles:         %lld\n"
                  "instructions:   %lld\n"

@@ -311,11 +311,11 @@ ProgramDatabase ipra::runAnalyzer(
   // unchanged.
   const std::vector<ModuleSummary> *Sums = &Summaries;
   std::vector<ModuleSummary> Strengthened;
-  GPGComposeStats GPG;
+  AnalyzerStats LocalStats;
   if (Options.PointsTo == PointsToMode::GPG) {
     Strengthened = Summaries;
     if (strengthenSummariesWithGPG(Strengthened, Options.AssumeClosedWorld,
-                                   &GPG))
+                                   &LocalStats.GPG))
       Sums = &Strengthened;
     else
       Strengthened.clear(); // Residue-free summaries: Andersen facts.
@@ -324,11 +324,6 @@ ProgramDatabase ipra::runAnalyzer(
   CallGraph CG(*Sums, Profile, Options.PointsTo != PointsToMode::Off);
   RefSets RS(CG, Options.AssumeClosedWorld);
 
-  AnalyzerStats LocalStats;
-  LocalStats.GPGComposedProcs = GPG.ComposedProcs;
-  LocalStats.GPGContexts = GPG.Contexts;
-  LocalStats.GPGRefutedBeyondAndersen = GPG.RefutedBeyondAndersen;
-  LocalStats.GPGResolvedBeyondAndersen = GPG.ResolvedBeyondAndersen;
   LocalStats.EligibleGlobals = RS.numEligible();
   LocalStats.EscapesRefuted = static_cast<int>(CG.escapesRefuted());
   LocalStats.IndirectCallersResolved =

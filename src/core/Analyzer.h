@@ -17,6 +17,7 @@
 #ifndef IPRA_CORE_ANALYZER_H
 #define IPRA_CORE_ANALYZER_H
 
+#include "analysis/GPGCompose.h"
 #include "analysis/ModRef.h"
 #include "core/Clusters.h"
 #include "core/RegSets.h"
@@ -106,13 +107,7 @@ struct AnalyzerStats {
   /// Indirect callers whose call edges were narrowed to proven sets.
   int IndirectCallersResolved = 0;
   /// GPG composition (PointsToMode::GPG; all zero otherwise).
-  int GPGComposedProcs = 0; ///< Procedures whose residue was composed.
-  int GPGContexts = 0;      ///< (site, callee) contexts inlined.
-  /// Globals the composition refuted that Andersen left weaker.
-  int GPGRefutedBeyondAndersen = 0;
-  /// Procedures whose indirect sites the composition resolved or
-  /// narrowed beyond the per-module facts.
-  int GPGResolvedBeyondAndersen = 0;
+  GPGComposeStats GPG;
   /// Mod/ref verdict census (AnalyzerOptions::ModRef; zero otherwise).
   /// Exact verdicts only — conservative ReadWrite is not counted as
   /// proven anything.
@@ -138,6 +133,39 @@ struct AnalyzerStats {
     return NumClusters ? static_cast<double>(TotalClusterNodes) /
                              NumClusters
                        : 0.0;
+  }
+
+  /// Every field with its key (support/Json.h's Record): the one list
+  /// behind the analyzer cache entry and the service wire. A new
+  /// counter is its member plus one row here.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("eligible-globals", S.EligibleGlobals);
+    V("total-webs", S.TotalWebs);
+    V("considered-webs", S.ConsideredWebs);
+    V("colored-webs", S.ColoredWebs);
+    V("split-webs", S.SplitWebs);
+    V("remerged-webs", S.RemergedWebs);
+    V("num-clusters", S.NumClusters);
+    V("total-cluster-nodes", S.TotalClusterNodes);
+    V("max-cluster-size", S.MaxClusterSize);
+    V("escapes-refuted", S.EscapesRefuted);
+    V("indirect-callers-resolved", S.IndirectCallersResolved);
+    V("gpg-composed-procs", S.GPG.ComposedProcs);
+    V("gpg-contexts", S.GPG.Contexts);
+    V("gpg-refuted-beyond-andersen", S.GPG.RefutedBeyondAndersen);
+    V("gpg-resolved-beyond-andersen", S.GPG.ResolvedBeyondAndersen);
+    V("read-only-globals", S.ReadOnlyGlobals);
+    V("write-only-globals", S.WriteOnlyGlobals);
+    V("dead-globals", S.DeadGlobals);
+    V("uninit-read-globals", S.UninitReadGlobals);
+    V("dead-procs", S.DeadProcs);
+    V("refsets-ms", S.RefSetsMs);
+    V("modref-ms", S.ModRefMs);
+    V("webs-ms", S.WebsMs);
+    V("coloring-ms", S.ColoringMs);
+    V("clusters-ms", S.ClustersMs);
+    V("regsets-ms", S.RegSetsMs);
   }
 };
 

@@ -511,12 +511,6 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
     else
       Strengthened.clear();
   }
-  auto RecordGPG = [&] {
-    Stats.GPGComposedProcs = GPG.ComposedProcs;
-    Stats.GPGContexts = GPG.Contexts;
-    Stats.GPGRefutedBeyondAndersen = GPG.RefutedBeyondAndersen;
-    Stats.GPGResolvedBeyondAndersen = GPG.ResolvedBeyondAndersen;
-  };
 
   Delta = DeltaStats();
   std::string Reason;
@@ -529,7 +523,7 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
   else if (!retainable(Reason)) {
     // Reason set by retainable().
   } else if (tryIncremental(*Sums, Profile, Reason)) {
-    RecordGPG();
+    Stats.GPG = GPG;
     return Current;
   }
 
@@ -539,7 +533,7 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
   Delta.FallbackReason = Reason;
   Delta.ChangedProcs = 0;
   primeFull(*Sums, Profile);
-  RecordGPG();
+  Stats.GPG = GPG;
   Delta.TotalGlobals = RS->numEligible();
   Delta.DamagedGlobals = Delta.TotalGlobals;
   Delta.TotalSccs = 0;

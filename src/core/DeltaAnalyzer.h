@@ -50,6 +50,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipra {
@@ -59,6 +60,17 @@ enum class DeltaMode {
   Full,        ///< Cold full analysis (first run, or a fallback).
   Incremental, ///< Damage-region re-analysis over retained state.
 };
+
+/// DeltaMode's key names ("full", "incremental"), for the record codec.
+inline const char *enumName(DeltaMode M) {
+  return M == DeltaMode::Incremental ? "incremental" : "full";
+}
+inline bool enumFromName(std::string_view Name, DeltaMode &M) {
+  if (Name != "full" && Name != "incremental")
+    return false;
+  M = Name == "full" ? DeltaMode::Full : DeltaMode::Incremental;
+  return true;
+}
 
 /// Observability for one analyze() call.
 struct DeltaStats {
@@ -76,6 +88,18 @@ struct DeltaStats {
     return TotalGlobals ? 1.0 - static_cast<double>(DamagedGlobals) /
                                     TotalGlobals
                         : 1.0;
+  }
+
+  /// Every field with its key (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("mode", S.Mode);
+    V("fallback-reason", S.FallbackReason);
+    V("changed-procs", S.ChangedProcs);
+    V("damaged-sccs", S.DamagedSccs);
+    V("total-sccs", S.TotalSccs);
+    V("damaged-globals", S.DamagedGlobals);
+    V("total-globals", S.TotalGlobals);
   }
 };
 

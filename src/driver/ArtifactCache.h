@@ -93,6 +93,26 @@ struct ArtifactCacheStats {
   unsigned DiskSweeps = 0;
   unsigned DiskEvictions = 0;
   size_t DiskEvictedBytes = 0;
+
+  /// Every field with its key (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("mem-hits", S.MemHits);
+    V("disk-hits", S.DiskHits);
+    V("misses", S.Misses);
+    V("bytes-read", S.BytesRead);
+    V("bytes-written", S.BytesWritten);
+    V("interned-values", S.InternedValues);
+    V("intern-hits", S.InternHits);
+    V("intern-bytes-saved", S.InternBytesSaved);
+    V("mem-bytes", S.MemBytes);
+    V("peak-mem-bytes", S.PeakMemBytes);
+    V("evictions", S.Evictions);
+    V("evicted-bytes", S.EvictedBytes);
+    V("disk-sweeps", S.DiskSweeps);
+    V("disk-evictions", S.DiskEvictions);
+    V("disk-evicted-bytes", S.DiskEvictedBytes);
+  }
 };
 
 /// Thread-safe two-layer (sharded memory + optional disk) artifact

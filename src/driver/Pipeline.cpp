@@ -21,6 +21,7 @@
 #include "link/ObjectIO.h"
 #include "opt/Passes.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/ThreadPool.h"
 
 #include <optional>
@@ -209,48 +210,6 @@ std::string serializeProfile(const CallProfile &CP) {
   return OS.str();
 }
 
-/// The analyzer cache entry bundles the AnalyzerStats with the database
-/// text (a cached analyzer run must still report its statistics):
-/// one "analyzer-stats <20 counters> <6 sub-phase ms>" line, then the
-/// database verbatim. Entries written under an older field count fail
-/// the parse below and degrade to a cache miss.
-std::string statsHeader(const AnalyzerStats &S) {
-  std::ostringstream OS;
-  OS << "analyzer-stats " << S.EligibleGlobals << " " << S.TotalWebs << " "
-     << S.ConsideredWebs << " " << S.ColoredWebs << " " << S.SplitWebs
-     << " " << S.RemergedWebs << " " << S.NumClusters << " "
-     << S.TotalClusterNodes << " " << S.MaxClusterSize << " "
-     << S.EscapesRefuted << " " << S.IndirectCallersResolved << " "
-     << S.GPGComposedProcs << " " << S.GPGContexts << " "
-     << S.GPGRefutedBeyondAndersen << " " << S.GPGResolvedBeyondAndersen
-     << " " << S.ReadOnlyGlobals << " " << S.WriteOnlyGlobals << " "
-     << S.DeadGlobals << " " << S.UninitReadGlobals << " " << S.DeadProcs
-     << " " << S.RefSetsMs << " " << S.ModRefMs << " " << S.WebsMs << " "
-     << S.ColoringMs << " " << S.ClustersMs << " " << S.RegSetsMs << "\n";
-  return OS.str();
-}
-
-bool splitStatsEntry(const std::string &Entry, AnalyzerStats &S,
-                     std::string &DbText) {
-  size_t NL = Entry.find('\n');
-  if (NL == std::string::npos)
-    return false;
-  std::istringstream IS(Entry.substr(0, NL));
-  std::string Tag;
-  IS >> Tag >> S.EligibleGlobals >> S.TotalWebs >> S.ConsideredWebs >>
-      S.ColoredWebs >> S.SplitWebs >> S.RemergedWebs >> S.NumClusters >>
-      S.TotalClusterNodes >> S.MaxClusterSize >> S.EscapesRefuted >>
-      S.IndirectCallersResolved >> S.GPGComposedProcs >> S.GPGContexts >>
-      S.GPGRefutedBeyondAndersen >> S.GPGResolvedBeyondAndersen >>
-      S.ReadOnlyGlobals >> S.WriteOnlyGlobals >> S.DeadGlobals >>
-      S.UninitReadGlobals >> S.DeadProcs >> S.RefSetsMs >> S.ModRefMs >>
-      S.WebsMs >> S.ColoringMs >> S.ClustersMs >> S.RegSetsMs;
-  if (Tag != "analyzer-stats" || IS.fail())
-    return false;
-  DbText = Entry.substr(NL + 1);
-  return true;
-}
-
 std::string summaryKey(const std::string &CompileFP,
                        const SourceFile &Source) {
   return hashParts({"summary", CompileFP, Source.Name, Source.Text});
@@ -266,6 +225,19 @@ std::vector<SourceFile> withRuntime(std::vector<SourceFile> Sources) {
 std::string objectKey(const std::string &CompileFP,
                       const SourceFile &Source, const std::string &Slice) {
   return hashParts({"object", CompileFP, Source.Name, Source.Text, Slice});
+}
+
+/// Links \p Objects into \p Exe, listing every linker error.
+Status linkInto(const std::vector<ObjectFile> &Objects, Executable &Exe) {
+  LinkResult Linked = linkObjects(Objects);
+  if (!Linked.Success) {
+    std::string Text = "link failed:";
+    for (const std::string &E : Linked.Errors)
+      Text += "\n  " + E;
+    return Status::error(std::move(Text));
+  }
+  Exe = std::move(Linked.Exe);
+  return Status::success();
 }
 
 } // namespace
@@ -590,40 +562,54 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
   return Status::success();
 }
 
-bool Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
-                             const std::vector<std::string> &SummaryTexts,
-                             const CallProfile &CP, AnalyzerStats &Stats,
-                             std::string &DbText, ProgramDatabase &DB,
-                             bool &FromCache, std::string &Mode,
-                             DeltaStats &DS, std::string &Error) {
-  FromCache = false;
-  Mode = "full";
-  DS = DeltaStats();
+Status Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
+                               const std::vector<std::string> &SummaryTexts,
+                               const ProfileData *Profile,
+                               ProgramDatabase &DB, BuildResponse &Resp) {
+  PipelineStats &PS = Resp.Stats;
+  CallProfile CP;
+  if (Config.UseProfile && Profile) {
+    CP.CallCounts = Profile->CallCounts;
+    CP.EdgeCounts = Profile->EdgeCounts;
+  }
   std::string ProfileText = serializeProfile(CP);
   std::vector<std::string_view> Parts{"database", AnalyzerFP, ProfileText};
   for (const std::string &T : SummaryTexts)
     Parts.push_back(T);
   std::string Key = hashParts(Parts);
 
+  // The entry is the encoded AnalyzerStats on one line (a cached run
+  // still reports its statistics), then the database text. An entry
+  // missing any listed field — written before a counter was added —
+  // is a miss.
   if (auto Entry = Cache->get(Key)) {
+    size_t NL = Entry->find('\n');
+    json::Value StatsLine;
     AnalyzerStats CachedStats;
-    std::string CachedDb;
-    if (splitStatsEntry(*Entry, CachedStats, CachedDb)) {
+    std::string ParseError;
+    if (NL != std::string::npos &&
+        json::Value::parse(std::string_view(*Entry).substr(0, NL),
+                           StatsLine, ParseError) &&
+        json::decode(StatsLine, CachedStats)) {
+      std::string CachedDb = Entry->substr(NL + 1);
       ProgramDatabase Parsed;
-      std::string ParseError;
       if (ProgramDatabase::deserialize(CachedDb, Parsed, ParseError) &&
           Parsed.ConfigFingerprint == FullFP) {
         DB = std::move(Parsed);
-        DbText = std::move(CachedDb);
-        Stats = CachedStats;
-        FromCache = true;
-        Mode = "cached";
-        return true;
+        Resp.Database = std::move(CachedDb);
+        Resp.Analyzer = CachedStats;
+        PS.AnalyzerMode = "cached";
+        ++PS.AnalyzerCacheHits;
+        PS.CacheBytesSaved += Resp.Database.size();
+        PS.DatabaseBytes = Resp.Database.size();
+        return Status::success();
       }
     }
     Cache->invalidate(Key); // Corrupt or stale entry: recompute.
   }
 
+  ++PS.AnalyzerCacheMisses;
+  PS.AnalyzerMode = "full";
   ProgramDatabase Produced;
   if (Config.DeltaAnalysis) {
     // Damage-region re-analysis over the state the session retained
@@ -634,20 +620,23 @@ bool Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
     AnalyzerSession::Outcome O =
         Session->analyze(Summaries, Config.analyzerOptions(), CP);
     Produced = std::move(O.DB);
-    Stats = O.Stats;
-    DS = O.Delta;
-    if (DS.Mode == DeltaMode::Incremental)
-      Mode = "delta";
+    Resp.Analyzer = O.Stats;
+    Resp.Delta = O.Delta;
+    if (Resp.Delta.Mode == DeltaMode::Incremental)
+      PS.AnalyzerMode = "delta";
   } else {
-    Produced = runAnalyzer(Summaries, Config.analyzerOptions(), CP, &Stats);
+    Produced = runAnalyzer(Summaries, Config.analyzerOptions(), CP,
+                           &Resp.Analyzer);
   }
   Produced.ConfigFingerprint = FullFP;
   // Round-trip through the database file format (§2).
-  DbText = Produced.serialize();
-  if (!ProgramDatabase::deserialize(DbText, DB, Error))
-    return false;
-  Cache->put(Key, statsHeader(Stats) + DbText);
-  return true;
+  Resp.Database = Produced.serialize();
+  PS.DatabaseBytes = Resp.Database.size();
+  std::string Error;
+  if (!ProgramDatabase::deserialize(Resp.Database, DB, Error))
+    return Status::error("database round-trip failed: " + Error);
+  Cache->put(Key, json::encode(Resp.Analyzer).dump() + "\n" + Resp.Database);
+  return Status::success();
 }
 
 Status Pipeline::executeAnalyze(const BuildRequest &Req,
@@ -670,67 +659,25 @@ Status Pipeline::executeAnalyze(const BuildRequest &Req,
     Summaries.push_back(std::move(S));
   }
 
-  CallProfile CP;
-  if (Config.UseProfile && Req.Profile) {
-    CP.CallCounts = Req.Profile->CallCounts;
-    CP.EdgeCounts = Req.Profile->EdgeCounts;
-  }
   ProgramDatabase DB;
-  bool FromCache = false;
-  std::string Mode;
-  std::string Error;
-  if (!analyzeCached(Summaries, Req.Summaries, CP, Resp.Analyzer,
-                     Resp.Database, DB, FromCache, Mode, Resp.Delta,
-                     Error))
-    return Status::error("database round-trip failed: " + Error);
-  Resp.FromCache = FromCache;
-  Resp.Stats.AnalyzerMode = Mode;
-  if (FromCache) {
-    ++Resp.Stats.AnalyzerCacheHits;
-    Resp.Stats.CacheBytesSaved += Resp.Database.size();
-  } else {
-    ++Resp.Stats.AnalyzerCacheMisses;
-  }
-  Resp.Stats.DatabaseBytes = Resp.Database.size();
+  if (Status S = analyzeCached(Summaries, Req.Summaries,
+                               Req.Profile ? &*Req.Profile : nullptr, DB,
+                               Resp);
+      !S.ok())
+    return S;
+  Resp.FromCache = Resp.Stats.AnalyzerCacheHits > 0;
   return Status::success();
-}
-
-LinkedResult Pipeline::linkImpl(const std::vector<std::string> &ObjectTexts) {
-  LinkedResult Result;
-  std::vector<ObjectFile> Parsed;
-  for (const std::string &Text : ObjectTexts) {
-    ObjectFile Obj;
-    std::string Error;
-    if (!readObjectFile(Text, Obj, Error)) {
-      Result.Diags.error("bad object file: " + Error);
-      return Result;
-    }
-    Parsed.push_back(std::move(Obj));
-  }
-  LinkResult Linked = linkObjects(Parsed);
-  if (!Linked.Success) {
-    std::string Text = "link failed:";
-    for (const std::string &E : Linked.Errors)
-      Text += "\n  " + E;
-    Result.Diags.error(std::move(Text));
-    return Result;
-  }
-  Result.Exe = std::move(Linked.Exe);
-  Result.Ok = true;
-  return Result;
 }
 
 //===----------------------------------------------------------------------===//
 // The fused incremental build.
 //===----------------------------------------------------------------------===//
 
-BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
-                                const ProfileData *Profile,
-                                DeltaStats *OutDS) {
-  BuildResult Result;
-  PipelineStats &PS = Result.Stats;
+Status Pipeline::executeFull(const BuildRequest &Req, BuildResponse &Resp) {
+  PipelineStats &PS = Resp.Stats;
   ScopedTimerMs TotalTimer(PS.TotalMs);
-  Batch B(withRuntime(Sources), resolveThreadCount(Config.NumThreads), PS);
+  Batch B(withRuntime(Req.Modules), resolveThreadCount(Config.NumThreads),
+          PS);
   B.KeepIRFiles = true;
   const size_t NumModules = B.size();
 
@@ -744,11 +691,9 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
   if (Config.Ipra) {
     {
       ScopedTimerMs Timer(PS.Phase1Ms);
-      if (Status S = summarize(B); !S.ok()) {
-        static_cast<Status &>(Result) = std::move(S);
-        return Result;
-      }
-      Result.SummaryFiles = B.SummaryTexts;
+      if (Status S = summarize(B); !S.ok())
+        return S;
+      Resp.Summaries = B.SummaryTexts;
     }
 
     // ---- Program analyzer: the one whole-program step. Web discovery
@@ -757,66 +702,11 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
     // sequential. Cache key: analyzer fingerprint x profile x every
     // summary text.
     ScopedTimerMs Timer(PS.AnalyzerMs);
-    CallProfile CP;
-    if (Config.UseProfile && Profile) {
-      CP.CallCounts = Profile->CallCounts;
-      CP.EdgeCounts = Profile->EdgeCounts;
-    }
-    bool FromCache = false;
-    std::string Mode;
-    DeltaStats DS;
-    std::string Error;
-    if (!analyzeCached(B.Summaries, B.SummaryTexts, CP, Result.Analyzer,
-                       Result.DatabaseFile, DB, FromCache, Mode, DS,
-                       Error)) {
-      Result.Diags.error("database round-trip failed: " + Error);
-      return Result;
-    }
-    if (FromCache) {
-      ++PS.AnalyzerCacheHits;
-      PS.CacheBytesSaved += Result.DatabaseFile.size();
-    } else {
-      ++PS.AnalyzerCacheMisses;
-    }
-    if (OutDS)
-      *OutDS = DS;
-    PS.AnalyzerMode = Mode;
-    PS.AnalyzerChangedProcs = DS.ChangedProcs;
-    PS.AnalyzerDamagedSccs = DS.DamagedSccs;
-    PS.AnalyzerTotalSccs = DS.TotalSccs;
-    PS.AnalyzerDamagedGlobals = DS.DamagedGlobals;
-    PS.AnalyzerTotalGlobals = DS.TotalGlobals;
-    PS.AnalyzerReuseRatio =
-        Mode == "delta" ? DS.reuseRatio() : 0.0;
-    if (Config.DeltaAnalysis && DS.Mode == DeltaMode::Full)
-      PS.AnalyzerFallbackReason = DS.FallbackReason;
-    PS.AnalyzerRefSetsMs = Result.Analyzer.RefSetsMs;
-    PS.AnalyzerWebsMs = Result.Analyzer.WebsMs;
-    PS.AnalyzerColoringMs = Result.Analyzer.ColoringMs;
-    PS.AnalyzerClustersMs = Result.Analyzer.ClustersMs;
-    PS.AnalyzerRegSetsMs = Result.Analyzer.RegSetsMs;
-    PS.PointsToEscapesRefuted =
-        static_cast<unsigned>(Result.Analyzer.EscapesRefuted);
-    PS.PointsToIndirectResolved =
-        static_cast<unsigned>(Result.Analyzer.IndirectCallersResolved);
-    PS.GPGComposedProcs =
-        static_cast<unsigned>(Result.Analyzer.GPGComposedProcs);
-    PS.GPGContexts = static_cast<unsigned>(Result.Analyzer.GPGContexts);
-    PS.GPGRefutedBeyondAndersen =
-        static_cast<unsigned>(Result.Analyzer.GPGRefutedBeyondAndersen);
-    PS.GPGResolvedBeyondAndersen =
-        static_cast<unsigned>(Result.Analyzer.GPGResolvedBeyondAndersen);
-    PS.ModRefReadOnlyGlobals =
-        static_cast<unsigned>(Result.Analyzer.ReadOnlyGlobals);
-    PS.ModRefWriteOnlyGlobals =
-        static_cast<unsigned>(Result.Analyzer.WriteOnlyGlobals);
-    PS.ModRefDeadGlobals =
-        static_cast<unsigned>(Result.Analyzer.DeadGlobals);
-    PS.ModRefUninitReadGlobals =
-        static_cast<unsigned>(Result.Analyzer.UninitReadGlobals);
-    PS.ModRefDeadProcs = static_cast<unsigned>(Result.Analyzer.DeadProcs);
-    PS.ModRefMs = Result.Analyzer.ModRefMs;
-    PS.DatabaseBytes = Result.DatabaseFile.size();
+    if (Status S = analyzeCached(B.Summaries, B.SummaryTexts,
+                                 Req.Profile ? &*Req.Profile : nullptr, DB,
+                                 Resp);
+        !S.ok())
+      return S;
     DBP = &DB;
   }
 
@@ -832,38 +722,26 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
                           DBP ? DB.sliceFor(B.Summaries[I],
                                             Config.CallerSavePropagation)
                               : std::string());
-    if (Status S = compileObjects(B, DBP, Keys); !S.ok()) {
-      static_cast<Status &>(Result) = std::move(S);
-      return Result;
-    }
-    Result.ObjectFiles = B.ObjectTexts;
+    if (Status S = compileObjects(B, DBP, Keys); !S.ok())
+      return S;
+    Resp.Objects = B.ObjectTexts;
     for (const ModulePipelineStats &M : PS.Modules)
       PS.PointsToMs += M.PointsToMs;
   }
 
   // ---- Link.
-  ScopedTimerMs Timer(PS.LinkMs);
-  LinkResult Linked = linkObjects(B.Objects);
-  if (!Linked.Success) {
-    std::string Text = "link failed:";
-    for (const std::string &E : Linked.Errors)
-      Text += "\n  " + E;
-    Result.Diags.error(std::move(Text));
-    return Result;
+  {
+    ScopedTimerMs Timer(PS.LinkMs);
+    if (Status S = linkInto(B.Objects, Resp.Exe); !S.ok())
+      return S;
   }
-  Result.Exe = std::move(Linked.Exe);
 
   // Snapshot the cache's occupancy/eviction gauges so `--stats` shows
   // whether a budget is biting (and how much it already reclaimed).
-  ArtifactCacheStats CS = Cache->stats();
-  PS.CacheMemBytes = CS.MemBytes;
-  PS.CachePeakMemBytes = CS.PeakMemBytes;
-  PS.CacheEvictions = CS.Evictions;
-  PS.CacheEvictedBytes = CS.EvictedBytes;
-  PS.CacheDiskEvictions = CS.DiskEvictions;
-
-  Result.Ok = true;
-  return Result;
+  PS.Cache = Cache->stats();
+  Resp.FromCache = PS.Phase1CacheMisses == 0 &&
+                   PS.AnalyzerCacheMisses == 0 && PS.Phase2CacheMisses == 0;
+  return Status::success();
 }
 
 //===----------------------------------------------------------------------===//
@@ -917,9 +795,15 @@ Status Pipeline::executeObject(const BuildRequest &Req,
 Status Pipeline::executeLink(const BuildRequest &Req, BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.LinkMs);
-  LinkedResult R = linkImpl(Req.Objects);
-  Resp.Exe = std::move(R.Exe);
-  return std::move(static_cast<Status &>(R));
+  std::vector<ObjectFile> Parsed;
+  for (const std::string &Text : Req.Objects) {
+    ObjectFile Obj;
+    std::string Error;
+    if (!readObjectFile(Text, Obj, Error))
+      return Status::error("bad object file: " + Error);
+    Parsed.push_back(std::move(Obj));
+  }
+  return linkInto(Parsed, Resp.Exe);
 }
 
 Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
@@ -948,23 +832,6 @@ Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
   }
   Resp.FromCache = Resp.Stats.Phase1CacheMisses == 0;
   return Status::success();
-}
-
-Status Pipeline::executeFull(const BuildRequest &Req, BuildResponse &Resp) {
-  DeltaStats DS;
-  BuildResult R = buildImpl(Req.Modules,
-                            Req.Profile ? &*Req.Profile : nullptr, &DS);
-  Resp.Summaries = std::move(R.SummaryFiles);
-  Resp.Database = std::move(R.DatabaseFile);
-  Resp.Objects = std::move(R.ObjectFiles);
-  Resp.Exe = std::move(R.Exe);
-  Resp.Analyzer = R.Analyzer;
-  Resp.Delta = DS;
-  Resp.Stats = std::move(R.Stats);
-  Resp.FromCache = R.Ok && Resp.Stats.Phase1CacheMisses == 0 &&
-                   Resp.Stats.AnalyzerCacheMisses == 0 &&
-                   Resp.Stats.Phase2CacheMisses == 0;
-  return std::move(static_cast<Status &>(R));
 }
 
 Result<BuildResponse> Pipeline::execute(const BuildRequest &Req) {
@@ -1063,6 +930,7 @@ BuildResult Pipeline::build(const std::vector<SourceFile> &Sources,
   static_cast<Status &>(Out) = std::move(static_cast<Status &>(R));
   Out.Exe = std::move(R.Value.Exe);
   Out.Analyzer = R.Value.Analyzer;
+  Out.Delta = R.Value.Delta;
   Out.Stats = std::move(R.Value.Stats);
   Out.SummaryFiles = std::move(R.Value.Summaries);
   Out.DatabaseFile = std::move(R.Value.Database);

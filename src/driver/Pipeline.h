@@ -101,6 +101,8 @@ struct LintRunResult : Status {
 struct BuildResult : Status {
   Executable Exe;
   AnalyzerStats Analyzer;
+  /// Damage accounting when PipelineConfig::DeltaAnalysis is set.
+  DeltaStats Delta;
   PipelineStats Stats;
   std::vector<std::string> SummaryFiles;
   std::string DatabaseFile;
@@ -194,22 +196,18 @@ private:
   /// where phase 1 left one and lowers from source otherwise.
   Status compileObjects(Batch &B, const ProgramDatabase *DB,
                         const std::vector<std::string> &Keys);
-  LinkedResult linkImpl(const std::vector<std::string> &ObjectTexts);
-  BuildResult buildImpl(const std::vector<SourceFile> &Sources,
-                        const ProfileData *Profile, DeltaStats *OutDS);
 
   /// Shared by the analyze and full phases: runs the analyzer through
   /// the cache (and, when Config.DeltaAnalysis is set, through the
-  /// retained delta session on a miss). Fills \p Mode with "cached",
-  /// "delta" or "full" and \p DS with the delta damage accounting.
-  /// Returns false (filling \p Error) only when the produced database
-  /// fails its serialization round-trip.
-  bool analyzeCached(const std::vector<ModuleSummary> &Summaries,
-                     const std::vector<std::string> &SummaryTexts,
-                     const CallProfile &CP, AnalyzerStats &Stats,
-                     std::string &DbText, ProgramDatabase &DB,
-                     bool &FromCache, std::string &Mode, DeltaStats &DS,
-                     std::string &Error);
+  /// retained delta session on a miss). Fills \p DB and the response's
+  /// Database, Analyzer and Delta, and records the hit or miss, the
+  /// mode ("cached", "delta" or "full") and the database size in its
+  /// Stats. Fails only when the produced database fails its
+  /// serialization round-trip.
+  Status analyzeCached(const std::vector<ModuleSummary> &Summaries,
+                       const std::vector<std::string> &SummaryTexts,
+                       const ProfileData *Profile, ProgramDatabase &DB,
+                       BuildResponse &Resp);
 
   PipelineConfig Config;
   std::shared_ptr<ArtifactCache> Cache;

@@ -7,12 +7,15 @@
 
 #include "driver/PipelineStats.h"
 
+#include "core/DeltaAnalyzer.h"
+
 #include <iomanip>
 #include <sstream>
 
 using namespace ipra;
 
-std::string PipelineStats::toString() const {
+std::string PipelineStats::toString(const AnalyzerStats &A,
+                                   const DeltaStats &D) const {
   std::ostringstream OS;
   OS << std::fixed << std::setprecision(2);
   OS << "pipeline: threads=" << ThreadsUsed << " total=" << TotalMs
@@ -21,49 +24,44 @@ std::string PipelineStats::toString() const {
      << "ms analyzer=" << AnalyzerMs << "ms phase2=" << Phase2Ms
      << "ms link=" << LinkMs << "ms\n";
   if (!AnalyzerMode.empty() ||
-      AnalyzerRefSetsMs + AnalyzerWebsMs + AnalyzerColoringMs +
-              AnalyzerClustersMs + AnalyzerRegSetsMs >
+      A.RefSetsMs + A.WebsMs + A.ColoringMs + A.ClustersMs + A.RegSetsMs >
           0) {
     OS << "  analyzer phases";
     if (!AnalyzerMode.empty())
       OS << " (" << AnalyzerMode << ")";
-    OS << ": refsets=" << AnalyzerRefSetsMs
-       << "ms webs=" << AnalyzerWebsMs
-       << "ms coloring=" << AnalyzerColoringMs
-       << "ms clusters=" << AnalyzerClustersMs
-       << "ms regsets=" << AnalyzerRegSetsMs << "ms\n";
+    OS << ": refsets=" << A.RefSetsMs << "ms webs=" << A.WebsMs
+       << "ms coloring=" << A.ColoringMs << "ms clusters=" << A.ClustersMs
+       << "ms regsets=" << A.RegSetsMs << "ms\n";
   }
   if (AnalyzerMode == "delta")
-    OS << "  delta: changed-procs=" << AnalyzerChangedProcs
-       << " damaged-sccs=" << AnalyzerDamagedSccs << "/"
-       << AnalyzerTotalSccs << " damaged-globals="
-       << AnalyzerDamagedGlobals << "/" << AnalyzerTotalGlobals
-       << " web-reuse=" << AnalyzerReuseRatio * 100.0 << "%\n";
-  else if (!AnalyzerFallbackReason.empty())
-    OS << "  delta: full re-analysis (" << AnalyzerFallbackReason
-       << ")\n";
+    OS << "  delta: changed-procs=" << D.ChangedProcs
+       << " damaged-sccs=" << D.DamagedSccs << "/" << D.TotalSccs
+       << " damaged-globals=" << D.DamagedGlobals << "/" << D.TotalGlobals
+       << " web-reuse=" << D.reuseRatio() * 100.0 << "%\n";
+  else if (!D.FallbackReason.empty())
+    OS << "  delta: full re-analysis (" << D.FallbackReason << ")\n";
   if (PointsToConstraints + PointsToIterations > 0 || PointsToMs > 0)
     OS << "  points-to: constraints=" << PointsToConstraints
        << " iterations=" << PointsToIterations
-       << " escapes-refuted=" << PointsToEscapesRefuted
-       << " indirect-resolved=" << PointsToIndirectResolved
+       << " escapes-refuted=" << A.EscapesRefuted
+       << " indirect-resolved=" << A.IndirectCallersResolved
        << " time=" << PointsToMs << "ms\n";
-  if (ModRefReadOnlyGlobals + ModRefWriteOnlyGlobals + ModRefDeadGlobals +
-              ModRefUninitReadGlobals + ModRefDeadProcs >
+  if (A.ReadOnlyGlobals + A.WriteOnlyGlobals + A.DeadGlobals +
+              A.UninitReadGlobals + A.DeadProcs >
           0 ||
-      ModRefMs > 0)
-    OS << "  modref: read-only=" << ModRefReadOnlyGlobals
-       << " write-only=" << ModRefWriteOnlyGlobals
-       << " dead-globals=" << ModRefDeadGlobals
-       << " uninit-read=" << ModRefUninitReadGlobals
-       << " dead-procs=" << ModRefDeadProcs << " time=" << ModRefMs
+      A.ModRefMs > 0)
+    OS << "  modref: read-only=" << A.ReadOnlyGlobals
+       << " write-only=" << A.WriteOnlyGlobals
+       << " dead-globals=" << A.DeadGlobals
+       << " uninit-read=" << A.UninitReadGlobals
+       << " dead-procs=" << A.DeadProcs << " time=" << A.ModRefMs
        << "ms\n";
-  if (GPGUpdates + GPGCallSites + GPGComposedProcs > 0)
+  if (GPGUpdates + GPGCallSites + A.GPG.ComposedProcs > 0)
     OS << "  gpg: updates=" << GPGUpdates << " call-sites=" << GPGCallSites
-       << " composed-procs=" << GPGComposedProcs
-       << " contexts=" << GPGContexts
-       << " refuted-beyond-andersen=" << GPGRefutedBeyondAndersen
-       << " resolved-beyond-andersen=" << GPGResolvedBeyondAndersen
+       << " composed-procs=" << A.GPG.ComposedProcs
+       << " contexts=" << A.GPG.Contexts
+       << " refuted-beyond-andersen=" << A.GPG.RefutedBeyondAndersen
+       << " resolved-beyond-andersen=" << A.GPG.ResolvedBeyondAndersen
        << "\n";
   OS << "  summaries=" << SummaryBytes << "B database=" << DatabaseBytes
      << "B objects=" << ObjectBytes << "B\n";
@@ -76,11 +74,11 @@ std::string PipelineStats::toString() const {
        << (AnalyzerCacheHits + AnalyzerCacheMisses) << " phase2 "
        << Phase2CacheHits << "/" << (Phase2CacheHits + Phase2CacheMisses)
        << " hits, saved=" << CacheBytesSaved << "B\n";
-  if (CachePeakMemBytes > 0)
-    OS << "  cache-mem: resident=" << CacheMemBytes
-       << "B peak=" << CachePeakMemBytes << "B evicted=" << CacheEvictions
-       << " (" << CacheEvictedBytes << "B) disk-evicted="
-       << CacheDiskEvictions << "\n";
+  if (Cache.PeakMemBytes > 0)
+    OS << "  cache-mem: resident=" << Cache.MemBytes
+       << "B peak=" << Cache.PeakMemBytes << "B evicted=" << Cache.Evictions
+       << " (" << Cache.EvictedBytes << "B) disk-evicted="
+       << Cache.DiskEvictions << "\n";
   for (const ModulePipelineStats &M : Modules)
     OS << "  module " << M.Name << ": funcs=" << M.Functions
        << " frontend=" << M.FrontEndMs << "ms phase1=" << M.Phase1Ms

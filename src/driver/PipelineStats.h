@@ -10,12 +10,16 @@
 /// per-phase and per-module timings, serialized artifact byte counts,
 /// and the thread count the driver ran with. Collected by every
 /// Pipeline request and printable via toString() (the mcc --stats
-/// path).
+/// path). The analyzer's counters live in AnalyzerStats and the delta
+/// analyzer's in DeltaStats; toString() takes both records instead of
+/// copies of their fields.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPRA_DRIVER_PIPELINESTATS_H
 #define IPRA_DRIVER_PIPELINESTATS_H
+
+#include "driver/ArtifactCache.h"
 
 #include <chrono>
 #include <cstddef>
@@ -23,6 +27,9 @@
 #include <vector>
 
 namespace ipra {
+
+struct AnalyzerStats;
+struct DeltaStats;
 
 /// Timing and artifact sizes for one module through both phases.
 struct ModulePipelineStats {
@@ -38,6 +45,21 @@ struct ModulePipelineStats {
   /// being recompiled.
   bool Phase1FromCache = false;
   bool Phase2FromCache = false;
+
+  /// Every field with its key (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("name", S.Name);
+    V("front-end-ms", S.FrontEndMs);
+    V("phase1-ms", S.Phase1Ms);
+    V("phase2-ms", S.Phase2Ms);
+    V("points-to-ms", S.PointsToMs);
+    V("summary-bytes", S.SummaryBytes);
+    V("object-bytes", S.ObjectBytes);
+    V("functions", S.Functions);
+    V("phase1-from-cache", S.Phase1FromCache);
+    V("phase2-from-cache", S.Phase2FromCache);
+  }
 };
 
 /// Instrumentation for one Pipeline request.
@@ -49,61 +71,20 @@ struct PipelineStats {
   double Phase2Ms = 0;
   double LinkMs = 0;
   double TotalMs = 0;
-  /// Analyzer sub-phase breakdown (from AnalyzerStats; on a cache hit
-  /// these are the producing run's times).
-  double AnalyzerRefSetsMs = 0;
-  double AnalyzerWebsMs = 0; ///< Parallel per-global web discovery.
-  double AnalyzerColoringMs = 0;
-  double AnalyzerClustersMs = 0;
-  double AnalyzerRegSetsMs = 0;
   /// How the analyzer step produced its database: "full" (cold run),
   /// "delta" (damage-region incremental re-analysis), or "cached"
   /// (artifact-cache hit). Empty when the analyzer is off, so --stats
   /// tags the sub-phase line on every path that ran the analyzer.
   std::string AnalyzerMode;
-  /// Damage accounting from the delta analyzer (all zero unless
-  /// PipelineConfig::DeltaAnalysis took the incremental path).
-  int AnalyzerChangedProcs = 0;
-  int AnalyzerDamagedSccs = 0;
-  int AnalyzerTotalSccs = 0;
-  int AnalyzerDamagedGlobals = 0;
-  int AnalyzerTotalGlobals = 0;
-  double AnalyzerReuseRatio = 0; ///< Web lists spliced in unchanged.
-  /// Why a delta-enabled run fell back to a full analysis ("first
-  /// analysis", "analyzer options changed", ...). Empty when the delta
-  /// path ran, and when delta analysis is off.
-  std::string AnalyzerFallbackReason;
   /// Points-to/escape analysis: per-module wall clock (summed across
-  /// modules; zero for phase-1 cache hits) and solver counters. The
-  /// refuted/resolved counts come from the analyzer's merge and are
-  /// cached with the other analyzer counters.
+  /// modules; zero for phase-1 cache hits) and solver counters.
   double PointsToMs = 0;
   unsigned long long PointsToConstraints = 0;
   unsigned long long PointsToIterations = 0;
-  unsigned PointsToEscapesRefuted = 0;
-  unsigned PointsToIndirectResolved = 0;
   /// GPG points-to (--points-to=gpg): phase-1 residue sizes summed
-  /// across recompiled modules, plus the analyzer-side composer
-  /// counters (composed procedures, call-site contexts inlined, and
-  /// the facts GPG strengthened beyond the Andersen baseline; cached
-  /// with the other analyzer counters).
+  /// across recompiled modules.
   unsigned long long GPGUpdates = 0;
   unsigned long long GPGCallSites = 0;
-  unsigned GPGComposedProcs = 0;
-  unsigned GPGContexts = 0;
-  unsigned GPGRefutedBeyondAndersen = 0;
-  unsigned GPGResolvedBeyondAndersen = 0;
-  /// Whole-program mod/ref census (DESIGN.md §15): globals the analyzer
-  /// proved exactly read-only / write-only / dead, globals with a
-  /// possible uninitialized read, and unreachable procedures. All zero
-  /// when the analysis is off (--modref=off); cached with the other
-  /// analyzer counters.
-  unsigned ModRefReadOnlyGlobals = 0;
-  unsigned ModRefWriteOnlyGlobals = 0;
-  unsigned ModRefDeadGlobals = 0;
-  unsigned ModRefUninitReadGlobals = 0;
-  unsigned ModRefDeadProcs = 0;
-  double ModRefMs = 0;
   size_t SummaryBytes = 0;  ///< All summary files.
   size_t DatabaseBytes = 0; ///< Serialized program database.
   size_t ObjectBytes = 0;   ///< All textual object files.
@@ -117,18 +98,45 @@ struct PipelineStats {
   unsigned Phase2CacheHits = 0;
   unsigned Phase2CacheMisses = 0;
   size_t CacheBytesSaved = 0;
-  /// In-memory cache occupancy and LRU-eviction accounting (snapshotted
-  /// from the pipeline's ArtifactCache at the end of a full build; all
-  /// zero when the cache is unbounded and nothing was ever evicted).
-  size_t CacheMemBytes = 0;
-  size_t CachePeakMemBytes = 0;
-  unsigned long long CacheEvictions = 0;
-  size_t CacheEvictedBytes = 0;
-  unsigned long long CacheDiskEvictions = 0;
+  /// The pipeline's ArtifactCache, snapshotted at the end of a full
+  /// build (occupancy and LRU-eviction gauges for --stats).
+  ArtifactCacheStats Cache;
   std::vector<ModulePipelineStats> Modules;
 
-  /// Multi-line human-readable report.
-  std::string toString() const;
+  /// Every field with its key (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("threads-used", S.ThreadsUsed);
+    V("front-end-ms", S.FrontEndMs);
+    V("phase1-ms", S.Phase1Ms);
+    V("analyzer-ms", S.AnalyzerMs);
+    V("phase2-ms", S.Phase2Ms);
+    V("link-ms", S.LinkMs);
+    V("total-ms", S.TotalMs);
+    V("analyzer-mode", S.AnalyzerMode);
+    V("points-to-ms", S.PointsToMs);
+    V("points-to-constraints", S.PointsToConstraints);
+    V("points-to-iterations", S.PointsToIterations);
+    V("gpg-updates", S.GPGUpdates);
+    V("gpg-call-sites", S.GPGCallSites);
+    V("summary-bytes", S.SummaryBytes);
+    V("database-bytes", S.DatabaseBytes);
+    V("object-bytes", S.ObjectBytes);
+    V("phase1-cache-hits", S.Phase1CacheHits);
+    V("phase1-cache-misses", S.Phase1CacheMisses);
+    V("analyzer-cache-hits", S.AnalyzerCacheHits);
+    V("analyzer-cache-misses", S.AnalyzerCacheMisses);
+    V("phase2-cache-hits", S.Phase2CacheHits);
+    V("phase2-cache-misses", S.Phase2CacheMisses);
+    V("cache-bytes-saved", S.CacheBytesSaved);
+    V("cache", S.Cache);
+    V("modules", S.Modules);
+  }
+
+  /// Multi-line human-readable report of this run with the analyzer's
+  /// counters \p A and the delta analyzer's \p D (the records a
+  /// BuildResult or BuildResponse carries next to these stats).
+  std::string toString(const AnalyzerStats &A, const DeltaStats &D) const;
 };
 
 /// Measures wall-clock milliseconds into \p Target on destruction.

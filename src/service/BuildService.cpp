@@ -22,55 +22,6 @@ using namespace ipra;
 
 namespace fs = std::filesystem;
 
-json::Value BuildServiceStats::toJson() const {
-  using json::Value;
-  Value V = Value::object();
-  V.set("accepted", Value::number(Accepted))
-      .set("completed", Value::number(Completed))
-      .set("failed", Value::number(Failed))
-      .set("rejected-busy", Value::number(RejectedBusy))
-      .set("rejected-shutdown", Value::number(RejectedShutdown))
-      .set("coalesced", Value::number(Coalesced))
-      .set("queue-depth", Value::number(QueueDepth))
-      .set("peak-queue-depth", Value::number(PeakQueueDepth))
-      .set("workers", Value::number(Workers))
-      .set("programs", Value::number(Programs))
-      .set("pipelines", Value::number(Pipelines))
-      .set("analyzer-runs", Value::number(AnalyzerRuns))
-      .set("delta-hits", Value::number(DeltaHits))
-      .set("full-runs", Value::number(FullRuns))
-      .set("retained-sessions", Value::number(RetainedSessions))
-      .set("peak-retained-sessions", Value::number(PeakRetainedSessions))
-      .set("sessions-evicted", Value::number(SessionsEvicted))
-      .set("sessions-persisted", Value::number(SessionsPersisted))
-      .set("sessions-restored", Value::number(SessionsRestored))
-      .set("restores-rejected", Value::number(RestoresRejected))
-      .set("requests", Value::number(Requests))
-      .set("total-ms-sum", Value::number(TotalMsSum))
-      .set("phase1-ms-sum", Value::number(Phase1MsSum))
-      .set("analyzer-ms-sum", Value::number(AnalyzerMsSum))
-      .set("phase2-ms-sum", Value::number(Phase2MsSum))
-      .set("link-ms-sum", Value::number(LinkMsSum));
-  Value C = Value::object();
-  C.set("mem-hits", Value::number(Cache.MemHits))
-      .set("disk-hits", Value::number(Cache.DiskHits))
-      .set("misses", Value::number(Cache.Misses))
-      .set("bytes-read", Value::number(Cache.BytesRead))
-      .set("bytes-written", Value::number(Cache.BytesWritten))
-      .set("interned-values", Value::number(Cache.InternedValues))
-      .set("intern-hits", Value::number(Cache.InternHits))
-      .set("intern-bytes-saved", Value::number(Cache.InternBytesSaved))
-      .set("mem-bytes", Value::number(Cache.MemBytes))
-      .set("peak-mem-bytes", Value::number(Cache.PeakMemBytes))
-      .set("evictions", Value::number(Cache.Evictions))
-      .set("evicted-bytes", Value::number(Cache.EvictedBytes))
-      .set("disk-sweeps", Value::number(Cache.DiskSweeps))
-      .set("disk-evictions", Value::number(Cache.DiskEvictions))
-      .set("disk-evicted-bytes", Value::number(Cache.DiskEvictedBytes));
-  V.set("cache", std::move(C));
-  return V;
-}
-
 BuildService::BuildService(BuildServiceConfig Config_)
     : Config(Config_),
       Cache(std::make_shared<ArtifactCache>(ArtifactCacheConfig{

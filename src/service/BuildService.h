@@ -44,7 +44,6 @@
 #include "driver/ArtifactCache.h"
 #include "driver/BuildRequest.h"
 #include "driver/Pipeline.h"
-#include "support/Json.h"
 #include "support/Status.h"
 
 #include <atomic>
@@ -140,8 +139,38 @@ struct BuildServiceStats {
   double LinkMsSum = 0;
   ArtifactCacheStats Cache;
 
-  /// Renders the snapshot as a JSON object (stable kebab-case keys).
-  json::Value toJson() const;
+  /// Every field with its stable kebab-case key (support/Json.h's
+  /// Record; the "stats" wire request replies with json::encode).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("accepted", S.Accepted);
+    V("completed", S.Completed);
+    V("failed", S.Failed);
+    V("rejected-busy", S.RejectedBusy);
+    V("rejected-shutdown", S.RejectedShutdown);
+    V("coalesced", S.Coalesced);
+    V("queue-depth", S.QueueDepth);
+    V("peak-queue-depth", S.PeakQueueDepth);
+    V("workers", S.Workers);
+    V("programs", S.Programs);
+    V("pipelines", S.Pipelines);
+    V("analyzer-runs", S.AnalyzerRuns);
+    V("delta-hits", S.DeltaHits);
+    V("full-runs", S.FullRuns);
+    V("retained-sessions", S.RetainedSessions);
+    V("peak-retained-sessions", S.PeakRetainedSessions);
+    V("sessions-evicted", S.SessionsEvicted);
+    V("sessions-persisted", S.SessionsPersisted);
+    V("sessions-restored", S.SessionsRestored);
+    V("restores-rejected", S.RestoresRejected);
+    V("requests", S.Requests);
+    V("total-ms-sum", S.TotalMsSum);
+    V("phase1-ms-sum", S.Phase1MsSum);
+    V("analyzer-ms-sum", S.AnalyzerMsSum);
+    V("phase2-ms-sum", S.Phase2MsSum);
+    V("link-ms-sum", S.LinkMsSum);
+    V("cache", S.Cache);
+  }
 };
 
 /// The long-lived build service. Thread-safe; one instance serves

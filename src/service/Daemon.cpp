@@ -185,16 +185,12 @@ void Daemon::serveConnection(std::uint64_t Id, int Fd) {
         break;
       }
       case WireKind::Stats: {
-        json::Value V = Service.stats().toJson();
-        DaemonStats DS = transportStats();
-        V.set("connections-accepted",
-              json::Value::number(DS.ConnectionsAccepted));
-        V.set("connections-rejected",
-              json::Value::number(DS.ConnectionsRejected));
-        V.set("connections-active",
-              json::Value::number(DS.ConnectionsActive));
-        V.set("protocol-errors", json::Value::number(DS.ProtocolErrors));
-        V.set("read-timeouts", json::Value::number(DS.ReadTimeouts));
+        // One flat object: the service's counters, then the transport's.
+        json::Value V = json::encode(Service.stats());
+        const DaemonStats DS = transportStats();
+        DaemonStats::fields(DS, [&V](const char *Key, std::uint64_t N) {
+          V.set(Key, json::encode(N));
+        });
         if (!writeFrame(Fd, encodeStatsReply(V)))
           goto done;
         break;

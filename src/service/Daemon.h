@@ -55,6 +55,16 @@ struct DaemonStats {
   std::uint64_t ConnectionsActive = 0;   ///< Currently serving.
   std::uint64_t ProtocolErrors = 0;      ///< Oversize/truncated frames.
   std::uint64_t ReadTimeouts = 0;        ///< Idle-peer deadline fires.
+
+  /// Every field with its key (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("connections-accepted", S.ConnectionsAccepted);
+    V("connections-rejected", S.ConnectionsRejected);
+    V("connections-active", S.ConnectionsActive);
+    V("protocol-errors", S.ProtocolErrors);
+    V("read-timeouts", S.ReadTimeouts);
+  }
 };
 
 /// A build daemon listening on one stream endpoint (unix or TCP).

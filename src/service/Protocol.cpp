@@ -359,166 +359,6 @@ bool ipra::requestFromJson(const Value &V, BuildRequest &Req,
 // Response codec.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-Value analyzerToJson(const AnalyzerStats &S) {
-  Value V = Value::object();
-  V.set("eligible-globals", Value::number(S.EligibleGlobals))
-      .set("total-webs", Value::number(S.TotalWebs))
-      .set("considered-webs", Value::number(S.ConsideredWebs))
-      .set("colored-webs", Value::number(S.ColoredWebs))
-      .set("split-webs", Value::number(S.SplitWebs))
-      .set("remerged-webs", Value::number(S.RemergedWebs))
-      .set("num-clusters", Value::number(S.NumClusters))
-      .set("total-cluster-nodes", Value::number(S.TotalClusterNodes))
-      .set("max-cluster-size", Value::number(S.MaxClusterSize))
-      .set("escapes-refuted", Value::number(S.EscapesRefuted))
-      .set("indirect-callers-resolved",
-           Value::number(S.IndirectCallersResolved))
-      .set("gpg-composed-procs", Value::number(S.GPGComposedProcs))
-      .set("gpg-contexts", Value::number(S.GPGContexts))
-      .set("gpg-refuted-beyond-andersen",
-           Value::number(S.GPGRefutedBeyondAndersen))
-      .set("gpg-resolved-beyond-andersen",
-           Value::number(S.GPGResolvedBeyondAndersen))
-      .set("read-only-globals", Value::number(S.ReadOnlyGlobals))
-      .set("write-only-globals", Value::number(S.WriteOnlyGlobals))
-      .set("dead-globals", Value::number(S.DeadGlobals))
-      .set("uninit-read-globals", Value::number(S.UninitReadGlobals))
-      .set("dead-procs", Value::number(S.DeadProcs))
-      .set("refsets-ms", Value::number(S.RefSetsMs))
-      .set("modref-ms", Value::number(S.ModRefMs))
-      .set("webs-ms", Value::number(S.WebsMs))
-      .set("coloring-ms", Value::number(S.ColoringMs))
-      .set("clusters-ms", Value::number(S.ClustersMs))
-      .set("regsets-ms", Value::number(S.RegSetsMs));
-  return V;
-}
-
-AnalyzerStats analyzerFromJson(const Value &V) {
-  AnalyzerStats S;
-  S.EligibleGlobals =
-      static_cast<int>(fieldInt(V, "eligible-globals", 0));
-  S.TotalWebs = static_cast<int>(fieldInt(V, "total-webs", 0));
-  S.ConsideredWebs = static_cast<int>(fieldInt(V, "considered-webs", 0));
-  S.ColoredWebs = static_cast<int>(fieldInt(V, "colored-webs", 0));
-  S.SplitWebs = static_cast<int>(fieldInt(V, "split-webs", 0));
-  S.RemergedWebs = static_cast<int>(fieldInt(V, "remerged-webs", 0));
-  S.NumClusters = static_cast<int>(fieldInt(V, "num-clusters", 0));
-  S.TotalClusterNodes =
-      static_cast<int>(fieldInt(V, "total-cluster-nodes", 0));
-  S.MaxClusterSize = static_cast<int>(fieldInt(V, "max-cluster-size", 0));
-  S.EscapesRefuted = static_cast<int>(fieldInt(V, "escapes-refuted", 0));
-  S.IndirectCallersResolved =
-      static_cast<int>(fieldInt(V, "indirect-callers-resolved", 0));
-  S.GPGComposedProcs =
-      static_cast<int>(fieldInt(V, "gpg-composed-procs", 0));
-  S.GPGContexts = static_cast<int>(fieldInt(V, "gpg-contexts", 0));
-  S.GPGRefutedBeyondAndersen =
-      static_cast<int>(fieldInt(V, "gpg-refuted-beyond-andersen", 0));
-  S.GPGResolvedBeyondAndersen =
-      static_cast<int>(fieldInt(V, "gpg-resolved-beyond-andersen", 0));
-  S.ReadOnlyGlobals =
-      static_cast<int>(fieldInt(V, "read-only-globals", 0));
-  S.WriteOnlyGlobals =
-      static_cast<int>(fieldInt(V, "write-only-globals", 0));
-  S.DeadGlobals = static_cast<int>(fieldInt(V, "dead-globals", 0));
-  S.UninitReadGlobals =
-      static_cast<int>(fieldInt(V, "uninit-read-globals", 0));
-  S.DeadProcs = static_cast<int>(fieldInt(V, "dead-procs", 0));
-  S.RefSetsMs = fieldNum(V, "refsets-ms", 0);
-  S.ModRefMs = fieldNum(V, "modref-ms", 0);
-  S.WebsMs = fieldNum(V, "webs-ms", 0);
-  S.ColoringMs = fieldNum(V, "coloring-ms", 0);
-  S.ClustersMs = fieldNum(V, "clusters-ms", 0);
-  S.RegSetsMs = fieldNum(V, "regsets-ms", 0);
-  return S;
-}
-
-Value statsToJson(const PipelineStats &S) {
-  Value V = Value::object();
-  V.set("threads-used", Value::number(S.ThreadsUsed))
-      .set("front-end-ms", Value::number(S.FrontEndMs))
-      .set("phase1-ms", Value::number(S.Phase1Ms))
-      .set("analyzer-ms", Value::number(S.AnalyzerMs))
-      .set("phase2-ms", Value::number(S.Phase2Ms))
-      .set("link-ms", Value::number(S.LinkMs))
-      .set("total-ms", Value::number(S.TotalMs))
-      .set("analyzer-mode", Value::str(S.AnalyzerMode))
-      .set("analyzer-fallback-reason",
-           Value::str(S.AnalyzerFallbackReason))
-      .set("phase1-cache-hits", Value::number(S.Phase1CacheHits))
-      .set("phase1-cache-misses", Value::number(S.Phase1CacheMisses))
-      .set("analyzer-cache-hits", Value::number(S.AnalyzerCacheHits))
-      .set("analyzer-cache-misses", Value::number(S.AnalyzerCacheMisses))
-      .set("phase2-cache-hits", Value::number(S.Phase2CacheHits))
-      .set("phase2-cache-misses", Value::number(S.Phase2CacheMisses))
-      .set("cache-bytes-saved", Value::number(S.CacheBytesSaved))
-      .set("summary-bytes", Value::number(S.SummaryBytes))
-      .set("database-bytes", Value::number(S.DatabaseBytes))
-      .set("object-bytes", Value::number(S.ObjectBytes));
-  return V;
-}
-
-PipelineStats statsFromJson(const Value &V) {
-  PipelineStats S;
-  S.ThreadsUsed = static_cast<unsigned>(fieldInt(V, "threads-used", 1));
-  S.FrontEndMs = fieldNum(V, "front-end-ms", 0);
-  S.Phase1Ms = fieldNum(V, "phase1-ms", 0);
-  S.AnalyzerMs = fieldNum(V, "analyzer-ms", 0);
-  S.Phase2Ms = fieldNum(V, "phase2-ms", 0);
-  S.LinkMs = fieldNum(V, "link-ms", 0);
-  S.TotalMs = fieldNum(V, "total-ms", 0);
-  S.AnalyzerMode = fieldStr(V, "analyzer-mode");
-  S.AnalyzerFallbackReason = fieldStr(V, "analyzer-fallback-reason");
-  S.Phase1CacheHits =
-      static_cast<unsigned>(fieldInt(V, "phase1-cache-hits", 0));
-  S.Phase1CacheMisses =
-      static_cast<unsigned>(fieldInt(V, "phase1-cache-misses", 0));
-  S.AnalyzerCacheHits =
-      static_cast<unsigned>(fieldInt(V, "analyzer-cache-hits", 0));
-  S.AnalyzerCacheMisses =
-      static_cast<unsigned>(fieldInt(V, "analyzer-cache-misses", 0));
-  S.Phase2CacheHits =
-      static_cast<unsigned>(fieldInt(V, "phase2-cache-hits", 0));
-  S.Phase2CacheMisses =
-      static_cast<unsigned>(fieldInt(V, "phase2-cache-misses", 0));
-  S.CacheBytesSaved =
-      static_cast<size_t>(fieldInt(V, "cache-bytes-saved", 0));
-  S.SummaryBytes = static_cast<size_t>(fieldInt(V, "summary-bytes", 0));
-  S.DatabaseBytes = static_cast<size_t>(fieldInt(V, "database-bytes", 0));
-  S.ObjectBytes = static_cast<size_t>(fieldInt(V, "object-bytes", 0));
-  return S;
-}
-
-Value deltaToJson(const DeltaStats &D) {
-  Value V = Value::object();
-  V.set("mode", Value::str(D.Mode == DeltaMode::Incremental ? "incremental"
-                                                            : "full"))
-      .set("fallback-reason", Value::str(D.FallbackReason))
-      .set("changed-procs", Value::number(D.ChangedProcs))
-      .set("damaged-sccs", Value::number(D.DamagedSccs))
-      .set("total-sccs", Value::number(D.TotalSccs))
-      .set("damaged-globals", Value::number(D.DamagedGlobals))
-      .set("total-globals", Value::number(D.TotalGlobals));
-  return V;
-}
-
-DeltaStats deltaFromJson(const Value &V) {
-  DeltaStats D;
-  D.Mode = fieldStr(V, "mode") == "incremental" ? DeltaMode::Incremental
-                                                : DeltaMode::Full;
-  D.FallbackReason = fieldStr(V, "fallback-reason");
-  D.ChangedProcs = static_cast<int>(fieldInt(V, "changed-procs", 0));
-  D.DamagedSccs = static_cast<int>(fieldInt(V, "damaged-sccs", 0));
-  D.TotalSccs = static_cast<int>(fieldInt(V, "total-sccs", 0));
-  D.DamagedGlobals = static_cast<int>(fieldInt(V, "damaged-globals", 0));
-  D.TotalGlobals = static_cast<int>(fieldInt(V, "total-globals", 0));
-  return D;
-}
-
-} // namespace
-
 Value ipra::responseToJson(const BuildResponse &Resp) {
   Value V = Value::object();
   V.set("program", Value::str(Resp.Program))
@@ -541,9 +381,12 @@ Value ipra::responseToJson(const BuildResponse &Resp) {
     LintsJson.push(Value::str(L));
   V.set("lints-json", std::move(LintsJson));
   V.set("from-cache", Value::boolean(Resp.FromCache));
-  V.set("analyzer", analyzerToJson(Resp.Analyzer));
-  V.set("delta", deltaToJson(Resp.Delta));
-  V.set("stats", statsToJson(Resp.Stats));
+  V.set("analyzer", json::encode(Resp.Analyzer));
+  V.set("delta", json::encode(Resp.Delta));
+  Value Stats = json::encode(Resp.Stats);
+  // Clients read the delta fallback reason from the stats object too.
+  Stats.set("analyzer-fallback-reason", Value::str(Resp.Delta.FallbackReason));
+  V.set("stats", std::move(Stats));
   return V;
 }
 
@@ -567,11 +410,11 @@ BuildResponse ipra::responseFromJson(const Value &V) {
       Resp.LintsJson.push_back(L.asString());
   Resp.FromCache = fieldBool(V, "from-cache", false);
   if (const Value *A = V.find("analyzer"))
-    Resp.Analyzer = analyzerFromJson(*A);
+    json::decode(*A, Resp.Analyzer);
   if (const Value *D = V.find("delta"))
-    Resp.Delta = deltaFromJson(*D);
+    json::decode(*D, Resp.Delta);
   if (const Value *S = V.find("stats"))
-    Resp.Stats = statsFromJson(*S);
+    json::decode(*S, Resp.Stats);
   return Resp;
 }
 

@@ -16,6 +16,11 @@
 /// exactly enough to carry MiniC source text, artifacts, diagnostics,
 /// and counters between the mcc client and the build daemon.
 ///
+/// encode()/decode() map a statistics record to and from a JSON object
+/// through the record's one field list (see Record below), so every
+/// encoding of a record — the service wire, the analyzer cache entry —
+/// is driven by the same list of (key, member) rows.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPRA_SUPPORT_JSON_H
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,8 +112,12 @@ public:
   double asNumber(double Default = 0) const {
     return K == Kind::Number ? Num : Default;
   }
+  /// Non-finite numbers and numbers outside long long have no integer
+  /// reading and yield the default, like a mistyped value.
   long long asInt(long long Default = 0) const {
-    return K == Kind::Number ? static_cast<long long>(Num) : Default;
+    if (K != Kind::Number || !(Num >= -0x1p63 && Num < 0x1p63))
+      return Default;
+    return static_cast<long long>(Num);
   }
   const std::string &asString() const { return Str; }
 
@@ -134,6 +144,97 @@ private:
 
 /// Escapes \p S as a JSON string literal (with quotes).
 std::string quote(std::string_view S);
+
+//===----------------------------------------------------------------------===//
+// Record codec.
+//===----------------------------------------------------------------------===//
+
+/// A record lists its fields once, in a static member template
+/// `fields(Self &S, Visit &&V)` that calls `V(Key, S.Member)` for every
+/// member, in wire order. Self is the record or its const form, so the
+/// same list serves encoding and decoding.
+template <typename R>
+concept Record = requires(R &Rec) {
+  R::fields(Rec, [](const char *, auto &) {});
+};
+
+template <typename T> struct IsVector : std::false_type {};
+template <typename T, typename A>
+struct IsVector<std::vector<T, A>> : std::true_type {};
+
+/// Encodes a field value: numbers, bools, strings, enums (by the name
+/// `enumName(E)` returns, found by argument-dependent lookup), vectors
+/// (arrays) and records (objects, one key per listed field).
+template <typename T> Value encode(const T &X) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Value::boolean(X);
+  } else if constexpr (std::is_enum_v<T>) {
+    return Value::str(enumName(X));
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return Value::number(static_cast<double>(X));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Value::str(X);
+  } else if constexpr (IsVector<T>::value) {
+    Value V = Value::array();
+    for (const auto &E : X)
+      V.push(encode(E));
+    return V;
+  } else {
+    static_assert(Record<T>, "encode: not a number, string or record");
+    Value V = Value::object();
+    T::fields(X, [&V](const char *Key, const auto &F) {
+      V.set(Key, encode(F));
+    });
+    return V;
+  }
+}
+
+/// Decodes \p V into \p X (the inverse of encode(); enums parse through
+/// `enumFromName(Name, E)`, found by argument-dependent lookup). A value
+/// of the wrong kind leaves its field as it was, and so does a key the
+/// object lacks. Returns true only when every field was present with
+/// the right kind — the strict reading a cache entry needs; wire
+/// readers ignore it and keep the defaults.
+template <typename T> bool decode(const Value &V, T &X) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!V.isBool())
+      return false;
+    X = V.asBool();
+  } else if constexpr (std::is_enum_v<T>) {
+    return V.isString() && enumFromName(V.asString(), X);
+  } else if constexpr (std::is_integral_v<T>) {
+    if (!V.isNumber())
+      return false;
+    X = static_cast<T>(V.asInt());
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!V.isNumber())
+      return false;
+    X = static_cast<T>(V.asNumber());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!V.isString())
+      return false;
+    X = V.asString();
+  } else if constexpr (IsVector<T>::value) {
+    if (!V.isArray())
+      return false;
+    X.clear();
+    bool Complete = true;
+    for (const Value &Item : V.items())
+      Complete &= decode(Item, X.emplace_back());
+    return Complete;
+  } else {
+    static_assert(Record<T>, "decode: not a number, string or record");
+    if (!V.isObject())
+      return false;
+    bool Complete = true;
+    T::fields(X, [&](const char *Key, auto &F) {
+      const Value *M = V.find(Key);
+      Complete &= M && decode(*M, F);
+    });
+    return Complete;
+  }
+  return true;
+}
 
 } // namespace ipra::json
 

@@ -74,10 +74,24 @@ int main() {
   return 0;
 }
 SRC
-LOCAL2="$("$MCC" --config C lib.mc main.mc)"
-REMOTE2="$("$MCC" --client "$SOCK" --program cli-demo lib.mc main.mc)"
+LOCAL2="$("$MCC" --config C --stats lib.mc main.mc 2> local2.txt)"
+REMOTE2="$("$MCC" --client "$SOCK" --program cli-demo --stats lib.mc main.mc \
+  2> remote2.txt)"
 [ "$LOCAL2" = "$REMOTE2" ] \
   || { echo "edited remote build output differs" >&2; exit 1; }
+
+# The client's --stats report shows what the reply carries: the delta
+# analyzer's damage counters, the points-to line, and the analyzer's
+# mod/ref census, equal to the in-process report up to timings.
+grep -Eq '^  delta: changed-procs=[1-9]' remote2.txt \
+  || { echo "remote --stats lost the delta counters" >&2; cat remote2.txt >&2; exit 1; }
+grep -q '^  points-to: ' remote2.txt \
+  || { echo "remote --stats lost the points-to line" >&2; cat remote2.txt >&2; exit 1; }
+MASK='s/time=[0-9.]*ms/time=Xms/'
+LOCAL_MODREF="$(grep '^  modref: ' local2.txt | sed "$MASK")"
+REMOTE_MODREF="$(grep '^  modref: ' remote2.txt | sed "$MASK")"
+[ -n "$LOCAL_MODREF" ] && [ "$LOCAL_MODREF" = "$REMOTE_MODREF" ] \
+  || { echo "modref lines differ: local '$LOCAL_MODREF' remote '$REMOTE_MODREF'" >&2; exit 1; }
 
 STATS="$("$MCC" --client "$SOCK" --remote-stats)"
 echo "$STATS" | grep -q '"completed":3' \

@@ -23,6 +23,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <unistd.h>
 
 using namespace ipra;
@@ -139,7 +140,8 @@ TEST(IncrementalTest, NoopRebuildHitsEveryPhase) {
   EXPECT_EQ(Warm.Analyzer.EligibleGlobals, Cold.Analyzer.EligibleGlobals);
   EXPECT_EQ(Warm.Analyzer.ColoredWebs, Cold.Analyzer.ColoredWebs);
   // The stats report shows the cache line.
-  EXPECT_NE(Warm.Stats.toString().find("cache: phase1 9/9"),
+  EXPECT_NE(Warm.Stats.toString(Warm.Analyzer, Warm.Delta)
+                .find("cache: phase1 9/9"),
             std::string::npos);
 }
 
@@ -374,6 +376,54 @@ TEST(IncrementalTest, CorruptOrDeletedEntriesAreRecomputed) {
   BuildResult Warm = P2.build(corpus());
   ASSERT_TRUE(Warm.ok()) << Warm.Diags.text();
   EXPECT_EQ(Warm.Stats.Phase2CacheHits, Warm.Stats.Modules.size());
+}
+
+TEST(IncrementalTest, PositionalAnalyzerStatsEntryIsAMiss) {
+  TempDir Dir("positional");
+  PipelineConfig C = PipelineConfig::configC();
+  C.CacheDir = Dir.str();
+  BuildResult Cold = Pipeline(C).build(corpus());
+  ASSERT_TRUE(Cold.ok()) << Cold.Diags.text();
+
+  // Rewrite the analyzer entry (the one whose second line opens the
+  // database) into the older positional form, one line of
+  // "analyzer-stats" followed by the counters and sub-phase times.
+  size_t Rewritten = 0;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir.str())) {
+    std::ifstream In(E.path(), std::ios::binary);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    In.close();
+    std::string Text = Buf.str();
+    size_t NL = Text.find('\n');
+    if (NL == std::string::npos ||
+        Text.compare(NL + 1, 14, "ipra-db-format") != 0)
+      continue;
+    std::ostringstream Line;
+    Line << "analyzer-stats";
+    AnalyzerStats::fields(Cold.Analyzer, [&Line](const char *, auto F) {
+      Line << " " << F;
+    });
+    std::ofstream Out(E.path(), std::ios::binary | std::ios::trunc);
+    Out << Line.str() << Text.substr(NL);
+    ++Rewritten;
+  }
+  ASSERT_EQ(Rewritten, 1u);
+
+  Pipeline P(C);
+  BuildResult Warm = P.build(corpus());
+  ASSERT_TRUE(Warm.ok()) << Warm.Diags.text();
+  EXPECT_EQ(Warm.Stats.AnalyzerCacheHits, 0u);
+  EXPECT_EQ(Warm.Stats.AnalyzerCacheMisses, 1u);
+  EXPECT_EQ(Warm.Stats.Phase1CacheHits, Warm.Stats.Modules.size());
+  expectSameArtifacts(Cold, Warm);
+  EXPECT_EQ(Warm.Analyzer.ColoredWebs, Cold.Analyzer.ColoredWebs);
+
+  // The re-analysis wrote the current form back; it hits again.
+  BuildResult Again = Pipeline(C).build(corpus());
+  ASSERT_TRUE(Again.ok()) << Again.Diags.text();
+  EXPECT_EQ(Again.Stats.AnalyzerCacheHits, 1u);
+  EXPECT_EQ(Again.Analyzer.ColoredWebs, Cold.Analyzer.ColoredWebs);
 }
 
 TEST(IncrementalTest, WarmRebuildsAreByteIdenticalAcrossThreadCounts) {
@@ -866,7 +916,7 @@ TEST(IncrementalTest, DeltaAnalysisBuildMatchesColdBuild) {
   BuildResult Cold = P.build(corpus());
   ASSERT_TRUE(Cold.ok()) << Cold.Diags.text();
   EXPECT_EQ(Cold.Stats.AnalyzerMode, "full");
-  EXPECT_EQ(Cold.Stats.AnalyzerFallbackReason, "first analysis");
+  EXPECT_EQ(Cold.Delta.FallbackReason, "first analysis");
 
   // Byte-identical to a delta-free build of the same sources.
   BuildResult Plain = Pipeline(PipelineConfig::configC()).build(corpus());
@@ -889,11 +939,11 @@ TEST(IncrementalTest, DeltaAnalysisBuildMatchesColdBuild) {
   ASSERT_TRUE(Warm.ok()) << Warm.Diags.text();
   EXPECT_EQ(Warm.Stats.AnalyzerCacheMisses, 1u);
   EXPECT_EQ(Warm.Stats.AnalyzerMode, "delta");
-  EXPECT_TRUE(Warm.Stats.AnalyzerFallbackReason.empty())
-      << Warm.Stats.AnalyzerFallbackReason;
-  EXPECT_EQ(Warm.Stats.AnalyzerChangedProcs, 1);
-  EXPECT_GT(Warm.Stats.AnalyzerTotalSccs, 0);
-  EXPECT_LT(Warm.Stats.AnalyzerDamagedSccs, Warm.Stats.AnalyzerTotalSccs);
+  EXPECT_TRUE(Warm.Delta.FallbackReason.empty())
+      << Warm.Delta.FallbackReason;
+  EXPECT_EQ(Warm.Delta.ChangedProcs, 1);
+  EXPECT_GT(Warm.Delta.TotalSccs, 0);
+  EXPECT_LT(Warm.Delta.DamagedSccs, Warm.Delta.TotalSccs);
 
   BuildResult PlainEdited =
       Pipeline(PipelineConfig::configC()).build(Edited);
@@ -904,14 +954,13 @@ TEST(IncrementalTest, DeltaAnalysisBuildMatchesColdBuild) {
   BuildResult Again = P.build(Edited);
   ASSERT_TRUE(Again.ok()) << Again.Diags.text();
   EXPECT_EQ(Again.Stats.AnalyzerMode, "cached");
-  EXPECT_TRUE(Again.Stats.AnalyzerFallbackReason.empty());
+  EXPECT_TRUE(Again.Delta.FallbackReason.empty());
   expectSameArtifacts(Warm, Again);
 
   // The stats report renders the mode tag and the damage counters.
-  EXPECT_NE(Warm.Stats.toString().find("analyzer phases (delta)"),
-            std::string::npos);
-  EXPECT_NE(Warm.Stats.toString().find("delta: changed-procs=1"),
-            std::string::npos);
+  std::string Report = Warm.Stats.toString(Warm.Analyzer, Warm.Delta);
+  EXPECT_NE(Report.find("analyzer phases (delta)"), std::string::npos);
+  EXPECT_NE(Report.find("delta: changed-procs=1"), std::string::npos);
 }
 
 // A mod/ref-only edit: dropping the last reachable store to g5 flips

@@ -848,7 +848,7 @@ TEST(ParallelPipelineTest, PipelineStatsArePopulated) {
     ObjectBytes += O.size();
   EXPECT_EQ(PS.ObjectBytes, ObjectBytes);
 
-  std::string Report = PS.toString();
+  std::string Report = PS.toString(R.Analyzer, R.Delta);
   EXPECT_NE(Report.find("threads=2"), std::string::npos);
   EXPECT_NE(Report.find("module main.mc"), std::string::npos);
   EXPECT_NE(Report.find("database="), std::string::npos);

@@ -5,11 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The summary-file, program-database, and object-file parsers consume
-/// artifacts that cross tool boundaries; they must reject (never crash
-/// on) arbitrary mutations of valid inputs. Each seed derives a valid
-/// artifact from a random program, applies byte-level mutations, and
-/// feeds the result back through the parser.
+/// The summary-file, program-database, and object-file parsers and the
+/// service's reply decoder consume text that crosses tool boundaries;
+/// they must reject (never crash on) arbitrary mutations of valid
+/// inputs. Each seed derives a valid artifact from a random program,
+/// applies byte-level mutations, and feeds the result back through the
+/// parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "core/Analyzer.h"
 #include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
+#include "service/Protocol.h"
 #include "summary/Summary.h"
 
 #include <gtest/gtest.h>
@@ -68,6 +70,14 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
   BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
   ASSERT_TRUE(R.ok()) << R.text();
 
+  // A build reply carrying this build's statistics (the artifacts are
+  // fuzzed through their own parsers above).
+  BuildResponse Resp;
+  Resp.Analyzer = R.Analyzer;
+  Resp.Delta = R.Delta;
+  Resp.Stats = R.Stats;
+  const std::string ReplyText = responseToJson(Resp).dump();
+
   std::mt19937 Rng(GetParam() * 7919 + 13);
   for (int Round = 0; Round < 30; ++Round) {
     int Mutations = 1 + static_cast<int>(Rng() % 25);
@@ -88,6 +98,12 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
                Mutations);
     ObjectFile OF;
     readObjectFile(Obj, OF, Error);
+
+    // A mutated reply that still parses as JSON (mangled keys, values
+    // of the wrong kind, numbers out of range) decodes to defaults.
+    json::Value Reply;
+    if (json::Value::parse(mutate(ReplyText, Rng, Mutations), Reply, Error))
+      responseFromJson(Reply);
   }
   SUCCEED();
 }

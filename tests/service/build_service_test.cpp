@@ -75,7 +75,7 @@ TEST(BuildServiceTest, BuildRebuildAndDeltaEdit) {
       Service.handle(fullRequest("prog", 1, /*Version=*/1));
   ASSERT_TRUE(Edited.ok()) << Edited.text();
   EXPECT_EQ(Edited.Value.Stats.AnalyzerMode, "delta")
-      << "fallback: " << Edited.Value.Stats.AnalyzerFallbackReason;
+      << "fallback: " << Edited.Value.Delta.FallbackReason;
   expectMatchesReference(Edited.Value, editedCorpus(1, 1));
 
   BuildServiceStats Stats = Service.stats();

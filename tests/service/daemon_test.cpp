@@ -123,7 +123,7 @@ TEST(DaemonTest, OneConnectionManyRequests) {
       PipelineConfig::configC(), editedCorpus(7, 1), "p"));
   ASSERT_TRUE(Edited.ok()) << Edited.text();
   EXPECT_EQ(Edited.Value.Stats.AnalyzerMode, "delta")
-      << "fallback: " << Edited.Value.Stats.AnalyzerFallbackReason;
+      << "fallback: " << Edited.Value.Delta.FallbackReason;
 
   Result<json::Value> Stats = C.stats();
   ASSERT_TRUE(Stats.ok());

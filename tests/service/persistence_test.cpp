@@ -104,7 +104,7 @@ TEST(SessionEvictionTest, UnboundedServiceKeepsTheDeltaPath) {
   Result<BuildResponse> R = Service.handle(fullRequest("a", 1, 1));
   ASSERT_TRUE(R.ok()) << R.text();
   EXPECT_EQ(R.Value.Stats.AnalyzerMode, "delta")
-      << "fallback: " << R.Value.Stats.AnalyzerFallbackReason;
+      << "fallback: " << R.Value.Delta.FallbackReason;
   expectMatchesReference(R.Value, editedCorpus(1, 1));
   EXPECT_EQ(Service.stats().SessionsEvicted, 0ull);
 }
@@ -125,7 +125,7 @@ TEST(SessionEvictionTest, SessionDirTurnsEvictionIntoWarmReload) {
   Result<BuildResponse> R = Service.handle(fullRequest("a", 1, 1));
   ASSERT_TRUE(R.ok()) << R.text();
   EXPECT_EQ(R.Value.Stats.AnalyzerMode, "delta")
-      << "fallback: " << R.Value.Stats.AnalyzerFallbackReason;
+      << "fallback: " << R.Value.Delta.FallbackReason;
   expectMatchesReference(R.Value, editedCorpus(1, 1));
 
   BuildServiceStats Stats = Service.stats();
@@ -154,7 +154,7 @@ TEST(WarmRestartTest, ShutdownPersistsAndTheNextServiceRestores) {
   Result<BuildResponse> R = Second.handle(fullRequest("prog", 3, 1));
   ASSERT_TRUE(R.ok()) << R.text();
   EXPECT_EQ(R.Value.Stats.AnalyzerMode, "delta")
-      << "fallback: " << R.Value.Stats.AnalyzerFallbackReason;
+      << "fallback: " << R.Value.Delta.FallbackReason;
   expectMatchesReference(R.Value, editedCorpus(3, 1));
 
   BuildServiceStats Stats = Second.stats();

@@ -20,6 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iomanip>
+#include <sstream>
+#include <type_traits>
 #include <unistd.h>
 
 using namespace ipra;
@@ -163,6 +166,71 @@ TEST(ProtocolTest, PhaseRequestsRoundTrip) {
   ASSERT_EQ(Back.Objects.size(), 2u);
 }
 
+/// Gives every field of \p F a non-default value through the records'
+/// field lists: numbers count up from \p Next (so no two are equal),
+/// strings name their counter, bools are true, enums their non-default
+/// value, and vectors get one element.
+template <typename T> void fillFields(T &F, int &Next) {
+  if constexpr (std::is_same_v<T, bool>)
+    F = true;
+  else if constexpr (std::is_same_v<T, DeltaMode>)
+    F = DeltaMode::Incremental;
+  else if constexpr (std::is_floating_point_v<T>)
+    F = ++Next + 0.25;
+  else if constexpr (std::is_arithmetic_v<T>)
+    F = static_cast<T>(++Next);
+  else if constexpr (std::is_same_v<T, std::string>)
+    F = "s" + std::to_string(++Next);
+  else if constexpr (json::IsVector<T>::value)
+    fillFields(F.emplace_back(), Next);
+  else
+    T::fields(F, [&Next](const char *, auto &M) { fillFields(M, Next); });
+}
+
+/// Every leaf field of \p F as a (key path, rendered value) pair.
+template <typename T>
+void flattenFields(const T &F, const std::string &Path,
+                   std::vector<std::pair<std::string, std::string>> &Out) {
+  if constexpr (std::is_same_v<T, DeltaMode>) {
+    Out.emplace_back(Path, enumName(F));
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    std::ostringstream OS;
+    OS << std::setprecision(17) << F;
+    Out.emplace_back(Path, OS.str());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Out.emplace_back(Path, F);
+  } else if constexpr (json::IsVector<T>::value) {
+    Out.emplace_back(Path + ".size", std::to_string(F.size()));
+    for (size_t I = 0; I < F.size(); ++I)
+      flattenFields(F[I], Path + "[" + std::to_string(I) + "]", Out);
+  } else {
+    T::fields(F, [&](const char *Key, const auto &M) {
+      flattenFields(M, Path + "." + Key, Out);
+    });
+  }
+}
+
+template <typename T>
+std::vector<std::pair<std::string, std::string>> flatten(const T &F) {
+  std::vector<std::pair<std::string, std::string>> Out;
+  flattenFields(F, "", Out);
+  return Out;
+}
+
+/// Fills every listed field of \p Rec and checks that each one differs
+/// from the default; returns the number of leaf fields.
+template <typename T> size_t fillAndCheck(T &Rec, int &Next) {
+  fillFields(Rec, Next);
+  auto Filled = flatten(Rec);
+  auto Defaults = flatten(T());
+  for (size_t I = 0; I < Filled.size(); ++I) {
+    if (I < Defaults.size() && Filled[I].first == Defaults[I].first) {
+      EXPECT_NE(Filled[I].second, Defaults[I].second) << Filled[I].first;
+    }
+  }
+  return Filled.size();
+}
+
 TEST(ProtocolTest, ResponseRoundTrip) {
   BuildResponse Resp;
   Resp.Program = "p";
@@ -171,45 +239,49 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   Resp.Database = "db";
   Resp.Objects = {"o1", "o2", "o3"};
   Resp.FromCache = true;
-  Resp.Stats.TotalMs = 12.5;
-  Resp.Stats.AnalyzerMode = "delta";
-  Resp.Stats.Phase1CacheHits = 4;
-  Resp.Analyzer.TotalWebs = 9;
-  Resp.Analyzer.ReadOnlyGlobals = 3;
-  Resp.Analyzer.WriteOnlyGlobals = 2;
-  Resp.Analyzer.DeadGlobals = 1;
-  Resp.Analyzer.UninitReadGlobals = 4;
-  Resp.Analyzer.DeadProcs = 5;
-  Resp.Analyzer.ModRefMs = 0.5;
-  Resp.Delta.Mode = DeltaMode::Incremental;
-  Resp.Delta.ChangedProcs = 1;
-  Resp.Delta.TotalSccs = 17;
   Resp.Lints = {"lint: dead-global: g: unused"};
   Resp.LintsJson = {"{\"kind\":\"dead-global\"}"};
+  // Every statistic, through the field lists: one Modules entry and the
+  // Cache snapshot included.
+  int Next = 0;
+  EXPECT_GE(fillAndCheck(Resp.Analyzer, Next), 26u);
+  EXPECT_GE(fillAndCheck(Resp.Delta, Next), 7u);
+  EXPECT_GE(fillAndCheck(Resp.Stats, Next), 23u + 15u + 1u + 10u);
+  ASSERT_EQ(Resp.Stats.Modules.size(), 1u);
 
-  BuildResponse Back = responseFromJson(responseToJson(Resp));
+  json::Value Wire = responseToJson(Resp);
+  std::string Error;
+  json::Value Parsed;
+  ASSERT_TRUE(json::Value::parse(Wire.dump(), Parsed, Error)) << Error;
+  BuildResponse Back = responseFromJson(Parsed);
   EXPECT_EQ(Back.Program, "p");
   EXPECT_EQ(Back.Summaries, Resp.Summaries);
   EXPECT_EQ(Back.Database, "db");
   EXPECT_EQ(Back.Objects, Resp.Objects);
   EXPECT_TRUE(Back.FromCache);
-  EXPECT_DOUBLE_EQ(Back.Stats.TotalMs, 12.5);
-  EXPECT_EQ(Back.Stats.AnalyzerMode, "delta");
-  EXPECT_EQ(Back.Stats.Phase1CacheHits, 4u);
-  EXPECT_EQ(Back.Analyzer.TotalWebs, 9);
-  EXPECT_EQ(Back.Analyzer.ReadOnlyGlobals, 3);
-  EXPECT_EQ(Back.Analyzer.WriteOnlyGlobals, 2);
-  EXPECT_EQ(Back.Analyzer.DeadGlobals, 1);
-  EXPECT_EQ(Back.Analyzer.UninitReadGlobals, 4);
-  EXPECT_EQ(Back.Analyzer.DeadProcs, 5);
-  EXPECT_DOUBLE_EQ(Back.Analyzer.ModRefMs, 0.5);
-  EXPECT_EQ(Back.Delta.Mode, DeltaMode::Incremental);
-  EXPECT_EQ(Back.Delta.ChangedProcs, 1);
-  EXPECT_EQ(Back.Delta.TotalSccs, 17);
+  EXPECT_EQ(flatten(Back.Analyzer), flatten(Resp.Analyzer));
+  EXPECT_EQ(flatten(Back.Delta), flatten(Resp.Delta));
+  EXPECT_EQ(flatten(Back.Stats), flatten(Resp.Stats));
   EXPECT_EQ(Back.Lints, Resp.Lints);
   EXPECT_EQ(Back.LintsJson, Resp.LintsJson);
   // The executable never crosses the wire.
   EXPECT_TRUE(Back.Exe.Code.empty());
+
+  // The stats object keeps every key older readers know, including the
+  // delta fallback reason.
+  const json::Value *Stats = Parsed.find("stats");
+  ASSERT_NE(Stats, nullptr);
+  for (const char *Key :
+       {"threads-used", "front-end-ms", "phase1-ms", "analyzer-ms",
+        "phase2-ms", "link-ms", "total-ms", "analyzer-mode",
+        "analyzer-fallback-reason", "phase1-cache-hits",
+        "phase1-cache-misses", "analyzer-cache-hits",
+        "analyzer-cache-misses", "phase2-cache-hits", "phase2-cache-misses",
+        "cache-bytes-saved", "summary-bytes", "database-bytes",
+        "object-bytes"})
+    EXPECT_NE(Stats->find(Key), nullptr) << Key;
+  EXPECT_EQ(Stats->find("analyzer-fallback-reason")->asString(),
+            Resp.Delta.FallbackReason);
 }
 
 TEST(ProtocolTest, EnvelopeDispatch) {

@@ -161,6 +161,23 @@ TEST(JsonEdge, NumericExtremesRoundTrip) {
   EXPECT_EQ(Value::number(std::nan("")).dump(), "null");
 }
 
+TEST(JsonEdge, OutOfRangeNumbersHaveNoIntegerReading) {
+  // A number outside long long (or not finite: strtod turns 1e999 into
+  // infinity) reads as the default, like a mistyped value, instead of
+  // an undefined float-to-integer conversion.
+  for (const char *Text : {"1e300", "-1e300", "1e999", "-1e999",
+                           "9223372036854775808"}) {
+    Value V;
+    ASSERT_TRUE(parses(Text, &V)) << Text;
+    EXPECT_EQ(V.asInt(7), 7) << Text;
+  }
+  Value V;
+  ASSERT_TRUE(parses("-9223372036854775808", &V));
+  EXPECT_EQ(V.asInt(7), -9223372036854775807LL - 1);
+  ASSERT_TRUE(parses("-1e18", &V));
+  EXPECT_EQ(V.asInt(7), -1000000000000000000LL);
+}
+
 TEST(JsonEdge, LenientAccessorsDefaultOnWrongKind) {
   Value V;
   ASSERT_TRUE(parses("{\"s\": \"text\", \"n\": 3}", &V));
