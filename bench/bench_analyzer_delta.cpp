@@ -12,8 +12,11 @@
 /// single-module edit sweeps — global-reference re-weights, register
 /// footprint changes, call-frequency changes — and times the
 /// damage-region re-analysis against a cold full analysis for every
-/// edit. The two databases are byte-compared each time; any mismatch
-/// aborts non-zero (a wrong answer would invalidate every number).
+/// edit. Next to that core timing it times the whole op a build runs:
+/// Pipeline::analyze with delta analysis on, summary texts in and
+/// database text out. The three databases are byte-compared each time;
+/// any mismatch aborts non-zero (a wrong answer would invalidate every
+/// number).
 ///
 /// Results go to stdout as a table and to BENCH_analyzer_delta.json.
 /// --smoke runs a small configuration (the delta ctest entry);
@@ -22,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/DeltaAnalyzer.h"
+#include "driver/Pipeline.h"
 
 #include <algorithm>
 #include <chrono>
@@ -196,6 +200,7 @@ struct EditResult {
   std::string Kind;
   int Module = 0;
   double DeltaMs = 0;
+  double OpMs = 0; ///< Pipeline::analyze, texts in and text out.
   double FullMs = 0;
   DeltaStats Stats;
 };
@@ -220,14 +225,34 @@ void runSweep(int NumModules, int ProcsPerModule, int GlobalsPerModule,
   auto T0 = Clock::now();
   DA.analyze(Mods, Options);
   double PrimeMs = msSince(T0);
+
+  // The same analysis as a build runs it: the pipeline's own session
+  // parses the summary texts it has not seen and writes the database
+  // text. The memory budget bounds the cache, as a long-lived build
+  // service would.
+  PipelineConfig Config;
+  Config.setAnalyzerOptions(Options);
+  Config.NumThreads = Options.NumThreads;
+  Config.DeltaAnalysis = true;
+  Config.CacheMemBudgetBytes = 32u << 20;
+  Pipeline Pipe(Config);
+  std::vector<std::string> Texts;
+  for (const ModuleSummary &M : Mods)
+    Texts.push_back(writeSummary(M));
+  if (DatabaseResult R = Pipe.analyze(Texts); !R.ok()) {
+    std::fprintf(stderr, "FATAL: pipeline prime failed: %s\n",
+                 R.text().c_str());
+    std::exit(1);
+  }
   const AnalyzerStats &PS = DA.stats();
   std::printf("  prime (cold full analysis): %.1fms "
               "(refsets=%.1fms webs=%.1fms coloring=%.1fms "
               "clusters=%.1fms regsets=%.1fms)\n\n",
               PrimeMs, PS.RefSetsMs, PS.WebsMs, PS.ColoringMs,
               PS.ClustersMs, PS.RegSetsMs);
-  std::printf("  %-10s %7s | %9s %9s %8s | %13s %9s\n", "edit", "module",
-              "delta", "full", "speedup", "damaged sccs", "web reuse");
+  std::printf("  %-10s %7s | %9s %9s %9s %8s | %13s %9s\n", "edit",
+              "module", "delta", "op", "full", "speedup", "damaged sccs",
+              "web reuse");
 
   std::vector<EditResult> Results;
   for (const EditKind &Kind : Kinds) {
@@ -247,11 +272,19 @@ void runSweep(int NumModules, int ProcsPerModule, int GlobalsPerModule,
       R.DeltaMs = msSince(T0);
       R.Stats = DA.deltaStats();
 
+      Texts[M] = writeSummary(Mods[M]);
+      T0 = Clock::now();
+      DatabaseResult Op = Pipe.analyze(Texts);
+      R.OpMs = msSince(T0);
+
       T0 = Clock::now();
       ProgramDatabase Cold = runAnalyzer(Mods, Options);
       R.FullMs = msSince(T0);
 
-      if (Got.serialize() != Cold.serialize()) {
+      std::string ColdText = Cold.serialize();
+      Cold.ConfigFingerprint = Config.fingerprint();
+      if (Got.serialize() != ColdText || !Op.ok() ||
+          Op.Mode != "delta" || Op.DatabaseText != Cold.serialize()) {
         std::fprintf(stderr,
                      "FATAL: delta database differs from full analysis "
                      "(edit %s, module %d)\n",
@@ -266,8 +299,9 @@ void runSweep(int NumModules, int ProcsPerModule, int GlobalsPerModule,
         std::exit(1);
       }
 
-      std::printf("  %-10s %7d | %7.1fms %7.1fms %7.1fx | %6d/%-6d %8.1f%%\n",
-                  R.Kind.c_str(), R.Module, R.DeltaMs, R.FullMs,
+      std::printf("  %-10s %7d | %7.1fms %7.1fms %7.1fms %7.1fx | %6d/%-6d "
+                  "%8.1f%%\n",
+                  R.Kind.c_str(), R.Module, R.DeltaMs, R.OpMs, R.FullMs,
                   R.DeltaMs > 0 ? R.FullMs / R.DeltaMs : 0.0,
                   R.Stats.DamagedSccs, R.Stats.TotalSccs,
                   R.Stats.reuseRatio() * 100.0);
@@ -275,16 +309,19 @@ void runSweep(int NumModules, int ProcsPerModule, int GlobalsPerModule,
     }
   }
 
-  double DeltaTotal = 0, FullTotal = 0;
+  double DeltaTotal = 0, OpTotal = 0, FullTotal = 0;
   for (const EditResult &R : Results) {
     DeltaTotal += R.DeltaMs;
+    OpTotal += R.OpMs;
     FullTotal += R.FullMs;
   }
   double MeanSpeedup =
       DeltaTotal > 0 ? FullTotal / DeltaTotal : 0.0;
-  std::printf("\n  %zu edits: delta mean %.1fms, full mean %.1fms, "
-              "overall speedup %.1fx\n",
+  double CoreShare = OpTotal > 0 ? DeltaTotal / OpTotal : 0.0;
+  std::printf("\n  %zu edits: delta mean %.1fms, op mean %.1fms (core "
+              "share %.0f%%), full mean %.1fms, overall speedup %.1fx\n",
               Results.size(), DeltaTotal / Results.size(),
+              OpTotal / Results.size(), CoreShare * 100.0,
               FullTotal / Results.size(), MeanSpeedup);
   const AnalyzerStats &DS = DA.stats();
   std::printf("  last delta sub-phases: refsets=%.1fms webs=%.1fms "
@@ -300,11 +337,15 @@ void runSweep(int NumModules, int ProcsPerModule, int GlobalsPerModule,
      << ",\n  \"globals\": " << NumModules * GlobalsPerModule
      << ",\n  \"prime_ms\": " << PrimeMs
      << ",\n  \"overall_speedup\": " << MeanSpeedup
+     << ",\n  \"delta_mean_ms\": " << DeltaTotal / Results.size()
+     << ",\n  \"op_mean_ms\": " << OpTotal / Results.size()
+     << ",\n  \"core_share_of_op\": " << CoreShare
      << ",\n  \"edits\": [\n";
   for (size_t I = 0; I < Results.size(); ++I) {
     const EditResult &R = Results[I];
     OS << "    {\"kind\": \"" << R.Kind << "\", \"module\": " << R.Module
-       << ", \"delta_ms\": " << R.DeltaMs << ", \"full_ms\": " << R.FullMs
+       << ", \"delta_ms\": " << R.DeltaMs << ", \"op_ms\": " << R.OpMs
+       << ", \"full_ms\": " << R.FullMs
        << ", \"speedup\": "
        << (R.DeltaMs > 0 ? R.FullMs / R.DeltaMs : 0.0)
        << ",\n     \"changed_procs\": " << R.Stats.ChangedProcs

@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 using namespace ipra;
 
@@ -421,6 +423,29 @@ void writeProcRecord(std::ostream &OS, const std::string &Name,
   OS << "end\n";
 }
 
+/// Reads the value of the "Key=value" token among a record's \p Tok
+/// into \p Out: hexadecimal when \p Base is 16, decimal otherwise, and
+/// at most \p Max. A record without the key leaves \p Out alone; a
+/// value that does not parse in full or is out of range is an error.
+template <typename T>
+bool readField(const std::vector<std::string> &Tok, std::string_view Key,
+               int Base, unsigned long long Max, T &Out) {
+  for (const std::string &Token : Tok) {
+    std::string_view V(Token);
+    if (V.size() <= Key.size() || V.substr(0, Key.size()) != Key ||
+        V[Key.size()] != '=')
+      continue;
+    V.remove_prefix(Key.size() + 1);
+    unsigned long long N = 0;
+    auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N, Base);
+    if (Ec != std::errc() || End != V.data() + V.size() || N > Max)
+      return false;
+    Out = static_cast<T>(N);
+    return true;
+  }
+  return true;
+}
+
 } // namespace
 
 std::string ProgramDatabase::serialize() const {
@@ -471,26 +496,12 @@ bool ProgramDatabase::deserialize(const std::string &Text,
   std::string CurName;
   ProcDirectives Cur;
   bool InProc = false;
-  int LineNo = 0;
+  int LineNo = 0, ProcLine = 0;
   bool SawHeader = false;
 
-  auto HexField = [](const std::vector<std::string> &Tok,
-                     const std::string &Key) -> RegMask {
-    for (const std::string &T : Tok)
-      if (startsWith(T, Key + "="))
-        return static_cast<RegMask>(
-            std::strtoul(T.substr(Key.size() + 1).c_str(), nullptr, 16));
-    return 0;
-  };
-  auto NumFieldOf = [](const std::vector<std::string> &Tok,
-                       const std::string &Key) -> long long {
-    for (const std::string &T : Tok)
-      if (startsWith(T, Key + "=")) {
-        long long V = 0;
-        parseInt(T.substr(Key.size() + 1), V);
-        return V;
-      }
-    return 0;
+  auto Fail = [&](const std::string &What) {
+    Error = "line " + std::to_string(LineNo) + ": " + What;
+    return false;
   };
 
   for (const std::string &RawLine : split(Text, '\n')) {
@@ -499,14 +510,21 @@ bool ProgramDatabase::deserialize(const std::string &Text,
     if (Line.empty())
       continue;
     std::vector<std::string> Tok = split(Line, ' ');
+    // Every field a record carries must parse in full and in range; a
+    // field it lacks keeps its default.
+    auto Hex = [&](const char *Key, RegMask &V) {
+      return readField(Tok, Key, 16, 0xffffffffull, V) ||
+             Fail(std::string("malformed ") + Key + "= value");
+    };
+    auto Num = [&](const char *Key, unsigned long long Max, auto &V) {
+      return readField(Tok, Key, 10, Max, V) ||
+             Fail(std::string("malformed ") + Key + "= value");
+    };
     if (Tok[0] == "ipra-db-format") {
       // Header line: format version + producing-config fingerprint.
       long long Version = 0;
-      if (Tok.size() < 2 || !parseInt(Tok[1], Version)) {
-        Error = "line " + std::to_string(LineNo) +
-                ": malformed database format header";
-        return false;
-      }
+      if (Tok.size() < 2 || !parseInt(Tok[1], Version))
+        return Fail("malformed database format header");
       if (Version != DatabaseFormatVersion) {
         Error = "database format version " + Tok[1] +
                 " is not supported (this reader handles version " +
@@ -521,76 +539,57 @@ bool ProgramDatabase::deserialize(const std::string &Text,
           Out.ConfigFingerprint = FP == "-" ? "" : FP;
         }
     } else if (Tok[0] == "modref") {
-      if (Tok.size() < 2) {
-        Error = "line " + std::to_string(LineNo) + ": malformed modref";
-        return false;
-      }
+      if (Tok.size() < 2)
+        return Fail("malformed modref");
       GlobalVerdictRecord V;
-      V.Verdict = static_cast<int>(NumFieldOf(Tok, "verdict"));
-      V.Exact = NumFieldOf(Tok, "exact");
-      V.UninitRead = NumFieldOf(Tok, "uninit");
+      if (!Num("verdict", 3, V.Verdict) || !Num("exact", 1, V.Exact) ||
+          !Num("uninit", 1, V.UninitRead))
+        return false;
       Out.ModRefs[Tok[1]] = V;
     } else if (Tok[0] == "proc") {
-      if (Tok.size() < 2) {
-        Error = "line " + std::to_string(LineNo) + ": malformed proc";
-        return false;
-      }
+      if (Tok.size() < 2)
+        return Fail("malformed proc");
       CurName = Tok[1];
+      ProcLine = LineNo;
       Cur = ProcDirectives();
-      Cur.Free = HexField(Tok, "free");
-      Cur.Caller = HexField(Tok, "caller");
-      Cur.Callee = HexField(Tok, "callee");
-      Cur.MSpill = HexField(Tok, "mspill");
-      Cur.IsClusterRoot = NumFieldOf(Tok, "root");
-      // Budget/clobber fields came in with the §7.6.2 extension; old
-      // databases without them keep the permissive defaults.
-      bool HasBudget = false, HasClobber = false;
-      for (const std::string &T : Tok) {
-        HasBudget |= startsWith(T, "budget=");
-        HasClobber |= startsWith(T, "clobber=");
-      }
-      if (HasBudget)
-        Cur.SelfCallerBudget = HexField(Tok, "budget");
-      if (HasClobber)
-        Cur.SubtreeClobber = HexField(Tok, "clobber");
-      Cur.IndTargetsResolved = NumFieldOf(Tok, "indresolved");
+      if (!Hex("free", Cur.Free) || !Hex("caller", Cur.Caller) ||
+          !Hex("callee", Cur.Callee) || !Hex("mspill", Cur.MSpill) ||
+          !Num("root", 1, Cur.IsClusterRoot) ||
+          !Hex("budget", Cur.SelfCallerBudget) ||
+          !Hex("clobber", Cur.SubtreeClobber) ||
+          !Num("indresolved", 1, Cur.IndTargetsResolved))
+        return false;
       InProc = true;
     } else if (Tok[0] == "indtarget") {
-      if (!InProc || Tok.size() < 2) {
-        Error = "line " + std::to_string(LineNo) + ": stray indtarget";
-        return false;
-      }
+      if (!InProc || Tok.size() < 2)
+        return Fail("stray indtarget");
       Cur.IndirectTargets.push_back(Tok[1]);
     } else if (Tok[0] == "promote") {
-      if (!InProc || Tok.size() < 2) {
-        Error = "line " + std::to_string(LineNo) + ": stray promote";
-        return false;
-      }
+      if (!InProc || Tok.size() < 2)
+        return Fail("stray promote");
       PromotedGlobal P;
       P.QualName = Tok[1];
-      P.Reg = static_cast<unsigned>(NumFieldOf(Tok, "reg"));
-      P.IsEntry = NumFieldOf(Tok, "entry");
-      P.WebModifies = NumFieldOf(Tok, "modifies");
-      P.WrapIndirect = NumFieldOf(Tok, "wrapind");
+      if (!Num("reg", pr32::NumRegs - 1, P.Reg) ||
+          !Num("entry", 1, P.IsEntry) || !Num("modifies", 1, P.WebModifies) ||
+          !Num("wrapind", 1, P.WrapIndirect))
+        return false;
       Cur.Promoted.push_back(std::move(P));
     } else if (Tok[0] == "wrap") {
-      if (!InProc || Cur.Promoted.empty() || Tok.size() < 2) {
-        Error = "line " + std::to_string(LineNo) + ": stray wrap";
-        return false;
-      }
+      if (!InProc || Cur.Promoted.empty() || Tok.size() < 2)
+        return Fail("stray wrap");
       Cur.Promoted.back().WrapCallees.push_back(Tok[1]);
     } else if (Tok[0] == "end") {
-      if (!InProc) {
-        Error = "line " + std::to_string(LineNo) + ": stray end";
-        return false;
-      }
+      if (!InProc)
+        return Fail("stray end");
       Out.insert(CurName, std::move(Cur));
       InProc = false;
     } else {
-      Error = "line " + std::to_string(LineNo) + ": unknown record '" +
-              Tok[0] + "'";
-      return false;
+      return Fail("unknown record '" + Tok[0] + "'");
     }
+  }
+  if (InProc) {
+    LineNo = ProcLine;
+    return Fail("proc record '" + CurName + "' has no end");
   }
   if (!SawHeader) {
     Error = "missing 'ipra-db-format' header line; regenerate the database "

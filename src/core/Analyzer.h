@@ -241,6 +241,11 @@ public:
   static std::vector<std::string> diff(const ProgramDatabase &Old,
                                        const ProgramDatabase &New);
 
+  /// Field-for-field equality. deserialize(serialize()) of any database
+  /// equals it, which is why a pipeline hands its produced database to
+  /// phase 2 instead of reading the file back (the tests prove it).
+  bool operator==(const ProgramDatabase &O) const = default;
+
 private:
   std::map<std::string, ProcDirectives> Procs;
 };

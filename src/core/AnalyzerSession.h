@@ -22,8 +22,14 @@
 ///    for the same program coalesce onto one analyzer state instead of
 ///    racing or re-priming.
 ///
-/// The mutex serializes analyze() calls; the returned Outcome is a
-/// value snapshot (database + stats), so callers never hold references
+/// The session also keeps the summary texts of its last successful
+/// request and their parses, so a request that differs in one module
+/// parses one summary (parseSummaries).
+///
+/// The mutex serializes analyze() and parseSummaries() calls. The
+/// returned Outcome is a value (the database is moved out of the
+/// analyzer, which does not retain it), and a request's parsed
+/// summaries are shared read-only, so callers never hold references
 /// into state another request may overwrite.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,10 +38,14 @@
 #define IPRA_CORE_ANALYZERSESSION_H
 
 #include "core/DeltaAnalyzer.h"
+#include "support/Status.h"
 
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace ipra {
 
@@ -51,6 +61,41 @@ struct AnalyzerSessionCounters {
 /// A lockable, shareable home for one program's retained delta state.
 class AnalyzerSession {
 public:
+  /// Parses \p Texts, in order, into \p Out. A text byte-equal to one
+  /// of the last successful request's reuses that parse; only the
+  /// others go through readSummary (each adds one to \p Parsed).
+  /// \p Check runs on every summary, reused or not, and says why it is
+  /// unacceptable (empty: it is fine). The first failure in text order
+  /// is returned, prefixed "bad summary file: ", and leaves the kept set
+  /// unchanged; a success replaces it. The kept set is one program's
+  /// summaries and is not persisted: a restarted session parses all.
+  Status
+  parseSummaries(const std::vector<std::string> &Texts,
+                 const std::function<std::string(const ModuleSummary &)> &Check,
+                 SummarySet &Out, unsigned &Parsed) {
+    std::lock_guard<std::mutex> Lock(M);
+    auto Next = std::make_shared<std::vector<ModuleSummary>>(Texts.size());
+    for (size_t I = 0; I < Texts.size(); ++I) {
+      ModuleSummary &S = (*Next)[I];
+      // A reused parse is copied, not moved: the delta analyzer still
+      // holds the kept set to diff this one against.
+      if (int J = keptIndexOf(Texts[I], I); J >= 0) {
+        S = (*Kept)[static_cast<size_t>(J)];
+      } else {
+        ++Parsed;
+        std::string Error;
+        if (!readSummary(Texts[I], S, Error))
+          return Status::error("bad summary file: " + Error);
+      }
+      if (std::string Why = Check(S); !Why.empty())
+        return Status::error("bad summary file: " + Why);
+    }
+    Kept = Next;
+    KeptTexts = Texts;
+    Out = std::move(Next);
+    return Status::success();
+  }
+
   /// Value snapshot of one analyze() call.
   struct Outcome {
     ProgramDatabase DB;
@@ -62,8 +107,7 @@ public:
   /// expressible, cold otherwise). Thread-safe; concurrent callers
   /// serialize here, which is exactly the same-program coalescing the
   /// build service needs.
-  Outcome analyze(const std::vector<ModuleSummary> &Summaries,
-                  const AnalyzerOptions &Options,
+  Outcome analyze(SummarySet Summaries, const AnalyzerOptions &Options,
                   const CallProfile &Profile) {
     std::lock_guard<std::mutex> Lock(M);
     // Lazy warm-restart reload: a pending persisted blob is consumed by
@@ -81,7 +125,7 @@ public:
         ++Counters.RestoreRejects;
     }
     Outcome Out;
-    Out.DB = Delta.analyze(Summaries, Options, Profile);
+    Out.DB = Delta.analyze(std::move(Summaries), Options, Profile);
     Out.Stats = Delta.stats();
     Out.Delta = Delta.deltaStats();
     ++Counters.Analyses;
@@ -90,6 +134,13 @@ public:
     else
       ++Counters.FullRuns;
     return Out;
+  }
+  /// The same over a copy of \p Summaries.
+  Outcome analyze(const std::vector<ModuleSummary> &Summaries,
+                  const AnalyzerOptions &Options,
+                  const CallProfile &Profile) {
+    return analyze(std::make_shared<const std::vector<ModuleSummary>>(Summaries),
+                   Options, Profile);
   }
 
   bool primed() const {
@@ -121,8 +172,23 @@ public:
   }
 
 private:
+  /// Index of the kept text byte-equal to \p Text, trying \p Hint (the
+  /// same position) first; -1 when there is none.
+  int keptIndexOf(const std::string &Text, size_t Hint) const {
+    if (Hint < KeptTexts.size() && KeptTexts[Hint] == Text)
+      return static_cast<int>(Hint);
+    for (size_t J = 0; J < KeptTexts.size(); ++J)
+      if (KeptTexts[J] == Text)
+        return static_cast<int>(J);
+    return -1;
+  }
+
   mutable std::mutex M;
   DeltaAnalyzer Delta;
+  /// The last successful parseSummaries() request: its texts and their
+  /// parses, position for position.
+  std::vector<std::string> KeptTexts;
+  SummarySet Kept;
   AnalyzerSessionCounters Counters;
   std::string Pending; ///< Unconsumed persisted blob, if any.
 };

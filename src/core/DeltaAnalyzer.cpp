@@ -166,8 +166,22 @@ void DeltaAnalyzer::storeWebs(std::vector<std::vector<Web>> PerGlobal) {
   WebStart[PerGlobal.size()] = static_cast<int>(Webs.size());
 }
 
-void DeltaAnalyzer::primeFull(const std::vector<ModuleSummary> &Summaries,
-                              const CallProfile &Profile) {
+ProgramDatabase DeltaAnalyzer::finish(std::vector<Web> &Ws,
+                                      AnalyzerStats &S) const {
+  // Retained webs carry the previous run's coloring; finishFromWebs
+  // requires the uncolored state (fresh discovery leaves -1).
+  for (Web &W : Ws)
+    W.AssignedReg = -1;
+  S.TotalWebs = S.ConsideredWebs = S.ColoredWebs = 0;
+  S.SplitWebs = S.RemergedWebs = 0;
+  S.ColoringMs = S.ClustersMs = S.RegSetsMs = 0;
+  S.NumClusters = S.TotalClusterNodes = S.MaxClusterSize = 0;
+  return finishFromWebs(*CG, *RS, Ws, Opts, S, Opts.ModRef ? &MR : nullptr);
+}
+
+ProgramDatabase
+DeltaAnalyzer::primeFull(const std::vector<ModuleSummary> &Summaries,
+                         const CallProfile &Profile) {
   Stats = AnalyzerStats();
   Clock::time_point T0 = Clock::now();
   CG = std::make_unique<CallGraph>(Summaries, Profile,
@@ -216,15 +230,15 @@ void DeltaAnalyzer::primeFull(const std::vector<ModuleSummary> &Summaries,
     storeWebs(std::move(PerGlobal));
   }
 
-  Current = finishFromWebs(*CG, *RS, Webs, Opts, Stats, MRP);
-  PrevSummaries = Summaries;
+  ProgramDatabase DB = finishFromWebs(*CG, *RS, Webs, Opts, Stats, MRP);
   Primed = true;
+  return DB;
 }
 
 bool DeltaAnalyzer::tryIncremental(
     const std::vector<ModuleSummary> &Summaries, const CallProfile &Profile,
-    std::string &Reason) {
-  ProgramSummaryDelta PD = diffProgramSummaries(PrevSummaries, Summaries);
+    std::string &Reason, ProgramDatabase &DB) {
+  ProgramSummaryDelta PD = diffProgramSummaries(*PrevSummaries, Summaries);
   if (PD.ModuleSequenceChanged) {
     Reason = "module sequence changed";
     return false;
@@ -236,8 +250,10 @@ bool DeltaAnalyzer::tryIncremental(
   Delta.TotalGlobals = RS->numEligible();
 
   if (PD.identical()) {
-    // Allocation-neutral rebuild of some module: nothing to do.
+    // Allocation-neutral rebuild of some module: nothing to
+    // re-discover, only the final stage to run again.
     Delta.Mode = DeltaMode::Incremental;
+    DB = finish(Webs, Stats);
     return true;
   }
 
@@ -265,7 +281,7 @@ bool DeltaAnalyzer::tryIncremental(
   std::map<std::string, int> ModuleOffset;
   {
     int Off = 0;
-    for (const ModuleSummary &S : PrevSummaries) {
+    for (const ModuleSummary &S : *PrevSummaries) {
       ModuleOffset[S.Module] = Off;
       Off += static_cast<int>(S.Procs.size());
     }
@@ -471,19 +487,8 @@ bool DeltaAnalyzer::tryIncremental(
     Stats.WebsMs = 0;
   }
 
-  // Retained webs carry the previous run's coloring; finishFromWebs
-  // requires the uncolored state (fresh discovery leaves -1).
-  for (Web &W : Webs)
-    W.AssignedReg = -1;
-
-  Stats.TotalWebs = Stats.ConsideredWebs = Stats.ColoredWebs = 0;
-  Stats.SplitWebs = Stats.RemergedWebs = 0;
-  Stats.ColoringMs = Stats.ClustersMs = Stats.RegSetsMs = 0;
-  Stats.NumClusters = Stats.TotalClusterNodes = Stats.MaxClusterSize = 0;
-
-  Current = finishFromWebs(*CG, *RS, Webs, Opts, Stats, MRP);
   MR = std::move(NewMR);
-  PrevSummaries = Summaries;
+  DB = finish(Webs, Stats);
 
   Delta.Mode = DeltaMode::Incremental;
   Delta.ChangedProcs = static_cast<int>(Patches.size());
@@ -491,28 +496,33 @@ bool DeltaAnalyzer::tryIncremental(
   return true;
 }
 
-const ProgramDatabase &
+ProgramDatabase
 DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
                        const AnalyzerOptions &Options,
                        const CallProfile &Profile) {
-  // GPG mode: strengthen a local copy up front (idempotent — see
+  return analyze(std::make_shared<const std::vector<ModuleSummary>>(Summaries),
+                 Options, Profile);
+}
+
+ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
+                                       const AnalyzerOptions &Options,
+                                       const CallProfile &Profile) {
+  // GPG mode: strengthen a copy up front (idempotent — see
   // runAnalyzer). Diffing, damaging and retaining the *strengthened*
   // form keeps SummaryDiff's damage regions aligned with the facts the
   // graph actually consumed: a GPG-only edit surfaces as an escape
   // verdict / indirect-target drift on exactly the affected rows.
-  const std::vector<ModuleSummary> *Sums = &Summaries;
-  std::vector<ModuleSummary> Strengthened;
   GPGComposeStats GPG;
   if (Options.PointsTo == PointsToMode::GPG) {
-    Strengthened = Summaries;
+    std::vector<ModuleSummary> Strengthened = *Summaries;
     if (strengthenSummariesWithGPG(Strengthened, Options.AssumeClosedWorld,
                                    &GPG))
-      Sums = &Strengthened;
-    else
-      Strengthened.clear();
+      Summaries = std::make_shared<const std::vector<ModuleSummary>>(
+          std::move(Strengthened));
   }
 
   Delta = DeltaStats();
+  ProgramDatabase DB;
   std::string Reason;
   if (!Primed)
     Reason = "first analysis";
@@ -522,9 +532,10 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
     Reason = "profile changed";
   else if (!retainable(Reason)) {
     // Reason set by retainable().
-  } else if (tryIncremental(*Sums, Profile, Reason)) {
+  } else if (tryIncremental(*Summaries, Profile, Reason, DB)) {
     Stats.GPG = GPG;
-    return Current;
+    PrevSummaries = std::move(Summaries);
+    return DB;
   }
 
   Opts = Options;
@@ -532,7 +543,8 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
   Delta.Mode = DeltaMode::Full;
   Delta.FallbackReason = Reason;
   Delta.ChangedProcs = 0;
-  primeFull(*Sums, Profile);
+  DB = primeFull(*Summaries, Profile);
+  PrevSummaries = std::move(Summaries);
   Stats.GPG = GPG;
   Delta.TotalGlobals = RS->numEligible();
   Delta.DamagedGlobals = Delta.TotalGlobals;
@@ -540,7 +552,7 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
   for (int N = 0; N < CG->size(); ++N)
     Delta.TotalSccs = std::max(Delta.TotalSccs, CG->sccId(N) + 1);
   Delta.DamagedSccs = Delta.TotalSccs;
-  return Current;
+  return DB;
 }
 
 //===----------------------------------------------------------------------===//
@@ -592,8 +604,8 @@ bool DeltaAnalyzer::serializeRetained(std::string &Out) const {
     putStr(O, Edge.first);
     putStr(O, Edge.second);
   }
-  O << "summaries " << PrevSummaries.size() << "\n";
-  for (const ModuleSummary &S : PrevSummaries)
+  O << "summaries " << PrevSummaries->size() << "\n";
+  for (const ModuleSummary &S : *PrevSummaries)
     putStr(O, writeSummary(S));
   O << "webs " << Webs.size() << ' ' << (WebStart.empty() ? 0 : 1) << "\n";
   if (!WebStart.empty()) {
@@ -623,8 +635,12 @@ bool DeltaAnalyzer::serializeRetained(std::string &Out) const {
     putNodeSet(O, W.WrapIndirect);
     O << "\n";
   }
+  // The database is not retained; finishing a copy of the colored webs
+  // reproduces it (the same stage an identical re-analysis runs).
+  std::vector<Web> Colored = Webs;
+  AnalyzerStats Unused;
   O << "database ";
-  putStr(O, Current.serialize());
+  putStr(O, finish(Colored, Unused).serialize());
   O << "end\n";
   Out = O.str();
   return true;
@@ -640,8 +656,7 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
   MR = ModRefInfo();
   Webs.clear();
   WebStart.clear();
-  PrevSummaries.clear();
-  Current = ProgramDatabase();
+  PrevSummaries.reset();
   Stats = AnalyzerStats();
   Delta = DeltaStats();
 
@@ -652,8 +667,7 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
     MR = ModRefInfo();
     Webs.clear();
     WebStart.clear();
-    PrevSummaries.clear();
-    Current = ProgramDatabase();
+    PrevSummaries.reset();
     return false;
   };
 
@@ -810,15 +824,19 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
       return Fail("malformed web wrap-indirect set");
   }
 
+  // The database section is checked, then dropped: the next analyze()
+  // finishes the restored webs into it again.
   std::string DBText, DBErr;
+  ProgramDatabase DB;
   if (!(In >> Tag) || Tag != "database" || !getStr(In, DBText))
     return Fail("truncated database section");
-  if (!ProgramDatabase::deserialize(DBText, Current, DBErr))
+  if (!ProgramDatabase::deserialize(DBText, DB, DBErr))
     return Fail("database: " + DBErr);
   if (!(In >> Tag) || Tag != "end")
     return Fail("missing end marker");
 
-  PrevSummaries = std::move(Summaries);
+  PrevSummaries =
+      std::make_shared<const std::vector<ModuleSummary>>(std::move(Summaries));
   Primed = true;
   return true;
 }

@@ -103,6 +103,11 @@ struct DeltaStats {
   }
 };
 
+/// A program's parsed summaries, shared read-only: the delta analyzer
+/// retains the set it analyzed (to diff the next one against) without
+/// copying it.
+using SummarySet = std::shared_ptr<const std::vector<ModuleSummary>>;
+
 /// Stateful wrapper around the program analyzer. The first analyze()
 /// primes retained state with a full run; subsequent calls diff the
 /// summaries and take the damage-region path when the edit is
@@ -116,13 +121,18 @@ public:
   DeltaAnalyzer(DeltaAnalyzer &&) noexcept;
   DeltaAnalyzer &operator=(DeltaAnalyzer &&) noexcept;
 
-  /// Analyzes \p Summaries, incrementally when possible. The reference
-  /// stays valid until the next analyze() call. Changing \p Options
-  /// (other than NumThreads) or \p Profile between calls forces a full
-  /// run.
-  const ProgramDatabase &analyze(const std::vector<ModuleSummary> &Summaries,
-                                 const AnalyzerOptions &Options,
-                                 const CallProfile &Profile = {});
+  /// Analyzes \p Summaries, incrementally when possible. The database
+  /// is the caller's: the analyzer retains the inputs of the final
+  /// stage (graph, reference sets, verdicts, colored webs), not its
+  /// output. Changing \p Options (other than NumThreads) or \p Profile
+  /// between calls forces a full run.
+  ProgramDatabase analyze(SummarySet Summaries,
+                          const AnalyzerOptions &Options,
+                          const CallProfile &Profile = {});
+  /// The same over a copy of \p Summaries.
+  ProgramDatabase analyze(const std::vector<ModuleSummary> &Summaries,
+                          const AnalyzerOptions &Options,
+                          const CallProfile &Profile = {});
 
   /// Stats of the last analyze() call (sub-phase timings reflect the
   /// work actually done: damage-region timings on the incremental
@@ -144,14 +154,14 @@ public:
 
   /// Serializes the primed retained run — every output-affecting
   /// analyzer option, the profile, the previous summaries, the
-  /// per-global web lists and the current database — as a versioned
-  /// text blob a later process can restoreRetained() from (warm daemon
-  /// restarts, DESIGN.md §13). The call graph and reference sets are
-  /// NOT serialized: they are deterministic functions of the summaries
-  /// and options, and rebuilding them at restore costs far less than
-  /// the web-discovery + finish stages the blob lets us skip. Returns
-  /// false when there is nothing persistable (not primed, or a
-  /// configuration retainable() rejects).
+  /// per-global web lists and the database they finish into — as a
+  /// versioned text blob a later process can restoreRetained() from
+  /// (warm daemon restarts, DESIGN.md §13). The call graph and reference
+  /// sets are NOT serialized: they are deterministic functions of the
+  /// summaries and options, and rebuilding them at restore costs far
+  /// less than the web discovery the blob lets us skip. Returns false
+  /// when there is nothing persistable (not primed, or a configuration
+  /// retainable() rejects).
   bool serializeRetained(std::string &Out) const;
 
   /// Rebuilds retained state from a serializeRetained() blob. On any
@@ -165,13 +175,18 @@ public:
   bool restoreRetained(const std::string &Text, std::string &Error);
 
 private:
-  void primeFull(const std::vector<ModuleSummary> &Summaries,
-                 const CallProfile &Profile);
-  /// The incremental path. Returns false — with \p Reason set and *no
-  /// retained state mutated* — when the delta is inexpressible; the
-  /// caller then re-primes.
+  ProgramDatabase primeFull(const std::vector<ModuleSummary> &Summaries,
+                            const CallProfile &Profile);
+  /// The incremental path; fills \p DB on success. Returns false — with
+  /// \p Reason set and *no retained state mutated* — when the delta is
+  /// inexpressible; the caller then re-primes.
   bool tryIncremental(const std::vector<ModuleSummary> &Summaries,
-                      const CallProfile &Profile, std::string &Reason);
+                      const CallProfile &Profile, std::string &Reason,
+                      ProgramDatabase &DB);
+  /// The shared final stage over retained (colored) webs \p Ws: resets
+  /// their coloring and \p S's finish counters, then runs
+  /// finishFromWebs against the retained graph, sets and verdicts.
+  ProgramDatabase finish(std::vector<Web> &Ws, AnalyzerStats &S) const;
   /// True when retained-state splicing supports the configured options.
   bool retainable(std::string &Reason) const;
   /// Moves \p PerGlobal's webs into Webs/WebStart in global-id order
@@ -182,7 +197,7 @@ private:
   bool Primed = false;
   AnalyzerOptions Opts;
   CallProfile Prof;
-  std::vector<ModuleSummary> PrevSummaries;
+  SummarySet PrevSummaries;
   /// RS holds a reference into *CG; their lifetimes move together.
   std::unique_ptr<CallGraph> CG;
   std::unique_ptr<RefSets> RS;
@@ -200,7 +215,6 @@ private:
   /// resets them to the uncolored state before re-finishing.
   std::vector<Web> Webs;
   std::vector<int> WebStart;
-  ProgramDatabase Current;
   AnalyzerStats Stats;
   DeltaStats Delta;
 };

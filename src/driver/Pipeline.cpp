@@ -342,6 +342,7 @@ Status Pipeline::summarize(Batch &B) {
     if (auto Entry = Cache->get(Keys[I])) {
       ModuleSummary Parsed;
       std::string Error;
+      ++PS.SummariesParsed;
       if (readSummary(*Entry, Parsed, Error) &&
           Parsed.ConfigFingerprint == CompileFP) {
         B.SummaryTexts[I] = std::move(*Entry);
@@ -425,6 +426,7 @@ Status Pipeline::summarize(Batch &B) {
       B.SummaryTexts[I] = std::move(Text);
       B.Summaries[I] = std::move(Parsed);
     });
+    PS.SummariesParsed += static_cast<unsigned>(Miss.size());
     if (const std::string *E = firstError(Errors))
       return Status::error(*E);
     // Publish only once every miss round-tripped cleanly; failures are
@@ -562,10 +564,10 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
   return Status::success();
 }
 
-Status Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
-                               const std::vector<std::string> &SummaryTexts,
-                               const ProfileData *Profile,
-                               ProgramDatabase &DB, BuildResponse &Resp) {
+void Pipeline::analyzeCached(const SummarySet &Summaries,
+                             const std::vector<std::string> &SummaryTexts,
+                             const ProfileData *Profile, ProgramDatabase &DB,
+                             BuildResponse &Resp) {
   PipelineStats &PS = Resp.Stats;
   CallProfile CP;
   if (Config.UseProfile && Profile) {
@@ -581,7 +583,8 @@ Status Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
   // The entry is the encoded AnalyzerStats on one line (a cached run
   // still reports its statistics), then the database text. An entry
   // missing any listed field — written before a counter was added —
-  // is a miss.
+  // is a miss. The text comes from outside this process, so parsing it
+  // is the validity check.
   if (auto Entry = Cache->get(Key)) {
     size_t NL = Entry->find('\n');
     json::Value StatsLine;
@@ -602,7 +605,7 @@ Status Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
         ++PS.AnalyzerCacheHits;
         PS.CacheBytesSaved += Resp.Database.size();
         PS.DatabaseBytes = Resp.Database.size();
-        return Status::success();
+        return;
       }
     }
     Cache->invalidate(Key); // Corrupt or stale entry: recompute.
@@ -625,46 +628,41 @@ Status Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
     if (Resp.Delta.Mode == DeltaMode::Incremental)
       PS.AnalyzerMode = "delta";
   } else {
-    Produced = runAnalyzer(Summaries, Config.analyzerOptions(), CP,
+    Produced = runAnalyzer(*Summaries, Config.analyzerOptions(), CP,
                            &Resp.Analyzer);
   }
+  // The database file (§2) is written once; phase 2 reads the produced
+  // database itself, which the tests prove equal to the file's parse.
   Produced.ConfigFingerprint = FullFP;
-  // Round-trip through the database file format (§2).
   Resp.Database = Produced.serialize();
   PS.DatabaseBytes = Resp.Database.size();
-  std::string Error;
-  if (!ProgramDatabase::deserialize(Resp.Database, DB, Error))
-    return Status::error("database round-trip failed: " + Error);
+  DB = std::move(Produced);
   Cache->put(Key, json::encode(Resp.Analyzer).dump() + "\n" + Resp.Database);
-  return Status::success();
 }
 
 Status Pipeline::executeAnalyze(const BuildRequest &Req,
                                 BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.AnalyzerMs);
-  std::vector<ModuleSummary> Summaries;
-  for (const std::string &Text : Req.Summaries) {
-    ModuleSummary S;
-    std::string Error;
-    if (!readSummary(Text, S, Error))
-      return Status::error("bad summary file: " + Error);
-    if (!S.ConfigFingerprint.empty() && S.ConfigFingerprint != CompileFP)
-      return Status::error(
-          "bad summary file: summary for module '" + S.Module +
-          "' was produced under a different compiler configuration "
-          "(fingerprint " +
-          S.ConfigFingerprint + ", expected " + CompileFP +
-          "); re-run phase 1 with matching options");
-    Summaries.push_back(std::move(S));
-  }
-
-  ProgramDatabase DB;
-  if (Status S = analyzeCached(Summaries, Req.Summaries,
-                               Req.Profile ? &*Req.Profile : nullptr, DB,
-                               Resp);
+  // Parsed through the session: only texts it has not seen are read.
+  SummarySet Summaries;
+  auto Check = [this](const ModuleSummary &S) -> std::string {
+    if (S.ConfigFingerprint.empty() || S.ConfigFingerprint == CompileFP)
+      return "";
+    return "summary for module '" + S.Module +
+           "' was produced under a different compiler configuration "
+           "(fingerprint " +
+           S.ConfigFingerprint + ", expected " + CompileFP +
+           "); re-run phase 1 with matching options";
+  };
+  if (Status S = Session->parseSummaries(Req.Summaries, Check, Summaries,
+                                         Resp.Stats.SummariesParsed);
       !S.ok())
     return S;
+
+  ProgramDatabase DB;
+  analyzeCached(Summaries, Req.Summaries,
+                Req.Profile ? &*Req.Profile : nullptr, DB, Resp);
   Resp.FromCache = Resp.Stats.AnalyzerCacheHits > 0;
   return Status::success();
 }
@@ -688,6 +686,7 @@ Status Pipeline::executeFull(const BuildRequest &Req, BuildResponse &Resp) {
   // there instead of lowering the module again.
   ProgramDatabase DB;
   const ProgramDatabase *DBP = nullptr; // Set once the analyzer ran.
+  SummarySet Summaries; // Phase 1's, shared with the analyzer session.
   if (Config.Ipra) {
     {
       ScopedTimerMs Timer(PS.Phase1Ms);
@@ -702,11 +701,10 @@ Status Pipeline::executeFull(const BuildRequest &Req, BuildResponse &Resp) {
     // sequential. Cache key: analyzer fingerprint x profile x every
     // summary text.
     ScopedTimerMs Timer(PS.AnalyzerMs);
-    if (Status S = analyzeCached(B.Summaries, B.SummaryTexts,
-                                 Req.Profile ? &*Req.Profile : nullptr, DB,
-                                 Resp);
-        !S.ok())
-      return S;
+    Summaries = std::make_shared<const std::vector<ModuleSummary>>(
+        std::move(B.Summaries));
+    analyzeCached(Summaries, B.SummaryTexts,
+                  Req.Profile ? &*Req.Profile : nullptr, DB, Resp);
     DBP = &DB;
   }
 
@@ -719,7 +717,7 @@ Status Pipeline::executeFull(const BuildRequest &Req, BuildResponse &Resp) {
     std::vector<std::string> Keys(NumModules);
     for (size_t I = 0; I < NumModules; ++I)
       Keys[I] = objectKey(CompileFP, B.Sources[I],
-                          DBP ? DB.sliceFor(B.Summaries[I],
+                          DBP ? DB.sliceFor((*Summaries)[I],
                                             Config.CallerSavePropagation)
                               : std::string());
     if (Status S = compileObjects(B, DBP, Keys); !S.ok())

@@ -202,18 +202,19 @@ private:
   /// retained delta session on a miss). Fills \p DB and the response's
   /// Database, Analyzer and Delta, and records the hit or miss, the
   /// mode ("cached", "delta" or "full") and the database size in its
-  /// Stats. Fails only when the produced database fails its
-  /// serialization round-trip.
-  Status analyzeCached(const std::vector<ModuleSummary> &Summaries,
-                       const std::vector<std::string> &SummaryTexts,
-                       const ProfileData *Profile, ProgramDatabase &DB,
-                       BuildResponse &Resp);
+  /// Stats. A miss writes the database text once and moves the produced
+  /// database into \p DB; only a cache hit parses a database.
+  void analyzeCached(const SummarySet &Summaries,
+                     const std::vector<std::string> &SummaryTexts,
+                     const ProfileData *Profile, ProgramDatabase &DB,
+                     BuildResponse &Resp);
 
   PipelineConfig Config;
   std::shared_ptr<ArtifactCache> Cache;
   /// Retained-state incremental analyzer, used on analyzer cache misses
-  /// when Config.DeltaAnalysis is set. Session-owned so delta reuse can
-  /// outlive this Pipeline when the session is shared.
+  /// when Config.DeltaAnalysis is set, and the parsed summaries of the
+  /// last analyze request. Session-owned so both can outlive this
+  /// Pipeline when the session is shared.
   std::shared_ptr<AnalyzerSession> Session;
   /// Fingerprints are fixed at construction; the three are the cache
   /// key ingredients for phase 1+2, the analyzer, and artifact

@@ -86,6 +86,9 @@ struct PipelineStats {
   unsigned long long GPGUpdates = 0;
   unsigned long long GPGCallSites = 0;
   size_t SummaryBytes = 0;  ///< All summary files.
+  /// Summary texts this request ran through readSummary. An analyze
+  /// request parses only texts its analyzer session has not seen.
+  unsigned SummariesParsed = 0;
   size_t DatabaseBytes = 0; ///< Serialized program database.
   size_t ObjectBytes = 0;   ///< All textual object files.
   /// Artifact-cache accounting for the incremental pipeline: per-phase
@@ -120,6 +123,7 @@ struct PipelineStats {
     V("gpg-updates", S.GPGUpdates);
     V("gpg-call-sites", S.GPGCallSites);
     V("summary-bytes", S.SummaryBytes);
+    V("summaries-parsed", S.SummariesParsed);
     V("database-bytes", S.DatabaseBytes);
     V("object-bytes", S.ObjectBytes);
     V("phase1-cache-hits", S.Phase1CacheHits);

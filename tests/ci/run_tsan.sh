@@ -5,8 +5,10 @@
 # regression and the smoke-sized concurrent rebuild-storm bench (the
 # "service" ctest label), plus the pipeline's thread-pool fan-out (the
 # "parallel" label): the fused build, including phase 1's IR files and
-# points-to facts handed to phase 2, and the same phase bodies run as
-# one Summary and one Object request carrying every module.
+# points-to facts handed to phase 2, the same phase bodies run as one
+# Summary and one Object request carrying every module, and two threads
+# analyzing through one shared analyzer session, whose kept summaries
+# and retained delta state they both read and replace.
 #
 # Usage: tests/ci/run_tsan.sh [jobs]
 set -eu

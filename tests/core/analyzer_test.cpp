@@ -116,6 +116,52 @@ TEST(AnalyzerTest, DeserializeRejectsGarbage) {
       ProgramDatabase::deserialize("promote g reg=3\n", Out, Error));
 }
 
+TEST(AnalyzerTest, DeserializeRejectsMalformedFieldValues) {
+  const std::string Header =
+      "ipra-db-format " + std::to_string(DatabaseFormatVersion) +
+      " config=-\n";
+  const std::string Proc = "proc f free=00000000 caller=00000000 "
+                           "callee=00000000 mspill=00000000 root=0 "
+                           "budget=00000000 clobber=00000000 "
+                           "indresolved=0\n";
+  ProgramDatabase Out;
+  std::string Error;
+  ASSERT_TRUE(ProgramDatabase::deserialize(Header + Proc + "end\n", Out,
+                                           Error))
+      << Error;
+
+  // Each present value must parse in full and in range; the error names
+  // the line and the field.
+  struct Case {
+    std::string Text, Expect;
+  };
+  auto WithProc = [&](const std::string &From, const std::string &To) {
+    std::string P = Proc;
+    P.replace(P.find(From), From.size(), To);
+    return Header + P + "end\n";
+  };
+  const Case Cases[] = {
+      {WithProc("free=00000000", "free=zz"), "line 2: malformed free="},
+      {WithProc("root=0", "root=x"), "line 2: malformed root="},
+      {WithProc("root=0", "root=2"), "line 2: malformed root="},
+      {WithProc("free=00000000", "free=1ffffffff"), "line 2: malformed free="},
+      {WithProc("budget=00000000", "budget="), "line 2: malformed budget="},
+      {WithProc("caller=00000000", "caller=-1"), "line 2: malformed caller="},
+      {Header + Proc + "promote m.g reg=zz entry=1 modifies=1 wrapind=0\n" +
+           "end\n",
+       "line 3: malformed reg="},
+      {Header + "modref m.g verdict=9 exact=1 uninit=0\n",
+       "line 2: malformed verdict="},
+      {Header + Proc, "line 2: proc record 'f' has no end"},
+  };
+  for (const Case &C : Cases) {
+    Error.clear();
+    EXPECT_FALSE(ProgramDatabase::deserialize(C.Text, Out, Error)) << C.Text;
+    EXPECT_NE(Error.find(C.Expect), std::string::npos)
+        << C.Text << " gave: " << Error;
+  }
+}
+
 TEST(AnalyzerTest, ClusterStatsReported) {
   GraphBuilder B;
   B.proc("main").proc("R").proc("S").proc("T");

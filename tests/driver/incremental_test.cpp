@@ -426,6 +426,43 @@ TEST(IncrementalTest, PositionalAnalyzerStatsEntryIsAMiss) {
   EXPECT_EQ(Again.Analyzer.ColoredWebs, Cold.Analyzer.ColoredWebs);
 }
 
+TEST(IncrementalTest, MalformedAnalyzerEntryValueIsAMiss) {
+  TempDir Dir("malformed");
+  PipelineConfig C = PipelineConfig::configC();
+  C.CacheDir = Dir.str();
+  BuildResult Cold = Pipeline(C).build(corpus());
+  ASSERT_TRUE(Cold.ok()) << Cold.Diags.text();
+
+  // In the analyzer entry (the one whose second line opens the
+  // database), make one promote record's register unreadable.
+  size_t Rewritten = 0;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir.str())) {
+    std::ifstream In(E.path(), std::ios::binary);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    In.close();
+    std::string Text = Buf.str();
+    size_t NL = Text.find('\n');
+    if (NL == std::string::npos ||
+        Text.compare(NL + 1, 14, "ipra-db-format") != 0)
+      continue;
+    size_t Reg = Text.find(" reg=", NL);
+    ASSERT_NE(Reg, std::string::npos);
+    size_t Value = Reg + 5;
+    size_t End = Text.find(' ', Value);
+    std::ofstream Out(E.path(), std::ios::binary | std::ios::trunc);
+    Out << Text.substr(0, Value) << "zz" << Text.substr(End);
+    ++Rewritten;
+  }
+  ASSERT_EQ(Rewritten, 1u);
+
+  BuildResult Warm = Pipeline(C).build(corpus());
+  ASSERT_TRUE(Warm.ok()) << Warm.Diags.text();
+  EXPECT_EQ(Warm.Stats.AnalyzerCacheHits, 0u);
+  EXPECT_EQ(Warm.Stats.AnalyzerCacheMisses, 1u);
+  expectSameArtifacts(Cold, Warm);
+}
+
 TEST(IncrementalTest, WarmRebuildsAreByteIdenticalAcrossThreadCounts) {
   TempDir Dir1("threads1");
   TempDir Dir8("threads8");

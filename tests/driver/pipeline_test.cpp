@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace ipra;
 
 namespace {
@@ -781,6 +783,141 @@ std::vector<SourceFile> multiModuleSources() {
                   "  return 0;\n"
                   "}\n"},
   };
+}
+
+/// Phase 1's summary texts for multiModuleSources() plus the runtime.
+std::vector<std::string> phase1Texts(const PipelineConfig &Config) {
+  std::vector<SourceFile> All = multiModuleSources();
+  All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+  Result<BuildResponse> R =
+      Pipeline(Config).execute(BuildRequest::summary(Config, All));
+  EXPECT_TRUE(R.ok()) << R.text();
+  return R.Value.Summaries;
+}
+
+/// \p Text with its first procedure's register need raised by \p By: a
+/// one-module summary edit.
+std::string editedSummary(const std::string &Text, unsigned By) {
+  ModuleSummary S;
+  std::string Error;
+  EXPECT_TRUE(readSummary(Text, S, Error)) << Error;
+  S.Procs.front().CalleeRegsNeeded += By;
+  return writeSummary(S);
+}
+
+/// The database a fresh pipeline produces from \p Texts.
+std::string coldDatabase(const PipelineConfig &Config,
+                         const std::vector<std::string> &Texts) {
+  DatabaseResult R = Pipeline(Config).analyze(Texts);
+  EXPECT_TRUE(R.ok()) << R.text();
+  return R.DatabaseText;
+}
+
+TEST(PipelineTest, AnalyzeParsesOnlySummariesItHasNotSeen) {
+  for (bool Delta : {false, true}) {
+    SCOPED_TRACE(Delta ? "delta" : "cold");
+    PipelineConfig Config = PipelineConfig::configC();
+    Config.DeltaAnalysis = Delta;
+    std::vector<std::string> Texts = phase1Texts(Config);
+    Pipeline P(Config);
+    Result<BuildResponse> First =
+        P.execute(BuildRequest::analyze(Config, Texts));
+    ASSERT_TRUE(First.ok()) << First.text();
+    EXPECT_EQ(First.Value.Stats.SummariesParsed, Texts.size());
+
+    Texts[1] = editedSummary(Texts[1], 3);
+    Result<BuildResponse> Edited =
+        P.execute(BuildRequest::analyze(Config, Texts));
+    ASSERT_TRUE(Edited.ok()) << Edited.text();
+    EXPECT_EQ(Edited.Value.Stats.SummariesParsed, 1u);
+    EXPECT_EQ(Edited.Value.Stats.AnalyzerCacheMisses, 1u);
+    EXPECT_EQ(Edited.Value.Database, coldDatabase(Config, Texts));
+
+    // Reuse is by content, not position: a reordered request parses
+    // nothing.
+    std::swap(Texts[0], Texts[2]);
+    Result<BuildResponse> Swapped =
+        P.execute(BuildRequest::analyze(Config, Texts));
+    ASSERT_TRUE(Swapped.ok()) << Swapped.text();
+    EXPECT_EQ(Swapped.Value.Stats.SummariesParsed, 0u);
+    EXPECT_EQ(Swapped.Value.Database, coldDatabase(Config, Texts));
+  }
+}
+
+TEST(PipelineTest, BadSummaryInPlaceOfASeenOneFailsAsInAFreshPipeline) {
+  PipelineConfig Config = PipelineConfig::configC();
+  Config.DeltaAnalysis = true;
+  const std::vector<std::string> Texts = phase1Texts(Config);
+  auto Session = std::make_shared<AnalyzerSession>();
+  Pipeline P(Config, nullptr, Session);
+  ASSERT_TRUE(P.analyze(Texts).ok());
+
+  // Unparsable text, then a summary from another compiler
+  // configuration ahead of it: the first failure in text order wins,
+  // with the message a pipeline that never saw the texts gives.
+  std::vector<std::string> Bad = Texts;
+  Bad[2] = Texts[2] + "bogus record\n";
+  ModuleSummary Foreign;
+  std::string Error;
+  ASSERT_TRUE(readSummary(Texts[1], Foreign, Error)) << Error;
+  Foreign.ConfigFingerprint = "0123456789abcdef";
+  for (int Step = 0; Step < 2; ++Step) {
+    DatabaseResult Warm = P.analyze(Bad);
+    DatabaseResult Cold = Pipeline(Config).analyze(Bad);
+    EXPECT_FALSE(Warm.ok());
+    EXPECT_FALSE(Cold.ok());
+    EXPECT_EQ(Warm.text(), Cold.text());
+    Bad[1] = writeSummary(Foreign);
+  }
+
+  // Summaries the session kept are checked against each pipeline's own
+  // configuration too.
+  PipelineConfig Other = Config;
+  Other.LocalGlobalPromotion = !Other.LocalGlobalPromotion;
+  ASSERT_NE(Other.compileFingerprint(), Config.compileFingerprint());
+  DatabaseResult Warm = Pipeline(Other, nullptr, Session).analyze(Texts);
+  DatabaseResult Cold = Pipeline(Other).analyze(Texts);
+  EXPECT_FALSE(Warm.ok());
+  EXPECT_EQ(Warm.text(), Cold.text());
+
+  // A failed request leaves the kept summaries as they were.
+  Result<BuildResponse> Again = P.execute(BuildRequest::analyze(Config, Texts));
+  ASSERT_TRUE(Again.ok()) << Again.text();
+  EXPECT_EQ(Again.Value.Stats.SummariesParsed, 0u);
+}
+
+TEST(ParallelPipelineTest, SharedSessionAnalysesAgree) {
+  // The build service's shape: one analyzer session per program, shared
+  // by every pipeline that builds it, with requests on several threads.
+  PipelineConfig Config = PipelineConfig::configC();
+  Config.DeltaAnalysis = true;
+  const std::vector<std::string> Base = phase1Texts(Config);
+  constexpr int Rounds = 6;
+  std::vector<std::vector<std::string>> Requests;
+  for (int R = 0; R < Rounds; ++R) {
+    std::vector<std::string> Texts = Base;
+    size_t M = static_cast<size_t>(R) % Texts.size();
+    Texts[M] = editedSummary(Texts[M], static_cast<unsigned>(R % 3) + 1);
+    Requests.push_back(std::move(Texts));
+  }
+
+  auto Session = std::make_shared<AnalyzerSession>();
+  std::vector<std::string> Got[2];
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 2; ++T)
+    Threads.emplace_back([&, T] {
+      Pipeline P(Config, nullptr, Session); // Private cache: every miss
+                                            // reaches the session.
+      for (const std::vector<std::string> &Texts : Requests)
+        Got[T].push_back(P.analyze(Texts).DatabaseText);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int R = 0; R < Rounds; ++R) {
+    std::string Cold = coldDatabase(Config, Requests[R]);
+    EXPECT_EQ(Got[0][R], Cold) << "round " << R;
+    EXPECT_EQ(Got[1][R], Cold) << "round " << R;
+  }
 }
 
 TEST(ParallelPipelineTest, ArtifactsAreByteIdenticalAcrossThreadCounts) {

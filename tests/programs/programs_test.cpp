@@ -9,7 +9,10 @@
 /// at configuration C, checking that both halt, produce identical
 /// output, and that configuration C never does worse on singleton
 /// memory references. A second suite fences the fused build's phase-1
-/// IR file: its artifacts must equal the standalone phase chain's.
+/// IR file: its artifacts must equal the standalone phase chain's. A
+/// third proves the fact that lets a build hand phase 2 the database
+/// the analyzer produced instead of the database file's parse: the two
+/// are equal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,6 +173,62 @@ TEST_P(BuildVsChainTest, FusedBuildMatchesPhaseChain) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, BuildVsChainTest,
+                         ::testing::Values("dhry", "fgrep", "othello",
+                                           "war", "crtool", "protoc",
+                                           "paopt", "disp", "ptrchase",
+                                           "rotab"),
+                         [](const auto &Info) {
+                           return std::string(Info.param);
+                         });
+
+/// A build writes the database file once and gives phase 2 the
+/// database the analyzer produced; a standalone phase 2 reads the file.
+/// They agree because parsing a written database gives it back field for
+/// field, which this suite checks on every corpus program at base and
+/// A-F.
+class DatabaseRoundTripTest : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(DatabaseRoundTripTest, ParsedDatabaseEqualsProduced) {
+  auto Sources = loadProgram(GetParam());
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap;
+  std::vector<SourceFile> All = Sources;
+  All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+
+  const std::pair<const char *, PipelineConfig> Configs[] = {
+      {"base", PipelineConfig::baseline()}, {"A", PipelineConfig::configA()},
+      {"B", PipelineConfig::configB()},     {"C", PipelineConfig::configC()},
+      {"D", PipelineConfig::configD()},     {"E", PipelineConfig::configE()},
+      {"F", PipelineConfig::configF()},
+  };
+  for (const auto &[Name, Config] : Configs) {
+    SCOPED_TRACE(std::string("config ") + Name);
+    Result<BuildResponse> P1 =
+        Pipeline(Config).execute(BuildRequest::summary(Config, All));
+    ASSERT_TRUE(P1.ok()) << P1.text();
+    std::vector<ModuleSummary> Summaries(P1.Value.Summaries.size());
+    std::string Error;
+    for (size_t I = 0; I < Summaries.size(); ++I)
+      ASSERT_TRUE(readSummary(P1.Value.Summaries[I], Summaries[I], Error))
+          << Error;
+    CallProfile Profile;
+    if (Config.UseProfile) {
+      Profile.CallCounts = Base.Profile.CallCounts;
+      Profile.EdgeCounts = Base.Profile.EdgeCounts;
+    }
+    ProgramDatabase Produced =
+        runAnalyzer(Summaries, Config.analyzerOptions(), Profile);
+    Produced.ConfigFingerprint = Config.fingerprint();
+    ProgramDatabase Parsed;
+    ASSERT_TRUE(
+        ProgramDatabase::deserialize(Produced.serialize(), Parsed, Error))
+        << Error;
+    EXPECT_TRUE(Parsed == Produced);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrograms, DatabaseRoundTripTest,
                          ::testing::Values("dhry", "fgrep", "othello",
                                            "war", "crtool", "protoc",
                                            "paopt", "disp", "ptrchase",
