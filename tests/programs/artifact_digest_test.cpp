@@ -1,0 +1,98 @@
+//===- artifact_digest_test.cpp - Recorded artifact digests ---------------===//
+//
+// Part of the IPRA project: a reproduction of Santhanam & Odnert,
+// "Register Allocation Across Procedure and Module Boundaries", PLDI 1990.
+//
+//===----------------------------------------------------------------------===//
+///
+/// Byte identity as a test: every corpus cell (each program at base and
+/// A-F) is built, and the FNV-1a digests of its summaries, its database
+/// and each of its object texts must equal the line recorded for the
+/// cell in artifact_digests.txt. A simplification that claims to change
+/// no output is held to that claim here. On a mismatch the test prints
+/// the fresh line, so a deliberate re-baseline is a visible edit of the
+/// digest file.
+///
+//===----------------------------------------------------------------------===//
+
+#include "BenchSupport.h"
+#include "driver/Pipeline.h"
+#include "support/Hash.h"
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <sstream>
+
+using namespace ipra;
+using namespace ipra::bench;
+
+namespace {
+
+/// Recorded lines keyed by "<program> <config>".
+std::map<std::string, std::string> recordedDigests() {
+  std::map<std::string, std::string> Lines;
+  std::ifstream In(IPRA_ARTIFACT_DIGESTS);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    std::istringstream Fields(Line);
+    std::string Program, Config;
+    if (Line.empty() || Line[0] == '#' || !(Fields >> Program >> Config))
+      continue;
+    Lines[Program + " " + Config] = Line;
+  }
+  return Lines;
+}
+
+/// One cell's line: "<program> <config> summaries=H db=H objects=H,H,...".
+std::string digestLine(const std::string &Program, const std::string &Config,
+                       const BuildResult &B) {
+  std::vector<std::string_view> Summaries(B.SummaryFiles.begin(),
+                                          B.SummaryFiles.end());
+  std::string Line = Program + " " + Config +
+                     " summaries=" + hashParts(Summaries) +
+                     " db=" + hashHex(B.DatabaseFile) + " objects=";
+  for (size_t I = 0; I < B.ObjectFiles.size(); ++I)
+    Line += (I ? "," : "") + hashHex(B.ObjectFiles[I]);
+  return Line;
+}
+
+class ArtifactDigestTest : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(ArtifactDigestTest, MatchesRecordedDigests) {
+  static const std::map<std::string, std::string> Recorded =
+      recordedDigests();
+  const std::string Program = GetParam();
+  auto Sources = loadProgram(Program);
+  RunResult Base =
+      runExecutable(Pipeline(PipelineConfig::baseline()).build(Sources).Exe);
+  ASSERT_TRUE(Base.Halted) << Base.Trap;
+
+  const std::pair<const char *, PipelineConfig> Configs[] = {
+      {"base", PipelineConfig::baseline()}, {"A", PipelineConfig::configA()},
+      {"B", PipelineConfig::configB()},     {"C", PipelineConfig::configC()},
+      {"D", PipelineConfig::configD()},     {"E", PipelineConfig::configE()},
+      {"F", PipelineConfig::configF()},
+  };
+  for (const auto &[Name, Config] : Configs) {
+    BuildResult B = Pipeline(Config).build(
+        Sources, Config.UseProfile ? &Base.Profile : nullptr);
+    ASSERT_TRUE(B.ok()) << Name << ": " << B.text();
+    std::string Fresh = digestLine(Program, Name, B);
+    auto It = Recorded.find(Program + " " + Name);
+    std::string Expected = It == Recorded.end() ? "(none)" : It->second;
+    EXPECT_EQ(Expected, Fresh) << "fresh line:\n" << Fresh;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrograms, ArtifactDigestTest,
+                         ::testing::Values("dhry", "fgrep", "othello",
+                                           "war", "crtool", "protoc",
+                                           "paopt", "disp", "ptrchase",
+                                           "rotab"),
+                         [](const auto &Info) {
+                           return std::string(Info.param);
+                         });
+
+} // namespace
