@@ -7,6 +7,8 @@
 
 #include "codegen/RegAlloc.h"
 
+#include "support/Liveness.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -35,7 +37,6 @@ private:
                                                       : 1;
   }
 
-  void computeLiveness();
   void buildInterference();
   bool colorAll();
   void rewriteAssigned();
@@ -53,9 +54,6 @@ private:
              pr32::maskOf(pr32::RV);
     return pr32::callClobberMask();
   }
-
-  // Liveness: per block, set of live regs (phys and virt) at exit.
-  std::vector<std::set<unsigned>> LiveOut;
 
   // Interference results.
   std::vector<std::set<unsigned>> VirtAdj; ///< vreg index -> vreg indices.
@@ -78,40 +76,6 @@ private:
 
 } // namespace
 
-void Allocator::computeLiveness() {
-  size_t N = MF.Blocks.size();
-  std::vector<std::set<unsigned>> LiveIn(N);
-  LiveOut.assign(N, {});
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t BI = N; BI-- > 0;) {
-      std::set<unsigned> Out;
-      for (int S : MF.successors(static_cast<int>(BI)))
-        Out.insert(LiveIn[S].begin(), LiveIn[S].end());
-      std::set<unsigned> In = Out;
-      const MBlock &B = MF.Blocks[BI];
-      std::vector<unsigned> Defs, Uses;
-      for (auto II = B.Instrs.rbegin(); II != B.Instrs.rend(); ++II) {
-        Defs.clear();
-        Uses.clear();
-        II->appendDefs(Defs);
-        II->appendUses(Uses);
-        for (unsigned D : Defs)
-          In.erase(D);
-        for (unsigned U : Uses)
-          In.insert(U);
-      }
-      if (Out != LiveOut[BI] || In != LiveIn[BI]) {
-        LiveOut[BI] = std::move(Out);
-        LiveIn[BI] = std::move(In);
-        Changed = true;
-      }
-    }
-  }
-}
-
 void Allocator::buildInterference() {
   unsigned NV = numVirt();
   VirtAdj.assign(NV, {});
@@ -121,9 +85,26 @@ void Allocator::buildInterference() {
   HintReg.assign(NV, -1);
   Referenced.assign(NV, false);
 
+  // Block liveness of every register, physical and virtual.
+  LivenessProblem P(MF.Blocks.size(), MF.NextVReg);
   std::vector<unsigned> Defs, Uses;
   for (const MBlock &B : MF.Blocks) {
-    std::set<unsigned> Live = LiveOut[B.Id];
+    P.Succs[B.Id] = MF.successors(B.Id);
+    for (auto II = B.Instrs.rbegin(); II != B.Instrs.rend(); ++II) {
+      Defs.clear();
+      Uses.clear();
+      II->appendDefs(Defs);
+      II->appendUses(Uses);
+      for (unsigned D : Defs)
+        P.def(B.Id, D);
+      for (unsigned U : Uses)
+        P.use(B.Id, U);
+    }
+  }
+  std::vector<DynBitset> LiveOut = P.solve().Out;
+
+  for (const MBlock &B : MF.Blocks) {
+    DynBitset &Live = LiveOut[B.Id];
     long long Freq = freqOf(B.Id);
     for (auto II = B.Instrs.rbegin(); II != B.Instrs.rend(); ++II) {
       const MInstr &I = *II;
@@ -147,7 +128,7 @@ void Allocator::buildInterference() {
       // avoid what the call may clobber.
       if (I.isCall()) {
         RegMask Clobber = callClobber(I);
-        for (unsigned R : Live)
+        for (ptrdiff_t R = Live.findFirst(); R >= 0; R = Live.findNext(R))
           if (isVirtReg(R))
             CrossClobber[virtIndex(R)] |= Clobber;
       }
@@ -167,7 +148,9 @@ void Allocator::buildInterference() {
       if (I.Op == MOp::MOV && I.B.isReg())
         CopySrc = I.B.RegNo;
       for (unsigned D : Defs) {
-        for (unsigned L : Live) {
+        for (ptrdiff_t LB = Live.findFirst(); LB >= 0;
+             LB = Live.findNext(LB)) {
+          unsigned L = static_cast<unsigned>(LB);
           if (L == D || L == CopySrc)
             continue;
           if (isVirtReg(D) && isVirtReg(L)) {
@@ -182,9 +165,9 @@ void Allocator::buildInterference() {
       }
 
       for (unsigned D : Defs)
-        Live.erase(D);
+        Live.reset(D);
       for (unsigned U : Uses)
-        Live.insert(U);
+        Live.set(U);
     }
   }
 }
@@ -351,7 +334,6 @@ void Allocator::rewriteAssigned() {
 RegAllocResult Allocator::run() {
   RegAllocResult Result;
   for (int Round = 0; Round < 16; ++Round) {
-    computeLiveness();
     buildInterference();
     if (colorAll()) {
       rewriteAssigned();

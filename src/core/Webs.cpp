@@ -536,32 +536,11 @@ ipra::websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
     W.GlobalId = G;
     W.Nodes = std::move(Nodes);
 
+    finishWeb(CG, RS, W, ReadOnly);
     int LRefNodes = 0;
-    long long Benefit = 0;
-    for (int N : W.Nodes) {
+    for (int N : W.Nodes)
       if (RS.lref(N).test(G))
         ++LRefNodes;
-      if (!ReadOnly && RS.refStores(N, G))
-        W.Modifies = true;
-      Benefit = capAdd(
-          Benefit, capMul(RS.refFreq(N, G), CG.invocationCount(N)));
-    }
-    long long EntryOverhead = 0;
-    for (int N : W.Nodes) {
-      bool HasInternalPred = false;
-      for (int P : CG.node(N).Preds)
-        if (W.Nodes.count(P)) {
-          HasInternalPred = true;
-          break;
-        }
-      if (!HasInternalPred) {
-        W.EntryNodes.push_back(N);
-        EntryOverhead = capAdd(
-            EntryOverhead,
-            capMul(CG.invocationCount(N), W.Modifies ? 2 : 1));
-      }
-    }
-    W.Priority = Benefit - EntryOverhead;
 
     // Filters (§6.2, §7.4, §7.2).
     if (!Options.AssumeClosedWorld && W.Considered) {

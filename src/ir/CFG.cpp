@@ -163,3 +163,17 @@ long long CFGInfo::blockFrequency(int Block) const {
     Freq *= 10;
   return Freq;
 }
+
+Liveness ipra::blockLiveness(const IRFunction &F, const CFGInfo &CFG) {
+  LivenessProblem P(F.Blocks.size(), F.NumVRegs);
+  for (const auto &B : F.Blocks) {
+    P.Succs[B->Id] = CFG.successors(B->Id);
+    for (auto II = B->Instrs.rbegin(); II != B->Instrs.rend(); ++II) {
+      if (II->HasDst)
+        P.def(B->Id, II->Dst);
+      for (unsigned Src : II->Srcs)
+        P.use(B->Id, Src);
+    }
+  }
+  return P.solve();
+}

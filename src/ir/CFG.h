@@ -18,6 +18,7 @@
 #define IPRA_IR_CFG_H
 
 #include "ir/IR.h"
+#include "support/Liveness.h"
 
 #include <vector>
 
@@ -75,6 +76,11 @@ private:
   std::vector<int> LoopDepth;
   std::vector<Loop> Loops;
 };
+
+/// Virtual registers live at the entry and exit of every block of \p F
+/// (support/Liveness over \p CFG's successor lists). Unreachable blocks
+/// get their own answer but never feed a reachable one.
+Liveness blockLiveness(const IRFunction &F, const CFGInfo &CFG);
 
 } // namespace ipra
 

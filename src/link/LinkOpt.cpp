@@ -7,6 +7,8 @@
 
 #include "link/LinkOpt.h"
 
+#include "support/Liveness.h"
+
 #include <algorithm>
 #include <map>
 #include <set>
@@ -24,82 +26,56 @@ struct GlobalInfo {
   long long Accesses = 0; ///< Static LDW/STW count through its address.
 };
 
-/// Per-instruction register read/write masks for liveness. The mask
-/// view is exact for straight-line code and conservative at calls: a
-/// call's clobbers are NOT treated as defs (keeping values "live"
-/// across calls deletes less, never more), and a return is treated as
-/// reading every callee-saves register plus RV/RP/SP.
-struct RegEffects {
-  RegMask Uses = 0;
-  RegMask Defs = 0;
-};
-
-RegEffects effectsOf(const MInstr &I) {
-  RegEffects E;
-  std::vector<unsigned> Regs;
-  I.appendUses(Regs);
-  for (unsigned R : Regs)
-    E.Uses |= pr32::maskOf(R);
-  Regs.clear();
-  I.appendDefs(Regs);
-  for (unsigned R : Regs)
-    E.Defs |= pr32::maskOf(R);
-  if (I.Op == MOp::BV)
-    E.Uses |= pr32::calleeSavedMask() | pr32::maskOf(pr32::RV) |
-              pr32::maskOf(pr32::RP) | pr32::maskOf(pr32::SP);
-  return E;
-}
-
 /// Instruction successors within flattened function code (labels are
-/// function-relative instruction indices in object files).
+/// function-relative instruction indices in object files). Targets
+/// outside the function are dropped.
 void appendSuccessors(const std::vector<MInstr> &Code, int I,
                       std::vector<int> &Out) {
   const MInstr &Instr = Code[I];
+  auto Add = [&](int S) {
+    if (S >= 0 && S < static_cast<int>(Code.size()))
+      Out.push_back(S);
+  };
   switch (Instr.Op) {
   case MOp::B:
-    Out.push_back(Instr.A.LabelId);
-    return;
+    return Add(Instr.A.LabelId);
   case MOp::CB:
-    Out.push_back(Instr.C.LabelId);
-    Out.push_back(I + 1);
-    return;
+    Add(Instr.C.LabelId);
+    return Add(I + 1);
   case MOp::BV:
   case MOp::HALT:
     return;
   default:
-    if (I + 1 < static_cast<int>(Code.size()))
-      Out.push_back(I + 1);
-    return;
+    return Add(I + 1);
   }
 }
 
-/// May-liveness over one function as 32-bit masks: LiveOut[i] is the
-/// set of physical registers possibly read after instruction i executes.
-std::vector<RegMask> computeLiveOut(const std::vector<MInstr> &Code) {
-  int N = static_cast<int>(Code.size());
-  std::vector<RegEffects> Effects(N);
-  for (int I = 0; I < N; ++I)
-    Effects[I] = effectsOf(Code[I]);
-
-  std::vector<RegMask> LiveOut(N, 0);
-  std::vector<int> Succs;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (int I = N - 1; I >= 0; --I) {
-      Succs.clear();
-      appendSuccessors(Code, I, Succs);
-      RegMask Out = 0;
-      for (int S : Succs)
-        if (S >= 0 && S < N)
-          Out |= (LiveOut[S] & ~Effects[S].Defs) | Effects[S].Uses;
-      if (Out != LiveOut[I]) {
-        LiveOut[I] = Out;
-        Changed = true;
-      }
-    }
+/// May-liveness over one function, one node per instruction: Out[i] is
+/// the set of physical registers possibly read after instruction i
+/// executes. It is exact for straight-line code and conservative at
+/// calls: a call's clobbers are NOT treated as defs (keeping values
+/// "live" across calls deletes less, never more), and a return is
+/// treated as reading every callee-saves register plus RV/RP/SP.
+std::vector<DynBitset> liveOut(const std::vector<MInstr> &Code) {
+  const RegMask ReturnReads = pr32::calleeSavedMask() | pr32::maskOf(pr32::RV) |
+                              pr32::maskOf(pr32::RP) | pr32::maskOf(pr32::SP);
+  LivenessProblem P(Code.size(), pr32::NumRegs);
+  std::vector<unsigned> Regs;
+  for (int I = 0; I < static_cast<int>(Code.size()); ++I) {
+    appendSuccessors(Code, I, P.Succs[I]);
+    Regs.clear();
+    Code[I].appendDefs(Regs);
+    for (unsigned R : Regs)
+      P.def(I, R);
+    Regs.clear();
+    Code[I].appendUses(Regs);
+    if (Code[I].Op == MOp::BV)
+      for (unsigned R : pr32::maskRegs(ReturnReads))
+        Regs.push_back(R);
+    for (unsigned R : Regs)
+      P.use(I, R);
   }
-  return LiveOut;
+  return P.solve().Out;
 }
 
 /// Address-fact dataflow over one function. For every program point it
@@ -274,8 +250,6 @@ private:
         std::vector<int> Succs;
         appendSuccessors(Code, Blocks[B].second - 1, Succs);
         for (int S : Succs) {
-          if (S < 0 || S >= static_cast<int>(Code.size()))
-            continue;
           size_t SB = BlockOf[S];
           Facts Met = In[SB];
           // A successor whose entry facts were never set yet takes the
@@ -430,17 +404,17 @@ ipra::promoteGlobalsAtLinkTime(std::vector<ObjectFile> &Objects,
         continue;
 
       // Link-time peephole: the rewrites leave ADDRGs of promoted
-      // globals computing addresses nobody reads. Mask-based liveness
-      // proves which are dead; deleting them shifts branch targets, so
+      // globals computing addresses nobody reads. Liveness proves
+      // which are dead; deleting them shifts branch targets, so
       // label operands are remapped through the kept-prefix counts.
-      std::vector<RegMask> LiveOut = computeLiveOut(F.Code);
+      std::vector<DynBitset> LiveOut = liveOut(F.Code);
       int N = static_cast<int>(F.Code.size());
       std::vector<bool> Keep(N, true);
       for (int I = 0; I < N; ++I) {
         const MInstr &Instr = F.Code[I];
         if (Instr.Op == MOp::ADDRG && Instr.B.isSym() &&
             RegOf.count(Instr.B.SymName) && Instr.A.isReg() &&
-            !(LiveOut[I] & pr32::maskOf(Instr.A.RegNo))) {
+            !LiveOut[I].test(Instr.A.RegNo)) {
           Keep[I] = false;
           ++Stats.RemovedInstrs;
         }

@@ -16,56 +16,22 @@
 #include "ir/CFG.h"
 
 #include <algorithm>
-#include <vector>
 
 using namespace ipra;
 
 bool ipra::eliminateDeadCode(IRFunction &F) {
   CFGInfo CFG(F);
-  size_t N = F.Blocks.size();
-  unsigned NumRegs = F.NumVRegs;
-
-  std::vector<std::vector<bool>> LiveIn(N,
-                                        std::vector<bool>(NumRegs, false));
-  std::vector<std::vector<bool>> LiveOut(N,
-                                         std::vector<bool>(NumRegs, false));
-
-  // Iterate to fixpoint (blocks in reverse RPO for fast convergence).
-  bool IterChanged = true;
-  while (IterChanged) {
-    IterChanged = false;
-    for (auto It = CFG.rpo().rbegin(); It != CFG.rpo().rend(); ++It) {
-      int B = *It;
-      std::vector<bool> Out(NumRegs, false);
-      for (int S : CFG.successors(B))
-        for (unsigned R = 0; R < NumRegs; ++R)
-          if (LiveIn[S][R])
-            Out[R] = true;
-      std::vector<bool> In = Out;
-      const auto &Instrs = F.block(B)->Instrs;
-      for (auto II = Instrs.rbegin(); II != Instrs.rend(); ++II) {
-        if (II->HasDst)
-          In[II->Dst] = false;
-        for (unsigned Use : II->Srcs)
-          In[Use] = true;
-      }
-      if (In != LiveIn[B] || Out != LiveOut[B]) {
-        LiveIn[B] = std::move(In);
-        LiveOut[B] = std::move(Out);
-        IterChanged = true;
-      }
-    }
-  }
+  Liveness BlockLive = blockLiveness(F, CFG);
 
   bool Changed = false;
   for (int B : CFG.rpo()) {
     auto &Instrs = F.block(B)->Instrs;
-    std::vector<bool> Live = LiveOut[B];
+    DynBitset &Live = BlockLive.Out[B];
     std::vector<IRInstr> Kept;
     Kept.reserve(Instrs.size());
     for (auto II = Instrs.rbegin(); II != Instrs.rend(); ++II) {
       IRInstr &I = *II;
-      bool DstDead = I.HasDst && !Live[I.Dst];
+      bool DstDead = I.HasDst && !Live.test(I.Dst);
       if (DstDead && I.isPure()) {
         Changed = true;
         continue; // Drop entirely.
@@ -79,9 +45,9 @@ bool ipra::eliminateDeadCode(IRFunction &F) {
         continue; // Self-copy.
       }
       if (I.HasDst)
-        Live[I.Dst] = false;
+        Live.reset(I.Dst);
       for (unsigned Use : I.Srcs)
-        Live[Use] = true;
+        Live.set(Use);
       Kept.push_back(std::move(I));
     }
     std::reverse(Kept.begin(), Kept.end());

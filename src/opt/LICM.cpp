@@ -69,37 +69,6 @@ struct DefUseInfo {
   }
 };
 
-/// Liveness at block entry for every vreg (backward dataflow).
-std::vector<std::set<unsigned>> liveInSets(const IRFunction &F,
-                                           const CFGInfo &CFG) {
-  size_t N = F.Blocks.size();
-  std::vector<std::set<unsigned>> LiveIn(N), LiveOut(N);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (auto It = CFG.rpo().rbegin(); It != CFG.rpo().rend(); ++It) {
-      int B = *It;
-      std::set<unsigned> Out;
-      for (int S : CFG.successors(B))
-        Out.insert(LiveIn[S].begin(), LiveIn[S].end());
-      std::set<unsigned> In = Out;
-      const auto &Instrs = F.block(B)->Instrs;
-      for (auto II = Instrs.rbegin(); II != Instrs.rend(); ++II) {
-        if (II->HasDst)
-          In.erase(II->Dst);
-        for (unsigned Src : II->Srcs)
-          In.insert(Src);
-      }
-      if (In != LiveIn[B] || Out != LiveOut[B]) {
-        LiveIn[B] = std::move(In);
-        LiveOut[B] = std::move(Out);
-        Changed = true;
-      }
-    }
-  }
-  return LiveIn;
-}
-
 } // namespace
 
 bool ipra::hoistLoopInvariants(IRFunction &F) {
@@ -108,7 +77,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
     return false;
 
   DefUseInfo DU(F);
-  auto LiveIn = liveInSets(F, CFG);
+  Liveness Live = blockLiveness(F, CFG);
 
   bool Changed = false;
   // Hoist from outermost loops first? Processing any loop is correct
@@ -164,7 +133,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
         if (!DominatesUses)
           continue;
         // Not live into the header (no loop-carried pre-def reader).
-        if (LiveIn[L.Header].count(I.Dst))
+        if (Live.In[L.Header].test(I.Dst))
           continue;
         Hoist.push_back({B, static_cast<int>(Idx)});
       }

@@ -15,6 +15,7 @@
 #define IPRA_SUPPORT_DYNBITSET_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 

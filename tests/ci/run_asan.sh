@@ -1,10 +1,16 @@
 #!/bin/sh
 # Builds the whole tree under AddressSanitizer (the "asan" CMake
-# preset) and runs the allocation-heavy build-service suite under it:
-# bounded-cache LRU eviction, session persistence/restore, the
-# daemon/protocol/transport tests (hostile frame parsing included), and
-# the smoke-sized rebuild-storm bench (everything carrying the
-# "service" ctest label).
+# preset) and runs two groups of suites under it:
+#
+#  - the allocation-heavy build-service suite: bounded-cache LRU
+#    eviction, session persistence/restore, the daemon/protocol/transport
+#    tests (hostile frame parsing included), and the smoke-sized
+#    rebuild-storm bench (the "service" ctest label);
+#  - the liveness solver and its callers: support_test, liveness_test,
+#    opt_test, codegen_test, regalloc_stress_test and linkopt_test (the
+#    "dataflow" label). The solver indexes bitsets by register number
+#    and DynBitset checks bounds only with assert, so ASan is what
+#    catches an out-of-universe register in a release-style build.
 #
 # Usage: tests/ci/run_asan.sh [jobs]
 set -eu
@@ -15,4 +21,4 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset asan -S "$ROOT"
 cmake --build --preset asan -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-      -L service
+      -L 'service|dataflow'
