@@ -311,7 +311,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--wall") {
       WallLink = true;
     } else if (Arg.rfind("--points-to=", 0) == 0) {
-      if (!parsePointsToMode(Arg.substr(12), PointsTo)) {
+      if (!enumFromName(Arg.substr(12), PointsTo)) {
         std::fprintf(stderr,
                      "mcc: unknown points-to mode '%s' "
                      "(expected off, andersen, or gpg)\n",

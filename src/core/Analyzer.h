@@ -26,8 +26,10 @@
 #include "summary/Summary.h"
 #include "target/Directives.h"
 
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipra {
@@ -39,6 +41,21 @@ enum class PromotionMode {
   Greedy,  ///< Greedy coloring (column D).
   Blanket, ///< Wall-style blanket promotion (column E).
 };
+
+/// PromotionMode's key names, in enumerator order, for the record codec.
+inline constexpr const char *PromotionModeNames[] = {"none", "webs",
+                                                     "greedy", "blanket"};
+inline const char *enumName(PromotionMode M) {
+  return PromotionModeNames[static_cast<int>(M)];
+}
+inline bool enumFromName(std::string_view Name, PromotionMode &M) {
+  for (size_t I = 0; I < std::size(PromotionModeNames); ++I)
+    if (Name == PromotionModeNames[I]) {
+      M = static_cast<PromotionMode>(I);
+      return true;
+    }
+  return false;
+}
 
 /// Analyzer configuration.
 struct AnalyzerOptions {
@@ -89,6 +106,27 @@ struct AnalyzerOptions {
   static AnalyzerOptions columnC(); ///< + 6-register web coloring.
   static AnalyzerOptions columnD(); ///< + greedy coloring.
   static AnalyzerOptions columnE(); ///< + blanket promotion.
+
+  /// The output-affecting knobs with their keys (support/Json.h's
+  /// Record): the one list behind the delta analyzer's option check and
+  /// its retained options record. NumThreads is left out — the database
+  /// is byte-identical at every value. A new knob is its member, one
+  /// row here, its line in each PipelineConfig view copy and its
+  /// PipelineConfig::analyzerFingerprint entry.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("spill-motion", S.SpillMotion);
+    V("promotion", S.Promotion);
+    V("web-pool", S.WebPool);
+    V("blanket-count", S.BlanketCount);
+    V("webs", S.Webs);
+    V("clusters", S.Clusters);
+    V("regsets", S.RegSets);
+    V("caller-save-propagation", S.CallerSavePropagation);
+    V("assume-closed-world", S.AssumeClosedWorld);
+    V("points-to", S.PointsTo);
+    V("modref", S.ModRef);
+  }
 };
 
 /// The analyzer's observable statistics (the §6.2 narrative).

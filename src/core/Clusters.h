@@ -49,6 +49,14 @@ struct ClusterOptions {
   /// visible procedures may have unknown callers and cannot be cluster
   /// members (property [2] would be unverifiable).
   bool AssumeClosedWorld = true;
+
+  /// The output-affecting knobs with their keys (support/Json.h's
+  /// Record). AssumeClosedWorld is left out: the analyzer overwrites it
+  /// from AnalyzerOptions.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("root-benefit-threshold", S.RootBenefitThreshold);
+  }
 };
 
 /// Identifies every cluster in \p CG.

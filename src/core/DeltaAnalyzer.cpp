@@ -10,13 +10,12 @@
 #include "analysis/GPGCompose.h"
 #include "core/AnalyzerInternal.h"
 #include "summary/SummaryDiff.h"
+#include "support/Json.h"
 #include "support/NodeSet.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -33,25 +32,10 @@ double msSince(Clock::time_point T0) {
       .count();
 }
 
-/// Everything the output depends on except thread count (NumThreads is
-/// excluded from every fingerprint; it must not force a full run).
+/// Everything the output depends on: the AnalyzerOptions field list,
+/// which leaves out NumThreads (it must not force a full run).
 bool sameOptions(const AnalyzerOptions &A, const AnalyzerOptions &B) {
-  const WebOptions &WA = A.Webs, &WB = B.Webs;
-  return A.SpillMotion == B.SpillMotion && A.Promotion == B.Promotion &&
-         A.WebPool == B.WebPool && A.BlanketCount == B.BlanketCount &&
-         WA.MinLRefRatio == WB.MinLRefRatio &&
-         WA.MinSingleNodeFreq == WB.MinSingleNodeFreq &&
-         WA.DiscardCrossModuleStaticWebs ==
-             WB.DiscardCrossModuleStaticWebs &&
-         WA.SplitSparseWebs == WB.SplitSparseWebs &&
-         WA.RemergeWebs == WB.RemergeWebs &&
-         A.Clusters.RootBenefitThreshold ==
-             B.Clusters.RootBenefitThreshold &&
-         A.RegSets.RelaxWebAvail == B.RegSets.RelaxWebAvail &&
-         A.RegSets.ImprovedFreeSets == B.RegSets.ImprovedFreeSets &&
-         A.CallerSavePropagation == B.CallerSavePropagation &&
-         A.AssumeClosedWorld == B.AssumeClosedWorld &&
-         A.PointsTo == B.PointsTo && A.ModRef == B.ModRef;
+  return json::encode(A) == json::encode(B);
 }
 
 bool sameProfile(const CallProfile &A, const CallProfile &B) {
@@ -59,14 +43,6 @@ bool sameProfile(const CallProfile &A, const CallProfile &B) {
 }
 
 // --- Retained-run persistence helpers -------------------------------------
-
-/// Doubles are printed as C99 hex floats (%a): exact round-trip, no
-/// decimal-precision guesswork. strtod parses them back.
-std::string fmtDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
-}
 
 /// Length-prefixed string: "<len>\n<bytes>\n". Safe for any contents
 /// (summary texts, database text, discard reasons with spaces).
@@ -84,15 +60,6 @@ bool getStr(std::istream &In, std::string &Out) {
   if (Len && !In.read(&Out[0], static_cast<std::streamsize>(Len)))
     return false;
   return In.get() == '\n';
-}
-
-bool getDouble(std::istream &In, double &Out) {
-  std::string Tok;
-  if (!(In >> Tok))
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End && *End == '\0' && End != Tok.c_str();
 }
 
 bool getBool(std::istream &In, bool &Out) {
@@ -559,7 +526,7 @@ ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
 // Retained-run persistence (warm daemon restarts, DESIGN.md §13).
 //
 //   ipra-retained <version>
-//   options <16 output-affecting fields, doubles as %a hex floats>
+//   options <json::encode of the AnalyzerOptions field list>
 //   profile <ncalls> <nedges>  + one "call"/"edge" record each
 //   summaries <n>              + one length-prefixed writeSummary text each
 //   webs <nwebs> <has-webstart>
@@ -582,17 +549,7 @@ bool DeltaAnalyzer::serializeRetained(std::string &Out) const {
     return false;
   std::ostringstream O;
   O << "ipra-retained " << RetainedFormatVersion << "\n";
-  O << "options " << Opts.SpillMotion << ' '
-    << static_cast<int>(Opts.Promotion) << ' ' << Opts.WebPool << ' '
-    << Opts.BlanketCount << ' ' << fmtDouble(Opts.Webs.MinLRefRatio) << ' '
-    << Opts.Webs.MinSingleNodeFreq << ' '
-    << Opts.Webs.DiscardCrossModuleStaticWebs << ' '
-    << Opts.Webs.SplitSparseWebs << ' ' << Opts.Webs.RemergeWebs << ' '
-    << fmtDouble(Opts.Clusters.RootBenefitThreshold) << ' '
-    << Opts.RegSets.RelaxWebAvail << ' ' << Opts.RegSets.ImprovedFreeSets
-    << ' ' << Opts.CallerSavePropagation << ' ' << Opts.AssumeClosedWorld
-    << ' ' << static_cast<int>(Opts.PointsTo) << ' ' << Opts.ModRef
-    << "\n";
+  O << "options " << json::encode(Opts).dump() << "\n";
   O << "profile " << Prof.CallCounts.size() << ' ' << Prof.EdgeCounts.size()
     << "\n";
   for (const auto &[Name, N] : Prof.CallCounts) {
@@ -681,29 +638,12 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
                 std::to_string(RetainedFormatVersion) + ")");
 
   AnalyzerOptions O;
-  int Promotion = -1, PointsTo = -1;
-  if (!(In >> Tag) || Tag != "options" || !getBool(In, O.SpillMotion) ||
-      !(In >> Promotion) || !(In >> O.WebPool) || !(In >> O.BlanketCount) ||
-      !getDouble(In, O.Webs.MinLRefRatio) ||
-      !(In >> O.Webs.MinSingleNodeFreq) ||
-      !getBool(In, O.Webs.DiscardCrossModuleStaticWebs) ||
-      !getBool(In, O.Webs.SplitSparseWebs) ||
-      !getBool(In, O.Webs.RemergeWebs) ||
-      !getDouble(In, O.Clusters.RootBenefitThreshold) ||
-      !getBool(In, O.RegSets.RelaxWebAvail) ||
-      !getBool(In, O.RegSets.ImprovedFreeSets) ||
-      !getBool(In, O.CallerSavePropagation) ||
-      !getBool(In, O.AssumeClosedWorld) || !(In >> PointsTo) ||
-      !getBool(In, O.ModRef))
+  json::Value OptsJson;
+  std::string Line, JsonErr;
+  if (!(In >> Tag) || Tag != "options" || !std::getline(In, Line) ||
+      !json::Value::parse(Line, OptsJson, JsonErr) ||
+      !json::decode(OptsJson, O))
     return Fail("malformed options record");
-  if (Promotion < static_cast<int>(PromotionMode::None) ||
-      Promotion > static_cast<int>(PromotionMode::Blanket))
-    return Fail("unknown promotion mode");
-  O.Promotion = static_cast<PromotionMode>(Promotion);
-  if (PointsTo < static_cast<int>(PointsToMode::Off) ||
-      PointsTo > static_cast<int>(PointsToMode::GPG))
-    return Fail("unknown points-to mode");
-  O.PointsTo = static_cast<PointsToMode>(PointsTo);
 
   CallProfile P;
   size_t NumCalls = 0, NumEdges = 0;

@@ -150,7 +150,10 @@ public:
   /// field) and the summaries carry the format-v5 mod/ref fields. The
   /// verdicts themselves are not serialized — computeModRef is a pure
   /// function of the rebuilt call graph, so restore recomputes them.
-  static constexpr int RetainedFormatVersion = 3;
+  /// Version 4: the options record is one JSON object, json::encode of
+  /// the AnalyzerOptions field list (enums by name, doubles to 17
+  /// significant digits), read back with the strict json::decode.
+  static constexpr int RetainedFormatVersion = 4;
 
   /// Serializes the primed retained run — every output-affecting
   /// analyzer option, the profile, the previous summaries, the

@@ -51,6 +51,13 @@ struct RegSetOptions {
   bool RelaxWebAvail = false;
   /// §7.6.2: add root-spilled registers unused downstream to FREE.
   bool ImprovedFreeSets = false;
+
+  /// Every knob with its key (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("relax-web-avail", S.RelaxWebAvail);
+    V("improved-free-sets", S.ImprovedFreeSets);
+  }
 };
 
 /// Computes FREE/CALLER/CALLEE/MSPILL for every node. The returned

@@ -97,6 +97,18 @@ struct WebOptions {
   /// calling thread, 0 defers to IPRA_THREADS / the hardware count.
   /// Output is identical at any value.
   int NumThreads = 1;
+
+  /// The output-affecting knobs with their keys (support/Json.h's
+  /// Record). AssumeClosedWorld and NumThreads are left out: the
+  /// analyzer overwrites both from AnalyzerOptions (webOptionsFor).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("min-lref-ratio", S.MinLRefRatio);
+    V("min-single-node-freq", S.MinSingleNodeFreq);
+    V("discard-cross-module-static-webs", S.DiscardCrossModuleStaticWebs);
+    V("split-sparse-webs", S.SplitSparseWebs);
+    V("remerge-webs", S.RemergeWebs);
+  }
 };
 
 /// Identifies every web, computes entry nodes, priorities (weighted

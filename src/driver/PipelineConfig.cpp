@@ -10,9 +10,22 @@
 #include "support/Hash.h"
 #include "summary/Summary.h"
 
+#include <charconv>
 #include <sstream>
 
 using namespace ipra;
+
+namespace {
+
+/// The shortest text that reads back as exactly \p V, so two distinct
+/// thresholds never share a fingerprint ("0.2" and "1" for the shipped
+/// defaults, as the stream's six digits printed them).
+std::string shortest(double V) {
+  char Buf[32];
+  return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+} // namespace
 
 PipelineConfig PipelineConfig::baseline() { return PipelineConfig(); }
 
@@ -134,12 +147,12 @@ std::string PipelineConfig::analyzerFingerprint() const {
      << ";freesets=" << ImprovedFreeSets << ";csp=" << CallerSavePropagation
      << ";closed=" << AssumeClosedWorld
      << ";pt=" << static_cast<int>(PointsTo) << ";modref=" << ModRef
-     << ";web.lref=" << Webs.MinLRefRatio
+     << ";web.lref=" << shortest(Webs.MinLRefRatio)
      << ";web.minfreq=" << Webs.MinSingleNodeFreq
      << ";web.xstatic=" << Webs.DiscardCrossModuleStaticWebs
      << ";web.split=" << Webs.SplitSparseWebs
      << ";web.remerge=" << Webs.RemergeWebs
-     << ";cluster.thresh=" << Clusters.RootBenefitThreshold;
+     << ";cluster.thresh=" << shortest(Clusters.RootBenefitThreshold);
   return hashHex(OS.str());
 }
 

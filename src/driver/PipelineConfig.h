@@ -166,6 +166,31 @@ struct PipelineConfig {
   /// stamped into summary files and program databases so readers reject
   /// artifacts from a different configuration.
   std::string fingerprint() const;
+
+  /// The wire configuration (support/Json.h's Record): every field a
+  /// build request carries. CacheDir and the cache budgets stay off the
+  /// list — cache placement is server policy, not client input.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("ipra", S.Ipra);
+    V("spill-motion", S.SpillMotion);
+    V("promotion", S.Promotion);
+    V("web-pool", S.WebPool);
+    V("blanket-count", S.BlanketCount);
+    V("use-profile", S.UseProfile);
+    V("local-global-promotion", S.LocalGlobalPromotion);
+    V("points-to", S.PointsTo);
+    V("modref", S.ModRef);
+    V("relax-web-avail", S.RelaxWebAvail);
+    V("improved-free-sets", S.ImprovedFreeSets);
+    V("caller-save-propagation", S.CallerSavePropagation);
+    V("assume-closed-world", S.AssumeClosedWorld);
+    V("webs", S.Webs);
+    V("clusters", S.Clusters);
+    V("linker-reserved-regs", S.LinkerReservedRegs);
+    V("num-threads", S.NumThreads);
+    V("delta-analysis", S.DeltaAnalysis);
+  }
 };
 
 } // namespace ipra

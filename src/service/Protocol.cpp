@@ -116,43 +116,9 @@ bool ipra::readFrame(int Fd, std::string &Payload) {
 
 namespace {
 
-const char *promotionName(PromotionMode M) {
-  switch (M) {
-  case PromotionMode::None:
-    return "none";
-  case PromotionMode::Webs:
-    return "webs";
-  case PromotionMode::Greedy:
-    return "greedy";
-  case PromotionMode::Blanket:
-    return "blanket";
-  }
-  return "none";
-}
-
-PromotionMode promotionFromName(const std::string &Name) {
-  if (Name == "webs")
-    return PromotionMode::Webs;
-  if (Name == "greedy")
-    return PromotionMode::Greedy;
-  if (Name == "blanket")
-    return PromotionMode::Blanket;
-  return PromotionMode::None;
-}
-
 bool fieldBool(const Value &V, const char *Key, bool Default) {
   const Value *F = V.find(Key);
   return F ? F->asBool(Default) : Default;
-}
-
-long long fieldInt(const Value &V, const char *Key, long long Default) {
-  const Value *F = V.find(Key);
-  return F ? F->asInt(Default) : Default;
-}
-
-double fieldNum(const Value &V, const char *Key, double Default) {
-  const Value *F = V.find(Key);
-  return F ? F->asNumber(Default) : Default;
 }
 
 std::string fieldStr(const Value &V, const char *Key) {
@@ -162,107 +128,15 @@ std::string fieldStr(const Value &V, const char *Key) {
 
 } // namespace
 
-Value ipra::configToJson(const PipelineConfig &Config) {
-  Value Webs = Value::object();
-  Webs.set("min-lref-ratio", Value::number(Config.Webs.MinLRefRatio))
-      .set("min-single-node-freq",
-           Value::number(Config.Webs.MinSingleNodeFreq))
-      .set("discard-cross-module-static-webs",
-           Value::boolean(Config.Webs.DiscardCrossModuleStaticWebs))
-      .set("split-sparse-webs", Value::boolean(Config.Webs.SplitSparseWebs))
-      .set("assume-closed-world",
-           Value::boolean(Config.Webs.AssumeClosedWorld))
-      .set("remerge-webs", Value::boolean(Config.Webs.RemergeWebs))
-      .set("num-threads", Value::number(Config.Webs.NumThreads));
-  Value Clusters = Value::object();
-  Clusters
-      .set("root-benefit-threshold",
-           Value::number(Config.Clusters.RootBenefitThreshold))
-      .set("assume-closed-world",
-           Value::boolean(Config.Clusters.AssumeClosedWorld));
-  Value V = Value::object();
-  V.set("ipra", Value::boolean(Config.Ipra))
-      .set("spill-motion", Value::boolean(Config.SpillMotion))
-      .set("promotion", Value::str(promotionName(Config.Promotion)))
-      .set("web-pool",
-           Value::number(static_cast<unsigned long long>(Config.WebPool)))
-      .set("blanket-count", Value::number(Config.BlanketCount))
-      .set("use-profile", Value::boolean(Config.UseProfile))
-      .set("local-global-promotion",
-           Value::boolean(Config.LocalGlobalPromotion))
-      .set("points-to", Value::str(pointsToModeName(Config.PointsTo)))
-      .set("modref", Value::boolean(Config.ModRef))
-      .set("relax-web-avail", Value::boolean(Config.RelaxWebAvail))
-      .set("improved-free-sets", Value::boolean(Config.ImprovedFreeSets))
-      .set("caller-save-propagation",
-           Value::boolean(Config.CallerSavePropagation))
-      .set("assume-closed-world", Value::boolean(Config.AssumeClosedWorld))
-      .set("webs", std::move(Webs))
-      .set("clusters", std::move(Clusters))
-      .set("linker-reserved-regs",
-           Value::number(
-               static_cast<unsigned long long>(Config.LinkerReservedRegs)))
-      .set("num-threads", Value::number(Config.NumThreads))
-      .set("delta-analysis", Value::boolean(Config.DeltaAnalysis));
-  return V;
-}
-
 bool ipra::configFromJson(const Value &V, PipelineConfig &C,
                           std::string &Error) {
   C = PipelineConfig();
-  C.Ipra = fieldBool(V, "ipra", C.Ipra);
-  C.SpillMotion = fieldBool(V, "spill-motion", C.SpillMotion);
-  C.Promotion = promotionFromName(fieldStr(V, "promotion"));
-  C.WebPool = static_cast<RegMask>(
-      fieldInt(V, "web-pool", static_cast<long long>(C.WebPool)));
-  C.BlanketCount =
-      static_cast<int>(fieldInt(V, "blanket-count", C.BlanketCount));
-  C.UseProfile = fieldBool(V, "use-profile", C.UseProfile);
-  C.LocalGlobalPromotion =
-      fieldBool(V, "local-global-promotion", C.LocalGlobalPromotion);
-  if (const Value *PT = V.find("points-to");
-      PT && !parsePointsToMode(PT->asString(), C.PointsTo)) {
-    Error = "config field 'points-to' must be \"off\", \"andersen\" or "
-            "\"gpg\"";
-    return false;
-  }
-  C.ModRef = fieldBool(V, "modref", C.ModRef);
-  C.RelaxWebAvail = fieldBool(V, "relax-web-avail", C.RelaxWebAvail);
-  C.ImprovedFreeSets =
-      fieldBool(V, "improved-free-sets", C.ImprovedFreeSets);
-  C.CallerSavePropagation =
-      fieldBool(V, "caller-save-propagation", C.CallerSavePropagation);
-  C.AssumeClosedWorld =
-      fieldBool(V, "assume-closed-world", C.AssumeClosedWorld);
-  if (const Value *W = V.find("webs")) {
-    C.Webs.MinLRefRatio =
-        fieldNum(*W, "min-lref-ratio", C.Webs.MinLRefRatio);
-    C.Webs.MinSingleNodeFreq =
-        fieldInt(*W, "min-single-node-freq", C.Webs.MinSingleNodeFreq);
-    C.Webs.DiscardCrossModuleStaticWebs =
-        fieldBool(*W, "discard-cross-module-static-webs",
-                  C.Webs.DiscardCrossModuleStaticWebs);
-    C.Webs.SplitSparseWebs =
-        fieldBool(*W, "split-sparse-webs", C.Webs.SplitSparseWebs);
-    C.Webs.AssumeClosedWorld =
-        fieldBool(*W, "assume-closed-world", C.Webs.AssumeClosedWorld);
-    C.Webs.RemergeWebs = fieldBool(*W, "remerge-webs", C.Webs.RemergeWebs);
-    C.Webs.NumThreads = static_cast<int>(
-        fieldInt(*W, "num-threads", C.Webs.NumThreads));
-  }
-  if (const Value *Cl = V.find("clusters")) {
-    C.Clusters.RootBenefitThreshold = fieldNum(
-        *Cl, "root-benefit-threshold", C.Clusters.RootBenefitThreshold);
-    C.Clusters.AssumeClosedWorld = fieldBool(
-        *Cl, "assume-closed-world", C.Clusters.AssumeClosedWorld);
-  }
-  C.LinkerReservedRegs = static_cast<RegMask>(fieldInt(
-      V, "linker-reserved-regs",
-      static_cast<long long>(C.LinkerReservedRegs)));
-  C.NumThreads = static_cast<int>(fieldInt(V, "num-threads", C.NumThreads));
-  C.DeltaAnalysis = fieldBool(V, "delta-analysis", C.DeltaAnalysis);
-  // CacheDir never crosses the wire: cache placement is server policy.
-  return true;
+  std::string Path;
+  if (json::decodePresent(V, C, Path))
+    return true;
+  Error = Path.empty() ? "config is not an object"
+                       : "config field '" + Path + "' has an invalid value";
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,7 +147,7 @@ Value ipra::requestToJson(const BuildRequest &Req) {
   Value V = Value::object();
   V.set("program", Value::str(Req.Program))
       .set("phase", Value::str(buildPhaseName(Req.Phase)))
-      .set("config", configToJson(Req.Config));
+      .set("config", json::encode(Req.Config));
   Value Modules = Value::array();
   for (const SourceFile &S : Req.Modules) {
     Value M = Value::object();

@@ -108,9 +108,10 @@ Status decodeStatusReply(const std::string &Payload,
 
 // Value codecs (exposed for tests) ---------------------------------------
 
-json::Value configToJson(const PipelineConfig &Config);
-/// Fails, naming the field in \p Error, when "points-to" is not a mode
-/// name ("off", "andersen" or "gpg").
+/// Reads a wire config (json::encode of PipelineConfig). An absent key
+/// keeps its default; a present one of the wrong kind, or an unknown
+/// promotion / points-to name, fails the request, naming the field in
+/// \p Error by its dotted path ("webs.min-lref-ratio").
 bool configFromJson(const json::Value &V, PipelineConfig &Config,
                     std::string &Error);
 json::Value requestToJson(const BuildRequest &Req);

@@ -32,7 +32,7 @@ std::string qualifyIn(const IRModule &M, const std::string &Plain) {
 
 } // namespace
 
-const char *ipra::pointsToModeName(PointsToMode Mode) {
+const char *ipra::enumName(PointsToMode Mode) {
   switch (Mode) {
   case PointsToMode::Off:
     return "off";
@@ -44,7 +44,7 @@ const char *ipra::pointsToModeName(PointsToMode Mode) {
   return "off";
 }
 
-bool ipra::parsePointsToMode(const std::string &Text, PointsToMode &Out) {
+bool ipra::enumFromName(std::string_view Text, PointsToMode &Out) {
   if (Text == "off")
     Out = PointsToMode::Off;
   else if (Text == "andersen")

@@ -32,6 +32,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipra {
@@ -78,10 +79,11 @@ enum class PointsToMode : uint8_t {
   GPG = 2,
 };
 
-/// Printable mode name ("off" / "andersen" / "gpg").
-const char *pointsToModeName(PointsToMode Mode);
+/// Printable mode name ("off" / "andersen" / "gpg"), also the record
+/// codec's key name.
+const char *enumName(PointsToMode Mode);
 /// Parses a mode name; returns false on unknown text.
-bool parsePointsToMode(const std::string &Text, PointsToMode &Out);
+bool enumFromName(std::string_view Name, PointsToMode &Out);
 
 /// One generalized points-to update (GPU): the flow-ordered boundary
 /// residue of the per-procedure flow-sensitive points-to analysis

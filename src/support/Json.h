@@ -16,17 +16,20 @@
 /// exactly enough to carry MiniC source text, artifacts, diagnostics,
 /// and counters between the mcc client and the build daemon.
 ///
-/// encode()/decode() map a statistics record to and from a JSON object
-/// through the record's one field list (see Record below), so every
-/// encoding of a record — the service wire, the analyzer cache entry —
-/// is driven by the same list of (key, member) rows.
+/// encode()/decode() map a record — a statistics or an options record —
+/// to and from a JSON object through the record's one field list (see
+/// Record below), so every encoding of a record — the service wire, the
+/// analyzer cache entry, the retained analyzer run — is driven by the
+/// same list of (key, member) rows.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPRA_SUPPORT_JSON_H
 #define IPRA_SUPPORT_JSON_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -133,6 +136,9 @@ public:
   /// malformed input (including trailing garbage).
   static bool parse(std::string_view Text, Value &Out, std::string &Error);
 
+  /// Same kind and same contents (object keys compared in order).
+  bool operator==(const Value &O) const = default;
+
 private:
   Kind K = Kind::Null;
   bool B = false;
@@ -191,10 +197,11 @@ template <typename T> Value encode(const T &X) {
 
 /// Decodes \p V into \p X (the inverse of encode(); enums parse through
 /// `enumFromName(Name, E)`, found by argument-dependent lookup). A value
-/// of the wrong kind leaves its field as it was, and so does a key the
-/// object lacks. Returns true only when every field was present with
-/// the right kind — the strict reading a cache entry needs; wire
-/// readers ignore it and keep the defaults.
+/// of the wrong kind (for an integer, also a fraction or a number out of
+/// range) leaves its field as it was, and so does a key the object
+/// lacks. Returns true only when every field was present with the right
+/// kind — the strict reading a cache entry and a retained analyzer run
+/// need; stats readers on the wire ignore it and keep the defaults.
 template <typename T> bool decode(const Value &V, T &X) {
   if constexpr (std::is_same_v<T, bool>) {
     if (!V.isBool())
@@ -205,7 +212,13 @@ template <typename T> bool decode(const Value &V, T &X) {
   } else if constexpr (std::is_integral_v<T>) {
     if (!V.isNumber())
       return false;
-    X = static_cast<T>(V.asInt());
+    // Only a whole number inside T's range reads as an integer.
+    const double N = V.asNumber();
+    const double Limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (N != std::floor(N) || N >= Limit ||
+        N < (std::is_signed_v<T> ? -Limit : 0.0))
+      return false;
+    X = static_cast<T>(N);
   } else if constexpr (std::is_floating_point_v<T>) {
     if (!V.isNumber())
       return false;
@@ -234,6 +247,32 @@ template <typename T> bool decode(const Value &V, T &X) {
     return Complete;
   }
   return true;
+}
+
+/// The lenient-on-absence, strict-on-kind reading of a record: decodes
+/// the listed keys \p V carries and leaves absent ones as they were. A
+/// present value of the wrong kind (or an unknown enum name) fails;
+/// \p Path, the record's own key path on entry, then names the field
+/// (nested records as dotted paths, "webs.min-lref-ratio"). Keys the
+/// list does not name are ignored.
+template <Record T>
+bool decodePresent(const Value &V, T &X, std::string &Path) {
+  if (!V.isObject())
+    return false;
+  bool Ok = true;
+  T::fields(X, [&](const char *Key, auto &F) {
+    const Value *M = Ok ? V.find(Key) : nullptr;
+    if (!M)
+      return;
+    std::string Sub = Path.empty() ? Key : Path + "." + Key;
+    if constexpr (Record<std::remove_cvref_t<decltype(F)>>)
+      Ok = decodePresent(*M, F, Sub);
+    else
+      Ok = decode(*M, F);
+    if (!Ok)
+      Path = std::move(Sub);
+  });
+  return Ok;
 }
 
 } // namespace ipra::json

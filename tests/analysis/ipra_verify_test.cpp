@@ -308,7 +308,7 @@ TEST(IPRAVerifyTest, TrulyEscapingGlobalNeverPromoted) {
       for (const PromotedGlobal &P : Dir.Promoted)
         EXPECT_NE(P.QualName, "g")
             << Name << " promotes the escaping global (points-to="
-            << pointsToModeName(PT) << ")";
+            << enumName(PT) << ")";
     IPRAVerifyResult V = verifyIPRA(L.Objects, L.DB);
     EXPECT_TRUE(V.ok()) << V.text();
   }

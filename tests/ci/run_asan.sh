@@ -1,16 +1,21 @@
 #!/bin/sh
 # Builds the whole tree under AddressSanitizer (the "asan" CMake
-# preset) and runs two groups of suites under it:
+# preset) and runs three groups of suites under it:
 #
 #  - the allocation-heavy build-service suite: bounded-cache LRU
 #    eviction, session persistence/restore, the daemon/protocol/transport
-#    tests (hostile frame parsing included), and the smoke-sized
-#    rebuild-storm bench (the "service" ctest label);
+#    tests (hostile frame parsing included), the smoke-sized
+#    rebuild-storm bench, and serializer_fuzz_test, which feeds mutated
+#    wire configs, replies and retained blobs to their decoders (the
+#    "service" ctest label);
 #  - the liveness solver and its callers: support_test, liveness_test,
 #    opt_test, codegen_test, regalloc_stress_test and linkopt_test (the
 #    "dataflow" label). The solver indexes bitsets by register number
 #    and DynBitset checks bounds only with assert, so ASan is what
-#    catches an out-of-universe register in a release-style build.
+#    catches an out-of-universe register in a release-style build;
+#  - the delta analyzer suites (the "delta" label): the retained-run
+#    restore parses blobs from disk, and its options record goes
+#    through the same JSON record codec as the wire config.
 #
 # Usage: tests/ci/run_asan.sh [jobs]
 set -eu
@@ -21,4 +26,4 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset asan -S "$ROOT"
 cmake --build --preset asan -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-      -L 'service|dataflow'
+      -L 'service|dataflow|delta'

@@ -15,12 +15,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/DeltaAnalyzer.h"
 #include "driver/Pipeline.h"
 #include "summary/SummaryDiff.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -939,6 +942,120 @@ TEST(IncrementalTest, FingerprintIgnoresThreadsAndCacheDir) {
   D.BlanketCount = 9;
   EXPECT_EQ(D.compileFingerprint(), A.compileFingerprint());
   EXPECT_NE(D.analyzerFingerprint(), A.analyzerFingerprint());
+}
+
+/// Calls \p F(Path, Leaf) for every leaf field of record \p X, walking
+/// nested records through their field lists ("webs.min-lref-ratio").
+template <typename T, typename Fn>
+void forEachLeaf(T &X, const std::string &Path, const Fn &F) {
+  if constexpr (json::Record<T>)
+    T::fields(X, [&](const char *Key, auto &M) {
+      forEachLeaf(M, Path.empty() ? Key : Path + "." + Key, F);
+    });
+  else
+    F(Path, X);
+}
+
+/// The smallest change to a leaf: bools and enums flip, integers step
+/// by one, doubles move to the next representable value.
+template <typename T> void nudge(T &X) {
+  if constexpr (std::is_same_v<T, bool>)
+    X = !X;
+  else if constexpr (std::is_enum_v<T>)
+    X = static_cast<T>(static_cast<int>(X) == 0 ? 1 : 0);
+  else if constexpr (std::is_floating_point_v<T>)
+    X = std::nextafter(X, std::numeric_limits<T>::infinity());
+  else
+    X = X + 1;
+}
+
+/// One copy of \p Base per leaf of its field list, that leaf nudged.
+template <typename T>
+std::vector<std::pair<std::string, T>> nudgedCopies(const T &Base) {
+  std::vector<std::string> Paths;
+  T Probe = Base;
+  forEachLeaf(Probe, "",
+              [&](const std::string &P, auto &) { Paths.push_back(P); });
+  std::vector<std::pair<std::string, T>> Out;
+  for (const std::string &P : Paths) {
+    T Copy = Base;
+    forEachLeaf(Copy, "", [&](const std::string &Q, auto &Leaf) {
+      if (Q == P)
+        nudge(Leaf);
+    });
+    Out.emplace_back(P, Copy);
+  }
+  return Out;
+}
+
+// A knob on the wire list but missing from the hand-written fingerprint
+// would let two configurations share cache entries and service
+// sessions; every row except the two placement knobs must move it.
+TEST(IncrementalTest, EveryWireKnobButThreadsAndDeltaMovesTheFingerprint) {
+  const PipelineConfig Base = PipelineConfig::configC();
+  auto Copies = nudgedCopies(Base);
+  ASSERT_FALSE(Copies.empty());
+  for (const auto &[Path, C] : Copies) {
+    if (Path == "num-threads" || Path == "delta-analysis")
+      EXPECT_EQ(C.fingerprint(), Base.fingerprint()) << Path;
+    else
+      EXPECT_NE(C.fingerprint(), Base.fingerprint()) << Path;
+  }
+}
+
+// Every AnalyzerOptions row is output-affecting: nudging it must force
+// the delta analyzer's full run, move the analyzer fingerprint, and
+// survive both PipelineConfig view copies.
+TEST(IncrementalTest, EveryAnalyzerKnobForcesAFullRunAndMovesTheFingerprint) {
+  std::vector<ModuleSummary> Mods(1);
+  Mods[0].Module = "m";
+  ProcSummary Main;
+  Main.QualName = "main";
+  Main.Module = "m";
+  Mods[0].Procs.push_back(Main);
+
+  const PipelineConfig Base = PipelineConfig::configC();
+  const AnalyzerOptions BaseOpts = Base.analyzerOptions();
+  {
+    DeltaAnalyzer DA;
+    DA.analyze(Mods, BaseOpts);
+    AnalyzerOptions Threads = BaseOpts;
+    Threads.NumThreads = 7;
+    DA.analyze(Mods, Threads);
+    EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Incremental)
+        << DA.deltaStats().FallbackReason;
+  }
+
+  auto Copies = nudgedCopies(BaseOpts);
+  ASSERT_FALSE(Copies.empty());
+  for (const auto &[Path, O] : Copies) {
+    DeltaAnalyzer DA;
+    DA.analyze(Mods, BaseOpts);
+    DA.analyze(Mods, O);
+    EXPECT_EQ(DA.deltaStats().FallbackReason, "analyzer options changed")
+        << Path;
+
+    PipelineConfig C = Base;
+    C.setAnalyzerOptions(O);
+    EXPECT_NE(C.analyzerFingerprint(), Base.analyzerFingerprint()) << Path;
+    EXPECT_EQ(json::encode(C.analyzerOptions()).dump(),
+              json::encode(O).dump())
+        << Path;
+  }
+}
+
+// Thresholds that differ past the sixth significant digit are different
+// configurations: a web at ratio 0.2 is kept under one and discarded
+// under the other.
+TEST(IncrementalTest, CloseThresholdsGetDistinctFingerprints) {
+  PipelineConfig A = PipelineConfig::configC();
+  PipelineConfig B = A;
+  B.Webs.MinLRefRatio = 0.2000001;
+  EXPECT_NE(A.analyzerFingerprint(), B.analyzerFingerprint());
+  PipelineConfig C = A;
+  C.Clusters.RootBenefitThreshold = 1.0000001;
+  EXPECT_NE(A.analyzerFingerprint(), C.analyzerFingerprint());
+  EXPECT_NE(B.analyzerFingerprint(), C.analyzerFingerprint());
 }
 
 //===--------------------------------------------------------------------===//

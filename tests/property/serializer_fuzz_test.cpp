@@ -5,18 +5,20 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The summary-file, program-database, and object-file parsers and the
-/// service's reply decoder consume text that crosses tool boundaries;
-/// they must reject (never crash on) arbitrary mutations of valid
-/// inputs. Each seed derives a valid artifact from a random program,
-/// applies byte-level mutations, and feeds the result back through the
-/// parser.
+/// The summary-file, program-database, and object-file parsers, the
+/// service's request and reply decoders and the delta analyzer's
+/// retained-run restore consume text that crosses tool or process
+/// boundaries; they must reject (never crash on) arbitrary mutations of
+/// valid inputs. Each seed derives a valid artifact from a random
+/// program, applies byte-level mutations, and feeds the result back
+/// through the parser.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ProgramGen.h"
 
 #include "core/Analyzer.h"
+#include "core/DeltaAnalyzer.h"
 #include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
 #include "service/Protocol.h"
@@ -25,32 +27,36 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
 
 using namespace ipra;
 using ipra::test::generateRandomProgram;
 
 namespace {
 
+const char ArtifactAlphabet[] =
+    "abcdefghij0123456789 =:_#@\nproc end global func i init wrap";
+const char JsonAlphabet[] = "{}[]\",:-.e0123456789 truefalsngpbw";
+
 /// Applies \p Count random byte mutations (replace, delete, insert,
-/// line swap) to \p Text.
-std::string mutate(std::string Text, std::mt19937 &Rng, int Count) {
+/// line swap) to \p Text, inserting bytes drawn from \p Alphabet.
+std::string mutate(std::string Text, std::mt19937 &Rng, int Count,
+                   std::string_view Alphabet = ArtifactAlphabet) {
   auto Rand = [&Rng](size_t N) {
     return N == 0 ? size_t(0) : size_t(Rng() % N);
   };
-  static const char Alphabet[] =
-      "abcdefghij0123456789 =:_#@\nproc end global func i init wrap";
   for (int M = 0; M < Count && !Text.empty(); ++M) {
     switch (Rng() % 4) {
     case 0: // Replace a byte.
       Text[Rand(Text.size())] =
-          Alphabet[Rand(sizeof(Alphabet) - 1)];
+          Alphabet[Rand(Alphabet.size())];
       break;
     case 1: // Delete a byte.
       Text.erase(Rand(Text.size()), 1);
       break;
     case 2: // Insert a byte.
       Text.insert(Rand(Text.size()),
-                  1, Alphabet[Rand(sizeof(Alphabet) - 1)]);
+                  1, Alphabet[Rand(Alphabet.size())]);
       break;
     case 3: { // Duplicate a random chunk somewhere else.
       size_t From = Rand(Text.size());
@@ -106,6 +112,89 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
       responseFromJson(Reply);
   }
   SUCCEED();
+}
+
+// A mutated wire config that still parses as JSON either fails the
+// request or decodes to a config that re-encodes to itself.
+TEST_P(SerializerFuzzTest, MutatedRequestConfigsDecodeOrFail) {
+  PipelineConfig Config = PipelineConfig::configC();
+  Config.Webs.SplitSparseWebs = true;
+  Config.NumThreads = 3;
+  const std::string Text = json::encode(Config).dump();
+
+  std::mt19937 Rng(GetParam() * 104729 + 7);
+  int Accepted = 0;
+  for (int Round = 0; Round < 200; ++Round) {
+    std::string Mutated =
+        mutate(Text, Rng, 1 + static_cast<int>(Rng() % 4), JsonAlphabet);
+    json::Value Req;
+    std::string ParseError;
+    if (!json::Value::parse(R"({"phase":"full","config":)" + Mutated + "}",
+                            Req, ParseError))
+      continue;
+    BuildRequest Back;
+    std::string DecodeError;
+    if (!requestFromJson(Req, Back, DecodeError)) {
+      EXPECT_NE(DecodeError.find("config"), std::string::npos) << Mutated;
+      continue;
+    }
+    ++Accepted;
+    PipelineConfig Again;
+    ASSERT_TRUE(configFromJson(json::encode(Back.Config), Again, DecodeError))
+        << Mutated << ": " << DecodeError;
+    EXPECT_EQ(json::encode(Again).dump(), json::encode(Back.Config).dump())
+        << Mutated;
+  }
+  EXPECT_GT(Accepted, 0);
+}
+
+// Mutated retained-run blobs — anywhere in the blob, or inside its JSON
+// options record — never crash restoreRetained, and a rejected blob
+// leaves an unprimed analyzer whose next run equals runAnalyzer.
+TEST_P(SerializerFuzzTest, MutatedRetainedBlobsNeverCrashRestore) {
+  auto Sources = generateRandomProgram(GetParam());
+  BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
+  ASSERT_TRUE(R.ok()) << R.text();
+  std::vector<ModuleSummary> Mods(R.SummaryFiles.size());
+  std::string Error;
+  for (size_t I = 0; I < Mods.size(); ++I)
+    ASSERT_TRUE(readSummary(R.SummaryFiles[I], Mods[I], Error)) << Error;
+
+  const AnalyzerOptions Options =
+      PipelineConfig::configC().analyzerOptions();
+  DeltaAnalyzer Producer;
+  Producer.analyze(Mods, Options);
+  std::string Blob;
+  ASSERT_TRUE(Producer.serializeRetained(Blob));
+  const std::string Reference = runAnalyzer(Mods, Options).serialize();
+  const size_t OptsBegin = Blob.find("options ") + 8;
+  const size_t OptsEnd = Blob.find('\n', OptsBegin);
+  ASSERT_NE(OptsEnd, std::string::npos);
+
+  std::mt19937 Rng(GetParam() * 15485863 + 11);
+  int Rejected = 0;
+  for (int Round = 0; Round < 40; ++Round) {
+    int Mutations = 1 + static_cast<int>(Rng() % 6);
+    std::string Mutated =
+        Round % 2 ? mutate(Blob, Rng, Mutations)
+                  : Blob.substr(0, OptsBegin) +
+                        mutate(Blob.substr(OptsBegin, OptsEnd - OptsBegin),
+                               Rng, Mutations, JsonAlphabet) +
+                        Blob.substr(OptsEnd);
+    DeltaAnalyzer DA;
+    if (DA.restoreRetained(Mutated, Error)) {
+      // A mutation the format cannot see (say, inside a name) restores;
+      // the analyzer must still run on it.
+      DA.analyze(Mods, Options);
+      continue;
+    }
+    ++Rejected;
+    EXPECT_FALSE(DA.primed());
+    EXPECT_EQ(DA.analyze(Mods, Options).serialize(), Reference)
+        << "round " << Round << ": " << Error;
+    EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
+  }
+  EXPECT_GT(Rejected, 0);
 }
 
 TEST_P(SerializerFuzzTest, UnmutatedArtifactsStillParse) {

@@ -70,7 +70,7 @@ TEST(ProtocolTest, ConfigRoundTripPreservesFingerprint) {
   for (const PipelineConfig &C : Configs) {
     PipelineConfig Back;
     std::string Error;
-    ASSERT_TRUE(configFromJson(configToJson(C), Back, Error)) << Error;
+    ASSERT_TRUE(configFromJson(json::encode(C), Back, Error)) << Error;
     // The fingerprint covers every allocation-relevant knob; equality
     // here is equality of retained-session keys on the service.
     EXPECT_EQ(C.fingerprint(), Back.fingerprint());
@@ -84,37 +84,90 @@ TEST(ProtocolTest, ConfigCacheDirNeverCrossesTheWire) {
   C.CacheDir = "/tmp/client-local-cache";
   PipelineConfig Back;
   std::string Error;
-  ASSERT_TRUE(configFromJson(configToJson(C), Back, Error)) << Error;
+  ASSERT_TRUE(configFromJson(json::encode(C), Back, Error)) << Error;
   // Cache placement is server policy, not client input.
   EXPECT_EQ(Back.CacheDir, "");
   EXPECT_EQ(C.fingerprint(), Back.fingerprint())
       << "CacheDir must not fingerprint";
 }
 
-// The wire "points-to" field is a mode name; anything else (including
-// the boolean form older clients sent) fails the request by name.
+/// Decodes a summary request whose config object is \p Config.
+bool decodeConfig(const std::string &Config, BuildRequest &Req,
+                  std::string &Error) {
+  json::Value V;
+  std::string ParseError;
+  EXPECT_TRUE(json::Value::parse(
+      "{\"phase\":\"summary\",\"config\":" + Config + "}", V, ParseError))
+      << ParseError;
+  return requestFromJson(V, Req, Error);
+}
+
+// Every present config value must be of its field's kind: the
+// "points-to" and "promotion" fields take a mode name (the boolean
+// points-to form older clients sent included), and anything else fails
+// the request, naming the field by its dotted path.
 TEST(ProtocolTest, PointsToFieldRejectsAnythingButAModeName) {
-  auto Decode = [](const char *Field, BuildRequest &Req,
-                   std::string &Error) {
-    json::Value V;
-    std::string ParseError;
-    EXPECT_TRUE(json::Value::parse(
-        std::string("{\"phase\":\"summary\",\"config\":{\"points-to\":") +
-            Field + "}}",
-        V, ParseError))
-        << ParseError;
-    return requestFromJson(V, Req, Error);
+  const std::pair<const char *, const char *> Bad[] = {
+      {R"({"points-to":"bogus"})", "points-to"},
+      {R"({"points-to":7})", "points-to"},
+      {R"({"points-to":true})", "points-to"},
+      {R"({"promotion":"bogus"})", "promotion"},
+      {R"({"promotion":1})", "promotion"},
+      {R"({"modref":"yes"})", "modref"},
+      {R"({"ipra":1})", "ipra"},
+      {R"({"blanket-count":"6"})", "blanket-count"},
+      {R"({"blanket-count":2.5})", "blanket-count"},
+      {R"({"web-pool":-1})", "web-pool"},
+      {R"({"num-threads":1e30})", "num-threads"},
+      {R"({"delta-analysis":null})", "delta-analysis"},
+      {R"({"webs":true})", "webs"},
+      {R"({"webs":{"min-lref-ratio":"0.2"}})", "webs.min-lref-ratio"},
+      {R"({"webs":{"split-sparse-webs":0}})", "webs.split-sparse-webs"},
+      {R"({"clusters":{"root-benefit-threshold":[1]}})",
+       "clusters.root-benefit-threshold"},
   };
-  for (const char *Bad : {"\"bogus\"", "7", "true"}) {
+  for (const auto &[Config, Field] : Bad) {
     BuildRequest Req;
     std::string Error;
-    EXPECT_FALSE(Decode(Bad, Req, Error)) << Bad;
-    EXPECT_NE(Error.find("points-to"), std::string::npos) << Error;
+    EXPECT_FALSE(decodeConfig(Config, Req, Error)) << Config;
+    EXPECT_NE(Error.find(std::string("'") + Field + "'"), std::string::npos)
+        << Config << ": " << Error;
   }
   BuildRequest Req;
   std::string Error;
-  ASSERT_TRUE(Decode("\"gpg\"", Req, Error)) << Error;
+  EXPECT_FALSE(decodeConfig("7", Req, Error));
+  EXPECT_NE(Error.find("config"), std::string::npos) << Error;
+
+  ASSERT_TRUE(decodeConfig(R"({"points-to":"gpg","promotion":"greedy"})", Req,
+                           Error))
+      << Error;
   EXPECT_EQ(Req.Config.PointsTo, PointsToMode::GPG);
+  EXPECT_EQ(Req.Config.Promotion, PromotionMode::Greedy);
+}
+
+// The wire carries only the listed knobs. The analyzer overwrites the
+// per-stage closed-world flags and the web thread count from the
+// top-level fields, so they are not sent, and a request that still
+// sends them decodes as if it had not.
+TEST(ProtocolTest, WireConfigCarriesOnlyListedKnobs) {
+  const json::Value V = json::encode(PipelineConfig::configC());
+  for (const char *Sub : {"webs", "clusters"}) {
+    const json::Value *Rec = V.find(Sub);
+    ASSERT_NE(Rec, nullptr) << Sub;
+    EXPECT_EQ(Rec->find("assume-closed-world"), nullptr) << Sub;
+    EXPECT_EQ(Rec->find("num-threads"), nullptr) << Sub;
+  }
+  EXPECT_EQ(V.find("cache-dir"), nullptr);
+
+  BuildRequest Req;
+  std::string Error;
+  ASSERT_TRUE(decodeConfig(
+      R"({"webs":{"assume-closed-world":false,"num-threads":9},)"
+      R"("clusters":{"assume-closed-world":false}})",
+      Req, Error))
+      << Error;
+  EXPECT_EQ(json::encode(Req.Config).dump(),
+            json::encode(PipelineConfig()).dump());
 }
 
 TEST(ProtocolTest, RequestRoundTrip) {
