@@ -37,6 +37,8 @@
 
 #include "analysis/GPGCompose.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -154,18 +156,6 @@ private:
 //===----------------------------------------------------------------------===//
 // Indexing and ordering.
 //===----------------------------------------------------------------------===//
-
-bool parseInt(const std::string &S, int &Out) {
-  if (S.empty())
-    return false;
-  Out = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + (C - '0');
-  }
-  return true;
-}
 
 void Composer::index() {
   for (const ModuleSummary &M : Summaries) {

@@ -68,7 +68,7 @@ namespace {
 /// The synthetic "<module>:.data" record carrying 'func g = &f;'
 /// address-taken facts for procedure-less modules is not a procedure.
 bool isPseudoProc(const std::string &QualName) {
-  return endsWith(QualName, ":.data");
+  return QualName.ends_with(":.data");
 }
 
 } // namespace

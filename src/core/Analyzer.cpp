@@ -9,15 +9,11 @@
 
 #include "analysis/GPGCompose.h"
 #include "core/AnalyzerInternal.h"
-#include "support/StringUtils.h"
+#include "support/LineCodec.h"
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
-#include <sstream>
-#include <string_view>
 
 using namespace ipra;
 
@@ -109,7 +105,7 @@ void ipra::analyzer_detail::countModRef(const CallGraph &CG,
   if (MR.HasMain)
     for (const CGNode &Node : CG.nodes())
       if (Node.HasSummary && !MR.entryReachable(Node.Id) &&
-          !endsWith(Node.QualName, ":.data"))
+          !Node.QualName.ends_with(":.data"))
         ++Stats.DeadProcs;
 }
 
@@ -398,76 +394,48 @@ namespace {
 
 /// One proc's directive record in the database text format. Shared by
 /// serialize() and sliceFor() so slice hashes track the file format.
-void writeProcRecord(std::ostream &OS, const std::string &Name,
+void writeProcRecord(std::string &Out, const std::string &Name,
                      const ProcDirectives &Dir) {
-  char Buf[16];
-  auto Hex = [&Buf](RegMask M) {
-    std::snprintf(Buf, sizeof(Buf), "%08x", M);
-    return std::string(Buf);
-  };
-  OS << "proc " << Name << " free=" << Hex(Dir.Free)
-     << " caller=" << Hex(Dir.Caller) << " callee=" << Hex(Dir.Callee)
-     << " mspill=" << Hex(Dir.MSpill) << " root=" << Dir.IsClusterRoot
-     << " budget=" << Hex(Dir.SelfCallerBudget)
-     << " clobber=" << Hex(Dir.SubtreeClobber)
-     << " indresolved=" << Dir.IndTargetsResolved << "\n";
+  codec::write(Out, "proc", Dir, codec::named(Name));
   for (const std::string &T : Dir.IndirectTargets)
-    OS << "indtarget " << T << "\n";
+    codec::write(Out, "indtarget", T);
   for (const PromotedGlobal &P : Dir.Promoted) {
-    OS << "promote " << P.QualName << " reg=" << P.Reg
-       << " entry=" << P.IsEntry << " modifies=" << P.WebModifies
-       << " wrapind=" << P.WrapIndirect << "\n";
+    codec::write(Out, "promote", P);
     for (const std::string &Callee : P.WrapCallees)
-      OS << "wrap " << Callee << "\n";
+      codec::write(Out, "wrap", Callee);
   }
-  OS << "end\n";
+  Out += "end\n";
 }
 
-/// Reads the value of the "Key=value" token among a record's \p Tok
-/// into \p Out: hexadecimal when \p Base is 16, decimal otherwise, and
-/// at most \p Max. A record without the key leaves \p Out alone; a
-/// value that does not parse in full or is out of range is an error.
-template <typename T>
-bool readField(const std::vector<std::string> &Tok, std::string_view Key,
-               int Base, unsigned long long Max, T &Out) {
-  for (const std::string &Token : Tok) {
-    std::string_view V(Token);
-    if (V.size() <= Key.size() || V.substr(0, Key.size()) != Key ||
-        V[Key.size()] != '=')
-      continue;
-    V.remove_prefix(Key.size() + 1);
-    unsigned long long N = 0;
-    auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N, Base);
-    if (Ec != std::errc() || End != V.data() + V.size() || N > Max)
-      return false;
-    Out = static_cast<T>(N);
-    return true;
-  }
-  return true;
-}
+/// The database's record kinds and the kind each belongs to.
+enum DatabaseKind { ModRef, Proc, IndTarget, Promote, Wrap };
+constexpr codec::Kind DatabaseKinds[] = {{"modref"},
+                                         {"proc", -1, true},
+                                         {"indtarget", Proc},
+                                         {"promote", Proc},
+                                         {"wrap", Promote}};
 
 } // namespace
 
 std::string ProgramDatabase::serialize() const {
-  std::ostringstream OS;
-  OS << "ipra-db-format " << DatabaseFormatVersion << " config="
-     << (ConfigFingerprint.empty() ? "-" : ConfigFingerprint) << "\n";
+  std::string Out;
+  codec::writeHeader(Out, "ipra-db-format", DatabaseFormatVersion,
+                     ConfigFingerprint);
   for (const auto &[Name, V] : ModRefs)
-    OS << "modref " << Name << " verdict=" << V.Verdict
-       << " exact=" << V.Exact << " uninit=" << V.UninitRead << "\n";
+    codec::write(Out, "modref", V, codec::named(Name));
   for (const auto &[Name, Dir] : Procs)
-    writeProcRecord(OS, Name, Dir);
-  return OS.str();
+    writeProcRecord(Out, Name, Dir);
+  return Out;
 }
 
 std::string ProgramDatabase::sliceFor(const ModuleSummary &Summary,
                                       bool IncludeCalleeClobbers) const {
-  std::ostringstream OS;
+  std::string Out;
   // The module's own procedures, in module order. A procedure missing
   // from the database serializes as the standard convention, so a proc
   // appearing in or vanishing from the database changes the slice.
   for (const ProcSummary &P : Summary.Procs)
-    writeProcRecord(OS, P.QualName, lookup(P.QualName));
+    writeProcRecord(Out, P.QualName, lookup(P.QualName));
   // With §7.6.2 caller-saves propagation, codegen also reads the
   // subtree clobber mask of every direct callee. The slice text is
   // hashed for recompilation avoidance, so the records are emitted
@@ -481,120 +449,48 @@ std::string ProgramDatabase::sliceFor(const ModuleSummary &Summary,
     std::sort(Callees.begin(), Callees.end());
     Callees.erase(std::unique(Callees.begin(), Callees.end()),
                   Callees.end());
-    char Buf[16];
     for (const std::string &C : Callees) {
-      std::snprintf(Buf, sizeof(Buf), "%08x", lookup(C).SubtreeClobber);
-      OS << "clobber " << C << " " << Buf << "\n";
+      ((Out += "clobber ") += C) += ' ';
+      codec::appendHex(Out, lookup(C).SubtreeClobber);
+      Out += '\n';
     }
   }
-  return OS.str();
+  return Out;
 }
 
 bool ProgramDatabase::deserialize(const std::string &Text,
                                   ProgramDatabase &Out, std::string &Error) {
   Out = ProgramDatabase();
-  std::string CurName;
-  ProcDirectives Cur;
-  bool InProc = false;
-  int LineNo = 0, ProcLine = 0;
-  bool SawHeader = false;
-
-  auto Fail = [&](const std::string &What) {
-    Error = "line " + std::to_string(LineNo) + ": " + What;
+  codec::LineReader L(Text);
+  if (!codec::readHeader(L, "ipra-db-format", DatabaseFormatVersion,
+                         "database", Out.ConfigFingerprint, Error))
     return false;
-  };
-
-  for (const std::string &RawLine : split(Text, '\n')) {
-    ++LineNo;
-    std::string Line = trim(RawLine);
-    if (Line.empty())
-      continue;
-    std::vector<std::string> Tok = split(Line, ' ');
-    // Every field a record carries must parse in full and in range; a
-    // field it lacks keeps its default.
-    auto Hex = [&](const char *Key, RegMask &V) {
-      return readField(Tok, Key, 16, 0xffffffffull, V) ||
-             Fail(std::string("malformed ") + Key + "= value");
-    };
-    auto Num = [&](const char *Key, unsigned long long Max, auto &V) {
-      return readField(Tok, Key, 10, Max, V) ||
-             Fail(std::string("malformed ") + Key + "= value");
-    };
-    if (Tok[0] == "ipra-db-format") {
-      // Header line: format version + producing-config fingerprint.
-      long long Version = 0;
-      if (Tok.size() < 2 || !parseInt(Tok[1], Version))
-        return Fail("malformed database format header");
-      if (Version != DatabaseFormatVersion) {
-        Error = "database format version " + Tok[1] +
-                " is not supported (this reader handles version " +
-                std::to_string(DatabaseFormatVersion) +
-                "); regenerate the database with this toolchain";
-        return false;
-      }
-      SawHeader = true;
-      for (const std::string &T : Tok)
-        if (startsWith(T, "config=")) {
-          std::string FP = T.substr(7);
-          Out.ConfigFingerprint = FP == "-" ? "" : FP;
-        }
-    } else if (Tok[0] == "modref") {
-      if (Tok.size() < 2)
-        return Fail("malformed modref");
+  std::string Name;
+  ProcDirectives *Cur = nullptr;
+  auto Record = [&](int Kind) -> bool {
+    switch (Kind) {
+    case ModRef: {
       GlobalVerdictRecord V;
-      if (!Num("verdict", 3, V.Verdict) || !Num("exact", 1, V.Exact) ||
-          !Num("uninit", 1, V.UninitRead))
-        return false;
-      Out.ModRefs[Tok[1]] = V;
-    } else if (Tok[0] == "proc") {
-      if (Tok.size() < 2)
-        return Fail("malformed proc");
-      CurName = Tok[1];
-      ProcLine = LineNo;
-      Cur = ProcDirectives();
-      if (!Hex("free", Cur.Free) || !Hex("caller", Cur.Caller) ||
-          !Hex("callee", Cur.Callee) || !Hex("mspill", Cur.MSpill) ||
-          !Num("root", 1, Cur.IsClusterRoot) ||
-          !Hex("budget", Cur.SelfCallerBudget) ||
-          !Hex("clobber", Cur.SubtreeClobber) ||
-          !Num("indresolved", 1, Cur.IndTargetsResolved))
-        return false;
-      InProc = true;
-    } else if (Tok[0] == "indtarget") {
-      if (!InProc || Tok.size() < 2)
-        return Fail("stray indtarget");
-      Cur.IndirectTargets.push_back(Tok[1]);
-    } else if (Tok[0] == "promote") {
-      if (!InProc || Tok.size() < 2)
-        return Fail("stray promote");
-      PromotedGlobal P;
-      P.QualName = Tok[1];
-      if (!Num("reg", pr32::NumRegs - 1, P.Reg) ||
-          !Num("entry", 1, P.IsEntry) || !Num("modifies", 1, P.WebModifies) ||
-          !Num("wrapind", 1, P.WrapIndirect))
-        return false;
-      Cur.Promoted.push_back(std::move(P));
-    } else if (Tok[0] == "wrap") {
-      if (!InProc || Cur.Promoted.empty() || Tok.size() < 2)
-        return Fail("stray wrap");
-      Cur.Promoted.back().WrapCallees.push_back(Tok[1]);
-    } else if (Tok[0] == "end") {
-      if (!InProc)
-        return Fail("stray end");
-      Out.insert(CurName, std::move(Cur));
-      InProc = false;
-    } else {
-      return Fail("unknown record '" + Tok[0] + "'");
+      return codec::read(L, V, Error, codec::named(Name)) &&
+             (Out.ModRefs.try_emplace(Name, V).second ||
+              L.fail(Error, "duplicate modref record '" + Name + "'"));
     }
-  }
-  if (InProc) {
-    LineNo = ProcLine;
-    return Fail("proc record '" + CurName + "' has no end");
-  }
-  if (!SawHeader) {
-    Error = "missing 'ipra-db-format' header line; regenerate the database "
-            "with this toolchain";
-    return false;
-  }
-  return true;
+    case Proc: {
+      ProcDirectives Dir;
+      if (!codec::read(L, Dir, Error, codec::named(Name)))
+        return false;
+      auto [It, Fresh] = Out.Procs.try_emplace(Name, std::move(Dir));
+      Cur = &It->second;
+      return Fresh || L.fail(Error, "duplicate proc record '" + Name + "'");
+    }
+    case IndTarget:
+      return codec::read(L, Cur->IndirectTargets.emplace_back(), Error);
+    case Promote:
+      return codec::read(L, Cur->Promoted.emplace_back(), Error);
+    default:
+      return codec::read(L, Cur->Promoted.back().WrapCallees.emplace_back(),
+                         Error);
+    }
+  };
+  return codec::readRecords(L, DatabaseKinds, Record, Error);
 }

@@ -26,7 +26,6 @@
 #include "summary/Summary.h"
 #include "target/Directives.h"
 
-#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -49,12 +48,7 @@ inline const char *enumName(PromotionMode M) {
   return PromotionModeNames[static_cast<int>(M)];
 }
 inline bool enumFromName(std::string_view Name, PromotionMode &M) {
-  for (size_t I = 0; I < std::size(PromotionModeNames); ++I)
-    if (Name == PromotionModeNames[I]) {
-      M = static_cast<PromotionMode>(I);
-      return true;
-    }
-  return false;
+  return enumFromTable(Name, PromotionModeNames, M);
 }
 
 /// Analyzer configuration.
@@ -222,6 +216,13 @@ struct GlobalVerdictRecord {
   bool UninitRead = false;
 
   bool operator==(const GlobalVerdictRecord &O) const = default;
+
+  /// The `modref <global>` line's fields (the name is the map key).
+  static void fields(auto &S, auto &V) {
+    V.key("verdict", S.Verdict, 3);
+    V.key("exact", S.Exact);
+    V.key("uninit", S.UninitRead);
+  }
 };
 
 /// The program database (§4.3): one directive record per procedure.

@@ -61,15 +61,13 @@ enum class DeltaMode {
   Incremental, ///< Damage-region re-analysis over retained state.
 };
 
-/// DeltaMode's key names ("full", "incremental"), for the record codec.
+/// DeltaMode's key names, in enumerator order, for the record codec.
+inline constexpr const char *DeltaModeNames[] = {"full", "incremental"};
 inline const char *enumName(DeltaMode M) {
-  return M == DeltaMode::Incremental ? "incremental" : "full";
+  return DeltaModeNames[static_cast<int>(M)];
 }
 inline bool enumFromName(std::string_view Name, DeltaMode &M) {
-  if (Name != "full" && Name != "incremental")
-    return false;
-  M = Name == "full" ? DeltaMode::Full : DeltaMode::Incremental;
-  return true;
+  return enumFromTable(Name, DeltaModeNames, M);
 }
 
 /// Observability for one analyze() call.

@@ -46,6 +46,13 @@ struct ObjGlobal {
   int SizeWords = 1;
   std::vector<int32_t> Init; ///< Empty or shorter than size = zero-fill.
   std::string FuncInit;      ///< Non-empty: word 0 = address of function.
+
+  /// The object's `global` line; `init` lines with the words follow.
+  static void fields(auto &S, auto &V) {
+    V.pos("name", S.QualName);
+    V.key("size", S.SizeWords);
+    V.opt("funcinit", S.FuncInit);
+  }
 };
 
 /// One module's compiled output.

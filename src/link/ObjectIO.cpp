@@ -7,273 +7,168 @@
 
 #include "link/ObjectIO.h"
 
-#include "support/StringUtils.h"
+#include "support/LineCodec.h"
 
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
+#include <span>
 
 using namespace ipra;
 
 namespace {
 
-const char *mcName(MemClass MC) {
-  switch (MC) {
-  case MemClass::None:
-    return "none";
-  case MemClass::StackScalar:
-    return "stack";
-  case MemClass::GlobalScalar:
-    return "global";
-  case MemClass::Element:
-    return "elem";
-  case MemClass::Indirect:
-    return "ind";
-  }
-  return "none";
+bool hasCond(MOp Op) { return Op == MOp::CMP || Op == MOp::CB; }
+
+/// The `i` line's first token, <op>[.<cc>][/<mc>]: the condition on cmp
+/// and cb only, the memory class only when there is one.
+template <typename Instr> struct Opcode {
+  Instr &I;
+};
+
+} // namespace
+
+// Token hooks for the line codec (support/LineCodec.h), found by
+// argument-dependent lookup.
+namespace ipra {
+
+template <typename Instr>
+void appendToken(std::string &Out, const Opcode<Instr> &Op) {
+  Out += mopName(Op.I.Op);
+  if (hasCond(Op.I.Op))
+    (Out += '.') += condName(Op.I.CC);
+  if (Op.I.MC != MemClass::None)
+    (Out += '/') += MemClassNames[static_cast<int>(Op.I.MC)];
 }
 
-bool mcFromName(const std::string &Name, MemClass &Out) {
-  if (Name == "none")
-    Out = MemClass::None;
-  else if (Name == "stack")
-    Out = MemClass::StackScalar;
-  else if (Name == "global")
-    Out = MemClass::GlobalScalar;
-  else if (Name == "elem")
-    Out = MemClass::Element;
-  else if (Name == "ind")
-    Out = MemClass::Indirect;
-  else
+static bool parseToken(std::string_view Text, Opcode<MInstr> &Op) {
+  MInstr &I = Op.I;
+  const size_t Slash = Text.find('/'), Dot = Text.find('.');
+  if (Slash != std::string_view::npos &&
+      (!enumFromTable(Text.substr(Slash + 1), MemClassNames, I.MC) ||
+       I.MC == MemClass::None))
     return false;
-  return true;
+  Text = Text.substr(0, Slash);
+  if (!enumFromTable(Text.substr(0, Dot), MOpNames, I.Op) ||
+      hasCond(I.Op) != (Dot != std::string_view::npos))
+    return false;
+  return !hasCond(I.Op) ||
+         enumFromTable(Text.substr(Dot + 1), CondNames, I.CC);
 }
 
-bool mopFromName(const std::string &Name, MOp &Out) {
-  static const MOp All[] = {
-      MOp::LDI, MOp::ADDRG, MOp::LDW, MOp::STW, MOp::MOV,   MOp::ADD,
-      MOp::SUB, MOp::MUL,   MOp::DIV, MOp::REM, MOp::AND,   MOp::OR,
-      MOp::XOR, MOp::SHL,   MOp::SHR, MOp::NEG, MOp::NOT,   MOp::CMP,
-      MOp::CB,  MOp::B,     MOp::BL,  MOp::BLR, MOp::BV,    MOp::PRINT,
-      MOp::PRINTC, MOp::HALT, MOp::NOP};
-  for (MOp Op : All)
-    if (Name == mopName(Op)) {
-      Out = Op;
-      return true;
-    }
-  return false;
-}
-
-bool condFromName(const std::string &Name, Cond &Out) {
-  static const Cond All[] = {Cond::EQ, Cond::NE, Cond::LT,
-                             Cond::LE, Cond::GT, Cond::GE};
-  for (Cond CC : All)
-    if (Name == condName(CC)) {
-      Out = CC;
-      return true;
-    }
-  return false;
-}
-
-std::string operandText(const MOperand &Op) {
+/// Operands (see ObjectIO.h); none is the empty token.
+static void appendToken(std::string &Out, const MOperand &Op) {
   switch (Op.Kind) {
   case MOperand::None:
-    return "";
+    return;
   case MOperand::Reg:
-    return "r" + std::to_string(Op.RegNo);
+    Out += 'r';
+    return codec::appendInt(Out, Op.RegNo);
   case MOperand::Imm:
-    return "#" + std::to_string(Op.ImmVal);
+    Out += '#';
+    return codec::appendInt(Out, Op.ImmVal);
   case MOperand::Sym:
-    return "@" + Op.SymName;
+    Out += '@';
+    Out += Op.SymName;
+    return;
   case MOperand::Label:
-    return "L" + std::to_string(Op.LabelId);
-  case MOperand::Frame:
-    return "fi" + std::to_string(Op.FrameIdx); // Should not be emitted.
+    Out += 'L';
+    return codec::appendInt(Out, Op.LabelId);
+  case MOperand::Frame: // Never emitted: frame lowering resolves them.
+    Out += "fi";
+    return codec::appendInt(Out, Op.FrameIdx);
   }
-  return "";
 }
 
-bool operandFromText(const std::string &Text, MOperand &Out) {
-  if (Text.empty())
-    return false;
-  if (Text[0] == 'r') {
-    long long Reg = 0;
-    if (!parseInt(Text.substr(1), Reg))
-      return false;
-    Out = MOperand::makeReg(static_cast<unsigned>(Reg));
+static bool parseToken(std::string_view Text, MOperand &Op) {
+  std::string_view Rest = Text.substr(std::min<size_t>(1, Text.size()));
+  switch (Text.empty() || Rest.empty() ? 0 : Text[0]) {
+  case 'r':
+    Op.Kind = MOperand::Reg;
+    return parseInt(Rest, Op.RegNo);
+  case '#':
+    Op.Kind = MOperand::Imm;
+    return parseInt(Rest, Op.ImmVal);
+  case '@':
+    Op = MOperand::makeSym(std::string(Rest));
     return true;
-  }
-  if (Text[0] == '#') {
-    long long Imm = 0;
-    if (!parseInt(Text.substr(1), Imm))
-      return false;
-    Out = MOperand::makeImm(static_cast<int32_t>(Imm));
-    return true;
-  }
-  if (Text[0] == '@') {
-    Out = MOperand::makeSym(Text.substr(1));
-    return true;
-  }
-  if (Text[0] == 'L') {
-    long long Label = 0;
-    if (!parseInt(Text.substr(1), Label))
-      return false;
-    Out = MOperand::makeLabel(static_cast<int>(Label));
-    return true;
+  case 'L':
+    Op.Kind = MOperand::Label;
+    return parseInt(Rest, Op.LabelId);
   }
   return false;
 }
 
-std::string instrText(const MInstr &I) {
-  std::ostringstream OS;
-  OS << "i " << mopName(I.Op);
-  if (I.Op == MOp::CMP || I.Op == MOp::CB)
-    OS << "." << condName(I.CC);
-  if (I.MC != MemClass::None)
-    OS << "/" << mcName(I.MC);
-  for (const MOperand *Op : {&I.A, &I.B, &I.C})
-    if (Op->Kind != MOperand::None)
-      OS << " " << operandText(*Op);
-  if (I.isCall()) {
-    OS << " args=" << unsigned(I.NumArgs);
-    if (I.HasResult)
-      OS << " ret";
-  }
-  return OS.str();
-}
+} // namespace ipra
+
+namespace {
+
+/// An `init` line: up to 16 words appended to the global above it.
+constexpr auto InitFields = [](auto &Words, auto &V) {
+  V.rest("init word", Words);
+};
+constexpr size_t WordsPerInitLine = 16;
+
+/// The `i` line: args= and ret on calls only.
+constexpr auto InstrFields = [](auto &I, auto &V) {
+  Opcode<std::remove_reference_t<decltype(I)>> Op{I};
+  V.pos("opcode", Op);
+  V.optPos("operand", I.A);
+  V.optPos("operand", I.B);
+  V.optPos("operand", I.C);
+  V.when(I.isCall(), "args", I.NumArgs);
+  V.flag(I.isCall(), "ret", I.HasResult);
+};
+
+/// The object's record kinds and the kind each belongs to.
+enum ObjectKind { Object, Global, Init, Func, Instr };
+constexpr codec::Kind ObjectKinds[] = {
+    {"object"}, {"global"}, {"init", Global}, {"func", -1, true},
+    {"i", Func}};
 
 } // namespace
 
 std::string ipra::writeObjectFile(const ObjectFile &Obj) {
-  std::ostringstream OS;
-  OS << "object " << Obj.Module << "\n";
+  std::string Out;
+  codec::write(Out, "object", Obj.Module);
   for (const ObjGlobal &G : Obj.Globals) {
-    OS << "global " << G.QualName << " size=" << G.SizeWords;
-    if (!G.FuncInit.empty())
-      OS << " funcinit=" << G.FuncInit;
-    OS << "\n";
-    if (!G.Init.empty()) {
-      for (size_t W = 0; W < G.Init.size(); W += 16) {
-        OS << "init";
-        for (size_t K = W; K < G.Init.size() && K < W + 16; ++K)
-          OS << " " << G.Init[K];
-        OS << "\n";
-      }
-    }
+    codec::write(Out, "global", G);
+    std::span<const int32_t> Words(G.Init);
+    for (size_t W = 0; W < Words.size(); W += WordsPerInitLine)
+      codec::write(Out, "init",
+                   Words.subspan(W, std::min(WordsPerInitLine,
+                                             Words.size() - W)),
+                   InitFields);
   }
   for (const ObjFunction &F : Obj.Functions) {
-    OS << "func " << F.QualName << "\n";
+    codec::write(Out, "func", F.QualName);
     for (const MInstr &I : F.Code)
-      OS << instrText(I) << "\n";
-    OS << "end\n";
+      codec::write(Out, "i", I, InstrFields);
+    Out += "end\n";
   }
-  return OS.str();
+  return Out;
 }
 
 bool ipra::readObjectFile(const std::string &Text, ObjectFile &Out,
                           std::string &Error) {
   Out = ObjectFile();
-  ObjGlobal *CurGlobal = nullptr;
-  ObjFunction *CurFunc = nullptr;
-  int LineNo = 0;
-
-  for (const std::string &RawLine : split(Text, '\n')) {
-    ++LineNo;
-    std::string Line = trim(RawLine);
-    if (Line.empty())
-      continue;
-    std::vector<std::string> Tok = split(Line, ' ');
-    auto Fail = [&](const std::string &Message) {
-      Error = "line " + std::to_string(LineNo) + ": " + Message;
-      return false;
-    };
-
-    if (Tok[0] == "object") {
-      if (Tok.size() < 2)
-        return Fail("malformed object header");
-      Out.Module = Tok[1];
-    } else if (Tok[0] == "global") {
-      if (Tok.size() < 3)
-        return Fail("malformed global record");
-      ObjGlobal G;
-      G.QualName = Tok[1];
-      for (size_t T = 2; T < Tok.size(); ++T) {
-        if (startsWith(Tok[T], "size=")) {
-          long long Size = 0;
-          parseInt(Tok[T].substr(5), Size);
-          G.SizeWords = static_cast<int>(Size);
-        } else if (startsWith(Tok[T], "funcinit=")) {
-          G.FuncInit = Tok[T].substr(9);
-        }
-      }
-      Out.Globals.push_back(std::move(G));
-      CurGlobal = &Out.Globals.back();
-      CurFunc = nullptr;
-    } else if (Tok[0] == "init") {
-      if (!CurGlobal)
-        return Fail("'init' outside a global");
-      for (size_t T = 1; T < Tok.size(); ++T) {
-        long long W = 0;
-        if (!parseInt(Tok[T], W))
-          return Fail("bad init word '" + Tok[T] + "'");
-        CurGlobal->Init.push_back(static_cast<int32_t>(W));
-      }
-    } else if (Tok[0] == "func") {
-      if (Tok.size() < 2)
-        return Fail("malformed func record");
-      ObjFunction F;
-      F.QualName = Tok[1];
-      Out.Functions.push_back(std::move(F));
-      CurFunc = &Out.Functions.back();
-      CurGlobal = nullptr;
-    } else if (Tok[0] == "i") {
-      if (!CurFunc)
-        return Fail("instruction outside a function");
-      if (Tok.size() < 2)
-        return Fail("missing opcode");
-      MInstr I;
-      // Opcode, optional .cc, optional /mc.
-      std::string OpText = Tok[1];
-      size_t Slash = OpText.find('/');
-      if (Slash != std::string::npos) {
-        MemClass MC;
-        if (!mcFromName(OpText.substr(Slash + 1), MC))
-          return Fail("bad memory class in '" + OpText + "'");
-        I.MC = MC;
-        OpText = OpText.substr(0, Slash);
-      }
-      size_t Dot = OpText.find('.');
-      if (Dot != std::string::npos) {
-        Cond CC;
-        if (!condFromName(OpText.substr(Dot + 1), CC))
-          return Fail("bad condition in '" + OpText + "'");
-        I.CC = CC;
-        OpText = OpText.substr(0, Dot);
-      }
-      if (!mopFromName(OpText, I.Op))
-        return Fail("unknown opcode '" + OpText + "'");
-
-      MOperand *Slots[3] = {&I.A, &I.B, &I.C};
-      int NextOperand = 0;
-      for (size_t T = 2; T < Tok.size(); ++T) {
-        if (startsWith(Tok[T], "args=")) {
-          long long N = 0;
-          parseInt(Tok[T].substr(5), N);
-          I.NumArgs = static_cast<uint8_t>(N);
-        } else if (Tok[T] == "ret") {
-          I.HasResult = true;
-        } else {
-          if (NextOperand >= 3)
-            return Fail("too many operands");
-          if (!operandFromText(Tok[T], *Slots[NextOperand++]))
-            return Fail("bad operand '" + Tok[T] + "'");
-        }
-      }
-      CurFunc->Code.push_back(std::move(I));
-    } else if (Tok[0] == "end") {
-      CurFunc = nullptr;
-    } else {
-      return Fail("unknown record '" + Tok[0] + "'");
+  codec::LineReader L(Text);
+  auto Record = [&](int Kind) -> bool {
+    switch (Kind) {
+    case Object:
+      return codec::read(L, Out.Module, Error);
+    case Global:
+      return codec::read(L, Out.Globals.emplace_back(), Error);
+    case Init:
+      return codec::read(L, Out.Globals.back().Init, Error, InitFields);
+    case Func:
+      return codec::read(L, Out.Functions.emplace_back().QualName, Error);
+    default:
+      return codec::read(L, Out.Functions.back().Code.emplace_back(), Error,
+                         InstrFields);
     }
-  }
-  return true;
+  };
+  if (!codec::readRecords(L, ObjectKinds, Record, Error))
+    return false;
+  if (Out.Module.empty())
+    Error = "missing 'object' record";
+  return !Out.Module.empty();
 }

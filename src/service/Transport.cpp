@@ -7,8 +7,9 @@
 
 #include "service/Transport.h"
 
+#include "support/StringUtils.h"
+
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -47,17 +48,12 @@ bool ipra::parseEndpoint(const std::string &Spec, Endpoint &Out,
     Out = Endpoint::unixPath(Spec);
     return true;
   }
-  std::string PortText = Spec.substr(Colon + 1);
-  if (PortText.size() > 5) {
-    Error = "invalid TCP port in '" + Spec + "'";
-    return false;
-  }
-  long Port = std::strtol(PortText.c_str(), nullptr, 10);
-  if (Port < 1 || Port > 65535) {
+  int Port = 0;
+  if (!parseInt(Spec.substr(Colon + 1), Port) || Port < 1 || Port > 65535) {
     Error = "TCP port must be 1-65535 in '" + Spec + "'";
     return false;
   }
-  Out = Endpoint::tcp(Spec.substr(0, Colon), static_cast<int>(Port));
+  Out = Endpoint::tcp(Spec.substr(0, Colon), Port);
   return true;
 }
 

@@ -29,6 +29,7 @@
 #define IPRA_SUMMARY_SUMMARY_H
 
 #include "ir/IR.h"
+#include "support/StringUtils.h"
 
 #include <map>
 #include <string>
@@ -42,13 +43,21 @@ struct GlobalRefSummary {
   std::string QualName;
   long long Freq = 0;  ///< Loop-weighted access count.
   bool Stores = false; ///< The procedure writes the variable.
-  /// The procedure reads the variable (summary format v5). Independent
-  /// of Stores: v4 conflated loads and stores in Freq, which is enough
-  /// for promotion priorities but not for the whole-program mod/ref
+  /// The procedure reads the variable (required loads= field, format
+  /// v5). Independent of Stores: Freq counts both, which is enough for
+  /// promotion priorities but not for the whole-program mod/ref
   /// verdicts (ReadOnly / WriteOnly / Dead).
   bool Loads = false;
 
   bool operator==(const GlobalRefSummary &O) const = default;
+
+  /// The `ref` line's fields (support/LineCodec.h).
+  static void fields(auto &S, auto &V) {
+    V.pos("name", S.QualName);
+    V.key("freq", S.Freq);
+    V.key("stores", S.Stores);
+    V.key("loads", S.Loads);
+  }
 };
 
 /// One direct call target within one procedure.
@@ -56,13 +65,20 @@ struct CallSummary {
   std::string QualCallee;
   long long Freq = 0; ///< Loop-weighted local call count.
   /// Argument count at this procedure's call sites to the callee
-  /// (summary format v5), -1 when unknown (no args= field). Within
-  /// one module Sema checks every site against the local declaration,
-  /// so all sites agree; the linker-level arity lint compares this
-  /// against the *defining* module's params= record.
+  /// (required args= field, format v5), -1 when unknown. Within one
+  /// module Sema checks every site against the local declaration, so
+  /// all sites agree; the linker-level arity lint compares this against
+  /// the *defining* module's params= record.
   int Args = -1;
 
   bool operator==(const CallSummary &O) const = default;
+
+  /// The `call` line's fields.
+  static void fields(auto &S, auto &V) {
+    V.pos("name", S.QualCallee);
+    V.key("freq", S.Freq);
+    V.key("args", S.Args);
+  }
 };
 
 /// Which points-to analysis the pipeline runs (mcc --points-to=MODE).
@@ -79,11 +95,15 @@ enum class PointsToMode : uint8_t {
   GPG = 2,
 };
 
-/// Printable mode name ("off" / "andersen" / "gpg"), also the record
-/// codec's key name.
-const char *enumName(PointsToMode Mode);
-/// Parses a mode name; returns false on unknown text.
-bool enumFromName(std::string_view Name, PointsToMode &Out);
+/// PointsToMode's printable names, in enumerator order, also the record
+/// codec's key names.
+inline constexpr const char *PointsToModeNames[] = {"off", "andersen", "gpg"};
+inline const char *enumName(PointsToMode Mode) {
+  return PointsToModeNames[static_cast<int>(Mode)];
+}
+inline bool enumFromName(std::string_view Name, PointsToMode &Out) {
+  return enumFromTable(Name, PointsToModeNames, Out);
+}
 
 /// One generalized points-to update (GPU): the flow-ordered boundary
 /// residue of the per-procedure flow-sensitive points-to analysis
@@ -104,6 +124,15 @@ struct GPGUpdate {
   int Ord = 0;
 
   bool operator==(const GPGUpdate &O) const = default;
+
+  /// The `gpu <dst> <dlev> <src> <slev> ord=<n>` line's fields.
+  static void fields(auto &S, auto &V) {
+    V.pos("dst", S.Dst);
+    V.pos("dlev", S.DstLev);
+    V.pos("src", S.Src);
+    V.pos("slev", S.SrcLev);
+    V.key("ord", S.Ord);
+  }
 };
 
 /// One call site of the GPG residue: a direct site names its resolved
@@ -116,6 +145,12 @@ struct GPGCallSite {
   std::vector<std::string> Targets;
 
   bool operator==(const GPGCallSite &O) const = default;
+
+  /// A direct site's `gpgcall` line (an indirect one is gpgsite).
+  static void fields(auto &S, auto &V) {
+    V.pos("ord", S.Ord);
+    V.pos("callee", S.Callee);
+  }
 };
 
 /// The module-local points-to/escape analysis verdict for an
@@ -159,9 +194,9 @@ struct ProcSummary {
   /// Caller-saves registers the trial code generation used (input to
   /// the §7.6.2 caller-saves pre-allocation extension).
   unsigned CallerRegsUsed = 0;
-  /// Declared parameter count (summary format v5), -1 when unknown
-  /// (no params= field, the synthetic "<module>:.data" pseudo record).
-  /// Input to the cross-module arity-mismatch lint.
+  /// Declared parameter count (required params= field, format v5), -1
+  /// when unknown (the synthetic "<module>:.data" pseudo record). Input
+  /// to the cross-module arity-mismatch lint.
   int NumParams = -1;
   /// True when this summary carries the procedure's GPG residue below
   /// (summary format v4, GPG mode). The analyzer composes GPGs only
@@ -173,6 +208,18 @@ struct ProcSummary {
   std::vector<GPGCallSite> GPGSites;
 
   bool operator==(const ProcSummary &O) const = default;
+
+  /// The `proc` line's fields; the child records follow it, up to `end`.
+  static void fields(auto &S, auto &V) {
+    V.pos("name", S.QualName);
+    V.key("regs", S.CalleeRegsNeeded);
+    V.key("indirect", S.MakesIndirectCalls);
+    V.key("indfreq", S.IndirectCallFreq);
+    V.hex("callerused", S.CallerRegsUsed);
+    V.key("indresolved", S.IndTargetsResolved);
+    V.key("params", S.NumParams);
+    V.opt("gpg", S.HasGPG);
+  }
 };
 
 /// Module-level facts about a global the analyzer needs for promotion
@@ -190,15 +237,24 @@ struct GlobalSummary {
   /// global ('func g = &f;'), empty otherwise. Seeds the analyzer-side
   /// GPG composition (summary format v4).
   std::string FuncInit;
-  /// True when the source carries an explicit initializer (summary
-  /// format v5). Globals without one are zero-filled at load; the
-  /// uninitialized-read lint flags globals that are read but never
-  /// written and never explicitly initialized. Defaults to true when
-  /// the init= field is absent, so such records cannot seed false
-  /// diagnostics.
+  /// True when the source carries an explicit initializer (required
+  /// init= field, format v5). Globals without one are zero-filled at
+  /// load; the uninitialized-read lint flags globals that are read but
+  /// never written and never explicitly initialized.
   bool HasInit = true;
 
   bool operator==(const GlobalSummary &O) const = default;
+
+  /// The `global` line's fields (Module comes from the module line).
+  static void fields(auto &S, auto &V) {
+    V.pos("name", S.QualName);
+    V.key("static", S.IsStatic);
+    V.key("scalar", S.IsScalar);
+    V.key("aliased", S.Aliased);
+    V.key("escape", S.Escape, EscapeVerdict::Refuted);
+    V.key("init", S.HasInit);
+    V.opt("finit", S.FuncInit);
+  }
 };
 
 /// Version of the textual summary-file format. Serialized files carry

@@ -7,9 +7,7 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 
 using namespace ipra;
 
@@ -24,51 +22,27 @@ std::string ipra::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
-std::vector<std::string> ipra::split(const std::string &Text, char Sep) {
-  std::vector<std::string> Out;
-  std::string Cur;
-  for (char C : Text) {
-    if (C == Sep) {
-      Out.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur += C;
-    }
-  }
-  Out.push_back(Cur);
-  return Out;
-}
-
-std::string ipra::trim(const std::string &Text) {
-  size_t B = 0, E = Text.size();
-  while (B < E && std::isspace(static_cast<unsigned char>(Text[B])))
-    ++B;
-  while (E > B && std::isspace(static_cast<unsigned char>(Text[E - 1])))
-    --E;
-  return Text.substr(B, E - B);
-}
-
-bool ipra::startsWith(const std::string &Text, const std::string &Prefix) {
-  return Text.size() >= Prefix.size() &&
-         Text.compare(0, Prefix.size(), Prefix) == 0;
-}
-
-bool ipra::endsWith(const std::string &Text, const std::string &Suffix) {
-  return Text.size() >= Suffix.size() &&
-         Text.compare(Text.size() - Suffix.size(), Suffix.size(),
-                      Suffix) == 0;
-}
-
-bool ipra::parseInt(const std::string &Text, long long &Value) {
+template <typename T>
+bool ipra::parseInt(std::string_view Text, T &Value, int Base) {
+  // from_chars takes no whitespace and no '+', and reports overflow.
   if (Text.empty())
     return false;
-  char *End = nullptr;
-  Value = std::strtoll(Text.c_str(), &End, 10);
-  return End && *End == '\0';
+  T Parsed{};
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, Parsed, Base);
+  if (Ec != std::errc() || Stop != End)
+    return false;
+  Value = Parsed;
+  return true;
 }
 
-std::string ipra::formatFixed(double Value, int Decimals) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.*f", Decimals, Value);
-  return Buf;
-}
+template bool ipra::parseInt(std::string_view, signed char &, int);
+template bool ipra::parseInt(std::string_view, short &, int);
+template bool ipra::parseInt(std::string_view, int &, int);
+template bool ipra::parseInt(std::string_view, long &, int);
+template bool ipra::parseInt(std::string_view, long long &, int);
+template bool ipra::parseInt(std::string_view, unsigned char &, int);
+template bool ipra::parseInt(std::string_view, unsigned short &, int);
+template bool ipra::parseInt(std::string_view, unsigned &, int);
+template bool ipra::parseInt(std::string_view, unsigned long &, int);
+template bool ipra::parseInt(std::string_view, unsigned long long &, int);

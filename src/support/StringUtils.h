@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String helpers shared by the serializers (summary files and the program
-/// database) and by test/bench table printers.
+/// String helpers shared by the artifact line codec, the option parsers
+/// and test/bench table printers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #define IPRA_SUPPORT_STRINGUTILS_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipra {
@@ -23,23 +24,26 @@ namespace ipra {
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);
 
-/// Splits \p Text on \p Sep; adjacent separators yield empty fields.
-std::vector<std::string> split(const std::string &Text, char Sep);
+/// Parses all of \p Text as an integer of \p Value's type, in base
+/// \p Base (10 or 16). Strict: no whitespace, no '+' (and no '-' for an
+/// unsigned type), no trailing characters, and a value out of the type's
+/// range is an error. Returns false and leaves \p Value alone on any of
+/// them. Defined for every standard signed and unsigned integer type.
+template <typename T>
+bool parseInt(std::string_view Text, T &Value, int Base = 10);
 
-/// Strips leading and trailing ASCII whitespace.
-std::string trim(const std::string &Text);
-
-/// Returns true if \p Text begins with \p Prefix.
-bool startsWith(const std::string &Text, const std::string &Prefix);
-
-/// Returns true if \p Text ends with \p Suffix.
-bool endsWith(const std::string &Text, const std::string &Suffix);
-
-/// Parses a signed decimal integer; returns false on malformed input.
-bool parseInt(const std::string &Text, long long &Value);
-
-/// Formats \p Value with \p Decimals digits after the point (e.g. "3.4").
-std::string formatFixed(double Value, int Decimals);
+/// Sets \p Out to the enumerator whose name in \p Names (indexed in
+/// enumerator order) is \p Text; false when no name matches.
+template <typename E, size_t N>
+bool enumFromTable(std::string_view Text, const char *const (&Names)[N],
+                   E &Out) {
+  for (size_t I = 0; I < N; ++I)
+    if (Text == Names[I]) {
+      Out = static_cast<E>(I);
+      return true;
+    }
+  return false;
+}
 
 } // namespace ipra
 

@@ -35,6 +35,15 @@ struct PromotedGlobal {
                                         ///< needing spill/reload wraps.
 
   bool operator==(const PromotedGlobal &O) const = default;
+
+  /// The database's `promote` line; `wrap <callee>` lines follow it.
+  static void fields(auto &S, auto &V) {
+    V.pos("name", S.QualName);
+    V.key("reg", S.Reg, pr32::NumRegs - 1);
+    V.key("entry", S.IsEntry);
+    V.key("modifies", S.WebModifies);
+    V.key("wrapind", S.WrapIndirect);
+  }
 };
 
 /// Register-set directives for one procedure. The defaults are the
@@ -75,6 +84,19 @@ struct ProcDirectives {
   }
 
   bool operator==(const ProcDirectives &O) const = default;
+
+  /// The database's `proc <name>` line (support/LineCodec.h); its
+  /// `indtarget`, `promote` and `wrap` lines follow, up to `end`.
+  static void fields(auto &S, auto &V) {
+    V.hex("free", S.Free);
+    V.hex("caller", S.Caller);
+    V.hex("callee", S.Callee);
+    V.hex("mspill", S.MSpill);
+    V.key("root", S.IsClusterRoot);
+    V.hex("budget", S.SelfCallerBudget);
+    V.hex("clobber", S.SubtreeClobber);
+    V.key("indresolved", S.IndTargetsResolved);
+  }
 };
 
 } // namespace ipra

@@ -11,84 +11,6 @@
 
 using namespace ipra;
 
-const char *ipra::mopName(MOp Op) {
-  switch (Op) {
-  case MOp::LDI:
-    return "ldi";
-  case MOp::ADDRG:
-    return "addrg";
-  case MOp::LDW:
-    return "ldw";
-  case MOp::STW:
-    return "stw";
-  case MOp::MOV:
-    return "mov";
-  case MOp::ADD:
-    return "add";
-  case MOp::SUB:
-    return "sub";
-  case MOp::MUL:
-    return "mul";
-  case MOp::DIV:
-    return "div";
-  case MOp::REM:
-    return "rem";
-  case MOp::AND:
-    return "and";
-  case MOp::OR:
-    return "or";
-  case MOp::XOR:
-    return "xor";
-  case MOp::SHL:
-    return "shl";
-  case MOp::SHR:
-    return "shr";
-  case MOp::NEG:
-    return "neg";
-  case MOp::NOT:
-    return "not";
-  case MOp::CMP:
-    return "cmp";
-  case MOp::CB:
-    return "cb";
-  case MOp::B:
-    return "b";
-  case MOp::BL:
-    return "bl";
-  case MOp::BLR:
-    return "blr";
-  case MOp::BV:
-    return "bv";
-  case MOp::PRINT:
-    return "print";
-  case MOp::PRINTC:
-    return "printc";
-  case MOp::HALT:
-    return "halt";
-  case MOp::NOP:
-    return "nop";
-  }
-  return "nop";
-}
-
-const char *ipra::condName(Cond CC) {
-  switch (CC) {
-  case Cond::EQ:
-    return "eq";
-  case Cond::NE:
-    return "ne";
-  case Cond::LT:
-    return "lt";
-  case Cond::LE:
-    return "le";
-  case Cond::GT:
-    return "gt";
-  case Cond::GE:
-    return "ge";
-  }
-  return "eq";
-}
-
 unsigned ipra::cycleCost(MOp Op) {
   switch (Op) {
   case MOp::MUL:

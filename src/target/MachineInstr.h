@@ -20,6 +20,7 @@
 #include "target/Registers.h"
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -75,11 +76,30 @@ inline bool isSingleton(MemClass MC) {
   return MC == MemClass::StackScalar || MC == MemClass::GlobalScalar;
 }
 
+/// Each enumerator's lowercase name, in enumerator order: the assembly
+/// mnemonics and the object text's opcode tokens (link/ObjectIO.cpp).
+inline constexpr const char *MOpNames[] = {
+    "ldi", "addrg", "ldw", "stw", "mov", "add",   "sub",    "mul",  "div",
+    "rem", "and",   "or",  "xor", "shl", "shr",   "neg",    "not",  "cmp",
+    "cb",  "b",     "bl",  "blr", "bv",  "print", "printc", "halt", "nop"};
+inline constexpr const char *CondNames[] = {"eq", "ne", "lt",
+                                            "le", "gt", "ge"};
+inline constexpr const char *MemClassNames[] = {"none", "stack", "global",
+                                                "elem", "ind"};
+static_assert(std::size(MOpNames) == static_cast<size_t>(MOp::NOP) + 1 &&
+              std::size(CondNames) == static_cast<size_t>(Cond::GE) + 1 &&
+              std::size(MemClassNames) ==
+                  static_cast<size_t>(MemClass::Indirect) + 1);
+
 /// Lowercase opcode mnemonic, e.g. "ldw".
-const char *mopName(MOp Op);
+inline const char *mopName(MOp Op) {
+  return MOpNames[static_cast<int>(Op)];
+}
 
 /// Lowercase condition name, e.g. "ge".
-const char *condName(Cond CC);
+inline const char *condName(Cond CC) {
+  return CondNames[static_cast<int>(CC)];
+}
 
 /// Cycles the simulator charges for one executed instruction.
 unsigned cycleCost(MOp Op);

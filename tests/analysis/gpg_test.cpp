@@ -239,6 +239,35 @@ TEST(GPGTest, ParameterBindingResolvesDispatcherAcrossModules) {
   EXPECT_GT(Stats.Contexts, 0);
 }
 
+// A channel index too long for an int, in summary text from outside the
+// toolchain, is an unparseable channel: it resolves to unknown, so the
+// indirect site it feeds stays unresolved.
+TEST(GPGTest, OverlongChannelIndexResolvesToUnknown) {
+  auto Caller = lower("drv.mc", "int apply(func f, int x);\n"
+                                "static int up(int x) { return x + 7; }\n"
+                                "int main() { return apply(&up, 1); }\n");
+  auto Callee = lower("lib.mc", "int apply(func f, int x) {\n"
+                                "  return f(x);\n"
+                                "}\n");
+  ASSERT_TRUE(Caller && Callee);
+  std::vector<ModuleSummary> Mods;
+  Mods.push_back(summarize(*Caller));
+  std::string Text = writeSummary(summarize(*Callee));
+  size_t Replaced = 0;
+  for (size_t At = Text.find(" p:0^"); At != std::string::npos;
+       At = Text.find(" p:0^", At + 1), ++Replaced)
+    Text.replace(At + 3, 1, "99999999999");
+  ASSERT_GT(Replaced, 0u) << Text;
+  std::string Error;
+  ASSERT_TRUE(readSummary(Text, Mods.emplace_back(), Error)) << Error;
+
+  ASSERT_TRUE(strengthenSummariesWithGPG(Mods, /*ClosedWorld=*/true));
+  const ProcSummary *Apply = findProc(Mods, "apply");
+  ASSERT_TRUE(Apply);
+  EXPECT_FALSE(Apply->IndTargetsResolved);
+  EXPECT_TRUE(Apply->IndirectTargets.empty());
+}
+
 // An exported function-pointer global written in one module and called
 // through in another: per-module Andersen cannot resolve either side,
 // the closed-world composition merges the contents across modules.

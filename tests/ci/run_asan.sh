@@ -1,6 +1,6 @@
 #!/bin/sh
 # Builds the whole tree under AddressSanitizer (the "asan" CMake
-# preset) and runs three groups of suites under it:
+# preset) and runs four groups of suites under it:
 #
 #  - the allocation-heavy build-service suite: bounded-cache LRU
 #    eviction, session persistence/restore, the daemon/protocol/transport
@@ -15,7 +15,11 @@
 #    catches an out-of-universe register in a release-style build;
 #  - the delta analyzer suites (the "delta" label): the retained-run
 #    restore parses blobs from disk, and its options record goes
-#    through the same JSON record codec as the wire config.
+#    through the same JSON record codec as the wire config;
+#  - the artifact line codec's readers (the "codec" label: summary_test,
+#    objectio_test, analyzer_test): they parse summary, database and
+#    object text from disk and from the cache, so a hostile or corrupted
+#    entry must be rejected without reading out of bounds.
 #
 # Usage: tests/ci/run_asan.sh [jobs]
 set -eu
@@ -26,4 +30,4 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset asan -S "$ROOT"
 cmake --build --preset asan -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-      -L 'service|dataflow|delta'
+      -L 'service|dataflow|delta|codec'

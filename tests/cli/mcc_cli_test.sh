@@ -45,6 +45,17 @@ if [ "$FUSED" != "$PHASED" ]; then
 fi
 echo "$FUSED" | grep -q "r=1330" || { echo "unexpected output: $FUSED" >&2; exit 1; }
 
+# The summary reader is strict: a corrupted value is an error naming the
+# line and the field, never a guessed number.
+sed '0,/ freq=[0-9]*/s// freq=zz/' lib.sum > bad.sum
+cmp -s lib.sum bad.sum && { echo "no freq= field to corrupt" >&2; exit 1; }
+if "$MCC" --analyze bad.sum main.sum runtime.sum > bad.db 2> bad.txt; then
+  echo "--analyze accepted a summary with freq=zz" >&2
+  exit 1
+fi
+grep -q "line [0-9]*: malformed freq=zz" bad.txt \
+  || { echo "error does not name line and field:" >&2; cat bad.txt >&2; exit 1; }
+
 # The database names promoted globals.
 grep -q "promote counter" prog.db || { echo "no promotion in db" >&2; exit 1; }
 

@@ -152,7 +152,22 @@ TEST(AnalyzerTest, DeserializeRejectsMalformedFieldValues) {
        "line 3: malformed reg="},
       {Header + "modref m.g verdict=9 exact=1 uninit=0\n",
        "line 2: malformed verdict="},
+      {Header + "modref m.g verdict=-1 exact=1 uninit=0\n",
+       "line 2: malformed verdict=-1"},
+      {Header + "modref m.g verdict=1 exact=2 uninit=0\n",
+       "line 2: malformed exact=2"},
       {Header + Proc, "line 2: proc record 'f' has no end"},
+      {WithProc("root=0", "root=0 root=0"), "line 2: duplicate root= field"},
+      {WithProc("root=0 ", ""), "line 2: missing root= field"},
+      {WithProc("root=0", "root=0 bogus=1"), "line 2: unknown field 'bogus=1'"},
+      {WithProc("free=00000000", "free=0"), "line 2: malformed free=0"},
+      {Header + Proc + "promote m.g reg=32 entry=1 modifies=1 wrapind=0\n" +
+           "end\n",
+       "line 3: malformed reg=32"},
+      {Header + Proc + "wrap h\nend\n", "line 3: 'wrap' outside promote"},
+      {Header + "end\n", "line 2: stray end"},
+      {Header + Proc + "end\n" + Proc + "end\n",
+       "line 4: duplicate proc record 'f'"},
   };
   for (const Case &C : Cases) {
     Error.clear();

@@ -636,31 +636,43 @@ TEST(IncrementalTest, ModRefFieldsSurviveSummaryRoundTrip) {
   EXPECT_EQ(writeSummary(Back), Text);
 }
 
-// Records without the v5 fields default them conservatively: loads= to
-// "assume reads", init= to "assume initialized", params= and args= to
-// unknown — such records stay sound and lint-silent.
-TEST(IncrementalTest, LegacyRecordsDefaultModRefFieldsConservatively) {
+// The v5 fields are required: a record without loads=, init=, params=
+// or args= is rejected (naming the line and the field) rather than
+// read with a guessed default.
+TEST(IncrementalTest, V5RecordsMissingModRefFieldsAreRejected) {
+  const std::string Header = "summary-format " +
+                             std::to_string(SummaryFormatVersion) +
+                             " config=-\nmodule m\n";
+  const std::string Global =
+      "global g static=0 scalar=1 aliased=0 escape=0 init=1\n";
+  const std::string Proc = "proc m:f regs=2 indirect=0 indfreq=0 "
+                           "callerused=00000000 indresolved=0 params=0\n";
+  const std::string Ref = "ref g freq=10 stores=1 loads=0\n";
+  const std::string Call = "call m:g freq=1 args=0\n";
   ModuleSummary S;
   std::string Error;
-  ASSERT_TRUE(readSummary("summary-format " +
-                              std::to_string(SummaryFormatVersion) +
-                              " config=-\n"
-                              "module m\n"
-                              "global g static=0 scalar=1 aliased=0\n"
-                              "proc m:f regs=2\n"
-                              "ref g freq=10 stores=1\n"
-                              "call m:g freq=1\n"
-                              "end\n",
-                          S, Error))
+  ASSERT_TRUE(
+      readSummary(Header + Global + Proc + Ref + Call + "end\n", S, Error))
       << Error;
-  ASSERT_EQ(S.Globals.size(), 1u);
-  EXPECT_TRUE(S.Globals[0].HasInit);
-  ASSERT_EQ(S.Procs.size(), 1u);
-  EXPECT_EQ(S.Procs[0].NumParams, -1);
-  ASSERT_EQ(S.Procs[0].GlobalRefs.size(), 1u);
-  EXPECT_TRUE(S.Procs[0].GlobalRefs[0].Loads);
-  ASSERT_EQ(S.Procs[0].Calls.size(), 1u);
-  EXPECT_EQ(S.Procs[0].Calls[0].Args, -1);
+  auto Without = [](std::string Line, const std::string &Field) {
+    Line.erase(Line.find(" " + Field), Field.size() + 3);
+    return Line;
+  };
+  const std::pair<std::string, std::string> Cases[] = {
+      {Header + Without(Global, "init") + Proc + "end\n",
+       "line 3: missing init= field"},
+      {Header + Without(Proc, "params") + "end\n",
+       "line 3: missing params= field"},
+      {Header + Proc + Without(Ref, "loads") + "end\n",
+       "line 4: missing loads= field"},
+      {Header + Proc + Without(Call, "args") + "end\n",
+       "line 4: missing args= field"},
+  };
+  for (const auto &[Text, Expect] : Cases) {
+    Error.clear();
+    EXPECT_FALSE(readSummary(Text, S, Error)) << Text;
+    EXPECT_NE(Error.find(Expect), std::string::npos) << Error;
+  }
 }
 
 // A mod/ref-only edit — flipping a ref's loads= bit, a call's args=, a

@@ -14,7 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
+#include <unistd.h>
 
 using namespace ipra;
 
@@ -884,6 +888,47 @@ TEST(PipelineTest, BadSummaryInPlaceOfASeenOneFailsAsInAFreshPipeline) {
   Result<BuildResponse> Again = P.execute(BuildRequest::analyze(Config, Texts));
   ASSERT_TRUE(Again.ok()) << Again.text();
   EXPECT_EQ(Again.Value.Stats.SummariesParsed, 0u);
+}
+
+// A phase-1 cache entry with one corrupted digit is a miss rather than
+// a different summary: the module recompiles, and every artifact equals
+// a cold build's.
+TEST(PipelineTest, CorruptedPhase1CacheEntryIsAMiss) {
+  namespace fs = std::filesystem;
+  struct TempDir {
+    fs::path Path = fs::temp_directory_path() /
+                    ("ipra_pipeline_corrupt_" + std::to_string(::getpid()));
+    TempDir() { fs::create_directories(Path); }
+    ~TempDir() { fs::remove_all(Path); }
+  } Dir;
+  PipelineConfig Config = PipelineConfig::configC();
+  Config.CacheDir = Dir.Path.string();
+  const std::vector<SourceFile> Sources = bench::loadProgram("dhry");
+  BuildResult Cold = Pipeline(Config).build(Sources);
+  ASSERT_TRUE(Cold.ok()) << Cold.text();
+
+  size_t Corrupted = 0;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir.Path)) {
+    std::ifstream In(E.path(), std::ios::binary);
+    std::string Text{std::istreambuf_iterator<char>(In), {}};
+    In.close();
+    const size_t Freq = Text.find(" freq=");
+    if (Corrupted > 0 || !Text.starts_with("summary-format") ||
+        Freq == std::string::npos)
+      continue;
+    Text[Freq + 6] = 'z';
+    std::ofstream(E.path(), std::ios::binary | std::ios::trunc) << Text;
+    ++Corrupted;
+  }
+  ASSERT_EQ(Corrupted, 1u);
+
+  BuildResult Warm = Pipeline(Config).build(Sources);
+  ASSERT_TRUE(Warm.ok()) << Warm.text();
+  EXPECT_EQ(Warm.Stats.Phase1CacheMisses, 1u);
+  EXPECT_EQ(Warm.Stats.Phase1CacheHits, Warm.Stats.Modules.size() - 1);
+  EXPECT_EQ(Warm.SummaryFiles, Cold.SummaryFiles);
+  EXPECT_EQ(Warm.DatabaseFile, Cold.DatabaseFile);
+  EXPECT_EQ(Warm.ObjectFiles, Cold.ObjectFiles);
 }
 
 TEST(ParallelPipelineTest, SharedSessionAnalysesAgree) {

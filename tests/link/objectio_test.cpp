@@ -126,16 +126,47 @@ TEST(ObjectIOTest, MalformedInputsRejected) {
   ObjectFile Out;
   std::string Error;
   EXPECT_FALSE(readObjectFile("bogus\n", Out, Error));
+  EXPECT_NE(Error.find("line 1: unknown record 'bogus'"), std::string::npos);
   EXPECT_FALSE(readObjectFile("init 1 2 3\n", Out, Error));
-  EXPECT_NE(Error.find("outside a global"), std::string::npos);
+  EXPECT_NE(Error.find("'init' outside global"), std::string::npos);
   EXPECT_FALSE(readObjectFile("object m\ni add r1 r2 r3\n", Out, Error));
-  EXPECT_NE(Error.find("outside a function"), std::string::npos);
+  EXPECT_NE(Error.find("'i' outside func"), std::string::npos);
   EXPECT_FALSE(
       readObjectFile("object m\nfunc f\ni frobnicate\n", Out, Error));
-  EXPECT_NE(Error.find("unknown opcode"), std::string::npos);
+  EXPECT_NE(Error.find("line 3: malformed opcode 'frobnicate'"),
+            std::string::npos);
   EXPECT_FALSE(
       readObjectFile("object m\nfunc f\ni add r1 r2 r3 r4\n", Out, Error));
-  EXPECT_NE(Error.find("too many operands"), std::string::npos);
+  EXPECT_NE(Error.find("line 3: unexpected token 'r4'"), std::string::npos);
+
+  // One corrupted value at a time in a valid object: each is rejected
+  // with the line and the field named.
+  const std::string Valid = writeObjectFile(sampleObject());
+  ASSERT_TRUE(readObjectFile(Valid, Out, Error)) << Error;
+  struct Case {
+    std::string From, To, Expect;
+  };
+  const Case Cases[] = {
+      {"size=20", "size=zz", "line 2: malformed size=zz"},
+      {"args=2", "args=999", "malformed args=999"},
+      {"args=2", "args=-1", "malformed args=-1"},
+      {"init -5", "init 99999999999", "line 3: malformed init word"},
+      {"i ldi r19", "i ldi q19", "malformed operand 'q19'"},
+      {"i ldw/global", "i ldw/none", "malformed opcode 'ldw/none'"},
+      {"i cb.ge", "i cb", "malformed opcode 'cb'"},
+      {"args=2", "args=2 args=2", "duplicate args= field"},
+      {" ret", " ret ret", "duplicate ret"},
+      {"i bv r2", "i bv r2 args=1", "unexpected args= field"},
+      {"size=20", "size=20 bogus=1", "line 2: unknown field 'bogus=1'"},
+  };
+  for (const Case &C : Cases) {
+    std::string Text = Valid;
+    Text.replace(Text.find(C.From), C.From.size(), C.To);
+    Error.clear();
+    EXPECT_FALSE(readObjectFile(Text, Out, Error)) << Text;
+    EXPECT_NE(Error.find(C.Expect), std::string::npos)
+        << C.To << " gave: " << Error;
+  }
 }
 
 TEST(ObjectIOTest, EmptyObjectRoundTrips) {

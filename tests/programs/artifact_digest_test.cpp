@@ -11,12 +11,15 @@
 /// cell in artifact_digests.txt. A simplification that claims to change
 /// no output is held to that claim here. On a mismatch the test prints
 /// the fresh line, so a deliberate re-baseline is a visible edit of the
-/// digest file.
+/// digest file. Each text must also survive its reader: write(read(T))
+/// is T.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
 #include "driver/Pipeline.h"
+#include "link/ObjectIO.h"
+#include "summary/Summary.h"
 #include "support/Hash.h"
 
 #include <gtest/gtest.h>
@@ -58,6 +61,29 @@ std::string digestLine(const std::string &Program, const std::string &Config,
   return Line;
 }
 
+/// Reader completeness: each of the cell's non-empty artifact texts reads
+/// back and writes out to the same bytes, so no field the writer emits
+/// is lost or re-spelled by the reader.
+void expectRewritesItself(const std::string &Cell, const BuildResult &B) {
+  std::string Error;
+  for (const std::string &Text : B.SummaryFiles) {
+    ModuleSummary S;
+    EXPECT_TRUE(readSummary(Text, S, Error)) << Cell << ": " << Error;
+    EXPECT_EQ(writeSummary(S), Text) << Cell;
+  }
+  if (!B.DatabaseFile.empty()) {
+    ProgramDatabase DB;
+    EXPECT_TRUE(ProgramDatabase::deserialize(B.DatabaseFile, DB, Error))
+        << Cell << ": " << Error;
+    EXPECT_EQ(DB.serialize(), B.DatabaseFile) << Cell;
+  }
+  for (const std::string &Text : B.ObjectFiles) {
+    ObjectFile Obj;
+    EXPECT_TRUE(readObjectFile(Text, Obj, Error)) << Cell << ": " << Error;
+    EXPECT_EQ(writeObjectFile(Obj), Text) << Cell;
+  }
+}
+
 class ArtifactDigestTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ArtifactDigestTest, MatchesRecordedDigests) {
@@ -83,6 +109,7 @@ TEST_P(ArtifactDigestTest, MatchesRecordedDigests) {
     auto It = Recorded.find(Program + " " + Name);
     std::string Expected = It == Recorded.end() ? "(none)" : It->second;
     EXPECT_EQ(Expected, Fresh) << "fresh line:\n" << Fresh;
+    expectRewritesItself(Program + " " + Name, B);
   }
 }
 

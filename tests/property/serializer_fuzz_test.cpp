@@ -11,7 +11,9 @@
 /// boundaries; they must reject (never crash on) arbitrary mutations of
 /// valid inputs. Each seed derives a valid artifact from a random
 /// program, applies byte-level mutations, and feeds the result back
-/// through the parser.
+/// through the parser. The artifact readers are also strict: a text
+/// that parses writes back to a text that rewrites to itself, and a
+/// corrupted numeric value is always rejected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string_view>
 
@@ -69,6 +72,61 @@ std::string mutate(std::string Text, std::mt19937 &Rng, int Count,
   return Text;
 }
 
+/// Replaces the value of one random numeric key=value token of \p Text
+/// with a token no field accepts: non-numeric, or out of range for every
+/// integer type and too long for a hex mask. Empty when the text has no
+/// numeric key=value token.
+std::optional<std::string> corruptValue(std::string Text, std::mt19937 &Rng) {
+  std::vector<std::pair<size_t, size_t>> Values; // Offset and length.
+  for (size_t Begin = 0; Begin < Text.size();) {
+    size_t End = std::min(Text.find_first_of(" \n", Begin), Text.size());
+    std::string_view Tok(Text.data() + Begin, End - Begin);
+    size_t Eq = Tok.find('=');
+    std::string_view Key = Tok.substr(0, Eq);
+    if (Eq != std::string_view::npos && Key != "config" && Key != "finit" &&
+        Key != "funcinit")
+      Values.push_back({Begin + Eq + 1, Tok.size() - Eq - 1});
+    Begin = End + 1;
+  }
+  if (Values.empty())
+    return std::nullopt;
+  auto [At, Len] = Values[Rng() % Values.size()];
+  Text.replace(At, Len, Rng() % 2 ? "zz" : "99999999999999999999");
+  return Text;
+}
+
+enum class Artifact { Summary, Database, Object };
+
+/// Reads \p Text as an artifact of kind \p A and writes it back to
+/// \p Out; false (with \p Error) when the reader rejects it.
+bool rewrite(Artifact A, const std::string &Text, std::string &Out,
+             std::string &Error) {
+  switch (A) {
+  case Artifact::Summary: {
+    ModuleSummary S;
+    if (!readSummary(Text, S, Error))
+      return false;
+    Out = writeSummary(S);
+    return true;
+  }
+  case Artifact::Database: {
+    ProgramDatabase DB;
+    if (!ProgramDatabase::deserialize(Text, DB, Error))
+      return false;
+    Out = DB.serialize();
+    return true;
+  }
+  case Artifact::Object: {
+    ObjectFile Obj;
+    if (!readObjectFile(Text, Obj, Error))
+      return false;
+    Out = writeObjectFile(Obj);
+    return true;
+  }
+  }
+  return false;
+}
+
 class SerializerFuzzTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
@@ -88,22 +146,26 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
   for (int Round = 0; Round < 30; ++Round) {
     int Mutations = 1 + static_cast<int>(Rng() % 25);
 
-    std::string Summary =
-        mutate(R.SummaryFiles[Rng() % R.SummaryFiles.size()], Rng,
-               Mutations);
-    ModuleSummary MS;
+    const std::pair<Artifact, const std::string *> Texts[] = {
+        {Artifact::Summary, &R.SummaryFiles[Rng() % R.SummaryFiles.size()]},
+        {Artifact::Database, &R.DatabaseFile},
+        {Artifact::Object, &R.ObjectFiles[Rng() % R.ObjectFiles.size()]},
+    };
     std::string Error;
-    readSummary(Summary, MS, Error); // Must not crash; result ignored.
-
-    std::string DB = mutate(R.DatabaseFile, Rng, Mutations);
-    ProgramDatabase PDB;
-    ProgramDatabase::deserialize(DB, PDB, Error);
-
-    std::string Obj =
-        mutate(R.ObjectFiles[Rng() % R.ObjectFiles.size()], Rng,
-               Mutations);
-    ObjectFile OF;
-    readObjectFile(Obj, OF, Error);
+    for (const auto &[Kind, Text] : Texts) {
+      // A mutated text must not crash its reader; one that still parses
+      // writes back to a text that rewrites to itself.
+      std::string Mutated = mutate(*Text, Rng, Mutations), Once, Twice;
+      if (rewrite(Kind, Mutated, Once, Error)) {
+        ASSERT_TRUE(rewrite(Kind, Once, Twice, Error))
+            << Mutated << "\nwrote\n" << Once << "\n" << Error;
+        EXPECT_EQ(Twice, Once) << Mutated;
+      }
+      // A corrupted numeric value is always rejected.
+      if (std::optional<std::string> Corrupt = corruptValue(*Text, Rng)) {
+        EXPECT_FALSE(rewrite(Kind, *Corrupt, Once, Error)) << *Corrupt;
+      }
+    }
 
     // A mutated reply that still parses as JSON (mangled keys, values
     // of the wrong kind, numbers out of range) decodes to defaults.

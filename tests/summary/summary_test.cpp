@@ -197,13 +197,61 @@ TEST(SummaryTest, RoundTripPreservesEverything) {
 }
 
 TEST(SummaryTest, ReadRejectsMalformedInput) {
+  const std::string Header = "summary-format " +
+                             std::to_string(SummaryFormatVersion) +
+                             " config=-\n";
   ModuleSummary Out;
   std::string Error;
   EXPECT_FALSE(readSummary("nonsense record\n", Out, Error));
   EXPECT_FALSE(Error.empty());
   Error.clear();
-  EXPECT_FALSE(readSummary("ref g freq=1 stores=0\n", Out, Error));
-  EXPECT_NE(Error.find("outside proc"), std::string::npos);
+  EXPECT_FALSE(readSummary(Header + "ref g freq=1 stores=0 loads=1\n", Out,
+                           Error));
+  EXPECT_NE(Error.find("line 2: 'ref' outside proc"), std::string::npos)
+      << Error;
+
+  // A valid summary, then one corrupted value or field at a time: the
+  // reader rejects each, naming the line and the field.
+  const std::string Valid =
+      Header +
+      "module m\n"
+      "global g static=0 scalar=1 aliased=0 escape=0 init=1\n"
+      "proc m:f regs=2 indirect=0 indfreq=0 callerused=00180000"
+      " indresolved=0 params=1 gpg=1\n"
+      "ref g freq=10 stores=1 loads=1\n"
+      "call m:h freq=1 args=0\n"
+      "gpu g:g 1 p:0 0 ord=0\n"
+      "gpgcall 1 m:h\n"
+      "gpgsite 2 p:0^1 ?^0\n"
+      "end\n";
+  ASSERT_TRUE(readSummary(Valid, Out, Error)) << Error;
+  EXPECT_EQ(writeSummary(Out), Valid);
+  struct Case {
+    std::string From, To, Expect;
+  };
+  const Case Cases[] = {
+      {"freq=10", "freq=zz", "line 5: malformed freq=zz"},
+      {"escape=0", "escape=banana", "line 3: malformed escape=banana"},
+      {"escape=0", "escape=7", "line 3: malformed escape=7"},
+      {"static=0", "static=2", "line 3: malformed static=2"},
+      {"params=1", "params=1x", "line 4: malformed params=1x"},
+      {"callerused=00180000", "callerused=xyz",
+       "line 4: malformed callerused=xyz"},
+      {"gpu g:g 1", "gpu g:g q", "line 7: malformed dlev 'q'"},
+      {"regs=2", "regs=2 bogus=1", "line 4: unknown field 'bogus=1'"},
+      {"freq=10", "freq=10 freq=11", "line 5: duplicate freq= field"},
+      {" loads=1", "", "line 5: missing loads= field"},
+      {"gpgcall 1 m:h", "gpgcall x m:h", "line 8: malformed ord 'x'"},
+      {"end\n", "", "line 4: proc record 'm:f' has no end"},
+  };
+  for (const Case &C : Cases) {
+    std::string Text = Valid;
+    Text.replace(Text.find(C.From), C.From.size(), C.To);
+    Error.clear();
+    EXPECT_FALSE(readSummary(Text, Out, Error)) << Text;
+    EXPECT_NE(Error.find(C.Expect), std::string::npos)
+        << C.To << " gave: " << Error;
+  }
 }
 
 TEST(SummaryTest, UnreachableCodeDoesNotCount) {

@@ -17,16 +17,9 @@ using namespace ipra;
 
 namespace {
 
-TEST(StringUtilsTest, JoinSplitTrim) {
+TEST(StringUtilsTest, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(split("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(trim("  x y \t\n"), "x y");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_TRUE(startsWith("prefix_rest", "prefix"));
-  EXPECT_FALSE(startsWith("pre", "prefix"));
 }
 
 TEST(StringUtilsTest, ParseInt) {
@@ -35,6 +28,27 @@ TEST(StringUtilsTest, ParseInt) {
   EXPECT_EQ(V, -42);
   EXPECT_FALSE(parseInt("12x", V));
   EXPECT_FALSE(parseInt("", V));
+  // Strict: no '+', no whitespace, and overflow is an error rather than
+  // a saturated value; a failed parse leaves the value alone.
+  EXPECT_FALSE(parseInt("+5", V));
+  EXPECT_FALSE(parseInt(" 5", V));
+  EXPECT_FALSE(parseInt("5 ", V));
+  EXPECT_FALSE(parseInt("99999999999999999999", V));
+  EXPECT_EQ(V, -42);
+  // The range is the target type's.
+  int I = 0;
+  EXPECT_FALSE(parseInt("99999999999", I));
+  EXPECT_TRUE(parseInt("-2147483648", I));
+  EXPECT_EQ(I, -2147483647 - 1);
+  unsigned char Byte = 0;
+  EXPECT_FALSE(parseInt("256", Byte));
+  EXPECT_FALSE(parseInt("-1", Byte));
+  EXPECT_TRUE(parseInt("255", Byte));
+  EXPECT_EQ(Byte, 255);
+  unsigned Mask = 0;
+  EXPECT_TRUE(parseInt("00ff00ff", Mask, 16));
+  EXPECT_EQ(Mask, 0x00ff00ffu);
+  EXPECT_FALSE(parseInt("1ffffffff", Mask, 16));
 }
 
 TEST(DiagnosticsTest, RenderingAndCounting) {
