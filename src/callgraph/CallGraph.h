@@ -36,20 +36,13 @@
 #define IPRA_CALLGRAPH_CALLGRAPH_H
 
 #include "summary/Summary.h"
+#include "support/CallProfile.h"
 
 #include <map>
 #include <string>
 #include <vector>
 
 namespace ipra {
-
-/// Profile data shape shared with the simulator (kept structurally
-/// identical to sim's ProfileData to avoid a dependency cycle).
-struct CallProfile {
-  std::map<std::string, long long> CallCounts;
-  std::map<std::pair<std::string, std::string>, long long> EdgeCounts;
-  bool empty() const { return CallCounts.empty(); }
-};
 
 /// One call-graph node.
 struct CGNode {

@@ -10,6 +10,7 @@
 #include "analysis/GPGCompose.h"
 #include "core/AnalyzerInternal.h"
 #include "summary/SummaryDiff.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/NodeSet.h"
 #include "support/ThreadPool.h"
@@ -17,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <sstream>
 
 using namespace ipra;
 using analyzer_detail::finishFromWebs;
@@ -36,60 +36,6 @@ double msSince(Clock::time_point T0) {
 /// which leaves out NumThreads (it must not force a full run).
 bool sameOptions(const AnalyzerOptions &A, const AnalyzerOptions &B) {
   return json::encode(A) == json::encode(B);
-}
-
-bool sameProfile(const CallProfile &A, const CallProfile &B) {
-  return A.CallCounts == B.CallCounts && A.EdgeCounts == B.EdgeCounts;
-}
-
-// --- Retained-run persistence helpers -------------------------------------
-
-/// Length-prefixed string: "<len>\n<bytes>\n". Safe for any contents
-/// (summary texts, database text, discard reasons with spaces).
-void putStr(std::ostream &Out, const std::string &S) {
-  Out << S.size() << '\n' << S << '\n';
-}
-
-bool getStr(std::istream &In, std::string &Out) {
-  size_t Len = 0;
-  if (!(In >> Len))
-    return false;
-  if (In.get() != '\n')
-    return false;
-  Out.resize(Len);
-  if (Len && !In.read(&Out[0], static_cast<std::streamsize>(Len)))
-    return false;
-  return In.get() == '\n';
-}
-
-bool getBool(std::istream &In, bool &Out) {
-  int V = 0;
-  if (!(In >> V) || (V != 0 && V != 1))
-    return false;
-  Out = V != 0;
-  return true;
-}
-
-/// Reads "<count> <id>..." into a NodeSet, rejecting ids outside
-/// [0, Universe).
-bool getNodeSet(std::istream &In, int Universe, NodeSet &Out) {
-  size_t Count = 0;
-  if (!(In >> Count))
-    return false;
-  Out = NodeSet::withUniverse(static_cast<size_t>(Universe));
-  for (size_t I = 0; I < Count; ++I) {
-    int N = -1;
-    if (!(In >> N) || N < 0 || N >= Universe)
-      return false;
-    Out.insert(N);
-  }
-  return true;
-}
-
-void putNodeSet(std::ostream &Out, const NodeSet &S) {
-  Out << S.size();
-  for (int N : S)
-    Out << ' ' << N;
 }
 
 } // namespace
@@ -495,7 +441,7 @@ ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
     Reason = "first analysis";
   else if (!sameOptions(Opts, Options))
     Reason = "analyzer options changed";
-  else if (!sameProfile(Prof, Profile))
+  else if (Prof != Profile)
     Reason = "profile changed";
   else if (!retainable(Reason)) {
     // Reason set by retainable().
@@ -525,81 +471,51 @@ ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
 //===----------------------------------------------------------------------===//
 // Retained-run persistence (warm daemon restarts, DESIGN.md §13).
 //
-//   ipra-retained <version>
-//   options <json::encode of the AnalyzerOptions field list>
-//   profile <ncalls> <nedges>  + one "call"/"edge" record each
-//   summaries <n>              + one length-prefixed writeSummary text each
-//   webs <nwebs> <has-webstart>
-//   webstart <n> <v>...        (only for web/greedy promotion)
-//   web <fields> + nodes/entry/wrap sets + length-prefixed discard reason
-//   database                   + length-prefixed ProgramDatabase::serialize
-//   end
+//   {"format":"ipra-retained","version":5,"digest":"<16 hex digits>"}
+//   <json::encode of RetainedRun, one line>
 //
-// The call graph and reference sets are rebuilt from the summaries at
-// restore time with the exact constructor calls primeFull uses, so the
-// restored state is the deterministic image of the serialized inputs —
-// the blob can be stale or truncated but never make the state
-// inconsistent: every parse or validation failure leaves the analyzer
-// unprimed and the caller falls back to a cold prime.
+// The digest is FNV-1a over the run text and is checked before the run
+// is decoded, so a torn or corrupted blob is rejected whole. The call
+// graph and reference sets are rebuilt from the summaries with the exact
+// constructor calls primeFull uses, and one pass checks the decoded webs
+// against them, so the restored state is the deterministic image of the
+// serialized inputs: every failure leaves the analyzer unprimed and the
+// caller falls back to a cold prime.
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr const char *RetainedFormat = "ipra-retained";
+
+/// The blob's first line (support/Json.h's Record).
+struct RetainedHeader {
+  std::string Format;
+  int Version = 0;
+  std::string Digest;
+
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("format", S.Format);
+    V("version", S.Version);
+    V("digest", S.Digest);
+  }
+};
+
+} // namespace
 
 bool DeltaAnalyzer::serializeRetained(std::string &Out) const {
   std::string Reason;
   if (!Primed || !retainable(Reason))
     return false;
-  std::ostringstream O;
-  O << "ipra-retained " << RetainedFormatVersion << "\n";
-  O << "options " << json::encode(Opts).dump() << "\n";
-  O << "profile " << Prof.CallCounts.size() << ' ' << Prof.EdgeCounts.size()
-    << "\n";
-  for (const auto &[Name, N] : Prof.CallCounts) {
-    O << "call " << N << ' ';
-    putStr(O, Name);
-  }
-  for (const auto &[Edge, N] : Prof.EdgeCounts) {
-    O << "edge " << N << ' ';
-    putStr(O, Edge.first);
-    putStr(O, Edge.second);
-  }
-  O << "summaries " << PrevSummaries->size() << "\n";
+  RetainedRun Run{Opts, Prof, {}, Webs, WebStart};
   for (const ModuleSummary &S : *PrevSummaries)
-    putStr(O, writeSummary(S));
-  O << "webs " << Webs.size() << ' ' << (WebStart.empty() ? 0 : 1) << "\n";
-  if (!WebStart.empty()) {
-    O << "webstart " << WebStart.size();
-    for (int V : WebStart)
-      O << ' ' << V;
-    O << "\n";
-  }
-  for (const Web &W : Webs) {
-    O << "web " << W.GlobalId << ' ' << W.Modifies << ' ' << W.Priority
-      << ' ' << W.AssignedReg << ' ' << W.Considered << ' ' << W.IsRemerged
-      << ' ' << W.IsSplit << "\n";
-    O << "nodes ";
-    putNodeSet(O, W.Nodes);
-    O << "\nentry " << W.EntryNodes.size();
-    for (int N : W.EntryNodes)
-      O << ' ' << N;
-    O << "\ndiscard ";
-    putStr(O, W.DiscardReason);
-    O << "wrapedges " << W.WrapEdges.size() << "\n";
-    for (const auto &[Node, Set] : W.WrapEdges) {
-      O << Node << ' ';
-      putNodeSet(O, Set);
-      O << "\n";
-    }
-    O << "wrapindirect ";
-    putNodeSet(O, W.WrapIndirect);
-    O << "\n";
-  }
-  // The database is not retained; finishing a copy of the colored webs
-  // reproduces it (the same stage an identical re-analysis runs).
-  std::vector<Web> Colored = Webs;
-  AnalyzerStats Unused;
-  O << "database ";
-  putStr(O, finish(Colored, Unused).serialize());
-  O << "end\n";
-  Out = O.str();
+    Run.Summaries.push_back(writeSummary(S));
+  std::string Text = json::encode(Run).dump();
+  Out = json::encode(RetainedHeader{RetainedFormat, RetainedFormatVersion,
+                                    hashHex(Text)})
+            .dump();
+  Out += '\n';
+  Out += Text;
   return true;
 }
 
@@ -607,92 +523,55 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
                                     std::string &Error) {
   // Restoring replaces any retained state; every failure path below
   // must leave the analyzer cleanly unprimed.
-  Primed = false;
-  RS.reset();
-  CG.reset();
-  MR = ModRefInfo();
-  Webs.clear();
-  WebStart.clear();
-  PrevSummaries.reset();
-  Stats = AnalyzerStats();
-  Delta = DeltaStats();
-
-  auto Fail = [&](const std::string &Why) {
-    Error = "retained-state restore: " + Why;
+  auto Reset = [this] {
     RS.reset();
     CG.reset();
     MR = ModRefInfo();
     Webs.clear();
     WebStart.clear();
-    PrevSummaries.reset();
+  };
+  auto Fail = [&](const std::string &Why) {
+    Error = "retained-state restore: " + Why;
+    Reset();
     return false;
   };
+  Primed = false;
+  PrevSummaries.reset();
+  Stats = AnalyzerStats();
+  Delta = DeltaStats();
+  Reset();
 
-  std::istringstream In(Text);
-  std::string Tag;
-  int Ver = -1;
-  if (!(In >> Tag >> Ver) || Tag != "ipra-retained")
+  RetainedHeader H;
+  std::string_view RunText;
+  if (!json::readHeaderLine(Text, H, RunText) || H.Format != RetainedFormat)
     return Fail("not a retained-state blob");
-  if (Ver != RetainedFormatVersion)
-    return Fail("format version " + std::to_string(Ver) + " (expected " +
-                std::to_string(RetainedFormatVersion) + ")");
+  if (H.Version != RetainedFormatVersion)
+    return Fail("format version " + std::to_string(H.Version) +
+                " (expected " + std::to_string(RetainedFormatVersion) + ")");
+  if (H.Digest != hashHex(RunText))
+    return Fail("digest mismatch");
+  RetainedRun Run;
+  json::Value V;
+  std::string JsonError, Path;
+  if (!json::Value::parse(RunText, V, JsonError))
+    return Fail("malformed run: " + JsonError);
+  if (!json::decode(V, Run, &Path))
+    return Fail("run field '" + Path + "' has an invalid value");
+  V = json::Value(); // The tree is dead weight from here on.
 
-  AnalyzerOptions O;
-  json::Value OptsJson;
-  std::string Line, JsonErr;
-  if (!(In >> Tag) || Tag != "options" || !std::getline(In, Line) ||
-      !json::Value::parse(Line, OptsJson, JsonErr) ||
-      !json::decode(OptsJson, O))
-    return Fail("malformed options record");
-
-  CallProfile P;
-  size_t NumCalls = 0, NumEdges = 0;
-  if (!(In >> Tag) || Tag != "profile" || !(In >> NumCalls >> NumEdges))
-    return Fail("malformed profile header");
-  for (size_t I = 0; I < NumCalls; ++I) {
-    long long N = 0;
-    std::string Name;
-    if (!(In >> Tag) || Tag != "call" || !(In >> N) || !getStr(In, Name))
-      return Fail("malformed call-count record");
-    P.CallCounts[Name] = N;
+  std::vector<ModuleSummary> Summaries(Run.Summaries.size());
+  for (size_t I = 0; I < Summaries.size(); ++I) {
+    std::string SummaryError;
+    if (!readSummary(Run.Summaries[I], Summaries[I], SummaryError))
+      return Fail("summary " + std::to_string(I) + ": " + SummaryError);
   }
-  for (size_t I = 0; I < NumEdges; ++I) {
-    long long N = 0;
-    std::string From, To;
-    if (!(In >> Tag) || Tag != "edge" || !(In >> N) || !getStr(In, From) ||
-        !getStr(In, To))
-      return Fail("malformed edge-count record");
-    P.EdgeCounts[{From, To}] = N;
-  }
+  Run.Summaries.clear();
 
-  size_t NumSummaries = 0;
-  if (!(In >> Tag) || Tag != "summaries" || !(In >> NumSummaries))
-    return Fail("malformed summaries header");
-  std::vector<ModuleSummary> Summaries(NumSummaries);
-  for (size_t I = 0; I < NumSummaries; ++I) {
-    std::string SText, SErr;
-    if (!getStr(In, SText))
-      return Fail("truncated summary text");
-    if (!readSummary(SText, Summaries[I], SErr))
-      return Fail("summary " + std::to_string(I) + ": " + SErr);
-  }
-
-  size_t NumWebs = 0;
-  int HasStart = -1;
-  if (!(In >> Tag) || Tag != "webs" || !(In >> NumWebs >> HasStart) ||
-      (HasStart != 0 && HasStart != 1))
-    return Fail("malformed webs header");
-  // A valid blob spends well over one byte per web; a corrupt count
-  // must not turn into a giant allocation.
-  if (NumWebs > Text.size())
-    return Fail("web count exceeds blob size");
-
-  // Rebuild the derived structures before parsing webs: node-id
-  // validation needs the graph size, and these are the exact
-  // constructor calls primeFull makes, so a valid blob reproduces the
-  // serializing process's state bit for bit.
-  Opts = O;
-  Prof = std::move(P);
+  // The derived structures, with the exact constructor calls primeFull
+  // makes, so a valid blob reproduces the serializing process's state
+  // bit for bit.
+  Opts = Run.Options;
+  Prof = std::move(Run.Profile);
   std::string RetainReason;
   if (!retainable(RetainReason))
     return Fail("non-retainable configuration: " + RetainReason);
@@ -701,80 +580,46 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
   RS = std::make_unique<RefSets>(*CG, Opts.AssumeClosedWorld);
   MR = Opts.ModRef ? computeModRef(*CG, Opts.AssumeClosedWorld)
                    : ModRefInfo();
-  int Universe = CG->size();
-  int NumEligible = RS->numEligible();
 
-  bool WantStart = Opts.Promotion == PromotionMode::Webs ||
-                   Opts.Promotion == PromotionMode::Greedy;
-  if (HasStart != (WantStart ? 1 : 0))
-    return Fail("web-start table does not match promotion mode");
-  if (HasStart) {
-    size_t N = 0;
-    if (!(In >> Tag) || Tag != "webstart" || !(In >> N) ||
-        N != static_cast<size_t>(NumEligible) + 1)
-      return Fail("web-start table size mismatch");
-    WebStart.resize(N);
-    int Prev = 0;
-    for (size_t I = 0; I < N; ++I) {
-      if (!(In >> WebStart[I]) || WebStart[I] < Prev)
-        return Fail("web-start table not monotone");
-      Prev = WebStart[I];
-    }
-    if (static_cast<size_t>(WebStart.back()) != NumWebs ||
-        WebStart.front() != 0)
+  // One pass over the decoded webs: the web-start table covers the list
+  // monotonically exactly when the promotion mode keeps one, each web
+  // sits in its global's segment, and every node lies in the graph.
+  const int Universe = CG->size();
+  const int NumEligible = RS->numEligible();
+  const std::vector<int> &Start = Run.WebStart;
+  if (Opts.Promotion == PromotionMode::Webs ||
+      Opts.Promotion == PromotionMode::Greedy) {
+    if (Start.size() != static_cast<size_t>(NumEligible) + 1 ||
+        Start.front() != 0 ||
+        static_cast<size_t>(Start.back()) != Run.Webs.size() ||
+        !std::is_sorted(Start.begin(), Start.end()))
       return Fail("web-start table does not cover the web list");
+  } else if (!Start.empty()) {
+    return Fail("web-start table under a promotion mode without one");
   }
-
-  Webs.resize(NumWebs);
-  for (size_t I = 0; I < NumWebs; ++I) {
-    Web &W = Webs[I];
+  auto InGraph = [Universe](const NodeSet &S) {
+    return std::all_of(S.begin(), S.end(),
+                       [Universe](int N) { return N < Universe; });
+  };
+  for (size_t I = 0, G = 0; I < Run.Webs.size(); ++I) {
+    Web &W = Run.Webs[I];
     W.Id = static_cast<int>(I);
-    if (!(In >> Tag) || Tag != "web" || !(In >> W.GlobalId) ||
-        !getBool(In, W.Modifies) || !(In >> W.Priority) ||
-        !(In >> W.AssignedReg) || !getBool(In, W.Considered) ||
-        !getBool(In, W.IsRemerged) || !getBool(In, W.IsSplit))
-      return Fail("malformed web record");
-    if (W.GlobalId < 0 || W.GlobalId >= NumEligible)
-      return Fail("web global id outside the rebuilt universe");
-    if (!(In >> Tag) || Tag != "nodes" || !getNodeSet(In, Universe, W.Nodes))
-      return Fail("malformed web node set");
-    size_t NumEntries = 0;
-    if (!(In >> Tag) || Tag != "entry" || !(In >> NumEntries))
-      return Fail("malformed web entry list");
-    W.EntryNodes.resize(NumEntries);
-    for (size_t E = 0; E < NumEntries; ++E)
-      if (!(In >> W.EntryNodes[E]) || W.EntryNodes[E] < 0 ||
-          W.EntryNodes[E] >= Universe)
-        return Fail("web entry node outside the rebuilt universe");
-    if (!(In >> Tag) || Tag != "discard" || !getStr(In, W.DiscardReason))
-      return Fail("malformed web discard reason");
-    size_t NumWrap = 0;
-    if (!(In >> Tag) || Tag != "wrapedges" || !(In >> NumWrap))
-      return Fail("malformed web wrap-edge table");
-    for (size_t E = 0; E < NumWrap; ++E) {
-      int Node = -1;
-      NodeSet Set;
-      if (!(In >> Node) || Node < 0 || Node >= Universe ||
-          !getNodeSet(In, Universe, Set))
-        return Fail("malformed web wrap-edge entry");
-      W.WrapEdges[Node] = std::move(Set);
-    }
-    if (!(In >> Tag) || Tag != "wrapindirect" ||
-        !getNodeSet(In, Universe, W.WrapIndirect))
-      return Fail("malformed web wrap-indirect set");
+    while (!Start.empty() && static_cast<size_t>(Start[G + 1]) <= I)
+      ++G;
+    bool Ok = W.GlobalId >= 0 && W.GlobalId < NumEligible &&
+              (Start.empty() || W.GlobalId == static_cast<int>(G)) &&
+              InGraph(W.Nodes) && InGraph(W.WrapIndirect);
+    for (int N : W.EntryNodes)
+      Ok = Ok && N >= 0 && N < Universe;
+    for (const auto &[Node, Set] : W.WrapEdges)
+      Ok = Ok && Node >= 0 && Node < Universe && InGraph(Set);
+    if (!Ok)
+      return Fail("web " + std::to_string(I) +
+                  " lies outside the rebuilt graph");
   }
 
-  // The database section is checked, then dropped: the next analyze()
-  // finishes the restored webs into it again.
-  std::string DBText, DBErr;
-  ProgramDatabase DB;
-  if (!(In >> Tag) || Tag != "database" || !getStr(In, DBText))
-    return Fail("truncated database section");
-  if (!ProgramDatabase::deserialize(DBText, DB, DBErr))
-    return Fail("database: " + DBErr);
-  if (!(In >> Tag) || Tag != "end")
-    return Fail("missing end marker");
-
+  Webs = std::move(Run.Webs);
+  WebStart = std::move(Run.WebStart);
   PrevSummaries =
       std::make_shared<const std::vector<ModuleSummary>>(std::move(Summaries));
   Primed = true;

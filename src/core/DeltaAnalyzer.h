@@ -47,6 +47,7 @@
 #define IPRA_CORE_DELTAANALYZER_H
 
 #include "core/Analyzer.h"
+#include "core/Webs.h"
 
 #include <memory>
 #include <string>
@@ -106,6 +107,33 @@ struct DeltaStats {
 /// copying it.
 using SummarySet = std::shared_ptr<const std::vector<ModuleSummary>>;
 
+/// A primed analyzer's retained run as it is persisted (support/Json.h's
+/// Record): every output-affecting option, the profile, the summaries
+/// (writeSummary texts) and the per-global web lists. The call graph,
+/// reference sets and mod/ref verdicts are not in it: they are
+/// deterministic functions of the summaries and options, and rebuilding
+/// them costs far less than the web discovery the run lets a restore
+/// skip.
+struct RetainedRun {
+  AnalyzerOptions Options;
+  CallProfile Profile;
+  std::vector<std::string> Summaries;
+  /// Every discovered web, discarded ones included, in global-id order.
+  std::vector<Web> Webs;
+  /// Global g's webs are Webs[WebStart[g]..WebStart[g+1]); empty unless
+  /// the promotion mode is webs or greedy.
+  std::vector<int> WebStart;
+
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("options", S.Options);
+    V("profile", S.Profile);
+    V("summaries", S.Summaries);
+    V("webs", S.Webs);
+    V("web-start", S.WebStart);
+  }
+};
+
 /// Stateful wrapper around the program analyzer. The first analyze()
 /// primes retained state with a full run; subsequent calls diff the
 /// summaries and take the damage-region path when the edit is
@@ -141,38 +169,26 @@ public:
 
   /// Version of the retained-run persistence format below. Bumped on
   /// any layout change; readers reject other versions (cold fallback).
-  /// Version 2: the options record serializes the points-to *mode*
-  /// (off/andersen/gpg as an integer) where version 1 had a boolean,
-  /// and the summaries carry format-v4 GPG residues.
-  /// Version 3: the options record gains the mod/ref toggle (16th
-  /// field) and the summaries carry the format-v5 mod/ref fields. The
-  /// verdicts themselves are not serialized — computeModRef is a pure
-  /// function of the rebuilt call graph, so restore recomputes them.
-  /// Version 4: the options record is one JSON object, json::encode of
-  /// the AnalyzerOptions field list (enums by name, doubles to 17
-  /// significant digits), read back with the strict json::decode.
-  static constexpr int RetainedFormatVersion = 4;
+  /// Version 5: a one-line JSON header (format, version, the FNV-1a
+  /// digest of the run text) and the run, json::encode of RetainedRun.
+  /// Versions 1-4 were line-oriented texts with a trailing database
+  /// section; their first line is not JSON, so they are rejected.
+  static constexpr int RetainedFormatVersion = 5;
 
-  /// Serializes the primed retained run — every output-affecting
-  /// analyzer option, the profile, the previous summaries, the
-  /// per-global web lists and the database they finish into — as a
-  /// versioned text blob a later process can restoreRetained() from
-  /// (warm daemon restarts, DESIGN.md §13). The call graph and reference
-  /// sets are NOT serialized: they are deterministic functions of the
-  /// summaries and options, and rebuilding them at restore costs far
-  /// less than the web discovery the blob lets us skip. Returns false
-  /// when there is nothing persistable (not primed, or a configuration
-  /// retainable() rejects).
+  /// Serializes the primed retained run as a versioned blob a later
+  /// process can restoreRetained() from (warm daemon restarts, DESIGN.md
+  /// §13). Returns false when there is nothing persistable (not primed,
+  /// or a configuration retainable() rejects).
   bool serializeRetained(std::string &Out) const;
 
   /// Rebuilds retained state from a serializeRetained() blob. On any
-  /// mismatch — wrong version, malformed section, summaries that fail
-  /// to parse, web node ids outside the rebuilt graph — it returns
-  /// false with \p Error set and leaves the analyzer unprimed, so the
-  /// next analyze() is an ordinary cold prime (never a wrong result).
-  /// On success the analyzer is primed exactly as if it had analyzed
-  /// the serialized summaries in this process: the next analyze()
-  /// diffs against them and takes the §11 delta path.
+  /// mismatch — wrong version or digest, a run that does not decode,
+  /// summaries that fail to parse, webs outside the rebuilt graph — it
+  /// returns false with \p Error set and leaves the analyzer unprimed,
+  /// so the next analyze() is an ordinary cold prime (never a wrong
+  /// result). On success the analyzer is primed exactly as if it had
+  /// analyzed the serialized summaries in this process: the next
+  /// analyze() diffs against them and takes the §11 delta path.
   bool restoreRetained(const std::string &Text, std::string &Error);
 
 private:

@@ -15,7 +15,7 @@ using namespace ipra;
 
 namespace {
 
-constexpr long long PriorityCap = 1'000'000'000'000'000LL;
+constexpr long long PriorityCap = Web::PriorityCap;
 
 long long capAdd(long long A, long long B) {
   return std::min(PriorityCap, A + B);

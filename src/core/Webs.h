@@ -53,7 +53,9 @@ struct Web {
   /// entry and store it back at exit.
   std::vector<int> EntryNodes;
   bool Modifies = false; ///< Some web node stores the variable.
+  /// Saturating: sums and products stop at PriorityCap.
   long long Priority = 0;
+  static constexpr long long PriorityCap = 1'000'000'000'000'000LL;
   int AssignedReg = -1;          ///< Filled by coloring.
   bool Considered = true;        ///< False when filtered out (§6.2/§7.4).
   bool IsRemerged = false;       ///< Produced by §7.6.1 re-merging.
@@ -70,6 +72,25 @@ struct Web {
   std::map<int, NodeSet> WrapEdges;
   /// Web nodes whose indirect calls can reach a referencing procedure.
   NodeSet WrapIndirect;
+
+  /// Every field but Id, which is the web's index in its list, with its
+  /// key (support/Json.h's Record): the retained analyzer run persists
+  /// webs through this list.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("global", S.GlobalId);
+    V("nodes", S.Nodes);
+    V("entry", S.EntryNodes);
+    V("modifies", S.Modifies);
+    V("priority", S.Priority);
+    V("reg", S.AssignedReg);
+    V("considered", S.Considered);
+    V("remerged", S.IsRemerged);
+    V("discard", S.DiscardReason);
+    V("split", S.IsSplit);
+    V("wrap-edges", S.WrapEdges);
+    V("wrap-indirect", S.WrapIndirect);
+  }
 };
 
 /// Filtering knobs (§6.2, §7.4).

@@ -7,16 +7,14 @@
 
 #include "driver/ArtifactCache.h"
 
+#include "support/FileIO.h"
 #include "support/Hash.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
-#include <unistd.h>
 
 using namespace ipra;
 
@@ -131,18 +129,13 @@ ArtifactCache::getShared(const std::string &Key) {
   if (!Config.DiskDir.empty()) {
     // Disk read outside the shard lock; a racing writer publishes via
     // atomic rename, so the file is whole or absent, never torn.
-    std::ifstream In(pathFor(Key), std::ios::binary);
-    if (In) {
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      if (!In.bad()) {
-        auto Value = intern(Buf.str());
-        ++DiskHits;
-        BytesRead += Value->size();
-        std::lock_guard<std::mutex> Lock(S.Mutex);
-        insertLocked(S, Key, Value); // Promote: later probes hit memory.
-        return Value;
-      }
+    if (std::string Bytes; readFile(pathFor(Key), Bytes)) {
+      auto Value = intern(std::move(Bytes));
+      ++DiskHits;
+      BytesRead += Value->size();
+      std::lock_guard<std::mutex> Lock(S.Mutex);
+      insertLocked(S, Key, Value); // Promote: later probes hit memory.
+      return Value;
     }
   }
   ++Misses;
@@ -173,33 +166,10 @@ void ArtifactCache::writeDiskEntry(const std::string &Key,
                                    const std::string &Value) {
   if (Config.DiskDir.empty() || !ensureDir())
     return;
-  // Publish atomically: write a private temp file, then rename it over
-  // the final name. The temp name is unique per writer — pid for
-  // cross-process uniqueness, a per-cache sequence number for
-  // same-process uniqueness — so concurrent writers racing on one key
-  // never interleave into the same temp file. Keys are content hashes,
-  // so either rename winning publishes the same bytes; a crash
-  // mid-write leaves only a stray temp file, never a torn entry.
-  std::ostringstream TmpName;
-  TmpName << pathFor(Key) << ".tmp." << ::getpid() << "."
-          << TmpSeq.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::ofstream Out(TmpName.str(), std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return;
-    Out.write(Value.data(), static_cast<std::streamsize>(Value.size()));
-    if (!Out) {
-      Out.close();
-      std::remove(TmpName.str().c_str());
-      return;
-    }
-  }
-  std::error_code EC;
-  fs::rename(TmpName.str(), pathFor(Key), EC);
-  if (EC) {
-    std::remove(TmpName.str().c_str());
+  // Keys are content hashes, so concurrent writers racing on one key
+  // publish the same bytes, whichever rename wins.
+  if (!writeFileAtomic(pathFor(Key), Value))
     return;
-  }
   if ((Config.DiskBudgetBytes || Config.DiskTTLSeconds) &&
       DiskWrites.fetch_add(1, std::memory_order_relaxed) % SweepEveryWrites ==
           SweepEveryWrites - 1)

@@ -196,7 +196,6 @@ private:
   std::mutex DirMutex;
   std::mutex SweepMutex; ///< At most one disk sweep at a time.
   std::atomic<bool> DirReady{false}; ///< Created (or found) the dir.
-  std::atomic<std::uint64_t> TmpSeq{0}; ///< Unique temp-name suffix.
   std::atomic<std::uint64_t> DiskWrites{0};
   /// Counters (atomic: get/put run concurrently under different shard
   /// locks).

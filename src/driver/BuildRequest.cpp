@@ -9,42 +9,6 @@
 
 using namespace ipra;
 
-const char *ipra::buildPhaseName(BuildPhase Phase) {
-  switch (Phase) {
-  case BuildPhase::Summary:
-    return "summary";
-  case BuildPhase::Analyze:
-    return "analyze";
-  case BuildPhase::Object:
-    return "object";
-  case BuildPhase::Link:
-    return "link";
-  case BuildPhase::Full:
-    return "full";
-  case BuildPhase::Lint:
-    return "lint";
-  }
-  return "full";
-}
-
-bool ipra::parseBuildPhase(const std::string &Name, BuildPhase &Out) {
-  if (Name == "summary")
-    Out = BuildPhase::Summary;
-  else if (Name == "analyze")
-    Out = BuildPhase::Analyze;
-  else if (Name == "object")
-    Out = BuildPhase::Object;
-  else if (Name == "link")
-    Out = BuildPhase::Link;
-  else if (Name == "full")
-    Out = BuildPhase::Full;
-  else if (Name == "lint")
-    Out = BuildPhase::Lint;
-  else
-    return false;
-  return true;
-}
-
 BuildRequest BuildRequest::full(PipelineConfig Config,
                                 std::vector<SourceFile> Modules,
                                 std::string Program) {

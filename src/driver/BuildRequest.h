@@ -45,6 +45,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipra {
@@ -52,11 +53,15 @@ namespace ipra {
 /// Which pipeline stage a request runs.
 enum class BuildPhase { Summary, Analyze, Object, Link, Full, Lint };
 
-/// Stable lowercase name ("summary", ..., "full") for the wire protocol
-/// and logs.
-const char *buildPhaseName(BuildPhase Phase);
-/// Inverse of buildPhaseName; returns false on an unknown name.
-bool parseBuildPhase(const std::string &Name, BuildPhase &Out);
+/// BuildPhase's wire names, in enumerator order, for the record codec.
+inline constexpr const char *BuildPhaseNames[] = {
+    "summary", "analyze", "object", "link", "full", "lint"};
+inline const char *enumName(BuildPhase P) {
+  return BuildPhaseNames[static_cast<int>(P)];
+}
+inline bool enumFromName(std::string_view Name, BuildPhase &P) {
+  return enumFromTable(Name, BuildPhaseNames, P);
+}
 
 /// One self-contained unit of work for the pipeline.
 struct BuildRequest {
@@ -96,6 +101,33 @@ struct BuildRequest {
   static BuildRequest lint(PipelineConfig Config,
                            std::vector<SourceFile> Modules,
                            std::string Program = "");
+
+  /// The wire fields with their keys (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("program", S.Program);
+    V("phase", S.Phase);
+    V("config", S.Config);
+    V("modules", S.Modules);
+    V("summaries", S.Summaries);
+    V("database", S.Database);
+    V("objects", S.Objects);
+    V("profile", S.Profile);
+  }
+};
+
+/// A build reply's stats object (support/Json.h's Record): the
+/// PipelineStats fields of \p Response (a BuildResponse, or its const
+/// form), then the delta fallback reason, which wire clients read there
+/// too.
+template <typename Response> struct ReplyStats {
+  Response &R;
+
+  template <typename Self, typename Visit>
+  static void fields(Self &W, Visit &&V) {
+    PipelineStats::fields(W.R.Stats, V);
+    V("analyzer-fallback-reason", W.R.Delta.FallbackReason);
+  }
 };
 
 /// The payload answered for a BuildRequest (the Status rides in the
@@ -125,6 +157,24 @@ struct BuildResponse {
   PipelineStats Stats;
   /// Every artifact this phase produced was served from the cache.
   bool FromCache = false;
+
+  /// The wire fields with their keys (support/Json.h's Record): all but
+  /// the executable.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("program", S.Program);
+    V("phase", S.Phase);
+    V("summaries", S.Summaries);
+    V("database", S.Database);
+    V("objects", S.Objects);
+    V("lints", S.Lints);
+    V("lints-json", S.LintsJson);
+    V("from-cache", S.FromCache);
+    V("analyzer", S.Analyzer);
+    V("delta", S.Delta);
+    ReplyStats<Self> Stats{S};
+    V("stats", Stats);
+  }
 };
 
 } // namespace ipra

@@ -25,7 +25,6 @@
 #include "support/ThreadPool.h"
 
 #include <optional>
-#include <sstream>
 
 using namespace ipra;
 
@@ -197,17 +196,6 @@ ObjectFile assembleObject(const IRModule &IR,
   for (ObjFunction &F : Funcs)
     Obj.Functions.push_back(std::move(F));
   return Obj;
-}
-
-/// Deterministic text rendering of a profile, for the analyzer cache
-/// key (std::map iteration is ordered).
-std::string serializeProfile(const CallProfile &CP) {
-  std::ostringstream OS;
-  for (const auto &[Name, N] : CP.CallCounts)
-    OS << "c " << Name << " " << N << "\n";
-  for (const auto &[Edge, N] : CP.EdgeCounts)
-    OS << "e " << Edge.first << " " << Edge.second << " " << N << "\n";
-  return OS.str();
 }
 
 std::string summaryKey(const std::string &CompileFP,
@@ -569,12 +557,9 @@ void Pipeline::analyzeCached(const SummarySet &Summaries,
                              const ProfileData *Profile, ProgramDatabase &DB,
                              BuildResponse &Resp) {
   PipelineStats &PS = Resp.Stats;
-  CallProfile CP;
-  if (Config.UseProfile && Profile) {
-    CP.CallCounts = Profile->CallCounts;
-    CP.EdgeCounts = Profile->EdgeCounts;
-  }
-  std::string ProfileText = serializeProfile(CP);
+  static const CallProfile NoProfile;
+  const CallProfile &CP = Config.UseProfile && Profile ? *Profile : NoProfile;
+  std::string ProfileText = json::encode(CP).dump();
   std::vector<std::string_view> Parts{"database", AnalyzerFP, ProfileText};
   for (const std::string &T : SummaryTexts)
     Parts.push_back(T);
@@ -820,8 +805,8 @@ Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
   // Mod/ref verdicts run even under --modref=off: the flag gates what
   // allocation consumes, not what lint reports.
   ScopedTimerMs Timer(Resp.Stats.AnalyzerMs);
-  CallProfile CP;
-  CallGraph CG(B.Summaries, CP, Config.PointsTo != PointsToMode::Off);
+  CallGraph CG(B.Summaries, CallProfile(),
+               Config.PointsTo != PointsToMode::Off);
   ModRefInfo MR = computeModRef(CG, Config.AssumeClosedWorld);
   LintResult LR = runLint(B.Summaries, CG, MR, "__runtime.mc");
   for (const LintDiagnostic &D : LR.Diagnostics) {

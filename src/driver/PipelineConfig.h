@@ -39,6 +39,13 @@ namespace ipra {
 struct SourceFile {
   std::string Name;
   std::string Text;
+
+  /// Both fields with their keys (support/Json.h's Record).
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("name", S.Name);
+    V("text", S.Text);
+  }
 };
 
 /// The per-module compilation knobs: the subset of the configuration

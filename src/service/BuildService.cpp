@@ -7,20 +7,47 @@
 
 #include "service/BuildService.h"
 
+#include "support/FileIO.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
-#include <unistd.h>
 
 using namespace ipra;
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// A session file is this header on one line, then the retained run
+/// (DeltaAnalyzer::serializeRetained). Version 1 was a line-oriented
+/// header; its first line is not JSON, so it is rejected.
+constexpr const char *SessionFormat = "ipra-session";
+constexpr int SessionFormatVersion = 2;
+
+/// The session file's first line (support/Json.h's Record): the exact
+/// (program, configuration fingerprint) pair the file was written for.
+struct SessionHeader {
+  std::string Format;
+  int Version = 0;
+  std::string Program;
+  std::string Config;
+
+  bool operator==(const SessionHeader &) const = default;
+
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("format", S.Format);
+    V("version", S.Version);
+    V("program", S.Program);
+    V("config", S.Config);
+  }
+};
+
+} // namespace
 
 BuildService::BuildService(BuildServiceConfig Config_)
     : Config(Config_),
@@ -82,37 +109,17 @@ BuildService::pipelineFor(ProgramState &PS, const std::string &Program,
   // its first analyze() call. Any mismatch along the way — missing
   // file, wrong header, stale blob format — falls back to the cold
   // prime path of an ordinary new session.
-  if (!Config.SessionDir.empty()) {
-    std::ifstream In(sessionPathFor(Program, Key), std::ios::binary);
-    if (In) {
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      if (!In.bad()) {
-        std::istringstream Hdr(Buf.str());
-        std::string Tag, FileProgram, FileKey;
-        int Ver = -1;
-        size_t ProgLen = 0;
-        bool HeaderOk = false;
-        if ((Hdr >> Tag >> Ver) && Tag == "ipra-session" && Ver == 1 &&
-            (Hdr >> Tag) && Tag == "program" && (Hdr >> ProgLen) &&
-            Hdr.get() == '\n' && ProgLen <= Buf.str().size()) {
-          FileProgram.resize(ProgLen);
-          if ((!ProgLen ||
-               Hdr.read(&FileProgram[0],
-                        static_cast<std::streamsize>(ProgLen))) &&
-              Hdr.get() == '\n' && (Hdr >> Tag) && Tag == "config" &&
-              (Hdr >> FileKey) && Hdr.get() == '\n' &&
-              FileProgram == Program && FileKey == Key)
-            HeaderOk = true;
-        }
-        if (HeaderOk) {
-          E.Session->setPendingRestore(
-              Buf.str().substr(static_cast<size_t>(Hdr.tellg())));
-        } else {
-          std::lock_guard<std::mutex> SLock(StatsMutex);
-          ++Retired.RestoreRejects;
-        }
-      }
+  if (std::string Bytes; !Config.SessionDir.empty() &&
+                         readFile(sessionPathFor(Program, Key), Bytes)) {
+    SessionHeader H;
+    std::string_view Run;
+    if (json::readHeaderLine(Bytes, H, Run) &&
+        H == SessionHeader{SessionFormat, SessionFormatVersion, Program, Key}) {
+      Bytes.erase(0, Bytes.size() - Run.size());
+      E.Session->setPendingRestore(std::move(Bytes));
+    } else {
+      std::lock_guard<std::mutex> SLock(StatsMutex);
+      ++Retired.RestoreRejects;
     }
   }
   E.Pipe = std::make_shared<Pipeline>(Effective, Cache, E.Session);
@@ -209,32 +216,14 @@ bool BuildService::persistSession(const std::string &Program,
   fs::create_directories(Config.SessionDir, EC);
   if (EC)
     return false;
-  std::ostringstream Out;
-  Out << "ipra-session 1\n";
-  Out << "program " << Program.size() << '\n' << Program << '\n';
-  Out << "config " << Key << '\n';
-  Out << Body;
-  // Atomic publish, same discipline as the artifact cache: a crash
-  // mid-write leaves a stray temp file, never a torn session.
-  std::string Path = sessionPathFor(Program, Key);
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream F(Tmp, std::ios::binary | std::ios::trunc);
-    if (!F)
-      return false;
-    const std::string &Text = Out.str();
-    F.write(Text.data(), static_cast<std::streamsize>(Text.size()));
-    if (!F) {
-      F.close();
-      std::remove(Tmp.c_str());
-      return false;
-    }
-  }
-  fs::rename(Tmp, Path, EC);
-  if (EC) {
-    std::remove(Tmp.c_str());
+  std::string Text =
+      json::encode(SessionHeader{SessionFormat, SessionFormatVersion, Program,
+                                 Key})
+          .dump();
+  Text += '\n';
+  Text += Body;
+  if (!writeFileAtomic(sessionPathFor(Program, Key), Text))
     return false;
-  }
   {
     std::lock_guard<std::mutex> SLock(StatsMutex);
     ++Counters.SessionsPersisted;

@@ -7,6 +7,8 @@
 
 #include "service/Protocol.h"
 
+#include "support/StringUtils.h"
+
 #include <cerrno>
 #include <cstdint>
 #include <sys/socket.h>
@@ -111,203 +113,69 @@ bool ipra::readFrame(int Fd, std::string &Payload) {
 }
 
 //===----------------------------------------------------------------------===//
-// Config codec.
+// Request and reply codecs: the records' field lists (support/Json.h).
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-bool fieldBool(const Value &V, const char *Key, bool Default) {
-  const Value *F = V.find(Key);
-  return F ? F->asBool(Default) : Default;
+/// WireKind's envelope names, in enumerator order.
+constexpr const char *WireKindNames[] = {"build", "stats", "ping",
+                                         "shutdown"};
+
+/// The status every reply carries.
+struct WireStatus {
+  bool Ok = false;
+  std::string Code;
+  std::string Error;
+
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("ok", S.Ok);
+    V("code", S.Code);
+    V("error", S.Error);
+  }
+};
+
+Value statusToJson(const Status &S) {
+  return json::encode(
+      WireStatus{S.Ok, S.Code, S.Ok ? std::string() : S.text()});
 }
 
-std::string fieldStr(const Value &V, const char *Key) {
-  const Value *F = V.find(Key);
-  return F ? F->asString() : std::string();
+Status statusFromJson(const Value &V) {
+  WireStatus W;
+  std::string Path;
+  if (!json::decodePresent(V, W, Path))
+    return Status::error(Path.empty() ? "bad reply frame: not an object"
+                                      : "bad reply frame: status field '" +
+                                            Path + "' has an invalid value",
+                         "transport");
+  if (W.Ok)
+    return Status::success();
+  return Status::error(W.Error.empty() ? "request failed" : W.Error, W.Code);
 }
 
 } // namespace
 
-bool ipra::configFromJson(const Value &V, PipelineConfig &C,
-                          std::string &Error) {
-  C = PipelineConfig();
+bool ipra::requestFromJson(const Value &V, BuildRequest &Req,
+                           std::string &Error) {
+  Req = BuildRequest();
   std::string Path;
-  if (json::decodePresent(V, C, Path))
+  if (json::decodePresent(V, Req, Path))
     return true;
-  Error = Path.empty() ? "config is not an object"
-                       : "config field '" + Path + "' has an invalid value";
+  Error = Path.empty() ? "request is not an object"
+                       : "request field '" + Path + "' has an invalid value";
   return false;
 }
 
-//===----------------------------------------------------------------------===//
-// Request codec.
-//===----------------------------------------------------------------------===//
-
-Value ipra::requestToJson(const BuildRequest &Req) {
-  Value V = Value::object();
-  V.set("program", Value::str(Req.Program))
-      .set("phase", Value::str(buildPhaseName(Req.Phase)))
-      .set("config", json::encode(Req.Config));
-  Value Modules = Value::array();
-  for (const SourceFile &S : Req.Modules) {
-    Value M = Value::object();
-    M.set("name", Value::str(S.Name)).set("text", Value::str(S.Text));
-    Modules.push(std::move(M));
-  }
-  V.set("modules", std::move(Modules));
-  Value Summaries = Value::array();
-  for (const std::string &S : Req.Summaries)
-    Summaries.push(Value::str(S));
-  V.set("summaries", std::move(Summaries));
-  V.set("database", Value::str(Req.Database));
-  Value Objects = Value::array();
-  for (const std::string &O : Req.Objects)
-    Objects.push(Value::str(O));
-  V.set("objects", std::move(Objects));
-  if (Req.Profile) {
-    Value Profile = Value::object();
-    Value Calls = Value::object();
-    for (const auto &[Name, N] : Req.Profile->CallCounts)
-      Calls.set(Name, Value::number(N));
-    Profile.set("calls", std::move(Calls));
-    Value Edges = Value::array();
-    for (const auto &[Edge, N] : Req.Profile->EdgeCounts) {
-      Value E = Value::array();
-      E.push(Value::str(Edge.first))
-          .push(Value::str(Edge.second))
-          .push(Value::number(N));
-      Edges.push(std::move(E));
-    }
-    Profile.set("edges", std::move(Edges));
-    V.set("profile", std::move(Profile));
-  }
-  return V;
-}
-
-bool ipra::requestFromJson(const Value &V, BuildRequest &Req,
-                           std::string &Error) {
-  if (!V.isObject()) {
-    Error = "request is not an object";
-    return false;
-  }
-  Req = BuildRequest();
-  Req.Program = fieldStr(V, "program");
-  std::string Phase = fieldStr(V, "phase");
-  if (!parseBuildPhase(Phase.empty() ? "full" : Phase, Req.Phase)) {
-    Error = "unknown phase '" + Phase + "'";
-    return false;
-  }
-  if (const Value *C = V.find("config");
-      C && !configFromJson(*C, Req.Config, Error))
-    return false;
-  if (const Value *Modules = V.find("modules"))
-    for (const Value &M : Modules->items()) {
-      SourceFile S;
-      S.Name = fieldStr(M, "name");
-      S.Text = fieldStr(M, "text");
-      Req.Modules.push_back(std::move(S));
-    }
-  if (const Value *Summaries = V.find("summaries"))
-    for (const Value &S : Summaries->items())
-      Req.Summaries.push_back(S.asString());
-  Req.Database = fieldStr(V, "database");
-  if (const Value *Objects = V.find("objects"))
-    for (const Value &O : Objects->items())
-      Req.Objects.push_back(O.asString());
-  if (const Value *Profile = V.find("profile")) {
-    ProfileData P;
-    if (const Value *Calls = Profile->find("calls"))
-      for (const auto &[Name, N] : Calls->members())
-        P.CallCounts[Name] = N.asInt();
-    if (const Value *Edges = Profile->find("edges"))
-      for (const Value &E : Edges->items())
-        if (E.items().size() == 3)
-          P.EdgeCounts[{E.items()[0].asString(),
-                        E.items()[1].asString()}] = E.items()[2].asInt();
-    Req.Profile = std::move(P);
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Response codec.
-//===----------------------------------------------------------------------===//
-
-Value ipra::responseToJson(const BuildResponse &Resp) {
-  Value V = Value::object();
-  V.set("program", Value::str(Resp.Program))
-      .set("phase", Value::str(buildPhaseName(Resp.Phase)));
-  Value Summaries = Value::array();
-  for (const std::string &S : Resp.Summaries)
-    Summaries.push(Value::str(S));
-  V.set("summaries", std::move(Summaries));
-  V.set("database", Value::str(Resp.Database));
-  Value Objects = Value::array();
-  for (const std::string &O : Resp.Objects)
-    Objects.push(Value::str(O));
-  V.set("objects", std::move(Objects));
-  Value Lints = Value::array();
-  for (const std::string &L : Resp.Lints)
-    Lints.push(Value::str(L));
-  V.set("lints", std::move(Lints));
-  Value LintsJson = Value::array();
-  for (const std::string &L : Resp.LintsJson)
-    LintsJson.push(Value::str(L));
-  V.set("lints-json", std::move(LintsJson));
-  V.set("from-cache", Value::boolean(Resp.FromCache));
-  V.set("analyzer", json::encode(Resp.Analyzer));
-  V.set("delta", json::encode(Resp.Delta));
-  Value Stats = json::encode(Resp.Stats);
-  // Clients read the delta fallback reason from the stats object too.
-  Stats.set("analyzer-fallback-reason", Value::str(Resp.Delta.FallbackReason));
-  V.set("stats", std::move(Stats));
-  return V;
-}
-
-BuildResponse ipra::responseFromJson(const Value &V) {
-  BuildResponse Resp;
-  Resp.Program = fieldStr(V, "program");
-  std::string Phase = fieldStr(V, "phase");
-  parseBuildPhase(Phase.empty() ? "full" : Phase, Resp.Phase);
-  if (const Value *Summaries = V.find("summaries"))
-    for (const Value &S : Summaries->items())
-      Resp.Summaries.push_back(S.asString());
-  Resp.Database = fieldStr(V, "database");
-  if (const Value *Objects = V.find("objects"))
-    for (const Value &O : Objects->items())
-      Resp.Objects.push_back(O.asString());
-  if (const Value *Lints = V.find("lints"))
-    for (const Value &L : Lints->items())
-      Resp.Lints.push_back(L.asString());
-  if (const Value *LintsJson = V.find("lints-json"))
-    for (const Value &L : LintsJson->items())
-      Resp.LintsJson.push_back(L.asString());
-  Resp.FromCache = fieldBool(V, "from-cache", false);
-  if (const Value *A = V.find("analyzer"))
-    json::decode(*A, Resp.Analyzer);
-  if (const Value *D = V.find("delta"))
-    json::decode(*D, Resp.Delta);
-  if (const Value *S = V.find("stats"))
-    json::decode(*S, Resp.Stats);
-  return Resp;
-}
-
-//===----------------------------------------------------------------------===//
-// Envelopes.
-//===----------------------------------------------------------------------===//
-
 std::string ipra::encodeBuildRequest(const BuildRequest &Req) {
   Value V = Value::object();
-  V.set("kind", Value::str("build")).set("request", requestToJson(Req));
+  V.set("kind", Value::str("build")).set("request", json::encode(Req));
   return V.dump();
 }
 
 std::string ipra::encodeControlRequest(WireKind Kind) {
   Value V = Value::object();
-  const char *Name = Kind == WireKind::Stats      ? "stats"
-                     : Kind == WireKind::Shutdown ? "shutdown"
-                                                  : "ping";
-  V.set("kind", Value::str(Name));
+  V.set("kind", Value::str(WireKindNames[static_cast<int>(Kind)]));
   return V.dump();
 }
 
@@ -316,55 +184,26 @@ bool ipra::decodeRequestEnvelope(const std::string &Payload, WireKind &Kind,
   Value V;
   if (!Value::parse(Payload, V, Error))
     return false;
-  std::string Name = fieldStr(V, "kind");
-  if (Name == "build") {
-    Kind = WireKind::Build;
-    const Value *R = V.find("request");
-    if (!R) {
-      Error = "build envelope has no request";
-      return false;
-    }
-    return requestFromJson(*R, Req, Error);
+  const Value *Name = V.find("kind");
+  if (!Name || !Name->isString() ||
+      !enumFromTable(Name->asString(), WireKindNames, Kind)) {
+    Error = "unknown request kind '" +
+            (Name ? Name->asString() : std::string()) + "'";
+    return false;
   }
-  if (Name == "stats") {
-    Kind = WireKind::Stats;
+  if (Kind != WireKind::Build)
     return true;
+  const Value *R = V.find("request");
+  if (!R) {
+    Error = "build envelope has no request";
+    return false;
   }
-  if (Name == "ping") {
-    Kind = WireKind::Ping;
-    return true;
-  }
-  if (Name == "shutdown") {
-    Kind = WireKind::Shutdown;
-    return true;
-  }
-  Error = "unknown request kind '" + Name + "'";
-  return false;
+  return requestFromJson(*R, Req, Error);
 }
-
-namespace {
-
-Value statusToJson(const Status &S) {
-  Value V = Value::object();
-  V.set("ok", Value::boolean(S.Ok))
-      .set("code", Value::str(S.Code))
-      .set("error", Value::str(S.Ok ? std::string() : S.text()));
-  return V;
-}
-
-Status statusFromJson(const Value &V) {
-  if (fieldBool(V, "ok", false))
-    return Status::success();
-  std::string Text = fieldStr(V, "error");
-  return Status::error(Text.empty() ? "request failed" : Text,
-                       fieldStr(V, "code"));
-}
-
-} // namespace
 
 std::string ipra::encodeBuildReply(const Result<BuildResponse> &R) {
   Value V = statusToJson(R);
-  V.set("response", responseToJson(R.Value));
+  V.set("response", json::encode(R.Value));
   return V.dump();
 }
 
@@ -386,8 +225,12 @@ Result<BuildResponse> ipra::decodeBuildReply(const std::string &Payload) {
                                           "transport");
   Result<BuildResponse> R;
   static_cast<Status &>(R) = statusFromJson(V);
-  if (const Value *Resp = V.find("response"))
-    R.Value = responseFromJson(*Resp);
+  if (const Value *Resp = V.find("response");
+      Resp && !json::decodePresent(*Resp, R.Value, Error))
+    return Result<BuildResponse>::failure(
+        "bad reply frame: response field '" + Error +
+            "' has an invalid value",
+        "transport");
   return R;
 }
 

@@ -20,9 +20,12 @@
 /// links locally, which keeps replies bounded and lets the client
 /// verify byte-identical output parity against a local build.
 ///
-/// The codecs here are the single source of truth for the mapping
-/// between the BuildRequest/BuildResponse value types and JSON; the
-/// daemon, the client, and the protocol tests all go through them.
+/// The request and the response are records: their field lists
+/// (driver/BuildRequest.h) drive json::encode on the way out and
+/// json::decodePresent on the way in, and the daemon, the client and the
+/// protocol tests all go through the envelope functions here. A request
+/// key that is absent keeps its default; a present value of the wrong
+/// kind fails the request, naming the field by its dotted path.
 /// PipelineConfig::CacheDir deliberately never crosses the wire — cache
 /// placement is server policy, not client input.
 ///
@@ -98,27 +101,22 @@ std::string encodeStatusReply(const Status &S);
 /// Encodes the stats reply around a caller-built JSON stats object.
 std::string encodeStatsReply(const json::Value &Stats);
 
-/// Decodes a build reply. Transport-level JSON breakage yields a
-/// failure Result with code "transport".
+/// Decodes a build reply. Transport-level JSON breakage, or a response
+/// value of the wrong kind, yields a failure Result with code
+/// "transport".
 Result<BuildResponse> decodeBuildReply(const std::string &Payload);
 /// Decodes any reply's status portion (and, for stats replies, hands
 /// back the stats object via \p Stats).
 Status decodeStatusReply(const std::string &Payload,
                          json::Value *Stats = nullptr);
 
-// Value codecs (exposed for tests) ---------------------------------------
-
-/// Reads a wire config (json::encode of PipelineConfig). An absent key
+/// Reads a wire request (json::encode of BuildRequest). An absent key
 /// keeps its default; a present one of the wrong kind, or an unknown
-/// promotion / points-to name, fails the request, naming the field in
-/// \p Error by its dotted path ("webs.min-lref-ratio").
-bool configFromJson(const json::Value &V, PipelineConfig &Config,
-                    std::string &Error);
-json::Value requestToJson(const BuildRequest &Req);
+/// phase / promotion / points-to name, fails the request, naming the
+/// field in \p Error by its dotted path ("config.webs.min-lref-ratio",
+/// "modules[0].text").
 bool requestFromJson(const json::Value &V, BuildRequest &Req,
                      std::string &Error);
-json::Value responseToJson(const BuildResponse &Resp);
-BuildResponse responseFromJson(const json::Value &V);
 
 } // namespace ipra
 

@@ -18,23 +18,12 @@
 #define IPRA_SIM_SIMULATOR_H
 
 #include "link/Object.h"
+#include "support/CallProfile.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace ipra {
-
-/// Call counts gathered during a run, usable as profile input to the
-/// program analyzer.
-struct ProfileData {
-  /// Invocations per procedure (qualified name).
-  std::map<std::string, long long> CallCounts;
-  /// Calls per (caller, callee) edge.
-  std::map<std::pair<std::string, std::string>, long long> EdgeCounts;
-
-  bool empty() const { return CallCounts.empty(); }
-};
 
 /// Optional cache model. The paper's simulator "did not model a cache,
 /// so some of the benefits of interprocedural register allocation are

@@ -7,6 +7,7 @@
 
 #include "support/Json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -83,7 +84,10 @@ void dumpValue(std::string &Out, const Value &V) {
     Out += V.asBool() ? "true" : "false";
     break;
   case Value::Kind::Number:
-    dumpNumber(Out, V.asNumber());
+    if (V.isExactInteger())
+      Out += std::to_string(V.asInt());
+    else
+      dumpNumber(Out, V.asNumber());
     break;
   case Value::Kind::String:
     Out += quote(V.asString());
@@ -251,15 +255,17 @@ private:
       return fail("expected string");
     ++Pos;
     while (Pos < Text.size()) {
-      char C = Text[Pos];
-      if (C == '"') {
+      // Copy the run up to the next quote or escape in one piece.
+      size_t End = Pos;
+      while (End < Text.size() && Text[End] != '"' && Text[End] != '\\')
+        ++End;
+      Out.append(Text, Pos, End - Pos);
+      if (End == Text.size())
+        break;
+      Pos = End;
+      if (Text[Pos] == '"') {
         ++Pos;
         return true;
-      }
-      if (C != '\\') {
-        Out += C;
-        ++Pos;
-        continue;
       }
       ++Pos;
       if (Pos >= Text.size())
@@ -338,6 +344,15 @@ private:
       ++Pos;
     if (Pos == Start)
       return fail("expected value");
+    // An integer literal inside long long is exact; anything else (a
+    // fraction, an exponent, an overflowing integer) is a double.
+    long long Int = 0;
+    const char *First = Text.data() + Start, *Last = Text.data() + Pos;
+    if (auto [Ptr, Ec] = std::from_chars(First, Last, Int);
+        Ec == std::errc() && Ptr == Last) {
+      Out = Value::number(Int);
+      return true;
+    }
     std::string Num(Text.substr(Start, Pos - Start));
     char *End = nullptr;
     double D = std::strtod(Num.c_str(), &End);

@@ -14,12 +14,14 @@
 #    and DynBitset checks bounds only with assert, so ASan is what
 #    catches an out-of-universe register in a release-style build;
 #  - the delta analyzer suites (the "delta" label): the retained-run
-#    restore parses blobs from disk, and its options record goes
-#    through the same JSON record codec as the wire config;
-#  - the artifact line codec's readers (the "codec" label: summary_test,
-#    objectio_test, analyzer_test): they parse summary, database and
-#    object text from disk and from the cache, so a hostile or corrupted
-#    entry must be rejected without reading out of bounds.
+#    restore parses blobs from disk through the same JSON record codec
+#    as the wire request;
+#  - the readers of text from disk and from the cache (the "codec"
+#    label): the artifact line codec's (summary_test, objectio_test,
+#    analyzer_test), which parse summary, database and object text, and
+#    the JSON parser's (json_edge_test), which decodes every wire
+#    request and every session file read from disk. A hostile or
+#    corrupted input must be rejected without reading out of bounds.
 #
 # Usage: tests/ci/run_asan.sh [jobs]
 set -eu

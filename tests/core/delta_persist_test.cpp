@@ -18,8 +18,11 @@
 
 #include "core/AnalyzerSession.h"
 #include "core/DeltaAnalyzer.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 using namespace ipra;
 
@@ -157,10 +160,15 @@ TEST(DeltaPersist, CorruptBlobsAreRejectedAndLeaveTheAnalyzerUsable) {
 
   std::string FutureVersion = "ipra-retained 999\n";
   FutureVersion += Blob;
+  std::string Version4 = Blob;
+  const size_t VersionAt = Version4.find("\"version\":5");
+  ASSERT_NE(VersionAt, std::string::npos);
+  Version4.replace(VersionAt, 11, "\"version\":4");
   std::vector<std::string> Corrupt = {
       std::string(),                     // Empty.
       "garbage",                         // No header at all.
-      FutureVersion,                     // Future version.
+      FutureVersion,                     // A line-oriented header.
+      Version4,                          // An older version.
       Blob.substr(0, Blob.size() / 3),   // Truncated early.
       Blob.substr(0, Blob.size() / 2),   // Truncated mid-blob.
       Blob.substr(0, Blob.size() - 2),   // Tail chopped.
@@ -178,6 +186,118 @@ TEST(DeltaPersist, CorruptBlobsAreRejectedAndLeaveTheAnalyzerUsable) {
         << "corruption " << I;
     EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
   }
+}
+
+/// Changes \p F to another value the restore's structural checks accept
+/// (a node or entry id inside the graph, a global id in range).
+template <typename T> void nudge(T &F) {
+  if constexpr (std::is_same_v<T, bool>)
+    F = !F;
+  else if constexpr (std::is_integral_v<T>)
+    F = F == 0 ? 1 : 0;
+  else if constexpr (std::is_same_v<T, std::string>)
+    F += "x";
+  else if constexpr (std::is_same_v<T, NodeSet>)
+    F.count(0) ? F.erase(0) : static_cast<void>(F.insert(0));
+  else if constexpr (json::IsVector<T>::value)
+    F.empty() ? F.push_back(0) : F.pop_back();
+  else if (F.empty())
+    F[0] = NodeSet{0};
+  else
+    F.erase(F.begin());
+}
+
+// The header's digest covers the run: any web field changed in range —
+// a flipped Modifies, another priority, a node more or less — is
+// rejected, never restored into a database that differs from
+// runAnalyzer's.
+TEST(DeltaPersist, CorruptedWebFieldsAreRejected) {
+  std::vector<ModuleSummary> Mods = tinyProgram();
+  AnalyzerOptions Options = testOptions();
+  DeltaAnalyzer Producer;
+  Producer.analyze(Mods, Options);
+  std::string Blob;
+  ASSERT_TRUE(Producer.serializeRetained(Blob));
+  const size_t HeaderEnd = Blob.find('\n');
+  ASSERT_NE(HeaderEnd, std::string::npos);
+  json::Value V;
+  RetainedRun Run;
+  std::string Error;
+  ASSERT_TRUE(json::Value::parse(Blob.substr(HeaderEnd + 1), V, Error))
+      << Error;
+  ASSERT_TRUE(json::decode(V, Run));
+  ASSERT_FALSE(Run.Webs.empty());
+  EXPECT_EQ(json::encode(Run).dump(), Blob.substr(HeaderEnd + 1));
+  const std::string Reference = runAnalyzer(Mods, Options).serialize();
+
+  size_t NumFields = 0;
+  Web::fields(Run.Webs[0], [&NumFields](const char *, auto &) { ++NumFields; });
+  ASSERT_EQ(NumFields, 12u);
+  for (size_t I = 0; I < Run.Webs.size(); ++I)
+    for (size_t Field = 0; Field < NumFields; ++Field) {
+      RetainedRun Mutated = Run;
+      size_t At = 0;
+      std::string Key;
+      Web::fields(Mutated.Webs[I], [&](const char *K, auto &F) {
+        if (At++ == Field) {
+          nudge(F);
+          Key = K;
+        }
+      });
+      std::string Text = json::encode(Mutated).dump();
+      ASSERT_NE(Text, Blob.substr(HeaderEnd + 1)) << Key;
+      DeltaAnalyzer DA;
+      EXPECT_FALSE(DA.restoreRetained(Blob.substr(0, HeaderEnd + 1) + Text,
+                                      Error))
+          << "web " << I << " field " << Key;
+      EXPECT_NE(Error.find("digest"), std::string::npos) << Error;
+      EXPECT_EQ(DA.analyze(Mods, Options).serialize(), Reference)
+          << "web " << I << " field " << Key;
+    }
+}
+
+// A web survives the record exactly: a priority at the saturation cap
+// and node sets over a universe of thousands of nodes.
+TEST(DeltaPersist, WebRecordRoundTripsExactly) {
+  Web W;
+  W.GlobalId = 7;
+  W.Priority = Web::PriorityCap;
+  W.AssignedReg = 12;
+  W.Modifies = true;
+  W.IsSplit = true;
+  W.Considered = false;
+  W.DiscardReason = "too sparse: \"quoted\"\n";
+  W.Nodes = NodeSet::withUniverse(5000);
+  for (int N : {0, 63, 64, 4095, 4096, 4999})
+    W.Nodes.insert(N);
+  W.EntryNodes = {4999, 0};
+  W.WrapEdges[4096] = NodeSet{1, 4097};
+  W.WrapEdges[3] = NodeSet{};
+  W.WrapIndirect = NodeSet{4098};
+
+  const std::string Text = json::encode(W).dump();
+  EXPECT_NE(Text.find("\"priority\":" + std::to_string(Web::PriorityCap)),
+            std::string::npos)
+      << Text;
+  json::Value V;
+  std::string Error;
+  ASSERT_TRUE(json::Value::parse(Text, V, Error)) << Error;
+  Web Back;
+  ASSERT_TRUE(json::decode(V, Back));
+  EXPECT_EQ(Back.Priority, Web::PriorityCap);
+  EXPECT_EQ(Back.GlobalId, 7);
+  EXPECT_EQ(Back.AssignedReg, 12);
+  EXPECT_TRUE(Back.Modifies);
+  EXPECT_TRUE(Back.IsSplit);
+  EXPECT_FALSE(Back.Considered);
+  EXPECT_FALSE(Back.IsRemerged);
+  EXPECT_EQ(Back.DiscardReason, W.DiscardReason);
+  EXPECT_EQ(Back.Nodes, W.Nodes);
+  EXPECT_EQ(Back.Nodes.size(), 6u);
+  EXPECT_EQ(Back.EntryNodes, W.EntryNodes);
+  EXPECT_EQ(Back.WrapEdges, W.WrapEdges);
+  EXPECT_EQ(Back.WrapIndirect, W.WrapIndirect);
+  EXPECT_EQ(json::encode(Back).dump(), Text);
 }
 
 TEST(DeltaPersist, OptionMismatchFallsBackToFullAnalysis) {

@@ -140,7 +140,7 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
   Resp.Analyzer = R.Analyzer;
   Resp.Delta = R.Delta;
   Resp.Stats = R.Stats;
-  const std::string ReplyText = responseToJson(Resp).dump();
+  const std::string ReplyText = json::encode(Resp).dump();
 
   std::mt19937 Rng(GetParam() * 7919 + 13);
   for (int Round = 0; Round < 30; ++Round) {
@@ -168,10 +168,17 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
     }
 
     // A mutated reply that still parses as JSON (mangled keys, values
-    // of the wrong kind, numbers out of range) decodes to defaults.
+    // of the wrong kind, numbers out of range) decodes or fails; a
+    // decoded one re-encodes to a reply that decodes to itself.
     json::Value Reply;
-    if (json::Value::parse(mutate(ReplyText, Rng, Mutations), Reply, Error))
-      responseFromJson(Reply);
+    BuildResponse Back, Again;
+    std::string Path;
+    if (json::Value::parse(mutate(ReplyText, Rng, Mutations), Reply, Error) &&
+        json::decodePresent(Reply, Back, Path)) {
+      ASSERT_TRUE(json::decodePresent(json::encode(Back), Again, Path))
+          << Path;
+      EXPECT_EQ(json::encode(Again).dump(), json::encode(Back).dump());
+    }
   }
   SUCCEED();
 }
@@ -201,18 +208,21 @@ TEST_P(SerializerFuzzTest, MutatedRequestConfigsDecodeOrFail) {
       continue;
     }
     ++Accepted;
-    PipelineConfig Again;
-    ASSERT_TRUE(configFromJson(json::encode(Back.Config), Again, DecodeError))
+    BuildRequest Again;
+    ASSERT_TRUE(requestFromJson(json::encode(Back), Again, DecodeError))
         << Mutated << ": " << DecodeError;
-    EXPECT_EQ(json::encode(Again).dump(), json::encode(Back.Config).dump())
+    EXPECT_EQ(json::encode(Again.Config).dump(),
+              json::encode(Back.Config).dump())
         << Mutated;
   }
   EXPECT_GT(Accepted, 0);
 }
 
 // Mutated retained-run blobs — anywhere in the blob, or inside its JSON
-// options record — never crash restoreRetained, and a rejected blob
-// leaves an unprimed analyzer whose next run equals runAnalyzer.
+// header line — never crash restoreRetained. The header's digest covers
+// the run, so a blob that still restores carries the run as it was
+// written: the analysis after it equals runAnalyzer, exactly like the
+// cold analysis after a rejected blob.
 TEST_P(SerializerFuzzTest, MutatedRetainedBlobsNeverCrashRestore) {
   auto Sources = generateRandomProgram(GetParam());
   BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
@@ -229,9 +239,8 @@ TEST_P(SerializerFuzzTest, MutatedRetainedBlobsNeverCrashRestore) {
   std::string Blob;
   ASSERT_TRUE(Producer.serializeRetained(Blob));
   const std::string Reference = runAnalyzer(Mods, Options).serialize();
-  const size_t OptsBegin = Blob.find("options ") + 8;
-  const size_t OptsEnd = Blob.find('\n', OptsBegin);
-  ASSERT_NE(OptsEnd, std::string::npos);
+  const size_t HeaderEnd = Blob.find('\n');
+  ASSERT_NE(HeaderEnd, std::string::npos);
 
   std::mt19937 Rng(GetParam() * 15485863 + 11);
   int Rejected = 0;
@@ -239,22 +248,18 @@ TEST_P(SerializerFuzzTest, MutatedRetainedBlobsNeverCrashRestore) {
     int Mutations = 1 + static_cast<int>(Rng() % 6);
     std::string Mutated =
         Round % 2 ? mutate(Blob, Rng, Mutations)
-                  : Blob.substr(0, OptsBegin) +
-                        mutate(Blob.substr(OptsBegin, OptsEnd - OptsBegin),
-                               Rng, Mutations, JsonAlphabet) +
-                        Blob.substr(OptsEnd);
+                  : mutate(Blob.substr(0, HeaderEnd), Rng, Mutations,
+                           JsonAlphabet) +
+                        Blob.substr(HeaderEnd);
     DeltaAnalyzer DA;
-    if (DA.restoreRetained(Mutated, Error)) {
-      // A mutation the format cannot see (say, inside a name) restores;
-      // the analyzer must still run on it.
-      DA.analyze(Mods, Options);
-      continue;
-    }
-    ++Rejected;
-    EXPECT_FALSE(DA.primed());
+    bool Restored = DA.restoreRetained(Mutated, Error);
+    Rejected += !Restored;
+    EXPECT_EQ(DA.primed(), Restored);
     EXPECT_EQ(DA.analyze(Mods, Options).serialize(), Reference)
-        << "round " << Round << ": " << Error;
-    EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
+        << "round " << Round << ": " << (Restored ? "restored" : Error);
+    if (!Restored) {
+      EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
+    }
   }
   EXPECT_GT(Rejected, 0);
 }

@@ -20,6 +20,7 @@
 #include "service/BuildService.h"
 
 #include "ServiceTestUtil.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -214,9 +215,7 @@ TEST(WarmRestartTest, TruncatedBlobIsRejectedAtRestoreTime) {
     Buf << In.rdbuf();
     Bytes = Buf.str();
   }
-  size_t HeaderEnd = Bytes.find("\nconfig ");
-  ASSERT_NE(HeaderEnd, std::string::npos);
-  HeaderEnd = Bytes.find('\n', HeaderEnd + 1);
+  size_t HeaderEnd = Bytes.find('\n');
   ASSERT_NE(HeaderEnd, std::string::npos);
   size_t BlobStart = HeaderEnd + 1;
   ASSERT_LT(BlobStart + 10, Bytes.size()) << "blob unexpectedly tiny";
@@ -231,6 +230,59 @@ TEST(WarmRestartTest, TruncatedBlobIsRejectedAtRestoreTime) {
   EXPECT_EQ(R.Value.Stats.AnalyzerMode, "full");
   expectMatchesReference(R.Value, editedCorpus(5, 1));
   EXPECT_GE(Second.stats().RestoresRejected, 1ull);
+}
+
+// Files written before the JSON headers are rejected, counted, and
+// followed by a cold build with identical bytes: a version-1 session
+// file, and a version-4 retained run behind a current session header.
+TEST(WarmRestartTest, OldFormatFilesAreRejected) {
+  TempDir Dir("restart_old_format");
+  BuildServiceConfig SC;
+  SC.Workers = 1;
+  SC.SessionDir = Dir.str();
+
+  {
+    BuildService First(SC);
+    ASSERT_TRUE(First.handle(fullRequest("prog", 6)).ok());
+    First.shutdown();
+  }
+  const std::string File = soleSessionFile(Dir.str());
+  ASSERT_FALSE(File.empty());
+  std::string Bytes;
+  {
+    std::ifstream In(File, std::ios::binary);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Bytes = Buf.str();
+  }
+  const size_t HeaderEnd = Bytes.find('\n');
+  ASSERT_NE(HeaderEnd, std::string::npos);
+  json::Value Header;
+  std::string Error;
+  ASSERT_TRUE(json::Value::parse(Bytes.substr(0, HeaderEnd), Header, Error))
+      << Error;
+  ASSERT_NE(Header.find("config"), nullptr);
+  const std::string V4Run = "ipra-retained 4\noptions {}\nprofile 0 0\n"
+                            "summaries 0\nwebs 0 0\ndatabase 0\n\nend\n";
+  const std::string OldFiles[] = {
+      "ipra-session 1\nprogram 4\nprog\nconfig " +
+          Header.find("config")->asString() + "\n" + V4Run,
+      Bytes.substr(0, HeaderEnd + 1) + V4Run,
+  };
+  for (const std::string &Old : OldFiles) {
+    {
+      std::ofstream Out(File, std::ios::binary | std::ios::trunc);
+      Out << Old;
+    }
+    BuildService Second(SC);
+    Result<BuildResponse> R = Second.handle(fullRequest("prog", 6, 1));
+    ASSERT_TRUE(R.ok()) << R.text();
+    EXPECT_EQ(R.Value.Stats.AnalyzerMode, "full") << Old;
+    expectMatchesReference(R.Value, editedCorpus(6, 1));
+    BuildServiceStats Stats = Second.stats();
+    EXPECT_EQ(Stats.SessionsRestored, 0ull) << Old;
+    EXPECT_EQ(Stats.RestoresRejected, 1ull) << Old;
+  }
 }
 
 TEST(CacheBudgetTest, TinyMemBudgetStaysByteIdentical) {

@@ -34,13 +34,31 @@ TEST(ProtocolTest, BuildPhaseNamesRoundTrip) {
        {BuildPhase::Summary, BuildPhase::Analyze, BuildPhase::Object,
         BuildPhase::Link, BuildPhase::Full, BuildPhase::Lint}) {
     BuildPhase Back;
-    ASSERT_TRUE(parseBuildPhase(buildPhaseName(P), Back))
-        << buildPhaseName(P);
+    ASSERT_TRUE(enumFromName(enumName(P), Back)) << enumName(P);
     EXPECT_EQ(P, Back);
   }
   BuildPhase Out;
-  EXPECT_FALSE(parseBuildPhase("compile", Out));
-  EXPECT_FALSE(parseBuildPhase("", Out));
+  EXPECT_FALSE(enumFromName("compile", Out));
+  EXPECT_FALSE(enumFromName("", Out));
+}
+
+json::Value parseJson(const std::string &Text) {
+  json::Value V;
+  std::string Error;
+  EXPECT_TRUE(json::Value::parse(Text, V, Error)) << Text << ": " << Error;
+  return V;
+}
+
+/// Reads \p Config the way the daemon does: as a request's config.
+bool configFromWire(const json::Value &Config, PipelineConfig &Out,
+                    std::string &Error) {
+  json::Value Req = json::Value::object();
+  Req.set("config", Config);
+  BuildRequest Back;
+  if (!requestFromJson(Req, Back, Error))
+    return false;
+  Out = Back.Config;
+  return true;
 }
 
 TEST(ProtocolTest, ConfigRoundTripPreservesFingerprint) {
@@ -70,7 +88,7 @@ TEST(ProtocolTest, ConfigRoundTripPreservesFingerprint) {
   for (const PipelineConfig &C : Configs) {
     PipelineConfig Back;
     std::string Error;
-    ASSERT_TRUE(configFromJson(json::encode(C), Back, Error)) << Error;
+    ASSERT_TRUE(configFromWire(json::encode(C), Back, Error)) << Error;
     // The fingerprint covers every allocation-relevant knob; equality
     // here is equality of retained-session keys on the service.
     EXPECT_EQ(C.fingerprint(), Back.fingerprint());
@@ -84,7 +102,7 @@ TEST(ProtocolTest, ConfigCacheDirNeverCrossesTheWire) {
   C.CacheDir = "/tmp/client-local-cache";
   PipelineConfig Back;
   std::string Error;
-  ASSERT_TRUE(configFromJson(json::encode(C), Back, Error)) << Error;
+  ASSERT_TRUE(configFromWire(json::encode(C), Back, Error)) << Error;
   // Cache placement is server policy, not client input.
   EXPECT_EQ(Back.CacheDir, "");
   EXPECT_EQ(C.fingerprint(), Back.fingerprint())
@@ -94,12 +112,9 @@ TEST(ProtocolTest, ConfigCacheDirNeverCrossesTheWire) {
 /// Decodes a summary request whose config object is \p Config.
 bool decodeConfig(const std::string &Config, BuildRequest &Req,
                   std::string &Error) {
-  json::Value V;
-  std::string ParseError;
-  EXPECT_TRUE(json::Value::parse(
-      "{\"phase\":\"summary\",\"config\":" + Config + "}", V, ParseError))
-      << ParseError;
-  return requestFromJson(V, Req, Error);
+  return requestFromJson(
+      parseJson("{\"phase\":\"summary\",\"config\":" + Config + "}"), Req,
+      Error);
 }
 
 // Every present config value must be of its field's kind: the
@@ -130,7 +145,8 @@ TEST(ProtocolTest, PointsToFieldRejectsAnythingButAModeName) {
     BuildRequest Req;
     std::string Error;
     EXPECT_FALSE(decodeConfig(Config, Req, Error)) << Config;
-    EXPECT_NE(Error.find(std::string("'") + Field + "'"), std::string::npos)
+    EXPECT_NE(Error.find(std::string("'config.") + Field + "'"),
+              std::string::npos)
         << Config << ": " << Error;
   }
   BuildRequest Req;
@@ -183,7 +199,7 @@ TEST(ProtocolTest, RequestRoundTrip) {
 
   BuildRequest Back;
   std::string Error;
-  ASSERT_TRUE(requestFromJson(requestToJson(Req), Back, Error)) << Error;
+  ASSERT_TRUE(requestFromJson(json::encode(Req), Back, Error)) << Error;
   EXPECT_EQ(Back.Program, "prog-42");
   EXPECT_EQ(Back.Phase, BuildPhase::Full);
   EXPECT_EQ(Back.Config.fingerprint(), Req.Config.fingerprint());
@@ -200,7 +216,7 @@ TEST(ProtocolTest, PhaseRequestsRoundTrip) {
                                           {"sum a", "sum b"}, "p");
   BuildRequest Back;
   std::string Error;
-  ASSERT_TRUE(requestFromJson(requestToJson(An), Back, Error)) << Error;
+  ASSERT_TRUE(requestFromJson(json::encode(An), Back, Error)) << Error;
   EXPECT_EQ(Back.Phase, BuildPhase::Analyze);
   ASSERT_EQ(Back.Summaries.size(), 2u);
   EXPECT_EQ(Back.Summaries[1], "sum b");
@@ -208,15 +224,82 @@ TEST(ProtocolTest, PhaseRequestsRoundTrip) {
   BuildRequest Obj = BuildRequest::object(
       PipelineConfig::configC(), {SourceFile{"m.mc", "int g;\n"}},
       "db text", "p");
-  ASSERT_TRUE(requestFromJson(requestToJson(Obj), Back, Error)) << Error;
+  ASSERT_TRUE(requestFromJson(json::encode(Obj), Back, Error)) << Error;
   EXPECT_EQ(Back.Phase, BuildPhase::Object);
   EXPECT_EQ(Back.Database, "db text");
   ASSERT_EQ(Back.Modules.size(), 1u);
 
   BuildRequest Ln = BuildRequest::link({"obj a", "obj b"}, "p");
-  ASSERT_TRUE(requestFromJson(requestToJson(Ln), Back, Error)) << Error;
+  ASSERT_TRUE(requestFromJson(json::encode(Ln), Back, Error)) << Error;
   EXPECT_EQ(Back.Phase, BuildPhase::Link);
   ASSERT_EQ(Back.Objects.size(), 2u);
+}
+
+// A present request value of the wrong kind fails the request, naming
+// the field by its dotted path (elements by index); an absent key keeps
+// its default.
+TEST(ProtocolTest, RequestRejectsMistypedFields) {
+  const std::pair<const char *, const char *> Bad[] = {
+      {R"({"program":7})", "program"},
+      {R"({"phase":"compile"})", "phase"},
+      {R"({"phase":""})", "phase"},
+      {R"({"modules":{"name":"a.mc"}})", "modules"},
+      {R"({"modules":[{"name":"a.mc","text":5}]})", "modules[0].text"},
+      {R"({"modules":[{"name":"a.mc"},7]})", "modules[1]"},
+      {R"({"summaries":[7,true]})", "summaries[0]"},
+      {R"({"database":["db"]})", "database"},
+      {R"({"objects":"notalist"})", "objects"},
+      {R"({"objects":["o",null]})", "objects[1]"},
+      {R"({"profile":[]})", "profile"},
+      {R"({"profile":{"calls":{"a.mc:main":"many"}}})",
+       "profile.calls.a.mc:main"},
+      {R"({"profile":{"calls":{"main":1,"main":2}}})", "profile.calls.main"},
+      {R"({"profile":{"edges":"none"}})", "profile.edges"},
+      {R"({"profile":{"edges":[["a","b"]]}})", "profile.edges[0]"},
+      {R"({"profile":{"edges":[["a","b",1],["a","b",2.5]]}})",
+       "profile.edges[1]"},
+  };
+  for (const auto &[Text, Field] : Bad) {
+    BuildRequest Req;
+    std::string Error;
+    EXPECT_FALSE(requestFromJson(parseJson(Text), Req, Error)) << Text;
+    EXPECT_NE(Error.find(std::string("'") + Field + "'"), std::string::npos)
+        << Text << ": " << Error;
+  }
+
+  BuildRequest Req;
+  std::string Error;
+  EXPECT_FALSE(requestFromJson(parseJson("[]"), Req, Error));
+  EXPECT_NE(Error.find("not an object"), std::string::npos) << Error;
+
+  ASSERT_TRUE(requestFromJson(
+      parseJson(R"({"modules":[{"name":"a.mc"}],"profile":{}})"), Req, Error))
+      << Error;
+  EXPECT_EQ(Req.Phase, BuildPhase::Full);
+  EXPECT_EQ(Req.Program, "");
+  ASSERT_EQ(Req.Modules.size(), 1u);
+  EXPECT_EQ(Req.Modules[0].Name, "a.mc");
+  EXPECT_EQ(Req.Modules[0].Text, "");
+  ASSERT_TRUE(Req.Profile.has_value());
+  EXPECT_TRUE(Req.Profile->EdgeCounts.empty());
+}
+
+// Profile counts are exact 64-bit integers on the wire, past the 2^53 a
+// double carries.
+TEST(ProtocolTest, ProfileCountsRoundTripExactly) {
+  BuildRequest Req = BuildRequest::analyze(PipelineConfig::configF(), {});
+  ProfileData Profile;
+  Profile.CallCounts["main"] = 999'999'999'999'999'943LL;
+  Profile.EdgeCounts[{"main", "f"}] = (1LL << 53) + 1;
+  Req.Profile = Profile;
+  WireKind Kind;
+  BuildRequest Back;
+  std::string Error;
+  ASSERT_TRUE(
+      decodeRequestEnvelope(encodeBuildRequest(Req), Kind, Back, Error))
+      << Error;
+  ASSERT_TRUE(Back.Profile.has_value());
+  EXPECT_EQ(*Back.Profile, Profile);
 }
 
 /// Gives every field of \p F a non-default value through the records'
@@ -302,11 +385,10 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   EXPECT_GE(fillAndCheck(Resp.Stats, Next), 23u + 15u + 1u + 10u);
   ASSERT_EQ(Resp.Stats.Modules.size(), 1u);
 
-  json::Value Wire = responseToJson(Resp);
-  std::string Error;
-  json::Value Parsed;
-  ASSERT_TRUE(json::Value::parse(Wire.dump(), Parsed, Error)) << Error;
-  BuildResponse Back = responseFromJson(Parsed);
+  json::Value Parsed = parseJson(json::encode(Resp).dump());
+  BuildResponse Back;
+  std::string Path;
+  ASSERT_TRUE(json::decodePresent(Parsed, Back, Path)) << Path;
   EXPECT_EQ(Back.Program, "p");
   EXPECT_EQ(Back.Summaries, Resp.Summaries);
   EXPECT_EQ(Back.Database, "db");

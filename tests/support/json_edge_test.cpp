@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 using namespace ipra;
@@ -176,6 +177,59 @@ TEST(JsonEdge, OutOfRangeNumbersHaveNoIntegerReading) {
   EXPECT_EQ(V.asInt(7), -9223372036854775807LL - 1);
   ASSERT_TRUE(parses("-1e18", &V));
   EXPECT_EQ(V.asInt(7), -1000000000000000000LL);
+}
+
+TEST(JsonEdge, IntegersAreExactOverLongLong) {
+  // An integer literal is exact over all of long long, past the 2^53 a
+  // double carries (profile counts and counters are long long).
+  for (long long N : {0LL, -1LL, (1LL << 53) + 1, 999'999'999'999'999'943LL,
+                      1'000'000'000'000'000'000LL,
+                      std::numeric_limits<long long>::max(),
+                      std::numeric_limits<long long>::min()}) {
+    Value V = Value::number(N);
+    EXPECT_EQ(V.dump(), std::to_string(N));
+    Value Back;
+    ASSERT_TRUE(parses(V.dump(), &Back)) << N;
+    EXPECT_TRUE(Back.isExactInteger()) << N;
+    EXPECT_EQ(Back.asInt(), N);
+    long long Decoded = 0;
+    ASSERT_TRUE(json::decode(Back, Decoded)) << N;
+    EXPECT_EQ(Decoded, N);
+  }
+  // A fraction or an exponent is a double; an integer field takes only a
+  // whole number inside its range.
+  Value V;
+  int Small = 0;
+  ASSERT_TRUE(parses("2.5", &V));
+  EXPECT_FALSE(V.isExactInteger());
+  EXPECT_FALSE(json::decode(V, Small));
+  ASSERT_TRUE(parses("1e3", &V));
+  ASSERT_TRUE(json::decode(V, Small));
+  EXPECT_EQ(Small, 1000);
+  ASSERT_TRUE(parses("4294967296", &V));
+  EXPECT_FALSE(json::decode(V, Small));
+  // A double field takes no overflowing literal (encode writes none).
+  double D = 0;
+  ASSERT_TRUE(parses("1e999", &V));
+  EXPECT_FALSE(json::decode(V, D));
+}
+
+TEST(JsonEdge, NodeSetsAreAscendingIdArrays) {
+  NodeSet S = NodeSet::withUniverse(5000);
+  for (int N : {0, 63, 64, 4095, 4999})
+    S.insert(N);
+  Value V = json::encode(S);
+  EXPECT_EQ(V.dump(), "[0,63,64,4095,4999]");
+  NodeSet Back;
+  ASSERT_TRUE(json::decode(V, Back));
+  EXPECT_EQ(Back, S);
+  EXPECT_EQ(json::encode(Back).dump(), V.dump());
+  // Only the canonical form decodes: strictly ascending whole ids >= 0.
+  for (const char *Text : {"[3,1]", "[1,1]", "[-1]", "[1.5]", "[\"1\"]",
+                           "{}", "7"}) {
+    ASSERT_TRUE(parses(Text, &V)) << Text;
+    EXPECT_FALSE(json::decode(V, Back)) << Text;
+  }
 }
 
 TEST(JsonEdge, LenientAccessorsDefaultOnWrongKind) {

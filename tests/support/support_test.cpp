@@ -7,11 +7,18 @@
 
 #include "support/Diagnostics.h"
 #include "support/DynBitset.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 #include "target/MachineInstr.h"
 #include "target/Registers.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <unistd.h>
+#include <vector>
 
 using namespace ipra;
 
@@ -87,6 +94,31 @@ TEST(DynBitsetTest, BasicOperations) {
   EXPECT_FALSE(A.test(50));
   EXPECT_TRUE(A.any());
   EXPECT_FALSE(DynBitset(10).any());
+}
+
+// The publish leaves the final name whole or absent and never a temp
+// file behind, also when the rename fails.
+TEST(FileIOTest, AtomicPublishLeavesNoTempFiles) {
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::temp_directory_path() /
+                       ("ipra_fileio_" + std::to_string(::getpid()));
+  fs::remove_all(Dir);
+  fs::create_directories(Dir / "occupied");
+  const std::string Path = (Dir / "entry").string();
+  std::string Back;
+  EXPECT_FALSE(readFile(Path, Back));
+  ASSERT_TRUE(writeFileAtomic(Path, std::string("a\0b", 3)));
+  ASSERT_TRUE(writeFileAtomic(Path, "second"));
+  ASSERT_TRUE(readFile(Path, Back));
+  EXPECT_EQ(Back, "second");
+  // A directory sits at the final name: the rename fails.
+  EXPECT_FALSE(writeFileAtomic((Dir / "occupied").string(), "x"));
+  std::vector<std::string> Names;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+    Names.push_back(E.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(Names, (std::vector<std::string>{"entry", "occupied"}));
+  fs::remove_all(Dir);
 }
 
 TEST(RegistersTest, ConventionShapes) {
