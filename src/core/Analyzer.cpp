@@ -13,9 +13,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 using namespace ipra;
+using analyzer_detail::Clock;
+using analyzer_detail::msSince;
 
 AnalyzerOptions AnalyzerOptions::columnA() {
   AnalyzerOptions O;
@@ -80,9 +81,56 @@ WebOptions ipra::analyzer_detail::webOptionsFor(
   return WO;
 }
 
-void ipra::analyzer_detail::countModRef(const CallGraph &CG,
-                                        const ModRefInfo &MR,
-                                        AnalyzerStats &Stats) {
+namespace {
+
+/// Retained webs carry an earlier run's registers; coloring starts from
+/// the unassigned state fresh discovery leaves.
+void resetColoring(std::vector<Web> &Webs) {
+  for (Web &W : Webs)
+    W.AssignedReg = -1;
+}
+
+} // namespace
+
+SummarySet ipra::analyzer_detail::strengthened(SummarySet Summaries,
+                                               const AnalyzerOptions &Options,
+                                               GPGComposeStats &Stats) {
+  if (Options.PointsTo != PointsToMode::GPG)
+    return Summaries;
+  auto Copy = std::make_shared<std::vector<ModuleSummary>>(*Summaries);
+  if (!strengthenSummariesWithGPG(*Copy, Options.AssumeClosedWorld, &Stats))
+    return Summaries; // Residue-free summaries: Andersen facts.
+  return Copy;
+}
+
+ipra::analyzer_detail::AnalysisState::AnalysisState(
+    SummarySet Sums, const AnalyzerOptions &Options,
+    const CallProfile &Profile, AnalyzerStats &Stats)
+    : AnalysisState(std::move(Sums), Options, Profile, Stats, Clock::now()) {}
+
+ipra::analyzer_detail::AnalysisState::AnalysisState(
+    SummarySet Sums, const AnalyzerOptions &Options,
+    const CallProfile &Profile, AnalyzerStats &Stats, Clock::time_point Start)
+    : Summaries(std::move(Sums)),
+      CG(*Summaries, Profile, Options.PointsTo != PointsToMode::Off),
+      RS(CG, Options.AssumeClosedWorld) {
+  Stats.RefSetsMs = msSince(Start);
+  if (Options.ModRef) {
+    Clock::time_point T0 = Clock::now();
+    MR = computeModRef(CG, Options.AssumeClosedWorld);
+    Stats.ModRefMs = msSince(T0);
+  }
+  countInto(Stats);
+}
+
+void ipra::analyzer_detail::AnalysisState::countInto(
+    AnalyzerStats &Stats) const {
+  Stats.EligibleGlobals = RS.numEligible();
+  Stats.EscapesRefuted = static_cast<int>(CG.escapesRefuted());
+  Stats.IndirectCallersResolved =
+      static_cast<int>(CG.indirectCallersResolved());
+  Stats.ReadOnlyGlobals = Stats.WriteOnlyGlobals = Stats.DeadGlobals = 0;
+  Stats.UninitReadGlobals = Stats.DeadProcs = 0;
   for (const auto &[Qual, V] : MR.Globals) {
     if (!V.Exact)
       continue;
@@ -109,38 +157,37 @@ void ipra::analyzer_detail::countModRef(const CallGraph &CG,
         ++Stats.DeadProcs;
 }
 
-std::vector<Web> ipra::analyzer_detail::discoverPromotionWebs(
-    const CallGraph &CG, const RefSets &RS, const AnalyzerOptions &Options,
-    AnalyzerStats &Stats, const ModRefInfo *MR) {
-  using Clock = std::chrono::steady_clock;
+std::unique_ptr<analyzer_detail::AnalysisState>
+ipra::analyzer_detail::analyzeCold(SummarySet Summaries,
+                                   const AnalyzerOptions &Options,
+                                   const CallProfile &Profile,
+                                   AnalyzerStats &Stats) {
+  auto State = std::make_unique<AnalysisState>(std::move(Summaries), Options,
+                                               Profile, Stats);
   Clock::time_point T0 = Clock::now();
-  std::vector<Web> Webs;
   switch (Options.Promotion) {
   case PromotionMode::None:
-    return Webs;
+    return State;
   case PromotionMode::Webs:
   case PromotionMode::Greedy:
-    Webs = buildWebs(CG, RS, webOptionsFor(Options), MR);
+    State->Webs = buildWebs(State->CG, State->RS, webOptionsFor(Options),
+                            State->modRef(Options), &State->WebStart);
     break;
   case PromotionMode::Blanket:
-    Webs = buildBlanketWebs(CG, RS, Options.BlanketCount, Options.WebPool,
-                            MR);
+    State->Webs = buildBlanketWebs(State->CG, State->RS, Options.BlanketCount,
+                                   Options.WebPool, State->modRef(Options));
     break;
   }
-  Stats.WebsMs =
-      std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
-  return Webs;
+  Stats.WebsMs = msSince(T0);
+  return State;
 }
 
 ProgramDatabase ipra::analyzer_detail::finishFromWebs(
-    const CallGraph &CG, const RefSets &RS, std::vector<Web> &Webs,
-    const AnalyzerOptions &Options, AnalyzerStats &LocalStats,
-    const ModRefInfo *MR) {
-  using Clock = std::chrono::steady_clock;
-  auto MsSince = [](Clock::time_point T0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - T0)
-        .count();
-  };
+    AnalysisState &State, const AnalyzerOptions &Options,
+    AnalyzerStats &LocalStats) {
+  const CallGraph &CG = State.CG;
+  const RefSets &RS = State.RS;
+  std::vector<Web> &Webs = State.Webs;
   Clock::time_point T0;
 
   // --- Promotion coloring (§4.1.3) ----------------------------------------
@@ -148,9 +195,10 @@ ProgramDatabase ipra::analyzer_detail::finishFromWebs(
   case PromotionMode::None:
     break;
   case PromotionMode::Webs: {
+    resetColoring(Webs);
     T0 = Clock::now();
     WebColorStats WC = colorWebsKRegisters(Webs, CG, Options.WebPool);
-    LocalStats.ColoringMs = MsSince(T0);
+    LocalStats.ColoringMs = msSince(T0);
     LocalStats.TotalWebs = WC.TotalWebs;
     LocalStats.ConsideredWebs = WC.Considered;
     LocalStats.ColoredWebs = WC.Colored;
@@ -163,9 +211,10 @@ ProgramDatabase ipra::analyzer_detail::finishFromWebs(
     break;
   }
   case PromotionMode::Greedy: {
+    resetColoring(Webs);
     T0 = Clock::now();
     WebColorStats WC = colorWebsGreedy(Webs, CG);
-    LocalStats.ColoringMs = MsSince(T0);
+    LocalStats.ColoringMs = msSince(T0);
     LocalStats.TotalWebs = WC.TotalWebs;
     LocalStats.ConsideredWebs = WC.Considered;
     LocalStats.ColoredWebs = WC.Colored;
@@ -187,10 +236,10 @@ ProgramDatabase ipra::analyzer_detail::finishFromWebs(
     CO.AssumeClosedWorld = Options.AssumeClosedWorld;
     T0 = Clock::now();
     Clusters = identifyClusters(CG, CO);
-    LocalStats.ClustersMs = MsSince(T0);
+    LocalStats.ClustersMs = msSince(T0);
     T0 = Clock::now();
     Sets = computeRegisterSets(CG, Clusters, Webs, Options.RegSets);
-    LocalStats.RegSetsMs = MsSince(T0);
+    LocalStats.RegSetsMs = msSince(T0);
     LocalStats.NumClusters = static_cast<int>(Clusters.size());
     for (const Cluster &C : Clusters) {
       int Size = static_cast<int>(C.Members.size()) + 1;
@@ -285,7 +334,7 @@ ProgramDatabase ipra::analyzer_detail::finishFromWebs(
   // Publish the §15 verdicts (format v5). ModRefInfo::Globals is an
   // ordered map, so emission order is deterministic by construction
   // (the [D3] mechanism).
-  if (MR)
+  if (const ModRefInfo *MR = State.modRef(Options))
     for (const auto &[Qual, V] : MR->Globals)
       DB.ModRefs.emplace(
           Qual, GlobalVerdictRecord{static_cast<int>(V.Verdict), V.Exact,
@@ -298,54 +347,16 @@ ProgramDatabase ipra::runAnalyzer(
     const std::vector<ModuleSummary> &Summaries,
     const AnalyzerOptions &Options, const CallProfile &Profile,
     AnalyzerStats *Stats) {
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point T0 = Clock::now();
-
-  // GPG mode: compose the per-procedure residues bottom-up and
-  // strengthen the escape verdicts / indirect target sets in a local
-  // copy before the call graph consumes them (GPGCompose.h). The
-  // strengthening is idempotent, so pre-strengthened summaries (the
-  // delta path diffs and retains them in that form) pass through
-  // unchanged.
-  const std::vector<ModuleSummary> *Sums = &Summaries;
-  std::vector<ModuleSummary> Strengthened;
+  // The caller's vector, shared without ownership: it outlives the call,
+  // and off/Andersen mode analyzes it without a copy.
+  SummarySet Borrowed(SummarySet(), &Summaries);
   AnalyzerStats LocalStats;
-  if (Options.PointsTo == PointsToMode::GPG) {
-    Strengthened = Summaries;
-    if (strengthenSummariesWithGPG(Strengthened, Options.AssumeClosedWorld,
-                                   &LocalStats.GPG))
-      Sums = &Strengthened;
-    else
-      Strengthened.clear(); // Residue-free summaries: Andersen facts.
-  }
-
-  CallGraph CG(*Sums, Profile, Options.PointsTo != PointsToMode::Off);
-  RefSets RS(CG, Options.AssumeClosedWorld);
-
-  LocalStats.EligibleGlobals = RS.numEligible();
-  LocalStats.EscapesRefuted = static_cast<int>(CG.escapesRefuted());
-  LocalStats.IndirectCallersResolved =
-      static_cast<int>(CG.indirectCallersResolved());
-  LocalStats.RefSetsMs =
-      std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
-
-  // §15 whole-program mod/ref & constancy verdicts.
-  ModRefInfo MR;
-  if (Options.ModRef) {
-    T0 = Clock::now();
-    MR = computeModRef(CG, Options.AssumeClosedWorld);
-    LocalStats.ModRefMs =
-        std::chrono::duration<double, std::milli>(Clock::now() - T0)
-            .count();
-    analyzer_detail::countModRef(CG, MR, LocalStats);
-  }
-  const ModRefInfo *MRP = Options.ModRef ? &MR : nullptr;
-
-  std::vector<Web> Webs = analyzer_detail::discoverPromotionWebs(
-      CG, RS, Options, LocalStats, MRP);
-  ProgramDatabase DB = analyzer_detail::finishFromWebs(
-      CG, RS, Webs, Options, LocalStats, MRP);
-
+  std::unique_ptr<analyzer_detail::AnalysisState> State =
+      analyzer_detail::analyzeCold(
+          analyzer_detail::strengthened(Borrowed, Options, LocalStats.GPG),
+          Options, Profile, LocalStats);
+  ProgramDatabase DB =
+      analyzer_detail::finishFromWebs(*State, Options, LocalStats);
   if (Stats)
     *Stats = LocalStats;
   return DB;

@@ -27,6 +27,7 @@
 #include "target/Directives.h"
 
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -151,9 +152,11 @@ struct AnalyzerStats {
   /// reaches (0 when the program has no main).
   int DeadProcs = 0;
 
-  // Sub-phase wall-clock breakdown (milliseconds), filled by
-  // runAnalyzer; a cached analyzer run reports the producing run's
-  // times.
+  // Sub-phase wall-clock breakdown (milliseconds) of the work the run
+  // did: a delta run times only its damage-region work and reports 0
+  // for a step it skipped; a cached analyzer run reports the producing
+  // run's times. The counters above describe the analyzed program
+  // whichever way it was analyzed.
   double RefSetsMs = 0;  ///< Call graph + L/P/C_REF dataflow.
   double ModRefMs = 0;   ///< Whole-program mod/ref composition (§15).
   double WebsMs = 0;     ///< Web discovery (parallel per global).
@@ -288,6 +291,11 @@ public:
 private:
   std::map<std::string, ProcDirectives> Procs;
 };
+
+/// A program's parsed summaries, shared read-only: the delta analyzer
+/// retains the set it analyzed (to diff the next one against) without
+/// copying it.
+using SummarySet = std::shared_ptr<const std::vector<ModuleSummary>>;
 
 /// Runs the analyzer over all summaries. \p Profile may be empty.
 ProgramDatabase runAnalyzer(const std::vector<ModuleSummary> &Summaries,

@@ -7,30 +7,24 @@
 
 #include "core/DeltaAnalyzer.h"
 
-#include "analysis/GPGCompose.h"
 #include "core/AnalyzerInternal.h"
 #include "summary/SummaryDiff.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/NodeSet.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 using namespace ipra;
+using analyzer_detail::analyzeCold;
+using analyzer_detail::Clock;
 using analyzer_detail::finishFromWebs;
+using analyzer_detail::msSince;
+using analyzer_detail::strengthened;
 using analyzer_detail::webOptionsFor;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double msSince(Clock::time_point T0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - T0)
-      .count();
-}
 
 /// Everything the output depends on: the AnalyzerOptions field list,
 /// which leaves out NumThreads (it must not force a full run).
@@ -62,113 +56,18 @@ bool DeltaAnalyzer::retainable(std::string &Reason) const {
   return true;
 }
 
-void DeltaAnalyzer::storeWebs(std::vector<std::vector<Web>> PerGlobal) {
-  size_t Total = 0;
-  for (const std::vector<Web> &GWebs : PerGlobal)
-    Total += GWebs.size();
-  Webs.clear();
-  Webs.reserve(Total);
-  WebStart.assign(PerGlobal.size() + 1, 0);
-  for (size_t G = 0; G < PerGlobal.size(); ++G) {
-    WebStart[G] = static_cast<int>(Webs.size());
-    for (Web &W : PerGlobal[G]) {
-      W.Id = static_cast<int>(Webs.size());
-      Webs.push_back(std::move(W));
-    }
-  }
-  WebStart[PerGlobal.size()] = static_cast<int>(Webs.size());
-}
-
-ProgramDatabase DeltaAnalyzer::finish(std::vector<Web> &Ws,
-                                      AnalyzerStats &S) const {
-  // Retained webs carry the previous run's coloring; finishFromWebs
-  // requires the uncolored state (fresh discovery leaves -1).
-  for (Web &W : Ws)
-    W.AssignedReg = -1;
-  S.TotalWebs = S.ConsideredWebs = S.ColoredWebs = 0;
-  S.SplitWebs = S.RemergedWebs = 0;
-  S.ColoringMs = S.ClustersMs = S.RegSetsMs = 0;
-  S.NumClusters = S.TotalClusterNodes = S.MaxClusterSize = 0;
-  return finishFromWebs(*CG, *RS, Ws, Opts, S, Opts.ModRef ? &MR : nullptr);
-}
-
-ProgramDatabase
-DeltaAnalyzer::primeFull(const std::vector<ModuleSummary> &Summaries,
-                         const CallProfile &Profile) {
-  Stats = AnalyzerStats();
-  Clock::time_point T0 = Clock::now();
-  CG = std::make_unique<CallGraph>(Summaries, Profile,
-                                   Opts.PointsTo != PointsToMode::Off);
-  RS = std::make_unique<RefSets>(*CG, Opts.AssumeClosedWorld);
-  Stats.EligibleGlobals = RS->numEligible();
-  Stats.EscapesRefuted = static_cast<int>(CG->escapesRefuted());
-  Stats.IndirectCallersResolved =
-      static_cast<int>(CG->indirectCallersResolved());
-  Stats.RefSetsMs = msSince(T0);
-
-  MR = ModRefInfo();
-  if (Opts.ModRef) {
-    T0 = Clock::now();
-    MR = computeModRef(*CG, Opts.AssumeClosedWorld);
-    Stats.ModRefMs = msSince(T0);
-    analyzer_detail::countModRef(*CG, MR, Stats);
-  }
-  const ModRefInfo *MRP = Opts.ModRef ? &MR : nullptr;
-
-  // Discovery, keeping the per-global segments. Fanning out over
-  // websForGlobal and flattening in global-id order is exactly
-  // buildWebs (which the retainable() gate restricts us to the
-  // remerge-free case of); Blanket and non-retainable configurations
-  // go through the stock discovery stage instead.
-  std::string Unused;
-  if (Opts.Promotion == PromotionMode::None || !retainable(Unused)) {
-    Webs = analyzer_detail::discoverPromotionWebs(*CG, *RS, Opts, Stats,
-                                                  MRP);
-    WebStart.clear();
-  } else {
-    T0 = Clock::now();
-    std::vector<std::vector<int>> SccMembers(CG->size());
-    for (int N = 0; N < CG->size(); ++N)
-      SccMembers[CG->sccId(N)].push_back(N);
-    WebOptions WO = webOptionsFor(Opts);
-    std::vector<std::vector<Web>> PerGlobal(
-        static_cast<size_t>(RS->numEligible()));
-    parallelForEach(PerGlobal.size(), resolveThreadCount(WO.NumThreads),
-                    [&](size_t G) {
-                      PerGlobal[G] = websForGlobal(
-                          *CG, *RS, static_cast<int>(G), SccMembers, WO,
-                          MRP);
-                    });
-    Stats.WebsMs = msSince(T0);
-    storeWebs(std::move(PerGlobal));
-  }
-
-  ProgramDatabase DB = finishFromWebs(*CG, *RS, Webs, Opts, Stats, MRP);
-  Primed = true;
-  return DB;
-}
-
 bool DeltaAnalyzer::tryIncremental(
     const std::vector<ModuleSummary> &Summaries, const CallProfile &Profile,
-    std::string &Reason, ProgramDatabase &DB) {
-  ProgramSummaryDelta PD = diffProgramSummaries(*PrevSummaries, Summaries);
+    std::string &Reason) {
+  CallGraph &CG = State->CG;
+  RefSets &RS = State->RS;
+  ProgramSummaryDelta PD = diffProgramSummaries(*State->Summaries, Summaries);
   if (PD.ModuleSequenceChanged) {
     Reason = "module sequence changed";
     return false;
   }
-
-  Delta.TotalSccs = 0;
-  for (int N = 0; N < CG->size(); ++N)
-    Delta.TotalSccs = std::max(Delta.TotalSccs, CG->sccId(N) + 1);
-  Delta.TotalGlobals = RS->numEligible();
-
-  if (PD.identical()) {
-    // Allocation-neutral rebuild of some module: nothing to
-    // re-discover, only the final stage to run again.
-    Delta.Mode = DeltaMode::Incremental;
-    DB = finish(Webs, Stats);
-    return true;
-  }
+  if (PD.identical())
+    return true; // An allocation-neutral rebuild: nothing to re-derive.
 
   for (const ModuleSummaryDelta &MD : PD.ChangedModules) {
     if (MD.ProcSequenceChanged) {
@@ -194,7 +93,7 @@ bool DeltaAnalyzer::tryIncremental(
   std::map<std::string, int> ModuleOffset;
   {
     int Off = 0;
-    for (const ModuleSummary &S : *PrevSummaries) {
+    for (const ModuleSummary &S : *State->Summaries) {
       ModuleOffset[S.Module] = Off;
       Off += static_cast<int>(S.Procs.size());
     }
@@ -215,8 +114,8 @@ bool DeltaAnalyzer::tryIncremental(
   Clock::time_point T0 = Clock::now();
 
   // --- Pre-patch snapshots: the damage terms compare against these.
-  std::vector<long long> OldInv = CG->invocations();
-  std::vector<int> OldSccIds = CG->sccIds();
+  std::vector<long long> OldInv = CG.invocations();
+  std::vector<int> OldSccIds = CG.sccIds();
   struct NodeSnapshot {
     int Node;
     std::vector<int> Succs, Preds;
@@ -225,19 +124,15 @@ bool DeltaAnalyzer::tryIncremental(
   Snaps.reserve(Patches.size());
   for (const CallGraph::ProcPatch &P : Patches)
     Snaps.push_back(
-        {P.Node, CG->node(P.Node).Succs, CG->node(P.Node).Preds});
+        {P.Node, CG.node(P.Node).Succs, CG.node(P.Node).Preds});
 
   std::string FB;
-  if (!CG->applyProcDelta(Summaries, Profile, Patches, FB)) {
+  if (!CG.applyProcDelta(Summaries, Profile, Patches, FB)) {
     Reason = FB; // No mutation happened; a cold re-prime is safe.
     return false;
   }
   // From here on the graph is patched: the path must run to completion
   // (every remaining step is infallible).
-
-  int NumSccs = 0;
-  for (int N = 0; N < CG->size(); ++N)
-    NumSccs = std::max(NumSccs, CG->sccId(N) + 1);
 
   // --- SCC member-set changes. A new SCC is unchanged iff its members
   // all carried one old id and that old SCC had the same size (either
@@ -245,19 +140,14 @@ bool DeltaAnalyzer::tryIncremental(
   // and {1,2,3} -> {1,2,4} keeps the size). Changed membership flips
   // the LAll/Cyclic dataflow terms and the §4.1.2 cycle-web seeds, so
   // all involved members — old and new — join the damage set.
-  NodeSet DamageSeeds = NodeSet::withUniverse(CG->size());
+  NodeSet DamageSeeds = NodeSet::withUniverse(CG.size());
   {
     std::vector<std::vector<int>> OldMembers(OldSccIds.size());
-    int NumOldSccs = 0;
-    for (size_t N = 0; N < OldSccIds.size(); ++N)
-      NumOldSccs = std::max(NumOldSccs, OldSccIds[N] + 1);
-    OldMembers.resize(NumOldSccs);
     for (size_t N = 0; N < OldSccIds.size(); ++N)
       OldMembers[OldSccIds[N]].push_back(static_cast<int>(N));
-
-    std::vector<std::vector<int>> NewMembers(NumSccs);
-    for (int N = 0; N < CG->size(); ++N)
-      NewMembers[CG->sccId(N)].push_back(N);
+    std::vector<std::vector<int>> NewMembers(CG.size());
+    for (int N = 0; N < CG.size(); ++N)
+      NewMembers[CG.sccId(N)].push_back(N);
 
     for (const std::vector<int> &Ms : NewMembers) {
       if (Ms.empty())
@@ -285,35 +175,27 @@ bool DeltaAnalyzer::tryIncremental(
     DamageSeeds.insert(S.Node);
     for (int O : S.Succs)
       DamageSeeds.insert(O);
-    for (int O : CG->node(S.Node).Succs)
+    for (int O : CG.node(S.Node).Succs)
       DamageSeeds.insert(O);
   }
   std::vector<int> SeedVec(DamageSeeds.begin(), DamageSeeds.end());
 
-  DynBitset Touched(static_cast<size_t>(RS->numEligible()));
-  Delta.DamagedSccs = RS->applyDelta(RefChanged, SeedVec, Touched);
+  DynBitset Touched(static_cast<size_t>(RS.numEligible()));
+  Delta.DamagedSccs = RS.applyDelta(RefChanged, SeedVec, Touched);
   Stats.RefSetsMs = msSince(T0);
-  Stats.EligibleGlobals = RS->numEligible();
-  Stats.EscapesRefuted = static_cast<int>(CG->escapesRefuted());
-  Stats.IndirectCallersResolved =
-      static_cast<int>(CG->indirectCallersResolved());
 
   // --- Mod/ref verdicts: recomputed over the whole patched graph (a
   // graph walk plus a bit-union per reachable ref — far below one
   // global's web discovery) rather than spliced. A global whose
   // dead/read-only predicate flips joins the damage set below;
-  // websForGlobal reads exactly those two predicates of MR, so an
+  // web discovery reads exactly those two predicates of MR, so an
   // unflipped global's discovery replays byte-identically.
   ModRefInfo NewMR;
   if (Opts.ModRef) {
     Clock::time_point TM = Clock::now();
-    NewMR = computeModRef(*CG, Opts.AssumeClosedWorld);
+    NewMR = computeModRef(CG, Opts.AssumeClosedWorld);
     Stats.ModRefMs = msSince(TM);
-    Stats.ReadOnlyGlobals = Stats.WriteOnlyGlobals = 0;
-    Stats.DeadGlobals = Stats.UninitReadGlobals = Stats.DeadProcs = 0;
-    analyzer_detail::countModRef(*CG, NewMR, Stats);
   }
-  const ModRefInfo *MRP = Opts.ModRef ? &NewMR : nullptr;
 
   // --- Node damage for web reuse (NDP): the refset seeds plus every
   // node whose invocation estimate moved (web priorities weight
@@ -321,30 +203,32 @@ bool DeltaAnalyzer::tryIncremental(
   // flipped — its callers (the ×2 leaf bonus and the split-web wrap
   // cost model read callee leaf-ness).
   NodeSet NDP = DamageSeeds;
-  const std::vector<long long> &NewInv = CG->invocations();
-  for (int N = 0; N < CG->size(); ++N)
+  const std::vector<long long> &NewInv = CG.invocations();
+  for (int N = 0; N < CG.size(); ++N)
     if (OldInv[N] != NewInv[N])
       NDP.insert(N);
   for (const NodeSnapshot &S : Snaps)
-    if (S.Succs.empty() != CG->node(S.Node).Succs.empty()) {
+    if (S.Succs.empty() != CG.node(S.Node).Succs.empty()) {
       for (int P : S.Preds)
         NDP.insert(P);
-      for (int P : CG->node(S.Node).Preds)
+      for (int P : CG.node(S.Node).Preds)
         NDP.insert(P);
     }
 
   // --- Damaged globals: touched rows, or a retained web overlapping
   // NDP (discarded webs included: their discard decision read the same
   // damaged inputs).
+  const std::vector<Web> &Webs = State->Webs;
+  const std::vector<int> &WebStart = State->WebStart;
   std::vector<int> DamagedGids;
   if (Opts.Promotion == PromotionMode::Webs ||
       Opts.Promotion == PromotionMode::Greedy) {
-    for (int G = 0; G < RS->numEligible(); ++G) {
+    for (int G = 0; G < RS.numEligible(); ++G) {
       bool Damaged = Touched.test(static_cast<size_t>(G));
       if (!Damaged && Opts.ModRef) {
-        const std::string &Name = RS->globalName(G);
-        Damaged = MR.deadGlobal(Name) != NewMR.deadGlobal(Name) ||
-                  MR.readOnlyGlobal(Name) != NewMR.readOnlyGlobal(Name);
+        const std::string &Name = RS.globalName(G);
+        Damaged = State->MR.deadGlobal(Name) != NewMR.deadGlobal(Name) ||
+                  State->MR.readOnlyGlobal(Name) != NewMR.readOnlyGlobal(Name);
       }
       for (int I = WebStart[G]; !Damaged && I < WebStart[G + 1]; ++I)
         if (Webs[I].Nodes.intersects(NDP))
@@ -352,58 +236,14 @@ bool DeltaAnalyzer::tryIncremental(
       if (Damaged)
         DamagedGids.push_back(G);
     }
-
     T0 = Clock::now();
-    std::vector<std::vector<int>> SccMembers(NumSccs);
-    for (int N = 0; N < CG->size(); ++N)
-      SccMembers[CG->sccId(N)].push_back(N);
-    WebOptions WO = webOptionsFor(Opts);
-    std::vector<std::vector<Web>> NewWebs(DamagedGids.size());
-    parallelForEach(DamagedGids.size(), resolveThreadCount(WO.NumThreads),
-                    [&](size_t I) {
-                      NewWebs[I] = websForGlobal(*CG, *RS, DamagedGids[I],
-                                                 SccMembers, WO, MRP);
-                    });
-
-    // Splice: retained segments move over, damaged segments are
-    // replaced, and the whole list is renumbered in global-id order —
-    // the order buildWebs emits. Moves only; no web is copied.
-    size_t Total = Webs.size();
-    for (size_t I = 0; I < DamagedGids.size(); ++I) {
-      int G = DamagedGids[I];
-      Total += NewWebs[I].size() -
-               static_cast<size_t>(WebStart[G + 1] - WebStart[G]);
-    }
-    std::vector<Web> Spliced;
-    Spliced.reserve(Total);
-    std::vector<int> NewStart(WebStart.size(), 0);
-    size_t DI = 0;
-    for (int G = 0; G < RS->numEligible(); ++G) {
-      NewStart[G] = static_cast<int>(Spliced.size());
-      if (DI < DamagedGids.size() && DamagedGids[DI] == G) {
-        for (Web &W : NewWebs[DI])
-          Spliced.push_back(std::move(W));
-        ++DI;
-      } else {
-        for (int I = WebStart[G]; I < WebStart[G + 1]; ++I)
-          Spliced.push_back(std::move(Webs[I]));
-      }
-    }
-    NewStart[static_cast<size_t>(RS->numEligible())] =
-        static_cast<int>(Spliced.size());
-    Webs = std::move(Spliced);
-    WebStart = std::move(NewStart);
-    for (size_t I = 0; I < Webs.size(); ++I)
-      Webs[I].Id = static_cast<int>(I);
+    rediscoverWebs(CG, RS, DamagedGids, webOptionsFor(Opts),
+                   Opts.ModRef ? &NewMR : nullptr, State->Webs,
+                   State->WebStart);
     Stats.WebsMs = msSince(T0);
-  } else {
-    Stats.WebsMs = 0;
   }
+  State->MR = std::move(NewMR);
 
-  MR = std::move(NewMR);
-  DB = finish(Webs, Stats);
-
-  Delta.Mode = DeltaMode::Incremental;
   Delta.ChangedProcs = static_cast<int>(Patches.size());
   Delta.DamagedGlobals = static_cast<int>(DamagedGids.size());
   return true;
@@ -420,24 +260,19 @@ DeltaAnalyzer::analyze(const std::vector<ModuleSummary> &Summaries,
 ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
                                        const AnalyzerOptions &Options,
                                        const CallProfile &Profile) {
-  // GPG mode: strengthen a copy up front (idempotent — see
-  // runAnalyzer). Diffing, damaging and retaining the *strengthened*
-  // form keeps SummaryDiff's damage regions aligned with the facts the
-  // graph actually consumed: a GPG-only edit surfaces as an escape
-  // verdict / indirect-target drift on exactly the affected rows.
-  GPGComposeStats GPG;
-  if (Options.PointsTo == PointsToMode::GPG) {
-    std::vector<ModuleSummary> Strengthened = *Summaries;
-    if (strengthenSummariesWithGPG(Strengthened, Options.AssumeClosedWorld,
-                                   &GPG))
-      Summaries = std::make_shared<const std::vector<ModuleSummary>>(
-          std::move(Strengthened));
-  }
-
+  // Every call reports its own work: timings start at zero, and the
+  // counters are re-derived from the state the database comes from.
+  Stats = AnalyzerStats();
   Delta = DeltaStats();
-  ProgramDatabase DB;
+  // GPG mode strengthens up front. Diffing, damaging and retaining the
+  // *strengthened* form keeps SummaryDiff's damage regions aligned with
+  // the facts the graph actually consumed: a GPG-only edit surfaces as
+  // an escape verdict / indirect-target drift on exactly the affected
+  // rows.
+  Summaries = strengthened(std::move(Summaries), Options, Stats.GPG);
+
   std::string Reason;
-  if (!Primed)
+  if (!State)
     Reason = "first analysis";
   else if (!sameOptions(Opts, Options))
     Reason = "analyzer options changed";
@@ -445,26 +280,27 @@ ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
     Reason = "profile changed";
   else if (!retainable(Reason)) {
     // Reason set by retainable().
-  } else if (tryIncremental(*Summaries, Profile, Reason, DB)) {
-    Stats.GPG = GPG;
-    PrevSummaries = std::move(Summaries);
-    return DB;
+  } else if (tryIncremental(*Summaries, Profile, Reason)) {
+    Delta.Mode = DeltaMode::Incremental;
+    State->Summaries = std::move(Summaries);
+    State->countInto(Stats);
   }
 
-  Opts = Options;
-  Prof = Profile;
-  Delta.Mode = DeltaMode::Full;
-  Delta.FallbackReason = Reason;
-  Delta.ChangedProcs = 0;
-  DB = primeFull(*Summaries, Profile);
-  PrevSummaries = std::move(Summaries);
-  Stats.GPG = GPG;
-  Delta.TotalGlobals = RS->numEligible();
-  Delta.DamagedGlobals = Delta.TotalGlobals;
-  Delta.TotalSccs = 0;
-  for (int N = 0; N < CG->size(); ++N)
-    Delta.TotalSccs = std::max(Delta.TotalSccs, CG->sccId(N) + 1);
-  Delta.DamagedSccs = Delta.TotalSccs;
+  if (Delta.Mode == DeltaMode::Full) {
+    Opts = Options;
+    Prof = Profile;
+    Delta.FallbackReason = Reason;
+    State.reset(); // The old graph goes before the new one is built.
+    State = analyzeCold(std::move(Summaries), Opts, Prof, Stats);
+  }
+  ProgramDatabase DB = finishFromWebs(*State, Opts, Stats);
+  Delta.TotalGlobals = State->RS.numEligible();
+  for (int Id : State->CG.sccIds())
+    Delta.TotalSccs = std::max(Delta.TotalSccs, Id + 1);
+  if (Delta.Mode == DeltaMode::Full) {
+    Delta.DamagedGlobals = Delta.TotalGlobals;
+    Delta.DamagedSccs = Delta.TotalSccs;
+  }
   return DB;
 }
 
@@ -476,11 +312,12 @@ ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
 //
 // The digest is FNV-1a over the run text and is checked before the run
 // is decoded, so a torn or corrupted blob is rejected whole. The call
-// graph and reference sets are rebuilt from the summaries with the exact
-// constructor calls primeFull uses, and one pass checks the decoded webs
-// against them, so the restored state is the deterministic image of the
-// serialized inputs: every failure leaves the analyzer unprimed and the
-// caller falls back to a cold prime.
+// graph, reference sets and mod/ref verdicts are rebuilt from the
+// summaries by the cold analysis's own AnalysisState constructor, and
+// one pass checks the decoded webs against them, so the restored state
+// is the deterministic image of the serialized inputs: every failure
+// leaves the analyzer unprimed and the caller falls back to a cold
+// prime.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -505,10 +342,10 @@ struct RetainedHeader {
 
 bool DeltaAnalyzer::serializeRetained(std::string &Out) const {
   std::string Reason;
-  if (!Primed || !retainable(Reason))
+  if (!State || !retainable(Reason))
     return false;
-  RetainedRun Run{Opts, Prof, {}, Webs, WebStart};
-  for (const ModuleSummary &S : *PrevSummaries)
+  RetainedRun Run{Opts, Prof, {}, State->Webs, State->WebStart};
+  for (const ModuleSummary &S : *State->Summaries)
     Run.Summaries.push_back(writeSummary(S));
   std::string Text = json::encode(Run).dump();
   Out = json::encode(RetainedHeader{RetainedFormat, RetainedFormatVersion,
@@ -523,23 +360,14 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
                                     std::string &Error) {
   // Restoring replaces any retained state; every failure path below
   // must leave the analyzer cleanly unprimed.
-  auto Reset = [this] {
-    RS.reset();
-    CG.reset();
-    MR = ModRefInfo();
-    Webs.clear();
-    WebStart.clear();
-  };
   auto Fail = [&](const std::string &Why) {
     Error = "retained-state restore: " + Why;
-    Reset();
+    State.reset();
     return false;
   };
-  Primed = false;
-  PrevSummaries.reset();
+  State.reset();
   Stats = AnalyzerStats();
   Delta = DeltaStats();
-  Reset();
 
   RetainedHeader H;
   std::string_view RunText;
@@ -559,33 +387,32 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
     return Fail("run field '" + Path + "' has an invalid value");
   V = json::Value(); // The tree is dead weight from here on.
 
-  std::vector<ModuleSummary> Summaries(Run.Summaries.size());
-  for (size_t I = 0; I < Summaries.size(); ++I) {
+  auto Summaries =
+      std::make_shared<std::vector<ModuleSummary>>(Run.Summaries.size());
+  for (size_t I = 0; I < Summaries->size(); ++I) {
     std::string SummaryError;
-    if (!readSummary(Run.Summaries[I], Summaries[I], SummaryError))
+    if (!readSummary(Run.Summaries[I], (*Summaries)[I], SummaryError))
       return Fail("summary " + std::to_string(I) + ": " + SummaryError);
   }
   Run.Summaries.clear();
 
-  // The derived structures, with the exact constructor calls primeFull
-  // makes, so a valid blob reproduces the serializing process's state
-  // bit for bit.
+  // The derived structures, built by the cold analysis's own
+  // constructor, so a valid blob reproduces the serializing process's
+  // state bit for bit; only the webs come from the blob.
   Opts = Run.Options;
   Prof = std::move(Run.Profile);
   std::string RetainReason;
   if (!retainable(RetainReason))
     return Fail("non-retainable configuration: " + RetainReason);
-  CG = std::make_unique<CallGraph>(Summaries, Prof,
-                                   Opts.PointsTo != PointsToMode::Off);
-  RS = std::make_unique<RefSets>(*CG, Opts.AssumeClosedWorld);
-  MR = Opts.ModRef ? computeModRef(*CG, Opts.AssumeClosedWorld)
-                   : ModRefInfo();
+  AnalyzerStats Unused;
+  State = std::make_unique<analyzer_detail::AnalysisState>(
+      std::move(Summaries), Opts, Prof, Unused);
 
   // One pass over the decoded webs: the web-start table covers the list
   // monotonically exactly when the promotion mode keeps one, each web
   // sits in its global's segment, and every node lies in the graph.
-  const int Universe = CG->size();
-  const int NumEligible = RS->numEligible();
+  const int Universe = State->CG.size();
+  const int NumEligible = State->RS.numEligible();
   const std::vector<int> &Start = Run.WebStart;
   if (Opts.Promotion == PromotionMode::Webs ||
       Opts.Promotion == PromotionMode::Greedy) {
@@ -618,10 +445,7 @@ bool DeltaAnalyzer::restoreRetained(const std::string &Text,
                   " lies outside the rebuilt graph");
   }
 
-  Webs = std::move(Run.Webs);
-  WebStart = std::move(Run.WebStart);
-  PrevSummaries =
-      std::make_shared<const std::vector<ModuleSummary>>(std::move(Summaries));
-  Primed = true;
+  State->Webs = std::move(Run.Webs);
+  State->WebStart = std::move(Run.WebStart);
   return true;
 }

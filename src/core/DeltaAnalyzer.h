@@ -56,6 +56,10 @@
 
 namespace ipra {
 
+namespace analyzer_detail {
+struct AnalysisState;
+} // namespace analyzer_detail
+
 /// How the last DeltaAnalyzer::analyze call produced its database.
 enum class DeltaMode {
   Full,        ///< Cold full analysis (first run, or a fallback).
@@ -101,11 +105,6 @@ struct DeltaStats {
     V("total-globals", S.TotalGlobals);
   }
 };
-
-/// A program's parsed summaries, shared read-only: the delta analyzer
-/// retains the set it analyzed (to diff the next one against) without
-/// copying it.
-using SummarySet = std::shared_ptr<const std::vector<ModuleSummary>>;
 
 /// A primed analyzer's retained run as it is persisted (support/Json.h's
 /// Record): every output-affecting option, the profile, the summaries
@@ -160,12 +159,13 @@ public:
                           const AnalyzerOptions &Options,
                           const CallProfile &Profile = {});
 
-  /// Stats of the last analyze() call (sub-phase timings reflect the
-  /// work actually done: damage-region timings on the incremental
-  /// path).
+  /// Stats of the last analyze() call. The counters describe the
+  /// analyzed program and equal runAnalyzer's; the sub-phase timings
+  /// cover only the work this call did (damage-region timings on the
+  /// incremental path, 0 for a skipped step).
   const AnalyzerStats &stats() const { return Stats; }
   const DeltaStats &deltaStats() const { return Delta; }
-  bool primed() const { return Primed; }
+  bool primed() const { return State != nullptr; }
 
   /// Version of the retained-run persistence format below. Bumped on
   /// any layout change; readers reject other versions (cold fallback).
@@ -192,46 +192,30 @@ public:
   bool restoreRetained(const std::string &Text, std::string &Error);
 
 private:
-  ProgramDatabase primeFull(const std::vector<ModuleSummary> &Summaries,
-                            const CallProfile &Profile);
-  /// The incremental path; fills \p DB on success. Returns false — with
-  /// \p Reason set and *no retained state mutated* — when the delta is
+  /// The incremental path: patches the retained state over the damage
+  /// region of \p Summaries (already strengthened) and fills the timings
+  /// and DeltaStats of the work it did. Returns false — with \p Reason
+  /// set and *no retained state mutated* — when the delta is
   /// inexpressible; the caller then re-primes.
   bool tryIncremental(const std::vector<ModuleSummary> &Summaries,
-                      const CallProfile &Profile, std::string &Reason,
-                      ProgramDatabase &DB);
-  /// The shared final stage over retained (colored) webs \p Ws: resets
-  /// their coloring and \p S's finish counters, then runs
-  /// finishFromWebs against the retained graph, sets and verdicts.
-  ProgramDatabase finish(std::vector<Web> &Ws, AnalyzerStats &S) const;
+                      const CallProfile &Profile, std::string &Reason);
   /// True when retained-state splicing supports the configured options.
   bool retainable(std::string &Reason) const;
-  /// Moves \p PerGlobal's webs into Webs/WebStart in global-id order
-  /// and numbers them — exactly the list buildWebs emits for the same
-  /// inputs.
-  void storeWebs(std::vector<std::vector<Web>> PerGlobal);
 
-  bool Primed = false;
   AnalyzerOptions Opts;
   CallProfile Prof;
-  SummarySet PrevSummaries;
-  /// RS holds a reference into *CG; their lifetimes move together.
-  std::unique_ptr<CallGraph> CG;
-  std::unique_ptr<RefSets> RS;
-  /// The retained run's §15 mod/ref verdicts (empty when Opts.ModRef is
-  /// off). tryIncremental recomputes verdicts on the patched graph and
-  /// treats any global whose dead/read-only predicate flips as damaged
-  /// — websForGlobal reads exactly those two predicates.
-  ModRefInfo MR;
-  /// Retained discovery output, flattened in global-id order: global
-  /// g's webs are Webs[WebStart[g]..WebStart[g+1]). Includes discarded
-  /// webs (the splice must reproduce buildWebs' full list, and a
-  /// discarded web still marks where its global's reference region lies
-  /// for damage testing). The webs carry the last run's register
-  /// assignments (finishFromWebs colors in place); the incremental path
-  /// resets them to the uncolored state before re-finishing.
-  std::vector<Web> Webs;
-  std::vector<int> WebStart;
+  /// The retained run (AnalyzerInternal.h), null until primed: the
+  /// strengthened summaries it analyzed, their call graph, reference
+  /// sets and §15 verdicts, and the discovered webs with their
+  /// per-global segments, discarded webs included (the splice must
+  /// reproduce buildWebs' full list, and a discarded web still marks
+  /// where its global's reference region lies for damage testing). The
+  /// webs carry the last run's register assignments; finishFromWebs
+  /// resets them before coloring again. tryIncremental recomputes the
+  /// verdicts on the patched graph and treats any global whose
+  /// dead/read-only predicate flips as damaged — discovery reads exactly
+  /// those two predicates.
+  std::unique_ptr<analyzer_detail::AnalysisState> State;
   AnalyzerStats Stats;
   DeltaStats Delta;
 };

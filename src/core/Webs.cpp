@@ -10,6 +10,8 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 
 using namespace ipra;
 
@@ -469,17 +471,17 @@ std::vector<Web> splitSparseWeb(const CallGraph &CG, const RefSets &RS,
   return Out;
 }
 
-} // namespace
-
 /// Discovers and materializes every web of global \p G. Web Ids are
-/// left unassigned; buildWebs numbers them after the (possibly
-/// parallel) per-global fan-out, in global-id order, so the result is
-/// independent of scheduling. \p SccMembers maps an SCC id to its
-/// member nodes (precomputed once; the cycle case below needs it).
-std::vector<Web>
-ipra::websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
-                    const std::vector<std::vector<int>> &SccMembers,
-                    const WebOptions &Options, const ModRefInfo *MR) {
+/// left unassigned; they are numbered after the (possibly parallel)
+/// per-global fan-out, in global-id order, so the result is independent
+/// of scheduling. \p SccMembers maps an SCC id to its member nodes
+/// (precomputed once; the cycle case below needs it). The §7.6.1
+/// re-merge pass is not applied here: it is a cross-global
+/// transformation of the concatenated list.
+std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
+                               const std::vector<std::vector<int>> &SccMembers,
+                               const WebOptions &Options,
+                               const ModRefInfo *MR) {
   // Whole-program verdicts (DESIGN.md §15): both consult only this
   // global's entry, so re-discovery under the delta analyzer replays
   // identically whenever the verdict is unchanged.
@@ -611,34 +613,80 @@ ipra::websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
   return Webs;
 }
 
-std::vector<Web> ipra::buildWebs(const CallGraph &CG, const RefSets &RS,
-                                 const WebOptions &Options,
-                                 const ModRefInfo *MR) {
+/// The discovery fan-out: PerGlobal[G] = websForGlobal(G) for every G
+/// in \p Globals, on the thread pool. Each global fills its own slot.
+void discoverGlobals(const CallGraph &CG, const RefSets &RS,
+                     const std::vector<int> &Globals,
+                     const WebOptions &Options, const ModRefInfo *MR,
+                     std::vector<std::vector<Web>> &PerGlobal) {
   std::vector<std::vector<int>> SccMembers(CG.size());
   for (int N = 0; N < CG.size(); ++N)
     SccMembers[CG.sccId(N)].push_back(N);
-
-  // Discovery is independent per global: fan out over the eligible
-  // globals, then concatenate the per-global results in global-id order
-  // and number the webs — identical output at any thread count.
-  size_t NumGlobals = static_cast<size_t>(RS.numEligible());
-  std::vector<std::vector<Web>> PerGlobal(NumGlobals);
-  parallelForEach(NumGlobals, resolveThreadCount(Options.NumThreads),
-                  [&](size_t G) {
-                    PerGlobal[G] =
-                        websForGlobal(CG, RS, static_cast<int>(G),
-                                      SccMembers, Options, MR);
+  parallelForEach(Globals.size(), resolveThreadCount(Options.NumThreads),
+                  [&](size_t I) {
+                    PerGlobal[Globals[I]] = websForGlobal(
+                        CG, RS, Globals[I], SccMembers, Options, MR);
                   });
+}
 
+/// Concatenates \p PerGlobal in global-id order and numbers the webs by
+/// position; \p Starts receives each global's segment start and the end.
+std::vector<Web> concatenate(std::vector<std::vector<Web>> &PerGlobal,
+                             std::vector<int> &Starts) {
+  size_t Total = 0;
+  for (const std::vector<Web> &GWebs : PerGlobal)
+    Total += GWebs.size();
   std::vector<Web> Webs;
-  for (std::vector<Web> &GWebs : PerGlobal)
+  Webs.reserve(Total);
+  Starts.clear();
+  for (std::vector<Web> &GWebs : PerGlobal) {
+    Starts.push_back(static_cast<int>(Webs.size()));
     for (Web &W : GWebs) {
       W.Id = static_cast<int>(Webs.size());
       Webs.push_back(std::move(W));
     }
-  if (Options.RemergeWebs)
-    remergeWebs(CG, RS, Webs, Options, MR);
+  }
+  Starts.push_back(static_cast<int>(Webs.size()));
   return Webs;
+}
+
+} // namespace
+
+std::vector<Web> ipra::buildWebs(const CallGraph &CG, const RefSets &RS,
+                                 const WebOptions &Options,
+                                 const ModRefInfo *MR,
+                                 std::vector<int> *Starts) {
+  // Discovery is independent per global: fan out over the eligible
+  // globals, then concatenate the per-global results in global-id order
+  // and number the webs — identical output at any thread count.
+  std::vector<int> All(static_cast<size_t>(RS.numEligible()));
+  std::iota(All.begin(), All.end(), 0);
+  std::vector<std::vector<Web>> PerGlobal(All.size());
+  discoverGlobals(CG, RS, All, Options, MR, PerGlobal);
+  std::vector<int> Segments;
+  std::vector<Web> Webs = concatenate(PerGlobal, Segments);
+  if (Options.RemergeWebs) {
+    remergeWebs(CG, RS, Webs, Options, MR);
+    Segments.clear(); // Re-merged webs span globals' segments.
+  }
+  if (Starts)
+    *Starts = std::move(Segments);
+  return Webs;
+}
+
+void ipra::rediscoverWebs(const CallGraph &CG, const RefSets &RS,
+                          const std::vector<int> &Damaged,
+                          const WebOptions &Options, const ModRefInfo *MR,
+                          std::vector<Web> &Webs, std::vector<int> &Starts) {
+  // Retained segments move into their globals' slots, the damaged
+  // globals' slots are then overwritten by fresh discovery, and the
+  // whole list is renumbered in global-id order. No web is copied.
+  std::vector<std::vector<Web>> PerGlobal(Starts.size() - 1);
+  for (size_t G = 0; G < PerGlobal.size(); ++G)
+    PerGlobal[G].assign(std::make_move_iterator(Webs.begin() + Starts[G]),
+                        std::make_move_iterator(Webs.begin() + Starts[G + 1]));
+  discoverGlobals(CG, RS, Damaged, Options, MR, PerGlobal);
+  Webs = concatenate(PerGlobal, Starts);
 }
 
 std::vector<std::string>

@@ -144,23 +144,27 @@ struct WebOptions {
 /// writeback and wrap stores disappear downstream. Null reproduces the
 /// paper's read-write-assumed behaviour (and is what the reference
 /// oracle equivalence suite compares against).
+///
+/// Discovery runs per global (on a thread pool when NumThreads > 1) and
+/// the webs are numbered in global-id order. \p Starts, when set,
+/// receives the per-global segments: global g's webs are
+/// [Starts[g], Starts[g+1]). It is left empty when §7.6.1 re-merging
+/// ran, because re-merged webs no longer belong to one segment.
 std::vector<Web> buildWebs(const CallGraph &CG, const RefSets &RS,
                            const WebOptions &Options = {},
-                           const ModRefInfo *MR = nullptr);
+                           const ModRefInfo *MR = nullptr,
+                           std::vector<int> *Starts = nullptr);
 
-/// Discovers and materializes every web of the single global \p G —
-/// the unit of work buildWebs fans out over, exposed so the delta
-/// analyzer can re-discover exactly the damaged globals and splice the
-/// results over the retained per-global lists. Web Ids are left
-/// unassigned (-1); the caller numbers them after concatenating in
-/// global-id order. \p SccMembers maps an SCC id to its member nodes
-/// (the §4.1.2 cycle case needs it). The §7.6.1 re-merge pass is NOT
-/// applied here: it is a cross-global, whole-graph transformation that
-/// buildWebs runs over the concatenated list.
-std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
-                               const std::vector<std::vector<int>> &SccMembers,
-                               const WebOptions &Options,
-                               const ModRefInfo *MR = nullptr);
+/// Re-discovers the webs of the globals in \p Damaged (ascending ids)
+/// and splices them over \p Webs / \p Starts, a list and its segments
+/// as buildWebs left them without re-merging: every other global's
+/// segment is kept, and the list is renumbered. The delta analyzer's
+/// discovery step; the result equals buildWebs on the same inputs when
+/// every global whose inputs changed is in \p Damaged.
+void rediscoverWebs(const CallGraph &CG, const RefSets &RS,
+                    const std::vector<int> &Damaged,
+                    const WebOptions &Options, const ModRefInfo *MR,
+                    std::vector<Web> &Webs, std::vector<int> &Starts);
 
 /// Verification helper used by tests and property suites: returns every
 /// violated web invariant (empty = valid). Checks node-disjointness per

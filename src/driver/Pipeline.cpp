@@ -305,7 +305,7 @@ struct Pipeline::Batch {
   std::vector<std::unique_ptr<ModuleAST>> ASTs;
   std::vector<char> FrontEndRan;
   std::vector<DiagnosticEngine> ModuleDiags;
-  /// Phase 1's output: the summary files, parsed back.
+  /// Phase 1's output: the summaries and their files.
   std::vector<ModuleSummary> Summaries;
   std::vector<std::string> SummaryTexts;
   /// Figure 1's IR files: the IR as optimizeToFixpoint left it, plus its
@@ -313,7 +313,7 @@ struct Pipeline::Batch {
   /// KeepIRFiles is set (the fused build); phase 2 resumes from it.
   bool KeepIRFiles = false;
   std::vector<LoweredModule> IRFiles;
-  /// Phase 2's output: the object files, parsed back.
+  /// Phase 2's output: the objects and their files.
   std::vector<ObjectFile> Objects;
   std::vector<std::string> ObjectTexts;
   /// Last, so its workers are joined before the data they touch goes.
@@ -383,8 +383,9 @@ Status Pipeline::summarize(Batch &B) {
                       return std::string();
                     });
 
-    // Summary emission, round-tripped through the textual summary-file
-    // format and stamped with the compile fingerprint.
+    // Summary emission, stamped with the compile fingerprint. The text
+    // is written once, for the cache and the response; the analyzer gets
+    // the summary itself (readSummary(writeSummary(S)) == S).
     std::vector<GPGBuildStats> GPGStats(N);
     parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
       size_t I = Miss[J];
@@ -404,21 +405,9 @@ Status Pipeline::summarize(Batch &B) {
         GPGStats[I] = buildGPGSummary(*IRs[I], Summary);
       }
       Summary.ConfigFingerprint = CompileFP;
-      std::string Text = writeSummary(Summary);
-      ModuleSummary Parsed;
-      std::string Error;
-      if (!readSummary(Text, Parsed, Error)) {
-        Errors[I] = "summary round-trip failed: " + Error;
-        return;
-      }
-      B.SummaryTexts[I] = std::move(Text);
-      B.Summaries[I] = std::move(Parsed);
+      B.SummaryTexts[I] = writeSummary(Summary);
+      B.Summaries[I] = std::move(Summary);
     });
-    PS.SummariesParsed += static_cast<unsigned>(Miss.size());
-    if (const std::string *E = firstError(Errors))
-      return Status::error(*E);
-    // Publish only once every miss round-tripped cleanly; failures are
-    // never cached.
     for (size_t I : Miss) {
       Cache->put(Keys[I], B.SummaryTexts[I]);
       if (const ModulePointsTo *PT = B.IRFiles[I].PT.get()) {
@@ -521,25 +510,16 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
     if (!CodeGenError.empty())
       return Status::error(CodeGenError);
 
-    // Object assembly, round-tripped through the textual object-file
-    // format: the object really is a standalone artifact, like the
-    // paper's per-module object files.
+    // Object assembly. The object is a standalone artifact, like the
+    // paper's per-module object files: its text is written once, for
+    // the cache and the response, and the linker gets the object itself
+    // (readObjectFile(writeObjectFile(O)) == O).
     parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
       size_t I = Miss[J];
       ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
-      std::string ObjText =
-          writeObjectFile(assembleObject(*IRs[I], std::move(Funcs[I])));
-      ObjectFile Parsed;
-      std::string Error;
-      if (!readObjectFile(ObjText, Parsed, Error)) {
-        Errors[I] = "object round-trip failed: " + Error;
-        return;
-      }
-      B.ObjectTexts[I] = std::move(ObjText);
-      B.Objects[I] = std::move(Parsed);
+      B.Objects[I] = assembleObject(*IRs[I], std::move(Funcs[I]));
+      B.ObjectTexts[I] = writeObjectFile(B.Objects[I]);
     });
-    if (const std::string *E = firstError(Errors))
-      return Status::error(*E);
     for (size_t I : Miss)
       Cache->put(Keys[I], B.ObjectTexts[I]);
   }

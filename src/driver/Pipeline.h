@@ -187,7 +187,7 @@ private:
   /// Compiler first phase over every module of \p B, the one body
   /// behind the Summary, Lint and Full requests: cache lookup, front end
   /// on demand, lowering, trial codegen fanned out per function, summary
-  /// round-trip, cache publish. Keeps the IR files when B asks for them.
+  /// emission, cache publish. Keeps the IR files when B asks for them.
   Status summarize(Batch &B);
   /// Compiler second phase over every module of \p B under \p DB (null:
   /// the standard linkage convention), the one body behind the Object

@@ -38,6 +38,8 @@ namespace ipra {
 struct ObjFunction {
   std::string QualName;
   std::vector<MInstr> Code;
+
+  bool operator==(const ObjFunction &O) const = default;
 };
 
 /// One global datum contributed by a module.
@@ -46,6 +48,8 @@ struct ObjGlobal {
   int SizeWords = 1;
   std::vector<int32_t> Init; ///< Empty or shorter than size = zero-fill.
   std::string FuncInit;      ///< Non-empty: word 0 = address of function.
+
+  bool operator==(const ObjGlobal &O) const = default;
 
   /// The object's `global` line; `init` lines with the words follow.
   static void fields(auto &S, auto &V) {
@@ -60,6 +64,12 @@ struct ObjectFile {
   std::string Module;
   std::vector<ObjFunction> Functions;
   std::vector<ObjGlobal> Globals;
+
+  /// Field-for-field equality. readObjectFile(writeObjectFile()) of any
+  /// object equals it, which is why phase 2 hands the object it
+  /// assembled to the linker instead of parsing its text back (the tests
+  /// prove it on the corpus).
+  bool operator==(const ObjectFile &O) const = default;
 };
 
 /// Symbol-table entry of the linked image, used by the simulator's
@@ -68,6 +78,8 @@ struct ExeSymbol {
   std::string QualName;
   int Start = 0; ///< First instruction index.
   int End = 0;   ///< One past the last instruction.
+
+  bool operator==(const ExeSymbol &O) const = default;
 };
 
 /// A linked executable image.
@@ -82,6 +94,8 @@ struct Executable {
 
   /// Returns the symbol covering instruction \p Pc, or null.
   const ExeSymbol *symbolAt(int Pc) const;
+
+  bool operator==(const Executable &O) const = default;
 };
 
 } // namespace ipra

@@ -275,6 +275,12 @@ struct ModuleSummary {
   /// header line; the analyzer rejects summaries built under a
   /// different configuration. Empty when unknown.
   std::string ConfigFingerprint;
+
+  /// Field-for-field equality. readSummary(writeSummary()) of any
+  /// summary equals it, which is why phase 1 hands the summary it built
+  /// to the analyzer instead of parsing its text back (the tests prove
+  /// it on the corpus).
+  bool operator==(const ModuleSummary &O) const = default;
 };
 
 /// Per-function facts the trial code generation feeds into the summary.

@@ -158,6 +158,8 @@ struct MOperand {
   bool isSym() const { return Kind == Sym; }
   bool isLabel() const { return Kind == Label; }
   bool isFrame() const { return Kind == Frame; }
+
+  bool operator==(const MOperand &O) const = default;
 };
 
 /// One PR32 instruction.
@@ -170,6 +172,8 @@ struct MInstr {
   bool HasResult = false; ///< For calls: callee writes RV.
 
   bool isCall() const { return Op == MOp::BL || Op == MOp::BLR; }
+
+  bool operator==(const MInstr &O) const = default;
 
   bool isMemAccess() const { return Op == MOp::LDW || Op == MOp::STW; }
 

@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/DeltaAnalyzer.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -256,11 +257,23 @@ AnalyzerOptions deltaOptions() {
   return Options;
 }
 
+/// \p S through the AnalyzerStats field list without the timings (the
+/// `*-ms` keys): the counters, which describe the analyzed program
+/// however it was analyzed.
+json::Value counters(const AnalyzerStats &S) {
+  json::Value All = json::encode(S), Out = json::Value::object();
+  for (const auto &[Key, V] : All.members())
+    if (!Key.ends_with("-ms"))
+      Out.set(Key, V);
+  return Out;
+}
+
 constexpr unsigned NumSeeds = 12;
 constexpr int EditsPerSeed = 14;
 
 /// The workhorse: N random edits, each followed by a byte-compare of
-/// the delta database against a cold full analysis.
+/// the delta database against a cold full analysis, and of the delta
+/// run's counters against the cold run's.
 void runEditSequence(AnalyzerOptions Options, const CallProfile &Profile,
                      unsigned SeedValue) {
   std::mt19937 Rng(SeedValue * 7919 + 1);
@@ -269,12 +282,15 @@ void runEditSequence(AnalyzerOptions Options, const CallProfile &Profile,
   bool SawIncremental = false, SawFallback = false;
   for (int Edit = 0; Edit <= EditsPerSeed; ++Edit) {
     const ProgramDatabase &Got = DA.analyze(Mods, Options, Profile);
-    ProgramDatabase Cold = runAnalyzer(Mods, Options, Profile);
+    AnalyzerStats ColdStats;
+    ProgramDatabase Cold = runAnalyzer(Mods, Options, Profile, &ColdStats);
     ASSERT_EQ(Got.serialize(), Cold.serialize())
         << "seed " << SeedValue << " edit " << Edit << " mode "
         << (DA.deltaStats().Mode == DeltaMode::Incremental ? "delta"
                                                            : "full")
         << " fallback '" << DA.deltaStats().FallbackReason << "'";
+    ASSERT_EQ(counters(DA.stats()).dump(), counters(ColdStats).dump())
+        << "seed " << SeedValue << " edit " << Edit;
     if (Edit > 0) {
       if (DA.deltaStats().Mode == DeltaMode::Incremental)
         SawIncremental = true;
@@ -333,13 +349,25 @@ TEST(DeltaAnalyzer, IdenticalReanalysisIsZeroDamage) {
   EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
   EXPECT_EQ(DA.deltaStats().FallbackReason, "first analysis");
 
-  std::string Second = DA.analyze(Mods, Options).serialize();
-  EXPECT_EQ(First, Second);
-  EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Incremental);
-  EXPECT_EQ(DA.deltaStats().ChangedProcs, 0);
-  EXPECT_EQ(DA.deltaStats().DamagedSccs, 0);
-  EXPECT_EQ(DA.deltaStats().DamagedGlobals, 0);
-  EXPECT_EQ(DA.deltaStats().reuseRatio(), 1.0);
+  const AnalyzerStats Prime = DA.stats();
+  EXPECT_GT(Prime.EligibleGlobals, 0);
+
+  // Twice: the second identical run follows an incremental one.
+  for (int Run = 0; Run < 2; ++Run) {
+    std::string Again = DA.analyze(Mods, Options).serialize();
+    EXPECT_EQ(First, Again);
+    EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Incremental);
+    EXPECT_EQ(DA.deltaStats().ChangedProcs, 0);
+    EXPECT_EQ(DA.deltaStats().DamagedSccs, 0);
+    EXPECT_EQ(DA.deltaStats().DamagedGlobals, 0);
+    EXPECT_EQ(DA.deltaStats().reuseRatio(), 1.0);
+    // Nothing was re-derived, so nothing was timed; the counters still
+    // describe the program.
+    EXPECT_EQ(DA.stats().RefSetsMs, 0);
+    EXPECT_EQ(DA.stats().ModRefMs, 0);
+    EXPECT_EQ(DA.stats().WebsMs, 0);
+    EXPECT_EQ(counters(DA.stats()).dump(), counters(Prime).dump());
+  }
 }
 
 TEST(DeltaAnalyzer, LocalEditDamagesFewSccs) {

@@ -12,7 +12,10 @@
 /// no output is held to that claim here. On a mismatch the test prints
 /// the fresh line, so a deliberate re-baseline is a visible edit of the
 /// digest file. Each text must also survive its reader: write(read(T))
-/// is T.
+/// is T, and read(write(X)) equals X field for field. A build hands its
+/// own summaries to the analyzer and its own objects to the linker
+/// without parsing their texts, so analyzing and linking the parsed
+/// texts must give the build's database and executable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,13 +66,16 @@ std::string digestLine(const std::string &Program, const std::string &Config,
 
 /// Reader completeness: each of the cell's non-empty artifact texts reads
 /// back and writes out to the same bytes, so no field the writer emits
-/// is lost or re-spelled by the reader.
+/// is lost or re-spelled by the reader, and a summary or object read
+/// back from its own text equals it.
 void expectRewritesItself(const std::string &Cell, const BuildResult &B) {
   std::string Error;
   for (const std::string &Text : B.SummaryFiles) {
-    ModuleSummary S;
+    ModuleSummary S, Again;
     EXPECT_TRUE(readSummary(Text, S, Error)) << Cell << ": " << Error;
     EXPECT_EQ(writeSummary(S), Text) << Cell;
+    EXPECT_TRUE(readSummary(writeSummary(S), Again, Error)) << Cell;
+    EXPECT_TRUE(Again == S) << Cell << ": summary " << S.Module;
   }
   if (!B.DatabaseFile.empty()) {
     ProgramDatabase DB;
@@ -78,10 +84,28 @@ void expectRewritesItself(const std::string &Cell, const BuildResult &B) {
     EXPECT_EQ(DB.serialize(), B.DatabaseFile) << Cell;
   }
   for (const std::string &Text : B.ObjectFiles) {
-    ObjectFile Obj;
+    ObjectFile Obj, Again;
     EXPECT_TRUE(readObjectFile(Text, Obj, Error)) << Cell << ": " << Error;
     EXPECT_EQ(writeObjectFile(Obj), Text) << Cell;
+    EXPECT_TRUE(readObjectFile(writeObjectFile(Obj), Again, Error)) << Cell;
+    EXPECT_TRUE(Again == Obj) << Cell << ": object " << Obj.Module;
   }
+}
+
+/// The build kept its in-process summaries and objects; a fresh pipeline
+/// fed the parsed texts must reach the same database and executable.
+void expectParsedTextsBuildTheSame(const std::string &Cell,
+                                   const PipelineConfig &Config,
+                                   const ProfileData *Profile,
+                                   const BuildResult &B) {
+  if (!B.SummaryFiles.empty()) {
+    DatabaseResult DB = Pipeline(Config).analyze(B.SummaryFiles, Profile);
+    ASSERT_TRUE(DB.ok()) << Cell << ": " << DB.text();
+    EXPECT_EQ(DB.DatabaseText, B.DatabaseFile) << Cell;
+  }
+  LinkedResult Linked = Pipeline(Config).link(B.ObjectFiles);
+  ASSERT_TRUE(Linked.ok()) << Cell << ": " << Linked.text();
+  EXPECT_TRUE(Linked.Exe == B.Exe) << Cell;
 }
 
 class ArtifactDigestTest : public ::testing::TestWithParam<const char *> {};
@@ -102,14 +126,15 @@ TEST_P(ArtifactDigestTest, MatchesRecordedDigests) {
       {"F", PipelineConfig::configF()},
   };
   for (const auto &[Name, Config] : Configs) {
-    BuildResult B = Pipeline(Config).build(
-        Sources, Config.UseProfile ? &Base.Profile : nullptr);
+    const ProfileData *Profile = Config.UseProfile ? &Base.Profile : nullptr;
+    BuildResult B = Pipeline(Config).build(Sources, Profile);
     ASSERT_TRUE(B.ok()) << Name << ": " << B.text();
     std::string Fresh = digestLine(Program, Name, B);
     auto It = Recorded.find(Program + " " + Name);
     std::string Expected = It == Recorded.end() ? "(none)" : It->second;
     EXPECT_EQ(Expected, Fresh) << "fresh line:\n" << Fresh;
     expectRewritesItself(Program + " " + Name, B);
+    expectParsedTextsBuildTheSame(Program + " " + Name, Config, Profile, B);
   }
 }
 
