@@ -7,6 +7,11 @@
 
 #include "BenchSupport.h"
 
+#include "ir/IRGen.h"
+#include "lang/Lexer.h"
+#include "lang/Parser.h"
+#include "lang/Sema.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +77,29 @@ int ipra::bench::countLines(const std::vector<SourceFile> &Sources) {
     }
   }
   return Lines;
+}
+
+IRRunResult
+ipra::bench::interpretProgram(const std::vector<SourceFile> &Sources) {
+  std::vector<SourceFile> All = Sources;
+  All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+  std::vector<std::unique_ptr<IRModule>> IRs;
+  std::vector<const IRModule *> Ptrs;
+  for (const SourceFile &Src : All) {
+    DiagnosticEngine Diags;
+    Lexer Lex(Src.Name, Src.Text, Diags);
+    Parser P(Src.Name, Lex.lexAll(), Diags);
+    auto AST = P.parseModule();
+    Sema S(Diags);
+    if (Diags.hasErrors() || !S.run(*AST)) {
+      IRRunResult R;
+      R.Error = "front end failed for " + Src.Name + ": " + Diags.renderAll();
+      return R;
+    }
+    IRs.push_back(generateIR(*AST, Diags));
+    Ptrs.push_back(IRs.back().get());
+  }
+  return interpretIR(Ptrs);
 }
 
 double ipra::bench::improvementPct(long long Base, long long Now) {

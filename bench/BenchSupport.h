@@ -17,6 +17,7 @@
 
 #include "driver/Driver.h"
 #include "driver/Pipeline.h"
+#include "ir/Interp.h"
 
 #include <string>
 #include <vector>
@@ -53,6 +54,11 @@ struct ConfigRun {
 /// with a message on mismatch (a correctness bug would invalidate the
 /// whole table).
 std::vector<ConfigRun> runAllConfigs(const std::vector<SourceFile> &Sources);
+
+/// Runs the reference IR interpreter on \p Sources plus the runtime
+/// module, unoptimized. A front-end error comes back as the result's
+/// Error.
+IRRunResult interpretProgram(const std::vector<SourceFile> &Sources);
 
 /// Percentage improvement of \p Now over \p Base ((base-now)/base*100).
 double improvementPct(long long Base, long long Now);
