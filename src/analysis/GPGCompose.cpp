@@ -644,15 +644,22 @@ void Composer::run() {
 
 } // namespace
 
-bool ipra::strengthenSummariesWithGPG(std::vector<ModuleSummary> &Summaries,
-                                      bool ClosedWorld,
-                                      GPGComposeStats *Stats) {
+bool ipra::gpgCompositionApplies(
+    const std::vector<ModuleSummary> &Summaries) {
   if (Summaries.empty())
     return false;
   for (const ModuleSummary &M : Summaries)
     for (const ProcSummary &PS : M.Procs)
       if (!PS.HasGPG)
-        return false; // Mixed-mode summaries: composition is unsound.
+        return false;
+  return true;
+}
+
+bool ipra::strengthenSummariesWithGPG(std::vector<ModuleSummary> &Summaries,
+                                      bool ClosedWorld,
+                                      GPGComposeStats *Stats) {
+  if (!gpgCompositionApplies(Summaries))
+    return false;
   GPGComposeStats Local;
   Composer C(Summaries, ClosedWorld, Stats ? *Stats : Local);
   C.run();

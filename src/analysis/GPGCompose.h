@@ -50,13 +50,17 @@ struct GPGComposeStats {
   int ResolvedBeyondAndersen = 0;
 };
 
+/// Whether composition applies to \p Summaries: there are some, and
+/// every procedure carries a GPG residue. A summary written by an
+/// Andersen-mode or pre-v4 phase 1 has none, and composing mixed-mode
+/// summaries would be unsound.
+bool gpgCompositionApplies(const std::vector<ModuleSummary> &Summaries);
+
 /// Composes the GPG residues of \p Summaries and strengthens their
 /// escape verdicts and indirect-call target sets in place. \p
 /// ClosedWorld false (§7.2 library mode) seeds every exported symbol as
 /// externally reachable first. Returns false — leaving the summaries
-/// untouched — when composition is not applicable: no summaries, or any
-/// procedure without a GPG residue (e.g. a summary written by an
-/// Andersen-mode or pre-v4 phase 1).
+/// and \p Stats untouched — when gpgCompositionApplies is false.
 bool strengthenSummariesWithGPG(std::vector<ModuleSummary> &Summaries,
                                 bool ClosedWorld,
                                 GPGComposeStats *Stats = nullptr);

@@ -95,11 +95,11 @@ void resetColoring(std::vector<Web> &Webs) {
 SummarySet ipra::analyzer_detail::strengthened(SummarySet Summaries,
                                                const AnalyzerOptions &Options,
                                                GPGComposeStats &Stats) {
-  if (Options.PointsTo != PointsToMode::GPG)
-    return Summaries;
-  auto Copy = std::make_shared<std::vector<ModuleSummary>>(*Summaries);
-  if (!strengthenSummariesWithGPG(*Copy, Options.AssumeClosedWorld, &Stats))
+  if (Options.PointsTo != PointsToMode::GPG ||
+      !gpgCompositionApplies(*Summaries))
     return Summaries; // Residue-free summaries: Andersen facts.
+  auto Copy = std::make_shared<std::vector<ModuleSummary>>(*Summaries);
+  strengthenSummariesWithGPG(*Copy, Options.AssumeClosedWorld, &Stats);
   return Copy;
 }
 

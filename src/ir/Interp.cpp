@@ -38,7 +38,7 @@ public:
              ++W)
           Memory[static_cast<size_t>(It->second) + W] = G.Init[W];
         if (!G.FuncInit.empty())
-          PendingFuncInits.push_back({It->second, G.FuncInit, M});
+          PendingFuncInits.push_back({It->second, G.FuncInit, M->Name});
       }
       for (const auto &F : M->Functions) {
         int Id = static_cast<int>(Functions.size());
@@ -47,10 +47,21 @@ public:
       }
     }
     // Patch function-address initializers now that every id exists.
-    for (const auto &[Addr, Name, M] : PendingFuncInits) {
-      int Id = resolveFunction(Name, M);
-      if (Id >= 0)
+    for (const auto &[Addr, Name, Module] : PendingFuncInits) {
+      int32_t Id = lookup(FunctionIds, Name, Module);
+      if (Id != Unresolved)
         Memory[static_cast<size_t>(Addr)] = FuncBase + Id;
+    }
+    // Every name is known now and none changes while running, so each
+    // instruction's symbol resolves here once, in its function's module.
+    Resolved.resize(Functions.size());
+    for (size_t Id = 0; Id < Functions.size(); ++Id) {
+      const IRFunction *F = Functions[Id];
+      for (const auto &B : F->Blocks) {
+        std::vector<int32_t> &Out = Resolved[Id].emplace_back();
+        for (const IRInstr &I : B->Instrs)
+          Out.push_back(resolve(I, F->Module));
+      }
     }
   }
 
@@ -62,7 +73,8 @@ public:
       return Result;
     }
     int32_t Ret = 0;
-    if (!call(It->second, {}, Ret, Result))
+    std::vector<int32_t> Regs(Functions[It->second]->NumVRegs, 0);
+    if (!call(It->second, Regs, Ret, Result))
       return Result;
     Result.Ok = true;
     Result.ExitCode = Ret;
@@ -70,21 +82,43 @@ public:
   }
 
 private:
-  /// Resolves \p Plain within \p M (statics first), then globally.
-  int resolveFunction(const std::string &Plain, const IRModule *M) {
-    auto It = FunctionIds.find(M->Name + ":" + Plain);
-    if (It != FunctionIds.end())
-      return It->second;
-    It = FunctionIds.find(Plain);
-    return It == FunctionIds.end() ? -1 : It->second;
+  /// resolve() of an instruction whose symbol names nothing, or that
+  /// has none. No address, callee id or function address is negative.
+  static constexpr int32_t Unresolved = -1;
+
+  /// \p Plain looked up in \p Ids within \p Module (statics first),
+  /// then globally; Unresolved if neither names an entry.
+  template <typename Map>
+  static int32_t lookup(const Map &Ids, const std::string &Plain,
+                        const std::string &Module) {
+    auto It = Ids.find(Module + ":" + Plain);
+    if (It == Ids.end())
+      It = Ids.find(Plain);
+    return It == Ids.end() ? Unresolved : It->second;
   }
-  int32_t resolveGlobalAddr(const std::string &Plain, const IRModule *M,
-                            bool &Found) {
-    auto It = GlobalAddr.find(M->Name + ":" + Plain);
-    if (It == GlobalAddr.end())
-      It = GlobalAddr.find(Plain);
-    Found = It != GlobalAddr.end();
-    return Found ? It->second : 0;
+  /// What \p I's symbol names from \p Module, or Unresolved: a Call's
+  /// callee id (functions only); an AddrG's value (a global's address,
+  /// else a function's); a global access's address. An unresolved
+  /// symbol traps only when its instruction runs.
+  int32_t resolve(const IRInstr &I, const std::string &Module) const {
+    switch (I.Op) {
+    case IROp::Call:
+      return lookup(FunctionIds, I.Sym, Module);
+    case IROp::AddrG: {
+      int32_t Addr = lookup(GlobalAddr, I.Sym, Module);
+      int32_t Id = lookup(FunctionIds, I.Sym, Module);
+      return Addr != Unresolved ? Addr
+             : Id != Unresolved ? FuncBase + Id
+                                : Unresolved;
+    }
+    case IROp::LdG:
+    case IROp::StG:
+    case IROp::LdElem:
+    case IROp::StElem:
+      return lookup(GlobalAddr, I.Sym, Module);
+    default:
+      return Unresolved;
+    }
   }
 
   static int32_t evalBin(BinKind BK, int32_t L, int32_t R) {
@@ -147,19 +181,15 @@ private:
     return true;
   }
 
-  /// Executes one function activation. Returns false on trap/limit.
-  bool call(int FuncId, const std::vector<int32_t> &Args, int32_t &Ret,
+  /// Executes one function activation; \p Regs holds its arguments in
+  /// its first registers. Returns false on trap/limit.
+  bool call(int FuncId, std::vector<int32_t> &Regs, int32_t &Ret,
             IRRunResult &Result) {
     if (++Depth > 10000) {
       Result.Error = "call depth limit exceeded";
       return false;
     }
     const IRFunction *F = Functions[static_cast<size_t>(FuncId)];
-    const IRModule *M = ModuleOf(F);
-
-    std::vector<int32_t> Regs(F->NumVRegs, 0);
-    for (size_t A = 0; A < Args.size() && A < F->NumParams; ++A)
-      Regs[A] = Args[A];
 
     // Frame slots live in a dedicated region appended per activation.
     std::vector<int32_t> SlotAddr(F->Slots.size());
@@ -171,18 +201,13 @@ private:
                     0);
     }
 
-    bool Ok = runBlocks(F, M, Regs, SlotAddr, Ret, Result);
+    bool Ok = runBlocks(FuncId, Regs, SlotAddr, Ret, Result);
     Memory.resize(FrameBase); // Pop the frame.
     --Depth;
     return Ok;
   }
 
-  const IRModule *ModuleOf(const IRFunction *F) {
-    return ModuleByName.at(F->Module);
-  }
-
-  bool runBlocks(const IRFunction *F, const IRModule *M,
-                 std::vector<int32_t> &Regs,
+  bool runBlocks(int FuncId, std::vector<int32_t> &Regs,
                  const std::vector<int32_t> &SlotAddr, int32_t &Ret,
                  IRRunResult &Result);
 
@@ -193,28 +218,33 @@ private:
   std::map<std::string, int32_t> GlobalAddr;
   std::vector<const IRFunction *> Functions;
   std::map<std::string, int> FunctionIds;
+  /// Each instruction's resolve(), by function id, block and position.
+  std::vector<std::vector<std::vector<int32_t>>> Resolved;
   std::string Output;
   struct PendingInit {
     int32_t Addr;
     std::string Name;
-    const IRModule *M;
+    std::string Module;
   };
   std::vector<PendingInit> PendingFuncInits;
 
 public:
-  std::map<std::string, const IRModule *> ModuleByName;
   std::string takeOutput() { return std::move(Output); }
   long long steps() const { return Steps; }
 };
 
-bool Interpreter::runBlocks(const IRFunction *F, const IRModule *M,
-                            std::vector<int32_t> &Regs,
+bool Interpreter::runBlocks(int FuncId, std::vector<int32_t> &Regs,
                             const std::vector<int32_t> &SlotAddr,
                             int32_t &Ret, IRRunResult &Result) {
+  const IRFunction *F = Functions[static_cast<size_t>(FuncId)];
   int Block = 0;
   while (true) {
-    const IRBlock *B = F->block(Block);
-    for (const IRInstr &I : B->Instrs) {
+    const std::vector<IRInstr> &Instrs = F->block(Block)->Instrs;
+    const int32_t *Sym = Resolved[static_cast<size_t>(FuncId)]
+                                 [static_cast<size_t>(Block)]
+                                     .data();
+    for (const IRInstr &I : Instrs) {
+      int32_t Target = *Sym++; // I's resolve().
       if (++Steps > MaxSteps) {
         Result.Error = "step limit exceeded";
         return false;
@@ -239,26 +269,18 @@ bool Interpreter::runBlocks(const IRFunction *F, const IRModule *M,
       case IROp::LdG:
       case IROp::StG:
       case IROp::AddrG: {
-        bool IsFunc = false;
-        int FuncId = -1;
-        bool Found = false;
-        int32_t Addr = resolveGlobalAddr(I.Sym, M, Found);
-        if (!Found && I.Op == IROp::AddrG) {
-          FuncId = resolveFunction(I.Sym, M);
-          IsFunc = FuncId >= 0;
-        }
-        if (!Found && !IsFunc) {
+        if (Target == Unresolved) {
           Result.Error = "unresolved symbol '" + I.Sym + "'";
           return false;
         }
         if (I.Op == IROp::LdG) {
-          if (!load(Addr, Regs[I.Dst], Result))
+          if (!load(Target, Regs[I.Dst], Result))
             return false;
         } else if (I.Op == IROp::StG) {
-          if (!store(Addr, Regs[I.Srcs[0]], Result))
+          if (!store(Target, Regs[I.Srcs[0]], Result))
             return false;
         } else {
-          Regs[I.Dst] = IsFunc ? FuncBase + FuncId : Addr;
+          Regs[I.Dst] = Target;
         }
         break;
       }
@@ -276,9 +298,8 @@ bool Interpreter::runBlocks(const IRFunction *F, const IRModule *M,
       case IROp::StElem: {
         int32_t Base;
         if (!I.Sym.empty()) {
-          bool Found = false;
-          Base = resolveGlobalAddr(I.Sym, M, Found);
-          if (!Found) {
+          Base = Target;
+          if (Base == Unresolved) {
             Result.Error = "unresolved array '" + I.Sym + "'";
             return false;
           }
@@ -309,29 +330,30 @@ bool Interpreter::runBlocks(const IRFunction *F, const IRModule *M,
         break;
       case IROp::Call:
       case IROp::CallInd: {
-        int FuncId;
+        int Callee;
         size_t FirstArg = 0;
         if (I.Op == IROp::Call) {
-          FuncId = resolveFunction(I.Sym, M);
-          if (FuncId < 0) {
+          Callee = Target;
+          if (Callee == Unresolved) {
             Result.Error = "call to undefined '" + I.Sym + "'";
             return false;
           }
         } else {
-          int32_t Target = Regs[I.Srcs[0]];
-          FuncId = Target - FuncBase;
+          Callee = Regs[I.Srcs[0]] - FuncBase;
           FirstArg = 1;
-          if (FuncId < 0 ||
-              FuncId >= static_cast<int>(Functions.size())) {
+          if (Callee < 0 ||
+              Callee >= static_cast<int>(Functions.size())) {
             Result.Error = "indirect call to invalid target";
             return false;
           }
         }
-        std::vector<int32_t> Args;
-        for (size_t A = FirstArg; A < I.Srcs.size(); ++A)
-          Args.push_back(Regs[I.Srcs[A]]);
+        const IRFunction *CF = Functions[static_cast<size_t>(Callee)];
+        std::vector<int32_t> CalleeRegs(CF->NumVRegs, 0);
+        for (size_t A = FirstArg;
+             A < I.Srcs.size() && A - FirstArg < CF->NumParams; ++A)
+          CalleeRegs[A - FirstArg] = Regs[I.Srcs[A]];
         int32_t CallRet = 0;
-        if (!call(FuncId, Args, CallRet, Result))
+        if (!call(Callee, CalleeRegs, CallRet, Result))
           return false;
         if (I.HasDst)
           Regs[I.Dst] = CallRet;
@@ -365,8 +387,6 @@ bool Interpreter::runBlocks(const IRFunction *F, const IRModule *M,
 IRRunResult ipra::interpretIR(const std::vector<const IRModule *> &Modules,
                               long long MaxSteps) {
   Interpreter Interp(Modules, MaxSteps);
-  for (const IRModule *M : Modules)
-    Interp.ModuleByName[M->Name] = M;
   IRRunResult Result = Interp.run();
   Result.Output = Interp.takeOutput();
   Result.Steps = Interp.steps();

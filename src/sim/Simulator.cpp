@@ -9,11 +9,38 @@
 
 #include "target/Registers.h"
 
+#include <array>
+#include <map>
 #include <vector>
 
 using namespace ipra;
 
 namespace {
+
+/// One instruction as the step loop reads it, decoded once per run: the
+/// MInstr fields a step uses, without the symbol name (a std::string)
+/// each of its MOperands carries, and with the cycle cost and the
+/// singleton class looked up.
+struct Decoded {
+  struct Operand {
+    unsigned RegNo;
+    int32_t ImmVal;
+    bool IsReg;
+  };
+  MOp Op;
+  Cond CC;
+  uint8_t Cost;
+  bool Singleton;
+  Operand A, B, C;
+
+  explicit Decoded(const MInstr &I)
+      : Op(I.Op), CC(I.CC), Cost(static_cast<uint8_t>(cycleCost(I.Op))),
+        Singleton(isSingleton(I.MC)), A(operand(I.A)), B(operand(I.B)),
+        C(operand(I.C)) {}
+  static Operand operand(const MOperand &X) {
+    return {X.RegNo, X.ImmVal, X.isReg()};
+  }
+};
 
 class Machine {
 public:
@@ -22,9 +49,15 @@ public:
     Memory.assign(Exe.memoryWords(), 0);
     for (size_t W = 0; W < Exe.DataInit.size(); ++W)
       Memory[W] = Exe.DataInit[W];
-    Regs.assign(pr32::NumRegs, 0);
     Regs[pr32::SP] = Exe.memoryWords(); // Stack grows down from the top.
-    CallerStack.push_back("__start");
+    Code.reserve(Exe.Code.size());
+    SymOf.reserve(Exe.Code.size());
+    for (int Pc = 0; Pc < static_cast<int>(Exe.Code.size()); ++Pc) {
+      Code.emplace_back(Exe.Code[Pc]);
+      SymOf.push_back(symbolIndex(Exe.symbolAt(Pc)));
+    }
+    CallCounts.assign(Exe.Symbols.size(), 0);
+    CallerStack.push_back(StartCaller);
     if (Cache.Enabled) {
       ICacheTags.assign(static_cast<size_t>(Cache.ICacheLines), -1);
       DCacheTags.assign(static_cast<size_t>(Cache.DCacheLines), -1);
@@ -33,14 +66,35 @@ public:
 
   RunResult run();
 
+  /// The call profile under ProfileData's names. Symbols are counted by
+  /// index while running; two symbols with one name add up, as they
+  /// did under the name.
+  ProfileData profile() const;
+
 private:
-  int32_t readReg(unsigned R) const { return R == pr32::Zero ? 0 : Regs[R]; }
+  /// The caller of main: the startup stub, outside every symbol.
+  static constexpr int StartCaller = -1;
+
+  int symbolIndex(const ExeSymbol *Sym) const {
+    return Sym ? static_cast<int>(Sym - Exe.Symbols.data()) : -1;
+  }
+  /// The symbol covering call target \p Target, or -1. Only a malformed
+  /// executable has symbols past the code, so the fallback runs at most
+  /// once, right before the pc leaves the code and traps.
+  int calleeAt(int Target) const {
+    if (Target >= 0 && Target < static_cast<int>(SymOf.size()))
+      return SymOf[Target];
+    return symbolIndex(Exe.symbolAt(Target));
+  }
+
+  /// r0 reads as zero: writeReg never writes it.
+  int32_t readReg(unsigned R) const { return Regs[R]; }
   void writeReg(unsigned R, int32_t V) {
     if (R != pr32::Zero)
       Regs[R] = V;
   }
-  int32_t operandValue(const MOperand &Op) const {
-    if (Op.isReg())
+  int32_t operandValue(const Decoded::Operand &Op) const {
+    if (Op.IsReg)
       return readReg(Op.RegNo);
     return Op.ImmVal;
   }
@@ -111,24 +165,42 @@ private:
   const Executable &Exe;
   long long Fuel;
   CacheConfig Cache;
-  std::vector<int32_t> Regs;
+  std::array<int32_t, pr32::NumRegs> Regs{};
   std::vector<int32_t> Memory;
   std::vector<long long> ICacheTags, DCacheTags;
   int Pc = 0;
-  std::vector<std::string> CallerStack;
+  std::vector<Decoded> Code;
+  std::vector<int> SymOf; ///< pc -> index into Exe.Symbols, or -1.
+  std::vector<long long> CallCounts;               ///< Per symbol index.
+  std::map<std::pair<int, int>, long long> EdgeCounts; ///< Caller, callee.
+  std::vector<int> CallerStack;
 };
+
+ProfileData Machine::profile() const {
+  auto Name = [this](int Sym) -> const std::string & {
+    static const std::string Start = "__start";
+    return Sym == StartCaller ? Start : Exe.Symbols[Sym].QualName;
+  };
+  ProfileData P;
+  for (size_t Sym = 0; Sym < CallCounts.size(); ++Sym)
+    if (CallCounts[Sym])
+      P.CallCounts[Exe.Symbols[Sym].QualName] += CallCounts[Sym];
+  for (const auto &[Edge, N] : EdgeCounts)
+    P.EdgeCounts[{Name(Edge.first), Name(Edge.second)}] += N;
+  return P;
+}
 
 RunResult Machine::run() {
   RunResult Result;
   RunStats &S = Result.Stats;
 
   while (true) {
-    if (Pc < 0 || Pc >= static_cast<int>(Exe.Code.size())) {
+    if (Pc < 0 || Pc >= static_cast<int>(Code.size())) {
       trap(Result, "pc out of code segment");
       return Result;
     }
-    const MInstr &I = Exe.Code[Pc];
-    S.Cycles += cycleCost(I.Op);
+    const Decoded &I = Code[Pc];
+    S.Cycles += I.Cost;
     ++S.Instructions;
     if (Cache.Enabled &&
         cacheProbe(ICacheTags, Cache.ICacheLines, Cache.LineWords, Pc)) {
@@ -155,7 +227,7 @@ RunResult Machine::run() {
         return Result;
       }
       ++S.MemRefs;
-      if (isSingleton(I.MC))
+      if (I.Singleton)
         ++S.SingletonRefs;
       if (Cache.Enabled &&
           cacheProbe(DCacheTags, Cache.DCacheLines, Cache.LineWords,
@@ -187,15 +259,14 @@ RunResult Machine::run() {
       break;
     case MOp::NEG:
       writeReg(I.A.RegNo, static_cast<int32_t>(
-                              -static_cast<uint32_t>(readReg(I.B.RegNo))));
+                            -static_cast<uint32_t>(readReg(I.B.RegNo))));
       break;
     case MOp::NOT:
       writeReg(I.A.RegNo, ~readReg(I.B.RegNo));
       break;
     case MOp::CMP:
       writeReg(I.A.RegNo,
-               evalCond(I.CC, readReg(I.B.RegNo), operandValue(I.C)) ? 1
-                                                                     : 0);
+               evalCond(I.CC, readReg(I.B.RegNo), operandValue(I.C)) ? 1 : 0);
       break;
     case MOp::CB:
       if (evalCond(I.CC, readReg(I.A.RegNo), operandValue(I.B)))
@@ -209,14 +280,14 @@ RunResult Machine::run() {
       int Target = I.Op == MOp::BL ? I.A.ImmVal : readReg(I.A.RegNo);
       writeReg(pr32::RP, Pc + 1);
       ++S.Calls;
-      const ExeSymbol *Callee = Exe.symbolAt(Target);
-      if (!Callee) {
+      int Callee = calleeAt(Target);
+      if (Callee < 0) {
         trap(Result, "call to invalid target " + std::to_string(Target));
         return Result;
       }
-      ++Result.Profile.CallCounts[Callee->QualName];
-      ++Result.Profile.EdgeCounts[{CallerStack.back(), Callee->QualName}];
-      CallerStack.push_back(Callee->QualName);
+      ++CallCounts[Callee];
+      ++EdgeCounts[{CallerStack.back(), Callee}];
+      CallerStack.push_back(Callee);
       if (CallerStack.size() > 100000) {
         trap(Result, "call stack overflow");
         return Result;
@@ -253,5 +324,7 @@ RunResult Machine::run() {
 RunResult ipra::runExecutable(const Executable &Exe, long long FuelCycles,
                               const CacheConfig &Cache) {
   Machine M(Exe, FuelCycles, Cache);
-  return M.run();
+  RunResult Result = M.run();
+  Result.Profile = M.profile(); // On every exit: halt, trap, out of fuel.
+  return Result;
 }

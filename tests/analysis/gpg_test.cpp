@@ -136,6 +136,10 @@ TEST(GPGTest, DataOnlyModulePseudoProcCarriesResidueFlag) {
   EXPECT_NE(S.Procs[0].QualName.find(":.data"), std::string::npos);
   EXPECT_TRUE(S.Procs[0].HasGPG);
   EXPECT_TRUE(S.Procs[0].GPG.empty());
+  EXPECT_TRUE(gpgCompositionApplies({S}));
+  S.Procs[0].HasGPG = false;
+  EXPECT_FALSE(gpgCompositionApplies({S}));
+  EXPECT_FALSE(gpgCompositionApplies({}));
 }
 
 // gpu/gpgcall/gpgsite/finit records survive a write/read round trip

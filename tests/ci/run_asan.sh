@@ -1,6 +1,6 @@
 #!/bin/sh
 # Builds the whole tree under AddressSanitizer (the "asan" CMake
-# preset) and runs four groups of suites under it:
+# preset) and runs five groups of suites under it:
 #
 #  - the allocation-heavy build-service suite: bounded-cache LRU
 #    eviction, session persistence/restore, the daemon/protocol/transport
@@ -21,7 +21,13 @@
 #    analyzer_test), which parse summary, database and object text, and
 #    the JSON parser's (json_edge_test), which decodes every wire
 #    request and every session file read from disk. A hostile or
-#    corrupted input must be rejected without reading out of bounds.
+#    corrupted input must be rejected without reading out of bounds;
+#  - the two oracles (the "oracle" label): interp_test, simulator_test,
+#    oracle_digest_test and the smoke-sized oracle bench. The simulator
+#    predecodes the code array and keeps a pc-to-symbol table, and the
+#    interpreter a per-instruction symbol table by function, block and
+#    position: index arithmetic over those arrays, where an off-by-one
+#    reads out of bounds without changing a result.
 #
 # Usage: tests/ci/run_asan.sh [jobs]
 set -eu
@@ -32,4 +38,4 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset asan -S "$ROOT"
 cmake --build --preset asan -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-      -L 'service|dataflow|delta|codec'
+      -L 'service|dataflow|delta|codec|oracle'

@@ -7,7 +7,9 @@
 
 #include "GraphFixtures.h"
 
+#include "analysis/GPGCompose.h"
 #include "core/Analyzer.h"
+#include "core/AnalyzerInternal.h"
 
 #include <gtest/gtest.h>
 
@@ -49,6 +51,27 @@ TEST(AnalyzerTest, Figure3EndToEnd) {
 
   // H belongs to no web: no promotions there.
   EXPECT_TRUE(DB.lookup("H").Promoted.empty());
+}
+
+TEST(AnalyzerTest, ResidueFreeSummariesAreNotCopiedInGPGMode) {
+  // Hand-built summaries carry no GPG residue, so composition does not
+  // apply: the caller's set comes back as it is and no counter moves.
+  SummarySet Summaries =
+      std::make_shared<const std::vector<ModuleSummary>>(figure3Graph());
+  ASSERT_FALSE(gpgCompositionApplies(*Summaries));
+  AnalyzerOptions Options;
+  ASSERT_EQ(Options.PointsTo, PointsToMode::GPG);
+  GPGComposeStats Stats;
+  Stats.ComposedProcs = 1;
+  Stats.Contexts = 2;
+  Stats.RefutedBeyondAndersen = 3;
+  Stats.ResolvedBeyondAndersen = 4;
+  SummarySet Out = analyzer_detail::strengthened(Summaries, Options, Stats);
+  EXPECT_EQ(Out.get(), Summaries.get());
+  EXPECT_EQ(Stats.ComposedProcs, 1);
+  EXPECT_EQ(Stats.Contexts, 2);
+  EXPECT_EQ(Stats.RefutedBeyondAndersen, 3);
+  EXPECT_EQ(Stats.ResolvedBeyondAndersen, 4);
 }
 
 TEST(AnalyzerTest, PromotionNoneLeavesNoPromotions) {

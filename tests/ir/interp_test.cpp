@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ipra;
 using ipra::test::compileToIR;
 
@@ -121,6 +123,86 @@ TEST(InterpTest, MultiModuleWithStatics) {
   auto R = interpretIR({M1.get(), M2.get(), M3.get()});
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Output, "34\n");
+}
+
+/// Renames every use of symbol \p From in \p M to \p To, a name nothing
+/// defines.
+void renameSymbol(IRModule &M, const std::string &From,
+                  const std::string &To) {
+  for (auto &F : M.Functions)
+    for (auto &B : F->Blocks)
+      for (IRInstr &I : B->Instrs)
+        if (I.Sym == From)
+          I.Sym = To;
+}
+
+/// A program whose branch on \p Take reaches a call to a declared but
+/// undefined function, and reads of globals the test renames away.
+std::unique_ptr<IRModule> unresolvedProgram(int Take, const char *Body) {
+  DiagnosticEngine Diags;
+  auto M = compileToIR("t.mc",
+                       "int g;\nint table[4];\nint missing(int x);\n"
+                       "int main() {\n"
+                       "  int take = " + std::to_string(Take) + ";\n"
+                       "  print(1);\n"
+                       "  if (take) {\n" + Body + "  }\n"
+                       "  return 0;\n"
+                       "}\n",
+                       Diags);
+  EXPECT_TRUE(M) << Diags.renderAll();
+  renameSymbol(*M, "g", "ghost");
+  renameSymbol(*M, "table", "nowhere");
+  return M;
+}
+
+TEST(InterpTest, UnresolvedSymbolsFailOnlyWhenExecuted) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"    print(missing(3));\n", "call to undefined 'missing'"},
+      {"    print(g);\n", "unresolved symbol 'ghost'"},
+      {"    g = 5;\n", "unresolved symbol 'ghost'"},
+      {"    int *p = &g; print(*p);\n", "unresolved symbol 'ghost'"},
+      {"    print(table[1]);\n", "unresolved array 'nowhere'"},
+      {"    table[1] = 2;\n", "unresolved array 'nowhere'"},
+  };
+  for (const auto &[Body, Message] : Cases) {
+    auto NotTaken = unresolvedProgram(0, Body);
+    auto R = interpretIR({NotTaken.get()});
+    EXPECT_TRUE(R.Ok) << Body << R.Error;
+    EXPECT_EQ(R.Output, "1\n") << Body;
+
+    auto Taken = unresolvedProgram(1, Body);
+    R = interpretIR({Taken.get()});
+    EXPECT_FALSE(R.Ok) << Body;
+    EXPECT_EQ(R.Error, Message) << Body;
+    EXPECT_EQ(R.Output, "1\n") << Body; // Ran up to the branch.
+  }
+}
+
+TEST(InterpTest, StaticsShadowExportedNamesInEitherModuleOrder) {
+  // a.mc's static v and f shadow b.mc's exported ones inside a.mc only;
+  // every other module sees b.mc's. A static function's address taken in
+  // a.mc is a.mc's, and a direct call never resolves to a global.
+  const char *A = "static int v = 1;\n"
+                  "static int f() { return 10; }\n"
+                  "int viaA() { func p = &f; return v + f() + p(); }\n";
+  const char *B = "int v = 2;\n"
+                  "int f() { return 20; }\n"
+                  "int viaB() { func p = &f; return v + f() + p(); }\n";
+  const char *Main = "int v;\nint f(); int viaA(); int viaB();\n"
+                     "int main() { print(viaA()); print(viaB());"
+                     " print(v + f()); return 0; }\n";
+  DiagnosticEngine Diags;
+  auto MA = compileToIR("a.mc", A, Diags);
+  auto MB = compileToIR("b.mc", B, Diags);
+  auto MM = compileToIR("m.mc", Main, Diags);
+  ASSERT_TRUE(MA && MB && MM) << Diags.renderAll();
+  std::vector<const IRModule *> Order = {MA.get(), MB.get(), MM.get()};
+  std::sort(Order.begin(), Order.end());
+  do {
+    auto R = interpretIR(Order);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Output, "21\n42\n22\n");
+  } while (std::next_permutation(Order.begin(), Order.end()));
 }
 
 TEST(InterpTest, OptimizedIRBehavesIdentically) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace ipra;
 
 namespace {
@@ -224,6 +226,108 @@ TEST(SimulatorTest, ProfileAttributesCalls) {
   EXPECT_EQ((R.Profile.EdgeCounts.at({"main", "aux"})), 2);
   EXPECT_EQ((R.Profile.EdgeCounts.at({"__start", "main"})), 1);
   EXPECT_EQ(R.Stats.Calls, 3);
+}
+
+MInstr blr(unsigned Reg) {
+  MInstr I;
+  I.Op = MOp::BLR;
+  I.A = MOperand::makeReg(Reg);
+  return I;
+}
+
+TEST(SimulatorTest, CallsOutsideEverySymbolTrap) {
+  // main's symbol ends before the trailing NOP at pc 5, and pc 40 is
+  // past the end of the code: a call to either traps, attributed to the
+  // calling instruction's symbol.
+  for (int Target : {5, 40}) {
+    auto Exe = makeExe({ldi(19, Target), blr(19), ret(), MInstr()});
+    Exe.Symbols[0].End = 5;
+    auto R = runExecutable(Exe);
+    EXPECT_FALSE(R.Halted);
+    EXPECT_EQ(R.Trap, "call to invalid target " + std::to_string(Target) +
+                          " at pc=3 (in main)");
+    EXPECT_EQ(R.Stats.Calls, 2);
+    EXPECT_EQ(R.Profile.CallCounts, (std::map<std::string, long long>{
+                                        {"main", 1}}));
+  }
+}
+
+/// main (pc 2) calls f twice through a register; f (pc 9) recurses
+/// through BL while r19 is non-zero, saving RP on the stack. With
+/// \p TrapAtBottom, the innermost f loads out of bounds instead of
+/// returning.
+Executable recursionExe(bool TrapAtBottom) {
+  auto mem = [](MOp Op, unsigned Reg, unsigned Base, int32_t Off) {
+    MInstr I;
+    I.Op = Op;
+    I.A = MOperand::makeReg(Reg);
+    I.B = MOperand::makeReg(Base);
+    I.C = MOperand::makeImm(Off);
+    I.MC = MemClass::StackScalar;
+    return I;
+  };
+  MInstr Bottom;
+  Bottom.Op = MOp::CB;
+  Bottom.CC = Cond::EQ;
+  Bottom.A = MOperand::makeReg(19);
+  Bottom.B = MOperand::makeImm(0);
+  Bottom.C = MOperand::makeImm(17);
+  MInstr Recurse;
+  Recurse.Op = MOp::BL;
+  Recurse.A = MOperand::makeImm(9);
+  MInstr SaveRP = movToRV(pr32::RP), RestoreRP = movToRV(21);
+  SaveRP.A = MOperand::makeReg(21);
+  RestoreRP.A = MOperand::makeReg(pr32::RP);
+  auto Exe = makeExe({
+      SaveRP, ldi(19, 3), ldi(22, 9), blr(22), blr(22), RestoreRP,
+      ret(),                                             // main: 2-8
+      Bottom, ldi(20, 1), alu(MOp::SUB, 19, 19, 20),     // f: 9-11
+      alu(MOp::SUB, pr32::SP, pr32::SP, 20),             // 12
+      mem(MOp::STW, pr32::RP, pr32::SP, 0), Recurse,     // 13-14
+      mem(MOp::LDW, pr32::RP, pr32::SP, 0),              // 15
+      alu(MOp::ADD, pr32::SP, pr32::SP, 20),             // 16
+      TrapAtBottom ? mem(MOp::LDW, 23, pr32::Zero, -1) : ret()}); // 17
+  Exe.Symbols = {{"main", 2, 9}, {"f", 9, 18}};
+  return Exe;
+}
+
+using Counts = std::map<std::string, long long>;
+using Edges = std::map<std::pair<std::string, std::string>, long long>;
+
+TEST(SimulatorTest, ProfileUnderRecursionAndIndirectCalls) {
+  auto R = runExecutable(recursionExe(/*TrapAtBottom=*/false));
+  ASSERT_TRUE(R.Halted) << R.Trap;
+  // f runs 1 + 3 levels deep from the first BLR, once from the second.
+  EXPECT_EQ(R.Profile.CallCounts, (Counts{{"main", 1}, {"f", 5}}));
+  EXPECT_EQ(R.Profile.EdgeCounts,
+            (Edges{{{"__start", "main"}, 1},
+                   {{"main", "f"}, 2},
+                   {{"f", "f"}, 3}}));
+  EXPECT_EQ(R.Stats.Calls, 6);
+}
+
+TEST(SimulatorTest, TrapAndFuelKeepThePartialProfile) {
+  auto Trapped = runExecutable(recursionExe(/*TrapAtBottom=*/true));
+  EXPECT_FALSE(Trapped.Halted);
+  EXPECT_EQ(Trapped.Trap,
+            "memory access out of bounds (addr=-1) at pc=17 (in f)");
+  EXPECT_EQ(Trapped.Profile.CallCounts, (Counts{{"main", 1}, {"f", 4}}));
+  EXPECT_EQ(Trapped.Profile.EdgeCounts,
+            (Edges{{{"__start", "main"}, 1},
+                   {{"main", "f"}, 1},
+                   {{"f", "f"}, 3}}));
+
+  // One cycle per instruction: the 12th is f's recursive BL, so the
+  // 13th runs out of fuel inside the second activation of f.
+  auto Starved = runExecutable(recursionExe(/*TrapAtBottom=*/false), 12);
+  EXPECT_TRUE(Starved.OutOfFuel);
+  EXPECT_FALSE(Starved.Halted);
+  EXPECT_EQ(Starved.Stats.Calls, 3);
+  EXPECT_EQ(Starved.Profile.CallCounts, (Counts{{"main", 1}, {"f", 2}}));
+  EXPECT_EQ(Starved.Profile.EdgeCounts,
+            (Edges{{{"__start", "main"}, 1},
+                   {{"main", "f"}, 1},
+                   {{"f", "f"}, 1}}));
 }
 
 TEST(SimulatorTest, CacheModelCountsMisses) {
