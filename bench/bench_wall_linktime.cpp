@@ -124,16 +124,13 @@ void printDeltaReanalysis() {
     Sources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
 
     std::vector<ModuleSummary> Mods;
-    bool Ok = true;
-    Pipeline Phase1(Config);
-    for (const SourceFile &S : Sources) {
-      SummaryResult P1 = Phase1.compileSummary(S);
+    Result<BuildResponse> P1 =
+        Pipeline(Config).execute(BuildRequest::summary(Config, Sources));
+    bool Ok = P1.ok();
+    for (size_t I = 0; Ok && I < P1->Summaries.size(); ++I) {
       ModuleSummary MS;
       std::string Err;
-      if (!P1.ok() || !readSummary(P1.SummaryText, MS, Err)) {
-        Ok = false;
-        break;
-      }
+      Ok = readSummary(P1->Summaries[I], MS, Err);
       Mods.push_back(std::move(MS));
     }
     if (!Ok) {

@@ -118,15 +118,13 @@ int main() {
   Config.AssumeClosedWorld = false;
 
   Pipeline LibraryBuild(Config);
-  std::vector<std::string> Summaries;
-  for (const SourceFile &Src : Library) {
-    SummaryResult P1 = LibraryBuild.compileSummary(Src);
-    if (!P1.ok()) {
-      std::fprintf(stderr, "%s\n", P1.text().c_str());
-      return 1;
-    }
-    Summaries.push_back(P1.SummaryText);
+  Result<BuildResponse> P1 =
+      LibraryBuild.execute(BuildRequest::summary(Config, Library));
+  if (!P1.ok()) {
+    std::fprintf(stderr, "%s\n", P1.text().c_str());
+    return 1;
   }
+  const std::vector<std::string> &Summaries = P1->Summaries;
   DatabaseResult Analyzed = LibraryBuild.analyze(Summaries);
   if (!Analyzed.ok()) {
     std::fprintf(stderr, "%s\n", Analyzed.text().c_str());
@@ -149,34 +147,32 @@ int main() {
                   P.QualName.c_str(), P.Reg, P.IsEntry ? " (entry)" : "");
 
   // --- Step 3: the library's second phase; objects are now fixed. ------
-  std::vector<std::string> Objects;
-  for (const SourceFile &Src : Library) {
-    ObjectResult P2 = LibraryBuild.compileObject(Src, Analyzed.DatabaseText);
-    if (!P2.ok()) {
-      std::fprintf(stderr, "%s\n", P2.text().c_str());
-      return 1;
-    }
-    Objects.push_back(P2.ObjectText);
+  Result<BuildResponse> P2 = LibraryBuild.execute(
+      BuildRequest::object(Config, Library, Analyzed.DatabaseText));
+  if (!P2.ok()) {
+    std::fprintf(stderr, "%s\n", P2.text().c_str());
+    return 1;
   }
+  std::vector<std::string> Objects = std::move(P2->Objects);
 
   // --- Step 4: the application arrives, baseline-compiled. -------------
-  Pipeline AppBuild(PipelineConfig::baseline());
+  PipelineConfig Baseline = PipelineConfig::baseline();
+  Pipeline AppBuild(Baseline);
   std::vector<SourceFile> Late = {
       App, SourceFile{"__runtime.mc", runtimeModuleSource()}};
-  for (const SourceFile &Src : Late) {
-    ObjectResult P2 = AppBuild.compileObject(Src, "");
-    if (!P2.ok()) {
-      std::fprintf(stderr, "%s\n", P2.text().c_str());
-      return 1;
-    }
-    Objects.push_back(P2.ObjectText);
+  Result<BuildResponse> AppP2 =
+      AppBuild.execute(BuildRequest::object(Baseline, Late, ""));
+  if (!AppP2.ok()) {
+    std::fprintf(stderr, "%s\n", AppP2.text().c_str());
+    return 1;
   }
-  LinkedResult Linked = AppBuild.link(Objects);
+  Objects.insert(Objects.end(), AppP2->Objects.begin(), AppP2->Objects.end());
+  Result<BuildResponse> Linked = AppBuild.execute(BuildRequest::link(Objects));
   if (!Linked.ok()) {
     std::fprintf(stderr, "%s\n", Linked.text().c_str());
     return 1;
   }
-  RunResult Optimized = runExecutable(Linked.Exe, 500'000'000);
+  RunResult Optimized = runExecutable(Linked->Exe, 500'000'000);
 
   // Reference build: everything at the baseline.
   std::vector<SourceFile> All = Library;

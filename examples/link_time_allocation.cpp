@@ -90,25 +90,25 @@ int main() {
   LinkAllocOptions Options; // ReserveBank defaults to C's web registers.
   PipelineConfig Cooperating = PipelineConfig::baseline();
   Cooperating.LinkerReservedRegs = Options.ReserveBank;
-  Pipeline Phase2(Cooperating);
-
-  std::vector<ObjectFile> Objects;
   std::vector<SourceFile> WithRuntime = Sources;
   WithRuntime.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
-  for (const SourceFile &Src : WithRuntime) {
-    ObjectResult P2 = Phase2.compileObject(Src, "");
-    if (!P2.ok()) {
-      std::fprintf(stderr, "%s\n", P2.text().c_str());
-      return 1;
-    }
+  Result<BuildResponse> P2 = Pipeline(Cooperating).execute(
+      BuildRequest::object(Cooperating, WithRuntime, ""));
+  if (!P2.ok()) {
+    std::fprintf(stderr, "%s\n", P2.text().c_str());
+    return 1;
+  }
+
+  std::vector<ObjectFile> Objects;
+  for (size_t I = 0; I < WithRuntime.size(); ++I) {
     ObjectFile Obj;
     std::string Error;
-    if (!readObjectFile(P2.ObjectText, Obj, Error)) {
+    if (!readObjectFile(P2->Objects[I], Obj, Error)) {
       std::fprintf(stderr, "%s\n", Error.c_str());
       return 1;
     }
     std::printf("compiled %-14s %3zu functions, %zu globals\n",
-                Src.Name.c_str(), Obj.Functions.size(),
+                WithRuntime[I].Name.c_str(), Obj.Functions.size(),
                 Obj.Globals.size());
     Objects.push_back(std::move(Obj));
   }

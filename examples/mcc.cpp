@@ -31,7 +31,17 @@
 ///                                                # empty-indirect-targets
 ///   mcc --lint --lint-json file1.mc ...          # same findings as JSON
 ///                                                # objects (machine use)
-///   mcc --client SOCK --lint file1.mc ...        # lint on the daemon
+///
+/// One request path: each pipeline mode is one BuildRequest (--phase1 a
+/// Summary, --analyze an Analyze, --phase2 an Object, --lint a Lint
+/// request, the default a Full build), sent either to the in-process
+/// Pipeline or, under --client/--connect, to the daemon. Everything mcc
+/// prints comes from the one BuildResponse, so every flag means the same
+/// through both doors. The one difference is where a Full build's
+/// executable comes from: the response in process, a local link of the
+/// returned objects remotely (executables never cross the wire).
+/// --link and --wall run no request the daemon could answer and exit 2
+/// under --client.
 ///
 /// Build service (the long-lived analyzer daemon; DESIGN.md §12-13):
 ///
@@ -43,6 +53,8 @@
 ///   mcc --client /tmp/ipra.sock --program p a.mc b.mc   # remote build,
 ///                                                # local link + run
 ///   mcc --connect host:port --program p a.mc b.mc  # over TCP
+///   mcc --client /tmp/ipra.sock --phase1 a.mc    # any phase mode, and
+///                                                # --lint, on the daemon
 ///   mcc --client /tmp/ipra.sock --remote-stats   # service stats JSON
 ///   mcc --client /tmp/ipra.sock --remote-ping    # liveness probe
 ///   mcc --client /tmp/ipra.sock --remote-shutdown  # drain and exit
@@ -71,8 +83,9 @@
 ///                                deadline (default 300)
 ///
 ///   --config <base|A|B|C|D|E|F>  analyzer configuration (default: C)
-///   --stats                      print pipeline timing and simulator
-///                                counters after the run
+///   --stats                      print pipeline timing, whether the
+///                                build was served from the cache, and
+///                                the simulator counters after the run
 ///   --threads <N> | -j <N>       worker threads for the module-parallel
 ///                                pipeline stages (default: IPRA_THREADS
 ///                                or the hardware thread count)
@@ -130,13 +143,12 @@
 #include "service/Client.h"
 #include "service/Daemon.h"
 #include "service/Transport.h"
+#include "support/FileIO.h"
+#include "support/StringUtils.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace ipra;
@@ -164,23 +176,23 @@ int usage() {
       "         [--cache-mem-budget MIB] [--cache-disk-budget MIB]\n"
       "         [--cache-disk-ttl SEC] [--max-sessions N]\n"
       "         [--session-idle SEC] [--session-dir DIR]\n"
-      "       mcc --client SOCKET|--connect HOST:PORT [--program ID] "
-      "file.mc...\n"
+      "       mcc --client SOCKET|--connect HOST:PORT [--program ID]\n"
+      "           [--phase1|--analyze|--phase2 --db prog.db|--lint] "
+      "file...\n"
       "       mcc --client SOCKET --remote-stats|--remote-ping|"
       "--remote-shutdown\n");
   return 2;
 }
 
 /// Strict numeric flag parsing: the whole operand must be a positive
-/// decimal integer. Zero, negatives, trailing garbage, overflow, and
-/// the empty string all die with a diagnostic naming the flag (exit 2,
-/// matching usage()) instead of silently becoming 0 the way atoi would.
+/// decimal integer. Zero, negatives, a sign, whitespace, trailing
+/// garbage, overflow, and the empty string all die with a diagnostic
+/// naming the flag (exit 2, matching usage()) instead of silently
+/// becoming 0 the way atoi would.
 long long parsePositiveIntOrDie(const std::string &Flag,
                                 const char *Text) {
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Text, &End, 10);
-  if (errno != 0 || End == Text || *End != '\0' || V <= 0) {
+  long long V = 0;
+  if (!parseInt(Text, V) || V <= 0) {
     std::fprintf(stderr,
                  "mcc: %s expects a positive integer, got '%s'\n",
                  Flag.c_str(), Text);
@@ -190,14 +202,24 @@ long long parsePositiveIntOrDie(const std::string &Flag,
 }
 
 std::string readFileOrDie(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "mcc: cannot open %s\n", Path.c_str());
     std::exit(2);
   }
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return Text.str();
+  return Text;
+}
+
+/// Runs \p Exe and writes its output to stdout; false, after saying why,
+/// when the program did not halt.
+bool runProgram(const Executable &Exe, long long Fuel, RunResult &Run) {
+  Run = runExecutable(Exe, Fuel);
+  std::fputs(Run.Output.c_str(), stdout);
+  if (Run.Halted)
+    return true;
+  std::fprintf(stderr, "mcc: program did not halt: %s%s\n", Run.Trap.c_str(),
+               Run.OutOfFuel ? "out of fuel" : "");
+  return false;
 }
 
 std::string baseName(const std::string &Path) {
@@ -449,111 +471,7 @@ int main(int argc, char **argv) {
   Config.CacheDiskTTLSeconds = static_cast<unsigned>(CacheDiskTTL);
   Config.DeltaAnalysis = DeltaAnalyze;
 
-  // ---- Cross-module lint (DESIGN.md §15). ---------------------------
-  // Exit 1 when any finding is reported, 0 when clean; with --client
-  // the lint request runs on the daemon (same phase-1 cache).
-  if (Mode == "lint") {
-    std::vector<std::string> Rendered, Json;
-    if (!ClientSocket.empty()) {
-      ServiceClient C;
-      Status S = C.connect(ClientSocket);
-      if (!S.ok()) {
-        std::fprintf(stderr, "mcc: --client: %s\n", S.text().c_str());
-        return 1;
-      }
-      if (ProgramId.empty())
-        ProgramId = Sources[0].Name;
-      Result<BuildResponse> R =
-          C.request(BuildRequest::lint(Config, Sources, ProgramId));
-      if (!R.ok()) {
-        std::fprintf(stderr, "mcc: --lint: %s\n", R.text().c_str());
-        return 1;
-      }
-      Rendered = std::move(R.Value.Lints);
-      Json = std::move(R.Value.LintsJson);
-    } else {
-      Pipeline P(Config);
-      LintRunResult R = P.lint(Sources);
-      if (!R.ok()) {
-        std::fprintf(stderr, "mcc: --lint: %s\n", R.text().c_str());
-        return 1;
-      }
-      Rendered = std::move(R.Lints);
-      Json = std::move(R.LintsJson);
-    }
-    for (const std::string &Line : LintJson ? Json : Rendered)
-      std::printf("%s\n", Line.c_str());
-    return Rendered.empty() ? 0 : 1;
-  }
-
-  // ---- Build service: remote build, local link + run. ---------------
-  // The daemon returns the objects (executables never cross the wire);
-  // the client links and runs them locally, so the result is
-  // byte-identical to a one-shot `mcc` build of the same sources.
-  if (!ClientSocket.empty()) {
-    ServiceClient C;
-    Status S = C.connect(ClientSocket);
-    if (!S.ok()) {
-      std::fprintf(stderr, "mcc: --client: %s\n", S.text().c_str());
-      return 1;
-    }
-    if (ProgramId.empty())
-      ProgramId = Sources[0].Name;
-
-    // Profile-guided configurations bootstrap locally, exactly like the
-    // in-process route below.
-    ProfileData ClientProfile;
-    BuildRequest Req = BuildRequest::full(Config, Sources, ProgramId);
-    if (Config.UseProfile) {
-      BuildResult Bootstrap =
-          Pipeline(PipelineConfig::baseline()).build(Sources);
-      if (!Bootstrap.ok()) {
-        std::fprintf(stderr, "%s\n", Bootstrap.text().c_str());
-        return 1;
-      }
-      ClientProfile = runExecutable(Bootstrap.Exe, Fuel).Profile;
-      Req.Profile = ClientProfile;
-    }
-
-    Result<BuildResponse> R = C.request(Req);
-    if (!R.ok()) {
-      std::fprintf(stderr, "mcc: --client%s%s%s: %s\n",
-                   R.Code.empty() ? "" : " [", R.Code.c_str(),
-                   R.Code.empty() ? "" : "]", R.text().c_str());
-      return 1;
-    }
-    LinkedResult Linked = Pipeline(Config).link(R.Value.Objects);
-    if (!Linked.ok()) {
-      std::fprintf(stderr, "%s\n", Linked.text().c_str());
-      return 1;
-    }
-    if (DumpSummary)
-      for (const std::string &Sum : R.Value.Summaries)
-        std::printf("%s\n", Sum.c_str());
-    if (DumpDB)
-      std::printf("%s\n", R.Value.Database.c_str());
-    RunResult Run = runExecutable(Linked.Exe, Fuel);
-    std::fputs(Run.Output.c_str(), stdout);
-    if (!Run.Halted) {
-      std::fprintf(stderr, "mcc: program did not halt: %s%s\n",
-                   Run.Trap.c_str(), Run.OutOfFuel ? "out of fuel" : "");
-      return 1;
-    }
-    if (Stats) {
-      const BuildResponse &Resp = R.Value;
-      std::fputs(Resp.Stats.toString(Resp.Analyzer, Resp.Delta).c_str(),
-                 stderr);
-      std::fprintf(stderr,
-                   "served from cache: %s\n"
-                   "cycles:         %lld\n"
-                   "singleton refs: %lld\n",
-                   R.Value.FromCache ? "yes" : "no", Run.Stats.Cycles,
-                   Run.Stats.SingletonRefs);
-    }
-    return Run.ExitCode;
-  }
-
-  // ---- Separate-compilation subcommands. ----------------------------
+  // ---- Subcommands that send no request. ---------------------------
   if (Mode == "db-diff") {
     // §7.1 smart recompilation: which procedures' directives changed.
     if (Sources.size() != 2)
@@ -569,65 +487,33 @@ int main(int argc, char **argv) {
       std::printf("%s\n", Name.c_str());
     return 0;
   }
-  if (Mode == "phase1") {
-    if (Sources.size() != 1)
-      return usage();
-    SummaryResult R = Pipeline(Config).compileSummary(Sources[0]);
-    if (!R.ok()) {
-      std::fprintf(stderr, "%s\n", R.text().c_str());
-      return 1;
-    }
-    std::fputs(R.SummaryText.c_str(), stdout);
-    return 0;
-  }
-  if (Mode == "analyze") {
-    std::vector<std::string> Summaries;
-    for (const SourceFile &S : Sources)
-      Summaries.push_back(S.Text);
-    DatabaseResult R = Pipeline(Config).analyze(Summaries);
-    if (!R.ok()) {
-      std::fprintf(stderr, "%s\n", R.text().c_str());
-      return 1;
-    }
-    std::fputs(R.DatabaseText.c_str(), stdout);
-    return 0;
-  }
-  if (Mode == "phase2") {
-    if (Sources.size() != 1)
-      return usage();
-    std::string DBText = DBPath.empty() ? "" : readFileOrDie(DBPath);
-    ObjectResult R = Pipeline(Config).compileObject(Sources[0], DBText);
-    if (!R.ok()) {
-      std::fprintf(stderr, "%s\n", R.text().c_str());
-      return 1;
-    }
-    std::fputs(R.ObjectText.c_str(), stdout);
-    return 0;
+  if (!ClientSocket.empty() && (Mode == "link" || WallLink)) {
+    std::fprintf(stderr, "mcc: --client cannot run %s: %s\n",
+                 Mode == "link" ? "--link" : "--wall",
+                 Mode == "link" ? "executables never cross the wire"
+                                : "no build request runs it");
+    return 2;
   }
   if (Mode == "link") {
     std::vector<std::string> Objects;
     for (const SourceFile &S : Sources)
       Objects.push_back(S.Text);
-    LinkedResult Linked = Pipeline(Config).link(Objects);
+    Result<BuildResponse> Linked =
+        Pipeline(Config).execute(BuildRequest::link(std::move(Objects)));
     if (!Linked.ok()) {
       std::fprintf(stderr, "%s\n", Linked.text().c_str());
       return 1;
     }
-    auto R = runExecutable(Linked.Exe, Fuel);
-    std::fputs(R.Output.c_str(), stdout);
-    if (!R.Halted) {
-      std::fprintf(stderr, "mcc: program did not halt: %s%s\n",
-                   R.Trap.c_str(), R.OutOfFuel ? "out of fuel" : "");
+    RunResult Run;
+    if (!runProgram(Linked->Exe, Fuel, Run))
       return 1;
-    }
     if (Stats)
       std::fprintf(stderr, "cycles: %lld\nsingleton refs: %lld\n",
-                   R.Stats.Cycles, R.Stats.SingletonRefs);
-    return R.ExitCode;
+                   Run.Stats.Cycles, Run.Stats.SingletonRefs);
+    return Run.ExitCode;
   }
-
   // [Wall 86] route: baseline modules, link-time allocation (§7.1).
-  if (WallLink) {
+  if (WallLink && Mode == "run") {
     auto Wall = compileWallStyle(Sources);
     if (!Wall.Success) {
       std::fprintf(stderr, "%s\n", Wall.ErrorText.c_str());
@@ -639,43 +525,111 @@ int main(int argc, char **argv) {
       for (const auto &[G, Reg] : Wall.LinkStats.Promoted)
         std::fprintf(stderr, "  %s -> r%u\n", G.c_str(), Reg);
     }
-    RunResult R = runExecutable(Wall.Exe, Fuel);
-    std::fputs(R.Output.c_str(), stdout);
-    if (!R.Halted) {
-      std::fprintf(stderr, "mcc: program did not halt: %s%s\n",
-                   R.Trap.c_str(), R.OutOfFuel ? "out of fuel" : "");
+    RunResult Run;
+    if (!runProgram(Wall.Exe, Fuel, Run))
       return 1;
-    }
     if (Stats)
       std::fprintf(stderr, "cycles:         %lld\nsingleton refs: %lld\n",
-                   R.Stats.Cycles, R.Stats.SingletonRefs);
-    return R.ExitCode;
+                   Run.Stats.Cycles, Run.Stats.SingletonRefs);
+    return Run.ExitCode;
   }
 
-  // Profile-guided configurations bootstrap their profile from a
-  // baseline run.
-  ProfileData Profile;
-  const ProfileData *ProfilePtr = nullptr;
-  if (Config.UseProfile) {
-    BuildResult Bootstrap = Pipeline(PipelineConfig::baseline()).build(Sources);
-    if (!Bootstrap.ok()) {
-      std::fprintf(stderr, "%s\n", Bootstrap.text().c_str());
+  // ---- One request per mode. ----------------------------------------
+  if ((Mode == "phase1" || Mode == "phase2") && Sources.size() != 1)
+    return usage();
+  BuildRequest Req;
+  if (Mode == "phase1") {
+    Req = BuildRequest::summary(Config, Sources);
+  } else if (Mode == "analyze") {
+    std::vector<std::string> Summaries;
+    for (const SourceFile &S : Sources)
+      Summaries.push_back(S.Text);
+    Req = BuildRequest::analyze(Config, std::move(Summaries));
+  } else if (Mode == "phase2") {
+    Req = BuildRequest::object(Config, Sources,
+                               DBPath.empty() ? "" : readFileOrDie(DBPath));
+  } else if (Mode == "lint") {
+    Req = BuildRequest::lint(Config, Sources);
+  } else {
+    Req = BuildRequest::full(Config, Sources);
+  }
+  Req.Program = ProgramId.empty() ? Sources[0].Name : ProgramId;
+
+  // The one door every request goes through: the in-process pipeline,
+  // or the daemon under --client/--connect. Executables never cross the
+  // wire, so a remote Full build's executable is a local link of the
+  // objects it returns; everything else printed below comes from the
+  // response alike.
+  ServiceClient Client;
+  if (!ClientSocket.empty()) {
+    if (Status S = Client.connect(ClientSocket); !S.ok()) {
+      std::fprintf(stderr, "mcc: --client: %s\n", S.text().c_str());
       return 1;
     }
-    Profile = runExecutable(Bootstrap.Exe, Fuel).Profile;
-    ProfilePtr = &Profile;
+  }
+  auto Send = [&](const BuildRequest &R) {
+    if (ClientSocket.empty())
+      return Pipeline(R.Config).execute(R);
+    Result<BuildResponse> Resp = Client.request(R);
+    if (Resp.ok() && R.Phase == BuildPhase::Full) {
+      Result<BuildResponse> Linked =
+          Pipeline(R.Config).execute(BuildRequest::link(Resp->Objects));
+      if (!Linked.ok())
+        return Linked;
+      Resp->Exe = std::move(Linked->Exe);
+    }
+    return Resp;
+  };
+  auto Failed = [&](const Status &S) {
+    if (ClientSocket.empty())
+      std::fprintf(stderr, "%s\n", S.text().c_str());
+    else
+      std::fprintf(stderr, "mcc: --client%s%s%s: %s\n",
+                   S.Code.empty() ? "" : " [", S.Code.c_str(),
+                   S.Code.empty() ? "" : "]", S.text().c_str());
+    return 1;
+  };
+
+  // Profile-guided configurations bootstrap their profile from a
+  // baseline build of the same sources, run locally, exactly like
+  // running gprof before the profile-guided build (§6.1).
+  if (Req.Phase == BuildPhase::Full && Config.UseProfile) {
+    Result<BuildResponse> Bootstrap = Send(BuildRequest::full(
+        PipelineConfig::baseline(), Sources, Req.Program));
+    if (!Bootstrap.ok())
+      return Failed(Bootstrap);
+    Req.Profile = runExecutable(Bootstrap->Exe, Fuel).Profile;
   }
 
-  BuildResult Built = Pipeline(Config).build(Sources, ProfilePtr);
-  if (!Built.ok()) {
-    std::fprintf(stderr, "%s\n", Built.text().c_str());
-    return 1;
+  Result<BuildResponse> R = Send(Req);
+  if (!R.ok())
+    return Failed(R);
+  const BuildResponse &Resp = R.Value;
+  switch (Req.Phase) {
+  case BuildPhase::Summary:
+    for (const std::string &Summary : Resp.Summaries)
+      std::fputs(Summary.c_str(), stdout);
+    return 0;
+  case BuildPhase::Analyze:
+    std::fputs(Resp.Database.c_str(), stdout);
+    return 0;
+  case BuildPhase::Object:
+    for (const std::string &Object : Resp.Objects)
+      std::fputs(Object.c_str(), stdout);
+    return 0;
+  case BuildPhase::Lint:
+    // Exit 1 when any finding is reported, 0 when clean (DESIGN.md §15).
+    for (const std::string &Line : LintJson ? Resp.LintsJson : Resp.Lints)
+      std::printf("%s\n", Line.c_str());
+    return Resp.Lints.empty() ? 0 : 1;
+  case BuildPhase::Link:
+  case BuildPhase::Full:
+    break;
   }
-  RunResult Run = runExecutable(Built.Exe, Fuel);
 
   if (VerifyIPRA) {
     std::vector<ObjectFile> Objects;
-    for (const std::string &Text : Built.ObjectFiles) {
+    for (const std::string &Text : Resp.Objects) {
       ObjectFile Obj;
       std::string Error;
       if (!readObjectFile(Text, Obj, Error)) {
@@ -687,8 +641,8 @@ int main(int argc, char **argv) {
     }
     ProgramDatabase DB;
     std::string Error;
-    if (!Built.DatabaseFile.empty() &&
-        !ProgramDatabase::deserialize(Built.DatabaseFile, DB, Error)) {
+    if (!Resp.Database.empty() &&
+        !ProgramDatabase::deserialize(Resp.Database, DB, Error)) {
       std::fprintf(stderr, "mcc: --verify-ipra: bad database: %s\n",
                    Error.c_str());
       return 1;
@@ -706,38 +660,34 @@ int main(int argc, char **argv) {
   }
 
   if (DumpSummary)
-    for (const std::string &S : Built.SummaryFiles)
+    for (const std::string &S : Resp.Summaries)
       std::printf("%s\n", S.c_str());
   if (DumpDB)
-    std::printf("%s\n", Built.DatabaseFile.c_str());
+    std::printf("%s\n", Resp.Database.c_str());
   if (Disasm) {
-    for (const ExeSymbol &Sym : Built.Exe.Symbols) {
+    for (const ExeSymbol &Sym : Resp.Exe.Symbols) {
       std::printf("%s:\n", Sym.QualName.c_str());
       for (int I = Sym.Start; I < Sym.End; ++I)
-        std::printf("  %5d: %s\n", I,
-                    Built.Exe.Code[I].toString().c_str());
+        std::printf("  %5d: %s\n", I, Resp.Exe.Code[I].toString().c_str());
     }
   }
 
-  std::fputs(Run.Output.c_str(), stdout);
-  if (!Run.Halted) {
-    std::fprintf(stderr, "mcc: program did not halt: %s%s\n",
-                 Run.Trap.c_str(),
-                 Run.OutOfFuel ? "out of fuel" : "");
+  RunResult Run;
+  if (!runProgram(Resp.Exe, Fuel, Run))
     return 1;
-  }
   if (Stats) {
-    std::fputs(Built.Stats.toString(Built.Analyzer, Built.Delta).c_str(),
+    std::fputs(Resp.Stats.toString(Resp.Analyzer, Resp.Delta).c_str(),
                stderr);
     std::fprintf(stderr,
+                 "served from cache: %s\n"
                  "cycles:         %lld\n"
                  "instructions:   %lld\n"
                  "memory refs:    %lld\n"
                  "singleton refs: %lld\n"
                  "calls:          %lld\n",
-                 Run.Stats.Cycles, Run.Stats.Instructions,
-                 Run.Stats.MemRefs, Run.Stats.SingletonRefs,
-                 Run.Stats.Calls);
+                 Resp.FromCache ? "yes" : "no", Run.Stats.Cycles,
+                 Run.Stats.Instructions, Run.Stats.MemRefs,
+                 Run.Stats.SingletonRefs, Run.Stats.Calls);
   }
   return Run.ExitCode;
 }

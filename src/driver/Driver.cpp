@@ -38,20 +38,19 @@ ipra::compileWallStyle(const std::vector<SourceFile> &Sources,
   std::vector<SourceFile> AllSources = Sources;
   AllSources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
 
-  // Baseline second phase per module (an empty database text means the
-  // standard linkage convention), round-tripped through the textual
-  // object format like every other pipeline.
-  Pipeline P(Base);
+  // Baseline second phase over every module in one request (no
+  // database: the standard linkage convention), round-tripped through
+  // the textual object format like every other pipeline.
+  auto P2 = Pipeline(Base).execute(BuildRequest::object(Base, AllSources, ""));
+  if (!P2.ok()) {
+    Result.ErrorText = P2.Diags.text();
+    return Result;
+  }
   std::vector<ObjectFile> Objects;
-  for (const SourceFile &Src : AllSources) {
-    ObjectResult P2 = P.compileObject(Src, "");
-    if (!P2.ok()) {
-      Result.ErrorText = P2.Diags.text();
-      return Result;
-    }
+  for (const std::string &Text : P2->Objects) {
     ObjectFile Obj;
     std::string Error;
-    if (!readObjectFile(P2.ObjectText, Obj, Error)) {
+    if (!readObjectFile(Text, Obj, Error)) {
       Result.ErrorText = "bad object file: " + Error;
       return Result;
     }

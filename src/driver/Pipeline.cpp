@@ -708,7 +708,7 @@ Status Pipeline::executeFull(const BuildRequest &Req, BuildResponse &Resp) {
 }
 
 //===----------------------------------------------------------------------===//
-// The canonical request entry point and the facade adapters.
+// The request entry point, and the two adapters the benchmark calls.
 //===----------------------------------------------------------------------===//
 
 Status Pipeline::executeSummary(const BuildRequest &Req,
@@ -837,16 +837,6 @@ Result<BuildResponse> Pipeline::execute(const BuildRequest &Req) {
   return R;
 }
 
-SummaryResult Pipeline::compileSummary(const SourceFile &Source) {
-  Result<BuildResponse> R = execute(BuildRequest::summary(Config, {Source}));
-  SummaryResult Out;
-  static_cast<Status &>(Out) = std::move(static_cast<Status &>(R));
-  if (!R.Value.Summaries.empty())
-    Out.SummaryText = std::move(R.Value.Summaries.front());
-  Out.FromCache = R.Value.FromCache;
-  return Out;
-}
-
 DatabaseResult Pipeline::analyze(const std::vector<std::string> &SummaryTexts,
                                  const ProfileData *Profile) {
   BuildRequest Req = BuildRequest::analyze(Config, SummaryTexts);
@@ -860,26 +850,6 @@ DatabaseResult Pipeline::analyze(const std::vector<std::string> &SummaryTexts,
   Out.FromCache = R.Value.FromCache;
   Out.Mode = R.Value.Stats.AnalyzerMode;
   Out.Delta = R.Value.Delta;
-  return Out;
-}
-
-ObjectResult Pipeline::compileObject(const SourceFile &Source,
-                                     const std::string &DatabaseText) {
-  Result<BuildResponse> R =
-      execute(BuildRequest::object(Config, {Source}, DatabaseText));
-  ObjectResult Out;
-  static_cast<Status &>(Out) = std::move(static_cast<Status &>(R));
-  if (!R.Value.Objects.empty())
-    Out.ObjectText = std::move(R.Value.Objects.front());
-  Out.FromCache = R.Value.FromCache;
-  return Out;
-}
-
-LinkedResult Pipeline::link(const std::vector<std::string> &ObjectTexts) {
-  Result<BuildResponse> R = execute(BuildRequest::link(ObjectTexts));
-  LinkedResult Out;
-  static_cast<Status &>(Out) = std::move(static_cast<Status &>(R));
-  Out.Exe = std::move(R.Value.Exe);
   return Out;
 }
 
@@ -898,14 +868,5 @@ BuildResult Pipeline::build(const std::vector<SourceFile> &Sources,
   Out.SummaryFiles = std::move(R.Value.Summaries);
   Out.DatabaseFile = std::move(R.Value.Database);
   Out.ObjectFiles = std::move(R.Value.Objects);
-  return Out;
-}
-
-LintRunResult Pipeline::lint(const std::vector<SourceFile> &Sources) {
-  Result<BuildResponse> R = execute(BuildRequest::lint(Config, Sources));
-  LintRunResult Out;
-  static_cast<Status &>(Out) = std::move(static_cast<Status &>(R));
-  Out.Lints = std::move(R.Value.Lints);
-  Out.LintsJson = std::move(R.Value.LintsJson);
   return Out;
 }

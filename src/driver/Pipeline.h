@@ -6,13 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pipeline facade: one canonical entry point, execute(), that maps
-/// a BuildRequest to a Result<BuildResponse>, plus per-phase
-/// convenience methods (compileSummary, analyze, compileObject, link,
-/// build) that are thin adapters constructing a request and unpacking
-/// the response. The CLI, the in-process library, and the build-service
-/// daemon all speak the same request type, so a build means the same
-/// thing no matter which door it comes in through.
+/// The pipeline facade: one entry point, execute(), that maps a
+/// BuildRequest to a Result<BuildResponse>. The CLI, the in-process
+/// library, and the build-service daemon all speak the same request
+/// type, so a build means the same thing no matter which door it comes
+/// in through: mcc sends every mode as one request, either here or to
+/// the daemon, and prints from the one response.
+///
+/// Two adapters remain, build() and analyze(), with their BuildResult
+/// and DatabaseResult. They only rename response fields; they stay
+/// because the benchmark's corpus and analyze-edit operations call them,
+/// and go with the next change to the benchmark (ROADMAP item 11).
 ///
 /// The fused build() runs all four paper phases (Figure 1) with
 /// content-addressed caching:
@@ -61,12 +65,6 @@
 
 namespace ipra {
 
-/// Phase 1 over one module.
-struct SummaryResult : Status {
-  std::string SummaryText;
-  bool FromCache = false;
-};
-
 /// The program analyzer over all summaries.
 struct DatabaseResult : Status {
   std::string DatabaseText;
@@ -76,25 +74,6 @@ struct DatabaseResult : Status {
   std::string Mode;
   /// Damage accounting when PipelineConfig::DeltaAnalysis is set.
   DeltaStats Delta;
-};
-
-/// Phase 2 over one module.
-struct ObjectResult : Status {
-  std::string ObjectText;
-  bool FromCache = false;
-};
-
-/// The link step.
-struct LinkedResult : Status {
-  Executable Exe;
-};
-
-/// The cross-module lint engine (mcc --lint).
-struct LintRunResult : Status {
-  /// Rendered diagnostics, one per line, sorted; empty = clean.
-  std::vector<std::string> Lints;
-  /// The same diagnostics as JSON objects.
-  std::vector<std::string> LintsJson;
 };
 
 /// The fused four-stage build.
@@ -134,10 +113,6 @@ public:
   /// skip the check — linking is configuration-independent).
   Result<BuildResponse> execute(const BuildRequest &Req);
 
-  /// Compiler first phase on one module: parse, check, optimize, trial
-  /// codegen, summary file (stamped with the compile fingerprint).
-  SummaryResult compileSummary(const SourceFile &Source);
-
   /// Program analyzer over summary files. Rejects summaries whose
   /// stamped fingerprint disagrees with this configuration. The cache
   /// key covers every summary text and the profile, so it only hits
@@ -145,30 +120,11 @@ public:
   DatabaseResult analyze(const std::vector<std::string> &SummaryTexts,
                          const ProfileData *Profile = nullptr);
 
-  /// Compiler second phase on one module. An empty \p DatabaseText
-  /// compiles at the baseline convention. Rejects a database stamped
-  /// with a different configuration fingerprint. Standalone calls key
-  /// the cache on the whole database text (no summary is available to
-  /// compute the precise slice — build() does better).
-  ObjectResult compileObject(const SourceFile &Source,
-                             const std::string &DatabaseText);
-
-  /// Links textual object files into an executable.
-  LinkedResult link(const std::vector<std::string> &ObjectTexts);
-
   /// The fused incremental build: appends the runtime module, runs
   /// phase 1 / analyzer / phase 2 through the cache, links. Cache hit
   /// and miss counts land in Stats (PipelineStats).
   BuildResult build(const std::vector<SourceFile> &Sources,
                     const ProfileData *Profile = nullptr);
-
-  /// The cross-module lint engine (DESIGN.md §15): phase 1 over the
-  /// modules plus the runtime (through the cache), whole-program
-  /// mod/ref composition over the call graph, then the typed
-  /// diagnostics of analysis/Lint.h — runtime-module findings
-  /// suppressed. Runs even under --modref=off: the flag gates what
-  /// *allocation* consumes, not what lint reports.
-  LintRunResult lint(const std::vector<SourceFile> &Sources);
 
 private:
   /// Per-phase bodies behind execute(); each fills the response fields

@@ -192,12 +192,16 @@ ProfileData Machine::profile() const {
 
 RunResult Machine::run() {
   RunResult Result;
-  RunStats &S = Result.Stats;
+  // The counters live in a local whose address never escapes (trap()
+  // and the output appends take only Result), so the step loop keeps
+  // them in registers. Every exit leaves the loop and they are copied
+  // out once, below.
+  RunStats S;
 
-  while (true) {
+  for (bool Running = true; Running;) {
     if (Pc < 0 || Pc >= static_cast<int>(Code.size())) {
       trap(Result, "pc out of code segment");
-      return Result;
+      break;
     }
     const Decoded &I = Code[Pc];
     S.Cycles += I.Cost;
@@ -209,7 +213,7 @@ RunResult Machine::run() {
     }
     if (S.Cycles > Fuel) {
       Result.OutOfFuel = true;
-      return Result;
+      break;
     }
 
     int Next = Pc + 1;
@@ -224,7 +228,8 @@ RunResult Machine::run() {
       if (Addr < 0 || Addr >= static_cast<int64_t>(Memory.size())) {
         trap(Result, "memory access out of bounds (addr=" +
                          std::to_string(Addr) + ")");
-        return Result;
+        Running = false;
+        break;
       }
       ++S.MemRefs;
       if (I.Singleton)
@@ -283,14 +288,16 @@ RunResult Machine::run() {
       int Callee = calleeAt(Target);
       if (Callee < 0) {
         trap(Result, "call to invalid target " + std::to_string(Target));
-        return Result;
+        Running = false;
+        break;
       }
       ++CallCounts[Callee];
       ++EdgeCounts[{CallerStack.back(), Callee}];
       CallerStack.push_back(Callee);
       if (CallerStack.size() > 100000) {
         trap(Result, "call stack overflow");
-        return Result;
+        Running = false;
+        break;
       }
       Next = Target;
       break;
@@ -311,12 +318,15 @@ RunResult Machine::run() {
     case MOp::HALT:
       Result.Halted = true;
       Result.ExitCode = readReg(pr32::RV);
-      return Result;
+      Running = false;
+      break;
     case MOp::NOP:
       break;
     }
     Pc = Next;
   }
+  Result.Stats = S;
+  return Result;
 }
 
 } // namespace

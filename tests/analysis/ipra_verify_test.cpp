@@ -398,11 +398,11 @@ TEST(IPRAVerifyTest, AnalyzerIgnoresFactsWhenPointsToOff) {
   PipelineConfig Config = PipelineConfig::configC();
   std::vector<ModuleSummary> WithFacts;
   for (const SourceFile &Src : webProgram()) {
-    SummaryResult P1 = Pipeline(Config).compileSummary(Src);
+    auto P1 = Pipeline(Config).execute(BuildRequest::summary(Config, {Src}));
     ASSERT_TRUE(P1.ok()) << P1.text();
     ModuleSummary S;
     std::string Error;
-    ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
+    ASSERT_TRUE(readSummary(P1->Summaries[0], S, Error)) << Error;
     S.ConfigFingerprint.clear(); // Hand-built summaries are legacy.
     WithFacts.push_back(std::move(S));
   }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Builds the whole tree under AddressSanitizer (the "asan" CMake
-# preset) and runs five groups of suites under it:
+# preset) and runs six groups of suites under it:
 #
 #  - the allocation-heavy build-service suite: bounded-cache LRU
 #    eviction, session persistence/restore, the daemon/protocol/transport
@@ -27,7 +27,12 @@
 #    predecodes the code array and keeps a pc-to-symbol table, and the
 #    interpreter a per-instruction symbol table by function, block and
 #    position: index arithmetic over those arrays, where an off-by-one
-#    reads out of bounds without changing a result.
+#    reads out of bounds without changing a result;
+#  - the mcc command-line workflow (the "cli" label): mcc turns every
+#    mode into one build request and prints from the one response, so
+#    the dispatch reads source, summary, database and object files and
+#    the daemon's replies (the service workflow rides the "service"
+#    label).
 #
 # Usage: tests/ci/run_asan.sh [jobs]
 set -eu
@@ -38,4 +43,4 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset asan -S "$ROOT"
 cmake --build --preset asan -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-      -L 'service|dataflow|delta|codec|oracle'
+      -L 'service|dataflow|delta|codec|oracle|cli'

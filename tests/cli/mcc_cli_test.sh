@@ -160,6 +160,19 @@ fi
 grep -q "verify-ipra: .* ok" verify.txt \
   || { echo "verify-ipra did not report ok" >&2; cat verify.txt >&2; exit 1; }
 
+# Numeric flags are strict: a sign, whitespace or trailing garbage is a
+# usage error (exit 2) naming the flag, never a silently parsed number.
+for BAD in " 5" "+2" "5x"; do
+  for FLAG in --fuel --threads; do
+    RC=0
+    "$MCC" "$FLAG" "$BAD" lib.mc main.mc > /dev/null 2> num.log || RC=$?
+    [ "$RC" = 2 ] \
+      || { echo "$FLAG '$BAD' exited $RC, expected 2" >&2; exit 1; }
+    grep -q -- "$FLAG expects a positive integer" num.log \
+      || { echo "no diagnostic for $FLAG '$BAD'" >&2; cat num.log >&2; exit 1; }
+  done
+done
+
 # [Wall 86] link-time route must match the fused output.
 WALL="$("$MCC" --wall lib.mc main.mc)"
 if [ "$FUSED" != "$WALL" ]; then

@@ -100,6 +100,60 @@ DELTA=$(echo "$STATS" | sed 's/.*"delta-hits":\([0-9]*\).*/\1/')
 [ "$DELTA" -ge 1 ] \
   || { echo "retained delta state never fired: $STATS" >&2; exit 1; }
 
+# One request path: each phase mode is one request to the daemon, and
+# prints the same bytes as the local run.
+"$MCC" --emit-runtime > runtime.mc
+for M in lib main runtime; do
+  "$MCC" --phase1 "$M.mc" > "$M.sum"
+  "$MCC" --client "$SOCK" --phase1 "$M.mc" > "$M.remote.sum" \
+    || { echo "remote --phase1 $M.mc failed" >&2; exit 1; }
+  cmp -s "$M.sum" "$M.remote.sum" \
+    || { echo "remote --phase1 $M.mc differs from local" >&2; exit 1; }
+done
+"$MCC" --analyze lib.sum main.sum runtime.sum > prog.db
+"$MCC" --client "$SOCK" --analyze lib.sum main.sum runtime.sum \
+  > prog.remote.db || { echo "remote --analyze failed" >&2; exit 1; }
+cmp -s prog.db prog.remote.db \
+  || { echo "remote --analyze differs from local" >&2; exit 1; }
+"$MCC" --phase2 --db prog.db lib.mc > lib.o
+"$MCC" --client "$SOCK" --phase2 --db prog.db lib.mc > lib.remote.o \
+  || { echo "remote --phase2 failed" >&2; exit 1; }
+cmp -s lib.o lib.remote.o \
+  || { echo "remote --phase2 differs from local" >&2; exit 1; }
+
+# A remote build prints the same database dump and disassembly as a
+# local one, and runs the same IPRA invariant check.
+"$MCC" --config C --verify-ipra --disasm --dump-db lib.mc main.mc \
+  > full.local 2> /dev/null
+"$MCC" --client "$SOCK" --verify-ipra --disasm --dump-db lib.mc main.mc \
+  > full.remote 2> full.remote.err
+cmp -s full.local full.remote \
+  || { echo "remote --verify-ipra --disasm --dump-db stdout differs" >&2; exit 1; }
+grep -q "verify-ipra: .* ok" full.remote.err \
+  || { echo "remote build skipped --verify-ipra" >&2; cat full.remote.err >&2; exit 1; }
+
+# --stats prints the same simulator counters through both doors.
+COUNTERS='^(cycles|instructions|memory refs|singleton refs|calls): '
+LOCAL_RUN="$(grep -E "$COUNTERS" local2.txt)"
+REMOTE_RUN="$(grep -E "$COUNTERS" remote2.txt)"
+echo "$REMOTE_RUN" | grep -q '^instructions: ' \
+  && echo "$REMOTE_RUN" | grep -q '^calls: ' \
+  || { echo "remote --stats lacks instructions/calls" >&2; cat remote2.txt >&2; exit 1; }
+[ "$LOCAL_RUN" = "$REMOTE_RUN" ] \
+  || { echo "simulator counters differ: local '$LOCAL_RUN' remote '$REMOTE_RUN'" >&2; exit 1; }
+
+# The daemon cannot answer --link (executables never cross the wire) or
+# --wall (no request runs it): both are usage errors naming the flag.
+for FLAG in --link --wall; do
+  RC=0
+  "$MCC" --client "$SOCK" "$FLAG" lib.mc main.mc > /dev/null 2> refuse.log \
+    || RC=$?
+  [ "$RC" = 2 ] \
+    || { echo "--client $FLAG exited $RC, expected 2" >&2; exit 1; }
+  grep -q -- "$FLAG" refuse.log \
+    || { echo "no diagnostic naming $FLAG" >&2; cat refuse.log >&2; exit 1; }
+done
+
 # Graceful shutdown over the wire; the daemon process exits cleanly.
 "$MCC" --client "$SOCK" --remote-shutdown 2>/dev/null
 wait "$SERVE_PID"

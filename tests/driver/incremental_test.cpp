@@ -522,9 +522,10 @@ TEST(IncrementalTest, DatabaseReaderRejectsUnknownFormatVersion) {
                                    Error));
   EXPECT_NE(Error.find("version 99 is not supported"), std::string::npos);
 
-  ObjectResult R = Pipeline(PipelineConfig::configC())
-                       .compileObject({"m.mc", "int main() { return 0; }\n"},
-                                      "ipra-db-format 99 config=-\n");
+  PipelineConfig C = PipelineConfig::configC();
+  auto R = Pipeline(C).execute(
+      BuildRequest::object(C, {{"m.mc", "int main() { return 0; }\n"}},
+                           "ipra-db-format 99 config=-\n"));
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.text().find("bad program database"), std::string::npos);
 }
@@ -724,10 +725,10 @@ TEST(IncrementalTest, SummaryDiffFlagsModRefOnlyEdits) {
 // of every module slice (verdict churn must never force a recompile).
 TEST(IncrementalTest, DatabaseModRefRecordsRoundTripOutsideSlices) {
   Pipeline P(PipelineConfig::configC());
-  SummaryResult P1 = P.compileSummary(
-      {"m.mc", "int g_ro = 7;\nint main() { return g_ro; }\n"});
+  auto P1 = P.execute(BuildRequest::summary(
+      P.config(), {{"m.mc", "int g_ro = 7;\nint main() { return g_ro; }\n"}}));
   ASSERT_TRUE(P1.ok()) << P1.text();
-  DatabaseResult A = P.analyze({P1.SummaryText});
+  DatabaseResult A = P.analyze(P1->Summaries);
   ASSERT_TRUE(A.ok()) << A.text();
 
   ProgramDatabase DB;
@@ -740,7 +741,7 @@ TEST(IncrementalTest, DatabaseModRefRecordsRoundTripOutsideSlices) {
   EXPECT_EQ(DB.serialize(), A.DatabaseText);
 
   ModuleSummary S;
-  ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
+  ASSERT_TRUE(readSummary(P1->Summaries[0], S, Error)) << Error;
   EXPECT_EQ(DB.sliceFor(S, false).find("modref"), std::string::npos);
 }
 
@@ -758,12 +759,12 @@ TEST(IncrementalTest, PointsToFieldsSurviveSerializationRoundTrip) {
                  "  while (i < 9) { i = i + cb(i) % 3 + 1; }\n"
                  "  return i; }\n"};
   Pipeline P(PipelineConfig::configC());
-  SummaryResult P1 = P.compileSummary(Src);
+  auto P1 = P.execute(BuildRequest::summary(P.config(), {Src}));
   ASSERT_TRUE(P1.ok()) << P1.text();
 
   ModuleSummary S;
   std::string Error;
-  ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
+  ASSERT_TRUE(readSummary(P1->Summaries[0], S, Error)) << Error;
   const GlobalSummary *Hits = nullptr;
   for (const GlobalSummary &G : S.Globals)
     if (G.QualName.find("hits") != std::string::npos)
@@ -780,9 +781,9 @@ TEST(IncrementalTest, PointsToFieldsSurviveSerializationRoundTrip) {
   ASSERT_EQ(Main->IndirectTargets.size(), 1u);
   EXPECT_NE(Main->IndirectTargets[0].find("h"), std::string::npos);
   // Re-serializing the parsed summary reproduces the producer's bytes.
-  EXPECT_EQ(writeSummary(S), P1.SummaryText);
+  EXPECT_EQ(writeSummary(S), P1->Summaries[0]);
 
-  DatabaseResult A = P.analyze({P1.SummaryText});
+  DatabaseResult A = P.analyze(P1->Summaries);
   ASSERT_TRUE(A.ok()) << A.text();
   ProgramDatabase DB;
   ASSERT_TRUE(ProgramDatabase::deserialize(A.DatabaseText, DB, Error))
@@ -814,21 +815,22 @@ TEST(IncrementalTest, HeaderlessArtifactsAreRejected) {
 
 TEST(IncrementalTest, AnalyzerRejectsSummariesFromOtherCompilerConfig) {
   SourceFile Src{"m.mc", "int g;\nint main() { g = 1; return g; }\n"};
-  SummaryResult P1 = Pipeline(PipelineConfig::configC()).compileSummary(Src);
+  PipelineConfig C = PipelineConfig::configC();
+  auto P1 = Pipeline(C).execute(BuildRequest::summary(C, {Src}));
   ASSERT_TRUE(P1.ok()) << P1.text();
 
   // Flip a compile-side knob: the stamped fingerprint no longer
   // matches, so the analyzer refuses the stale summary.
   PipelineConfig Other = PipelineConfig::configC();
   Other.LocalGlobalPromotion = false;
-  DatabaseResult R = Pipeline(Other).analyze({P1.SummaryText});
+  DatabaseResult R = Pipeline(Other).analyze(P1->Summaries);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.text().find("different compiler configuration"),
             std::string::npos);
 
   // Analyzer-side knobs do not invalidate summaries.
   DatabaseResult Ok =
-      Pipeline(PipelineConfig::configD()).analyze({P1.SummaryText});
+      Pipeline(PipelineConfig::configD()).analyze(P1->Summaries);
   EXPECT_TRUE(Ok.ok()) << Ok.text();
 }
 
@@ -836,17 +838,17 @@ TEST(IncrementalTest, Phase2RejectsDatabaseFromOtherConfig) {
   PipelineConfig C = PipelineConfig::configC();
   SourceFile Src{"m.mc", "int g;\nint main() { g = 1; return g; }\n"};
   Pipeline P(C);
-  SummaryResult P1 = P.compileSummary(Src);
+  auto P1 = P.execute(BuildRequest::summary(C, {Src}));
   ASSERT_TRUE(P1.ok()) << P1.text();
-  DatabaseResult A = P.analyze({P1.SummaryText});
+  DatabaseResult A = P.analyze(P1->Summaries);
   ASSERT_TRUE(A.ok()) << A.text();
 
-  ObjectResult R = Pipeline(PipelineConfig::configD())
-                       .compileObject(Src, A.DatabaseText);
+  PipelineConfig D = PipelineConfig::configD();
+  auto R = Pipeline(D).execute(BuildRequest::object(D, {Src}, A.DatabaseText));
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.text().find("different configuration"), std::string::npos);
 
-  ObjectResult Ok = P.compileObject(Src, A.DatabaseText);
+  auto Ok = P.execute(BuildRequest::object(C, {Src}, A.DatabaseText));
   EXPECT_TRUE(Ok.ok()) << Ok.text();
 }
 
@@ -856,8 +858,8 @@ TEST(IncrementalTest, Phase2RejectsDatabaseFromOtherConfig) {
 
 TEST(IncrementalTest, FacadeReportsStructuredDiagnostics) {
   Pipeline P(PipelineConfig::baseline());
-  SummaryResult R =
-      P.compileSummary({"bad.mc", "int main() { return x; }\n"});
+  auto R = P.execute(BuildRequest::summary(
+      P.config(), {{"bad.mc", "int main() { return x; }\n"}}));
   EXPECT_FALSE(R.ok());
   EXPECT_FALSE(R.Ok);
   ASSERT_TRUE(R.Diags.hasErrors());
@@ -868,29 +870,31 @@ TEST(IncrementalTest, FacadeReportsStructuredDiagnostics) {
 TEST(IncrementalTest, PhaseGranularMethodsShareThePipelineCache) {
   Pipeline P(PipelineConfig::configC());
   SourceFile Src{"m.mc", "int g;\nint main() { g = 2; return g; }\n"};
-  SummaryResult First = P.compileSummary(Src);
+  auto First = P.execute(BuildRequest::summary(P.config(), {Src}));
   ASSERT_TRUE(First.ok()) << First.Diags.text();
-  EXPECT_FALSE(First.FromCache);
-  SummaryResult Second = P.compileSummary(Src);
+  EXPECT_FALSE(First->FromCache);
+  auto Second = P.execute(BuildRequest::summary(P.config(), {Src}));
   ASSERT_TRUE(Second.ok());
-  EXPECT_TRUE(Second.FromCache);
-  EXPECT_EQ(First.SummaryText, Second.SummaryText);
+  EXPECT_TRUE(Second->FromCache);
+  EXPECT_EQ(First->Summaries, Second->Summaries);
 
-  DatabaseResult DB1 = P.analyze({First.SummaryText});
+  DatabaseResult DB1 = P.analyze(First->Summaries);
   ASSERT_TRUE(DB1.ok()) << DB1.Diags.text();
   EXPECT_FALSE(DB1.FromCache);
-  DatabaseResult DB2 = P.analyze({First.SummaryText});
+  DatabaseResult DB2 = P.analyze(First->Summaries);
   ASSERT_TRUE(DB2.ok());
   EXPECT_TRUE(DB2.FromCache);
   EXPECT_EQ(DB1.DatabaseText, DB2.DatabaseText);
 
-  ObjectResult O1 = P.compileObject(Src, DB1.DatabaseText);
+  BuildRequest ObjectReq =
+      BuildRequest::object(P.config(), {Src}, DB1.DatabaseText);
+  auto O1 = P.execute(ObjectReq);
   ASSERT_TRUE(O1.ok()) << O1.Diags.text();
-  EXPECT_FALSE(O1.FromCache);
-  ObjectResult O2 = P.compileObject(Src, DB1.DatabaseText);
+  EXPECT_FALSE(O1->FromCache);
+  auto O2 = P.execute(ObjectReq);
   ASSERT_TRUE(O2.ok());
-  EXPECT_TRUE(O2.FromCache);
-  EXPECT_EQ(O1.ObjectText, O2.ObjectText);
+  EXPECT_TRUE(O2->FromCache);
+  EXPECT_EQ(O1->Objects, O2->Objects);
 }
 
 TEST(IncrementalTest, CachedBuildStillRunsTheProgram) {
@@ -1169,9 +1173,9 @@ TEST(IncrementalTest, DeltaAnalysisPhaseGranularAnalyze) {
 
   std::vector<std::string> Texts;
   for (const SourceFile &S : corpus()) {
-    SummaryResult R = P.compileSummary(S);
+    auto R = P.execute(BuildRequest::summary(C, {S}));
     ASSERT_TRUE(R.ok()) << R.Diags.text();
-    Texts.push_back(R.SummaryText);
+    Texts.push_back(R->Summaries[0]);
   }
   DatabaseResult First = P.analyze(Texts);
   ASSERT_TRUE(First.ok()) << First.Diags.text();
@@ -1181,17 +1185,17 @@ TEST(IncrementalTest, DeltaAnalysisPhaseGranularAnalyze) {
   // Re-summarize one edited module and re-analyze: the delta path
   // reports its damage region and the database text matches a cold
   // analyzer run over the same summaries.
-  SummaryResult Edit = P.compileSummary(
-      {"mod5.mc",
-       "int g5;\n"
-       "int f6(int);\n"
-       "int f5(int x) {\n"
-       "  g5 = g5 + x;\n"
-       "  if (x > 3) g5 = g5 + f6(g5);\n"
-       "  return f6(x) + g5;\n"
-       "}\n"});
+  auto Edit = P.execute(BuildRequest::summary(
+      C, {{"mod5.mc",
+           "int g5;\n"
+           "int f6(int);\n"
+           "int f5(int x) {\n"
+           "  g5 = g5 + x;\n"
+           "  if (x > 3) g5 = g5 + f6(g5);\n"
+           "  return f6(x) + g5;\n"
+           "}\n"}}));
   ASSERT_TRUE(Edit.ok()) << Edit.Diags.text();
-  Texts[5] = Edit.SummaryText;
+  Texts[5] = Edit->Summaries[0];
   DatabaseResult Second = P.analyze(Texts);
   ASSERT_TRUE(Second.ok()) << Second.Diags.text();
   EXPECT_EQ(Second.Mode, "delta");

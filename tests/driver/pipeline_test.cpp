@@ -535,10 +535,10 @@ TEST(PipelineTest, DatabaseDiffDrivesSmartRecompilation) {
 
   auto analyze = [&](const char *UtilSrc) {
     Pipeline P(Config);
-    SummaryResult S1 = P.compileSummary({"util.mc", UtilSrc});
-    SummaryResult S2 = P.compileSummary({"main.mc", Main});
-    EXPECT_TRUE(S1.ok() && S2.ok());
-    DatabaseResult A = P.analyze({S1.SummaryText, S2.SummaryText});
+    auto S = P.execute(BuildRequest::summary(
+        Config, {{"util.mc", UtilSrc}, {"main.mc", Main}}));
+    EXPECT_TRUE(S.ok());
+    DatabaseResult A = P.analyze(S->Summaries);
     EXPECT_TRUE(A.ok()) << A.text();
     ProgramDatabase DB;
     std::string Error;
@@ -662,11 +662,11 @@ TEST(PipelineTest, ApproximateSummariesStaySound) {
   Pipeline P(Config);
   std::vector<std::string> Degraded;
   for (const SourceFile &Src : All) {
-    SummaryResult P1 = P.compileSummary(Src);
+    auto P1 = P.execute(BuildRequest::summary(Config, {Src}));
     ASSERT_TRUE(P1.ok()) << P1.text();
     ModuleSummary S;
     std::string Error;
-    ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
+    ASSERT_TRUE(readSummary(P1->Summaries[0], S, Error)) << Error;
     for (ProcSummary &P : S.Procs) {
       P.CalleeRegsNeeded = 0; // The "approximate" editor estimate.
       P.CallerRegsUsed = 0;
@@ -678,13 +678,14 @@ TEST(PipelineTest, ApproximateSummariesStaySound) {
 
   std::vector<std::string> Objects;
   for (const SourceFile &Src : All) {
-    ObjectResult P2 = P.compileObject(Src, Analyzed.DatabaseText);
+    auto P2 =
+        P.execute(BuildRequest::object(Config, {Src}, Analyzed.DatabaseText));
     ASSERT_TRUE(P2.ok()) << Src.Name << ": " << P2.text();
-    Objects.push_back(P2.ObjectText);
+    Objects.push_back(P2->Objects[0]);
   }
-  LinkedResult Linked = P.link(Objects);
+  auto Linked = P.execute(BuildRequest::link(Objects));
   ASSERT_TRUE(Linked.ok()) << Linked.text();
-  RunResult R = runExecutable(Linked.Exe, 500'000'000);
+  RunResult R = runExecutable(Linked->Exe, 500'000'000);
   ASSERT_TRUE(R.Halted) << R.Trap;
   EXPECT_EQ(R.Output, Exact.Output);
   EXPECT_EQ(R.ExitCode, Exact.ExitCode);
@@ -724,24 +725,24 @@ TEST(PipelineTest, SeparateCompilationMatchesMonolithic) {
 
   std::vector<std::string> Summaries;
   for (const SourceFile &Src : All) {
-    SummaryResult P1 = Pipeline(Config).compileSummary(Src);
+    auto P1 = Pipeline(Config).execute(BuildRequest::summary(Config, {Src}));
     ASSERT_TRUE(P1.ok()) << Src.Name << ": " << P1.text();
-    Summaries.push_back(P1.SummaryText);
+    Summaries.push_back(P1->Summaries[0]);
   }
   DatabaseResult Analyzed = Pipeline(Config).analyze(Summaries);
   ASSERT_TRUE(Analyzed.ok()) << Analyzed.text();
 
   std::vector<std::string> Objects;
   for (auto It = All.rbegin(); It != All.rend(); ++It) { // Reverse!
-    ObjectResult P2 =
-        Pipeline(Config).compileObject(*It, Analyzed.DatabaseText);
+    auto P2 = Pipeline(Config).execute(
+        BuildRequest::object(Config, {*It}, Analyzed.DatabaseText));
     ASSERT_TRUE(P2.ok()) << It->Name << ": " << P2.text();
-    Objects.push_back(P2.ObjectText);
+    Objects.push_back(P2->Objects[0]);
   }
-  LinkedResult Linked = Pipeline(Config).link(Objects);
+  auto Linked = Pipeline(Config).execute(BuildRequest::link(Objects));
   ASSERT_TRUE(Linked.ok()) << Linked.text();
 
-  RunResult R = runExecutable(Linked.Exe);
+  RunResult R = runExecutable(Linked->Exe);
   ASSERT_TRUE(R.Halted) << R.Trap;
   EXPECT_EQ(R.Output, Fused.Output);
   EXPECT_EQ(R.ExitCode, Fused.ExitCode);

@@ -103,9 +103,9 @@ void expectParsedTextsBuildTheSame(const std::string &Cell,
     ASSERT_TRUE(DB.ok()) << Cell << ": " << DB.text();
     EXPECT_EQ(DB.DatabaseText, B.DatabaseFile) << Cell;
   }
-  LinkedResult Linked = Pipeline(Config).link(B.ObjectFiles);
+  auto Linked = Pipeline(Config).execute(BuildRequest::link(B.ObjectFiles));
   ASSERT_TRUE(Linked.ok()) << Cell << ": " << Linked.text();
-  EXPECT_TRUE(Linked.Exe == B.Exe) << Cell;
+  EXPECT_TRUE(Linked->Exe == B.Exe) << Cell;
 }
 
 class ArtifactDigestTest : public ::testing::TestWithParam<const char *> {};

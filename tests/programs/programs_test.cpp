@@ -95,8 +95,8 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, ProgramTest,
                          });
 
 /// The fused build resumes phase 2 from phase 1's in-memory IR file.
-/// The standalone chain (compileSummary, then analyze, then
-/// compileObject, one module at a time) never has one and lowers every
+/// The standalone chain (a Summary request, then analyze, then an
+/// Object request, one module at a time) never has one and lowers every
 /// module again from its source; so does the batched chain, one Summary
 /// and one Object request each carrying every module, whose per-function
 /// code generation fans out across the pool. All three must produce the
@@ -138,9 +138,9 @@ TEST_P(BuildVsChainTest, FusedBuildMatchesPhaseChain) {
       std::string Database;
       if (Config.Ipra) {
         for (const SourceFile &Src : All) {
-          SummaryResult S = Chain.compileSummary(Src);
+          auto S = Chain.execute(BuildRequest::summary(Config, {Src}));
           ASSERT_TRUE(S.ok()) << Src.Name << ": " << S.Diags.text();
-          Summaries.push_back(std::move(S.SummaryText));
+          Summaries.push_back(std::move(S->Summaries.front()));
         }
         DatabaseResult D = Chain.analyze(Summaries, P);
         ASSERT_TRUE(D.ok()) << D.Diags.text();
@@ -148,9 +148,9 @@ TEST_P(BuildVsChainTest, FusedBuildMatchesPhaseChain) {
       }
       std::vector<std::string> Objects;
       for (const SourceFile &Src : All) {
-        ObjectResult O = Chain.compileObject(Src, Database);
+        auto O = Chain.execute(BuildRequest::object(Config, {Src}, Database));
         ASSERT_TRUE(O.ok()) << Src.Name << ": " << O.Diags.text();
-        Objects.push_back(std::move(O.ObjectText));
+        Objects.push_back(std::move(O->Objects.front()));
       }
       EXPECT_EQ(Fused.SummaryFiles, Summaries);
       EXPECT_EQ(Fused.DatabaseFile, Database);
