@@ -13,26 +13,6 @@ using namespace ipra;
 
 namespace {
 
-MInstr makeFrameStore(unsigned Reg, int Slot) {
-  MInstr St;
-  St.Op = MOp::STW;
-  St.MC = MemClass::StackScalar;
-  St.A = MOperand::makeReg(Reg);
-  St.B = MOperand::makeReg(pr32::SP);
-  St.C = MOperand::makeFrame(Slot);
-  return St;
-}
-
-MInstr makeFrameLoad(unsigned Reg, int Slot) {
-  MInstr Ld;
-  Ld.Op = MOp::LDW;
-  Ld.MC = MemClass::StackScalar;
-  Ld.A = MOperand::makeReg(Reg);
-  Ld.B = MOperand::makeReg(pr32::SP);
-  Ld.C = MOperand::makeFrame(Slot);
-  return Ld;
-}
-
 MInstr makeSPAdjust(int Delta) {
   MInstr I;
   I.Op = MOp::ADD;
@@ -40,36 +20,6 @@ MInstr makeSPAdjust(int Delta) {
   I.B = MOperand::makeReg(pr32::SP);
   I.C = MOperand::makeImm(Delta);
   return I;
-}
-
-/// ADDRG r1, sym  (the assembler temporary forms global addresses in
-/// prologue/epilogue code).
-MInstr makeGlobalAddr(const std::string &QualName) {
-  MInstr I;
-  I.Op = MOp::ADDRG;
-  I.A = MOperand::makeReg(pr32::AT);
-  I.B = MOperand::makeSym(QualName);
-  return I;
-}
-
-MInstr makeGlobalLoad(unsigned Reg) {
-  MInstr Ld;
-  Ld.Op = MOp::LDW;
-  Ld.MC = MemClass::GlobalScalar;
-  Ld.A = MOperand::makeReg(Reg);
-  Ld.B = MOperand::makeReg(pr32::AT);
-  Ld.C = MOperand::makeImm(0);
-  return Ld;
-}
-
-MInstr makeGlobalStore(unsigned Reg) {
-  MInstr St;
-  St.Op = MOp::STW;
-  St.MC = MemClass::GlobalScalar;
-  St.A = MOperand::makeReg(Reg);
-  St.B = MOperand::makeReg(pr32::AT);
-  St.C = MOperand::makeImm(0);
-  return St;
 }
 
 } // namespace
@@ -125,14 +75,14 @@ FrameInfo ipra::finalizeFrame(MachineFunction &MF,
   if (FrameWords > 0)
     Prologue.push_back(makeSPAdjust(-FrameWords));
   if (RPSlot >= 0)
-    Prologue.push_back(makeFrameStore(pr32::RP, RPSlot));
+    Prologue.push_back(frameStore(pr32::RP, RPSlot));
   for (size_t S = 0; S < SaveRegs.size(); ++S)
-    Prologue.push_back(makeFrameStore(SaveRegs[S], SaveSlots[S]));
+    Prologue.push_back(frameStore(SaveRegs[S], SaveSlots[S]));
   for (const PromotedGlobal &P : Dir.Promoted) {
     if (!P.IsEntry)
       continue;
-    Prologue.push_back(makeGlobalAddr(P.QualName));
-    Prologue.push_back(makeGlobalLoad(P.Reg));
+    Prologue.push_back(globalAddr(pr32::AT, P.QualName));
+    Prologue.push_back(memAccess(MOp::LDW, MemClass::GlobalScalar, P.Reg, pr32::AT));
   }
   // Resolve the Frame refs the prologue itself introduced.
   for (MInstr &I : Prologue)
@@ -145,13 +95,13 @@ FrameInfo ipra::finalizeFrame(MachineFunction &MF,
   for (const PromotedGlobal &P : Dir.Promoted) {
     if (!P.IsEntry || !P.WebModifies)
       continue;
-    Epilogue.push_back(makeGlobalAddr(P.QualName));
-    Epilogue.push_back(makeGlobalStore(P.Reg));
+    Epilogue.push_back(globalAddr(pr32::AT, P.QualName));
+    Epilogue.push_back(memAccess(MOp::STW, MemClass::GlobalScalar, P.Reg, pr32::AT));
   }
   for (size_t S = SaveRegs.size(); S-- > 0;)
-    Epilogue.push_back(makeFrameLoad(SaveRegs[S], SaveSlots[S]));
+    Epilogue.push_back(frameLoad(SaveRegs[S], SaveSlots[S]));
   if (RPSlot >= 0)
-    Epilogue.push_back(makeFrameLoad(pr32::RP, RPSlot));
+    Epilogue.push_back(frameLoad(pr32::RP, RPSlot));
   if (FrameWords > 0)
     Epilogue.push_back(makeSPAdjust(FrameWords));
   for (MInstr &I : Epilogue)

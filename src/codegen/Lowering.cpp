@@ -95,11 +95,7 @@ private:
   /// Loads the address of global \p Plain into a fresh temp register.
   unsigned emitGlobalAddr(const std::string &Plain) {
     unsigned T = MF->newVReg();
-    MInstr I;
-    I.Op = MOp::ADDRG;
-    I.A = MOperand::makeReg(T);
-    I.B = MOperand::makeSym(qualify(Plain));
-    emit(std::move(I));
+    emit(globalAddr(T, qualify(Plain)));
     return T;
   }
   /// Computes the address of frame slot \p Slot into a fresh temp.
@@ -248,18 +244,9 @@ void LoweringImpl::lowerCall(const IRInstr &I) {
       Wraps.push_back(&P);
   }
   auto EmitSync = [this](const PromotedGlobal &P, bool IsStore) {
-    MInstr Addr;
-    Addr.Op = MOp::ADDRG;
-    Addr.A = MOperand::makeReg(pr32::AT);
-    Addr.B = MOperand::makeSym(P.QualName);
-    emit(std::move(Addr));
-    MInstr Mem;
-    Mem.Op = IsStore ? MOp::STW : MOp::LDW;
-    Mem.MC = MemClass::GlobalScalar;
-    Mem.A = MOperand::makeReg(P.Reg);
-    Mem.B = MOperand::makeReg(pr32::AT);
-    Mem.C = MOperand::makeImm(0);
-    emit(std::move(Mem));
+    emit(globalAddr(pr32::AT, P.QualName));
+    emit(memAccess(IsStore ? MOp::STW : MOp::LDW, MemClass::GlobalScalar,
+                   P.Reg, pr32::AT));
   };
   for (const PromotedGlobal *P : Wraps)
     if (P->WebModifies)
@@ -360,14 +347,8 @@ void LoweringImpl::lowerInstr(const IRBlock &B, size_t Index,
       emitMove(mreg(I.Dst), PR);
       return;
     }
-    unsigned Base = emitGlobalAddr(I.Sym);
-    MInstr Ld;
-    Ld.Op = MOp::LDW;
-    Ld.MC = MemClass::GlobalScalar;
-    Ld.A = MOperand::makeReg(mreg(I.Dst));
-    Ld.B = MOperand::makeReg(Base);
-    Ld.C = MOperand::makeImm(0);
-    emit(std::move(Ld));
+    emit(memAccess(MOp::LDW, MemClass::GlobalScalar, mreg(I.Dst),
+                   emitGlobalAddr(I.Sym)));
     return;
   }
   case IROp::StG: {
@@ -377,36 +358,16 @@ void LoweringImpl::lowerInstr(const IRBlock &B, size_t Index,
       emitMove(PR, mreg(I.Srcs[0]));
       return;
     }
-    unsigned Base = emitGlobalAddr(I.Sym);
-    MInstr St;
-    St.Op = MOp::STW;
-    St.MC = MemClass::GlobalScalar;
-    St.A = MOperand::makeReg(mreg(I.Srcs[0]));
-    St.B = MOperand::makeReg(Base);
-    St.C = MOperand::makeImm(0);
-    emit(std::move(St));
+    emit(memAccess(MOp::STW, MemClass::GlobalScalar, mreg(I.Srcs[0]),
+                   emitGlobalAddr(I.Sym)));
     return;
   }
-  case IROp::LdSlot: {
-    MInstr Ld;
-    Ld.Op = MOp::LDW;
-    Ld.MC = MemClass::StackScalar;
-    Ld.A = MOperand::makeReg(mreg(I.Dst));
-    Ld.B = MOperand::makeReg(pr32::SP);
-    Ld.C = MOperand::makeFrame(I.Slot);
-    emit(std::move(Ld));
+  case IROp::LdSlot:
+    emit(frameLoad(mreg(I.Dst), I.Slot));
     return;
-  }
-  case IROp::StSlot: {
-    MInstr St;
-    St.Op = MOp::STW;
-    St.MC = MemClass::StackScalar;
-    St.A = MOperand::makeReg(mreg(I.Srcs[0]));
-    St.B = MOperand::makeReg(pr32::SP);
-    St.C = MOperand::makeFrame(I.Slot);
-    emit(std::move(St));
+  case IROp::StSlot:
+    emit(frameStore(mreg(I.Srcs[0]), I.Slot));
     return;
-  }
   case IROp::LdElem:
   case IROp::StElem: {
     bool IsLoad = I.Op == IROp::LdElem;
@@ -419,35 +380,20 @@ void LoweringImpl::lowerInstr(const IRBlock &B, size_t Index,
     Add.B = MOperand::makeReg(Base);
     Add.C = MOperand::makeReg(mreg(I.Srcs[0]));
     emit(std::move(Add));
-    MInstr Mem;
-    Mem.Op = IsLoad ? MOp::LDW : MOp::STW;
-    Mem.MC = MemClass::Element;
-    Mem.A = MOperand::makeReg(IsLoad ? mreg(I.Dst) : mreg(I.Srcs[1]));
-    Mem.B = MOperand::makeReg(Addr);
-    Mem.C = MOperand::makeImm(0);
-    emit(std::move(Mem));
+    emit(memAccess(IsLoad ? MOp::LDW : MOp::STW, MemClass::Element,
+                   IsLoad ? mreg(I.Dst) : mreg(I.Srcs[1]), Addr));
     return;
   }
   case IROp::LdPtr:
   case IROp::StPtr: {
     bool IsLoad = I.Op == IROp::LdPtr;
-    MInstr Mem;
-    Mem.Op = IsLoad ? MOp::LDW : MOp::STW;
-    Mem.MC = MemClass::Indirect;
-    Mem.A = MOperand::makeReg(IsLoad ? mreg(I.Dst) : mreg(I.Srcs[1]));
-    Mem.B = MOperand::makeReg(mreg(I.Srcs[0]));
-    Mem.C = MOperand::makeImm(0);
-    emit(std::move(Mem));
+    emit(memAccess(IsLoad ? MOp::LDW : MOp::STW, MemClass::Indirect,
+                   IsLoad ? mreg(I.Dst) : mreg(I.Srcs[1]), mreg(I.Srcs[0])));
     return;
   }
-  case IROp::AddrG: {
-    MInstr A;
-    A.Op = MOp::ADDRG;
-    A.A = MOperand::makeReg(mreg(I.Dst));
-    A.B = MOperand::makeSym(qualify(I.Sym));
-    emit(std::move(A));
+  case IROp::AddrG:
+    emit(globalAddr(mreg(I.Dst), qualify(I.Sym)));
     return;
-  }
   case IROp::AddrSlot: {
     unsigned T = emitSlotAddr(I.Slot);
     emitMove(mreg(I.Dst), T);

@@ -11,6 +11,36 @@
 
 using namespace ipra;
 
+MInstr ipra::memAccess(MOp Op, MemClass MC, unsigned Reg, unsigned Base) {
+  MInstr I;
+  I.Op = Op;
+  I.MC = MC;
+  I.A = MOperand::makeReg(Reg);
+  I.B = MOperand::makeReg(Base);
+  I.C = MOperand::makeImm(0);
+  return I;
+}
+
+MInstr ipra::frameLoad(unsigned Reg, int Slot) {
+  MInstr I = memAccess(MOp::LDW, MemClass::StackScalar, Reg, pr32::SP);
+  I.C = MOperand::makeFrame(Slot);
+  return I;
+}
+
+MInstr ipra::frameStore(unsigned Reg, int Slot) {
+  MInstr I = memAccess(MOp::STW, MemClass::StackScalar, Reg, pr32::SP);
+  I.C = MOperand::makeFrame(Slot);
+  return I;
+}
+
+MInstr ipra::globalAddr(unsigned Reg, const std::string &QualName) {
+  MInstr I;
+  I.Op = MOp::ADDRG;
+  I.A = MOperand::makeReg(Reg);
+  I.B = MOperand::makeSym(QualName);
+  return I;
+}
+
 std::vector<int> MachineFunction::successors(int Id) const {
   // Lowering guarantees every block ends with B or BV; a conditional
   // transfer is a CB immediately before the trailing B.

@@ -29,6 +29,19 @@ struct MBlock {
   std::vector<MInstr> Instrs;
 };
 
+/// `ldw Reg, [sp + Slot]` and `stw Reg, [sp + Slot]` on frame slot
+/// \p Slot: the stack-scalar accesses of local slots, spill code and
+/// register saves.
+MInstr frameLoad(unsigned Reg, int Slot);
+MInstr frameStore(unsigned Reg, int Slot);
+
+/// `Op Reg, [Base + 0]`: the LDW or STW (\p Op) of a \p MC access whose
+/// address is in \p Base.
+MInstr memAccess(MOp Op, MemClass MC, unsigned Reg, unsigned Base);
+
+/// `addrg Reg, @QualName`.
+MInstr globalAddr(unsigned Reg, const std::string &QualName);
+
 /// Machine code for one function plus frame bookkeeping.
 class MachineFunction {
 public:

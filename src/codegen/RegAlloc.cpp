@@ -10,9 +10,8 @@
 #include "support/Liveness.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
-#include <set>
 #include <unordered_set>
 
 using namespace ipra;
@@ -56,7 +55,11 @@ private:
   }
 
   // Interference results.
-  std::vector<std::set<unsigned>> VirtAdj; ///< vreg index -> vreg indices.
+  /// Interfering vreg index pairs, as found (repeats included).
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
+  /// The neighbours of vreg index V, each once and in no particular
+  /// order, are AdjList[AdjStart[V], AdjStart[V + 1]).
+  std::vector<unsigned> AdjStart, AdjList;
   std::vector<RegMask> ForbiddenPhys;      ///< vreg index -> phys conflicts.
   /// Union of the clobber masks of every call the vreg is live across
   /// (0 = crosses no call at all).
@@ -78,7 +81,7 @@ private:
 
 void Allocator::buildInterference() {
   unsigned NV = numVirt();
-  VirtAdj.assign(NV, {});
+  Pairs.clear();
   ForbiddenPhys.assign(NV, 0);
   CrossClobber.assign(NV, 0);
   Weight.assign(NV, 0);
@@ -154,8 +157,7 @@ void Allocator::buildInterference() {
           if (L == D || L == CopySrc)
             continue;
           if (isVirtReg(D) && isVirtReg(L)) {
-            VirtAdj[virtIndex(D)].insert(virtIndex(L));
-            VirtAdj[virtIndex(L)].insert(virtIndex(D));
+            Pairs.push_back({virtIndex(D), virtIndex(L)});
           } else if (isVirtReg(D) && isPhysReg(L)) {
             ForbiddenPhys[virtIndex(D)] |= pr32::maskOf(L);
           } else if (isPhysReg(D) && isVirtReg(L)) {
@@ -170,6 +172,34 @@ void Allocator::buildInterference() {
         Live.set(U);
     }
   }
+
+  // Group the pairs by vreg, both directions, then drop the repeats in
+  // each group in place (Seen[N] == V + 1: N is already listed for V).
+  AdjStart.assign(NV + 1, 0);
+  for (auto [A, B] : Pairs) {
+    ++AdjStart[A + 1];
+    ++AdjStart[B + 1];
+  }
+  for (unsigned V = 0; V < NV; ++V)
+    AdjStart[V + 1] += AdjStart[V];
+  AdjList.resize(AdjStart[NV]);
+  std::vector<unsigned> End(AdjStart.begin(), AdjStart.end() - 1);
+  for (auto [A, B] : Pairs) {
+    AdjList[End[A]++] = B;
+    AdjList[End[B]++] = A;
+  }
+  std::vector<unsigned> Seen(NV, 0);
+  unsigned Kept = 0;
+  for (unsigned V = 0; V < NV; ++V) {
+    unsigned Begin = AdjStart[V];
+    AdjStart[V] = Kept;
+    for (unsigned E = Begin; E < End[V]; ++E)
+      if (unsigned N = AdjList[E]; Seen[N] != V + 1) {
+        Seen[N] = V + 1;
+        AdjList[Kept++] = N;
+      }
+  }
+  AdjStart[NV] = Kept;
 }
 
 bool Allocator::colorAll() {
@@ -189,30 +219,28 @@ bool Allocator::colorAll() {
   RegMask MSpillPool = (Dir.IsClusterRoot ? Dir.MSpill : RegMask(0)) &
                        ~Reserved;
 
-  // Color in priority (weight) order.
-  std::vector<unsigned> Order;
+  // Color in priority order: heavier first, then lower index.
+  std::vector<std::pair<long long, unsigned>> Order;
   for (unsigned V = 0; V < NV; ++V)
     if (Referenced[V])
-      Order.push_back(V);
-  std::stable_sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-    return Weight[A] > Weight[B];
-  });
+      Order.push_back({-Weight[V], V});
+  std::sort(Order.begin(), Order.end());
 
-  for (unsigned V : Order) {
+  for (auto [NegWeight, V] : Order) {
     RegMask Conflicts = ForbiddenPhys[V];
-    for (unsigned N : VirtAdj[V])
-      if (Assignment[N] >= 0)
-        Conflicts |= pr32::maskOf(static_cast<unsigned>(Assignment[N]));
+    for (unsigned E = AdjStart[V]; E < AdjStart[V + 1]; ++E)
+      if (int N = Assignment[AdjList[E]]; N >= 0)
+        Conflicts |= pr32::maskOf(static_cast<unsigned>(N));
 
     // Candidate pools in preference order. A range crossing calls may
     // additionally use true caller-saves registers that none of the
     // crossed calls clobber (7.6.2) - the cheapest option when present.
-    std::vector<RegMask> Pools;
+    std::array<RegMask, 5> Pools;
     if (CrossClobber[V]) {
       RegMask SafeCaller =
           CallerPool & pr32::callerSavedMask() & ~CrossClobber[V];
-      Pools = {SafeCaller, FreePool, CalleePool & UsedCalleeSet,
-               CalleePool};
+      Pools = {SafeCaller, FreePool, CalleePool & UsedCalleeSet, CalleePool,
+               0};
     } else {
       Pools = {CallerPool, MSpillPool, FreePool,
                CalleePool & UsedCalleeSet, CalleePool};
@@ -265,28 +293,21 @@ void Allocator::spillVirtReg(unsigned V) {
   int Slot = MF.newFrameSlot(1);
   ++SpillCount;
 
+  // A virtual register is only ever an explicit operand.
+  auto Touches = [Reg](const MInstr &I) {
+    return I.readsOperand(Reg) || I.writesOperand(Reg);
+  };
   for (MBlock &B : MF.Blocks) {
+    if (std::none_of(B.Instrs.begin(), B.Instrs.end(), Touches))
+      continue;
     std::vector<MInstr> Out;
     Out.reserve(B.Instrs.size());
-    std::vector<unsigned> Defs, Uses;
     for (MInstr &I : B.Instrs) {
-      Defs.clear();
-      Uses.clear();
-      I.appendDefs(Defs);
-      I.appendUses(Uses);
-      bool UsesReg = std::find(Uses.begin(), Uses.end(), Reg) != Uses.end();
-      bool DefsReg = std::find(Defs.begin(), Defs.end(), Reg) != Defs.end();
-
-      if (UsesReg) {
+      bool DefsReg = I.writesOperand(Reg);
+      if (I.readsOperand(Reg)) {
         unsigned T = MF.newVReg();
         NoSpill.insert(T);
-        MInstr Ld;
-        Ld.Op = MOp::LDW;
-        Ld.MC = MemClass::StackScalar;
-        Ld.A = MOperand::makeReg(T);
-        Ld.B = MOperand::makeReg(pr32::SP);
-        Ld.C = MOperand::makeFrame(Slot);
-        Out.push_back(std::move(Ld));
+        Out.push_back(frameLoad(T, Slot));
         I.replaceRegUses(Reg, T);
       }
       if (DefsReg) {
@@ -294,13 +315,7 @@ void Allocator::spillVirtReg(unsigned V) {
         NoSpill.insert(T);
         I.replaceRegDefs(Reg, T);
         Out.push_back(std::move(I));
-        MInstr St;
-        St.Op = MOp::STW;
-        St.MC = MemClass::StackScalar;
-        St.A = MOperand::makeReg(T);
-        St.B = MOperand::makeReg(pr32::SP);
-        St.C = MOperand::makeFrame(Slot);
-        Out.push_back(std::move(St));
+        Out.push_back(frameStore(T, Slot));
         continue;
       }
       Out.push_back(std::move(I));
@@ -334,6 +349,7 @@ void Allocator::rewriteAssigned() {
 RegAllocResult Allocator::run() {
   RegAllocResult Result;
   for (int Round = 0; Round < 16; ++Round) {
+    ++Result.Rounds;
     buildInterference();
     if (colorAll()) {
       rewriteAssigned();

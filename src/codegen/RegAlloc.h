@@ -54,6 +54,8 @@ struct RegAllocResult {
   unsigned CalleeRegsUsed = 0;
   /// Live ranges spilled to memory.
   unsigned SpillCount = 0;
+  /// Interference-build-and-color rounds run (1 + rounds that spilled).
+  unsigned Rounds = 0;
 };
 
 /// Allocates every virtual register in \p MF to a PR32 physical register

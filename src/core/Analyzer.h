@@ -154,9 +154,10 @@ struct AnalyzerStats {
 
   // Sub-phase wall-clock breakdown (milliseconds) of the work the run
   // did: a delta run times only its damage-region work and reports 0
-  // for a step it skipped; a cached analyzer run reports the producing
-  // run's times. The counters above describe the analyzed program
-  // whichever way it was analyzed.
+  // for a step it skipped, and a cached analyzer run reports 0 for all
+  // of them (the cache entry leaves them out, so its bytes are a
+  // function of the inputs). The counters above describe the analyzed
+  // program whichever way it was analyzed.
   double RefSetsMs = 0;  ///< Call graph + L/P/C_REF dataflow.
   double ModRefMs = 0;   ///< Whole-program mod/ref composition (§15).
   double WebsMs = 0;     ///< Web discovery (parallel per global).

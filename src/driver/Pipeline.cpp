@@ -24,6 +24,7 @@
 #include "support/Json.h"
 #include "support/ThreadPool.h"
 
+#include <atomic>
 #include <optional>
 
 using namespace ipra;
@@ -54,6 +55,31 @@ struct LoweredModule {
   std::unique_ptr<IRModule> IR;
   std::unique_ptr<ModulePointsTo> PT;
   double PointsToMs = 0; ///< Time of the points-to solve.
+  OptStats Opt;          ///< optimizeToFixpoint's work.
+};
+
+/// The optimizer's and the allocator's exact work counters, summed
+/// across one phase's workers; a sum does not depend on scheduling.
+struct WorkCounters {
+  std::atomic<unsigned long long> OptRounds{0}, OptPassRuns{0},
+      OptPassChanges{0}, RegAllocRounds{0}, SpilledVRegs{0};
+
+  void add(const OptStats &S) {
+    OptRounds += S.Rounds;
+    OptPassRuns += S.PassRuns;
+    OptPassChanges += S.PassChanges;
+  }
+  void add(const RegAllocResult &R) {
+    RegAllocRounds += R.Rounds;
+    SpilledVRegs += R.SpillCount;
+  }
+  void addTo(PipelineStats &PS) const {
+    PS.OptRounds += OptRounds;
+    PS.OptPassRuns += OptPassRuns;
+    PS.OptPassChanges += OptPassChanges;
+    PS.RegAllocRounds += RegAllocRounds;
+    PS.SpilledVRegs += SpilledVRegs;
+  }
 };
 
 /// Lowers \p AST; returns the first verifier problem, or "" on success.
@@ -69,16 +95,17 @@ std::string lowerModule(const ModuleAST &AST, PointsToMode Mode,
     Out.PT = std::make_unique<ModulePointsTo>(*Out.IR);
   }
   for (auto &F : Out.IR->Functions)
-    optimizeToFixpoint(*F);
+    Out.Opt += optimizeToFixpoint(*F);
   return "";
 }
 
 /// The database-dependent optimizer stage: local global promotion with
 /// the globals the database promotes excluded (§5: the dedicated
 /// register takes over), refined by the module's points-to facts.
-void finishForDirectives(IRModule &IR, const ProgramDatabase *DB,
-                         bool LocalGlobalPromotion,
-                         const GlobalAliasFacts *Alias) {
+OptStats finishForDirectives(IRModule &IR, const ProgramDatabase *DB,
+                             bool LocalGlobalPromotion,
+                             const GlobalAliasFacts *Alias) {
+  OptStats Stats;
   for (auto &F : IR.Functions) {
     OptOptions Options;
     Options.LocalGlobalPromotion = LocalGlobalPromotion;
@@ -95,15 +122,18 @@ void finishForDirectives(IRModule &IR, const ProgramDatabase *DB,
         Options.SkipGlobals.insert(Plain);
       }
     }
-    finishOptimization(*F, Options);
+    Stats += finishOptimization(*F, Options);
   }
+  return Stats;
 }
 
 /// Phase 1's trial code generation of one function, for the summary's
 /// register-need estimate and caller-saves footprint (§6, §7.6.2).
 std::optional<TrialCodeGenInfo> trialCodeGen(const IRModule &IR,
-                                             const IRFunction &F) {
+                                             const IRFunction &F,
+                                             WorkCounters &Work) {
   CodeGenResult CG = generateCode(IR, F, ProcDirectives());
+  Work.add(CG.RA);
   if (!CG.Success)
     return std::nullopt;
   return TrialCodeGenInfo{CG.RA.CalleeRegsUsed,
@@ -349,6 +379,7 @@ Status Pipeline::summarize(Batch &B) {
   if (!Miss.empty()) {
     if (Status S = B.ensureFrontEnd(Miss); !S.ok())
       return S;
+    WorkCounters Work;
     // Lowering, then the database-free finish: phase 1 optimizes as if
     // no global were promoted.
     std::vector<std::unique_ptr<IRModule>> IRs(N);
@@ -365,8 +396,9 @@ Status Pipeline::summarize(Batch &B) {
       }
       B.ASTs[I].reset(); // Phase 2 resumes from the IR file instead.
       IRs[I] = B.KeepIRFiles ? L.IR->clone() : std::move(L.IR);
-      finishForDirectives(*IRs[I], nullptr, Config.LocalGlobalPromotion,
-                          L.PT.get());
+      Work.add(L.Opt);
+      Work.add(finishForDirectives(*IRs[I], nullptr,
+                                   Config.LocalGlobalPromotion, L.PT.get()));
     });
     if (const std::string *E = firstError(Errors))
       return Status::error(*E);
@@ -378,8 +410,8 @@ Status Pipeline::summarize(Batch &B) {
       Trial[I].resize(IRs[I]->Functions.size());
     forEachFunction(B.Pool, Miss, IRs, PS, &ModulePipelineStats::Phase1Ms,
                     [&](size_t I, size_t F) {
-                      Trial[I][F] =
-                          trialCodeGen(*IRs[I], *IRs[I]->Functions[F]);
+                      Trial[I][F] = trialCodeGen(
+                          *IRs[I], *IRs[I]->Functions[F], Work);
                       return std::string();
                     });
 
@@ -419,6 +451,7 @@ Status Pipeline::summarize(Batch &B) {
       if (!B.KeepIRFiles)
         B.IRFiles[I] = LoweredModule();
     }
+    Work.addTo(PS);
   }
   for (size_t I = 0; I < N; ++I) {
     PS.Modules[I].SummaryBytes = B.SummaryTexts[I].size();
@@ -461,6 +494,7 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
         Relower.push_back(I);
     if (Status S = B.ensureFrontEnd(Relower); !S.ok())
       return S;
+    WorkCounters Work;
     std::vector<std::unique_ptr<IRModule>> IRs(N);
     std::vector<std::string> Errors(N);
     parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
@@ -474,9 +508,10 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
           Errors[I] = "phase 2 IR verification failed: " + Problem;
           return;
         }
+        Work.add(L.Opt);
       }
-      finishForDirectives(*L.IR, DB, Config.LocalGlobalPromotion,
-                          L.PT.get());
+      Work.add(finishForDirectives(*L.IR, DB, Config.LocalGlobalPromotion,
+                                   L.PT.get()));
       auto Problems = verifyModule(*L.IR);
       if (!Problems.empty()) {
         Errors[I] = "phase 2 IR verification failed: " + Problems[0];
@@ -502,6 +537,7 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
           CodeGenResult CG = generateCode(
               IR, Fn, directivesFor(DB, Fn, Config.LinkerReservedRegs),
               Clobbers);
+          Work.add(CG.RA);
           if (!CG.Success)
             return "register allocation failed for " + Fn.qualifiedName();
           Funcs[I][F] = std::move(CG.Obj);
@@ -522,6 +558,7 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
     });
     for (size_t I : Miss)
       Cache->put(Keys[I], B.ObjectTexts[I]);
+    Work.addTo(PS);
   }
   for (size_t I = 0; I < N; ++I) {
     PS.Modules[I].Functions =
@@ -546,7 +583,7 @@ void Pipeline::analyzeCached(const SummarySet &Summaries,
   std::string Key = hashParts(Parts);
 
   // The entry is the encoded AnalyzerStats on one line (a cached run
-  // still reports its statistics), then the database text. An entry
+  // still reports its counters), then the database text. An entry
   // missing any listed field — written before a counter was added —
   // is a miss. The text comes from outside this process, so parsing it
   // is the validity check.
@@ -602,7 +639,12 @@ void Pipeline::analyzeCached(const SummarySet &Summaries,
   Resp.Database = Produced.serialize();
   PS.DatabaseBytes = Resp.Database.size();
   DB = std::move(Produced);
-  Cache->put(Key, json::encode(Resp.Analyzer).dump() + "\n" + Resp.Database);
+  // The entry's bytes are a function of the inputs: its timings are 0,
+  // which is what a hit reports for the sub-phases it skipped.
+  AnalyzerStats Stored = Resp.Analyzer;
+  Stored.RefSetsMs = Stored.ModRefMs = Stored.WebsMs = Stored.ColoringMs =
+      Stored.ClustersMs = Stored.RegSetsMs = 0;
+  Cache->put(Key, json::encode(Stored).dump() + "\n" + Resp.Database);
 }
 
 Status Pipeline::executeAnalyze(const BuildRequest &Req,

@@ -63,6 +63,12 @@ std::string PipelineStats::toString(const AnalyzerStats &A,
        << " refuted-beyond-andersen=" << A.GPG.RefutedBeyondAndersen
        << " resolved-beyond-andersen=" << A.GPG.ResolvedBeyondAndersen
        << "\n";
+  if (OptRounds + RegAllocRounds > 0)
+    OS << "  work: opt-rounds=" << OptRounds
+       << " opt-pass-runs=" << OptPassRuns
+       << " opt-pass-changes=" << OptPassChanges
+       << " regalloc-rounds=" << RegAllocRounds
+       << " spilled-vregs=" << SpilledVRegs << "\n";
   OS << "  summaries=" << SummaryBytes << "B database=" << DatabaseBytes
      << "B objects=" << ObjectBytes << "B\n";
   if (Phase1CacheHits + Phase1CacheMisses + AnalyzerCacheHits +

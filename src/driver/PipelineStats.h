@@ -85,6 +85,15 @@ struct PipelineStats {
   /// across recompiled modules.
   unsigned long long GPGUpdates = 0;
   unsigned long long GPGCallSites = 0;
+  /// Exact work counters of the level-2 optimizer's round loops and the
+  /// register allocator, summed over every function this request
+  /// compiled (phase 1's trial code generation included; zero for
+  /// modules served from the cache).
+  unsigned long long OptRounds = 0;
+  unsigned long long OptPassRuns = 0;
+  unsigned long long OptPassChanges = 0;
+  unsigned long long RegAllocRounds = 0;
+  unsigned long long SpilledVRegs = 0;
   size_t SummaryBytes = 0;  ///< All summary files.
   /// Summary texts this request ran through readSummary. An analyze
   /// request parses only texts its analyzer session has not seen.
@@ -122,6 +131,11 @@ struct PipelineStats {
     V("points-to-iterations", S.PointsToIterations);
     V("gpg-updates", S.GPGUpdates);
     V("gpg-call-sites", S.GPGCallSites);
+    V("opt-rounds", S.OptRounds);
+    V("opt-pass-runs", S.OptPassRuns);
+    V("opt-pass-changes", S.OptPassChanges);
+    V("regalloc-rounds", S.RegAllocRounds);
+    V("spilled-vregs", S.SpilledVRegs);
     V("summary-bytes", S.SummaryBytes);
     V("summaries-parsed", S.SummariesParsed);
     V("database-bytes", S.DatabaseBytes);

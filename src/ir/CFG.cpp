@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 
 using namespace ipra;
 
@@ -20,8 +18,6 @@ CFGInfo::CFGInfo(const IRFunction &F) {
   Succs.resize(N);
   Reachable.assign(N, false);
   RPOIndex.assign(N, -1);
-  IDom.assign(N, -1);
-  LoopDepth.assign(N, 0);
 
   for (const auto &B : F.Blocks)
     Succs[B->Id] = B->successors();
@@ -60,14 +56,20 @@ CFGInfo::CFGInfo(const IRFunction &F) {
   for (int B : RPO)
     for (int S : Succs[B])
       Preds[S].push_back(B);
+}
 
-  computeDominators(F);
-  computeLoopDepths(F);
+void CFGInfo::computeLoops() const {
+  if (HaveLoops)
+    return;
+  HaveLoops = true; // Before computeLoopDepths, which asks dominates.
+  IDom.assign(Preds.size(), -1);
+  LoopDepth.assign(Preds.size(), 0);
+  computeDominators();
+  computeLoopDepths();
 }
 
 // Cooper-Harvey-Kennedy iterative dominator algorithm.
-void CFGInfo::computeDominators(const IRFunction &F) {
-  (void)F;
+void CFGInfo::computeDominators() const {
   if (RPO.empty())
     return;
   IDom[RPO[0]] = RPO[0]; // Temporarily self; reset to -1 afterwards.
@@ -103,6 +105,7 @@ void CFGInfo::computeDominators(const IRFunction &F) {
 }
 
 bool CFGInfo::dominates(int A, int B) const {
+  computeLoops();
   if (!Reachable[A] || !Reachable[B])
     return false;
   while (B != -1) {
@@ -113,22 +116,23 @@ bool CFGInfo::dominates(int A, int B) const {
   return false;
 }
 
-void CFGInfo::computeLoopDepths(const IRFunction &F) {
+void CFGInfo::computeLoopDepths() const {
   // Natural loops: for each back edge (T -> H) where H dominates T,
   // collect the loop body and bump the depth of every member. Back
   // edges sharing a header merge into one Loop record.
-  size_t N = F.Blocks.size();
-  std::map<int, std::set<int>> LoopsByHeader;
+  size_t N = Preds.size();
+  std::vector<std::vector<char>> Members(N); // By header; empty: none.
+  std::vector<char> InLoop(N);
+  std::vector<int> Work;
   for (int T : RPO) {
     for (int H : Succs[T]) {
       if (!dominates(H, T))
         continue;
       // Back edge T -> H. Walk predecessors from T until H.
-      std::vector<bool> InLoop(N, false);
-      InLoop[H] = true;
-      std::vector<int> Work;
+      std::fill(InLoop.begin(), InLoop.end(), 0);
+      InLoop[H] = 1;
       if (!InLoop[T]) {
-        InLoop[T] = true;
+        InLoop[T] = 1;
         Work.push_back(T);
       }
       while (!Work.empty()) {
@@ -136,28 +140,33 @@ void CFGInfo::computeLoopDepths(const IRFunction &F) {
         Work.pop_back();
         for (int P : Preds[B]) {
           if (!InLoop[P]) {
-            InLoop[P] = true;
+            InLoop[P] = 1;
             Work.push_back(P);
           }
         }
       }
+      Members[H].resize(N, 0);
       for (size_t B = 0; B < N; ++B)
         if (InLoop[B]) {
           ++LoopDepth[B];
-          LoopsByHeader[H].insert(static_cast<int>(B));
+          Members[H][B] = 1;
         }
     }
   }
-  for (auto &[Header, Members] : LoopsByHeader) {
+  for (size_t H = 0; H < N; ++H) {
+    if (Members[H].empty())
+      continue;
     Loop L;
-    L.Header = Header;
-    L.Blocks.assign(Members.begin(), Members.end());
+    L.Header = static_cast<int>(H);
+    for (size_t B = 0; B < N; ++B)
+      if (Members[H][B])
+        L.Blocks.push_back(static_cast<int>(B));
     Loops.push_back(std::move(L));
   }
 }
 
 long long CFGInfo::blockFrequency(int Block) const {
-  int Depth = std::min(LoopDepth[Block], 4);
+  int Depth = std::min(loopDepth(Block), 4);
   long long Freq = 1;
   for (int I = 0; I < Depth; ++I)
     Freq *= 10;

@@ -25,7 +25,8 @@
 namespace ipra {
 
 /// Analysis bundle for one function's CFG. Build once; invalidated by
-/// any CFG mutation.
+/// any CFG mutation. Not safe to share across threads (the dominators
+/// and loops are filled in on first use).
 class CFGInfo {
 public:
   explicit CFGInfo(const IRFunction &F);
@@ -44,13 +45,19 @@ public:
 
   /// Immediate dominator of \p Block (-1 for the entry block and for
   /// unreachable blocks).
-  int idom(int Block) const { return IDom[Block]; }
+  int idom(int Block) const {
+    computeLoops();
+    return IDom[Block];
+  }
 
   /// Returns true if \p A dominates \p B (reflexive).
   bool dominates(int A, int B) const;
 
   /// Loop-nesting depth of \p Block (0 = not in any loop).
-  int loopDepth(int Block) const { return LoopDepth[Block]; }
+  int loopDepth(int Block) const {
+    computeLoops();
+    return LoopDepth[Block];
+  }
 
   /// A natural loop: the header plus every block of every back edge
   /// targeting it (back edges with the same header merge into one loop).
@@ -58,23 +65,30 @@ public:
     int Header = -1;
     std::vector<int> Blocks; ///< Includes the header.
   };
-  const std::vector<Loop> &loops() const { return Loops; }
+  const std::vector<Loop> &loops() const {
+    computeLoops();
+    return Loops;
+  }
 
   /// Frequency weight used by the first-phase heuristics: 10^depth,
   /// capped at 10^4.
   long long blockFrequency(int Block) const;
 
 private:
-  void computeDominators(const IRFunction &F);
-  void computeLoopDepths(const IRFunction &F);
+  /// Dominators and natural loops, computed on first use: most passes
+  /// need only the edges and the order.
+  void computeLoops() const;
+  void computeDominators() const;
+  void computeLoopDepths() const;
 
   std::vector<std::vector<int>> Preds, Succs;
   std::vector<int> RPO;
   std::vector<int> RPOIndex; ///< Position of each block in RPO, -1 if not.
   std::vector<bool> Reachable;
-  std::vector<int> IDom;
-  std::vector<int> LoopDepth;
-  std::vector<Loop> Loops;
+  mutable bool HaveLoops = false;
+  mutable std::vector<int> IDom;
+  mutable std::vector<int> LoopDepth;
+  mutable std::vector<Loop> Loops;
 };
 
 /// Virtual registers live at the entry and exit of every block of \p F

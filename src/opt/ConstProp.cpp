@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Iterative forward dataflow over the (non-SSA) virtual registers. Each
-/// program point maps vregs to a lattice value: unknown (top), a known
-/// 32-bit constant, or a copy of another vreg. The meet at block entry is
-/// value intersection. After the fixpoint, uses are rewritten: constant
-/// operands of Copy feed Const rewrites, copy chains are collapsed, and
-/// CondBr on a known constant becomes an unconditional branch.
+/// program point keeps a flat vector of facts sorted by vreg: a vreg is a
+/// known 32-bit constant or a copy of another vreg, and a vreg without a
+/// fact is unknown. The meet at block entry is fact intersection, one
+/// merge of two sorted vectors. After the fixpoint, uses are rewritten:
+/// constant operands of Copy feed Const rewrites, copy chains are
+/// collapsed, and CondBr on a known constant becomes an unconditional
+/// branch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,80 +20,119 @@
 
 #include "ir/CFG.h"
 
-#include <map>
+#include <algorithm>
 
 using namespace ipra;
 
 namespace {
 
-struct LatticeValue {
-  enum class Kind : uint8_t { Const, CopyOf } K = Kind::Const;
+/// One known fact: \p Reg holds the constant \p Const or, if \p CopyOf,
+/// the value of register \p Src.
+struct Fact {
+  unsigned Reg = 0;
+  bool CopyOf = false;
   int32_t Const = 0;
   unsigned Src = 0;
 
-  bool operator==(const LatticeValue &RHS) const = default;
+  bool operator==(const Fact &RHS) const = default;
 };
 
-/// Map from vreg to known value; absence means bottom (unknown/varying).
-using State = std::map<unsigned, LatticeValue>;
+/// The facts at one program point, sorted by register; absence means
+/// bottom (unknown/varying).
+using State = std::vector<Fact>;
 
-/// Removes facts invalidated by a (re)definition of \p Reg: the fact for
-/// Reg itself and any copy-of-Reg facts.
-void killReg(State &S, unsigned Reg) {
-  S.erase(Reg);
-  for (auto It = S.begin(); It != S.end();) {
-    if (It->second.K == LatticeValue::Kind::CopyOf && It->second.Src == Reg)
-      It = S.erase(It);
-    else
-      ++It;
-  }
+/// The first fact in \p S for a register at or above \p Reg.
+template <typename StateT> auto lowerBound(StateT &S, unsigned Reg) {
+  return std::lower_bound(
+      S.begin(), S.end(), Reg,
+      [](const Fact &F, unsigned R) { return F.Reg < R; });
 }
 
-/// Applies one instruction to the state.
-void transfer(State &S, const IRInstr &I) {
+/// The fact for \p Reg, or null.
+const Fact *lookup(const State &S, unsigned Reg) {
+  auto It = lowerBound(S, Reg);
+  return It != S.end() && It->Reg == Reg ? &*It : nullptr;
+}
+
+/// The constant \p Reg holds, or null.
+const int32_t *constantOf(const State &S, unsigned Reg) {
+  const Fact *F = lookup(S, Reg);
+  return F && !F->CopyOf ? &F->Const : nullptr;
+}
+
+/// Applies one instruction to the state. Only a register some Copy
+/// reads (\p CopySource) can be the source of a CopyOf fact, and
+/// rewriting a use to a copy's source keeps that true.
+void transfer(State &S, const IRInstr &I,
+              const std::vector<char> &CopySource) {
   if (!I.HasDst)
     return;
-  killReg(S, I.Dst);
-  if (I.Op == IROp::Const) {
-    S[I.Dst] = LatticeValue{LatticeValue::Kind::Const, I.Imm, 0};
-  } else if (I.Op == IROp::Copy && I.Srcs[0] != I.Dst) {
+  // Remove the facts a (re)definition of Dst invalidates: its own and
+  // any copy-of-Dst facts.
+  if (auto It = lowerBound(S, I.Dst); It != S.end() && It->Reg == I.Dst)
+    S.erase(It);
+  if (CopySource[I.Dst])
+    std::erase_if(S, [&I](const Fact &F) {
+      return F.CopyOf && F.Src == I.Dst;
+    });
+  Fact New{I.Dst, false, I.Imm, 0};
+  if (I.Op == IROp::Copy && I.Srcs[0] != I.Dst) {
     // Collapse through the source's current fact when possible.
-    auto It = S.find(I.Srcs[0]);
-    if (It != S.end())
-      S[I.Dst] = It->second;
-    else
-      S[I.Dst] = LatticeValue{LatticeValue::Kind::CopyOf, 0, I.Srcs[0]};
+    const Fact *Src = lookup(S, I.Srcs[0]);
+    New = Src ? *Src : Fact{0, true, 0, I.Srcs[0]};
+    New.Reg = I.Dst;
+  } else if (I.Op != IROp::Const) {
+    return;
   }
+  S.insert(lowerBound(S, I.Dst), New);
 }
 
 /// Meet: keep only facts present and equal in both.
 void meetInto(State &Dst, const State &Src) {
-  for (auto It = Dst.begin(); It != Dst.end();) {
-    auto Found = Src.find(It->first);
-    if (Found == Src.end() || !(Found->second == It->second))
-      It = Dst.erase(It);
-    else
-      ++It;
+  auto Out = Dst.begin();
+  auto SrcIt = Src.begin();
+  for (const Fact &F : Dst) {
+    while (SrcIt != Src.end() && SrcIt->Reg < F.Reg)
+      ++SrcIt;
+    if (SrcIt != Src.end() && *SrcIt == F)
+      *Out++ = F;
   }
+  Dst.erase(Out, Dst.end());
 }
 
 } // namespace
 
 bool ipra::propagateConstantsAndCopies(IRFunction &F) {
   CFGInfo CFG(F);
+  std::vector<char> CopySource(F.NumVRegs, 0);
+  for (const auto &B : F.Blocks)
+    for (const IRInstr &I : B->Instrs)
+      if (I.Op == IROp::Copy)
+        CopySource[I.Srcs[0]] = 1;
   size_t N = F.Blocks.size();
   std::vector<State> In(N), Out(N);
   std::vector<bool> Visited(N, false);
 
-  // Fixpoint over reachable blocks in RPO.
+  // Fixpoint over reachable blocks in RPO. A visited block whose visited
+  // predecessors' Out did not change since its last visit would come out
+  // as it is, so it is skipped (Seen and OutChanged order the events).
+  State NewIn, NewOut;
+  std::vector<unsigned> Seen(N, 0), OutChanged(N, 0);
+  unsigned Event = 0;
   bool IterChanged = true;
   int Rounds = 0;
   while (IterChanged && Rounds++ < 50) {
     IterChanged = false;
     for (int B : CFG.rpo()) {
-      State NewIn;
+      const std::vector<int> &Preds = CFG.predecessors(B);
+      if (Visited[B] && std::none_of(Preds.begin(), Preds.end(), [&](int P) {
+            return Visited[P] && OutChanged[P] > Seen[B];
+          }))
+        continue;
+      Seen[B] = ++Event;
+      NewIn.clear();
       bool First = true;
-      for (int P : CFG.predecessors(B)) {
+      for (int P : Preds) {
         if (!Visited[P])
           continue; // Optimistically ignore unprocessed back edges.
         if (First) {
@@ -101,12 +142,14 @@ bool ipra::propagateConstantsAndCopies(IRFunction &F) {
           meetInto(NewIn, Out[P]);
         }
       }
-      State NewOut = NewIn;
+      NewOut = NewIn;
       for (const IRInstr &I : F.block(B)->Instrs)
-        transfer(NewOut, I);
+        transfer(NewOut, I, CopySource);
+      if (!Visited[B] || NewOut != Out[B])
+        OutChanged[B] = ++Event;
       if (!Visited[B] || NewIn != In[B] || NewOut != Out[B]) {
-        In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
+        In[B].swap(NewIn);
+        Out[B].swap(NewOut);
         Visited[B] = true;
         IterChanged = true;
       }
@@ -121,66 +164,36 @@ bool ipra::propagateConstantsAndCopies(IRFunction &F) {
       // Replace uses that are copies of other regs; turn instructions
       // whose value is a known constant into Const.
       for (unsigned &Use : I.Srcs) {
-        auto It = S.find(Use);
-        if (It != S.end() && It->second.K == LatticeValue::Kind::CopyOf &&
-            It->second.Src != Use) {
-          Use = It->second.Src;
+        const Fact *Known = lookup(S, Use);
+        if (Known && Known->CopyOf && Known->Src != Use) {
+          Use = Known->Src;
           Changed = true;
         }
       }
       if (I.Op == IROp::Copy) {
-        auto It = S.find(I.Srcs[0]);
-        if (It != S.end() && It->second.K == LatticeValue::Kind::Const) {
-          IRInstr K;
-          K.Op = IROp::Const;
-          K.HasDst = true;
-          K.Dst = I.Dst;
-          K.Imm = It->second.Const;
-          I = std::move(K);
+        if (const int32_t *C = constantOf(S, I.Srcs[0])) {
+          I = constInstr(I.Dst, *C);
           Changed = true;
         }
       } else if (I.Op == IROp::Bin || I.Op == IROp::Neg ||
                  I.Op == IROp::Not) {
         // Fold fully-constant operands here too (the block-local
         // simplifier misses facts that flow across blocks).
-        bool AllConst = true;
-        std::vector<int32_t> Vals;
-        for (unsigned Use : I.Srcs) {
-          auto It = S.find(Use);
-          if (It == S.end() || It->second.K != LatticeValue::Kind::Const) {
-            AllConst = false;
-            break;
-          }
-          Vals.push_back(It->second.Const);
-        }
-        if (AllConst) {
-          int32_t V;
-          if (I.Op == IROp::Bin)
-            V = evalBinKind(I.BK, Vals[0], Vals[1]);
-          else if (I.Op == IROp::Neg)
-            V = static_cast<int32_t>(-static_cast<uint32_t>(Vals[0]));
-          else
-            V = ~Vals[0];
-          IRInstr K;
-          K.Op = IROp::Const;
-          K.HasDst = true;
-          K.Dst = I.Dst;
-          K.Imm = V;
-          I = std::move(K);
+        const int32_t *L = constantOf(S, I.Srcs[0]);
+        const int32_t *R =
+            I.Op == IROp::Bin ? constantOf(S, I.Srcs[1]) : L;
+        if (L && R) {
+          I = constInstr(I.Dst, I.Op == IROp::Bin ? evalBinKind(I.BK, *L, *R)
+                                                  : evalUnary(I.Op, *L));
           Changed = true;
         }
       } else if (I.Op == IROp::CondBr) {
-        auto It = S.find(I.Srcs[0]);
-        if (It != S.end() && It->second.K == LatticeValue::Kind::Const) {
-          int Target = It->second.Const != 0 ? I.Target1 : I.Target2;
-          IRInstr K;
-          K.Op = IROp::Br;
-          K.Target1 = Target;
-          I = std::move(K);
+        if (const int32_t *C = constantOf(S, I.Srcs[0])) {
+          I = branchInstr(*C != 0 ? I.Target1 : I.Target2);
           Changed = true;
         }
       }
-      transfer(S, I);
+      transfer(S, I, CopySource);
     }
   }
   return Changed;

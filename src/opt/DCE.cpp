@@ -15,8 +15,6 @@
 
 #include "ir/CFG.h"
 
-#include <algorithm>
-
 using namespace ipra;
 
 bool ipra::eliminateDeadCode(IRFunction &F) {
@@ -27,10 +25,10 @@ bool ipra::eliminateDeadCode(IRFunction &F) {
   for (int B : CFG.rpo()) {
     auto &Instrs = F.block(B)->Instrs;
     DynBitset &Live = BlockLive.Out[B];
-    std::vector<IRInstr> Kept;
-    Kept.reserve(Instrs.size());
-    for (auto II = Instrs.rbegin(); II != Instrs.rend(); ++II) {
-      IRInstr &I = *II;
+    // Survivors move up to fill [Kept, size) from the back.
+    size_t Kept = Instrs.size();
+    for (size_t Idx = Instrs.size(); Idx-- > 0;) {
+      IRInstr &I = Instrs[Idx];
       bool DstDead = I.HasDst && !Live.test(I.Dst);
       if (DstDead && I.isPure()) {
         Changed = true;
@@ -48,10 +46,10 @@ bool ipra::eliminateDeadCode(IRFunction &F) {
         Live.reset(I.Dst);
       for (unsigned Use : I.Srcs)
         Live.set(Use);
-      Kept.push_back(std::move(I));
+      if (--Kept != Idx)
+        Instrs[Kept] = std::move(I);
     }
-    std::reverse(Kept.begin(), Kept.end());
-    Instrs = std::move(Kept);
+    Instrs.erase(Instrs.begin(), Instrs.begin() + Kept);
   }
   return Changed;
 }

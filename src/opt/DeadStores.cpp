@@ -24,15 +24,6 @@ using namespace ipra;
 namespace {
 
 /// Slots whose address is taken can be read through pointers.
-std::unordered_set<int> escapedSlots(const IRFunction &F) {
-  std::unordered_set<int> Escaped;
-  for (const auto &B : F.Blocks)
-    for (const IRInstr &I : B->Instrs)
-      if (I.Op == IROp::AddrSlot)
-        Escaped.insert(I.Slot);
-  return Escaped;
-}
-
 } // namespace
 
 bool ipra::eliminateDeadStores(IRFunction &F) {

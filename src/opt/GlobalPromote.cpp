@@ -141,21 +141,11 @@ bool ipra::promoteGlobalsLocally(IRFunction &F, const OptOptions &Options) {
                     ? Promoted.find(I.Sym)
                     : Promoted.end();
       if (I.Op == IROp::LdG && It != Promoted.end()) {
-        IRInstr Cp;
-        Cp.Op = IROp::Copy;
-        Cp.HasDst = true;
-        Cp.Dst = I.Dst;
-        Cp.Srcs = {It->second};
-        Out.push_back(std::move(Cp));
+        Out.push_back(copyInstr(I.Dst, It->second));
         continue;
       }
       if (I.Op == IROp::StG && It != Promoted.end()) {
-        IRInstr Cp;
-        Cp.Op = IROp::Copy;
-        Cp.HasDst = true;
-        Cp.Dst = It->second;
-        Cp.Srcs = {I.Srcs[0]};
-        Out.push_back(std::move(Cp));
+        Out.push_back(copyInstr(It->second, I.Srcs[0]));
         continue;
       }
       if (I.isCall() || I.Op == IROp::StPtr) {

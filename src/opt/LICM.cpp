@@ -28,7 +28,8 @@
 #include "ir/CFG.h"
 
 #include <algorithm>
-#include <set>
+#include <optional>
+#include <tuple>
 
 using namespace ipra;
 
@@ -77,7 +78,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
     return false;
 
   DefUseInfo DU(F);
-  Liveness Live = blockLiveness(F, CFG);
+  std::optional<Liveness> Live; // Solved when a candidate first asks.
 
   bool Changed = false;
   // Hoist from outermost loops first? Processing any loop is correct
@@ -86,7 +87,9 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
   for (const CFGInfo::Loop &L : CFG.loops()) {
     if (L.Header == 0)
       continue; // Entry-block headers keep their identity.
-    std::set<int> InLoop(L.Blocks.begin(), L.Blocks.end());
+    std::vector<char> InLoop(F.Blocks.size(), 0);
+    for (int B : L.Blocks)
+      InLoop[B] = 1;
 
     // Collect hoistable instructions.
     struct Candidate {
@@ -104,7 +107,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
         bool OperandsInvariant = true;
         for (unsigned Src : I.Srcs)
           for (auto [DB, DI] : DU.Defs[Src])
-            if (InLoop.count(DB)) {
+            if (InLoop[DB]) {
               OperandsInvariant = false;
               break;
             }
@@ -113,7 +116,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
         // Sole in-loop definition of its destination.
         int LoopDefs = 0;
         for (auto [DB, DI] : DU.Defs[I.Dst])
-          if (InLoop.count(DB))
+          if (InLoop[DB])
             ++LoopDefs;
         if (LoopDefs != 1)
           continue;
@@ -133,7 +136,9 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
         if (!DominatesUses)
           continue;
         // Not live into the header (no loop-carried pre-def reader).
-        if (Live.In[L.Header].test(I.Dst))
+        if (!Live)
+          Live = blockLiveness(F, CFG);
+        if (Live->In[L.Header].test(I.Dst))
           continue;
         Hoist.push_back({B, static_cast<int>(Idx)});
       }
@@ -145,7 +150,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
     // of the header.
     IRBlock *Preheader = F.newBlock();
     for (int P : CFG.predecessors(L.Header)) {
-      if (InLoop.count(P))
+      if (InLoop[P])
         continue; // Back edge stays on the header.
       IRInstr &T = F.block(P)->Instrs.back();
       if ((T.Op == IROp::Br || T.Op == IROp::CondBr) &&
@@ -169,10 +174,7 @@ bool ipra::hoistLoopInvariants(IRFunction &F) {
       F.block(It->Block)
           ->Instrs.erase(F.block(It->Block)->Instrs.begin() + It->Index);
 
-    IRInstr Br;
-    Br.Op = IROp::Br;
-    Br.Target1 = L.Header;
-    Preheader->Instrs.push_back(std::move(Br));
+    Preheader->Instrs.push_back(branchInstr(L.Header));
     Changed = true;
 
     // CFG and def/use info are stale after mutation: handle one loop

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
-#include <unordered_set>
 
 using namespace ipra;
 
@@ -42,15 +41,6 @@ struct ExprKey {
 };
 
 /// Slots whose address is ever taken can be written through pointers.
-std::unordered_set<int> escapedSlots(const IRFunction &F) {
-  std::unordered_set<int> Escaped;
-  for (const auto &B : F.Blocks)
-    for (const IRInstr &I : B->Instrs)
-      if (I.Op == IROp::AddrSlot)
-        Escaped.insert(I.Slot);
-  return Escaped;
-}
-
 bool cseEligible(const IRInstr &I) {
   if (!I.HasDst)
     return false;
@@ -103,12 +93,7 @@ bool ipra::localCSE(IRFunction &F) {
         ExprKey Key{I.Op, I.BK, I.Srcs, I.Sym, I.Slot};
         auto It = Table.find(Key);
         if (It != Table.end() && It->second != I.Dst) {
-          IRInstr K;
-          K.Op = IROp::Copy;
-          K.HasDst = true;
-          K.Dst = I.Dst;
-          K.Srcs = {It->second};
-          I = std::move(K);
+          I = copyInstr(I.Dst, It->second);
           Changed = true;
         }
       }

@@ -7,46 +7,66 @@
 
 #include "opt/Passes.h"
 
-#include <cassert>
+#include <array>
+#include <iterator>
 
 using namespace ipra;
 
 namespace {
 
-/// One round of the level-2 pipeline; true if any pass changed \p F.
-/// A round reads nothing but \p F.
-bool runRound(IRFunction &F) {
-  bool Changed = false;
-  Changed |= simplifyInstructions(F);
-  Changed |= propagateConstantsAndCopies(F);
-  Changed |= localCSE(F);
-  Changed |= eliminateDeadStores(F);
-  Changed |= hoistLoopInvariants(F);
-  Changed |= eliminateDeadCode(F);
-  Changed |= simplifyCFG(F);
-  return Changed;
+using Pass = bool (*)(IRFunction &);
+
+/// The passes of one round, in order.
+constexpr Pass RoundPasses[] = {
+    simplifyInstructions, propagateConstantsAndCopies, localCSE,
+    eliminateDeadStores,  hoistLoopInvariants,         eliminateDeadCode,
+    simplifyCFG};
+constexpr size_t NumRoundPasses = std::size(RoundPasses);
+
+/// Up to \p MaxRounds rounds of the level-2 passes, stopping after the
+/// first round that changes nothing. A pass reads nothing but \p F, so
+/// one that changed nothing when it last ran would change nothing again
+/// until some pass changes \p F: such a pass is skipped, and every
+/// round changes exactly what a round of all seven passes would.
+OptStats runRounds(IRFunction &F, int MaxRounds) {
+  OptStats Stats;
+  std::array<bool, NumRoundPasses> Idle{};
+  for (int Round = 0; Round < MaxRounds; ++Round) {
+    ++Stats.Rounds;
+    bool Changed = false;
+    for (size_t P = 0; P < NumRoundPasses; ++P) {
+      if (Idle[P])
+        continue;
+      ++Stats.PassRuns;
+      if (RoundPasses[P](F)) {
+        ++Stats.PassChanges;
+        Changed = true;
+        Idle.fill(false);
+      } else {
+        Idle[P] = true;
+      }
+    }
+    if (!Changed)
+      break;
+  }
+  return Stats;
 }
 
 } // namespace
 
-void ipra::optimizeToFixpoint(IRFunction &F) {
-  for (int I = 0; I < 8; ++I)
-    if (!runRound(F))
-      break;
+OptStats ipra::optimizeToFixpoint(IRFunction &F) { return runRounds(F, 8); }
+
+OptStats ipra::finishOptimization(IRFunction &F, const OptOptions &Options) {
+  OptStats Stats;
+  if (Options.LocalGlobalPromotion && promoteGlobalsLocally(F, Options))
+    Stats = runRounds(F, 2); // Clean up the copies the promotion introduced.
+  return Stats;
 }
 
-void ipra::finishOptimization(IRFunction &F, const OptOptions &Options) {
-  if (Options.LocalGlobalPromotion && promoteGlobalsLocally(F, Options)) {
-    // Clean up the copies the promotion introduced.
-    for (int I = 0; I < 2; ++I)
-      if (!runRound(F))
-        break;
-  }
-}
-
-void ipra::optimizeFunction(IRFunction &F, const OptOptions &Options) {
-  optimizeToFixpoint(F);
-  finishOptimization(F, Options);
+OptStats ipra::optimizeFunction(IRFunction &F, const OptOptions &Options) {
+  OptStats Stats = optimizeToFixpoint(F);
+  Stats += finishOptimization(F, Options);
+  return Stats;
 }
 
 void ipra::optimizeModule(IRModule &M, const OptOptions &Options) {

@@ -30,6 +30,7 @@
 
 #include <set>
 #include <string>
+#include <unordered_set>
 
 namespace ipra {
 
@@ -75,6 +76,18 @@ struct OptOptions {
 /// matches execution).
 int32_t evalBinKind(BinKind BK, int32_t L, int32_t R);
 
+/// Evaluates Neg or Not (\p Op) on a 32-bit value (wrapping).
+int32_t evalUnary(IROp Op, int32_t V);
+
+/// The instructions the passes fold others into: Dst = \p V,
+/// Dst = \p Src, and goto \p Target.
+IRInstr constInstr(unsigned Dst, int32_t V);
+IRInstr copyInstr(unsigned Dst, unsigned Src);
+IRInstr branchInstr(int Target);
+
+/// Slots whose address the function takes (AddrSlot) anywhere.
+std::unordered_set<int> escapedSlots(const IRFunction &F);
+
 /// Folds constants and applies algebraic identities (x+0, x*1, x*2^k,
 /// etc.). Returns true if anything changed.
 bool simplifyInstructions(IRFunction &F);
@@ -105,20 +118,36 @@ bool simplifyCFG(IRFunction &F);
 /// kill points). Skips names in \p Options.SkipGlobals.
 bool promoteGlobalsLocally(IRFunction &F, const OptOptions &Options);
 
+/// Exact work counters of the level-2 pipeline's round loops.
+struct OptStats {
+  unsigned long long Rounds = 0;      ///< Rounds started.
+  unsigned long long PassRuns = 0;    ///< Passes run (skipped ones excluded).
+  unsigned long long PassChanges = 0; ///< Pass runs that changed the IR.
+
+  OptStats &operator+=(const OptStats &O) {
+    Rounds += O.Rounds;
+    PassRuns += O.PassRuns;
+    PassChanges += O.PassChanges;
+    return *this;
+  }
+};
+
 /// The option-independent first stage of the level-2 pipeline: up to
 /// eight rounds of every pass above except local global promotion,
-/// stopping early at a fixed point. Reads nothing but \p F, so its
-/// result does not depend on the program database.
-void optimizeToFixpoint(IRFunction &F);
+/// stopping early at a fixed point. A round skips each pass that
+/// changed nothing when it last ran if no pass changed \p F since,
+/// which gives the result of running it. Reads nothing but \p F, so
+/// its result does not depend on the program database.
+OptStats optimizeToFixpoint(IRFunction &F);
 
 /// The second stage: local global promotion (honouring
 /// \p Options.SkipGlobals, the only input the program database
 /// supplies) and, if it changed anything, up to two cleanup rounds.
-void finishOptimization(IRFunction &F, const OptOptions &Options);
+OptStats finishOptimization(IRFunction &F, const OptOptions &Options);
 
 /// Runs the full level-2 pipeline: optimizeToFixpoint, then
 /// finishOptimization.
-void optimizeFunction(IRFunction &F, const OptOptions &Options);
+OptStats optimizeFunction(IRFunction &F, const OptOptions &Options);
 
 /// Runs optimizeFunction on every function in \p M.
 void optimizeModule(IRModule &M, const OptOptions &Options);

@@ -52,6 +52,45 @@ int32_t ipra::evalBinKind(BinKind BK, int32_t L, int32_t R) {
   return 0;
 }
 
+int32_t ipra::evalUnary(IROp Op, int32_t V) {
+  return Op == IROp::Neg ? static_cast<int32_t>(-static_cast<uint32_t>(V))
+                         : ~V;
+}
+
+IRInstr ipra::constInstr(unsigned Dst, int32_t V) {
+  IRInstr K;
+  K.Op = IROp::Const;
+  K.HasDst = true;
+  K.Dst = Dst;
+  K.Imm = V;
+  return K;
+}
+
+IRInstr ipra::copyInstr(unsigned Dst, unsigned Src) {
+  IRInstr K;
+  K.Op = IROp::Copy;
+  K.HasDst = true;
+  K.Dst = Dst;
+  K.Srcs = {Src};
+  return K;
+}
+
+IRInstr ipra::branchInstr(int Target) {
+  IRInstr K;
+  K.Op = IROp::Br;
+  K.Target1 = Target;
+  return K;
+}
+
+std::unordered_set<int> ipra::escapedSlots(const IRFunction &F) {
+  std::unordered_set<int> Escaped;
+  for (const auto &B : F.Blocks)
+    for (const IRInstr &I : B->Instrs)
+      if (I.Op == IROp::AddrSlot)
+        Escaped.insert(I.Slot);
+  return Escaped;
+}
+
 namespace {
 
 std::optional<unsigned> log2Exact(int32_t V) {
@@ -78,14 +117,7 @@ bool ipra::simplifyInstructions(IRFunction &F) {
         auto R = Consts.find(I.Srcs[1]);
         if (L != Consts.end() && R != Consts.end()) {
           int32_t V = evalBinKind(I.BK, L->second, R->second);
-          I = [&] {
-            IRInstr K;
-            K.Op = IROp::Const;
-            K.HasDst = true;
-            K.Dst = I.Dst;
-            K.Imm = V;
-            return K;
-          }();
+          I = constInstr(I.Dst, V);
           Changed = true;
         } else if (R != Consts.end()) {
           int32_t C = R->second;
@@ -96,12 +128,7 @@ bool ipra::simplifyInstructions(IRFunction &F) {
                           I.BK == BinKind::Shl || I.BK == BinKind::Shr)) ||
               (C == 1 && (I.BK == BinKind::Mul || I.BK == BinKind::Div));
           if (IdentityToCopy) {
-            IRInstr K;
-            K.Op = IROp::Copy;
-            K.HasDst = true;
-            K.Dst = I.Dst;
-            K.Srcs = {I.Srcs[0]};
-            I = std::move(K);
+            I = copyInstr(I.Dst, I.Srcs[0]);
             Changed = true;
           } else if (I.BK == BinKind::Mul) {
             if (auto Shift = log2Exact(C)) {
@@ -126,12 +153,7 @@ bool ipra::simplifyInstructions(IRFunction &F) {
           int32_t C = L->second;
           if (C == 0 && (I.BK == BinKind::Add || I.BK == BinKind::Or ||
                          I.BK == BinKind::Xor)) {
-            IRInstr K;
-            K.Op = IROp::Copy;
-            K.HasDst = true;
-            K.Dst = I.Dst;
-            K.Srcs = {I.Srcs[1]};
-            I = std::move(K);
+            I = copyInstr(I.Dst, I.Srcs[1]);
             Changed = true;
           }
         }
@@ -140,27 +162,13 @@ bool ipra::simplifyInstructions(IRFunction &F) {
         if (I.Op == IROp::Bin && I.Srcs.size() == 2 &&
             I.Srcs[0] == I.Srcs[1] &&
             (I.BK == BinKind::Sub || I.BK == BinKind::Xor)) {
-          IRInstr K;
-          K.Op = IROp::Const;
-          K.HasDst = true;
-          K.Dst = I.Dst;
-          K.Imm = 0;
-          I = std::move(K);
+          I = constInstr(I.Dst, 0);
           Changed = true;
         }
       } else if (I.Op == IROp::Neg || I.Op == IROp::Not) {
         auto It = Consts.find(I.Srcs[0]);
         if (It != Consts.end()) {
-          int32_t V = I.Op == IROp::Neg
-                          ? static_cast<int32_t>(
-                                -static_cast<uint32_t>(It->second))
-                          : ~It->second;
-          IRInstr K;
-          K.Op = IROp::Const;
-          K.HasDst = true;
-          K.Dst = I.Dst;
-          K.Imm = V;
-          I = std::move(K);
+          I = constInstr(I.Dst, evalUnary(I.Op, It->second));
           Changed = true;
         }
       }

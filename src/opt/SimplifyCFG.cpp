@@ -91,11 +91,7 @@ bool ipra::simplifyCFG(IRFunction &F) {
           LocalChange = true;
         }
         if (T.Target1 == T.Target2) {
-          int Target = T.Target1;
-          IRInstr K;
-          K.Op = IROp::Br;
-          K.Target1 = Target;
-          T = std::move(K);
+          T = branchInstr(T.Target1);
           LocalChange = true;
         }
       }

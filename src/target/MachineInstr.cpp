@@ -100,6 +100,17 @@ void MInstr::appendDefs(std::vector<unsigned> &Out) const {
   }
 }
 
+bool MInstr::readsOperand(unsigned Reg) const {
+  auto Is = [Reg](const MOperand &Op) {
+    return Op.isReg() && Op.RegNo == Reg;
+  };
+  return (readsA(Op) && Is(A)) || (Op != MOp::B && (Is(B) || Is(C)));
+}
+
+bool MInstr::writesOperand(unsigned Reg) const {
+  return definesA(Op) && A.isReg() && A.RegNo == Reg;
+}
+
 void MInstr::replaceRegUses(unsigned From, unsigned To) {
   auto Replace = [&](MOperand &Op) {
     if (Op.isReg() && Op.RegNo == From)
@@ -114,7 +125,7 @@ void MInstr::replaceRegUses(unsigned From, unsigned To) {
 }
 
 void MInstr::replaceRegDefs(unsigned From, unsigned To) {
-  if (definesA(Op) && A.isReg() && A.RegNo == From)
+  if (writesOperand(From))
     A.RegNo = To;
 }
 

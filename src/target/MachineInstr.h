@@ -192,6 +192,14 @@ struct MInstr {
   /// plus RV when HasResult.
   void appendDefs(std::vector<unsigned> &Out) const;
 
+  /// Does a register operand in a use (read) position name \p Reg?
+  /// The implicit uses appendUses adds are not operands.
+  bool readsOperand(unsigned Reg) const;
+
+  /// Does the register operand in the def (write) position name \p Reg?
+  /// The implicit defs of calls are not operands.
+  bool writesOperand(unsigned Reg) const;
+
   /// Rewrite register operands in use (read) positions only.
   void replaceRegUses(unsigned From, unsigned To);
 

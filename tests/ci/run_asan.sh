@@ -9,10 +9,14 @@
 #    wire configs, replies and retained blobs to their decoders (the
 #    "service" ctest label);
 #  - the liveness solver and its callers: support_test, liveness_test,
-#    opt_test, codegen_test, regalloc_stress_test and linkopt_test (the
-#    "dataflow" label). The solver indexes bitsets by register number
-#    and DynBitset checks bounds only with assert, so ASan is what
-#    catches an out-of-universe register in a release-style build;
+#    opt_test, opt_schedule_test, codegen_test, regalloc_stress_test
+#    and linkopt_test, plus artifact_digest_test, the byte-identity
+#    fence over every corpus cell (the "dataflow" label). The solver
+#    indexes bitsets by register number and DynBitset checks bounds
+#    only with assert, so ASan is what catches an out-of-universe
+#    register in a release-style build; constant propagation keeps
+#    sorted fact vectors and the allocator sorted edge lists, index
+#    arithmetic the digest fence drives over real programs;
 #  - the delta analyzer suites (the "delta" label): the retained-run
 #    restore parses blobs from disk through the same JSON record codec
 #    as the wire request;

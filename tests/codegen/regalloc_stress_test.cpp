@@ -5,12 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "TestUtil.h"
 
 #include "codegen/CodeGen.h"
 #include "link/Linker.h"
 #include "opt/Passes.h"
 #include "sim/Simulator.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -99,5 +101,34 @@ TEST_P(PressureTest, NarrowCalleePoolStillCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(Pressure, PressureTest,
                          ::testing::Values(4, 12, 20, 28));
+
+// paopt's stallPass under a two-register CALLEE set: its loop keeps
+// values live across calls and redefines them, so the same pairs
+// interfere at many points, and allocation needs two spill rounds (the
+// second spills ranges the first round's spill code crowded out). The
+// spill count, the round count and the final code are pinned: the
+// allocator's data structures may change, its decisions may not.
+TEST(RegAllocPinTest, TwoSpillRoundsColorAsPinned) {
+  std::unique_ptr<IRModule> M;
+  for (const SourceFile &S : bench::loadProgram("paopt"))
+    if (S.Name == "peep.mc") {
+      DiagnosticEngine Diags;
+      M = compileToIR(S.Name, S.Text, Diags);
+      ASSERT_TRUE(M) << Diags.renderAll();
+    }
+  ASSERT_TRUE(M);
+  optimizeModule(*M, OptOptions());
+  ProcDirectives Dir;
+  Dir.Callee = pr32::maskOf(3) | pr32::maskOf(4);
+  CodeGenResult CG = generateCode(*M, *M->findFunction("stallPass"), Dir);
+  ASSERT_TRUE(CG.Success);
+  std::string Code;
+  for (const MInstr &I : CG.Obj.Code)
+    Code += I.toString() + "\n";
+  EXPECT_EQ(CG.RA.SpillCount, 6u);
+  EXPECT_EQ(CG.RA.Rounds, 3u);
+  EXPECT_EQ(CG.Frame.FrameWords, 8);
+  EXPECT_EQ(hashHex(Code), "03a9ea55a7a5df3b") << Code;
+}
 
 } // namespace

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <thread>
 #include <unistd.h>
 
@@ -932,6 +934,49 @@ TEST(PipelineTest, CorruptedPhase1CacheEntryIsAMiss) {
   EXPECT_EQ(Warm.ObjectFiles, Cold.ObjectFiles);
 }
 
+// Every cache entry is a function of the build's inputs, the analyzer
+// entry's statistics line included: two cold builds of one program into
+// two fresh cache directories publish the same files byte for byte, and
+// a build served from the cache reports zero time for the analyzer
+// sub-phases it skipped.
+TEST(PipelineTest, ColdBuildsPublishIdenticalCacheEntries) {
+  namespace fs = std::filesystem;
+  auto Publish = [](const std::string &Tag) {
+    fs::path Dir = fs::temp_directory_path() /
+                   ("ipra_pipeline_entries_" + Tag + "_" +
+                    std::to_string(::getpid()));
+    fs::remove_all(Dir);
+    PipelineConfig Config = PipelineConfig::configC();
+    Config.CacheDir = Dir.string();
+    BuildResult Cold = Pipeline(Config).build(bench::loadProgram("crtool"));
+    EXPECT_TRUE(Cold.ok()) << Cold.text();
+    BuildResult Warm = Pipeline(Config).build(bench::loadProgram("crtool"));
+    EXPECT_TRUE(Warm.ok()) << Warm.text();
+    EXPECT_EQ(Warm.Stats.AnalyzerCacheHits, 1u);
+    EXPECT_EQ(Warm.Analyzer.RefSetsMs + Warm.Analyzer.ModRefMs +
+                  Warm.Analyzer.WebsMs + Warm.Analyzer.ColoringMs +
+                  Warm.Analyzer.ClustersMs + Warm.Analyzer.RegSetsMs,
+              0.0);
+    EXPECT_EQ(Warm.Analyzer.ColoredWebs, Cold.Analyzer.ColoredWebs);
+    std::map<std::string, std::string> Entries;
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir)) {
+      std::ifstream In(E.path(), std::ios::binary);
+      Entries[E.path().filename().string()] =
+          std::string(std::istreambuf_iterator<char>(In), {});
+    }
+    fs::remove_all(Dir);
+    return Entries;
+  };
+  std::map<std::string, std::string> First = Publish("a");
+  std::map<std::string, std::string> Second = Publish("b");
+  // Summaries, objects and the analyzer entry.
+  EXPECT_GT(First.size(), 2u);
+  EXPECT_TRUE(std::any_of(First.begin(), First.end(), [](const auto &E) {
+    return E.second.find("\"refsets-ms\":0,") != std::string::npos;
+  }));
+  EXPECT_EQ(First, Second);
+}
+
 TEST(ParallelPipelineTest, SharedSessionAnalysesAgree) {
   // The build service's shape: one analyzer session per program, shared
   // by every pipeline that builds it, with requests on several threads.
@@ -1003,6 +1048,32 @@ TEST(ParallelPipelineTest, ErrorsAreDeterministicAcrossThreadCounts) {
   EXPECT_EQ(Serial.text(), Parallel.text());
   EXPECT_NE(Serial.text().find("oops"), std::string::npos);
   EXPECT_NE(Serial.text().find("worse"), std::string::npos);
+}
+
+// The optimizer's and the allocator's work counters are exact: the same
+// build gives the same counts at any thread count and on every run.
+TEST(ParallelPipelineTest, WorkCountersAreExact) {
+  auto Counters = [](unsigned Threads) {
+    PipelineConfig Config = PipelineConfig::configC();
+    Config.NumThreads = Threads;
+    BuildResult R = Pipeline(Config).build(bench::loadProgram("paopt"));
+    EXPECT_TRUE(R.ok()) << R.text();
+    const PipelineStats &PS = R.Stats;
+    EXPECT_NE(PS.toString(R.Analyzer, R.Delta).find("spilled-vregs="),
+              std::string::npos);
+    return std::vector<unsigned long long>{
+        PS.OptRounds, PS.OptPassRuns, PS.OptPassChanges, PS.RegAllocRounds,
+        PS.SpilledVRegs};
+  };
+  std::vector<unsigned long long> Serial = Counters(1);
+  EXPECT_EQ(Counters(1), Serial);
+  EXPECT_EQ(Counters(4), Serial);
+  // Rounds <= pass runs, changes <= pass runs, and every function's
+  // allocation takes at least one round.
+  EXPECT_GT(Serial[0], 0u);
+  EXPECT_LE(Serial[0], Serial[1]);
+  EXPECT_LE(Serial[2], Serial[1]);
+  EXPECT_GT(Serial[3], 0u);
 }
 
 TEST(ParallelPipelineTest, PipelineStatsArePopulated) {

@@ -54,6 +54,49 @@ void expectValid(const IRFunction &F) {
       << F.toString();
 }
 
+/// One hand-built IR instruction.
+IRInstr instr(IROp Op, std::vector<unsigned> Srcs = {}) {
+  IRInstr I;
+  I.Op = Op;
+  I.Srcs = std::move(Srcs);
+  return I;
+}
+
+IRInstr def(IROp Op, unsigned Dst, std::vector<unsigned> Srcs = {},
+            int32_t Imm = 0) {
+  IRInstr I = instr(Op, std::move(Srcs));
+  I.HasDst = true;
+  I.Dst = Dst;
+  I.Imm = Imm;
+  return I;
+}
+
+IRInstr branch(int Target) {
+  IRInstr I = instr(IROp::Br);
+  I.Target1 = Target;
+  return I;
+}
+
+IRInstr condBranch(unsigned Cond, int Then, int Else) {
+  IRInstr I = instr(IROp::CondBr, {Cond});
+  I.Target1 = Then;
+  I.Target2 = Else;
+  return I;
+}
+
+/// A function of \p NumParams parameters and \p NumVRegs registers
+/// with \p NumBlocks empty blocks.
+std::unique_ptr<IRFunction> handBuilt(unsigned NumParams, unsigned NumVRegs,
+                                      int NumBlocks) {
+  auto F = std::make_unique<IRFunction>();
+  F->Name = "f";
+  F->NumParams = NumParams;
+  F->NumVRegs = NumVRegs;
+  for (int B = 0; B < NumBlocks; ++B)
+    F->newBlock();
+  return F;
+}
+
 TEST(SimplifyTest, FoldsConstantArithmetic) {
   auto M = irFor("int f() { return 2 + 3 * 4; }\n");
   IRFunction *F = M->findFunction("f");
@@ -116,6 +159,70 @@ TEST(ConstPropTest, LoopVariantNotPropagated) {
   // The loop must survive: i is not constant inside it.
   EXPECT_GE(countOp(*F, IROp::CondBr), 1) << F->toString();
   EXPECT_GE(countOp(*F, IROp::Bin), 2) << F->toString();
+
+  // The first visit of the loop header ignores the unvisited back edge
+  // and sees i = 0; the fixpoint must still drop that fact once the
+  // back edge brings i = i + 1:
+  //   b0: v1 = 0; v2 = 1; br b1
+  //   b1: v3 = v1; v4 = v3 < v0; condbr v4, b2, b3
+  //   b2: v1 = v1 + v2; br b1
+  //   b3: ret v3
+  auto Loop = handBuilt(1, 5, 4);
+  Loop->block(0)->Instrs = {def(IROp::Const, 1, {}, 0),
+                            def(IROp::Const, 2, {}, 1), branch(1)};
+  IRInstr Lt = def(IROp::Bin, 4, {3, 0});
+  Lt.BK = BinKind::Lt;
+  Loop->block(1)->Instrs = {def(IROp::Copy, 3, {1}), Lt,
+                            condBranch(4, 2, 3)};
+  Loop->block(2)->Instrs = {def(IROp::Bin, 1, {1, 2}), branch(1)};
+  Loop->block(3)->Instrs = {instr(IROp::Ret, {3})};
+  propagateConstantsAndCopies(*Loop);
+  const IRInstr &Header = Loop->block(1)->Instrs[0];
+  EXPECT_EQ(Header.Op, IROp::Copy) << Loop->toString();
+  EXPECT_EQ(Loop->block(1)->Instrs[2].Op, IROp::CondBr) << Loop->toString();
+  // v1 varies, so the increment stays an addition.
+  EXPECT_EQ(Loop->block(2)->Instrs[0].Op, IROp::Bin) << Loop->toString();
+}
+
+TEST(ConstPropTest, RedefiningCopySourceKillsCopyFact) {
+  //   v2 = v0; print v2; v0 = v1 + v1; print v2; ret
+  // The first print reads v0 through the copy; after v0 is redefined,
+  // v2 still holds the old value and must be read as itself.
+  auto F = handBuilt(2, 3, 1);
+  F->block(0)->Instrs = {def(IROp::Copy, 2, {0}), instr(IROp::Print, {2}),
+                         def(IROp::Bin, 0, {1, 1}), instr(IROp::Print, {2}),
+                         instr(IROp::Ret)};
+  EXPECT_TRUE(propagateConstantsAndCopies(*F));
+  const auto &Instrs = F->block(0)->Instrs;
+  EXPECT_EQ(Instrs[1].Srcs[0], 0u) << F->toString();
+  EXPECT_EQ(Instrs[3].Srcs[0], 2u) << F->toString();
+}
+
+TEST(ConstPropTest, MeetOfDisagreeingFactsDropsThem) {
+  //   b0: condbr v0, b1, b2
+  //   b1: v1 = 1; v2 = 7; v3 = v0; br b3
+  //   b2: v1 = 2; v2 = 7; v3 = v0; br b3
+  //   b3: v4 = v1; v5 = v2; v6 = v3; ret v4
+  // Both paths agree on v2 = 7 and v3 = copy of v0; they disagree on
+  // v1, so the join knows nothing about it.
+  auto F = handBuilt(1, 7, 4);
+  F->block(0)->Instrs = {condBranch(0, 1, 2)};
+  F->block(1)->Instrs = {def(IROp::Const, 1, {}, 1),
+                         def(IROp::Const, 2, {}, 7), def(IROp::Copy, 3, {0}),
+                         branch(3)};
+  F->block(2)->Instrs = {def(IROp::Const, 1, {}, 2),
+                         def(IROp::Const, 2, {}, 7), def(IROp::Copy, 3, {0}),
+                         branch(3)};
+  F->block(3)->Instrs = {def(IROp::Copy, 4, {1}), def(IROp::Copy, 5, {2}),
+                         def(IROp::Copy, 6, {3}), instr(IROp::Ret, {4})};
+  propagateConstantsAndCopies(*F);
+  const auto &Join = F->block(3)->Instrs;
+  EXPECT_EQ(Join[0].Op, IROp::Copy) << F->toString();
+  EXPECT_EQ(Join[0].Srcs[0], 1u) << F->toString();
+  EXPECT_EQ(Join[1].Op, IROp::Const) << F->toString();
+  EXPECT_EQ(Join[1].Imm, 7) << F->toString();
+  EXPECT_EQ(Join[2].Op, IROp::Copy) << F->toString();
+  EXPECT_EQ(Join[2].Srcs[0], 0u) << F->toString();
 }
 
 TEST(CSETest, RepeatedGlobalLoadCollapses) {
