@@ -15,54 +15,6 @@ using namespace ipra;
 
 namespace {
 
-Cond condForCompare(BinKind BK) {
-  switch (BK) {
-  case BinKind::Lt:
-    return Cond::LT;
-  case BinKind::Le:
-    return Cond::LE;
-  case BinKind::Gt:
-    return Cond::GT;
-  case BinKind::Ge:
-    return Cond::GE;
-  case BinKind::Eq:
-    return Cond::EQ;
-  case BinKind::Ne:
-    return Cond::NE;
-  default:
-    assert(false && "not a comparison");
-    return Cond::EQ;
-  }
-}
-
-MOp mopForBin(BinKind BK) {
-  switch (BK) {
-  case BinKind::Add:
-    return MOp::ADD;
-  case BinKind::Sub:
-    return MOp::SUB;
-  case BinKind::Mul:
-    return MOp::MUL;
-  case BinKind::Div:
-    return MOp::DIV;
-  case BinKind::Rem:
-    return MOp::REM;
-  case BinKind::And:
-    return MOp::AND;
-  case BinKind::Or:
-    return MOp::OR;
-  case BinKind::Xor:
-    return MOp::XOR;
-  case BinKind::Shl:
-    return MOp::SHL;
-  case BinKind::Shr:
-    return MOp::SHR;
-  default:
-    assert(false && "comparison has no direct ALU op");
-    return MOp::ADD;
-  }
-}
-
 class LoweringImpl {
 public:
   LoweringImpl(const IRModule &M, const IRFunction &F,
@@ -281,7 +233,7 @@ void LoweringImpl::lowerCondBr(const IRBlock &B, const IRInstr &I) {
   CB.Op = MOp::CB;
   if (Fused != SIZE_MAX) {
     const IRInstr &Cmp = B.Instrs[Fused];
-    CB.CC = condForCompare(Cmp.BK);
+    CB.CC = binForm(Cmp.BK).CC;
     CB.A = MOperand::makeReg(mreg(Cmp.Srcs[0]));
     CB.B = MOperand::makeReg(mreg(Cmp.Srcs[1]));
   } else {
@@ -313,18 +265,9 @@ void LoweringImpl::lowerInstr(const IRBlock &B, size_t Index,
     emitMove(mreg(I.Dst), mreg(I.Srcs[0]));
     return;
   case IROp::Bin: {
-    if (isCompare(I.BK)) {
-      MInstr C;
-      C.Op = MOp::CMP;
-      C.CC = condForCompare(I.BK);
-      C.A = MOperand::makeReg(mreg(I.Dst));
-      C.B = MOperand::makeReg(mreg(I.Srcs[0]));
-      C.C = MOperand::makeReg(mreg(I.Srcs[1]));
-      emit(std::move(C));
-      return;
-    }
     MInstr A;
-    A.Op = mopForBin(I.BK);
+    A.Op = binForm(I.BK).Op;
+    A.CC = binForm(I.BK).CC;
     A.A = MOperand::makeReg(mreg(I.Dst));
     A.B = MOperand::makeReg(mreg(I.Srcs[0]));
     A.C = MOperand::makeReg(mreg(I.Srcs[1]));

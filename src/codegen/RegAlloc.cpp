@@ -37,7 +37,8 @@ private:
   }
 
   void buildInterference();
-  bool colorAll();
+  bool colorAll(bool TempsFirst);
+  bool tempFailed() const;
   void rewriteAssigned();
   void spillVirtReg(unsigned V);
 
@@ -202,10 +203,12 @@ void Allocator::buildInterference() {
   AdjStart[NV] = Kept;
 }
 
-bool Allocator::colorAll() {
+bool Allocator::colorAll(bool TempsFirst) {
   unsigned NV = numVirt();
   Assignment.assign(NV, -1);
   ToSpill.clear();
+  UsedCalleeSet = 0;
+  UsedAnyCallee = 0;
 
   RegMask Reserved = Dir.promotedMask();
   RegMask FreePool = Dir.Free & ~Reserved;
@@ -219,12 +222,17 @@ bool Allocator::colorAll() {
   RegMask MSpillPool = (Dir.IsClusterRoot ? Dir.MSpill : RegMask(0)) &
                        ~Reserved;
 
-  // Color in priority order: heavier first, then lower index.
+  // Color in priority order: heavier first, then lower index; with
+  // TempsFirst, every spill temp ahead of every other vreg.
   std::vector<std::pair<long long, unsigned>> Order;
   for (unsigned V = 0; V < NV; ++V)
     if (Referenced[V])
       Order.push_back({-Weight[V], V});
   std::sort(Order.begin(), Order.end());
+  if (TempsFirst)
+    std::stable_partition(Order.begin(), Order.end(), [this](auto Entry) {
+      return NoSpill.count(VirtRegBase + Entry.second) != 0;
+    });
 
   for (auto [NegWeight, V] : Order) {
     RegMask Conflicts = ForbiddenPhys[V];
@@ -269,8 +277,6 @@ bool Allocator::colorAll() {
     }
 
     if (Chosen < 0) {
-      assert(!NoSpill.count(VirtRegBase + V) &&
-             "spill temp failed to color");
       ToSpill.push_back(V);
       continue;
     }
@@ -286,6 +292,12 @@ bool Allocator::colorAll() {
     }
   }
   return ToSpill.empty();
+}
+
+bool Allocator::tempFailed() const {
+  return std::any_of(ToSpill.begin(), ToSpill.end(), [this](unsigned V) {
+    return NoSpill.count(VirtRegBase + V) != 0;
+  });
 }
 
 void Allocator::spillVirtReg(unsigned V) {
@@ -351,7 +363,13 @@ RegAllocResult Allocator::run() {
   for (int Round = 0; Round < 16; ++Round) {
     ++Result.Rounds;
     buildInterference();
-    if (colorAll()) {
+    // Spilling a spill temp would only make more temps, so when one
+    // fails the round is colored again with the temps ahead of the rest;
+    // if one still fails, allocation fails.
+    bool Colored = colorAll(/*TempsFirst=*/false);
+    if (!Colored && tempFailed())
+      Colored = colorAll(/*TempsFirst=*/true);
+    if (Colored) {
       rewriteAssigned();
       Result.Success = true;
       Result.UsedCalleeToSave = UsedCalleeSet;
@@ -359,12 +377,12 @@ RegAllocResult Allocator::run() {
       Result.SpillCount = SpillCount;
       return Result;
     }
+    if (tempFailed())
+      break;
     for (unsigned V : ToSpill)
       spillVirtReg(V);
-    UsedCalleeSet = 0;
-    UsedAnyCallee = 0;
   }
-  return Result; // Success == false: allocation did not converge.
+  return Result; // Success == false: a temp failed, or no convergence.
 }
 
 RegAllocResult ipra::allocateRegisters(

@@ -11,58 +11,6 @@
 
 using namespace ipra;
 
-bool ipra::isCompare(BinKind BK) {
-  switch (BK) {
-  case BinKind::Lt:
-  case BinKind::Le:
-  case BinKind::Gt:
-  case BinKind::Ge:
-  case BinKind::Eq:
-  case BinKind::Ne:
-    return true;
-  default:
-    return false;
-  }
-}
-
-static const char *binKindName(BinKind BK) {
-  switch (BK) {
-  case BinKind::Add:
-    return "add";
-  case BinKind::Sub:
-    return "sub";
-  case BinKind::Mul:
-    return "mul";
-  case BinKind::Div:
-    return "div";
-  case BinKind::Rem:
-    return "rem";
-  case BinKind::And:
-    return "and";
-  case BinKind::Or:
-    return "or";
-  case BinKind::Xor:
-    return "xor";
-  case BinKind::Shl:
-    return "shl";
-  case BinKind::Shr:
-    return "shr";
-  case BinKind::Lt:
-    return "lt";
-  case BinKind::Le:
-    return "le";
-  case BinKind::Gt:
-    return "gt";
-  case BinKind::Ge:
-    return "ge";
-  case BinKind::Eq:
-    return "eq";
-  case BinKind::Ne:
-    return "ne";
-  }
-  return "?";
-}
-
 static std::string vr(unsigned Reg) { return "%" + std::to_string(Reg); }
 
 std::string IRInstr::toString() const {
@@ -80,7 +28,8 @@ std::string IRInstr::toString() const {
     Dest() << "copy " << vr(Srcs[0]);
     break;
   case IROp::Bin:
-    Dest() << binKindName(BK) << " " << vr(Srcs[0]) << ", " << vr(Srcs[1]);
+    Dest() << BinKindNames[static_cast<int>(BK)] << " " << vr(Srcs[0])
+           << ", " << vr(Srcs[1]);
     break;
   case IROp::Neg:
     Dest() << "neg " << vr(Srcs[0]);

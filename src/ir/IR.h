@@ -22,6 +22,8 @@
 #ifndef IPRA_IR_IR_H
 #define IPRA_IR_IR_H
 
+#include "support/Arith.h"
+
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -34,7 +36,7 @@ namespace ipra {
 enum class IROp : uint8_t {
   Const,    ///< Dst = Imm
   Copy,     ///< Dst = Srcs[0]
-  Bin,      ///< Dst = Srcs[0] <BK> Srcs[1]
+  Bin,      ///< Dst = Srcs[0] <BK> Srcs[1] (support/Arith.h)
   Neg,      ///< Dst = -Srcs[0]
   Not,      ///< Dst = ~Srcs[0]
   LdG,      ///< Dst = load global Sym            (singleton access)
@@ -55,29 +57,6 @@ enum class IROp : uint8_t {
   Br,       ///< goto Target1
   CondBr,   ///< if Srcs[0] != 0 goto Target1 else goto Target2
 };
-
-/// Binary operation kinds for IROp::Bin. Comparison results are 0/1.
-enum class BinKind : uint8_t {
-  Add,
-  Sub,
-  Mul,
-  Div,
-  Rem,
-  And,
-  Or,
-  Xor,
-  Shl,
-  Shr,
-  Lt,
-  Le,
-  Gt,
-  Ge,
-  Eq,
-  Ne,
-};
-
-/// Returns true for the six comparison kinds.
-bool isCompare(BinKind BK);
 
 /// One three-address instruction.
 struct IRInstr {

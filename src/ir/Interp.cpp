@@ -121,46 +121,6 @@ private:
     }
   }
 
-  static int32_t evalBin(BinKind BK, int32_t L, int32_t R) {
-    auto UL = static_cast<uint32_t>(L);
-    auto UR = static_cast<uint32_t>(R);
-    switch (BK) {
-    case BinKind::Add:
-      return static_cast<int32_t>(UL + UR);
-    case BinKind::Sub:
-      return static_cast<int32_t>(UL - UR);
-    case BinKind::Mul:
-      return static_cast<int32_t>(UL * UR);
-    case BinKind::Div:
-      return R == 0 ? 0 : (L == INT32_MIN && R == -1 ? L : L / R);
-    case BinKind::Rem:
-      return R == 0 ? 0 : (L == INT32_MIN && R == -1 ? 0 : L % R);
-    case BinKind::And:
-      return L & R;
-    case BinKind::Or:
-      return L | R;
-    case BinKind::Xor:
-      return L ^ R;
-    case BinKind::Shl:
-      return static_cast<int32_t>(UL << (UR & 31));
-    case BinKind::Shr:
-      return L >> (UR & 31);
-    case BinKind::Lt:
-      return L < R;
-    case BinKind::Le:
-      return L <= R;
-    case BinKind::Gt:
-      return L > R;
-    case BinKind::Ge:
-      return L >= R;
-    case BinKind::Eq:
-      return L == R;
-    case BinKind::Ne:
-      return L != R;
-    }
-    return 0;
-  }
-
   bool load(int32_t Addr, int32_t &Value, IRRunResult &Result) {
     if (Addr < 0 || static_cast<size_t>(Addr) >= Memory.size()) {
       Result.Error =
@@ -260,8 +220,7 @@ bool Interpreter::runBlocks(int FuncId, std::vector<int32_t> &Regs,
         Regs[I.Dst] = evalBin(I.BK, Regs[I.Srcs[0]], Regs[I.Srcs[1]]);
         break;
       case IROp::Neg:
-        Regs[I.Dst] = static_cast<int32_t>(
-            -static_cast<uint32_t>(Regs[I.Srcs[0]]));
+        Regs[I.Dst] = evalNeg(Regs[I.Srcs[0]]);
         break;
       case IROp::Not:
         Regs[I.Dst] = ~Regs[I.Srcs[0]];

@@ -183,8 +183,9 @@ bool ipra::propagateConstantsAndCopies(IRFunction &F) {
         const int32_t *R =
             I.Op == IROp::Bin ? constantOf(S, I.Srcs[1]) : L;
         if (L && R) {
-          I = constInstr(I.Dst, I.Op == IROp::Bin ? evalBinKind(I.BK, *L, *R)
-                                                  : evalUnary(I.Op, *L));
+          I = constInstr(I.Dst, I.Op == IROp::Bin   ? evalBin(I.BK, *L, *R)
+                                : I.Op == IROp::Neg ? evalNeg(*L)
+                                                    : ~*L);
           Changed = true;
         }
       } else if (I.Op == IROp::CondBr) {

@@ -71,14 +71,6 @@ struct OptOptions {
   const GlobalAliasFacts *Alias = nullptr;
 };
 
-/// Evaluates a BinKind on 32-bit values with the simulator's semantics
-/// (wrapping arithmetic; division by zero yields 0 so that folding
-/// matches execution).
-int32_t evalBinKind(BinKind BK, int32_t L, int32_t R);
-
-/// Evaluates Neg or Not (\p Op) on a 32-bit value (wrapping).
-int32_t evalUnary(IROp Op, int32_t V);
-
 /// The instructions the passes fold others into: Dst = \p V,
 /// Dst = \p Src, and goto \p Target.
 IRInstr constInstr(unsigned Dst, int32_t V);

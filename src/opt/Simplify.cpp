@@ -12,51 +12,6 @@
 
 using namespace ipra;
 
-int32_t ipra::evalBinKind(BinKind BK, int32_t L, int32_t R) {
-  auto UL = static_cast<uint32_t>(L);
-  auto UR = static_cast<uint32_t>(R);
-  switch (BK) {
-  case BinKind::Add:
-    return static_cast<int32_t>(UL + UR);
-  case BinKind::Sub:
-    return static_cast<int32_t>(UL - UR);
-  case BinKind::Mul:
-    return static_cast<int32_t>(UL * UR);
-  case BinKind::Div:
-    return R == 0 ? 0 : (L == INT32_MIN && R == -1 ? L : L / R);
-  case BinKind::Rem:
-    return R == 0 ? 0 : (L == INT32_MIN && R == -1 ? 0 : L % R);
-  case BinKind::And:
-    return L & R;
-  case BinKind::Or:
-    return L | R;
-  case BinKind::Xor:
-    return L ^ R;
-  case BinKind::Shl:
-    return static_cast<int32_t>(UL << (UR & 31));
-  case BinKind::Shr:
-    return L >> (UR & 31); // Arithmetic shift.
-  case BinKind::Lt:
-    return L < R;
-  case BinKind::Le:
-    return L <= R;
-  case BinKind::Gt:
-    return L > R;
-  case BinKind::Ge:
-    return L >= R;
-  case BinKind::Eq:
-    return L == R;
-  case BinKind::Ne:
-    return L != R;
-  }
-  return 0;
-}
-
-int32_t ipra::evalUnary(IROp Op, int32_t V) {
-  return Op == IROp::Neg ? static_cast<int32_t>(-static_cast<uint32_t>(V))
-                         : ~V;
-}
-
 IRInstr ipra::constInstr(unsigned Dst, int32_t V) {
   IRInstr K;
   K.Op = IROp::Const;
@@ -116,7 +71,7 @@ bool ipra::simplifyInstructions(IRFunction &F) {
         auto L = Consts.find(I.Srcs[0]);
         auto R = Consts.find(I.Srcs[1]);
         if (L != Consts.end() && R != Consts.end()) {
-          int32_t V = evalBinKind(I.BK, L->second, R->second);
+          int32_t V = evalBin(I.BK, L->second, R->second);
           I = constInstr(I.Dst, V);
           Changed = true;
         } else if (R != Consts.end()) {
@@ -168,7 +123,8 @@ bool ipra::simplifyInstructions(IRFunction &F) {
       } else if (I.Op == IROp::Neg || I.Op == IROp::Not) {
         auto It = Consts.find(I.Srcs[0]);
         if (It != Consts.end()) {
-          I = constInstr(I.Dst, evalUnary(I.Op, It->second));
+          int32_t V = It->second;
+          I = constInstr(I.Dst, I.Op == IROp::Neg ? evalNeg(V) : ~V);
           Changed = true;
         }
       }

@@ -19,8 +19,8 @@ namespace {
 
 /// One instruction as the step loop reads it, decoded once per run: the
 /// MInstr fields a step uses, without the symbol name (a std::string)
-/// each of its MOperands carries, and with the cycle cost and the
-/// singleton class looked up.
+/// each of its MOperands carries, and with the cycle cost, the
+/// singleton class and the BinKind of an ALU, CMP or CB looked up.
 struct Decoded {
   struct Operand {
     unsigned RegNo;
@@ -28,13 +28,14 @@ struct Decoded {
     bool IsReg;
   };
   MOp Op;
-  Cond CC;
+  BinKind BK;
   uint8_t Cost;
   bool Singleton;
   Operand A, B, C;
 
   explicit Decoded(const MInstr &I)
-      : Op(I.Op), CC(I.CC), Cost(static_cast<uint8_t>(cycleCost(I.Op))),
+      : Op(I.Op), BK(binKindOf(I.Op, I.CC)),
+        Cost(static_cast<uint8_t>(cycleCost(I.Op))),
         Singleton(isSingleton(I.MC)), A(operand(I.A)), B(operand(I.B)),
         C(operand(I.C)) {}
   static Operand operand(const MOperand &X) {
@@ -98,52 +99,6 @@ private:
       return readReg(Op.RegNo);
     return Op.ImmVal;
   }
-  bool evalCond(Cond CC, int32_t L, int32_t R) const {
-    switch (CC) {
-    case Cond::EQ:
-      return L == R;
-    case Cond::NE:
-      return L != R;
-    case Cond::LT:
-      return L < R;
-    case Cond::LE:
-      return L <= R;
-    case Cond::GT:
-      return L > R;
-    case Cond::GE:
-      return L >= R;
-    }
-    return false;
-  }
-  int32_t evalALU(MOp Op, int32_t L, int32_t R) const {
-    auto UL = static_cast<uint32_t>(L);
-    auto UR = static_cast<uint32_t>(R);
-    switch (Op) {
-    case MOp::ADD:
-      return static_cast<int32_t>(UL + UR);
-    case MOp::SUB:
-      return static_cast<int32_t>(UL - UR);
-    case MOp::MUL:
-      return static_cast<int32_t>(UL * UR);
-    case MOp::DIV:
-      return R == 0 ? 0 : (L == INT32_MIN && R == -1 ? L : L / R);
-    case MOp::REM:
-      return R == 0 ? 0 : (L == INT32_MIN && R == -1 ? 0 : L % R);
-    case MOp::AND:
-      return L & R;
-    case MOp::OR:
-      return L | R;
-    case MOp::XOR:
-      return L ^ R;
-    case MOp::SHL:
-      return static_cast<int32_t>(UL << (UR & 31));
-    case MOp::SHR:
-      return L >> (UR & 31);
-    default:
-      return 0;
-    }
-  }
-
   void trap(RunResult &Result, const std::string &Message) {
     Result.Trap = Message + " at pc=" + std::to_string(Pc);
     const ExeSymbol *Sym = Exe.symbolAt(Pc);
@@ -259,22 +214,18 @@ RunResult Machine::run() {
     case MOp::XOR:
     case MOp::SHL:
     case MOp::SHR:
+    case MOp::CMP:
       writeReg(I.A.RegNo,
-               evalALU(I.Op, readReg(I.B.RegNo), operandValue(I.C)));
+               evalBin(I.BK, readReg(I.B.RegNo), operandValue(I.C)));
       break;
     case MOp::NEG:
-      writeReg(I.A.RegNo, static_cast<int32_t>(
-                            -static_cast<uint32_t>(readReg(I.B.RegNo))));
+      writeReg(I.A.RegNo, evalNeg(readReg(I.B.RegNo)));
       break;
     case MOp::NOT:
       writeReg(I.A.RegNo, ~readReg(I.B.RegNo));
       break;
-    case MOp::CMP:
-      writeReg(I.A.RegNo,
-               evalCond(I.CC, readReg(I.B.RegNo), operandValue(I.C)) ? 1 : 0);
-      break;
     case MOp::CB:
-      if (evalCond(I.CC, readReg(I.A.RegNo), operandValue(I.B)))
+      if (evalBin(I.BK, readReg(I.A.RegNo), operandValue(I.B)))
         Next = I.C.ImmVal;
       break;
     case MOp::B:

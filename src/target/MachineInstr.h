@@ -17,6 +17,7 @@
 #ifndef IPRA_TARGET_MACHINEINSTR_H
 #define IPRA_TARGET_MACHINEINSTR_H
 
+#include "support/Arith.h"
 #include "target/Registers.h"
 
 #include <cstdint>
@@ -59,6 +60,37 @@ enum class MOp {
 
 /// Comparison conditions for CMP and CB.
 enum class Cond { EQ, NE, LT, LE, GT, GE };
+
+/// The PR32 form of one BinKind: an ALU opcode (CC unused, left EQ), or
+/// CMP with the comparison's condition (CB branches on the same one).
+struct BinForm {
+  MOp Op;
+  Cond CC;
+};
+
+/// Each BinKind's PR32 form, in BinKind order.
+inline constexpr BinForm BinForms[] = {
+    {MOp::ADD, Cond::EQ}, {MOp::SUB, Cond::EQ}, {MOp::MUL, Cond::EQ},
+    {MOp::DIV, Cond::EQ}, {MOp::REM, Cond::EQ}, {MOp::AND, Cond::EQ},
+    {MOp::OR, Cond::EQ},  {MOp::XOR, Cond::EQ}, {MOp::SHL, Cond::EQ},
+    {MOp::SHR, Cond::EQ}, {MOp::CMP, Cond::LT}, {MOp::CMP, Cond::LE},
+    {MOp::CMP, Cond::GT}, {MOp::CMP, Cond::GE}, {MOp::CMP, Cond::EQ},
+    {MOp::CMP, Cond::NE}};
+static_assert(std::size(BinForms) == std::size(BinKindNames));
+
+constexpr const BinForm &binForm(BinKind BK) {
+  return BinForms[static_cast<int>(BK)];
+}
+
+/// The BinKind an ALU opcode computes, or that a CMP or CB with \p CC
+/// compares by. Other opcodes have none and get Add.
+constexpr BinKind binKindOf(MOp Op, Cond CC) {
+  MOp Form = Op == MOp::CB ? MOp::CMP : Op;
+  for (size_t K = 0; K < std::size(BinForms); ++K)
+    if (BinForms[K].Op == Form && (Form != MOp::CMP || BinForms[K].CC == CC))
+      return static_cast<BinKind>(K);
+  return BinKind::Add;
+}
 
 /// Memory reference classification, after the paper's Table 5 split of
 /// singleton references (promotable scalars) from everything else.

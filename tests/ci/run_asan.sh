@@ -27,7 +27,8 @@
 #    request and every session file read from disk. A hostile or
 #    corrupted input must be rejected without reading out of bounds;
 #  - the two oracles (the "oracle" label): interp_test, simulator_test,
-#    oracle_digest_test and the smoke-sized oracle bench. The simulator
+#    oracle_digest_test, the smoke-sized oracle bench and the operator
+#    kernel's spec table (arith_spec_test). The simulator
 #    predecodes the code array and keeps a pc-to-symbol table, and the
 #    interpreter a per-instruction symbol table by function, block and
 #    position: index arithmetic over those arrays, where an off-by-one

@@ -88,6 +88,15 @@ grep -q "analyzer phases (cached): refsets=" stats2.txt \
 grep -q "analyzer 1/1" stats2.txt \
   || { echo "no analyzer cache hit on second run" >&2; cat stats2.txt >&2; exit 1; }
 
+# --stats is reproducible: two cold builds, each with its own cache
+# directory, print the same text once every timing is masked.
+"$MCC" --stats --config C --cache-dir cold1 lib.mc main.mc 2> cold1.txt > /dev/null
+"$MCC" --stats --config C --cache-dir cold2 lib.mc main.mc 2> cold2.txt > /dev/null
+sed -E 's/[0-9]+\.[0-9]+ms/N.NNms/g' cold1.txt > cold1.masked
+sed -E 's/[0-9]+\.[0-9]+ms/N.NNms/g' cold2.txt > cold2.masked
+cmp -s cold1.masked cold2.masked \
+  || { echo "--stats differs between cold builds:" >&2; diff cold1.masked cold2.masked >&2; exit 1; }
+
 # --delta-analyze keeps the output identical and --stats names the
 # fallback (a fresh mcc process has no retained state to diff against).
 DELTA="$("$MCC" --delta-analyze --config C lib.mc main.mc 2> stats3.txt)"
