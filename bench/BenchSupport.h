@@ -30,7 +30,8 @@ struct ProgramInfo {
   std::string Description;
 };
 
-/// The seven benchmark programs standing in for the paper's Table 3.
+/// The ten corpus programs: stand-ins for the paper's seven Table 3
+/// programs, then the disp, ptrchase and rotab showcases.
 const std::vector<ProgramInfo> &programList();
 
 /// Loads all modules of bench/programs/<name>/ (sorted by file name).

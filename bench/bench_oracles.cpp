@@ -18,7 +18,8 @@
 ///
 /// Results go to stdout as a table and to BENCH_oracles.json.
 /// --smoke runs the small programs once (the oracle ctest entry);
-/// --json=<path> overrides the output file.
+/// --json=<path> overrides the output file. Any other argument prints
+/// usage and exits 2 before anything is timed or written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,6 +106,13 @@ int main(int argc, char **argv) {
       Smoke = true;
     else if (std::strncmp(argv[I], "--json=", 7) == 0)
       JsonPath = argv[I] + 7;
+    else {
+      std::fprintf(stderr,
+                   "bench_oracles: unknown argument '%s'\n"
+                   "usage: bench_oracles [--smoke] [--json=<path>]\n",
+                   argv[I]);
+      return 2;
+    }
   }
   const int Repeats = Smoke ? 1 : 5;
   std::vector<std::string> Programs;

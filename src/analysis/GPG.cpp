@@ -49,6 +49,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GPG.h"
+#include "support/Graph.h"
 
 #include <algorithm>
 #include <cassert>
@@ -185,26 +186,8 @@ void FuncGPG::computeOrder() {
     if (Fn.Blocks[B]->hasTerminator())
       Succ[B] = Fn.Blocks[B]->successors();
 
-  // Iterative DFS postorder from the entry block, then reverse.
-  std::vector<char> Vis(N, 0);
-  std::vector<int> Post;
-  std::vector<std::pair<int, size_t>> Stk;
-  Stk.emplace_back(0, 0);
-  Vis[0] = 1;
-  while (!Stk.empty()) {
-    auto &[B, SI] = Stk.back();
-    if (SI < Succ[B].size()) {
-      int Nx = Succ[B][SI++];
-      if (!Vis[Nx]) {
-        Vis[Nx] = 1;
-        Stk.emplace_back(Nx, 0);
-      }
-    } else {
-      Post.push_back(B);
-      Stk.pop_back();
-    }
-  }
-  RPO.assign(Post.rbegin(), Post.rend());
+  auto SuccOf = [this](int B) -> const std::vector<int> & { return Succ[B]; };
+  RPO = reversePostOrder(N, {0}, SuccOf).Rpo;
 
   Ords.assign(N, {});
   int Ord = 0;

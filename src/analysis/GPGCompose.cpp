@@ -37,6 +37,7 @@
 
 #include "analysis/GPGCompose.h"
 
+#include "support/Graph.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -195,8 +196,7 @@ void Composer::orderBottomUp() {
     Id[Qual] = static_cast<int>(Names.size());
     Names.push_back(Qual);
   }
-  int N = static_cast<int>(Names.size());
-  std::vector<std::vector<int>> Adj(N);
+  std::vector<std::vector<int>> Adj(Names.size());
   for (const auto &[Qual, P] : Procs) {
     std::set<int> Out;
     for (const auto &[Ord, Site] : P.Sites)
@@ -208,54 +208,12 @@ void Composer::orderBottomUp() {
     Adj[Id[Qual]].assign(Out.begin(), Out.end());
   }
 
-  std::vector<int> Index(N, -1), Low(N, 0);
-  std::vector<char> OnStack(N, 0);
-  std::vector<int> Stack;
-  int Next = 0;
-  // Iterative Tarjan: frame = (node, child cursor).
-  std::vector<std::pair<int, size_t>> Frames;
-  for (int Root = 0; Root < N; ++Root) {
-    if (Index[Root] >= 0)
-      continue;
-    Frames.emplace_back(Root, 0);
-    while (!Frames.empty()) {
-      auto &[V, CI] = Frames.back();
-      if (CI == 0) {
-        Index[V] = Low[V] = Next++;
-        Stack.push_back(V);
-        OnStack[V] = 1;
-      }
-      if (CI < Adj[V].size()) {
-        int W = Adj[V][CI++];
-        if (Index[W] < 0) {
-          Frames.emplace_back(W, 0);
-        } else if (OnStack[W]) {
-          Low[V] = std::min(Low[V], Index[W]);
-        }
-      } else {
-        if (Low[V] == Index[V]) {
-          // Pop one SCC; Tarjan emits components in callee-first order.
-          std::vector<int> Comp;
-          for (;;) {
-            int W = Stack.back();
-            Stack.pop_back();
-            OnStack[W] = 0;
-            Comp.push_back(W);
-            if (W == V)
-              break;
-          }
-          std::sort(Comp.begin(), Comp.end());
-          for (int W : Comp)
-            Order.push_back(Names[W]);
-        }
-        int Done = V;
-        Frames.pop_back();
-        if (!Frames.empty())
-          Low[Frames.back().first] =
-              std::min(Low[Frames.back().first], Low[Done]);
-      }
-    }
-  }
+  forEachScc(Names.size(),
+             [&Adj](int V) -> const std::vector<int> & { return Adj[V]; },
+             [this, &Names](const std::vector<int> &Members) {
+               for (int W : Members)
+                 Order.push_back(Names[W]);
+             });
 }
 
 //===----------------------------------------------------------------------===//

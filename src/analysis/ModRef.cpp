@@ -80,10 +80,8 @@ ModRefInfo ipra::computeModRef(const CallGraph &CG, bool AssumeClosedWorld) {
     if (!Node.HasSummary && MR.EntryReachable[static_cast<size_t>(Node.Id)])
       OpaqueReachable = true;
 
-  // Compose the per-procedure bits bottom-up over the condensation:
-  // every member of an SCC contributes to the same program-wide union,
-  // and only entry-reachable SCCs contribute at all (reachability is
-  // SCC-uniform, so testing members is testing the component).
+  // One program-wide union of the per-procedure bits, to which only
+  // entry-reachable procedures contribute.
   std::map<std::string, std::pair<bool, bool>> Bits; // qual -> (read, write)
   for (const CGNode &Node : CG.nodes()) {
     if (!Node.HasSummary || !MR.EntryReachable[static_cast<size_t>(Node.Id)])

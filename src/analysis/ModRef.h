@@ -10,8 +10,8 @@
 /// graph (the paper's two-phase summary architecture applied to a
 /// cheaper sibling of promotion, DESIGN.md §15): phase 1 records, per
 /// procedure and per global, independent read and write bits (summary
-/// format v5's ref loads=/stores=); this pass composes them bottom-up
-/// over the Tarjan condensation into one verdict per global —
+/// format v5's ref loads=/stores=); this pass unions them over the
+/// entry-reachable procedures into one verdict per global —
 ///
 ///   Dead       no entry-reachable procedure reads or writes it;
 ///   ReadOnly   read somewhere, written nowhere (entry-reachable);

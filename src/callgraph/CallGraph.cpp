@@ -183,163 +183,40 @@ void CallGraph::rebuildDerived(const CallProfile &Profile) {
     Starts.push_back(0); // Fully cyclic graph without main.
 
   // RPO from a virtual root through the start nodes.
-  size_t NumNodes = Nodes.size();
-  Reachable.assign(NumNodes, false);
-  RPOIndex.assign(NumNodes, -1);
-  {
-    std::vector<int> PostOrder;
-    std::vector<uint8_t> State(NumNodes, 0);
-    std::vector<size_t> NextChild(NumNodes, 0);
-    std::vector<int> Stack;
-    for (int Start : Starts) {
-      if (State[Start])
-        continue;
-      State[Start] = 1;
-      Stack.push_back(Start);
-      while (!Stack.empty()) {
-        int N = Stack.back();
-        if (NextChild[N] < Nodes[N].Succs.size()) {
-          int S = Nodes[N].Succs[NextChild[N]++];
-          if (!State[S]) {
-            State[S] = 1;
-            Stack.push_back(S);
-          }
-        } else {
-          State[N] = 2;
-          PostOrder.push_back(N);
-          Stack.pop_back();
-        }
-      }
-    }
-    RPO.assign(PostOrder.rbegin(), PostOrder.rend());
-    for (size_t I = 0; I < RPO.size(); ++I) {
-      RPOIndex[RPO[I]] = static_cast<int>(I);
-      Reachable[RPO[I]] = true;
-    }
-  }
+  auto SuccsOf = [this](int N) -> const std::vector<int> & {
+    return Nodes[N].Succs;
+  };
+  Order = reversePostOrder(Nodes.size(), Starts, SuccsOf);
 
   // Stale entries for edges that no longer exist must not survive into
   // computeInvocations (its heuristic path only overwrites live keys).
   EdgeCounts.clear();
 
-  computeSCC();
-  computeDominators();
+  Sccs.Ids.assign(Nodes.size(), -1);
+  Sccs.Nodes.clear();
+  Sccs.Begin.assign(1, 0);
+  Sccs.Cyclic.clear();
+  forEachScc(Nodes.size(), SuccsOf, [this](const std::vector<int> &Members) {
+    for (int M : Members)
+      Sccs.Ids[M] = Sccs.size();
+    Sccs.Nodes.insert(Sccs.Nodes.end(), Members.begin(), Members.end());
+    Sccs.Begin.push_back(static_cast<int>(Sccs.Nodes.size()));
+    // Self-loops are recursion too.
+    const std::vector<int> &Out = Nodes[Members[0]].Succs;
+    Sccs.Cyclic.push_back(Members.size() > 1 ||
+                          std::find(Out.begin(), Out.end(), Members[0]) !=
+                              Out.end());
+  });
+
+  IDom = immediateDominators(Order, Starts,
+                             [this](int N) -> const std::vector<int> & {
+                               return Nodes[N].Preds;
+                             });
   computeInvocations(Profile);
 }
 
-// Iterative Tarjan SCC.
-void CallGraph::computeSCC() {
-  size_t N = Nodes.size();
-  SccIds.assign(N, -1);
-  Recursive.assign(N, false);
-  std::vector<int> Index(N, -1), Low(N, 0);
-  std::vector<bool> OnStack(N, false);
-  std::vector<int> Stack;
-  int NextIndex = 0, NextScc = 0;
-
-  struct Frame {
-    int Node;
-    size_t Child;
-  };
-  std::vector<Frame> CallStack;
-
-  for (size_t Root = 0; Root < N; ++Root) {
-    if (Index[Root] != -1)
-      continue;
-    CallStack.push_back({static_cast<int>(Root), 0});
-    Index[Root] = Low[Root] = NextIndex++;
-    Stack.push_back(static_cast<int>(Root));
-    OnStack[Root] = true;
-    while (!CallStack.empty()) {
-      Frame &F = CallStack.back();
-      int U = F.Node;
-      if (F.Child < Nodes[U].Succs.size()) {
-        int V = Nodes[U].Succs[F.Child++];
-        if (Index[V] == -1) {
-          Index[V] = Low[V] = NextIndex++;
-          Stack.push_back(V);
-          OnStack[V] = true;
-          CallStack.push_back({V, 0});
-        } else if (OnStack[V]) {
-          Low[U] = std::min(Low[U], Index[V]);
-        }
-      } else {
-        if (Low[U] == Index[U]) {
-          std::vector<int> Members;
-          while (true) {
-            int W = Stack.back();
-            Stack.pop_back();
-            OnStack[W] = false;
-            SccIds[W] = NextScc;
-            Members.push_back(W);
-            if (W == U)
-              break;
-          }
-          if (Members.size() > 1)
-            for (int M : Members)
-              Recursive[M] = true;
-          ++NextScc;
-        }
-        CallStack.pop_back();
-        if (!CallStack.empty()) {
-          int Parent = CallStack.back().Node;
-          Low[Parent] = std::min(Low[Parent], Low[U]);
-        }
-      }
-    }
-  }
-
-  // Self-loops are recursion too.
-  for (size_t U = 0; U < N; ++U)
-    for (int S : Nodes[U].Succs)
-      if (S == static_cast<int>(U))
-        Recursive[U] = true;
-}
-
-void CallGraph::computeDominators() {
-  size_t N = Nodes.size();
-  IDom.assign(N, -2); // -2 = unprocessed, -1 = virtual root.
-  for (int S : Starts)
-    IDom[S] = -1;
-
-  auto Idx = [this](int Node) {
-    return Node == -1 ? -1 : RPOIndex[Node];
-  };
-  auto Intersect = [&](int A, int B) {
-    while (A != B) {
-      while (Idx(A) > Idx(B))
-        A = IDom[A];
-      while (Idx(B) > Idx(A))
-        B = IDom[B];
-    }
-    return A;
-  };
-
-  bool Changed = true;
-  std::vector<uint8_t> IsStart(N, 0);
-  for (int S : Starts)
-    IsStart[S] = 1;
-  while (Changed) {
-    Changed = false;
-    for (int B : RPO) {
-      if (IsStart[B])
-        continue;
-      int NewIDom = -2;
-      for (int P : Nodes[B].Preds) {
-        if (!Reachable[P] || IDom[P] == -2)
-          continue;
-        NewIDom = NewIDom == -2 ? P : Intersect(P, NewIDom);
-      }
-      if (NewIDom != -2 && IDom[B] != NewIDom) {
-        IDom[B] = NewIDom;
-        Changed = true;
-      }
-    }
-  }
-}
-
 bool CallGraph::dominates(int A, int B) const {
-  if (!Reachable[A] || !Reachable[B])
+  if (!isReachable(A) || !isReachable(B))
     return A == B;
   while (B != -1 && B != -2) {
     if (A == B)
@@ -377,16 +254,6 @@ void CallGraph::computeInvocations(const CallProfile &Profile) {
   for (int S : Starts)
     Invocations[S] = 1;
 
-  int MaxScc = -1;
-  for (size_t U = 0; U < N; ++U)
-    MaxScc = std::max(MaxScc, SccIds[U]);
-
-  // Tarjan assigns SCC ids in reverse topological order (sinks first),
-  // so descending id order processes callers before callees.
-  std::vector<std::vector<int>> SccMembers(MaxScc + 1);
-  for (size_t U = 0; U < N; ++U)
-    SccMembers[SccIds[U]].push_back(static_cast<int>(U));
-
   // Local frequencies re-keyed parallel to each node's Preds list: one
   // ordered walk of LocalFreq replaces a tree lookup per predecessor
   // edge in the propagation below.
@@ -402,14 +269,15 @@ void CallGraph::computeInvocations(const CallProfile &Profile) {
       }
   }
 
-  for (int Scc = MaxScc; Scc >= 0; --Scc) {
+  // Descending SCC id processes callers before callees.
+  for (int Scc = numSccs() - 1; Scc >= 0; --Scc) {
     // Incoming invocation flow from outside the SCC.
-    for (int U : SccMembers[Scc]) {
+    for (int U : sccMembers(Scc)) {
       long long In = Invocations[U];
       const std::vector<int> &Preds = Nodes[U].Preds;
       for (size_t J = 0; J < Preds.size(); ++J) {
         int P = Preds[J];
-        if (SccIds[P] == Scc)
+        if (sccId(P) == Scc)
           continue;
         In = capAdd(In, capMul(Invocations[P], PredFreq[U][J]));
       }
@@ -417,14 +285,11 @@ void CallGraph::computeInvocations(const CallProfile &Profile) {
     }
     // Recursion bonus: every member of a nontrivial SCC is assumed to
     // run RecursionFactor times per external entry.
-    bool IsRecursiveScc =
-        SccMembers[Scc].size() > 1 ||
-        (SccMembers[Scc].size() == 1 && Recursive[SccMembers[Scc][0]]);
-    if (IsRecursiveScc) {
+    if (sccIsCyclic(Scc)) {
       long long Entry = 0;
-      for (int U : SccMembers[Scc])
+      for (int U : sccMembers(Scc))
         Entry = capAdd(Entry, Invocations[U]);
-      for (int U : SccMembers[Scc])
+      for (int U : sccMembers(Scc))
         Invocations[U] = capMul(std::max(1LL, Entry), RecursionFactor);
     }
   }
@@ -582,7 +447,7 @@ std::string CallGraph::toString() const {
   std::ostringstream OS;
   for (const CGNode &N : Nodes) {
     OS << N.Id << " " << N.QualName << " inv=" << Invocations[N.Id]
-       << (Recursive[N.Id] ? " rec" : "") << " ->";
+       << (isRecursive(N.Id) ? " rec" : "") << " ->";
     for (int S : N.Succs)
       OS << " " << Nodes[S].QualName << "(" << edgeCount(N.Id, S) << ")";
     OS << "\n";

@@ -37,8 +37,10 @@
 
 #include "summary/Summary.h"
 #include "support/CallProfile.h"
+#include "support/Graph.h"
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,12 +115,6 @@ public:
   /// snapshots these around applyProcDelta to find damaged nodes).
   const std::vector<long long> &invocations() const { return Invocations; }
 
-  /// All SCC ids, indexed by node id (snapshot peer of invocations()).
-  const std::vector<int> &sccIds() const { return SccIds; }
-
-  /// All immediate dominators, indexed by node id.
-  const std::vector<int> &idoms() const { return IDom; }
-
   /// Node id for a qualified name, or -1.
   int findNode(const std::string &QualName) const;
 
@@ -141,20 +137,41 @@ public:
   /// Start nodes: main plus every procedure without callers.
   const std::vector<int> &startNodes() const { return Starts; }
 
-  /// SCC id per node; nodes in nontrivial SCCs (or with self loops) are
-  /// "recursive".
-  int sccId(int Node) const { return SccIds[Node]; }
-  bool isRecursive(int Node) const { return Recursive[Node]; }
+  /// The SCCs, numbered callee-first (support/Graph.h): a cross-SCC
+  /// edge u -> v has sccId(v) < sccId(u). A value, so the delta analyzer
+  /// can snapshot it around applyProcDelta.
+  struct SccPartition {
+    std::vector<int> Ids;     ///< SCC id per node.
+    std::vector<int> Nodes;   ///< Every SCC's members, SCC by SCC.
+    std::vector<int> Begin;   ///< SCC id -> first index in Nodes; + end.
+    std::vector<char> Cyclic; ///< More than one member, or a self loop.
 
-  /// Immediate dominator in the call graph (-1 for start nodes).
+    int size() const { return static_cast<int>(Cyclic.size()); }
+    /// Members of SCC \p Scc in ascending node id.
+    std::span<const int> members(int Scc) const {
+      return {Nodes.data() + Begin[Scc], Nodes.data() + Begin[Scc + 1]};
+    }
+  };
+  const SccPartition &sccs() const { return Sccs; }
+  int numSccs() const { return Sccs.size(); }
+  std::span<const int> sccMembers(int Scc) const { return Sccs.members(Scc); }
+  bool sccIsCyclic(int Scc) const { return Sccs.Cyclic[Scc]; }
+  int sccId(int Node) const { return Sccs.Ids[Node]; }
+  /// True for members of cyclic SCCs.
+  bool isRecursive(int Node) const { return sccIsCyclic(sccId(Node)); }
+
+  /// Immediate dominator in the call graph (-1 for start nodes, -2 for
+  /// unreachable ones).
   int idom(int Node) const { return IDom[Node]; }
   /// Returns true if A dominates B (reflexive). Unreachable nodes are
   /// dominated by nothing and dominate nothing (except themselves).
   bool dominates(int A, int B) const;
-  bool isReachable(int Node) const { return Reachable[Node]; }
+  bool isReachable(int Node) const { return Order.reached(Node); }
 
   /// Nodes in reverse post-order from the virtual root.
-  const std::vector<int> &rpo() const { return RPO; }
+  const std::vector<int> &rpo() const { return Order.Rpo; }
+  /// \p Node's position in rpo(), -1 if unreachable.
+  int rpoIndex(int Node) const { return Order.RpoIndex[Node]; }
 
   /// The procedures an indirect call made by \p Node may invoke: the
   /// proven target set when the summaries resolved it, otherwise every
@@ -179,8 +196,6 @@ public:
 private:
   void addEdge(int From, int To, long long Freq);
   void rebuildDerived(const CallProfile &Profile);
-  void computeSCC();
-  void computeDominators();
   void computeInvocations(const CallProfile &Profile);
   void mergeGlobalFacts(const std::vector<ModuleSummary> &Summaries,
                         std::map<std::string, GlobalSummary> &Facts,
@@ -201,12 +216,9 @@ private:
   /// Proven indirect-target ids per resolved indirect caller.
   std::map<int, std::vector<int>> ResolvedIndTargets;
   unsigned NumEscapesRefuted = 0;
-  std::vector<int> SccIds;
-  std::vector<bool> Recursive;
+  DfsOrder Order; ///< From the start nodes.
+  SccPartition Sccs;
   std::vector<int> IDom;
-  std::vector<bool> Reachable;
-  std::vector<int> RPO;
-  std::vector<int> RPOIndex;
 };
 
 } // namespace ipra

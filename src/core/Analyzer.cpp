@@ -267,18 +267,17 @@ ProgramDatabase ipra::analyzer_detail::finishFromWebs(
                                 pr32::maskOf(pr32::RP) |
                                 pr32::maskOf(pr32::RV);
     }
-    // Fixpoint: cycles converge because masks only grow.
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (const CGNode &Node : CG.nodes())
-        for (int S : Node.Succs) {
-          RegMask New = SubtreeClobber[Node.Id] | SubtreeClobber[S];
-          if (New != SubtreeClobber[Node.Id]) {
-            SubtreeClobber[Node.Id] = New;
-            Changed = true;
-          }
-        }
+    // Callees' SCCs come first. The members of a cyclic SCC reach one
+    // another, so they share one mask.
+    for (int Scc = 0; Scc < CG.numSccs(); ++Scc) {
+      RegMask Mask = 0;
+      for (int N : CG.sccMembers(Scc)) {
+        Mask |= SubtreeClobber[N];
+        for (int S : CG.node(N).Succs)
+          Mask |= SubtreeClobber[S];
+      }
+      for (int N : CG.sccMembers(Scc))
+        SubtreeClobber[N] = Mask;
     }
   }
 

@@ -115,7 +115,7 @@ bool DeltaAnalyzer::tryIncremental(
 
   // --- Pre-patch snapshots: the damage terms compare against these.
   std::vector<long long> OldInv = CG.invocations();
-  std::vector<int> OldSccIds = CG.sccIds();
+  CallGraph::SccPartition Old = CG.sccs();
   struct NodeSnapshot {
     int Node;
     std::vector<int> Succs, Preds;
@@ -141,28 +141,18 @@ bool DeltaAnalyzer::tryIncremental(
   // the LAll/Cyclic dataflow terms and the §4.1.2 cycle-web seeds, so
   // all involved members — old and new — join the damage set.
   NodeSet DamageSeeds = NodeSet::withUniverse(CG.size());
-  {
-    std::vector<std::vector<int>> OldMembers(OldSccIds.size());
-    for (size_t N = 0; N < OldSccIds.size(); ++N)
-      OldMembers[OldSccIds[N]].push_back(static_cast<int>(N));
-    std::vector<std::vector<int>> NewMembers(CG.size());
-    for (int N = 0; N < CG.size(); ++N)
-      NewMembers[CG.sccId(N)].push_back(N);
-
-    for (const std::vector<int> &Ms : NewMembers) {
-      if (Ms.empty())
-        continue;
-      int OldId = OldSccIds[Ms.front()];
-      bool Unchanged = OldMembers[OldId].size() == Ms.size();
-      for (size_t I = 1; Unchanged && I < Ms.size(); ++I)
-        Unchanged = OldSccIds[Ms[I]] == OldId;
-      if (Unchanged)
-        continue;
-      for (int M : Ms) {
-        DamageSeeds.insert(M);
-        for (int O : OldMembers[OldSccIds[M]])
-          DamageSeeds.insert(O);
-      }
+  for (int Scc = 0; Scc < CG.numSccs(); ++Scc) {
+    std::span<const int> Ms = CG.sccMembers(Scc);
+    int OldId = Old.Ids[Ms.front()];
+    bool Unchanged = Old.members(OldId).size() == Ms.size();
+    for (size_t I = 1; Unchanged && I < Ms.size(); ++I)
+      Unchanged = Old.Ids[Ms[I]] == OldId;
+    if (Unchanged)
+      continue;
+    for (int M : Ms) {
+      DamageSeeds.insert(M);
+      for (int O : Old.members(Old.Ids[M]))
+        DamageSeeds.insert(O);
     }
   }
 
@@ -295,8 +285,7 @@ ProgramDatabase DeltaAnalyzer::analyze(SummarySet Summaries,
   }
   ProgramDatabase DB = finishFromWebs(*State, Opts, Stats);
   Delta.TotalGlobals = State->RS.numEligible();
-  for (int Id : State->CG.sccIds())
-    Delta.TotalSccs = std::max(Delta.TotalSccs, Id + 1);
+  Delta.TotalSccs = State->CG.numSccs();
   if (Delta.Mode == DeltaMode::Full) {
     Delta.DamagedGlobals = Delta.TotalGlobals;
     Delta.DamagedSccs = Delta.TotalSccs;

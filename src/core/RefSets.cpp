@@ -38,27 +38,16 @@ RefSets::RefSets(const CallGraph &CG, bool ClosedWorld) : CG(CG) {
   if (E == 0)
     return;
 
-  // SCC condensation sweep. Tarjan (CallGraph::computeSCC) numbers SCCs
-  // in reverse topological order of the condensation: a cross-SCC edge
-  // u -> v guarantees sccId(v) < sccId(u). All members of a cyclic SCC
+  // SCC condensation sweep. The call graph numbers SCCs in reverse
+  // topological order of the condensation: a cross-SCC edge u -> v
+  // guarantees sccId(v) < sccId(u). All members of a cyclic SCC
   // (size > 1, or a self-loop) are mutual ancestors/descendants, so
   // they share one P_REF and one C_REF value which includes the union
   // of the members' own L_REF.
-  int NumSccs = 0;
-  for (int Node = 0; Node < CG.size(); ++Node)
-    NumSccs = std::max(NumSccs, CG.sccId(Node) + 1);
-  std::vector<std::vector<int>> Members(NumSccs);
-  std::vector<char> Cyclic(NumSccs, 0);
-  for (int Node = 0; Node < CG.size(); ++Node) {
-    Members[CG.sccId(Node)].push_back(Node);
-    // isRecursive covers both nontrivial SCCs and self-loops.
-    if (CG.isRecursive(Node))
-      Cyclic[CG.sccId(Node)] = 1;
-  }
-
+  int NumSccs = CG.numSccs();
   std::vector<DynBitset> LAll(NumSccs, DynBitset(E));
   for (int Scc = 0; Scc < NumSccs; ++Scc)
-    for (int Node : Members[Scc])
+    for (int Node : CG.sccMembers(Scc))
       LAll[Scc].unionWith(LRef[Node]);
 
   // P_REF: forward sweep, ancestors first (descending SCC id). The
@@ -68,15 +57,15 @@ RefSets::RefSets(const CallGraph &CG, bool ClosedWorld) : CG(CG) {
   std::vector<DynBitset> SccPRef(NumSccs, DynBitset(E));
   for (int Scc = NumSccs - 1; Scc >= 0; --Scc) {
     DynBitset &In = SccPRef[Scc];
-    for (int Node : Members[Scc])
+    for (int Node : CG.sccMembers(Scc))
       for (int P : CG.node(Node).Preds)
         if (CG.sccId(P) != Scc) {
           In.unionWith(SccPRef[CG.sccId(P)]);
           In.unionWith(LRef[P]);
         }
-    if (Cyclic[Scc])
+    if (CG.sccIsCyclic(Scc))
       In.unionWith(LAll[Scc]);
-    for (int Node : Members[Scc])
+    for (int Node : CG.sccMembers(Scc))
       PRef[Node] = In;
   }
 
@@ -84,15 +73,15 @@ RefSets::RefSets(const CallGraph &CG, bool ClosedWorld) : CG(CG) {
   std::vector<DynBitset> SccCRef(NumSccs, DynBitset(E));
   for (int Scc = 0; Scc < NumSccs; ++Scc) {
     DynBitset &Out = SccCRef[Scc];
-    for (int Node : Members[Scc])
+    for (int Node : CG.sccMembers(Scc))
       for (int S : CG.node(Node).Succs)
         if (CG.sccId(S) != Scc) {
           Out.unionWith(SccCRef[CG.sccId(S)]);
           Out.unionWith(LRef[S]);
         }
-    if (Cyclic[Scc])
+    if (CG.sccIsCyclic(Scc))
       Out.unionWith(LAll[Scc]);
-    for (int Node : Members[Scc])
+    for (int Node : CG.sccMembers(Scc))
       CRef[Node] = Out;
   }
 }
@@ -139,17 +128,7 @@ int RefSets::applyDelta(const std::vector<int> &RefChangedNodes,
     return 0;
 
   // The new condensation (the CallGraph was already re-derived).
-  int NumSccs = 0;
-  for (int Node = 0; Node < CG.size(); ++Node)
-    NumSccs = std::max(NumSccs, CG.sccId(Node) + 1);
-  std::vector<std::vector<int>> Members(NumSccs);
-  std::vector<char> Cyclic(NumSccs, 0);
-  for (int Node = 0; Node < CG.size(); ++Node) {
-    Members[CG.sccId(Node)].push_back(Node);
-    if (CG.isRecursive(Node))
-      Cyclic[CG.sccId(Node)] = 1;
-  }
-
+  int NumSccs = CG.numSccs();
   std::vector<char> Damaged(NumSccs, 0);
 
   // One directional worklist sweep. The condensation numbers SCCs in
@@ -192,7 +171,7 @@ int RefSets::applyDelta(const std::vector<int> &RefChangedNodes,
       Heap.pop();
       Damaged[Scc] = 1;
       DynBitset In(E);
-      for (int Node : Members[Scc]) {
+      for (int Node : CG.sccMembers(Scc)) {
         const CGNode &N = CG.node(Node);
         for (int O : Forward ? N.Preds : N.Succs)
           if (CG.sccId(O) != Scc) {
@@ -200,11 +179,11 @@ int RefSets::applyDelta(const std::vector<int> &RefChangedNodes,
             In.unionWith(LRef[O]);
           }
       }
-      if (Cyclic[Scc])
-        for (int Node : Members[Scc])
+      if (CG.sccIsCyclic(Scc))
+        for (int Node : CG.sccMembers(Scc))
           In.unionWith(LRef[Node]);
       bool Changed = false;
-      for (int Node : Members[Scc])
+      for (int Node : CG.sccMembers(Scc))
         if (!(Rows[Node] == In)) {
           DynBitset Diff = Rows[Node];
           Diff.xorWith(In);
@@ -214,7 +193,7 @@ int RefSets::applyDelta(const std::vector<int> &RefChangedNodes,
         }
       if (!Changed)
         continue;
-      for (int Node : Members[Scc]) {
+      for (int Node : CG.sccMembers(Scc)) {
         const CGNode &N = CG.node(Node);
         for (int O : Forward ? N.Succs : N.Preds)
           if (CG.sccId(O) != Scc)

@@ -94,14 +94,8 @@ std::vector<ProcDirectives> ipra::computeRegisterSets(
   std::vector<int> ClusterOrder;
   for (size_t C = 0; C < Clusters.size(); ++C)
     ClusterOrder.push_back(static_cast<int>(C));
-  std::vector<int> RPOIdx(N, 0);
-  {
-    int I = 0;
-    for (int Node : CG.rpo())
-      RPOIdx[Node] = I++;
-  }
   std::sort(ClusterOrder.begin(), ClusterOrder.end(), [&](int A, int B) {
-    return RPOIdx[Clusters[A].Root] > RPOIdx[Clusters[B].Root];
+    return CG.rpoIndex(Clusters[A].Root) > CG.rpoIndex(Clusters[B].Root);
   });
 
   std::vector<RegMask> Avail(N, 0);

@@ -474,12 +474,9 @@ std::vector<Web> splitSparseWeb(const CallGraph &CG, const RefSets &RS,
 /// Discovers and materializes every web of global \p G. Web Ids are
 /// left unassigned; they are numbered after the (possibly parallel)
 /// per-global fan-out, in global-id order, so the result is independent
-/// of scheduling. \p SccMembers maps an SCC id to its member nodes
-/// (precomputed once; the cycle case below needs it). The §7.6.1
-/// re-merge pass is not applied here: it is a cross-global
-/// transformation of the concatenated list.
+/// of scheduling. The §7.6.1 re-merge pass is not applied here: it is
+/// a cross-global transformation of the concatenated list.
 std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
-                               const std::vector<std::vector<int>> &SccMembers,
                                const WebOptions &Options,
                                const ModRefInfo *MR) {
   // Whole-program verdicts (DESIGN.md §15): both consult only this
@@ -524,7 +521,7 @@ std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
     if (!RS.lref(P).test(G) || Assigned.count(P))
       continue;
     NodeSet Seeds = NodeSet::withUniverse(CG.size());
-    for (int N : SccMembers[CG.sccId(P)])
+    for (int N : CG.sccMembers(CG.sccId(P)))
       Seeds.insert(N);
     NodeSet W = NodeSet::withUniverse(CG.size());
     growWeb(CG, RS, G, W, std::move(Seeds));
@@ -619,13 +616,10 @@ void discoverGlobals(const CallGraph &CG, const RefSets &RS,
                      const std::vector<int> &Globals,
                      const WebOptions &Options, const ModRefInfo *MR,
                      std::vector<std::vector<Web>> &PerGlobal) {
-  std::vector<std::vector<int>> SccMembers(CG.size());
-  for (int N = 0; N < CG.size(); ++N)
-    SccMembers[CG.sccId(N)].push_back(N);
   parallelForEach(Globals.size(), resolveThreadCount(Options.NumThreads),
                   [&](size_t I) {
-                    PerGlobal[Globals[I]] = websForGlobal(
-                        CG, RS, Globals[I], SccMembers, Options, MR);
+                    PerGlobal[Globals[I]] =
+                        websForGlobal(CG, RS, Globals[I], Options, MR);
                   });
 }
 

@@ -8,7 +8,6 @@
 #include "ir/CFG.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace ipra;
 
@@ -16,44 +15,15 @@ CFGInfo::CFGInfo(const IRFunction &F) {
   size_t N = F.Blocks.size();
   Preds.resize(N);
   Succs.resize(N);
-  Reachable.assign(N, false);
-  RPOIndex.assign(N, -1);
-
   for (const auto &B : F.Blocks)
     Succs[B->Id] = B->successors();
 
-  // Depth-first post-order from entry.
-  std::vector<int> PostOrder;
-  PostOrder.reserve(N);
-  std::vector<int> Stack;
-  std::vector<uint8_t> State(N, 0); // 0=unvisited, 1=on stack, 2=done
-  Stack.push_back(0);
-  // Iterative DFS computing post-order.
-  std::vector<size_t> NextChild(N, 0);
-  State[0] = 1;
-  while (!Stack.empty()) {
-    int B = Stack.back();
-    if (NextChild[B] < Succs[B].size()) {
-      int S = Succs[B][NextChild[B]++];
-      if (State[S] == 0) {
-        State[S] = 1;
-        Stack.push_back(S);
-      }
-    } else {
-      State[B] = 2;
-      PostOrder.push_back(B);
-      Stack.pop_back();
-    }
-  }
-
-  RPO.assign(PostOrder.rbegin(), PostOrder.rend());
-  for (size_t I = 0; I < RPO.size(); ++I) {
-    RPOIndex[RPO[I]] = static_cast<int>(I);
-    Reachable[RPO[I]] = true;
-  }
+  Order = reversePostOrder(N, {0}, [this](int B) -> const std::vector<int> & {
+    return Succs[B];
+  });
 
   // Only count predecessors that are reachable.
-  for (int B : RPO)
+  for (int B : Order.Rpo)
     for (int S : Succs[B])
       Preds[S].push_back(B);
 }
@@ -62,51 +32,17 @@ void CFGInfo::computeLoops() const {
   if (HaveLoops)
     return;
   HaveLoops = true; // Before computeLoopDepths, which asks dominates.
-  IDom.assign(Preds.size(), -1);
+  IDom = immediateDominators(Order, {0},
+                             [this](int B) -> const std::vector<int> & {
+                               return Preds[B];
+                             });
   LoopDepth.assign(Preds.size(), 0);
-  computeDominators();
   computeLoopDepths();
-}
-
-// Cooper-Harvey-Kennedy iterative dominator algorithm.
-void CFGInfo::computeDominators() const {
-  if (RPO.empty())
-    return;
-  IDom[RPO[0]] = RPO[0]; // Temporarily self; reset to -1 afterwards.
-
-  auto Intersect = [&](int A, int B) {
-    while (A != B) {
-      while (RPOIndex[A] > RPOIndex[B])
-        A = IDom[A];
-      while (RPOIndex[B] > RPOIndex[A])
-        B = IDom[B];
-    }
-    return A;
-  };
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t I = 1; I < RPO.size(); ++I) {
-      int B = RPO[I];
-      int NewIDom = -1;
-      for (int P : Preds[B]) {
-        if (IDom[P] == -1)
-          continue; // Not yet processed.
-        NewIDom = NewIDom == -1 ? P : Intersect(P, NewIDom);
-      }
-      if (NewIDom != -1 && IDom[B] != NewIDom) {
-        IDom[B] = NewIDom;
-        Changed = true;
-      }
-    }
-  }
-  IDom[RPO[0]] = -1;
 }
 
 bool CFGInfo::dominates(int A, int B) const {
   computeLoops();
-  if (!Reachable[A] || !Reachable[B])
+  if (!isReachable(A) || !isReachable(B))
     return false;
   while (B != -1) {
     if (A == B)
@@ -124,7 +60,7 @@ void CFGInfo::computeLoopDepths() const {
   std::vector<std::vector<char>> Members(N); // By header; empty: none.
   std::vector<char> InLoop(N);
   std::vector<int> Work;
-  for (int T : RPO) {
+  for (int T : Order.Rpo) {
     for (int H : Succs[T]) {
       if (!dominates(H, T))
         continue;

@@ -18,8 +18,10 @@
 #define IPRA_IR_CFG_H
 
 #include "ir/IR.h"
+#include "support/Graph.h"
 #include "support/Liveness.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace ipra {
@@ -39,15 +41,15 @@ public:
   }
 
   /// Blocks reachable from entry, in reverse post-order.
-  const std::vector<int> &rpo() const { return RPO; }
+  const std::vector<int> &rpo() const { return Order.Rpo; }
 
-  bool isReachable(int Block) const { return Reachable[Block]; }
+  bool isReachable(int Block) const { return Order.reached(Block); }
 
   /// Immediate dominator of \p Block (-1 for the entry block and for
-  /// unreachable blocks).
+  /// unreachable blocks, which support/Graph.h marks -2).
   int idom(int Block) const {
     computeLoops();
-    return IDom[Block];
+    return std::max(IDom[Block], -1);
   }
 
   /// Returns true if \p A dominates \p B (reflexive).
@@ -78,15 +80,12 @@ private:
   /// Dominators and natural loops, computed on first use: most passes
   /// need only the edges and the order.
   void computeLoops() const;
-  void computeDominators() const;
   void computeLoopDepths() const;
 
   std::vector<std::vector<int>> Preds, Succs;
-  std::vector<int> RPO;
-  std::vector<int> RPOIndex; ///< Position of each block in RPO, -1 if not.
-  std::vector<bool> Reachable;
+  DfsOrder Order; ///< From the entry block.
   mutable bool HaveLoops = false;
-  mutable std::vector<int> IDom;
+  mutable std::vector<int> IDom; ///< -1 entry, -2 unreachable.
   mutable std::vector<int> LoopDepth;
   mutable std::vector<Loop> Loops;
 };

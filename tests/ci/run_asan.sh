@@ -11,12 +11,14 @@
 #  - the liveness solver and its callers: support_test, liveness_test,
 #    opt_test, opt_schedule_test, codegen_test, regalloc_stress_test
 #    and linkopt_test, plus artifact_digest_test, the byte-identity
-#    fence over every corpus cell (the "dataflow" label). The solver
-#    indexes bitsets by register number and DynBitset checks bounds
-#    only with assert, so ASan is what catches an out-of-universe
-#    register in a release-style build; constant propagation keeps
-#    sorted fact vectors and the allocator sorted edge lists, index
-#    arithmetic the digest fence drives over real programs;
+#    fence over every corpus cell, and graph_test, the RPO, dominator
+#    and SCC kit the CFGs and the call graph index by (the "dataflow"
+#    label). The solver indexes bitsets by register number and
+#    DynBitset checks bounds only with assert, so ASan is what catches
+#    an out-of-universe register in a release-style build; constant
+#    propagation keeps sorted fact vectors and the allocator sorted
+#    edge lists, index arithmetic the digest fence drives over real
+#    programs;
 #  - the delta analyzer suites (the "delta" label): the retained-run
 #    restore parses blobs from disk through the same JSON record codec
 #    as the wire request;
@@ -27,12 +29,13 @@
 #    request and every session file read from disk. A hostile or
 #    corrupted input must be rejected without reading out of bounds;
 #  - the two oracles (the "oracle" label): interp_test, simulator_test,
-#    oracle_digest_test, the smoke-sized oracle bench and the operator
-#    kernel's spec table (arith_spec_test). The simulator
-#    predecodes the code array and keeps a pc-to-symbol table, and the
-#    interpreter a per-instruction symbol table by function, block and
-#    position: index arithmetic over those arrays, where an off-by-one
-#    reads out of bounds without changing a result;
+#    oracle_digest_test, paper_tables_test, the smoke-sized oracle
+#    bench, its usage check and the operator kernel's spec table
+#    (arith_spec_test). The simulator predecodes the code array and
+#    keeps a pc-to-symbol table, and the interpreter a per-instruction
+#    symbol table by function, block and position: index arithmetic
+#    over those arrays, where an off-by-one reads out of bounds without
+#    changing a result;
 #  - the mcc command-line workflow (the "cli" label): mcc turns every
 #    mode into one build request and prints from the one response, so
 #    the dispatch reads source, summary, database and object files and

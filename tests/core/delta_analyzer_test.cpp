@@ -21,6 +21,8 @@
 #include "core/DeltaAnalyzer.h"
 #include "support/Json.h"
 
+#include "RandomProgram.h"
+
 #include <gtest/gtest.h>
 
 #include <random>
@@ -29,108 +31,17 @@ using namespace ipra;
 
 namespace {
 
-/// A randomized multi-module program, same shape family as the
-/// analyzer-equivalence suite: layered intra-module DAGs with back
-/// edges and self-loops, cross-module calls, statics (§7.4), indirect
-/// calls over address-taken procedures, and some unreachable code.
+/// A randomized program (tests/testutil/RandomProgram.h), same shape
+/// family as the analyzer-equivalence suite: three or four modules of
+/// 8..13 procedures with caller-saves masks, 8..13 globals and one or
+/// two indirect callers.
 std::vector<ModuleSummary> randomProgram(unsigned SeedValue) {
-  std::mt19937 Rng(SeedValue);
-  auto Rand = [&Rng](int N) {
-    return static_cast<int>(Rng() % static_cast<unsigned>(N));
-  };
-
-  int NumModules = 3 + Rand(2);
-  int ProcsPerModule = 8 + Rand(6);
-  int NumGlobals = 8 + Rand(6);
-
-  std::vector<ModuleSummary> Mods(NumModules);
-  std::vector<std::string> Names;
-  std::vector<int> ModOf;
-  std::vector<bool> Exported;
-  for (int M = 0; M < NumModules; ++M) {
-    Mods[M].Module = "m" + std::to_string(M);
-    for (int P = 0; P < ProcsPerModule; ++P) {
-      ProcSummary PS;
-      int Idx = static_cast<int>(Names.size());
-      bool IsMain = M == 0 && P == 0;
-      bool Static = !IsMain && Rand(4) == 0;
-      PS.QualName = IsMain ? "main"
-                    : Static
-                        ? Mods[M].Module + ":s" + std::to_string(Idx)
-                        : "p" + std::to_string(Idx);
-      PS.Module = Mods[M].Module;
-      PS.CalleeRegsNeeded = static_cast<unsigned>(Rand(14));
-      PS.CallerRegsUsed = static_cast<unsigned>(Rand(0x3fff));
-      Names.push_back(PS.QualName);
-      ModOf.push_back(M);
-      Exported.push_back(!Static);
-      Mods[M].Procs.push_back(std::move(PS));
-    }
-  }
-
-  auto ProcAt = [&](int Idx) -> ProcSummary & {
-    return Mods[ModOf[Idx]].Procs[Idx % ProcsPerModule];
-  };
-
-  for (int Idx = 0; Idx < static_cast<int>(Names.size()); ++Idx) {
-    int M = ModOf[Idx];
-    int Base = M * ProcsPerModule;
-    int Pos = Idx - Base;
-    int NumCalls = Rand(3);
-    for (int C = 0; C < NumCalls; ++C) {
-      int Span = ProcsPerModule - 1 - Pos;
-      if (Span <= 0)
-        break;
-      int Target = Idx + 1 + Rand(std::min(Span, 5));
-      ProcAt(Idx).Calls.push_back(
-          CallSummary{Names[Target], 1 + Rand(40)});
-    }
-    if (Pos > 2 && Rand(6) == 0)
-      ProcAt(Idx).Calls.push_back(
-          CallSummary{Names[Base + Rand(Pos)], 1 + Rand(10)});
-    if (Rand(12) == 0)
-      ProcAt(Idx).Calls.push_back(CallSummary{Names[Idx], 1 + Rand(5)});
-    if (Rand(4) == 0) {
-      int Target = Rand(static_cast<int>(Names.size()));
-      if (Exported[Target] && ModOf[Target] != M && Target != 0)
-        ProcAt(Idx).Calls.push_back(
-            CallSummary{Names[Target], 1 + Rand(20)});
-    }
-  }
-  for (int M = 1; M < NumModules; ++M)
-    Mods[0].Procs[0].Calls.push_back(
-        CallSummary{Names[M * ProcsPerModule + Rand(3)], 1 + Rand(20)});
-
-  int NumIndirect = 1 + Rand(2);
-  for (int I = 0; I < NumIndirect; ++I) {
-    int Holder = Rand(static_cast<int>(Names.size()));
-    int Target = Rand(static_cast<int>(Names.size()));
-    ProcAt(Holder).AddressTakenProcs.push_back(Names[Target]);
-    ProcAt(Holder).MakesIndirectCalls = true;
-    ProcAt(Holder).IndirectCallFreq = 1 + Rand(10);
-  }
-
-  for (int G = 0; G < NumGlobals; ++G) {
-    GlobalSummary GS;
-    int M = Rand(NumModules);
-    GS.Module = Mods[M].Module;
-    GS.IsStatic = Rand(4) == 0;
-    GS.QualName = GS.IsStatic ? GS.Module + ":h" + std::to_string(G)
-                              : "g" + std::to_string(G);
-    GS.IsScalar = Rand(10) != 0;
-    GS.Aliased = Rand(10) == 0;
-    Mods[M].Globals.push_back(GS);
-
-    int NumRefs = 1 + Rand(4);
-    for (int R = 0; R < NumRefs; ++R) {
-      int P = Rand(static_cast<int>(Names.size()));
-      if (GS.IsStatic && ModOf[P] != M && Rand(2) == 0)
-        continue;
-      ProcAt(P).GlobalRefs.push_back(
-          GlobalRefSummary{GS.QualName, 1 + Rand(100), Rand(3) == 0});
-    }
-  }
-  return Mods;
+  return test::randomProgram({.Modules = {3, 2},
+                               .ProcsPerModule = {8, 6},
+                               .Globals = {8, 6},
+                               .DrawCallerRegs = true,
+                               .IndirectCallers = {1, 2}},
+                             SeedValue);
 }
 
 /// Names of every global across the program (edit targets).
