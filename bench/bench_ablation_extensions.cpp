@@ -53,8 +53,8 @@ AblationResult runConfig(const std::vector<SourceFile> &Sources,
   Config.RelaxWebAvail = Relax;
   Config.ImprovedFreeSets = Improved;
   Config.CallerSavePropagation = CallerSave;
-  Config.Webs.SplitSparseWebs = Split;
-  Config.Webs.RemergeWebs = Remerge;
+  Config.SplitSparseWebs = Split;
+  Config.RemergeWebs = Remerge;
   BuildResult B = Pipeline(Config).build(Sources);
   RunResult R = runExecutable(B.Exe);
   AblationResult Out;

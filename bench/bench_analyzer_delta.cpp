@@ -150,7 +150,7 @@ AnalyzerOptions benchOptions() {
   AnalyzerOptions Options;
   Options.Promotion = PromotionMode::Webs;
   Options.SpillMotion = true;
-  Options.Webs.SplitSparseWebs = true;
+  Options.SplitSparseWebs = true;
   Options.CallerSavePropagation = true;
   return Options;
 }

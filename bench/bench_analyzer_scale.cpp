@@ -189,7 +189,7 @@ ConfigResult runConfig(int NumProcs, int NumGlobals, unsigned Threads) {
       }
   }
 
-  WebOptions WO;
+  AnalyzerOptions WO;
   WO.NumThreads = 1;
   T0 = Clock::now();
   auto Webs1T = buildWebs(CG, RS, WO);

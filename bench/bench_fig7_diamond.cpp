@@ -51,7 +51,7 @@ std::vector<ModuleSummary> diamond() {
   return {S};
 }
 
-void printSets(const char *Title, const RegSetOptions &Options) {
+void printSets(const char *Title, const AnalyzerOptions &Options) {
   auto Summaries = diamond();
   CallGraph CG(Summaries);
   auto Clusters = identifyClusters(CG);
@@ -92,7 +92,7 @@ int main(int argc, char **argv) {
               "(needs K=1, L=2, M=1)\n");
   std::printf("The paper's r1/r2/r3 correspond to PR32's r3/r4/r5.\n\n");
   printSets("Base algorithm (Figure 6):", {});
-  RegSetOptions Improved;
+  AnalyzerOptions Improved;
   Improved.ImprovedFreeSets = true;
   printSets("With the 7.6.2 improved-FREE extension "
             "(r4 joins FREE[K]):",

@@ -212,7 +212,7 @@ void printStats() {
               GProblems.empty() ? "ok" : GProblems[0].c_str());
 
   // §7.6.1 web splitting recovers discarded sparse webs.
-  WebOptions SplitOptions;
+  AnalyzerOptions SplitOptions;
   SplitOptions.SplitSparseWebs = true;
   auto SplitWebs = buildWebs(CG, RS, SplitOptions);
   int SplitCount = 0, SplitConsidered = 0;
@@ -230,7 +230,7 @@ void printStats() {
               KStats.Colored);
 
   // §7.6.1 web re-merging: independent webs sharing entries higher up.
-  WebOptions MergeOptions;
+  AnalyzerOptions MergeOptions;
   MergeOptions.RemergeWebs = true;
   auto MergedWebs = buildWebs(CG, RS, MergeOptions);
   int MergedCount = 0, MergedConsidered = 0;

@@ -454,8 +454,8 @@ int main(int argc, char **argv) {
     Config = PipelineConfig::configF();
   else
     return usage();
-  Config.Webs.SplitSparseWebs = SplitWebs;
-  Config.Webs.RemergeWebs = RemergeWebs;
+  Config.SplitSparseWebs = SplitWebs;
+  Config.RemergeWebs = RemergeWebs;
   Config.CallerSavePropagation = CallerSaveProp;
   Config.RelaxWebAvail = RelaxWebAvail;
   Config.ImprovedFreeSets = ImprovedFree;

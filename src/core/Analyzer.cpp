@@ -73,14 +73,6 @@ ProcDirectives ProgramDatabase::lookup(const std::string &QualName) const {
 // Anything new the analyzer emits must pick one of these mechanisms.
 //===----------------------------------------------------------------------===//
 
-WebOptions ipra::analyzer_detail::webOptionsFor(
-    const AnalyzerOptions &Options) {
-  WebOptions WO = Options.Webs;
-  WO.AssumeClosedWorld = Options.AssumeClosedWorld;
-  WO.NumThreads = Options.NumThreads;
-  return WO;
-}
-
 namespace {
 
 /// Retained webs carry an earlier run's registers; coloring starts from
@@ -170,12 +162,12 @@ ipra::analyzer_detail::analyzeCold(SummarySet Summaries,
     return State;
   case PromotionMode::Webs:
   case PromotionMode::Greedy:
-    State->Webs = buildWebs(State->CG, State->RS, webOptionsFor(Options),
+    State->Webs = buildWebs(State->CG, State->RS, Options,
                             State->modRef(Options), &State->WebStart);
     break;
   case PromotionMode::Blanket:
-    State->Webs = buildBlanketWebs(State->CG, State->RS, Options.BlanketCount,
-                                   Options.WebPool, State->modRef(Options));
+    State->Webs = buildBlanketWebs(State->CG, State->RS, Options.WebPool,
+                                   State->modRef(Options));
     break;
   }
   Stats.WebsMs = msSince(T0);
@@ -232,13 +224,11 @@ ProgramDatabase ipra::analyzer_detail::finishFromWebs(
   std::vector<Cluster> Clusters;
   std::vector<ProcDirectives> Sets;
   if (Options.SpillMotion) {
-    ClusterOptions CO = Options.Clusters;
-    CO.AssumeClosedWorld = Options.AssumeClosedWorld;
     T0 = Clock::now();
-    Clusters = identifyClusters(CG, CO);
+    Clusters = identifyClusters(CG, Options.AssumeClosedWorld);
     LocalStats.ClustersMs = msSince(T0);
     T0 = Clock::now();
-    Sets = computeRegisterSets(CG, Clusters, Webs, Options.RegSets);
+    Sets = computeRegisterSets(CG, Clusters, Webs, Options);
     LocalStats.RegSetsMs = msSince(T0);
     LocalStats.NumClusters = static_cast<int>(Clusters.size());
     for (const Cluster &C : Clusters) {

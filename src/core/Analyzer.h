@@ -19,6 +19,7 @@
 
 #include "analysis/GPGCompose.h"
 #include "analysis/ModRef.h"
+#include "core/AnalyzerOptions.h"
 #include "core/Clusters.h"
 #include "core/RegSets.h"
 #include "core/WebColor.h"
@@ -29,100 +30,9 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace ipra {
-
-/// Promotion strategy for the evaluation's configurations (§6.1).
-enum class PromotionMode {
-  None,    ///< No interprocedural promotion (columns A/B).
-  Webs,    ///< K-register web coloring (columns C/F).
-  Greedy,  ///< Greedy coloring (column D).
-  Blanket, ///< Wall-style blanket promotion (column E).
-};
-
-/// PromotionMode's key names, in enumerator order, for the record codec.
-inline constexpr const char *PromotionModeNames[] = {"none", "webs",
-                                                     "greedy", "blanket"};
-inline const char *enumName(PromotionMode M) {
-  return PromotionModeNames[static_cast<int>(M)];
-}
-inline bool enumFromName(std::string_view Name, PromotionMode &M) {
-  return enumFromTable(Name, PromotionModeNames, M);
-}
-
-/// Analyzer configuration.
-struct AnalyzerOptions {
-  bool SpillMotion = true;
-  PromotionMode Promotion = PromotionMode::Webs;
-  /// Registers reserved for web coloring (6 by default, §6.1).
-  RegMask WebPool = pr32::defaultWebColoringPool();
-  int BlanketCount = 6;
-  WebOptions Webs;
-  ClusterOptions Clusters;
-  RegSetOptions RegSets;
-  /// §7.6.2 extension: publish per-procedure caller-saves budgets and
-  /// per-callee subtree clobber masks so callers can keep values live in
-  /// caller-saves registers across calls that do not use them.
-  bool CallerSavePropagation = false;
-  /// §7.2: false when the analyzed modules are only part of the program
-  /// (e.g. a library): only statics are promotable, and externally
-  /// visible procedures join no web interior and no cluster.
-  bool AssumeClosedWorld = true;
-  /// Which points-to facts to consume. Off ignores the summary fields
-  /// entirely, reproducing the paper's conservative analysis (on
-  /// fact-free summaries the output is identical either way). Andersen
-  /// consumes the per-module escape verdicts and resolved indirect
-  /// target sets as phase 1 recorded them. GPG additionally composes
-  /// the summaries' per-procedure GPG residues bottom-up
-  /// (GPGCompose.h) and strengthens those facts first — never weaker
-  /// than Andersen; falls back to the recorded facts when any summary
-  /// lacks a residue.
-  PointsToMode PointsTo = PointsToMode::GPG;
-  /// Whole-program mod/ref & constancy analysis (DESIGN.md §15,
-  /// analysis/ModRef.h): compose the summaries' per-procedure read and
-  /// write bits into per-global verdicts, discard webs of exactly-Dead
-  /// globals, drop the Modifies bit (exit-sync writeback, wrap stores)
-  /// from webs of exactly-ReadOnly globals, and publish the verdicts
-  /// as database modref records. Off reproduces the paper's
-  /// read-write-assumed promotion (mcc --modref=off).
-  bool ModRef = true;
-  /// Threads for the parallelizable analyzer stages (per-global web
-  /// discovery): 1 runs serially on the calling thread, 0 defers to
-  /// IPRA_THREADS / the hardware count. The database is byte-identical
-  /// at every value, so NumThreads enters no fingerprint.
-  int NumThreads = 1;
-
-  /// Named Table-4 presets (§6.1) for the analyzer side of a
-  /// configuration. Columns B and F are A and C with profile data,
-  /// which enters through CallProfile rather than these options.
-  static AnalyzerOptions columnA(); ///< Spill code motion only.
-  static AnalyzerOptions columnC(); ///< + 6-register web coloring.
-  static AnalyzerOptions columnD(); ///< + greedy coloring.
-  static AnalyzerOptions columnE(); ///< + blanket promotion.
-
-  /// The output-affecting knobs with their keys (support/Json.h's
-  /// Record): the one list behind the delta analyzer's option check and
-  /// its retained options record. NumThreads is left out — the database
-  /// is byte-identical at every value. A new knob is its member, one
-  /// row here, its line in each PipelineConfig view copy and its
-  /// PipelineConfig::analyzerFingerprint entry.
-  template <typename Self, typename Visit>
-  static void fields(Self &S, Visit &&V) {
-    V("spill-motion", S.SpillMotion);
-    V("promotion", S.Promotion);
-    V("web-pool", S.WebPool);
-    V("blanket-count", S.BlanketCount);
-    V("webs", S.Webs);
-    V("clusters", S.Clusters);
-    V("regsets", S.RegSets);
-    V("caller-save-propagation", S.CallerSavePropagation);
-    V("assume-closed-world", S.AssumeClosedWorld);
-    V("points-to", S.PointsTo);
-    V("modref", S.ModRef);
-  }
-};
 
 /// The analyzer's observable statistics (the §6.2 narrative).
 struct AnalyzerStats {
@@ -155,7 +65,7 @@ struct AnalyzerStats {
   // Sub-phase wall-clock breakdown (milliseconds) of the work the run
   // did: a delta run times only its damage-region work and reports 0
   // for a step it skipped, and a cached analyzer run reports 0 for all
-  // of them (the cache entry leaves them out, so its bytes are a
+  // of them (the cache entry stores them as zeros, so its bytes are a
   // function of the inputs). The counters above describe the analyzed
   // program whichever way it was analyzed.
   double RefSetsMs = 0;  ///< Call graph + L/P/C_REF dataflow.

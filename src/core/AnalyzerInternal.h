@@ -38,12 +38,6 @@ inline double msSince(Clock::time_point T0) {
       .count();
 }
 
-/// The web options actually used for discovery: the user's knobs with
-/// the analyzer-level closed-world assumption and thread count folded
-/// in. The delta analyzer must re-discover damaged globals under
-/// exactly these options to reproduce cold output.
-WebOptions webOptionsFor(const AnalyzerOptions &Options);
-
 /// GPG mode: a new set with \p Summaries' escape verdicts and indirect
 /// target sets strengthened by the bottom-up composition (GPGCompose.h),
 /// its counters in \p Stats. Otherwise, or when the summaries carry no

@@ -26,7 +26,7 @@ bool memberCandidate(const CallGraph &CG, int R, int S) {
 } // namespace
 
 std::vector<Cluster> ipra::identifyClusters(const CallGraph &CG,
-                                            const ClusterOptions &Options) {
+                                            bool AssumeClosedWorld) {
   int N = CG.size();
 
   // Pass 1: the root set — the §4.2.2 heuristic (refined per §7.6.2)
@@ -69,8 +69,7 @@ std::vector<Cluster> ipra::identifyClusters(const CallGraph &CG,
   for (int R : CG.rpo())
     IsRoot[R] = AnyCandidate[R] &&
                 static_cast<double>(Outgoing[R]) >
-                    Options.RootBenefitThreshold *
-                        static_cast<double>(Incoming[R]);
+                    RootBenefitThreshold * static_cast<double>(Incoming[R]);
 
   // Nearest dominating root of a node (walking the idom chain,
   // excluding the node itself).
@@ -137,7 +136,7 @@ std::vector<Cluster> ipra::identifyClusters(const CallGraph &CG,
           continue;
         // Partial call graphs (§7.2): unknown callers could reach an
         // exported procedure directly, bypassing the cluster root.
-        if (!Options.AssumeClosedWorld && CG.node(S).ExternallyVisible)
+        if (!AssumeClosedWorld && CG.node(S).ExternallyVisible)
           continue;
         // Property [3]: nearest dominating root must be R.
         if (ClusterOf[S] != -1 || NearestRoot(S) != R)

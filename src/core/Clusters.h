@@ -40,28 +40,17 @@ struct Cluster {
   std::vector<int> Members;
 };
 
-/// Cluster-identification knobs.
-struct ClusterOptions {
-  /// A root is accepted when (calls out to dominated successors) >
-  /// Threshold * (incoming calls).
-  double RootBenefitThreshold = 1.0;
-  /// §7.2: false when analyzing a partial call graph - externally
-  /// visible procedures may have unknown callers and cannot be cluster
-  /// members (property [2] would be unverifiable).
-  bool AssumeClosedWorld = true;
+/// The §4.2.2 root heuristic: a node is accepted as a root when
+/// (calls out to dominated successors) > RootBenefitThreshold *
+/// (incoming calls).
+inline constexpr double RootBenefitThreshold = 1.0;
 
-  /// The output-affecting knobs with their keys (support/Json.h's
-  /// Record). AssumeClosedWorld is left out: the analyzer overwrites it
-  /// from AnalyzerOptions.
-  template <typename Self, typename Visit>
-  static void fields(Self &S, Visit &&V) {
-    V("root-benefit-threshold", S.RootBenefitThreshold);
-  }
-};
-
-/// Identifies every cluster in \p CG.
+/// Identifies every cluster in \p CG. With \p AssumeClosedWorld false
+/// (§7.2, a partial call graph) externally visible procedures may have
+/// unknown callers and join no cluster as members (property [2] would
+/// be unverifiable).
 std::vector<Cluster> identifyClusters(const CallGraph &CG,
-                                      const ClusterOptions &Options = {});
+                                      bool AssumeClosedWorld = true);
 
 /// Verification helper for tests: checks properties [1]-[3] and the
 /// no-recursion rule; returns violations (empty = valid).

@@ -22,7 +22,6 @@ using analyzer_detail::Clock;
 using analyzer_detail::finishFromWebs;
 using analyzer_detail::msSince;
 using analyzer_detail::strengthened;
-using analyzer_detail::webOptionsFor;
 
 namespace {
 
@@ -47,7 +46,7 @@ bool DeltaAnalyzer::retainable(std::string &Reason) const {
     Reason = "blanket promotion selects webs across globals";
     return false;
   }
-  if (Opts.Promotion != PromotionMode::None && Opts.Webs.RemergeWebs) {
+  if (Opts.Promotion != PromotionMode::None && Opts.RemergeWebs) {
     // §7.6.1 re-merging runs over the concatenated whole-program list
     // (idom-based), coupling webs across the splice boundary.
     Reason = "web re-merging couples webs across globals";
@@ -227,7 +226,7 @@ bool DeltaAnalyzer::tryIncremental(
         DamagedGids.push_back(G);
     }
     T0 = Clock::now();
-    rediscoverWebs(CG, RS, DamagedGids, webOptionsFor(Opts),
+    rediscoverWebs(CG, RS, DamagedGids, Opts,
                    Opts.ModRef ? &NewMR : nullptr, State->Webs,
                    State->WebStart);
     Stats.WebsMs = msSince(T0);

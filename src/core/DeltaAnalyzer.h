@@ -171,9 +171,11 @@ public:
   /// any layout change; readers reject other versions (cold fallback).
   /// Version 5: a one-line JSON header (format, version, the FNV-1a
   /// digest of the run text) and the run, json::encode of RetainedRun.
+  /// Version 6: the same layout over the flat AnalyzerOptions record
+  /// (its nested webs/clusters/regsets objects and blanket-count gone).
   /// Versions 1-4 were line-oriented texts with a trailing database
   /// section; their first line is not JSON, so they are rejected.
-  static constexpr int RetainedFormatVersion = 5;
+  static constexpr int RetainedFormatVersion = 6;
 
   /// Serializes the primed retained run as a versioned blob a later
   /// process can restoreRetained() from (warm daemon restarts, DESIGN.md

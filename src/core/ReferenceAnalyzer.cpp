@@ -181,7 +181,7 @@ void finishWeb(const CallGraph &CG, const RefSets &RS, Web &W) {
 
 /// §7.6.1 re-merging, element-wise as the seed did it.
 void remergeWebs(const CallGraph &CG, const RefSets &RS,
-                 std::vector<Web> &Webs, const WebOptions &Options) {
+                 std::vector<Web> &Webs, const AnalyzerOptions &Options) {
   auto commonDominator = [&](int A, int B) {
     std::set<int> Chain;
     for (int N = A; N >= 0; N = CG.idom(N))
@@ -312,8 +312,7 @@ void remergeWebs(const CallGraph &CG, const RefSets &RS,
             continue;
         }
         std::string StaticModule = moduleOfQualName(RS.globalName(G));
-        if (Options.DiscardCrossModuleStaticWebs &&
-            !StaticModule.empty()) {
+        if (!StaticModule.empty()) {
           bool Crosses = false;
           for (int E : Merged.EntryNodes)
             Crosses |= CG.node(E).Module != StaticModule;
@@ -480,7 +479,7 @@ std::vector<Web> splitSparseWeb(const CallGraph &CG, const RefSets &RS,
 
 std::vector<Web> reference::buildWebs(const CallGraph &CG,
                                       const RefSets &RS,
-                                      const WebOptions &Options) {
+                                      const AnalyzerOptions &Options) {
   std::vector<Web> Webs;
 
   for (int G = 0; G < RS.numEligible(); ++G) {
@@ -575,7 +574,7 @@ std::vector<Web> reference::buildWebs(const CallGraph &CG,
       }
       const std::string &Name = RS.globalName(G);
       std::string StaticModule = moduleOfQualName(Name);
-      if (Options.DiscardCrossModuleStaticWebs && !StaticModule.empty()) {
+      if (!StaticModule.empty()) {
         for (int E : W.EntryNodes) {
           if (CG.node(E).Module != StaticModule) {
             W.Considered = false;
@@ -586,7 +585,7 @@ std::vector<Web> reference::buildWebs(const CallGraph &CG,
       }
       if (W.Considered && Nodes.size() == 1) {
         int Only = *Nodes.begin();
-        if (RS.refFreq(Only, G) < Options.MinSingleNodeFreq) {
+        if (RS.refFreq(Only, G) < MinSingleNodeFreq) {
           W.Considered = false;
           W.DiscardReason = "single node, infrequent";
         }
@@ -595,7 +594,7 @@ std::vector<Web> reference::buildWebs(const CallGraph &CG,
         double Ratio =
             static_cast<double>(LRefNodes) / static_cast<double>(
                                                  Nodes.size());
-        if (Ratio < Options.MinLRefRatio) {
+        if (Ratio < MinLRefRatio) {
           W.Considered = false;
           W.DiscardReason = "too sparse";
         }
@@ -637,8 +636,7 @@ long long incomingCalls(const CallGraph &CG, int Node) {
   return In;
 }
 
-bool isRootCandidate(const CallGraph &CG, int R,
-                     const ClusterOptions &Options) {
+bool isRootCandidate(const CallGraph &CG, int R) {
   if (!CG.isReachable(R))
     return false;
   long long Outgoing = 0;
@@ -655,17 +653,16 @@ bool isRootCandidate(const CallGraph &CG, int R,
     return false;
   long long Incoming = incomingCalls(CG, R);
   return static_cast<double>(Outgoing) >
-         Options.RootBenefitThreshold * static_cast<double>(Incoming);
+         RootBenefitThreshold * static_cast<double>(Incoming);
 }
 
 } // namespace
 
 std::vector<Cluster>
-reference::identifyClusters(const CallGraph &CG,
-                            const ClusterOptions &Options) {
+reference::identifyClusters(const CallGraph &CG, bool AssumeClosedWorld) {
   std::vector<bool> IsRoot(CG.size(), false);
   for (int N : CG.rpo())
-    IsRoot[N] = isRootCandidate(CG, N, Options);
+    IsRoot[N] = isRootCandidate(CG, N);
 
   auto NearestRoot = [&](int Node) {
     int D = CG.idom(Node);
@@ -705,7 +702,7 @@ reference::identifyClusters(const CallGraph &CG,
           continue;
         if (CG.isRecursive(S))
           continue;
-        if (!Options.AssumeClosedWorld && CG.node(S).ExternallyVisible)
+        if (!AssumeClosedWorld && CG.node(S).ExternallyVisible)
           continue;
         if (ClusterOf[S] != -1 || NearestRoot(S) != R)
           continue;

@@ -48,11 +48,11 @@ private:
 /// §6.2/§7.4/§7.2 filters, §7.6.1 splitting and re-merging. Produces
 /// the same Web records as ipra::buildWebs.
 std::vector<Web> buildWebs(const CallGraph &CG, const RefSets &RS,
-                           const WebOptions &Options = {});
+                           const AnalyzerOptions &Options = {});
 
 /// The seed's std::set-based cluster identification (§4.2).
 std::vector<Cluster> identifyClusters(const CallGraph &CG,
-                                      const ClusterOptions &Options = {});
+                                      bool AssumeClosedWorld = true);
 
 } // namespace reference
 } // namespace ipra

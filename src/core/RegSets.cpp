@@ -73,7 +73,7 @@ std::vector<int> clusterTopoOrder(const CallGraph &CG, const Cluster &C,
 
 std::vector<ProcDirectives> ipra::computeRegisterSets(
     const CallGraph &CG, const std::vector<Cluster> &Clusters,
-    const std::vector<Web> &Webs, const RegSetOptions &Options) {
+    const std::vector<Web> &Webs, const AnalyzerOptions &Options) {
   int N = CG.size();
   std::vector<ProcDirectives> Sets(N); // Standard convention by default.
 

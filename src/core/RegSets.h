@@ -44,30 +44,15 @@
 
 namespace ipra {
 
-/// Options for the register-set computation.
-struct RegSetOptions {
-  /// §7.6.2: remove web registers from AVAIL only at nodes the web
-  /// covers, instead of at the whole cluster.
-  bool RelaxWebAvail = false;
-  /// §7.6.2: add root-spilled registers unused downstream to FREE.
-  bool ImprovedFreeSets = false;
-
-  /// Every knob with its key (support/Json.h's Record).
-  template <typename Self, typename Visit>
-  static void fields(Self &S, Visit &&V) {
-    V("relax-web-avail", S.RelaxWebAvail);
-    V("improved-free-sets", S.ImprovedFreeSets);
-  }
-};
-
 /// Computes FREE/CALLER/CALLEE/MSPILL for every node. The returned
 /// vector is indexed by call-graph node id; nodes outside every cluster
 /// keep the standard convention. Promoted-web registers are reserved at
 /// covered nodes via the Promoted lists filled in by the analyzer (not
-/// here).
+/// here). Reads the §7.6.2 knobs RelaxWebAvail and ImprovedFreeSets of
+/// \p Options.
 std::vector<ProcDirectives> computeRegisterSets(
     const CallGraph &CG, const std::vector<Cluster> &Clusters,
-    const std::vector<Web> &Webs, const RegSetOptions &Options = {});
+    const std::vector<Web> &Webs, const AnalyzerOptions &Options = {});
 
 /// Verification helper: register-set soundness (sets are disjoint where
 /// required, FREE at interior nodes is covered by the root's MSPILL,

@@ -108,8 +108,8 @@ WebColorStats ipra::colorWebsGreedy(std::vector<Web> &Webs,
 }
 
 std::vector<Web> ipra::buildBlanketWebs(const CallGraph &CG,
-                                        const RefSets &RS, int Count,
-                                        RegMask Pool, const ModRefInfo *MR) {
+                                        const RefSets &RS, RegMask Pool,
+                                        const ModRefInfo *MR) {
   // Rank eligible globals by whole-program weighted reference count
   // ("the most frequently used global variables", §6.1).
   std::vector<std::pair<long long, int>> Ranked;
@@ -130,8 +130,7 @@ std::vector<Web> ipra::buildBlanketWebs(const CallGraph &CG,
 
   std::vector<unsigned> PoolRegs = pr32::maskRegs(Pool);
   std::vector<Web> Out;
-  size_t Limit = std::min({static_cast<size_t>(Count), Ranked.size(),
-                           PoolRegs.size()});
+  size_t Limit = std::min(Ranked.size(), PoolRegs.size());
   for (size_t I = 0; I < Limit; ++I) {
     Web W;
     W.Id = static_cast<int>(Out.size());

@@ -45,14 +45,14 @@ WebColorStats colorWebsKRegisters(std::vector<Web> &Webs,
 /// registers than its own estimated need.
 WebColorStats colorWebsGreedy(std::vector<Web> &Webs, const CallGraph &CG);
 
-/// Builds blanket-promotion "webs": the \p Count highest-frequency
-/// eligible globals each get one register from \p Pool, dedicated over
-/// every node of the call graph; the start nodes act as web entries.
+/// Builds blanket-promotion "webs": the highest-frequency eligible
+/// globals each get one register from \p Pool (as many globals as the
+/// pool has registers), dedicated over every node of the call graph;
+/// the start nodes act as web entries.
 /// Returns the replacement web list (already colored). With \p MR, an
 /// exactly read-only global's web does not modify it (no writeback).
 std::vector<Web> buildBlanketWebs(const CallGraph &CG, const RefSets &RS,
-                                  int Count, RegMask Pool,
-                                  const ModRefInfo *MR = nullptr);
+                                  RegMask Pool, const ModRefInfo *MR = nullptr);
 
 /// Verification helper: interfering webs must have distinct registers;
 /// every colored web's register must be callee-saves.

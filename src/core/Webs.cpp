@@ -46,33 +46,37 @@ void expandWeb(const CallGraph &CG, const RefSets &RS, int G, NodeSet &W,
   }
 }
 
+/// Figure 2's enlargement step: sets \p Absorb to the external
+/// predecessors of every node of \p W that has both an internal and an
+/// external predecessor. False when there are none (W is closed).
+bool mixedPredecessors(const CallGraph &CG, const NodeSet &W,
+                       NodeSet &Absorb) {
+  Absorb = NodeSet::withUniverse(CG.size());
+  bool Any = false;
+  for (int Z : W) {
+    bool Internal = false, External = false;
+    for (int P : CG.node(Z).Preds) {
+      if (W.count(P))
+        Internal = true;
+      else
+        External = true;
+    }
+    if (Internal && External)
+      for (int P : CG.node(Z).Preds)
+        if (!W.count(P))
+          Any |= Absorb.insert(P);
+  }
+  return Any;
+}
+
 /// The repeat/until loop of Figure 2: expand from \p Seeds, then absorb
 /// external predecessors of mixed-predecessor nodes until none remain.
 void growWeb(const CallGraph &CG, const RefSets &RS, int G, NodeSet &W,
              NodeSet Seeds) {
-  while (true) {
+  do {
     for (int Q : Seeds)
       expandWeb(CG, RS, G, W, Q);
-    // S := nodes of W with both an internal and an external predecessor.
-    NodeSet NewSeeds = NodeSet::withUniverse(CG.size());
-    bool Any = false;
-    for (int Z : W) {
-      bool Internal = false, External = false;
-      for (int P : CG.node(Z).Preds) {
-        if (W.count(P))
-          Internal = true;
-        else
-          External = true;
-      }
-      if (Internal && External)
-        for (int P : CG.node(Z).Preds)
-          if (!W.count(P))
-            Any |= NewSeeds.insert(P);
-    }
-    if (!Any)
-      return;
-    Seeds = std::move(NewSeeds);
-  }
+  } while (mixedPredecessors(CG, W, Seeds));
 }
 
 /// Module of a qualified name ("mod:x" -> "mod", plain names -> "").
@@ -86,26 +90,9 @@ std::string moduleOfQualName(const std::string &QualName) {
 /// reference regions belong to other sub-webs; wrap code synchronizes
 /// with them through memory).
 void closeSplitWeb(const CallGraph &CG, NodeSet &W) {
-  while (true) {
-    NodeSet Absorb = NodeSet::withUniverse(CG.size());
-    bool Any = false;
-    for (int Z : W) {
-      bool Internal = false, External = false;
-      for (int P : CG.node(Z).Preds) {
-        if (W.count(P))
-          Internal = true;
-        else
-          External = true;
-      }
-      if (Internal && External)
-        for (int P : CG.node(Z).Preds)
-          if (!W.count(P))
-            Any |= Absorb.insert(P);
-    }
-    if (!Any)
-      return;
+  NodeSet Absorb;
+  while (mixedPredecessors(CG, W, Absorb))
     W.unionWith(Absorb);
-  }
 }
 
 /// Computes entries, the modifies flag and the §4.1.3 priority for a
@@ -154,7 +141,7 @@ void finishWeb(const CallGraph &CG, const RefSets &RS, Web &W,
 /// merged priority beats the combined priority of the considered webs
 /// it replaces, and the §7.2/§7.4 correctness filters still hold.
 void remergeWebs(const CallGraph &CG, const RefSets &RS,
-                 std::vector<Web> &Webs, const WebOptions &Options,
+                 std::vector<Web> &Webs, const AnalyzerOptions &Options,
                  const ModRefInfo *MR) {
   // Nearest common dominator of two nodes (walking idom chains).
   auto commonDominator = [&](int A, int B) {
@@ -298,8 +285,7 @@ void remergeWebs(const CallGraph &CG, const RefSets &RS,
             continue;
         }
         std::string StaticModule = moduleOfQualName(RS.globalName(G));
-        if (Options.DiscardCrossModuleStaticWebs &&
-            !StaticModule.empty()) {
+        if (!StaticModule.empty()) {
           bool Crosses = false;
           for (int E : Merged.EntryNodes)
             Crosses |= CG.node(E).Module != StaticModule;
@@ -477,7 +463,7 @@ std::vector<Web> splitSparseWeb(const CallGraph &CG, const RefSets &RS,
 /// of scheduling. The §7.6.1 re-merge pass is not applied here: it is
 /// a cross-global transformation of the concatenated list.
 std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
-                               const WebOptions &Options,
+                               const AnalyzerOptions &Options,
                                const ModRefInfo *MR) {
   // Whole-program verdicts (DESIGN.md §15): both consult only this
   // global's entry, so re-discovery under the delta analyzer replays
@@ -556,7 +542,7 @@ std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
     }
     const std::string &Name = RS.globalName(G);
     std::string StaticModule = moduleOfQualName(Name);
-    if (Options.DiscardCrossModuleStaticWebs && !StaticModule.empty()) {
+    if (!StaticModule.empty()) {
       for (int E : W.EntryNodes) {
         if (CG.node(E).Module != StaticModule) {
           W.Considered = false;
@@ -567,7 +553,7 @@ std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
     }
     if (W.Considered && W.Nodes.size() == 1) {
       int Only = *W.Nodes.begin();
-      if (RS.refFreq(Only, G) < Options.MinSingleNodeFreq) {
+      if (RS.refFreq(Only, G) < MinSingleNodeFreq) {
         W.Considered = false;
         W.DiscardReason = "single node, infrequent";
       }
@@ -576,7 +562,7 @@ std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
       double Ratio =
           static_cast<double>(LRefNodes) / static_cast<double>(
                                                W.Nodes.size());
-      if (Ratio < Options.MinLRefRatio) {
+      if (Ratio < MinLRefRatio) {
         W.Considered = false;
         W.DiscardReason = "too sparse";
       }
@@ -614,7 +600,7 @@ std::vector<Web> websForGlobal(const CallGraph &CG, const RefSets &RS, int G,
 /// in \p Globals, on the thread pool. Each global fills its own slot.
 void discoverGlobals(const CallGraph &CG, const RefSets &RS,
                      const std::vector<int> &Globals,
-                     const WebOptions &Options, const ModRefInfo *MR,
+                     const AnalyzerOptions &Options, const ModRefInfo *MR,
                      std::vector<std::vector<Web>> &PerGlobal) {
   parallelForEach(Globals.size(), resolveThreadCount(Options.NumThreads),
                   [&](size_t I) {
@@ -647,7 +633,7 @@ std::vector<Web> concatenate(std::vector<std::vector<Web>> &PerGlobal,
 } // namespace
 
 std::vector<Web> ipra::buildWebs(const CallGraph &CG, const RefSets &RS,
-                                 const WebOptions &Options,
+                                 const AnalyzerOptions &Options,
                                  const ModRefInfo *MR,
                                  std::vector<int> *Starts) {
   // Discovery is independent per global: fan out over the eligible
@@ -670,7 +656,7 @@ std::vector<Web> ipra::buildWebs(const CallGraph &CG, const RefSets &RS,
 
 void ipra::rediscoverWebs(const CallGraph &CG, const RefSets &RS,
                           const std::vector<int> &Damaged,
-                          const WebOptions &Options, const ModRefInfo *MR,
+                          const AnalyzerOptions &Options, const ModRefInfo *MR,
                           std::vector<Web> &Webs, std::vector<int> &Starts) {
   // Retained segments move into their globals' slots, the damaged
   // globals' slots are then overwritten by fresh discovery, and the

@@ -18,14 +18,16 @@
 ///
 /// Web filtering (§6.2) discards webs that are too sparse or consist of
 /// a single node with infrequent access; the statics rule (§7.4)
-/// discards webs whose entry nodes fall outside the static's module.
+/// discards webs whose entry nodes fall outside the static's module;
+/// with AnalyzerOptions::AssumeClosedWorld off (§7.2) webs whose
+/// non-entry nodes are externally visible are discarded.
 ///
 /// Web node membership is a NodeSet (bitset over call-graph node ids):
 /// growth, merging and disjointness checks are word-parallel, and
 /// iteration stays in ascending node order — the same order std::set
 /// gave — so every downstream consumer sees identical sequences.
 /// Discovery is independent per global variable; with
-/// WebOptions::NumThreads > 1 the per-global discoveries run on a
+/// AnalyzerOptions::NumThreads > 1 the per-global discoveries run on a
 /// thread pool and are merged in global-id order, making the output
 /// byte-identical at any thread count.
 ///
@@ -35,6 +37,7 @@
 #define IPRA_CORE_WEBS_H
 
 #include "analysis/ModRef.h"
+#include "core/AnalyzerOptions.h"
 #include "core/RefSets.h"
 #include "support/NodeSet.h"
 
@@ -93,48 +96,16 @@ struct Web {
   }
 };
 
-/// Filtering knobs (§6.2, §7.4).
-struct WebOptions {
-  /// Minimum ratio of L_REF nodes to total nodes before a web counts as
-  /// "too sparse".
-  double MinLRefRatio = 0.2;
-  /// Minimum access frequency for single-node webs.
-  long long MinSingleNodeFreq = 2;
-  /// Discard webs of statics whose entry nodes cross modules (§7.4).
-  bool DiscardCrossModuleStaticWebs = true;
-  /// §7.6.1: split webs discarded as too sparse into tight sub-webs
-  /// that bracket calls toward other reference regions with store/reload
-  /// code.
-  bool SplitSparseWebs = false;
-  /// §7.2: false when analyzing a partial call graph - webs whose
-  /// non-entry nodes are externally visible are discarded (an unknown
-  /// caller could enter the web bypassing its entries).
-  bool AssumeClosedWorld = true;
-  /// §7.6.1: re-merge independent webs of one variable when the merged
-  /// web (sharing entry nodes higher up) has a better priority than the
-  /// pair, "at the expense of extra interferences".
-  bool RemergeWebs = false;
-  /// Threads for per-global web discovery: 1 runs serially on the
-  /// calling thread, 0 defers to IPRA_THREADS / the hardware count.
-  /// Output is identical at any value.
-  int NumThreads = 1;
-
-  /// The output-affecting knobs with their keys (support/Json.h's
-  /// Record). AssumeClosedWorld and NumThreads are left out: the
-  /// analyzer overwrites both from AnalyzerOptions (webOptionsFor).
-  template <typename Self, typename Visit>
-  static void fields(Self &S, Visit &&V) {
-    V("min-lref-ratio", S.MinLRefRatio);
-    V("min-single-node-freq", S.MinSingleNodeFreq);
-    V("discard-cross-module-static-webs", S.DiscardCrossModuleStaticWebs);
-    V("split-sparse-webs", S.SplitSparseWebs);
-    V("remerge-webs", S.RemergeWebs);
-  }
-};
+/// §6.2 filter thresholds. A web whose L_REF nodes make up less than
+/// this share of its nodes is "too sparse".
+inline constexpr double MinLRefRatio = 0.2;
+/// A single-node web must reference its variable at least this often.
+inline constexpr long long MinSingleNodeFreq = 2;
 
 /// Identifies every web, computes entry nodes, priorities (weighted
 /// reference benefit minus entry-node load/store overhead, §4.1.3) and
-/// applies the filters.
+/// applies the filters. Reads SplitSparseWebs, RemergeWebs,
+/// AssumeClosedWorld and NumThreads of \p Options.
 ///
 /// \p MR optionally feeds the whole-program mod/ref verdicts
 /// (DESIGN.md §15) into discovery: webs of an exactly-Dead global are
@@ -151,7 +122,7 @@ struct WebOptions {
 /// [Starts[g], Starts[g+1]). It is left empty when §7.6.1 re-merging
 /// ran, because re-merged webs no longer belong to one segment.
 std::vector<Web> buildWebs(const CallGraph &CG, const RefSets &RS,
-                           const WebOptions &Options = {},
+                           const AnalyzerOptions &Options = {},
                            const ModRefInfo *MR = nullptr,
                            std::vector<int> *Starts = nullptr);
 
@@ -163,7 +134,7 @@ std::vector<Web> buildWebs(const CallGraph &CG, const RefSets &RS,
 /// every global whose inputs changed is in \p Damaged.
 void rediscoverWebs(const CallGraph &CG, const RefSets &RS,
                     const std::vector<int> &Damaged,
-                    const WebOptions &Options, const ModRefInfo *MR,
+                    const AnalyzerOptions &Options, const ModRefInfo *MR,
                     std::vector<Web> &Webs, std::vector<int> &Starts);
 
 /// Verification helper used by tests and property suites: returns every

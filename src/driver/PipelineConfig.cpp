@@ -10,22 +10,9 @@
 #include "support/Hash.h"
 #include "summary/Summary.h"
 
-#include <charconv>
 #include <sstream>
 
 using namespace ipra;
-
-namespace {
-
-/// The shortest text that reads back as exactly \p V, so two distinct
-/// thresholds never share a fingerprint ("0.2" and "1" for the shipped
-/// defaults, as the stream's six digits printed them).
-std::string shortest(double V) {
-  char Buf[32];
-  return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
-}
-
-} // namespace
 
 PipelineConfig PipelineConfig::baseline() { return PipelineConfig(); }
 
@@ -74,50 +61,6 @@ CompileOptions PipelineConfig::compileOptions() const {
   return O;
 }
 
-void PipelineConfig::setCompileOptions(const CompileOptions &O) {
-  LocalGlobalPromotion = O.LocalGlobalPromotion;
-  LinkerReservedRegs = O.LinkerReservedRegs;
-  CallerSavePropagation = O.CallerSavePropagation;
-  PointsTo = O.PointsTo;
-}
-
-AnalyzerOptions PipelineConfig::analyzerOptions() const {
-  AnalyzerOptions O;
-  O.SpillMotion = SpillMotion;
-  O.Promotion = Promotion;
-  O.WebPool = WebPool;
-  O.BlanketCount = BlanketCount;
-  O.Webs = Webs;
-  O.Clusters = Clusters;
-  O.RegSets.RelaxWebAvail = RelaxWebAvail;
-  O.RegSets.ImprovedFreeSets = ImprovedFreeSets;
-  O.CallerSavePropagation = CallerSavePropagation;
-  O.AssumeClosedWorld = AssumeClosedWorld;
-  O.PointsTo = PointsTo;
-  O.ModRef = ModRef;
-  // The analyzer's parallel stages reuse the pipeline thread count.
-  // NumThreads stays out of every fingerprint (the database is
-  // byte-identical at any value).
-  O.NumThreads = NumThreads;
-  return O;
-}
-
-void PipelineConfig::setAnalyzerOptions(const AnalyzerOptions &O) {
-  Ipra = true;
-  SpillMotion = O.SpillMotion;
-  Promotion = O.Promotion;
-  WebPool = O.WebPool;
-  BlanketCount = O.BlanketCount;
-  Webs = O.Webs;
-  Clusters = O.Clusters;
-  RelaxWebAvail = O.RegSets.RelaxWebAvail;
-  ImprovedFreeSets = O.RegSets.ImprovedFreeSets;
-  CallerSavePropagation = O.CallerSavePropagation;
-  AssumeClosedWorld = O.AssumeClosedWorld;
-  PointsTo = O.PointsTo;
-  ModRef = O.ModRef;
-}
-
 //===----------------------------------------------------------------------===//
 // Fingerprints. Every semantically relevant knob is rendered into a
 // key=value text and hashed; the artifact format versions are folded in
@@ -138,21 +81,23 @@ std::string PipelineConfig::compileFingerprint() const {
 }
 
 std::string PipelineConfig::analyzerFingerprint() const {
+  // The fixed values ("blanket=6", "web.xstatic=1" for the §7.4 rule
+  // and the §6.2/§4.2.2 thresholds) stay in the text so fingerprints
+  // match the summaries, databases and cache entries written while
+  // these were settable.
   std::ostringstream OS;
   OS << "dbfmt=" << DatabaseFormatVersion << ";ipra=" << Ipra
      << ";sm=" << SpillMotion
      << ";promo=" << static_cast<int>(Promotion) << ";pool=" << std::hex
-     << WebPool << std::dec << ";blanket=" << BlanketCount
+     << WebPool << std::dec << ";blanket=6"
      << ";profile=" << UseProfile << ";relax=" << RelaxWebAvail
      << ";freesets=" << ImprovedFreeSets << ";csp=" << CallerSavePropagation
      << ";closed=" << AssumeClosedWorld
      << ";pt=" << static_cast<int>(PointsTo) << ";modref=" << ModRef
-     << ";web.lref=" << shortest(Webs.MinLRefRatio)
-     << ";web.minfreq=" << Webs.MinSingleNodeFreq
-     << ";web.xstatic=" << Webs.DiscardCrossModuleStaticWebs
-     << ";web.split=" << Webs.SplitSparseWebs
-     << ";web.remerge=" << Webs.RemergeWebs
-     << ";cluster.thresh=" << shortest(Clusters.RootBenefitThreshold);
+     << ";web.lref=" << MinLRefRatio << ";web.minfreq=" << MinSingleNodeFreq
+     << ";web.xstatic=1;web.split=" << SplitSparseWebs
+     << ";web.remerge=" << RemergeWebs
+     << ";cluster.thresh=" << RootBenefitThreshold;
   return hashHex(OS.str());
 }
 

@@ -7,14 +7,15 @@
 ///
 /// \file
 /// The pipeline's inputs (SourceFile) and configuration. PipelineConfig
-/// keeps the flat field layout older code sets directly, and exposes two
-/// composable views:
+/// extends AnalyzerOptions (core/AnalyzerOptions.h), the analyzer's one
+/// options record, with the compiler and placement knobs, and exposes
+/// two composable views:
 ///
 ///  - CompileOptions: everything that affects how ONE MODULE compiles in
 ///    either compiler phase (front end, level-2 optimization, code
 ///    generation) — the knobs a per-module cache key must cover;
-///  - AnalyzerOptions (core/Analyzer.h): everything that shapes the
-///    program analyzer's output.
+///  - AnalyzerOptions: everything that shapes the program analyzer's
+///    output, which analyzerOptions() slices out of the configuration.
 ///
 /// Each view has a stable fingerprint; fingerprint() combines both plus
 /// the artifact format versions. The incremental artifact cache keys on
@@ -74,47 +75,32 @@ struct CompileOptions {
 
 /// Pipeline configuration. The six analyzer configurations of Table 4
 /// are provided as named presets, composed from the
-/// AnalyzerOptions::columnX() view presets.
-struct PipelineConfig {
+/// AnalyzerOptions::columnX() view presets. The inherited analyzer
+/// knobs start at the level-2 baseline: no spill motion and no
+/// promotion. Some inherited knobs reach past the analyzer: PointsTo
+/// and CallerSavePropagation also enter the compile view, ModRef also
+/// drives the `mcc --lint` diagnostics, and AssumeClosedWorld matters
+/// only to the phase-granular requests (Pipeline::build always has main
+/// and the runtime). NumThreads (0 here: IPRA_THREADS, falling back to
+/// the hardware thread count) sizes both compiler phases' module-parallel
+/// stages as well as the analyzer's; artifacts are byte-identical at
+/// every thread count.
+struct PipelineConfig : AnalyzerOptions {
+  PipelineConfig() {
+    SpillMotion = false;
+    Promotion = PromotionMode::None;
+    NumThreads = 0;
+  }
+
   /// Run the program analyzer at all; false = level-2 baseline.
   bool Ipra = false;
-  bool SpillMotion = false;
-  PromotionMode Promotion = PromotionMode::None;
-  RegMask WebPool = pr32::defaultWebColoringPool();
-  int BlanketCount = 6;
   bool UseProfile = false; ///< Consume supplied profile data (§6.1 B/F).
   /// Level-2 intraprocedural global promotion (on in every column).
   bool LocalGlobalPromotion = true;
-  /// Points-to mode feeding summaries, the local optimizer, and the
-  /// analyzer (see CompileOptions::PointsTo). GPG by default;
-  /// --points-to=off reproduces the paper's conservative behaviour.
-  PointsToMode PointsTo = PointsToMode::GPG;
-  /// Whole-program mod/ref & constancy analysis feeding the analyzer
-  /// (DESIGN.md §15): dead-global web discard, read-only Modifies drop,
-  /// database modref records, and the `mcc --lint` diagnostics. On by
-  /// default; --modref=off reproduces the paper's read-write-assumed
-  /// promotion.
-  bool ModRef = true;
-  /// §7.6.2 extensions (off by default; ablation benches flip them).
-  bool RelaxWebAvail = false;
-  bool ImprovedFreeSets = false;
-  bool CallerSavePropagation = false;
-  /// §7.2: set false when the sources are a library fragment rather
-  /// than a whole program (only meaningful for the phase-granular
-  /// requests; Pipeline::build always has main and the runtime).
-  bool AssumeClosedWorld = true;
-  WebOptions Webs;
-  ClusterOptions Clusters;
   /// [Wall 86] compiler cooperation: registers the allocator must leave
   /// untouched so the linker can assign them at link time (see
   /// link/LinkOpt.h). Zero for every two-pass configuration.
   RegMask LinkerReservedRegs = 0;
-  /// Worker threads for the module-parallel pipeline stages (both
-  /// compiler phases; the analyzer is always single-threaded). 0 means
-  /// take the IPRA_THREADS environment variable, falling back to the
-  /// hardware thread count; 1 compiles serially on the calling thread.
-  /// Artifacts are byte-identical at every thread count.
-  int NumThreads = 0;
   /// Directory for the persistent artifact cache (summaries, program
   /// databases, objects). Empty disables the on-disk layer; a Pipeline
   /// object always keeps an in-memory layer. Created on first use.
@@ -153,16 +139,20 @@ struct PipelineConfig {
 
   /// The per-module compilation view of this configuration.
   CompileOptions compileOptions() const;
-  /// Writes a compile view back into the flat fields.
-  void setCompileOptions(const CompileOptions &O);
 
-  /// The analyzer view of this configuration (fully populated
-  /// core::AnalyzerOptions, replacing the field-by-field copies the
-  /// driver used to repeat).
-  AnalyzerOptions analyzerOptions() const;
-  /// Writes an analyzer view back into the flat fields and turns the
-  /// analyzer on (composition: baseline() + columnC() = configC()).
-  void setAnalyzerOptions(const AnalyzerOptions &O);
+  /// The analyzer view of this configuration: its AnalyzerOptions base.
+  /// NumThreads carries the pipeline thread count to the analyzer's
+  /// parallel stages.
+  AnalyzerOptions analyzerOptions() const { return *this; }
+  /// Assigns an analyzer view to the base, keeping this configuration's
+  /// NumThreads, and turns the analyzer on (composition: baseline() +
+  /// columnC() = configC()).
+  void setAnalyzerOptions(const AnalyzerOptions &O) {
+    const int Threads = NumThreads;
+    AnalyzerOptions::operator=(O);
+    NumThreads = Threads;
+    Ipra = true;
+  }
 
   /// Fingerprint of the per-module compilation knobs (phase-1 and
   /// phase-2 cache keys).
@@ -175,25 +165,15 @@ struct PipelineConfig {
   std::string fingerprint() const;
 
   /// The wire configuration (support/Json.h's Record): every field a
-  /// build request carries. CacheDir and the cache budgets stay off the
-  /// list — cache placement is server policy, not client input.
+  /// build request carries, the AnalyzerOptions rows included. CacheDir
+  /// and the cache budgets stay off the list — cache placement is
+  /// server policy, not client input.
   template <typename Self, typename Visit>
   static void fields(Self &S, Visit &&V) {
     V("ipra", S.Ipra);
-    V("spill-motion", S.SpillMotion);
-    V("promotion", S.Promotion);
-    V("web-pool", S.WebPool);
-    V("blanket-count", S.BlanketCount);
+    AnalyzerOptions::fields(S, V);
     V("use-profile", S.UseProfile);
     V("local-global-promotion", S.LocalGlobalPromotion);
-    V("points-to", S.PointsTo);
-    V("modref", S.ModRef);
-    V("relax-web-avail", S.RelaxWebAvail);
-    V("improved-free-sets", S.ImprovedFreeSets);
-    V("caller-save-propagation", S.CallerSavePropagation);
-    V("assume-closed-world", S.AssumeClosedWorld);
-    V("webs", S.Webs);
-    V("clusters", S.Clusters);
     V("linker-reserved-regs", S.LinkerReservedRegs);
     V("num-threads", S.NumThreads);
     V("delta-analysis", S.DeltaAnalysis);

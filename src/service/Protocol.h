@@ -113,7 +113,7 @@ Status decodeStatusReply(const std::string &Payload,
 /// Reads a wire request (json::encode of BuildRequest). An absent key
 /// keeps its default; a present one of the wrong kind, or an unknown
 /// phase / promotion / points-to name, fails the request, naming the
-/// field in \p Error by its dotted path ("config.webs.min-lref-ratio",
+/// field in \p Error by its dotted path ("config.split-sparse-webs",
 /// "modules[0].text").
 bool requestFromJson(const json::Value &V, BuildRequest &Req,
                      std::string &Error);

@@ -394,7 +394,7 @@ bool decode(const Value &V, T &X, std::string *Path = nullptr) {
 /// the listed keys \p V carries and leaves absent ones as they were. A
 /// present value of the wrong kind (or an unknown enum name, a duplicate
 /// map key, a map row of the wrong arity) fails, and \p Path then names
-/// it ("config.webs.min-lref-ratio", "modules[0].text"); it stays empty
+/// it ("profile.calls.main", "modules[0].text"); it stays empty
 /// when \p V itself is of the wrong kind. Keys the list does not name
 /// are ignored.
 template <Record T>

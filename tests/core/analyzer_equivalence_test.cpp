@@ -39,16 +39,16 @@ std::vector<ModuleSummary> randomProgram(unsigned SeedValue) {
 
 /// The option sets the web comparison runs under: the default path plus
 /// every §7.6.1/§7.2 extension the discovery can take.
-std::vector<WebOptions> webOptionMatrix() {
-  WebOptions Split;
+std::vector<AnalyzerOptions> webOptionMatrix() {
+  AnalyzerOptions Split;
   Split.SplitSparseWebs = true;
-  WebOptions Remerge;
+  AnalyzerOptions Remerge;
   Remerge.RemergeWebs = true;
-  WebOptions Open;
+  AnalyzerOptions Open;
   Open.AssumeClosedWorld = false;
   Open.SplitSparseWebs = true;
   Open.RemergeWebs = true;
-  return {WebOptions{}, Split, Remerge, Open};
+  return {AnalyzerOptions{}, Split, Remerge, Open};
 }
 
 void expectWebsEqual(const std::vector<Web> &Got,
@@ -99,7 +99,7 @@ TEST(AnalyzerEquivalence, WebsMatchSetBasedReference) {
   for (unsigned Seed = 0; Seed < NumSeeds; ++Seed) {
     CallGraph CG(randomProgram(Seed));
     RefSets RS(CG);
-    for (const WebOptions &Options : webOptionMatrix()) {
+    for (const AnalyzerOptions &Options : webOptionMatrix()) {
       auto Got = buildWebs(CG, RS, Options);
       auto Want = reference::buildWebs(CG, RS, Options);
       expectWebsEqual(Got, Want, Seed);
@@ -112,7 +112,7 @@ TEST(AnalyzerEquivalence, WebsIdenticalAtAnyThreadCount) {
   for (unsigned Seed = 0; Seed < NumSeeds; ++Seed) {
     CallGraph CG(randomProgram(Seed));
     RefSets RS(CG);
-    for (WebOptions Options : webOptionMatrix()) {
+    for (AnalyzerOptions Options : webOptionMatrix()) {
       Options.NumThreads = 1;
       auto Serial = buildWebs(CG, RS, Options);
       for (int Threads : {3, 8}) {
@@ -144,9 +144,8 @@ TEST(AnalyzerEquivalence, RegisterAssignmentsMatchOnReferenceWebs) {
 TEST(AnalyzerEquivalence, ClustersMatchSetBasedReference) {
   for (unsigned Seed = 0; Seed < NumSeeds; ++Seed) {
     CallGraph CG(randomProgram(Seed));
-    ClusterOptions Options;
-    auto Got = identifyClusters(CG, Options);
-    auto Want = reference::identifyClusters(CG, Options);
+    auto Got = identifyClusters(CG);
+    auto Want = reference::identifyClusters(CG);
     ASSERT_EQ(Got.size(), Want.size()) << "seed " << Seed;
     for (size_t I = 0; I < Got.size(); ++I) {
       EXPECT_EQ(Got[I].Root, Want[I].Root) << "seed " << Seed;
@@ -160,8 +159,8 @@ TEST(AnalyzerEquivalence, DatabaseByteIdenticalAcrossThreadCounts) {
   for (unsigned Seed = 0; Seed < 8; ++Seed) {
     auto Summaries = randomProgram(Seed);
     AnalyzerOptions Options;
-    Options.Webs.SplitSparseWebs = true;
-    Options.Webs.RemergeWebs = true;
+    Options.SplitSparseWebs = true;
+    Options.RemergeWebs = true;
     Options.CallerSavePropagation = true;
 
     Options.NumThreads = 1;

@@ -192,23 +192,23 @@ TEST(ClustersTest, NearestRootClaimsNode) {
   EXPECT_TRUE(Problems.empty()) << Problems.front();
 }
 
-TEST(ClustersTest, ThresholdTunesRootSelection) {
+// The §4.2.2 root test is strict at the fixed RootBenefitThreshold
+// (1.0): with profiled counts, calls out to dominated successors equal
+// to the calls in leave R a plain node, and one call more makes it a
+// root.
+TEST(ClustersTest, FixedThresholdBoundsRootSelection) {
   GraphBuilder B;
   B.proc("main").proc("R").proc("S");
-  B.call("main", "R", 10);
-  B.call("R", "S", 15); // Outgoing only modestly above incoming.
-  CallGraph CG(B.build());
-
-  ClusterOptions Loose;
-  Loose.RootBenefitThreshold = 1.0;
-  ClusterOptions Strict;
-  // Outgoing is inv(R)*freq*leafbonus = 10*15*2 = 300 vs incoming 10;
-  // a threshold of 100 rejects the 30x benefit ratio.
-  Strict.RootBenefitThreshold = 100.0;
-  auto LooseClusters = identifyClusters(CG, Loose);
-  auto StrictClusters = identifyClusters(CG, Strict);
-  EXPECT_TRUE(clusterRootedAt(LooseClusters, CG, "R"));
-  EXPECT_FALSE(clusterRootedAt(StrictClusters, CG, "R"));
+  B.call("main", "R").call("R", "S");
+  for (long long Out : {10, 11}) {
+    CallProfile Profile;
+    Profile.CallCounts = {{"main", 1}, {"R", 10}, {"S", Out}};
+    Profile.EdgeCounts = {{{"main", "R"}, 10}, {{"R", "S"}, Out}};
+    CallGraph CG(B.build(), Profile);
+    auto Clusters = identifyClusters(CG);
+    EXPECT_EQ(clusterRootedAt(Clusters, CG, "R") != nullptr, Out == 11)
+        << "calls out " << Out;
+  }
 }
 
 } // namespace

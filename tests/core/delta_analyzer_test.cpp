@@ -161,10 +161,10 @@ AnalyzerOptions deltaOptions() {
   AnalyzerOptions Options;
   Options.Promotion = PromotionMode::Webs;
   Options.SpillMotion = true;
-  Options.Webs.SplitSparseWebs = true;
+  Options.SplitSparseWebs = true;
   Options.CallerSavePropagation = true;
-  Options.RegSets.RelaxWebAvail = true;
-  Options.RegSets.ImprovedFreeSets = true;
+  Options.RelaxWebAvail = true;
+  Options.ImprovedFreeSets = true;
   return Options;
 }
 
@@ -327,7 +327,7 @@ TEST(DeltaAnalyzer, StructuralEditsReportFallbackReasons) {
     DeltaAnalyzer DA;
     DA.analyze(Mods, Options);
     AnalyzerOptions Changed = Options;
-    Changed.Webs.MinLRefRatio = 0.5;
+    Changed.ImprovedFreeSets = !Options.ImprovedFreeSets;
     DA.analyze(Mods, Changed);
     EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
     EXPECT_EQ(DA.deltaStats().FallbackReason, "analyzer options changed");
@@ -340,7 +340,7 @@ TEST(DeltaAnalyzer, StructuralEditsReportFallbackReasons) {
   {
     DeltaAnalyzer DA;
     AnalyzerOptions Remerge = Options;
-    Remerge.Webs.RemergeWebs = true;
+    Remerge.RemergeWebs = true;
     DA.analyze(Mods, Remerge);
     DA.analyze(Mods, Remerge);
     EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);

@@ -106,9 +106,9 @@ AnalyzerOptions testOptions() {
   AnalyzerOptions Options;
   Options.Promotion = PromotionMode::Webs;
   Options.SpillMotion = true;
-  Options.Webs.SplitSparseWebs = true;
+  Options.SplitSparseWebs = true;
   Options.CallerSavePropagation = true;
-  Options.RegSets.RelaxWebAvail = true;
+  Options.RelaxWebAvail = true;
   return Options;
 }
 
@@ -160,15 +160,23 @@ TEST(DeltaPersist, CorruptBlobsAreRejectedAndLeaveTheAnalyzerUsable) {
 
   std::string FutureVersion = "ipra-retained 999\n";
   FutureVersion += Blob;
-  std::string Version4 = Blob;
-  const size_t VersionAt = Version4.find("\"version\":5");
+  // The previous format's header over today's run: a blob a daemon of
+  // the previous release persisted is rejected on its version alone.
+  const auto VersionKey = [](int V) {
+    return "\"version\":" + std::to_string(V);
+  };
+  const std::string Current =
+      VersionKey(DeltaAnalyzer::RetainedFormatVersion);
+  std::string Previous = Blob;
+  const size_t VersionAt = Previous.find(Current);
   ASSERT_NE(VersionAt, std::string::npos);
-  Version4.replace(VersionAt, 11, "\"version\":4");
+  Previous.replace(VersionAt, Current.size(),
+                   VersionKey(DeltaAnalyzer::RetainedFormatVersion - 1));
   std::vector<std::string> Corrupt = {
       std::string(),                     // Empty.
       "garbage",                         // No header at all.
       FutureVersion,                     // A line-oriented header.
-      Version4,                          // An older version.
+      Previous,                          // An older version.
       Blob.substr(0, Blob.size() / 3),   // Truncated early.
       Blob.substr(0, Blob.size() / 2),   // Truncated mid-blob.
       Blob.substr(0, Blob.size() - 2),   // Tail chopped.
@@ -180,11 +188,14 @@ TEST(DeltaPersist, CorruptBlobsAreRejectedAndLeaveTheAnalyzerUsable) {
         << "corruption " << I << " restored";
     EXPECT_FALSE(DA.primed()) << "corruption " << I;
     // The rejected analyzer still works: a cold full analysis, byte
-    // identical to the reference.
+    // identical to the reference, that primes it.
     EXPECT_EQ(DA.analyze(Mods, Options).serialize(),
               runAnalyzer(Mods, Options).serialize())
         << "corruption " << I;
     EXPECT_EQ(DA.deltaStats().Mode, DeltaMode::Full);
+    EXPECT_EQ(DA.deltaStats().FallbackReason, "first analysis")
+        << "corruption " << I;
+    EXPECT_TRUE(DA.primed()) << "corruption " << I;
   }
 }
 

@@ -81,7 +81,7 @@ TEST(PartialGraphTest, OnlyStaticsEligible) {
 TEST(PartialGraphTest, ExportedInteriorNodesDiscardWebs) {
   CallGraph CG(libraryGraph());
   RefSets RS(CG, /*ClosedWorld=*/false);
-  WebOptions Options;
+  AnalyzerOptions Options;
   Options.AssumeClosedWorld = false;
   auto Webs = buildWebs(CG, RS, Options);
 
@@ -103,9 +103,7 @@ TEST(PartialGraphTest, ExportedInteriorNodesDiscardWebs) {
 
 TEST(PartialGraphTest, ExportedProceduresNotClusterMembers) {
   CallGraph CG(libraryGraph());
-  ClusterOptions Options;
-  Options.AssumeClosedWorld = false;
-  auto Clusters = identifyClusters(CG, Options);
+  auto Clusters = identifyClusters(CG, /*AssumeClosedWorld=*/false);
   for (const Cluster &C : Clusters)
     for (int M : C.Members)
       EXPECT_FALSE(CG.node(M).ExternallyVisible)

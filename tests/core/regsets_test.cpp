@@ -33,7 +33,7 @@ struct Fixture {
   std::vector<ProcDirectives> Sets;
 
   Fixture(const std::vector<ModuleSummary> &Summaries,
-          const RegSetOptions &Options = {})
+          const AnalyzerOptions &Options = {})
       : CG(Summaries), Clusters(identifyClusters(CG)),
         Sets(computeRegisterSets(CG, Clusters, {}, Options)) {}
 
@@ -78,7 +78,7 @@ TEST(RegSetsTest, Figure7BaseAllocation) {
 }
 
 TEST(RegSetsTest, Figure7ImprovedFreeSets) {
-  RegSetOptions Options;
+  AnalyzerOptions Options;
   Options.ImprovedFreeSets = true;
   Fixture F(figure7Graph(), Options);
   // §7.6.2: "Since r2 will be included in MSPILL[J] and it is not used
@@ -181,7 +181,7 @@ TEST(RegSetsTest, RelaxedWebAvailFreesOtherPaths) {
   W.Nodes = {CG.findNode("K"), CG.findNode("M")};
   std::vector<Web> Webs = {W};
 
-  RegSetOptions Options;
+  AnalyzerOptions Options;
   Options.RelaxWebAvail = true;
   auto Sets = computeRegisterSets(CG, Clusters, Webs, Options);
   EXPECT_FALSE(Sets[CG.findNode("K")].Free & R({3}));

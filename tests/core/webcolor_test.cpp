@@ -111,8 +111,7 @@ TEST(WebColorTest, GreedyRespectsProcedureNeeds) {
 TEST(WebColorTest, BlanketPicksHottestGlobals) {
   CallGraph CG(hubGraph(10));
   RefSets RS(CG);
-  auto Webs =
-      buildBlanketWebs(CG, RS, 6, pr32::defaultWebColoringPool());
+  auto Webs = buildBlanketWebs(CG, RS, pr32::defaultWebColoringPool());
   ASSERT_EQ(Webs.size(), 6u);
   // Every blanket web spans the whole graph and is colored.
   for (const Web &W : Webs) {
@@ -132,7 +131,7 @@ TEST(WebColorTest, BlanketPicksHottestGlobals) {
 TEST(WebColorTest, BlanketEntryIsProgramStart) {
   CallGraph CG(hubGraph(3));
   RefSets RS(CG);
-  auto Webs = buildBlanketWebs(CG, RS, 3, pr32::defaultWebColoringPool());
+  auto Webs = buildBlanketWebs(CG, RS, pr32::defaultWebColoringPool());
   ASSERT_FALSE(Webs.empty());
   for (const Web &W : Webs) {
     ASSERT_EQ(W.EntryNodes.size(), 1u);

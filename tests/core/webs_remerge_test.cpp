@@ -18,8 +18,8 @@ using ipra::test::GraphBuilder;
 
 namespace {
 
-WebOptions remergeOptions() {
-  WebOptions Options;
+AnalyzerOptions remergeOptions() {
+  AnalyzerOptions Options;
   Options.RemergeWebs = true;
   return Options;
 }

@@ -35,8 +35,8 @@ std::vector<ModuleSummary> dumbbellGraph(int ChainLength) {
   return B.build();
 }
 
-WebOptions splitOptions() {
-  WebOptions Options;
+AnalyzerOptions splitOptions() {
+  AnalyzerOptions Options;
   Options.SplitSparseWebs = true;
   return Options;
 }

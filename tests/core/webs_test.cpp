@@ -200,9 +200,7 @@ TEST(WebsTest, SparseWebDiscarded) {
   B.ref("n0", "g").ref("n11", "g");
   CallGraph CG(B.build());
   RefSets RS(CG);
-  WebOptions Options;
-  Options.MinLRefRatio = 0.25;
-  auto Webs = buildWebs(CG, RS, Options);
+  auto Webs = buildWebs(CG, RS); // L_REF ratio 2/12, below MinLRefRatio.
   ASSERT_EQ(Webs.size(), 1u);
   EXPECT_FALSE(Webs[0].Considered);
   EXPECT_EQ(Webs[0].DiscardReason, "too sparse");

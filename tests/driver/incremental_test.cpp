@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RecordLeaves.h"
+
 #include "core/DeltaAnalyzer.h"
 #include "driver/Pipeline.h"
 #include "summary/SummaryDiff.h"
@@ -23,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -931,12 +932,15 @@ TEST(IncrementalTest, ConfigViewsComposeIntoThePresets) {
   EXPECT_EQ(D.fingerprint(), PipelineConfig::configD().fingerprint());
   EXPECT_NE(D.fingerprint(), C.fingerprint());
 
-  // Compile and analyzer views round-trip through their setters.
+  // The analyzer view round-trips through its setter, and leaves the
+  // compile view alone.
   PipelineConfig E = PipelineConfig::configE();
   PipelineConfig Copy = PipelineConfig::baseline();
-  Copy.setCompileOptions(E.compileOptions());
+  Copy.NumThreads = 3;
   Copy.setAnalyzerOptions(E.analyzerOptions());
   EXPECT_EQ(Copy.fingerprint(), E.fingerprint());
+  EXPECT_EQ(Copy.compileFingerprint(), E.compileFingerprint());
+  EXPECT_EQ(Copy.NumThreads, 3); // The pipeline's own thread count.
 }
 
 TEST(IncrementalTest, FingerprintIgnoresThreadsAndCacheDir) {
@@ -955,53 +959,71 @@ TEST(IncrementalTest, FingerprintIgnoresThreadsAndCacheDir) {
   EXPECT_NE(C.compileFingerprint(), A.compileFingerprint());
   EXPECT_EQ(C.analyzerFingerprint(), A.analyzerFingerprint());
   PipelineConfig D = PipelineConfig::configC();
-  D.BlanketCount = 9;
+  D.WebPool = pr32::rangeMask(13, 16);
   EXPECT_EQ(D.compileFingerprint(), A.compileFingerprint());
   EXPECT_NE(D.analyzerFingerprint(), A.analyzerFingerprint());
 }
 
-/// Calls \p F(Path, Leaf) for every leaf field of record \p X, walking
-/// nested records through their field lists ("webs.min-lref-ratio").
-template <typename T, typename Fn>
-void forEachLeaf(T &X, const std::string &Path, const Fn &F) {
-  if constexpr (json::Record<T>)
-    T::fields(X, [&](const char *Key, auto &M) {
-      forEachLeaf(M, Path.empty() ? Key : Path + "." + Key, F);
-    });
-  else
-    F(Path, X);
-}
-
-/// The smallest change to a leaf: bools and enums flip, integers step
-/// by one, doubles move to the next representable value.
-template <typename T> void nudge(T &X) {
-  if constexpr (std::is_same_v<T, bool>)
-    X = !X;
-  else if constexpr (std::is_enum_v<T>)
-    X = static_cast<T>(static_cast<int>(X) == 0 ? 1 : 0);
-  else if constexpr (std::is_floating_point_v<T>)
-    X = std::nextafter(X, std::numeric_limits<T>::infinity());
-  else
-    X = X + 1;
-}
-
-/// One copy of \p Base per leaf of its field list, that leaf nudged.
-template <typename T>
-std::vector<std::pair<std::string, T>> nudgedCopies(const T &Base) {
-  std::vector<std::string> Paths;
-  T Probe = Base;
-  forEachLeaf(Probe, "",
-              [&](const std::string &P, auto &) { Paths.push_back(P); });
-  std::vector<std::pair<std::string, T>> Out;
-  for (const std::string &P : Paths) {
-    T Copy = Base;
-    forEachLeaf(Copy, "", [&](const std::string &Q, auto &Leaf) {
-      if (Q == P)
-        nudge(Leaf);
-    });
-    Out.emplace_back(P, Copy);
+// The fingerprints are cache keys and artifact stamps: a refactor of
+// the configuration must leave every one byte-identical, or every
+// persisted summary, database and cache entry silently turns stale.
+// Pinned for the presets, the §7.6 extension flags, a partial graph and
+// the points-to and mod/ref modes.
+TEST(IncrementalTest, FingerprintsArePinned) {
+  auto WithExtensions = [](PipelineConfig C) {
+    C.CallerSavePropagation = true;
+    C.SplitSparseWebs = true;
+    C.RemergeWebs = true;
+    C.RelaxWebAvail = true;
+    C.ImprovedFreeSets = true;
+    return C;
+  };
+  auto VariantOfC = [](auto Change) {
+    PipelineConfig C = PipelineConfig::configC();
+    Change(C);
+    return C;
+  };
+  const struct {
+    const char *Name;
+    PipelineConfig Config;
+    const char *Compile, *Analyzer;
+  } Pins[] = {
+      {"base", PipelineConfig::baseline(), "c8bfefc7b094ab52",
+       "91bb908f8a559daf"},
+      {"A", PipelineConfig::configA(), "c8bfefc7b094ab52",
+       "a3d434d829361d55"},
+      {"B", PipelineConfig::configB(), "c8bfefc7b094ab52",
+       "427fe820d3da8c6e"},
+      {"C", PipelineConfig::configC(), "c8bfefc7b094ab52",
+       "3955dabb2c2a12b0"},
+      {"D", PipelineConfig::configD(), "c8bfefc7b094ab52",
+       "8b0088028af975bf"},
+      {"E", PipelineConfig::configE(), "c8bfefc7b094ab52",
+       "5f2dd8554c7871a2"},
+      {"F", PipelineConfig::configF(), "c8bfefc7b094ab52",
+       "24ecf3f890309677"},
+      {"C+extensions", WithExtensions(PipelineConfig::configC()),
+       "f207e91576aabf5f", "0f12f7dd8bee5033"},
+      {"F+extensions", WithExtensions(PipelineConfig::configF()),
+       "f207e91576aabf5f", "7d413e42adeb7f14"},
+      {"C --partial",
+       VariantOfC([](PipelineConfig &C) { C.AssumeClosedWorld = false; }),
+       "c8bfefc7b094ab52", "77736749ef98f157"},
+      {"C --points-to=off",
+       VariantOfC([](PipelineConfig &C) { C.PointsTo = PointsToMode::Off; }),
+       "c8bfedc7b094a7ec", "6b791aa9df76e842"},
+      {"C --points-to=andersen", VariantOfC([](PipelineConfig &C) {
+         C.PointsTo = PointsToMode::Andersen;
+       }),
+       "c8bfeec7b094a99f", "3088f387fc254f17"},
+      {"C --modref=off",
+       VariantOfC([](PipelineConfig &C) { C.ModRef = false; }),
+       "c8bfefc7b094ab52", "1d18dbaabaa461af"},
+  };
+  for (const auto &P : Pins) {
+    EXPECT_EQ(P.Config.compileFingerprint(), P.Compile) << P.Name;
+    EXPECT_EQ(P.Config.analyzerFingerprint(), P.Analyzer) << P.Name;
   }
-  return Out;
 }
 
 // A knob on the wire list but missing from the hand-written fingerprint
@@ -1009,7 +1031,7 @@ std::vector<std::pair<std::string, T>> nudgedCopies(const T &Base) {
 // sessions; every row except the two placement knobs must move it.
 TEST(IncrementalTest, EveryWireKnobButThreadsAndDeltaMovesTheFingerprint) {
   const PipelineConfig Base = PipelineConfig::configC();
-  auto Copies = nudgedCopies(Base);
+  auto Copies = test::nudgedCopies(Base);
   ASSERT_FALSE(Copies.empty());
   for (const auto &[Path, C] : Copies) {
     if (Path == "num-threads" || Path == "delta-analysis")
@@ -1021,7 +1043,7 @@ TEST(IncrementalTest, EveryWireKnobButThreadsAndDeltaMovesTheFingerprint) {
 
 // Every AnalyzerOptions row is output-affecting: nudging it must force
 // the delta analyzer's full run, move the analyzer fingerprint, and
-// survive both PipelineConfig view copies.
+// survive the PipelineConfig view round trip.
 TEST(IncrementalTest, EveryAnalyzerKnobForcesAFullRunAndMovesTheFingerprint) {
   std::vector<ModuleSummary> Mods(1);
   Mods[0].Module = "m";
@@ -1042,7 +1064,7 @@ TEST(IncrementalTest, EveryAnalyzerKnobForcesAFullRunAndMovesTheFingerprint) {
         << DA.deltaStats().FallbackReason;
   }
 
-  auto Copies = nudgedCopies(BaseOpts);
+  auto Copies = test::nudgedCopies(BaseOpts);
   ASSERT_FALSE(Copies.empty());
   for (const auto &[Path, O] : Copies) {
     DeltaAnalyzer DA;
@@ -1058,20 +1080,6 @@ TEST(IncrementalTest, EveryAnalyzerKnobForcesAFullRunAndMovesTheFingerprint) {
               json::encode(O).dump())
         << Path;
   }
-}
-
-// Thresholds that differ past the sixth significant digit are different
-// configurations: a web at ratio 0.2 is kept under one and discarded
-// under the other.
-TEST(IncrementalTest, CloseThresholdsGetDistinctFingerprints) {
-  PipelineConfig A = PipelineConfig::configC();
-  PipelineConfig B = A;
-  B.Webs.MinLRefRatio = 0.2000001;
-  EXPECT_NE(A.analyzerFingerprint(), B.analyzerFingerprint());
-  PipelineConfig C = A;
-  C.Clusters.RootBenefitThreshold = 1.0000001;
-  EXPECT_NE(A.analyzerFingerprint(), C.analyzerFingerprint());
-  EXPECT_NE(B.analyzerFingerprint(), C.analyzerFingerprint());
 }
 
 //===--------------------------------------------------------------------===//

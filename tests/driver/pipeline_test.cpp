@@ -449,7 +449,7 @@ TEST(PipelineTest, WebSplittingPromotesSparseWebRegions) {
 
   PipelineConfig Plain = PipelineConfig::configC();
   PipelineConfig Split = PipelineConfig::configC();
-  Split.Webs.SplitSparseWebs = true;
+  Split.SplitSparseWebs = true;
 
   BuildResult PlainB = Pipeline(Plain).build(Sources);
   BuildResult SplitB = Pipeline(Split).build(Sources);
@@ -494,7 +494,7 @@ TEST(PipelineTest, WebRemergingSharesOneEntryAtTheDominator) {
 
   PipelineConfig Plain = PipelineConfig::configC();
   PipelineConfig Remerge = PipelineConfig::configC();
-  Remerge.Webs.RemergeWebs = true;
+  Remerge.RemergeWebs = true;
 
   BuildResult PlainB = Pipeline(Plain).build(Sources);
   BuildResult MergedB = Pipeline(Remerge).build(Sources);

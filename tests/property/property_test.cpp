@@ -72,14 +72,14 @@ TEST_P(DifferentialTest, AllConfigsBehaveIdentically) {
   WithCSP.CallerSavePropagation = true;
   Configs.push_back({"C+csp", WithCSP});
   PipelineConfig WithSplit = PipelineConfig::configC();
-  WithSplit.Webs.SplitSparseWebs = true;
+  WithSplit.SplitSparseWebs = true;
   Configs.push_back({"C+split", WithSplit});
   PipelineConfig WithMerge = PipelineConfig::configC();
-  WithMerge.Webs.RemergeWebs = true;
+  WithMerge.RemergeWebs = true;
   Configs.push_back({"C+merge", WithMerge});
   PipelineConfig WithBoth = PipelineConfig::configC();
-  WithBoth.Webs.SplitSparseWebs = true;
-  WithBoth.Webs.RemergeWebs = true;
+  WithBoth.SplitSparseWebs = true;
+  WithBoth.RemergeWebs = true;
   Configs.push_back({"C+split+merge", WithBoth});
 
   for (const Named &N : Configs) {
@@ -291,7 +291,7 @@ TEST_P(AnalyzerInvariantTest, RemergedWebInvariantsHold) {
   auto Summaries = randomSummaries(GetParam());
   CallGraph CG(Summaries);
   RefSets RS(CG);
-  WebOptions Options;
+  AnalyzerOptions Options;
   Options.RemergeWebs = true;
   auto Webs = buildWebs(CG, RS, Options);
   auto Problems = checkWebInvariants(CG, RS, Webs);
@@ -323,7 +323,7 @@ TEST_P(AnalyzerInvariantTest, ColoringInvariantsHold) {
   Problems = checkColoring(GWebs);
   EXPECT_TRUE(Problems.empty()) << Problems.front();
 
-  auto BWebs = buildBlanketWebs(CG, RS, 6, pr32::defaultWebColoringPool());
+  auto BWebs = buildBlanketWebs(CG, RS, pr32::defaultWebColoringPool());
   Problems = checkColoring(BWebs);
   EXPECT_TRUE(Problems.empty()) << Problems.front();
 }
@@ -346,7 +346,7 @@ TEST_P(AnalyzerInvariantTest, RegisterSetInvariantsHold) {
 
   for (bool Relax : {false, true}) {
     for (bool Improved : {false, true}) {
-      RegSetOptions Options;
+      AnalyzerOptions Options;
       Options.RelaxWebAvail = Relax;
       Options.ImprovedFreeSets = Improved;
       auto Sets = computeRegisterSets(CG, Clusters, Webs, Options);

@@ -187,7 +187,7 @@ TEST_P(SerializerFuzzTest, MutatedArtifactsNeverCrashParsers) {
 // request or decodes to a config that re-encodes to itself.
 TEST_P(SerializerFuzzTest, MutatedRequestConfigsDecodeOrFail) {
   PipelineConfig Config = PipelineConfig::configC();
-  Config.Webs.SplitSparseWebs = true;
+  Config.SplitSparseWebs = true;
   Config.NumThreads = 3;
   const std::string Text = json::encode(Config).dump();
 

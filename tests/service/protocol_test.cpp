@@ -15,10 +15,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RecordLeaves.h"
+
 #include "service/Protocol.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
@@ -61,39 +64,35 @@ bool configFromWire(const json::Value &Config, PipelineConfig &Out,
   return true;
 }
 
+// Every preset, and each preset with one leaf of PipelineConfig::fields
+// nudged, crosses the request envelope intact: a knob the wire drops or
+// garbles fails here, including one a later change adds to the list.
 TEST(ProtocolTest, ConfigRoundTripPreservesFingerprint) {
-  // Every preset, plus a hand-tweaked config exercising the non-default
-  // branches of each codec field.
-  std::vector<PipelineConfig> Configs = {
-      PipelineConfig::baseline(), PipelineConfig::configA(),
-      PipelineConfig::configB(), PipelineConfig::configC(),
-      PipelineConfig::configD(), PipelineConfig::configE(),
-      PipelineConfig::configF()};
-  PipelineConfig Tweaked = PipelineConfig::configC();
-  Tweaked.Webs.SplitSparseWebs = true;
-  Tweaked.Webs.RemergeWebs = true;
-  Tweaked.CallerSavePropagation = true;
-  Tweaked.RelaxWebAvail = true;
-  Tweaked.ImprovedFreeSets = true;
-  Tweaked.AssumeClosedWorld = false;
-  Tweaked.PointsTo = PointsToMode::Off;
-  Tweaked.ModRef = false;
-  Tweaked.BlanketCount = 3;
-  Tweaked.NumThreads = 5;
-  Configs.push_back(Tweaked);
   PipelineConfig Andersen = PipelineConfig::configC();
   Andersen.PointsTo = PointsToMode::Andersen;
-  Configs.push_back(Andersen);
-
-  for (const PipelineConfig &C : Configs) {
-    PipelineConfig Back;
-    std::string Error;
-    ASSERT_TRUE(configFromWire(json::encode(C), Back, Error)) << Error;
-    // The fingerprint covers every allocation-relevant knob; equality
-    // here is equality of retained-session keys on the service.
-    EXPECT_EQ(C.fingerprint(), Back.fingerprint());
-    EXPECT_EQ(C.NumThreads, Back.NumThreads);
-    EXPECT_EQ(C.UseProfile, Back.UseProfile);
+  const PipelineConfig Bases[] = {
+      PipelineConfig::baseline(), PipelineConfig::configA(),
+      PipelineConfig::configB(),  PipelineConfig::configC(),
+      PipelineConfig::configD(),  PipelineConfig::configE(),
+      PipelineConfig::configF(),  Andersen};
+  for (const PipelineConfig &Base : Bases) {
+    auto Configs = test::nudgedCopies(Base);
+    Configs.emplace_back("(unnudged)", Base);
+    for (const auto &[Path, C] : Configs) {
+      WireKind Kind;
+      BuildRequest Back;
+      std::string Error;
+      ASSERT_TRUE(decodeRequestEnvelope(
+          encodeBuildRequest(BuildRequest::full(C, {}, "p")), Kind, Back,
+          Error))
+          << Path << ": " << Error;
+      ASSERT_EQ(Kind, WireKind::Build) << Path;
+      EXPECT_EQ(json::encode(Back.Config).dump(), json::encode(C).dump())
+          << Path;
+      // The fingerprint covers every allocation-relevant knob; equality
+      // here is equality of retained-session keys on the service.
+      EXPECT_EQ(Back.Config.fingerprint(), C.fingerprint()) << Path;
+    }
   }
 }
 
@@ -130,16 +129,13 @@ TEST(ProtocolTest, PointsToFieldRejectsAnythingButAModeName) {
       {R"({"promotion":1})", "promotion"},
       {R"({"modref":"yes"})", "modref"},
       {R"({"ipra":1})", "ipra"},
-      {R"({"blanket-count":"6"})", "blanket-count"},
-      {R"({"blanket-count":2.5})", "blanket-count"},
       {R"({"web-pool":-1})", "web-pool"},
       {R"({"num-threads":1e30})", "num-threads"},
       {R"({"delta-analysis":null})", "delta-analysis"},
-      {R"({"webs":true})", "webs"},
-      {R"({"webs":{"min-lref-ratio":"0.2"}})", "webs.min-lref-ratio"},
-      {R"({"webs":{"split-sparse-webs":0}})", "webs.split-sparse-webs"},
-      {R"({"clusters":{"root-benefit-threshold":[1]}})",
-       "clusters.root-benefit-threshold"},
+      {R"({"split-sparse-webs":0})", "split-sparse-webs"},
+      {R"({"remerge-webs":"yes"})", "remerge-webs"},
+      {R"({"relax-web-avail":[true]})", "relax-web-avail"},
+      {R"({"improved-free-sets":{}})", "improved-free-sets"},
   };
   for (const auto &[Config, Field] : Bad) {
     BuildRequest Req;
@@ -161,25 +157,31 @@ TEST(ProtocolTest, PointsToFieldRejectsAnythingButAModeName) {
   EXPECT_EQ(Req.Config.Promotion, PromotionMode::Greedy);
 }
 
-// The wire carries only the listed knobs. The analyzer overwrites the
-// per-stage closed-world flags and the web thread count from the
-// top-level fields, so they are not sent, and a request that still
-// sends them decodes as if it had not.
+// The wire carries exactly the listed knobs, flat: no nested options
+// record and no cache placement. A request that still sends the nested
+// webs/clusters/regsets objects or the blanket count older clients
+// wrote decodes as if it had not.
 TEST(ProtocolTest, WireConfigCarriesOnlyListedKnobs) {
-  const json::Value V = json::encode(PipelineConfig::configC());
-  for (const char *Sub : {"webs", "clusters"}) {
-    const json::Value *Rec = V.find(Sub);
-    ASSERT_NE(Rec, nullptr) << Sub;
-    EXPECT_EQ(Rec->find("assume-closed-world"), nullptr) << Sub;
-    EXPECT_EQ(Rec->find("num-threads"), nullptr) << Sub;
+  const PipelineConfig Config = PipelineConfig::configC();
+  std::vector<std::string> Listed;
+  PipelineConfig::fields(Config, [&](const char *Key, const auto &) {
+    Listed.push_back(Key);
+  });
+  const json::Value Wire = json::encode(Config);
+  std::vector<std::string> Sent;
+  for (const auto &[Key, Value] : Wire.members()) {
+    EXPECT_FALSE(Value.isObject()) << Key;
+    Sent.push_back(Key);
   }
-  EXPECT_EQ(V.find("cache-dir"), nullptr);
+  EXPECT_EQ(Sent, Listed);
+  EXPECT_EQ(std::count(Sent.begin(), Sent.end(), "cache-dir"), 0);
 
   BuildRequest Req;
   std::string Error;
   ASSERT_TRUE(decodeConfig(
-      R"({"webs":{"assume-closed-world":false,"num-threads":9},)"
-      R"("clusters":{"assume-closed-world":false}})",
+      R"({"webs":{"split-sparse-webs":true,"min-lref-ratio":0.5},)"
+      R"("clusters":{"root-benefit-threshold":2},)"
+      R"("regsets":{"relax-web-avail":true},"blanket-count":3})",
       Req, Error))
       << Error;
   EXPECT_EQ(json::encode(Req.Config).dump(),
