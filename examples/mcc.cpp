@@ -83,7 +83,9 @@
 ///                                deadline (default 300)
 ///
 ///   --config <base|A|B|C|D|E|F>  analyzer configuration (default: C)
-///   --stats                      print pipeline timing, whether the
+///   --stats                      print the pipeline, analyzer and
+///                                delta statistics records (key=value,
+///                                timings under "-ms" keys), whether the
 ///                                build was served from the cache, and
 ///                                the simulator counters after the run
 ///   --threads <N> | -j <N>       worker threads for the module-parallel
@@ -97,9 +99,9 @@
 ///   --delta-analyze              route analyzer cache misses through
 ///                                the delta analyzer: re-analyze only
 ///                                the SCC damage region of the summary
-///                                edit (--stats tags the analyzer line
-///                                full/delta/cached and prints the
-///                                damage counters)
+///                                edit (--stats shows analyzer-mode
+///                                full/delta/cached and the delta
+///                                line's damage counters)
 ///   --dump-summary               print the per-module summary files
 ///   --dump-db                    print the program database
 ///   --disasm                     disassemble the linked executable

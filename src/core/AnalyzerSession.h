@@ -51,11 +51,21 @@ namespace ipra {
 
 /// Cumulative per-session accounting, for service observability.
 struct AnalyzerSessionCounters {
-  unsigned long long Analyses = 0;  ///< analyze() calls served.
-  unsigned long long DeltaRuns = 0; ///< Damage-region incremental runs.
-  unsigned long long FullRuns = 0;  ///< Cold runs (first or fallback).
-  unsigned long long Restores = 0;  ///< Persisted-state reloads applied.
-  unsigned long long RestoreRejects = 0; ///< Stale/corrupt blobs skipped.
+  unsigned long long AnalyzerRuns = 0; ///< analyze() calls served.
+  unsigned long long DeltaHits = 0;    ///< Damage-region incremental runs.
+  unsigned long long FullRuns = 0;     ///< Cold runs (first or fallback).
+  unsigned long long SessionsRestored = 0; ///< Persisted reloads applied.
+  unsigned long long RestoresRejected = 0; ///< Stale/corrupt blobs skipped.
+
+  /// Every field with its key.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("analyzer-runs", S.AnalyzerRuns);
+    V("delta-hits", S.DeltaHits);
+    V("full-runs", S.FullRuns);
+    V("sessions-restored", S.SessionsRestored);
+    V("restores-rejected", S.RestoresRejected);
+  }
 };
 
 /// A lockable, shareable home for one program's retained delta state.
@@ -120,17 +130,17 @@ public:
       Pending.clear();
       std::string Err;
       if (!Delta.primed() && Delta.restoreRetained(Blob, Err))
-        ++Counters.Restores;
+        ++Counters.SessionsRestored;
       else
-        ++Counters.RestoreRejects;
+        ++Counters.RestoresRejected;
     }
     Outcome Out;
     Out.DB = Delta.analyze(std::move(Summaries), Options, Profile);
     Out.Stats = Delta.stats();
     Out.Delta = Delta.deltaStats();
-    ++Counters.Analyses;
+    ++Counters.AnalyzerRuns;
     if (Out.Delta.Mode == DeltaMode::Incremental)
-      ++Counters.DeltaRuns;
+      ++Counters.DeltaHits;
     else
       ++Counters.FullRuns;
     return Out;

@@ -22,9 +22,9 @@
 #include "opt/Passes.h"
 #include "support/Hash.h"
 #include "support/Json.h"
+#include "support/Record.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
 #include <optional>
 
 using namespace ipra;
@@ -58,29 +58,11 @@ struct LoweredModule {
   OptStats Opt;          ///< optimizeToFixpoint's work.
 };
 
-/// The optimizer's and the allocator's exact work counters, summed
-/// across one phase's workers; a sum does not depend on scheduling.
-struct WorkCounters {
-  std::atomic<unsigned long long> OptRounds{0}, OptPassRuns{0},
-      OptPassChanges{0}, RegAllocRounds{0}, SpilledVRegs{0};
-
-  void add(const OptStats &S) {
-    OptRounds += S.Rounds;
-    OptPassRuns += S.PassRuns;
-    OptPassChanges += S.PassChanges;
-  }
-  void add(const RegAllocResult &R) {
-    RegAllocRounds += R.Rounds;
-    SpilledVRegs += R.SpillCount;
-  }
-  void addTo(PipelineStats &PS) const {
-    PS.OptRounds += OptRounds;
-    PS.OptPassRuns += OptPassRuns;
-    PS.OptPassChanges += OptPassChanges;
-    PS.RegAllocRounds += RegAllocRounds;
-    PS.SpilledVRegs += SpilledVRegs;
-  }
-};
+/// Counts one function's register allocation in \p Work.
+void addAllocation(WorkStats &Work, const RegAllocResult &RA) {
+  Work.RegAllocRounds += RA.Rounds;
+  Work.SpilledVRegs += RA.SpillCount;
+}
 
 /// Lowers \p AST; returns the first verifier problem, or "" on success.
 std::string lowerModule(const ModuleAST &AST, PointsToMode Mode,
@@ -95,7 +77,7 @@ std::string lowerModule(const ModuleAST &AST, PointsToMode Mode,
     Out.PT = std::make_unique<ModulePointsTo>(*Out.IR);
   }
   for (auto &F : Out.IR->Functions)
-    Out.Opt += optimizeToFixpoint(*F);
+    record::add(Out.Opt, optimizeToFixpoint(*F));
   return "";
 }
 
@@ -122,7 +104,7 @@ OptStats finishForDirectives(IRModule &IR, const ProgramDatabase *DB,
         Options.SkipGlobals.insert(Plain);
       }
     }
-    Stats += finishOptimization(*F, Options);
+    record::add(Stats, finishOptimization(*F, Options));
   }
   return Stats;
 }
@@ -131,9 +113,9 @@ OptStats finishForDirectives(IRModule &IR, const ProgramDatabase *DB,
 /// register-need estimate and caller-saves footprint (§6, §7.6.2).
 std::optional<TrialCodeGenInfo> trialCodeGen(const IRModule &IR,
                                              const IRFunction &F,
-                                             WorkCounters &Work) {
+                                             WorkStats &Work) {
   CodeGenResult CG = generateCode(IR, F, ProcDirectives());
-  Work.add(CG.RA);
+  addAllocation(Work, CG.RA);
   if (!CG.Success)
     return std::nullopt;
   return TrialCodeGenInfo{CG.RA.CalleeRegsUsed,
@@ -174,16 +156,17 @@ const std::string *firstError(const std::vector<std::string> &Errors) {
 }
 
 /// The per-function code-generation fan-out both phases share: runs
-/// \p Body(Module, Function) for every function of every module in
+/// \p Body(Module, Function, Work) for every function of every module in
 /// \p Mods as one flattened cross-module work list on \p Pool, and
-/// charges each call's time to its module's \p Ms counter once the
-/// workers joined. \p Body returns an error, or "" on success; the
-/// first error in (module, function) order is returned.
-std::string
-forEachFunction(ThreadPool &Pool, const std::vector<size_t> &Mods,
-                const std::vector<std::unique_ptr<IRModule>> &IRs,
-                PipelineStats &PS, double ModulePipelineStats::*Ms,
-                const std::function<std::string(size_t, size_t)> &Body) {
+/// charges each call's time to its module's \p Ms counter and its Work
+/// slot to \p PS once the workers joined. \p Body returns an error, or
+/// "" on success; the first error in (module, function) order is
+/// returned.
+std::string forEachFunction(
+    ThreadPool &Pool, const std::vector<size_t> &Mods,
+    const std::vector<std::unique_ptr<IRModule>> &IRs, PipelineStats &PS,
+    double ModulePipelineStats::*Ms,
+    const std::function<std::string(size_t, size_t, WorkStats &)> &Body) {
   struct FuncJob {
     size_t Module = 0;
     size_t Func = 0;
@@ -194,12 +177,15 @@ forEachFunction(ThreadPool &Pool, const std::vector<size_t> &Mods,
       Jobs.push_back(FuncJob{I, F});
   std::vector<std::string> Errors(Jobs.size());
   std::vector<double> JobMs(Jobs.size(), 0);
+  std::vector<WorkStats> JobWork(Jobs.size());
   parallelForEach(Pool, Jobs.size(), [&](size_t J) {
     ScopedTimerMs Timer(JobMs[J]);
-    Errors[J] = Body(Jobs[J].Module, Jobs[J].Func);
+    Errors[J] = Body(Jobs[J].Module, Jobs[J].Func, JobWork[J]);
   });
-  for (size_t J = 0; J < Jobs.size(); ++J)
+  for (size_t J = 0; J < Jobs.size(); ++J) {
     PS.Modules[Jobs[J].Module].*Ms += JobMs[J];
+    record::add(PS.Work, JobWork[J]);
+  }
   const std::string *E = firstError(Errors);
   return E ? *E : std::string();
 }
@@ -379,9 +365,10 @@ Status Pipeline::summarize(Batch &B) {
   if (!Miss.empty()) {
     if (Status S = B.ensureFrontEnd(Miss); !S.ok())
       return S;
-    WorkCounters Work;
     // Lowering, then the database-free finish: phase 1 optimizes as if
-    // no global were promoted.
+    // no global were promoted. Each module's worker counts its work in
+    // the module's slot.
+    std::vector<WorkStats> Work(N);
     std::vector<std::unique_ptr<IRModule>> IRs(N);
     std::vector<std::string> Errors(N);
     parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
@@ -396,9 +383,10 @@ Status Pipeline::summarize(Batch &B) {
       }
       B.ASTs[I].reset(); // Phase 2 resumes from the IR file instead.
       IRs[I] = B.KeepIRFiles ? L.IR->clone() : std::move(L.IR);
-      Work.add(L.Opt);
-      Work.add(finishForDirectives(*IRs[I], nullptr,
-                                   Config.LocalGlobalPromotion, L.PT.get()));
+      record::add(Work[I].Opt, L.Opt);
+      record::add(Work[I].Opt,
+                  finishForDirectives(*IRs[I], nullptr,
+                                      Config.LocalGlobalPromotion, L.PT.get()));
     });
     if (const std::string *E = firstError(Errors))
       return Status::error(*E);
@@ -409,9 +397,9 @@ Status Pipeline::summarize(Batch &B) {
     for (size_t I : Miss)
       Trial[I].resize(IRs[I]->Functions.size());
     forEachFunction(B.Pool, Miss, IRs, PS, &ModulePipelineStats::Phase1Ms,
-                    [&](size_t I, size_t F) {
-                      Trial[I][F] = trialCodeGen(
-                          *IRs[I], *IRs[I]->Functions[F], Work);
+                    [&](size_t I, size_t F, WorkStats &W) {
+                      Trial[I][F] =
+                          trialCodeGen(*IRs[I], *IRs[I]->Functions[F], W);
                       return std::string();
                     });
 
@@ -442,6 +430,7 @@ Status Pipeline::summarize(Batch &B) {
     });
     for (size_t I : Miss) {
       Cache->put(Keys[I], B.SummaryTexts[I]);
+      record::add(PS.Work, Work[I]);
       if (const ModulePointsTo *PT = B.IRFiles[I].PT.get()) {
         PS.PointsToConstraints += PT->stats().Constraints;
         PS.PointsToIterations += PT->stats().Iterations;
@@ -451,7 +440,6 @@ Status Pipeline::summarize(Batch &B) {
       if (!B.KeepIRFiles)
         B.IRFiles[I] = LoweredModule();
     }
-    Work.addTo(PS);
   }
   for (size_t I = 0; I < N; ++I) {
     PS.Modules[I].SummaryBytes = B.SummaryTexts[I].size();
@@ -494,7 +482,7 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
         Relower.push_back(I);
     if (Status S = B.ensureFrontEnd(Relower); !S.ok())
       return S;
-    WorkCounters Work;
+    std::vector<WorkStats> Work(N); // One slot per module's worker.
     std::vector<std::unique_ptr<IRModule>> IRs(N);
     std::vector<std::string> Errors(N);
     parallelForEach(B.Pool, Miss.size(), [&](size_t J) {
@@ -508,10 +496,11 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
           Errors[I] = "phase 2 IR verification failed: " + Problem;
           return;
         }
-        Work.add(L.Opt);
+        record::add(Work[I].Opt, L.Opt);
       }
-      Work.add(finishForDirectives(*L.IR, DB, Config.LocalGlobalPromotion,
-                                   L.PT.get()));
+      record::add(Work[I].Opt,
+                  finishForDirectives(*L.IR, DB, Config.LocalGlobalPromotion,
+                                      L.PT.get()));
       auto Problems = verifyModule(*L.IR);
       if (!Problems.empty()) {
         Errors[I] = "phase 2 IR verification failed: " + Problems[0];
@@ -531,13 +520,13 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
       Funcs[I].resize(IRs[I]->Functions.size());
     std::string CodeGenError = forEachFunction(
         B.Pool, Miss, IRs, PS, &ModulePipelineStats::Phase2Ms,
-        [&](size_t I, size_t F) {
+        [&](size_t I, size_t F, WorkStats &W) {
           const IRModule &IR = *IRs[I];
           const IRFunction &Fn = *IR.Functions[F];
           CodeGenResult CG = generateCode(
               IR, Fn, directivesFor(DB, Fn, Config.LinkerReservedRegs),
               Clobbers);
-          Work.add(CG.RA);
+          addAllocation(W, CG.RA);
           if (!CG.Success)
             return "register allocation failed for " + Fn.qualifiedName();
           Funcs[I][F] = std::move(CG.Obj);
@@ -556,9 +545,10 @@ Status Pipeline::compileObjects(Batch &B, const ProgramDatabase *DB,
       B.Objects[I] = assembleObject(*IRs[I], std::move(Funcs[I]));
       B.ObjectTexts[I] = writeObjectFile(B.Objects[I]);
     });
-    for (size_t I : Miss)
+    for (size_t I : Miss) {
       Cache->put(Keys[I], B.ObjectTexts[I]);
-    Work.addTo(PS);
+      record::add(PS.Work, Work[I]);
+    }
   }
   for (size_t I = 0; I < N; ++I) {
     PS.Modules[I].Functions =
@@ -588,15 +578,10 @@ void Pipeline::analyzeCached(const SummarySet &Summaries,
   // is a miss. The text comes from outside this process, so parsing it
   // is the validity check.
   if (auto Entry = Cache->get(Key)) {
-    size_t NL = Entry->find('\n');
-    json::Value StatsLine;
     AnalyzerStats CachedStats;
-    std::string ParseError;
-    if (NL != std::string::npos &&
-        json::Value::parse(std::string_view(*Entry).substr(0, NL),
-                           StatsLine, ParseError) &&
-        json::decode(StatsLine, CachedStats)) {
-      std::string CachedDb = Entry->substr(NL + 1);
+    std::string_view Body;
+    if (json::readHeaderLine(*Entry, CachedStats, Body)) {
+      std::string CachedDb(Body), ParseError;
       ProgramDatabase Parsed;
       if (ProgramDatabase::deserialize(CachedDb, Parsed, ParseError) &&
           Parsed.ConfigFingerprint == FullFP) {
@@ -642,8 +627,7 @@ void Pipeline::analyzeCached(const SummarySet &Summaries,
   // The entry's bytes are a function of the inputs: its timings are 0,
   // which is what a hit reports for the sub-phases it skipped.
   AnalyzerStats Stored = Resp.Analyzer;
-  Stored.RefSetsMs = Stored.ModRefMs = Stored.WebsMs = Stored.ColoringMs =
-      Stored.ClustersMs = Stored.RegSetsMs = 0;
+  record::zeroTimings(Stored);
   Cache->put(Key, json::encode(Stored).dump() + "\n" + Resp.Database);
 }
 

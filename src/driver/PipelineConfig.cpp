@@ -52,32 +52,19 @@ PipelineConfig PipelineConfig::configF() {
   return C;
 }
 
-CompileOptions PipelineConfig::compileOptions() const {
-  CompileOptions O;
-  O.LocalGlobalPromotion = LocalGlobalPromotion;
-  O.LinkerReservedRegs = LinkerReservedRegs;
-  O.CallerSavePropagation = CallerSavePropagation;
-  O.PointsTo = PointsTo;
-  return O;
-}
-
 //===----------------------------------------------------------------------===//
 // Fingerprints. Every semantically relevant knob is rendered into a
 // key=value text and hashed; the artifact format versions are folded in
 // so a format bump invalidates every cached artifact.
 //===----------------------------------------------------------------------===//
 
-std::string CompileOptions::fingerprint() const {
+std::string PipelineConfig::compileFingerprint() const {
   std::ostringstream OS;
   OS << "sumfmt=" << SummaryFormatVersion << ";objfmt=1"
      << ";lgp=" << LocalGlobalPromotion << ";lrr=" << std::hex
      << LinkerReservedRegs << std::dec << ";csp=" << CallerSavePropagation
      << ";pt=" << static_cast<int>(PointsTo);
   return hashHex(OS.str());
-}
-
-std::string PipelineConfig::compileFingerprint() const {
-  return compileOptions().fingerprint();
 }
 
 std::string PipelineConfig::analyzerFingerprint() const {

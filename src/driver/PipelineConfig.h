@@ -8,21 +8,21 @@
 /// \file
 /// The pipeline's inputs (SourceFile) and configuration. PipelineConfig
 /// extends AnalyzerOptions (core/AnalyzerOptions.h), the analyzer's one
-/// options record, with the compiler and placement knobs, and exposes
-/// two composable views:
+/// options record, with the compiler and placement knobs. It has two
+/// stable fingerprints over two sets of its knobs:
 ///
-///  - CompileOptions: everything that affects how ONE MODULE compiles in
-///    either compiler phase (front end, level-2 optimization, code
-///    generation) — the knobs a per-module cache key must cover;
-///  - AnalyzerOptions: everything that shapes the program analyzer's
-///    output, which analyzerOptions() slices out of the configuration.
+///  - compileFingerprint(): everything that affects how ONE MODULE
+///    compiles in either compiler phase (front end, level-2
+///    optimization, code generation) — the knobs a per-module cache key
+///    must cover;
+///  - analyzerFingerprint(): everything that shapes the program
+///    analyzer's output.
 ///
-/// Each view has a stable fingerprint; fingerprint() combines both plus
-/// the artifact format versions. The incremental artifact cache keys on
-/// these, so a config flip invalidates exactly the artifacts it can
-/// influence: compiler knobs invalidate summaries and objects, analyzer
-/// knobs invalidate only the database (objects then follow their
-/// database slices).
+/// fingerprint() combines both; each folds in its artifact format
+/// versions. The incremental artifact cache keys on these, so a config
+/// flip invalidates exactly the artifacts it can influence: compiler
+/// knobs invalidate summaries and objects, analyzer knobs invalidate
+/// only the database (objects then follow their database slices).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,30 +47,6 @@ struct SourceFile {
     V("name", S.Name);
     V("text", S.Text);
   }
-};
-
-/// The per-module compilation knobs: the subset of the configuration
-/// that can change a module's summary or object file independent of the
-/// program database. NumThreads is deliberately absent — artifacts are
-/// byte-identical at every thread count.
-struct CompileOptions {
-  /// Level-2 intraprocedural global promotion (on in every column).
-  bool LocalGlobalPromotion = true;
-  /// [Wall 86] compiler cooperation: registers codegen must not touch.
-  RegMask LinkerReservedRegs = 0;
-  /// §7.6.2: phase 2 consults per-callee clobber masks.
-  bool CallerSavePropagation = false;
-  /// Points-to mode (mcc --points-to=off|andersen|gpg). Andersen and
-  /// GPG run the per-module points-to/escape analysis: summaries carry
-  /// escape verdicts and resolved indirect-call targets, and the local
-  /// optimizer consults the alias facts; GPG additionally emits each
-  /// procedure's composable GPG residue (summary format v4). Off skips
-  /// the analysis and writes conservative defaults.
-  PointsToMode PointsTo = PointsToMode::GPG;
-
-  /// Stable hash over every field plus the summary/object format
-  /// versions; part of every cache key.
-  std::string fingerprint() const;
 };
 
 /// Pipeline configuration. The six analyzer configurations of Table 4
@@ -137,9 +113,6 @@ struct PipelineConfig : AnalyzerOptions {
   /// Column F: spill motion and 6-register coloring with profile.
   static PipelineConfig configF();
 
-  /// The per-module compilation view of this configuration.
-  CompileOptions compileOptions() const;
-
   /// The analyzer view of this configuration: its AnalyzerOptions base.
   /// NumThreads carries the pipeline thread count to the analyzer's
   /// parallel stages.
@@ -155,7 +128,8 @@ struct PipelineConfig : AnalyzerOptions {
   }
 
   /// Fingerprint of the per-module compilation knobs (phase-1 and
-  /// phase-2 cache keys).
+  /// phase-2 cache keys): LocalGlobalPromotion, LinkerReservedRegs,
+  /// CallerSavePropagation and PointsTo.
   std::string compileFingerprint() const;
   /// Fingerprint of the analyzer knobs (database cache key).
   std::string analyzerFingerprint() const;

@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock and artifact-size instrumentation for one pipeline run:
-/// per-phase and per-module timings, serialized artifact byte counts,
-/// and the thread count the driver ran with. Collected by every
-/// Pipeline request and printable via toString() (the mcc --stats
-/// path). The analyzer's counters live in AnalyzerStats and the delta
-/// analyzer's in DeltaStats; toString() takes both records instead of
-/// copies of their fields.
+/// Instrumentation for one pipeline run: per-phase and per-module
+/// timings, exact work counters, artifact byte counts, cache accounting
+/// and the thread count. The analyzer's counters live in AnalyzerStats
+/// and the delta analyzer's in DeltaStats. toString() (mcc --stats)
+/// prints all three by walking their field lists (support/Record.h), so
+/// a new counter is one member and one row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +19,7 @@
 #define IPRA_DRIVER_PIPELINESTATS_H
 
 #include "driver/ArtifactCache.h"
+#include "opt/Passes.h"
 
 #include <chrono>
 #include <cstddef>
@@ -62,6 +62,24 @@ struct ModulePipelineStats {
   }
 };
 
+/// Exact work counters of the level-2 optimizer's round loops and the
+/// register allocator, summed over every function a request compiled
+/// (phase 1's trial code generation included; zero for modules served
+/// from the cache). Equal at any thread count and run to run.
+struct WorkStats {
+  OptStats Opt;
+  unsigned long long RegAllocRounds = 0;
+  unsigned long long SpilledVRegs = 0;
+
+  /// Every field with its key; PipelineStats' list flattens these rows.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    OptStats::fields(S.Opt, V);
+    V("regalloc-rounds", S.RegAllocRounds);
+    V("spilled-vregs", S.SpilledVRegs);
+  }
+};
+
 /// Instrumentation for one Pipeline request.
 struct PipelineStats {
   unsigned ThreadsUsed = 1;
@@ -85,15 +103,7 @@ struct PipelineStats {
   /// across recompiled modules.
   unsigned long long GPGUpdates = 0;
   unsigned long long GPGCallSites = 0;
-  /// Exact work counters of the level-2 optimizer's round loops and the
-  /// register allocator, summed over every function this request
-  /// compiled (phase 1's trial code generation included; zero for
-  /// modules served from the cache).
-  unsigned long long OptRounds = 0;
-  unsigned long long OptPassRuns = 0;
-  unsigned long long OptPassChanges = 0;
-  unsigned long long RegAllocRounds = 0;
-  unsigned long long SpilledVRegs = 0;
+  WorkStats Work;
   size_t SummaryBytes = 0;  ///< All summary files.
   /// Summary texts this request ran through readSummary. An analyze
   /// request parses only texts its analyzer session has not seen.
@@ -131,11 +141,7 @@ struct PipelineStats {
     V("points-to-iterations", S.PointsToIterations);
     V("gpg-updates", S.GPGUpdates);
     V("gpg-call-sites", S.GPGCallSites);
-    V("opt-rounds", S.OptRounds);
-    V("opt-pass-runs", S.OptPassRuns);
-    V("opt-pass-changes", S.OptPassChanges);
-    V("regalloc-rounds", S.RegAllocRounds);
-    V("spilled-vregs", S.SpilledVRegs);
+    WorkStats::fields(S.Work, V);
     V("summary-bytes", S.SummaryBytes);
     V("summaries-parsed", S.SummariesParsed);
     V("database-bytes", S.DatabaseBytes);
@@ -151,9 +157,10 @@ struct PipelineStats {
     V("modules", S.Modules);
   }
 
-  /// Multi-line human-readable report of this run with the analyzer's
-  /// counters \p A and the delta analyzer's \p D (the records a
-  /// BuildResult or BuildResponse carries next to these stats).
+  /// The mcc --stats text of this run, the analyzer's counters \p A and
+  /// the delta analyzer's \p D: a "pipeline:", "analyzer:" and "delta:"
+  /// line of key=value pairs under the field lists' keys, each nested
+  /// record and module indented on its own line below its parent.
   std::string toString(const AnalyzerStats &A, const DeltaStats &D) const;
 };
 

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "opt/Passes.h"
+#include "support/Record.h"
 
 #include <array>
 #include <iterator>
@@ -65,7 +66,7 @@ OptStats ipra::finishOptimization(IRFunction &F, const OptOptions &Options) {
 
 OptStats ipra::optimizeFunction(IRFunction &F, const OptOptions &Options) {
   OptStats Stats = optimizeToFixpoint(F);
-  Stats += finishOptimization(F, Options);
+  record::add(Stats, finishOptimization(F, Options));
   return Stats;
 }
 

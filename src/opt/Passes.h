@@ -110,17 +110,19 @@ bool simplifyCFG(IRFunction &F);
 /// kill points). Skips names in \p Options.SkipGlobals.
 bool promoteGlobalsLocally(IRFunction &F, const OptOptions &Options);
 
-/// Exact work counters of the level-2 pipeline's round loops.
+/// Exact work counters of the level-2 pipeline's round loops
+/// (support/Record.h's Record; record::add sums two).
 struct OptStats {
   unsigned long long Rounds = 0;      ///< Rounds started.
   unsigned long long PassRuns = 0;    ///< Passes run (skipped ones excluded).
   unsigned long long PassChanges = 0; ///< Pass runs that changed the IR.
 
-  OptStats &operator+=(const OptStats &O) {
-    Rounds += O.Rounds;
-    PassRuns += O.PassRuns;
-    PassChanges += O.PassChanges;
-    return *this;
+  /// Every field with its key, as `mcc --stats` and the wire show it.
+  template <typename Self, typename Visit>
+  static void fields(Self &S, Visit &&V) {
+    V("opt-rounds", S.Rounds);
+    V("opt-pass-runs", S.PassRuns);
+    V("opt-pass-changes", S.PassChanges);
   }
 };
 

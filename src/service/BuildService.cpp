@@ -10,6 +10,7 @@
 #include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/Json.h"
+#include "support/Record.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -119,7 +120,7 @@ BuildService::pipelineFor(ProgramState &PS, const std::string &Program,
       E.Session->setPendingRestore(std::move(Bytes));
     } else {
       std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Retired.RestoreRejects;
+      ++Counters.RestoresRejected;
     }
   }
   E.Pipe = std::make_shared<Pipeline>(Effective, Cache, E.Session);
@@ -195,15 +196,6 @@ Result<BuildResponse> BuildService::run(const BuildRequest &Req) {
   return R;
 }
 
-void BuildService::retireSessionCountersLocked(
-    const AnalyzerSessionCounters &C) {
-  Retired.Analyses += C.Analyses;
-  Retired.DeltaRuns += C.DeltaRuns;
-  Retired.FullRuns += C.FullRuns;
-  Retired.Restores += C.Restores;
-  Retired.RestoreRejects += C.RestoreRejects;
-}
-
 bool BuildService::persistSession(const std::string &Program,
                                   const std::string &Key,
                                   AnalyzerSession &Session) {
@@ -257,7 +249,7 @@ void BuildService::maybeEvictSessions() {
     std::lock_guard<std::mutex> SLock(StatsMutex);
     ++Counters.SessionsEvicted;
     --Counters.RetainedSessions;
-    retireSessionCountersLocked(C);
+    record::add<AnalyzerSessionCounters>(Counters, C);
   };
 
   // Pass 1: idle timeout, plus a census for the LRU bound.
@@ -403,35 +395,22 @@ void BuildService::shutdown() {
 
 BuildServiceStats BuildService::stats() const {
   BuildServiceStats Out;
-  AnalyzerSessionCounters RetiredCopy;
   {
     std::lock_guard<std::mutex> SLock(StatsMutex);
     Out = Counters;
-    RetiredCopy = Retired;
   }
   Out.Workers = Config.Workers;
   {
     std::lock_guard<std::mutex> Lock(ProgramsMutex);
     Out.Programs = Programs.size();
     Out.Pipelines = 0;
-    Out.AnalyzerRuns = RetiredCopy.Analyses;
-    Out.DeltaHits = RetiredCopy.DeltaRuns;
-    Out.FullRuns = RetiredCopy.FullRuns;
-    Out.SessionsRestored = RetiredCopy.Restores;
-    Out.RestoresRejected = RetiredCopy.RestoreRejects;
     Out.RetainedSessions = 0;
     for (const auto &[Name, PS] : Programs) {
       std::lock_guard<std::mutex> MapLock(PS->MapMutex);
       Out.Pipelines += PS->Entries.size();
       Out.RetainedSessions += PS->Entries.size();
-      for (const auto &[FP, E] : PS->Entries) {
-        AnalyzerSessionCounters C = E.Session->counters();
-        Out.AnalyzerRuns += C.Analyses;
-        Out.DeltaHits += C.DeltaRuns;
-        Out.FullRuns += C.FullRuns;
-        Out.SessionsRestored += C.Restores;
-        Out.RestoresRejected += C.RestoreRejects;
-      }
+      for (const auto &[FP, E] : PS->Entries)
+        record::add<AnalyzerSessionCounters>(Out, E.Session->counters());
     }
   }
   Out.Cache = Cache->stats();

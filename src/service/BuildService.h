@@ -99,8 +99,10 @@ struct BuildServiceConfig {
 };
 
 /// One snapshot of the service's observable state (the "stats" wire
-/// request renders this as JSON).
-struct BuildServiceStats {
+/// request renders this as JSON). Its AnalyzerSessionCounters base sums
+/// every session's run counters, including sessions since evicted
+/// (their totals are folded in at eviction).
+struct BuildServiceStats : AnalyzerSessionCounters {
   // Admission / completion accounting.
   unsigned long long Accepted = 0;  ///< Requests admitted for execution.
   unsigned long long Completed = 0; ///< Finished with Ok status.
@@ -113,21 +115,15 @@ struct BuildServiceStats {
   size_t QueueDepth = 0;     ///< Queued, not yet executing.
   size_t PeakQueueDepth = 0; ///< High-water mark since startup.
   unsigned Workers = 0;
-  // Retained-state accounting. The run counters include sessions that
-  // have since been evicted (their totals are folded in at eviction).
+  // Retained-state accounting.
   size_t Programs = 0;  ///< Distinct program ids seen.
   size_t Pipelines = 0; ///< Retained (program, config) pipelines.
-  unsigned long long AnalyzerRuns = 0; ///< Session analyze() calls.
-  unsigned long long DeltaHits = 0;    ///< ... that took the delta path.
-  unsigned long long FullRuns = 0;     ///< ... that ran cold.
   // Session lifecycle: live retained entries, their high-water mark,
   // LRU/idle evictions, and warm-restart persistence traffic.
   size_t RetainedSessions = 0;
   size_t PeakRetainedSessions = 0;
   unsigned long long SessionsEvicted = 0;
   unsigned long long SessionsPersisted = 0; ///< Session files written.
-  unsigned long long SessionsRestored = 0;  ///< Persisted reloads applied.
-  unsigned long long RestoresRejected = 0;  ///< Stale/corrupt blobs skipped.
   // Request-level per-phase latency sums (milliseconds), over completed
   // requests; divide by Completed+Failed for means. Per-request values
   // ride in each BuildResponse::Stats.
@@ -154,15 +150,11 @@ struct BuildServiceStats {
     V("workers", S.Workers);
     V("programs", S.Programs);
     V("pipelines", S.Pipelines);
-    V("analyzer-runs", S.AnalyzerRuns);
-    V("delta-hits", S.DeltaHits);
-    V("full-runs", S.FullRuns);
+    AnalyzerSessionCounters::fields(S, V);
     V("retained-sessions", S.RetainedSessions);
     V("peak-retained-sessions", S.PeakRetainedSessions);
     V("sessions-evicted", S.SessionsEvicted);
     V("sessions-persisted", S.SessionsPersisted);
-    V("sessions-restored", S.SessionsRestored);
-    V("restores-rejected", S.RestoresRejected);
     V("requests", S.Requests);
     V("total-ms-sum", S.TotalMsSum);
     V("phase1-ms-sum", S.Phase1MsSum);
@@ -250,9 +242,6 @@ private:
   /// Persisted-session file path for (program, fingerprint).
   std::string sessionPathFor(const std::string &Program,
                              const std::string &Key) const;
-  /// Folds a dying session's counters into the service totals. Caller
-  /// must hold StatsMutex.
-  void retireSessionCountersLocked(const AnalyzerSessionCounters &C);
 
   BuildServiceConfig Config;
   std::shared_ptr<ArtifactCache> Cache;
@@ -271,12 +260,11 @@ private:
   std::vector<std::thread> WorkerThreads;
 
   // Counters. Guarded by StatsMutex (latency sums are doubles, and a
-  // snapshot must be coherent). Retired holds the analyze-run totals of
-  // evicted sessions so eviction never loses accounting; stats() adds
-  // it to the live sessions' counters.
+  // snapshot must be coherent). Their AnalyzerSessionCounters base holds
+  // the run totals of evicted sessions, so eviction never loses
+  // accounting; stats() adds the live sessions' counters to it.
   mutable std::mutex StatsMutex;
   BuildServiceStats Counters;
-  AnalyzerSessionCounters Retired;
   std::atomic<std::uint64_t> UseStamp{0}; ///< Global LRU clock.
 };
 

@@ -160,9 +160,11 @@ bool ipra::requestFromJson(const Value &V, BuildRequest &Req,
                            std::string &Error) {
   Req = BuildRequest();
   std::string Path;
-  if (json::decodePresent(V, Req, Path))
+  bool Unknown = false;
+  if (json::decodeListed(V, Req, Path, Unknown))
     return true;
   Error = Path.empty() ? "request is not an object"
+          : Unknown    ? "request field '" + Path + "' is not a known field"
                        : "request field '" + Path + "' has an invalid value";
   return false;
 }

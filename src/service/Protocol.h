@@ -22,10 +22,11 @@
 ///
 /// The request and the response are records: their field lists
 /// (driver/BuildRequest.h) drive json::encode on the way out and
-/// json::decodePresent on the way in, and the daemon, the client and the
-/// protocol tests all go through the envelope functions here. A request
-/// key that is absent keeps its default; a present value of the wrong
-/// kind fails the request, naming the field by its dotted path.
+/// json::decodeListed (requests) or json::decodePresent (replies) on
+/// the way in, and the daemon, the client and the protocol tests all go
+/// through the envelope functions here. A request key that is absent
+/// keeps its default; a present value of the wrong kind, or a key no
+/// list names, fails the request, naming the field by its dotted path.
 /// PipelineConfig::CacheDir deliberately never crosses the wire — cache
 /// placement is server policy, not client input.
 ///
@@ -111,10 +112,10 @@ Status decodeStatusReply(const std::string &Payload,
                          json::Value *Stats = nullptr);
 
 /// Reads a wire request (json::encode of BuildRequest). An absent key
-/// keeps its default; a present one of the wrong kind, or an unknown
-/// phase / promotion / points-to name, fails the request, naming the
-/// field in \p Error by its dotted path ("config.split-sparse-webs",
-/// "modules[0].text").
+/// keeps its default; a present one of the wrong kind, an unknown
+/// phase / promotion / points-to name, or a record key no field list
+/// names fails the request, naming the field in \p Error by its dotted
+/// path ("config.split-sparse-webs", "modules[0].text", "config.webs").
 bool requestFromJson(const json::Value &V, BuildRequest &Req,
                      std::string &Error);
 

@@ -18,7 +18,7 @@
 /// (profile counts, counters, web priorities) between processes.
 ///
 /// encode()/decode() map a record to and from a JSON object through the
-/// record's one field list (see Record below). Every record that crosses
+/// record's one field list (support/Record.h). Every record that crosses
 /// a process boundary is driven by its list: the statistics and options
 /// records, the service's requests and replies, the call profile, and
 /// the delta analyzer's retained run with its webs.
@@ -29,6 +29,7 @@
 #define IPRA_SUPPORT_JSON_H
 
 #include "support/NodeSet.h"
+#include "support/Record.h"
 
 #include <algorithm>
 #include <cmath>
@@ -177,14 +178,8 @@ std::string quote(std::string_view S);
 // Record codec.
 //===----------------------------------------------------------------------===//
 
-/// A record lists its fields once, in a static member template
-/// `fields(Self &S, Visit &&V)` that calls `V(Key, S.Member)` for every
-/// member, in wire order. Self is the record or its const form, so the
-/// same list serves encoding and decoding.
-template <typename R>
-concept Record = requires(R &Rec) {
-  R::fields(Rec, [](const char *, auto &) {});
-};
+/// A record (support/Record.h) is encoded in the order of its list.
+using record::Record;
 
 template <typename T> struct IsVector : std::false_type {};
 template <typename T, typename A>
@@ -265,11 +260,18 @@ inline void nestPath(std::string &Path, const std::string &Head) {
                           : Head + "." + Path;
 }
 
-/// decode() and decodePresent(): \p AllFields says whether a record key
-/// the object lacks fails (an absent optional never does). On failure
-/// \p Path names the failing value below \p V.
-template <typename T>
-bool decodeField(const Value &V, T &X, bool AllFields, std::string &Path) {
+/// What a record's object must hold: every listed key (but an absent
+/// optional), and no key the list does not name. On failure, Path names
+/// the failing value below the decoded one, and Unknown says it is a key
+/// the list does not name.
+struct Reader {
+  bool AllFields = false;
+  bool OnlyListed = false;
+  std::string &Path;
+  bool Unknown = false;
+};
+
+template <typename T> bool decodeField(const Value &V, T &X, Reader &R) {
   if constexpr (std::is_same_v<T, bool>) {
     if (!V.isBool())
       return false;
@@ -294,7 +296,7 @@ bool decodeField(const Value &V, T &X, bool AllFields, std::string &Path) {
   } else if constexpr (std::is_same_v<T, NodeSet>) {
     // Strictly ascending ids >= 0, the form encode() writes.
     std::vector<int> Ids;
-    if (!decodeField(V, Ids, AllFields, Path) ||
+    if (!decodeField(V, Ids, R) ||
         (!Ids.empty() && Ids.front() < 0) ||
         std::adjacent_find(Ids.begin(), Ids.end(),
                            std::greater_equal<>()) != Ids.end())
@@ -309,20 +311,20 @@ bool decodeField(const Value &V, T &X, bool AllFields, std::string &Path) {
     X.clear();
     X.reserve(V.items().size());
     for (size_t I = 0; I < V.items().size(); ++I)
-      if (!decodeField(V.items()[I], X.emplace_back(), AllFields, Path)) {
-        nestPath(Path, "[" + std::to_string(I) + "]");
+      if (!decodeField(V.items()[I], X.emplace_back(), R)) {
+        nestPath(R.Path, "[" + std::to_string(I) + "]");
         return false;
       }
   } else if constexpr (IsOptional<T>::value) {
-    return decodeField(V, X.emplace(), AllFields, Path);
+    return decodeField(V, X.emplace(), R);
   } else if constexpr (IsStringMap<T>::value) {
     if (!V.isObject())
       return false;
     X.clear();
     for (const auto &[Key, E] : V.members()) {
       auto [It, Fresh] = X.try_emplace(Key);
-      if (!Fresh || !decodeField(E, It->second, AllFields, Path)) {
-        nestPath(Path, Key);
+      if (!Fresh || !decodeField(E, It->second, R)) {
+        nestPath(R.Path, Key);
         return false;
       }
     }
@@ -337,16 +339,16 @@ bool decodeField(const Value &V, T &X, bool AllFields, std::string &Path) {
       Key K{};
       bool Ok = V.items()[I].isArray() && Row.size() == Arity;
       if constexpr (IsPair<Key>::value)
-        Ok = Ok && decodeField(Row[0], K.first, AllFields, Path) &&
-             decodeField(Row[1], K.second, AllFields, Path);
+        Ok = Ok && decodeField(Row[0], K.first, R) &&
+             decodeField(Row[1], K.second, R);
       else
-        Ok = Ok && decodeField(Row[0], K, AllFields, Path);
+        Ok = Ok && decodeField(Row[0], K, R);
       if (Ok) {
         auto [It, Fresh] = X.try_emplace(std::move(K));
-        Ok = Fresh && decodeField(Row.back(), It->second, AllFields, Path);
+        Ok = Fresh && decodeField(Row.back(), It->second, R);
       }
       if (!Ok) {
-        Path = "[" + std::to_string(I) + "]";
+        R.Path = "[" + std::to_string(I) + "]";
         return false;
       }
     }
@@ -355,21 +357,31 @@ bool decodeField(const Value &V, T &X, bool AllFields, std::string &Path) {
     if (!V.isObject())
       return false;
     bool Ok = true;
+    std::vector<std::string_view> Listed;
     T::fields(X, [&](const char *Key, auto &F) {
+      if (R.OnlyListed)
+        Listed.push_back(Key);
       const Value *M = Ok ? V.find(Key) : nullptr;
       if (!M) {
-        if (Ok && AllFields &&
+        if (Ok && R.AllFields &&
             !IsOptional<std::remove_cvref_t<decltype(F)>>::value) {
           Ok = false;
-          Path = Key;
+          R.Path = Key;
         }
         return;
       }
-      if (!decodeField(*M, F, AllFields, Path)) {
+      if (!decodeField(*M, F, R)) {
         Ok = false;
-        nestPath(Path, Key);
+        nestPath(R.Path, Key);
       }
     });
+    if (Ok && R.OnlyListed)
+      for (const auto &[Key, E] : V.members())
+        if (std::find(Listed.begin(), Listed.end(), Key) == Listed.end()) {
+          R.Path = Key;
+          R.Unknown = true;
+          return false;
+        }
     return Ok;
   }
   return true;
@@ -387,7 +399,8 @@ bool decodeField(const Value &V, T &X, bool AllFields, std::string &Path) {
 template <typename T>
 bool decode(const Value &V, T &X, std::string *Path = nullptr) {
   std::string Local;
-  return detail::decodeField(V, X, true, Path ? *Path : Local);
+  detail::Reader R{true, false, Path ? *Path : Local};
+  return detail::decodeField(V, X, R);
 }
 
 /// The lenient-on-absence, strict-on-kind reading of the wire: decodes
@@ -396,11 +409,24 @@ bool decode(const Value &V, T &X, std::string *Path = nullptr) {
 /// map key, a map row of the wrong arity) fails, and \p Path then names
 /// it ("profile.calls.main", "modules[0].text"); it stays empty
 /// when \p V itself is of the wrong kind. Keys the list does not name
-/// are ignored.
+/// are ignored, so a reply may carry keys a newer writer added.
 template <Record T>
 bool decodePresent(const Value &V, T &X, std::string &Path) {
   Path.clear();
-  return detail::decodeField(V, X, false, Path);
+  detail::Reader R{false, false, Path};
+  return detail::decodeField(V, X, R);
+}
+
+/// decodePresent()'s reading of a request, except that a record key its
+/// list does not name fails too, with \p Unknown set and \p Path naming
+/// it ("config.webs"). The keys of a string-keyed map are data.
+template <Record T>
+bool decodeListed(const Value &V, T &X, std::string &Path, bool &Unknown) {
+  Path.clear();
+  detail::Reader R{false, true, Path};
+  const bool Ok = detail::decodeField(V, X, R);
+  Unknown = R.Unknown;
+  return Ok;
 }
 
 /// Reads the record \p Header from the first line of \p Text (the header

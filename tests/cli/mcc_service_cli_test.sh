@@ -81,17 +81,19 @@ REMOTE2="$("$MCC" --client "$SOCK" --program cli-demo --stats lib.mc main.mc \
   || { echo "edited remote build output differs" >&2; exit 1; }
 
 # The client's --stats report shows what the reply carries: the delta
-# analyzer's damage counters, the points-to line, and the analyzer's
-# mod/ref census, equal to the in-process report up to timings.
-grep -Eq '^  delta: changed-procs=[1-9]' remote2.txt \
+# analyzer's damage counters, the points-to counters, and the whole
+# analyzer record (web, cluster, points-to, GPG and mod/ref counters),
+# equal to the in-process report once every timing (every "-ms" key)
+# is masked.
+grep -Eq '^delta: .* changed-procs=[1-9]' remote2.txt \
   || { echo "remote --stats lost the delta counters" >&2; cat remote2.txt >&2; exit 1; }
-grep -q '^  points-to: ' remote2.txt \
-  || { echo "remote --stats lost the points-to line" >&2; cat remote2.txt >&2; exit 1; }
-MASK='s/time=[0-9.]*ms/time=Xms/'
-LOCAL_MODREF="$(grep '^  modref: ' local2.txt | sed "$MASK")"
-REMOTE_MODREF="$(grep '^  modref: ' remote2.txt | sed "$MASK")"
-[ -n "$LOCAL_MODREF" ] && [ "$LOCAL_MODREF" = "$REMOTE_MODREF" ] \
-  || { echo "modref lines differ: local '$LOCAL_MODREF' remote '$REMOTE_MODREF'" >&2; exit 1; }
+grep -Eq '^pipeline: .* points-to-constraints=[1-9]' remote2.txt \
+  || { echo "remote --stats lost the points-to counters" >&2; cat remote2.txt >&2; exit 1; }
+MASK='s/-ms=[0-9.]+/-ms=X/g'
+LOCAL_ANALYZER="$(grep '^analyzer: ' local2.txt | sed -E "$MASK")"
+REMOTE_ANALYZER="$(grep '^analyzer: ' remote2.txt | sed -E "$MASK")"
+[ -n "$LOCAL_ANALYZER" ] && [ "$LOCAL_ANALYZER" = "$REMOTE_ANALYZER" ] \
+  || { echo "analyzer records differ: local '$LOCAL_ANALYZER' remote '$REMOTE_ANALYZER'" >&2; exit 1; }
 
 STATS="$("$MCC" --client "$SOCK" --remote-stats)"
 echo "$STATS" | grep -q '"completed":3' \

@@ -174,7 +174,7 @@ AnalyzerOptions deltaOptions() {
 json::Value counters(const AnalyzerStats &S) {
   json::Value All = json::encode(S), Out = json::Value::object();
   for (const auto &[Key, V] : All.members())
-    if (!Key.ends_with("-ms"))
+    if (!record::isTiming(Key))
       Out.set(Key, V);
   return Out;
 }

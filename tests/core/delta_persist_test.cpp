@@ -11,8 +11,8 @@
 /// path on the next edit, byte-identical databases — and any corrupted,
 /// truncated, or option-mismatched blob must be rejected (or fall back
 /// to a full analysis), never trusted. AnalyzerSession's lazy
-/// pending-restore path and its Restores/RestoreRejects counters ride
-/// on top and are pinned here too.
+/// pending-restore path and its SessionsRestored/RestoresRejected
+/// counters ride on top and are pinned here too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -351,9 +351,9 @@ TEST(DeltaPersist, SessionPendingRestoreCountsRestores) {
       << "fallback: " << Out.Delta.FallbackReason;
   EXPECT_EQ(Out.DB.serialize(), runAnalyzer(Mods, Options).serialize());
   AnalyzerSessionCounters C = Session.counters();
-  EXPECT_EQ(C.Restores, 1ull);
-  EXPECT_EQ(C.RestoreRejects, 0ull);
-  EXPECT_EQ(C.DeltaRuns, 1ull);
+  EXPECT_EQ(C.SessionsRestored, 1ull);
+  EXPECT_EQ(C.RestoresRejected, 0ull);
+  EXPECT_EQ(C.DeltaHits, 1ull);
 }
 
 TEST(DeltaPersist, SessionPendingRestoreCountsRejects) {
@@ -367,8 +367,8 @@ TEST(DeltaPersist, SessionPendingRestoreCountsRejects) {
   EXPECT_EQ(Out.Delta.Mode, DeltaMode::Full);
   EXPECT_EQ(Out.DB.serialize(), runAnalyzer(Mods, Options).serialize());
   AnalyzerSessionCounters C = Session.counters();
-  EXPECT_EQ(C.Restores, 0ull);
-  EXPECT_EQ(C.RestoreRejects, 1ull);
+  EXPECT_EQ(C.SessionsRestored, 0ull);
+  EXPECT_EQ(C.RestoresRejected, 1ull);
   EXPECT_EQ(C.FullRuns, 1ull);
 }
 

@@ -143,9 +143,9 @@ TEST(IncrementalTest, NoopRebuildHitsEveryPhase) {
   // The cached-run analyzer statistics survive.
   EXPECT_EQ(Warm.Analyzer.EligibleGlobals, Cold.Analyzer.EligibleGlobals);
   EXPECT_EQ(Warm.Analyzer.ColoredWebs, Cold.Analyzer.ColoredWebs);
-  // The stats report shows the cache line.
+  // The stats report shows every phase-1 lookup as a hit.
   EXPECT_NE(Warm.Stats.toString(Warm.Analyzer, Warm.Delta)
-                .find("cache: phase1 9/9"),
+                .find(" phase1-cache-hits=9 phase1-cache-misses=0 "),
             std::string::npos);
 }
 
@@ -1137,8 +1137,11 @@ TEST(IncrementalTest, DeltaAnalysisBuildMatchesColdBuild) {
 
   // The stats report renders the mode tag and the damage counters.
   std::string Report = Warm.Stats.toString(Warm.Analyzer, Warm.Delta);
-  EXPECT_NE(Report.find("analyzer phases (delta)"), std::string::npos);
-  EXPECT_NE(Report.find("delta: changed-procs=1"), std::string::npos);
+  EXPECT_NE(Report.find(" analyzer-mode=\"delta\" "), std::string::npos);
+  EXPECT_NE(Report.find("\ndelta: mode=\"incremental\" fallback-reason=\"\" "
+                        "changed-procs=1 "),
+            std::string::npos)
+      << Report;
 }
 
 // A mod/ref-only edit: dropping the last reachable store to g5 flips

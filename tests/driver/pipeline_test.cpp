@@ -11,6 +11,8 @@
 #include "driver/Pipeline.h"
 #include "link/ObjectIO.h"
 #include "summary/Summary.h"
+#include "support/Json.h"
+#include "support/Record.h"
 
 #include <gtest/gtest.h>
 
@@ -1062,8 +1064,8 @@ TEST(ParallelPipelineTest, WorkCountersAreExact) {
     EXPECT_NE(PS.toString(R.Analyzer, R.Delta).find("spilled-vregs="),
               std::string::npos);
     return std::vector<unsigned long long>{
-        PS.OptRounds, PS.OptPassRuns, PS.OptPassChanges, PS.RegAllocRounds,
-        PS.SpilledVRegs};
+        PS.Work.Opt.Rounds, PS.Work.Opt.PassRuns, PS.Work.Opt.PassChanges,
+        PS.Work.RegAllocRounds, PS.Work.SpilledVRegs};
   };
   std::vector<unsigned long long> Serial = Counters(1);
   EXPECT_EQ(Counters(1), Serial);
@@ -1103,9 +1105,76 @@ TEST(ParallelPipelineTest, PipelineStatsArePopulated) {
   EXPECT_EQ(PS.ObjectBytes, ObjectBytes);
 
   std::string Report = PS.toString(R.Analyzer, R.Delta);
-  EXPECT_NE(Report.find("threads=2"), std::string::npos);
-  EXPECT_NE(Report.find("module main.mc"), std::string::npos);
-  EXPECT_NE(Report.find("database="), std::string::npos);
+  EXPECT_NE(Report.find("pipeline: threads-used=2 "), std::string::npos);
+  EXPECT_NE(Report.find("]: name=\"main.mc\" "), std::string::npos);
+  EXPECT_NE(Report.find(" database-bytes=" +
+                        std::to_string(R.DatabaseFile.size()) + " "),
+            std::string::npos);
+}
+
+/// Calls \p F(Key, Field) for every row of \p Rec's field list, and for
+/// every row of each record it nests, lists included.
+template <typename R, typename Fn> void forEachRow(const R &Rec, Fn &&F) {
+  R::fields(Rec, [&](const char *Key, const auto &M) {
+    using T = std::remove_cvref_t<decltype(M)>;
+    F(std::string(Key), M);
+    if constexpr (record::Record<T>)
+      forEachRow(M, F);
+    else if constexpr (json::IsVector<T>::value)
+      forEachRow(typename T::value_type(), F);
+  });
+}
+
+// --stats is a view over the field lists: every key of the pipeline's,
+// the modules', the cache's, the analyzer's and the delta analyzer's
+// records appears in the text of a configuration-C build, a leaf as
+// " key=", a nested record as "key:" and a list as "key[0]:".
+TEST(ParallelPipelineTest, StatsTextPrintsEveryListedKey) {
+  BuildResult R = Pipeline(PipelineConfig::configC()).build(
+      multiModuleSources());
+  ASSERT_TRUE(R.ok()) << R.text();
+  const std::string Report = R.Stats.toString(R.Analyzer, R.Delta);
+  size_t Keys = 0;
+  auto Expect = [&](const std::string &Key, const auto &F) {
+    using T = std::remove_cvref_t<decltype(F)>;
+    const std::string Form = record::Record<T>         ? "  " + Key + ":"
+                             : json::IsVector<T>::value ? "  " + Key + "[0]:"
+                                                        : " " + Key + "=";
+    EXPECT_NE(Report.find(Form), std::string::npos) << Form << "\n" << Report;
+    ++Keys;
+  };
+  forEachRow(R.Stats, Expect);
+  forEachRow(R.Analyzer, Expect);
+  forEachRow(R.Delta, Expect);
+  EXPECT_GE(Keys, 31u + 15u + 10u + 26u + 7u);
+}
+
+// The timing mark is the one thing that tells a timing from a counter:
+// every floating-point leaf of the statistics records has a "-ms" key
+// and no other leaf does. A new timing then cannot reach the analyzer
+// cache entry unzeroed, and a new counter cannot be zeroed by mistake.
+TEST(ParallelPipelineTest, TimingsAndOnlyTimingsCarryTheMark) {
+  auto Check = [](const std::string &Key, const auto &F) {
+    using T = std::remove_cvref_t<decltype(F)>;
+    if constexpr (std::is_floating_point_v<T>)
+      EXPECT_TRUE(record::isTiming(Key)) << Key;
+    else
+      EXPECT_FALSE(record::isTiming(Key)) << Key;
+  };
+  forEachRow(PipelineStats(), Check);
+  forEachRow(AnalyzerStats(), Check);
+  forEachRow(DeltaStats(), Check);
+
+  AnalyzerStats A;
+  A.RefSetsMs = A.ModRefMs = A.WebsMs = A.ColoringMs = A.ClustersMs =
+      A.RegSetsMs = 1.5;
+  A.TotalWebs = 7;
+  record::zeroTimings(A);
+  EXPECT_EQ(json::encode(A).dump(), [] {
+    AnalyzerStats Want;
+    Want.TotalWebs = 7;
+    return json::encode(Want).dump();
+  }());
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "analysis/PointsTo.h"
 #include "driver/Driver.h"
 #include "opt/Passes.h"
+#include "support/Record.h"
 
 #include <gtest/gtest.h>
 
@@ -54,7 +55,7 @@ OptStats everyPassRounds(IRFunction &F, int MaxRounds) {
 OptStats everyPassOptimize(IRFunction &F, const OptOptions &Options) {
   OptStats Stats = everyPassRounds(F, 8);
   if (Options.LocalGlobalPromotion && promoteGlobalsLocally(F, Options))
-    Stats += everyPassRounds(F, 2);
+    record::add(Stats, everyPassRounds(F, 2));
   return Stats;
 }
 

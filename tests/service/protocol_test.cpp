@@ -160,7 +160,8 @@ TEST(ProtocolTest, PointsToFieldRejectsAnythingButAModeName) {
 // The wire carries exactly the listed knobs, flat: no nested options
 // record and no cache placement. A request that still sends the nested
 // webs/clusters/regsets objects or the blanket count older clients
-// wrote decodes as if it had not.
+// wrote fails, naming the first key the config list does not name,
+// instead of building with knobs the client did not ask for.
 TEST(ProtocolTest, WireConfigCarriesOnlyListedKnobs) {
   const PipelineConfig Config = PipelineConfig::configC();
   std::vector<std::string> Listed;
@@ -178,14 +179,41 @@ TEST(ProtocolTest, WireConfigCarriesOnlyListedKnobs) {
 
   BuildRequest Req;
   std::string Error;
-  ASSERT_TRUE(decodeConfig(
+  EXPECT_FALSE(decodeConfig(
       R"({"webs":{"split-sparse-webs":true,"min-lref-ratio":0.5},)"
       R"("clusters":{"root-benefit-threshold":2},)"
       R"("regsets":{"relax-web-avail":true},"blanket-count":3})",
-      Req, Error))
+      Req, Error));
+  EXPECT_EQ(Error, "request field 'config.webs' is not a known field");
+  for (const char *Old : {R"({"blanket-count":3})",
+                          R"({"clusters":{"root-benefit-threshold":2}})"}) {
+    EXPECT_FALSE(decodeConfig(Old, Req, Error)) << Old;
+    EXPECT_NE(Error.find("is not a known field"), std::string::npos) << Error;
+  }
+}
+
+// Every record of a request rejects keys its list does not name, at
+// any depth; keys of the profile's maps are data and always accepted.
+TEST(ProtocolTest, RequestRejectsUnknownKeys) {
+  const std::pair<const char *, const char *> Bad[] = {
+      {R"({"programme":"p"})", "programme"},
+      {R"({"modules":[{"name":"a.mc","txt":""}]})", "modules[0].txt"},
+      {R"({"profile":{"calls":{},"edge":[]}})", "profile.edge"},
+  };
+  for (const auto &[Text, Field] : Bad) {
+    BuildRequest Req;
+    std::string Error;
+    EXPECT_FALSE(requestFromJson(parseJson(Text), Req, Error)) << Text;
+    EXPECT_EQ(Error, std::string("request field '") + Field +
+                         "' is not a known field")
+        << Text;
+  }
+  BuildRequest Req;
+  std::string Error;
+  ASSERT_TRUE(requestFromJson(
+      parseJson(R"({"profile":{"calls":{"any.mc:name":3}}})"), Req, Error))
       << Error;
-  EXPECT_EQ(json::encode(Req.Config).dump(),
-            json::encode(PipelineConfig()).dump());
+  EXPECT_EQ(Req.Profile->CallCounts.at("any.mc:name"), 3);
 }
 
 TEST(ProtocolTest, RequestRoundTrip) {
